@@ -17,6 +17,7 @@ from ._seeds import derive_rng, derive_seed
 from .catalog import FAMILY_NAMES, Family, make_family
 from .coefficients import (
     CoefficientField,
+    FieldEval,
     MollifierSpec,
     StructuredCoefficient,
     block_condition_integrals,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -386,11 +386,14 @@ def run(cfg: ExperimentConfig, budget_scale: float = 1.0, printer=print) -> int:
     cfg.validate()
     out = Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    if budget_scale != 1.0:
-        cfg.n_omega = max(4, int(cfg.n_omega * np.sqrt(budget_scale)))
-        cfg.n_x = max(8, int(cfg.n_x * np.sqrt(budget_scale)))
-        cfg.mc_budget = max(500, int(cfg.mc_budget * budget_scale))
-        cfg.quadrature_points = max(500, int(cfg.quadrature_points * budget_scale))
+    if budget_scale != 1.0:  # rescale a copy: the caller's config stays as given
+        cfg = replace(
+            cfg,
+            n_omega=max(4, int(cfg.n_omega * np.sqrt(budget_scale))),
+            n_x=max(8, int(cfg.n_x * np.sqrt(budget_scale))),
+            mc_budget=max(500, int(cfg.mc_budget * budget_scale)),
+            quadrature_points=max(500, int(cfg.quadrature_points * budget_scale)),
+        )
     if cfg.kind == "verify-all":
         checks = verify_all(cfg.seed, budget_scale, printer=printer)
     else:

@@ -3,15 +3,21 @@
 A coefficient pair is a diffusion matrix ``sigma : R^n -> R^(n x m)`` and a
 drift ``b : R^n -> R^n``.  Fields evaluate on batches of points (shape
 ``(..., n)``) and expose Jacobians either analytically or by scale-aware
-central differences.  The module also provides
+central differences.  Every field has one evaluation entry point,
+``evaluate(x, jac=False) -> FieldEval``, which returns sigma and b (and
+their Jacobians) together; the single-component accessors ``sigma``,
+``drift``, ``sigma_jac`` and ``drift_jac`` serve callers that need one of
+them.  The module also provides
 
 * compactly supported bump mollifiers ``chi_k`` with cutoffs ``psi_k`` and
   the smoothing ``f_k = (f * chi_k) psi_k``, whose derivatives are computed
-  from ``f * grad(chi_k)`` and ``grad(psi_k)`` rather than by differencing;
+  from ``f * grad(chi_k)`` and ``grad(psi_k)`` rather than by differencing.
+  A smoothed field packs sigma and b into one function, so ``evaluate``
+  costs one quadrature pass over the rough field;
 * the vector and scalar functionals entering the exponent of the pathwise
   push-forward density (``density_noise_term`` / ``density_drift_term``),
   and the Ito-Taylor coefficient of the noise term
-  (``density_noise_with_gradient``);
+  (``density_noise_with_gradient``), which can share one ``FieldEval``;
 * checkers for the exponential-integrability condition on the coefficients
   and for the kernel domination and convergence properties of smoothing.
 
@@ -23,7 +29,8 @@ Axis conventions: ``sigma(x) -> (..., n, m)``, ``drift(x) -> (..., n)``,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +41,7 @@ from .measure import ReferenceMeasure
 
 __all__ = [
     "CoefficientField",
+    "FieldEval",
     "StructuredCoefficient",
     "MollifierSpec",
     "mollify",
@@ -61,9 +69,25 @@ _MAX_EVAL_BLOCK = 2**21  # limit batch*quadrature buffer sizes
 
 
 @dataclass
+class FieldEval:
+    """Coefficient values at a batch of points, with Jacobians on request.
+
+    A component a caller did not ask for is None.
+    """
+
+    sigma: Optional[NDArray[np.float64]]            # (..., n, m)
+    drift: Optional[NDArray[np.float64]]            # (..., n)
+    sigma_jac: Optional[NDArray[np.float64]] = None  # (..., n, m, n)
+    drift_jac: Optional[NDArray[np.float64]] = None  # (..., n, n)
+
+
+@dataclass
 class CoefficientField:
     """Coefficient pair (sigma, b) with optional analytic Jacobians.
 
+    ``evaluate`` is the evaluation entry point: it returns sigma and b, and
+    with ``jac=True`` their Jacobians, in one ``FieldEval``.  Smoothed fields
+    override it with a single quadrature pass over sigma and b together.
     When Jacobian callables are absent, derivatives fall back to central
     finite differences with a scale-aware step ``h = fd_scale * (1 + |x|)``.
     Fields are immutable in practice: evaluation never mutates state, so a
@@ -151,13 +175,13 @@ class CoefficientField:
     def drift_divergence(self, x) -> NDArray[np.float64]:
         return np.einsum("...ii->...", self.drift_jac(x))
 
-    # combined evaluations; smoothed fields override these with a single
-    # pass over the underlying rough field
-    def sigma_with_jac(self, x):
-        return self.sigma(x), self.sigma_jac(x)
-
-    def drift_with_jac(self, x):
-        return self.drift(x), self.drift_jac(x)
+    def evaluate(self, x, jac: bool = False) -> FieldEval:
+        """sigma and b at ``x``, plus both Jacobians when ``jac`` is set."""
+        pts = self._pts(x)
+        if not jac:
+            return FieldEval(self.sigma(pts), self.drift(pts))
+        return FieldEval(self.sigma(pts), self.drift(pts),
+                         self.sigma_jac(pts), self.drift_jac(pts))
 
 
 class StructuredCoefficient(CoefficientField):
@@ -255,12 +279,6 @@ class StructuredCoefficient(CoefficientField):
         )
         return obj
 
-    def sigma2(self, x) -> NDArray[np.float64]:
-        return self.sigma(x)[..., self.n1:, :]
-
-    def drift2(self, x) -> NDArray[np.float64]:
-        return self.drift(x)[..., self.n1:]
-
 
 # -- scaled (sublinear-growth) magnitudes -----------------------------------
 
@@ -304,24 +322,43 @@ def _bump_mass(dim: int, shape: float) -> float:
     return float(surf * val)
 
 
+def _step_band(t):
+    """Mask of the open band 0 < t < 1, t on it, exp(-1/t) and exp(-1/(1-t)).
+
+    Only the band needs the exponentials: outside it the step is exactly 0
+    or 1 and its derivative exactly 0.
+    """
+    band = (t > 0.0) & (t < 1.0)
+    tb = t[band]
+    with np.errstate(divide="ignore", over="ignore"):  # subnormal t: exp(-inf)
+        g = np.exp(-1.0 / tb)
+    return band, tb, g, np.exp(-1.0 / (1.0 - tb))
+
+
 def _smoothstep(t):
-    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t)."""
+    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t).
+
+    A nan input stays nan.
+    """
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        gm = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
-    return g / (g + gm)
+    out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, np.nan))
+    band, _, g, gm = _step_band(t)
+    out[band] = g / (g + gm)
+    return out
 
 
 def _smoothstep_deriv(t):
+    """Derivative of ``_smoothstep``; exactly 0 outside the band 0 < t < 1.
+
+    Where ``t**2`` underflows (t < 1e-150) the numerator ``exp(-1/t)`` is
+    already 0, so ``t`` is floored there to keep 0/0 out of the quotient.
+    """
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        gm = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
-        gp = np.where(t > 0, g / np.maximum(t, 1e-300) ** 2, 0.0)
-        gmp = np.where(1 - t > 0, -gm / np.maximum(1 - t, 1e-300) ** 2, 0.0)
-    denom = (g + gm) ** 2
-    out = np.where(denom > 0, (gp * gm - g * gmp) / np.maximum(denom, 1e-300), 0.0)
+    out = np.zeros(t.shape)
+    band, tb, g, gm = _step_band(t)
+    gp = g / np.maximum(tb, 1e-150) ** 2
+    gmp = -gm / (1.0 - tb) ** 2
+    out[band] = (gp * gm - g * gmp) / (g + gm) ** 2
     return out
 
 
@@ -334,7 +371,10 @@ class MollifierSpec:
     outside B(2), scaled as ``psi_k(x) = psi(x/k)``.  Convolutions are
     evaluated by composite tensor-product Gauss-Legendre quadrature on the
     kernel support, with weights renormalized so constants are reproduced
-    exactly.  ``order``/``panels`` trade accuracy for evaluation cost.
+    exactly.  The value weights and the kernel-gradient weights are stacked
+    into one ``(1 + dim, Q)`` matrix, so a quadrature pass returns the
+    convolution and its gradient from one matrix product per block of
+    points.  ``order``/``panels`` trade accuracy for evaluation cost.
     """
 
     dim: int
@@ -365,9 +405,17 @@ class MollifierSpec:
         raw_w = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
         bump = self._bump(self._nodes)
         z = float(np.sum(raw_w * bump))
-        self._value_weights = raw_w * bump / z            # sums to 1 exactly
-        self._grad_weights = (raw_w[:, None] * self._bump_grad(self._nodes)) / z
-        self._grad_weights -= self._grad_weights.mean(axis=0, keepdims=True)
+        grad_w = (raw_w[:, None] * self._bump_grad(self._nodes)) / z
+        grad_w -= grad_w.mean(axis=0, keepdims=True)
+        # row 0: value weights (sum to 1 exactly); row 1 + j: d/dx_j weights
+        self._weights = np.concatenate(
+            [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
+
+    def _points(self, x) -> NDArray[np.float64]:
+        pts = np.asarray(x, dtype=np.float64)
+        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
+            pts = pts[..., np.newaxis]
+        return pts
 
     # -- kernel and cutoff ---------------------------------------------------
 
@@ -394,11 +442,8 @@ class MollifierSpec:
 
     def kernel(self, x) -> NDArray[np.float64]:
         """Scaled kernel chi_k, normalized with the continuum constant."""
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
         k = self.level
-        return k**self.dim * self._bump(k * pts) / _bump_mass(self.dim, self.shape)
+        return k**self.dim * self._bump(k * self._points(x)) / _bump_mass(self.dim, self.shape)
 
     def kernel_mass_quadrature(self, n_points: int = 4001) -> float:
         """Numeric integral of the normalized kernel (radial quadrature)."""
@@ -412,16 +457,11 @@ class MollifierSpec:
 
     def cutoff(self, x) -> NDArray[np.float64]:
         """psi_k(x): 1 on B(k), 0 outside B(2k), smooth in between."""
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        r = np.linalg.norm(pts, axis=-1) / self.level
+        r = np.linalg.norm(self._points(x), axis=-1) / self.level
         return _smoothstep(2.0 - r)
 
     def cutoff_grad(self, x) -> NDArray[np.float64]:
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
+        pts = self._points(x)
         r = np.linalg.norm(pts, axis=-1)
         rk = r / self.level
         deriv = _smoothstep_deriv(2.0 - rk) * (-1.0 / self.level)
@@ -432,136 +472,147 @@ class MollifierSpec:
 
     def convolve(self, func: Callable, x) -> NDArray[np.float64]:
         """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out)."""
-        return self._convolve_weighted(func, x, self._value_weights, scale=1.0)
-
-    def convolve_abs(self, func: Callable, x) -> NDArray[np.float64]:
-        """(|func| * chi_k)(x) for scalar-valued |func|."""
-        return self._convolve_weighted(
-            lambda p: np.abs(func(p)), x, self._value_weights, scale=1.0
-        )
-
-    def convolve_grad(self, func: Callable, x) -> NDArray[np.float64]:
-        """(func * grad chi_k)(x), shape (..., *out, dim)."""
-        pts = np.asarray(x, dtype=np.float64)
-        outs = []
-        for j in range(self.dim):
-            outs.append(
-                self._convolve_weighted(
-                    func, pts, self._grad_weights[:, j], scale=self.level
-                )
-            )
-        return np.stack(outs, axis=-1)
+        return self._quadrature(func, x, self._weights[:1])[0]
 
     def convolve_with_grad(self, func: Callable, x):
-        """Value and gradient of func * chi_k in a single pass over func."""
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
+        """Value and gradient of func * chi_k in a single pass over func.
+
+        Returns ``(value, grad)`` with shapes ``(..., *out)`` and
+        ``(..., *out, dim)``.
+        """
+        out = self._quadrature(func, x, self._weights)
+        return out[0], np.moveaxis(out[1:], 0, -1)
+
+    def _quadrature(self, func, x, weights):
+        """``sum_q weights[j, q] func(x - u_q / k)`` at every point x.
+
+        Returns shape ``(J,) + batch + out``.  Points go in blocks of at most
+        ``_MAX_EVAL_BLOCK`` point-node pairs, and each block's ``(B, Q, K)``
+        function values are reduced with one matrix product.
+        """
+        pts = self._points(x)
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
-        nb = flat.shape[0]
         q = self._nodes.shape[0]
         block = max(1, _MAX_EVAL_BLOCK // q)
-        vals, grads = [], []
-        for start in range(0, nb, block):
+        outs = []
+        for start in range(0, flat.shape[0], block):
             chunk = flat[start:start + block]                      # (B, dim)
             shifted = chunk[:, None, :] - self._nodes[None, :, :] / self.level
             f = np.asarray(func(shifted), dtype=np.float64)        # (B, Q, *out)
-            wshape = (1, q) + (1,) * (f.ndim - 2)
-            vals.append(np.sum(f * self._value_weights.reshape(wshape), axis=1))
-            g = [
-                self.level
-                * np.sum(f * self._grad_weights[:, j].reshape(wshape), axis=1)
-                for j in range(self.dim)
-            ]
-            grads.append(np.stack(g, axis=-1))
-        val = np.concatenate(vals, axis=0)
-        grad = np.concatenate(grads, axis=0)
-        return (
-            val.reshape(batch + val.shape[1:]),
-            grad.reshape(batch + grad.shape[1:]),
-        )
-
-    def _convolve_weighted(self, func, x, weights, scale):
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        batch = pts.shape[:-1]
-        flat = pts.reshape(-1, self.dim)
-        nb = flat.shape[0]
-        q = self._nodes.shape[0]
-        block = max(1, _MAX_EVAL_BLOCK // q)
-        outs = []
-        for start in range(0, nb, block):
-            chunk = flat[start:start + block]
-            shifted = chunk[:, None, :] - self._nodes[None, :, :] / self.level
-            f = np.asarray(func(shifted), dtype=np.float64)
-            wshape = (1, q) + (1,) * (f.ndim - 2)
-            outs.append(scale * np.sum(f * weights.reshape(wshape), axis=1))
-        out = np.concatenate(outs, axis=0)
-        return out.reshape(batch + out.shape[1:])
-
-    def with_level(self, level: float) -> "MollifierSpec":
-        return replace(self, level=level)
+            red = np.matmul(weights, f.reshape(f.shape[:2] + (-1,)))  # (B, J, K)
+            outs.append(red.reshape(red.shape[:2] + f.shape[2:]))
+        out = np.moveaxis(np.concatenate(outs, axis=0), 1, 0)    # (J, nb, *out)
+        return out.reshape(out.shape[:1] + batch + out.shape[2:])
 
 
-class _MollifiedField(CoefficientField):
-    """Smoothed field with single-pass value-and-Jacobian evaluation.
+class _Mollified:
+    """Evaluation path shared by the smoothed fields.
 
-    For a declared-constant sigma the convolution is the identity (the
-    discrete kernel weights sum to one), so sigma_k reduces exactly to
-    sigma * psi_k and only the cutoff is evaluated.
+    Rows ``r0:`` of sigma and b are smoothed, ``f_k = (f * chi_k) psi_k``
+    (all rows for ``mollify``, the second block for ``mollify_structured``);
+    rows above ``r0`` are the first block, evaluated as it is.  ``evaluate``
+    and the single-component accessors all go through ``_smooth``, which
+    packs the requested rough components into one function, so that one
+    quadrature pass serves them all: ``convolve`` for values,
+    ``convolve_with_grad`` for the Jacobian ``(f * grad chi_k) psi_k +
+    (f * chi_k) grad psi_k``.  For a declared-constant sigma the convolution
+    is the identity (the discrete kernel weights sum to one), so sigma_k
+    reduces exactly to sigma * psi_k and only the cutoff is evaluated.
     """
 
-    def __init__(self, base: CoefficientField, spec: MollifierSpec):
-        self._base = base
-        self._spec = spec
+    def _setup(self, base, spec, r0, rough_sigma, rough_drift) -> dict:
+        self._base, self._spec, self._r0 = base, spec, r0
+        self._rough = dict(sigma=rough_sigma, drift=rough_drift)
         self._sigma0 = None
         if base.sigma_constant:
-            self._sigma0 = base.sigma(np.zeros((1, base.dim_state)))[0]
-
-        def sigma_fn(x):
-            if self._sigma0 is not None:
-                return self._sigma0 * spec.cutoff(x)[..., None, None]
-            return spec.convolve(base.sigma_fn, x) * spec.cutoff(x)[..., None, None]
-
-        def drift_fn(x):
-            return spec.convolve(base.drift_fn, x) * spec.cutoff(x)[..., None]
-
-        super().__init__(
+            self._sigma0 = base.sigma(np.zeros((1, base.dim_state)))[0, r0:]
+        return dict(
             dim_state=base.dim_state,
             dim_noise=base.dim_noise,
-            sigma_fn=sigma_fn,
-            drift_fn=drift_fn,
-            sigma_jac_fn=lambda x: self.sigma_with_jac(x)[1],
-            drift_jac_fn=lambda x: self.drift_with_jac(x)[1],
+            sigma_fn=lambda x: self._smooth(x, drift=False).sigma,
+            drift_fn=lambda x: self._smooth(x, sigma=False).drift,
+            sigma_jac_fn=lambda x: self._smooth(x, drift=False, jac=True).sigma_jac,
+            drift_jac_fn=lambda x: self._smooth(x, sigma=False, jac=True).drift_jac,
             smoothness="smooth",
+        )
+
+    def evaluate(self, x, jac: bool = False) -> FieldEval:
+        return self._smooth(self._pts(x), jac=jac)
+
+    def _smooth(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+        n, m, r0, spec = self.dim_state, self.dim_noise, self._r0, self._spec
+        shapes = {}
+        if sigma and self._sigma0 is None:
+            shapes["sigma"] = (n - r0, m)
+        if drift:
+            shapes["drift"] = (n - r0,)
+        got = self._convolved(pts, shapes, jac) if shapes else {}
+        if sigma and self._sigma0 is not None:
+            s0 = self._sigma0
+            got["sigma"] = (
+                s0 * spec.cutoff(pts)[..., None, None],
+                s0[..., None] * spec.cutoff_grad(pts)[..., None, None, :] if jac else None,
+            )
+        if r0:
+            got = self._with_first_block(pts, got)
+        sig, sjac = got.get("sigma", (None, None))
+        b, bjac = got.get("drift", (None, None))
+        return FieldEval(sig, b, sjac, bjac)
+
+    def _convolved(self, pts, shapes: dict, jac: bool) -> dict:
+        """``name: (value, jacobian or None)`` of the smoothed rough parts."""
+        spec, fns = self._spec, [self._rough[name] for name in shapes]
+
+        def packed(y):
+            cols = [np.asarray(f(y), dtype=np.float64).reshape(y.shape[:-1] + (-1,))
+                    for f in fns]
+            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+
+        psi = spec.cutoff(pts)[..., None]
+        if jac:
+            conv, grad = spec.convolve_with_grad(packed, pts)
+            grad = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[..., None, :]
+        else:
+            conv = spec.convolve(packed, pts)
+        val = conv * psi
+        lead, out, start = pts.shape[:-1], {}, 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            out[name] = (
+                val[..., start:stop].reshape(lead + shape),
+                grad[..., start:stop, :].reshape(lead + shape + pts.shape[-1:]) if jac else None,
+            )
+            start = stop
+        return out
+
+    def _with_first_block(self, pts, got) -> dict:
+        """Stack the unsmoothed first block on top of the smoothed rows."""
+        r0, blocks = self._r0, self._base._blocks
+        x1 = pts[..., :r0]
+        out = {}
+        for name, rows in (("sigma", -2), ("drift", -1)):  # row axis of the value
+            if name not in got:
+                continue
+            val2, jac2 = got[name]
+            val = np.concatenate([blocks[f"{name}1_fn"](x1), val2], axis=rows)
+            jac = None
+            if jac2 is not None:  # the first block does not depend on x2
+                jac1 = np.zeros(jac2.shape[:rows - 1] + (r0,) + jac2.shape[rows:])
+                jac1[..., :r0] = blocks[f"{name}1_jac_fn"](x1)
+                jac = np.concatenate([jac1, jac2], axis=rows - 1)
+            out[name] = (val, jac)
+        return out
+
+
+class _MollifiedField(_Mollified, CoefficientField):
+    """``mollify``: every row of sigma and b smoothed."""
+
+    def __init__(self, base: CoefficientField, spec: MollifierSpec):
+        CoefficientField.__init__(
+            self, **self._setup(base, spec, 0, base.sigma_fn, base.drift_fn),
             name=f"{base.name}|k={spec.level:g}",
         )
-
-    def sigma_with_jac(self, x):
-        pts = self._pts(x)
-        psi = self._spec.cutoff(pts)
-        dpsi = self._spec.cutoff_grad(pts)
-        if self._sigma0 is not None:
-            val = self._sigma0 * psi[..., None, None]
-            jac = self._sigma0[..., None] * dpsi[..., None, None, :]
-            return val, jac
-        conv, grad = self._spec.convolve_with_grad(self._base.sigma_fn, pts)
-        val = conv * psi[..., None, None]
-        jac = grad * psi[..., None, None, None] + (
-            conv[..., :, :, None] * dpsi[..., None, None, :]
-        )
-        return val, jac
-
-    def drift_with_jac(self, x):
-        pts = self._pts(x)
-        conv, grad = self._spec.convolve_with_grad(self._base.drift_fn, pts)
-        psi = self._spec.cutoff(pts)
-        dpsi = self._spec.cutoff_grad(pts)
-        val = conv * psi[..., None]
-        jac = grad * psi[..., None, None] + conv[..., :, None] * dpsi[..., None, :]
-        return val, jac
 
 
 def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
@@ -575,90 +626,25 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     return _MollifiedField(field, spec)
 
 
-class _MollifiedStructuredField(StructuredCoefficient):
+class _MollifiedStructuredField(_Mollified, StructuredCoefficient):
     """Structured field whose second block is smoothed; the first block is
     untouched, so the first-block flow is identical across smoothing levels.
     """
 
     def __init__(self, base: StructuredCoefficient, spec: MollifierSpec):
-        self._base = base
-        self._spec = spec
-        blocks = base._blocks
-        n1 = base.n1
-
-        def sigma2_fn(x):
-            return spec.convolve(blocks["sigma2_fn"], x) * spec.cutoff(x)[..., None, None]
-
-        def drift2_fn(x):
-            return spec.convolve(blocks["drift2_fn"], x) * spec.cutoff(x)[..., None]
-
-        def sigma_fn(x):
-            return np.concatenate(
-                [blocks["sigma1_fn"](x[..., :n1]), sigma2_fn(x)], axis=-2
-            )
-
-        def drift_fn(x):
-            return np.concatenate(
-                [blocks["drift1_fn"](x[..., :n1]), drift2_fn(x)], axis=-1
-            )
-
-        super().__init__(
-            n1,
-            dim_state=base.dim_state,
-            dim_noise=base.dim_noise,
-            sigma_fn=sigma_fn,
-            drift_fn=drift_fn,
-            sigma_jac_fn=lambda x: self.sigma_with_jac(x)[1],
-            drift_jac_fn=lambda x: self.drift_with_jac(x)[1],
-            smoothness="smooth",
+        blocks, n1 = base._blocks, base.n1
+        StructuredCoefficient.__init__(
+            self, n1,
+            **self._setup(base, spec, n1, blocks["sigma2_fn"], blocks["drift2_fn"]),
             name=f"{base.name}|k2={spec.level:g}",
         )
         self._blocks = dict(
             blocks,
-            sigma2_fn=sigma2_fn,
-            drift2_fn=drift2_fn,
-            sigma2_jac_x2_fn=lambda x: self._block2_jac("sigma2_fn", x)[1][..., self.n1:],
-            drift2_jac_x2_fn=lambda x: self._block2_jac("drift2_fn", x)[1][..., self.n1:],
+            sigma2_fn=lambda x: self.sigma(x)[..., n1:, :],
+            drift2_fn=lambda x: self.drift(x)[..., n1:],
+            sigma2_jac_x2_fn=lambda x: self.sigma_jac(x)[..., n1:, :, n1:],
+            drift2_jac_x2_fn=lambda x: self.drift_jac(x)[..., n1:, n1:],
         )
-
-    def _block2_jac(self, key: str, x):
-        spec, base_blocks = self._spec, self._base._blocks
-        conv, grad = spec.convolve_with_grad(base_blocks[key], x)
-        psi = spec.cutoff(x)
-        dpsi = spec.cutoff_grad(x)
-        extra = conv.ndim - psi.ndim  # trailing component axes of the block
-        psi_e = psi.reshape(psi.shape + (1,) * extra)
-        val = conv * psi_e
-        jac = grad * psi_e[..., None] + conv[..., None] * dpsi.reshape(
-            dpsi.shape[:-1] + (1,) * extra + (dpsi.shape[-1],)
-        )
-        return val, jac
-
-    def sigma_with_jac(self, x):
-        pts = self._pts(x)
-        n1, m = self.n1, self.dim_noise
-        blocks = self._base._blocks
-        s1 = blocks["sigma1_fn"](pts[..., :n1])
-        j1 = blocks["sigma1_jac_fn"](pts[..., :n1])
-        v2, j2full = self._block2_jac("sigma2_fn", pts)
-        val = np.concatenate([s1, v2], axis=-2)
-        jac = np.zeros(pts.shape[:-1] + (self.dim_state, m, self.dim_state))
-        jac[..., :n1, :, :n1] = j1
-        jac[..., n1:, :, :] = j2full
-        return val, jac
-
-    def drift_with_jac(self, x):
-        pts = self._pts(x)
-        n1 = self.n1
-        blocks = self._base._blocks
-        b1 = blocks["drift1_fn"](pts[..., :n1])
-        j1 = blocks["drift1_jac_fn"](pts[..., :n1])
-        v2, j2full = self._block2_jac("drift2_fn", pts)
-        val = np.concatenate([b1, v2], axis=-1)
-        jac = np.zeros(pts.shape[:-1] + (self.dim_state, self.dim_state))
-        jac[..., :n1, :n1] = j1
-        jac[..., n1:, :] = j2full
-        return val, jac
 
 
 def mollify_structured(
@@ -685,21 +671,22 @@ def mollify_structured(
 
 
 def density_noise_term(
-    field: CoefficientField, m: ReferenceMeasure, x
+    field: CoefficientField, m: ReferenceMeasure, x, ev: Optional[FieldEval] = None
 ) -> NDArray[np.float64]:
     """Vector integrand of the stochastic integral in the log-density.
 
     Component l is ``div(sigma^{.,l})(x) + <sigma^{.,l}(x), grad log w(x)>``.
+    ``ev`` is ``field.evaluate(x, jac=True)`` when the caller already has it.
     """
     pts = field._pts(x)
-    div = field.sigma_divergence(pts)
-    sig = field.sigma(pts)
-    g = m.grad_log_weight(pts)
-    return div + np.einsum("...nm,...n->...m", sig, g)
+    ev = field.evaluate(pts, jac=True) if ev is None else ev
+    div = np.einsum("...iki->...k", ev.sigma_jac)
+    return div + np.einsum("...nm,...n->...m", ev.sigma, m.grad_log_weight(pts))
 
 
 def density_noise_with_gradient(
-    field: CoefficientField, m: ReferenceMeasure, x, h: float
+    field: CoefficientField, m: ReferenceMeasure, x, h: float,
+    ev: Optional[FieldEval] = None,
 ):
     """Noise term ``lam1`` and its derivatives along the sigma columns.
 
@@ -716,22 +703,22 @@ def density_noise_with_gradient(
     term is the only one with second derivatives of sigma; it is taken as
     the one-sided difference of the column divergences along
     ``h sigma^{.,k}`` (Platen's derivative-free form; ``h = sqrt(dt)`` in
-    the density tracker), which stays bounded where sigma jumps.  For a
-    declared-constant sigma the Jacobian is not evaluated: the divergence
-    and the last two terms vanish.
+    the density tracker), which stays bounded where sigma jumps.  That
+    difference is the only evaluation besides ``ev`` (``field.evaluate(x,
+    jac=True)``, shared with ``density_drift_term``), and it needs the
+    sigma Jacobian only.  For a declared-constant sigma the divergence and
+    the last two terms vanish and are skipped.
     """
     pts = field._pts(x)
-    g = m.grad_log_weight(pts)
-    if field.sigma_constant:
-        sig, jac = field.sigma(pts), None
-    else:
-        sig, jac = field.sigma_with_jac(pts)
+    ev = field.evaluate(pts, jac=True) if ev is None else ev
+    sig, g = ev.sigma, m.grad_log_weight(pts)
     sg = np.einsum("...nm,...n->...m", sig, g)
     grad = np.einsum("...ik,...il->...kl", sig, sig)
     grad *= (-2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1)))[..., None, None]
     grad += np.einsum("...k,...l->...kl", sg, sg / m.alpha)
-    if jac is None:  # div sigma = 0
+    if field.sigma_constant:  # div sigma = 0
         return sg, grad
+    jac = ev.sigma_jac
     div = np.einsum("...iki->...k", jac)
     grad += np.einsum("...ik,...jli,...j->...kl", sig, jac, g)
     for k in range(field.dim_noise):
@@ -741,28 +728,40 @@ def density_noise_with_gradient(
 
 
 def density_drift_term(
-    field: CoefficientField, m: ReferenceMeasure, x
+    field: CoefficientField, m: ReferenceMeasure, x, ev: Optional[FieldEval] = None
 ) -> NDArray[np.float64]:
     """Scalar integrand of the time integral in the log-density.
 
     ``div(b) + 1/2 <sigma sigma^T, Hess log w> + <b, grad log w>
-    - 1/2 * gradient_contraction``.
+    - 1/2 * gradient_contraction``.  With ``g = grad log w`` the weight
+    term is ``-2 alpha/(1+|x|^2) |sigma|_F^2 + |sigma^T g|^2 / alpha``, so
+    neither the Hessian nor ``sigma sigma^T`` is formed.  ``ev`` is
+    ``field.evaluate(x, jac=True)`` when the caller already has it.
     """
     pts = field._pts(x)
-    divb = field.drift_divergence(pts)
-    sig = field.sigma(pts)
-    a = np.einsum("...ik,...jk->...ij", sig, sig)
-    hess = m.hess_log_weight(pts)
-    gen = 0.5 * np.einsum("...ij,...ij->...", a, hess) + np.einsum(
-        "...i,...i->...", field.drift(pts), m.grad_log_weight(pts)
+    ev = field.evaluate(pts, jac=True) if ev is None else ev
+    sig, g = ev.sigma, m.grad_log_weight(pts)
+    sg = np.einsum("...nm,...n->...m", sig, g)
+    weight = (
+        -2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1))
+        * np.einsum("...ik,...ik->...", sig, sig)
+        + np.einsum("...k,...k->...", sg, sg) / m.alpha
     )
-    return divb + gen - 0.5 * gradient_contraction(field, pts)
+    return (
+        np.einsum("...ii->...", ev.drift_jac)
+        + 0.5 * weight
+        + np.einsum("...i,...i->...", ev.drift, g)
+        - 0.5 * _contraction(ev.sigma_jac)
+    )
+
+
+def _contraction(jac) -> NDArray[np.float64]:
+    return np.einsum("...jki,...ikj->...", jac, jac)
 
 
 def gradient_contraction(field: CoefficientField, x) -> NDArray[np.float64]:
     """Double contraction sum_k sum_ij (d_i sigma^{jk})(d_j sigma^{ik})."""
-    jac = field.sigma_jac(field._pts(x))
-    return np.einsum("...jki,...ikj->...", jac, jac)
+    return _contraction(field.sigma_jac(field._pts(x)))
 
 
 def gradient_contraction_split(field: StructuredCoefficient, x):
@@ -774,11 +773,7 @@ def gradient_contraction_split(field: StructuredCoefficient, x):
     """
     n1 = field.n1
     jac = field.sigma_jac(field._pts(x))
-    j1 = jac[..., :n1, :, :n1]
-    j2 = jac[..., n1:, :, n1:]
-    b1 = np.einsum("...jki,...ikj->...", j1, j1)
-    b2 = np.einsum("...jki,...ikj->...", j2, j2)
-    return b1, b2
+    return _contraction(jac[..., :n1, :, :n1]), _contraction(jac[..., n1:, :, n1:])
 
 
 # ---------------------------------------------------------------------------
@@ -947,9 +942,7 @@ def mollifier_domination_check(
     the largest value of lhs / (|f bar| * chi_k); the bound asserts it
     never exceeds 2.
     """
-    pts = np.asarray(grid, dtype=np.float64)
-    if spec.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., np.newaxis]
+    pts = spec._points(grid)
     conv = spec.convolve(func, pts)
     extra = tuple(range(pts.ndim - 1, conv.ndim))
     lhs = np.sqrt(np.sum(conv**2, axis=extra)) if extra else np.abs(conv)
@@ -1025,9 +1018,7 @@ def noise_term_domination_constant(
     not pinned down, so callers assert finiteness and stability across
     levels rather than a specific number.
     """
-    pts = np.asarray(grid, dtype=np.float64)
-    if field.dim_state == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., np.newaxis]
+    pts = field._pts(grid)
     lam1 = density_noise_term(mollified, m, pts)
     lhs = np.sum(lam1**2, axis=-1)
     sbar = scaled_sigma(field)

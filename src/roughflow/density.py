@@ -49,6 +49,8 @@ from .coefficients import (
 from .flow import BrownianDriver, FlowEnsemble, integrate
 from .measure import ReferenceMeasure
 
+_TRACK_BLOCK_STATES = 2**15  # states per density-exponent evaluation block
+
 __all__ = [
     "DensityTrack",
     "track_density",
@@ -120,6 +122,11 @@ def track_density(
 
     The field must provide derivatives (analytic or smoothed); evaluation is
     at the left grid point, matching the Ito integral of the simulation.
+    One ``field.evaluate(left, jac=True)`` serves both exponent terms; the
+    only other evaluation is the sigma-divergence difference of G.  States
+    are evaluated in blocks of whole time steps of at most
+    ``_TRACK_BLOCK_STATES`` states (at least one step), which bounds memory
+    independently of the ensemble size.
     Each step of the stochastic sum carries the Ito-Taylor (Milstein) term
     of the module docstring, with G from ``density_noise_with_gradient``;
     the orders stated there are those of the sum along the simulated path.
@@ -130,18 +137,26 @@ def track_density(
     states = ensemble.states
     n_omega, n_x, n_times, _ = states.shape
     n_steps = n_times - 1
-    inc = ensemble.driver.increments[:, :n_steps, :]
     dt = float(ensemble.times[1] - ensemble.times[0])
-    left = states[:, :, :-1, :]
-    lam2 = density_drift_term(field, m, left)                # (o, x, N)
-    if midpoint:
-        lam1 = density_noise_term(field, m, 0.5 * (left + states[:, :, 1:, :]))
-        ds = np.einsum("oxnm,onm->oxn", lam1, inc)
-    else:
-        lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt))
-        ds = np.einsum("oxnm,onm->oxn", lam1, inc)
+    lam2 = np.empty((n_omega, n_x, n_steps))
+    ds = np.empty((n_omega, n_x, n_steps))
+    # blocks of whole time steps bound the per-state arrays (FieldEval, G)
+    per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
+    for a in range(0, n_steps, per_block):
+        steps = slice(a, min(a + per_block, n_steps))
+        inc = ensemble.driver.increments[:, steps, :]
+        left = states[:, :, steps, :]
+        ev = field.evaluate(left, jac=True)
+        lam2[:, :, steps] = density_drift_term(field, m, left, ev)
+        if midpoint:
+            mid = 0.5 * (left + states[:, :, a + 1:steps.stop + 1, :])
+            ds[:, :, steps] = np.einsum(
+                "oxnm,onm->oxn", density_noise_term(field, m, mid), inc)
+            continue
+        lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
         quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
-        ds += 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad)
+        ds[:, :, steps] = (np.einsum("oxnm,onm->oxn", lam1, inc)
+                           + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))
     stochastic = np.zeros((n_omega, n_x, n_times))
     time_integral = np.zeros((n_omega, n_x, n_times))
     np.cumsum(ds, axis=2, out=stochastic[:, :, 1:])
@@ -271,8 +286,9 @@ def density_bound_rhs(
     """
     mass = m.total_mass()
     pts = m.sample(rng, budget)
-    lam1 = density_noise_term(field, m, pts)
-    lam2 = density_drift_term(field, m, pts)
+    ev = field.evaluate(pts, jac=True)
+    lam1 = density_noise_term(field, m, pts, ev)
+    lam2 = density_drift_term(field, m, pts, ev)
     g = p**3 * np.sum(lam1**2, axis=-1) - p**2 * lam2
     g = g[np.isfinite(g)]
     sup_val, sup_share, sup_t = -np.inf, 0.0, 0.0

@@ -43,6 +43,8 @@ class BrownianDriver:
     """Pre-generated Brownian increments on a uniform grid.
 
     ``increments[j, i, :]`` is the step of path j over ``[i dt, (i+1) dt)``.
+    ``offset`` counts the steps of the generated path that precede this
+    driver's first increment (nonzero after ``time_shift``).
     """
 
     dim_noise: int
@@ -51,6 +53,7 @@ class BrownianDriver:
     n_omega: int
     seed: int
     increments: NDArray[np.float64] = dc_field(repr=False, default=None)
+    offset: int = 0
 
     @classmethod
     def generate(cls, dim_noise: int, dt: float, n_steps: int, n_omega: int,
@@ -58,6 +61,11 @@ class BrownianDriver:
         rng = derive_rng(seed, "brownian-driver")
         inc = rng.normal(0.0, np.sqrt(dt), size=(n_omega, n_steps, dim_noise))
         return cls(dim_noise, dt, n_steps, n_omega, seed, inc)
+
+    @property
+    def fingerprint(self) -> tuple:
+        """What two drivers must share to drive the same noise on one grid."""
+        return (self.seed, self.dt, self.offset, self.n_omega, self.dim_noise)
 
     @property
     def horizon(self) -> float:
@@ -79,17 +87,19 @@ class BrownianDriver:
         """Driver of the shifted path B_{t+s} - B_s (a view, same memory)."""
         j = self.step_index(s)
         return BrownianDriver(self.dim_noise, self.dt, self.n_steps - j,
-                              self.n_omega, self.seed, self.increments[:, j:, :])
+                              self.n_omega, self.seed, self.increments[:, j:, :],
+                              self.offset + j)
 
     def coarsen(self, factor: int) -> "BrownianDriver":
         """Aggregate consecutive increments: the same path on a coarser grid."""
-        if self.n_steps % factor:
-            raise ValueError("factor must divide n_steps")
+        if self.n_steps % factor or self.offset % factor:
+            raise ValueError("factor must divide n_steps and the step offset")
         inc = self.increments.reshape(
             self.n_omega, self.n_steps // factor, factor, self.dim_noise
         ).sum(axis=2)
         return BrownianDriver(self.dim_noise, self.dt * factor,
-                              self.n_steps // factor, self.n_omega, self.seed, inc)
+                              self.n_steps // factor, self.n_omega, self.seed, inc,
+                              self.offset // factor)
 
     def path_values(self) -> NDArray[np.float64]:
         """B at grid times, shape (n_omega, n_steps + 1, m); B_0 = 0."""
@@ -207,10 +217,10 @@ def integrate(
     states[:, :, 0, :] = x
     alive = np.ones((n_omega, n_x), dtype=bool)
     for i in range(n_steps):
-        sig = field.sigma(x)
-        b = field.drift(x)
+        ev = field.evaluate(x)
         step = (
-            np.einsum("oxnm,om->oxn", sig, driver.increments[:, i, :]) + b * dt
+            np.einsum("oxnm,om->oxn", ev.sigma, driver.increments[:, i, :])
+            + ev.drift * dt
         )
         x = np.where(alive[..., None], x + step, x)
         bad = ~np.isfinite(x).all(axis=-1) | (
@@ -250,11 +260,12 @@ def compose_time_shift(
 def convergence_metric(e1: FlowEnsemble, e2: FlowEnsemble) -> float:
     """Mean of 1 ^ sup_t |X1 - X2| over (omega, x), normalized in mu.
 
-    Both ensembles must share the driver, starting points and time grid.
+    Both ensembles must share the driver (``BrownianDriver.fingerprint``),
+    starting points and time grid.
     """
     if e1.states.shape != e2.states.shape:
         raise ValueError("ensembles have mismatched shapes")
-    if e1.driver.seed != e2.driver.seed or e1.driver.dt != e2.driver.dt:
+    if e1.driver.fingerprint != e2.driver.fingerprint:
         raise ValueError("ensembles do not share a driver")
     if not np.array_equal(e1.states[:, :, 0, :], e2.states[:, :, 0, :]):
         raise ValueError("ensembles do not share starting points")

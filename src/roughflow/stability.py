@@ -72,7 +72,7 @@ def stability_functional(
         raise ValueError("delta must be positive")
     if e1.states.shape[:2] != e2.states.shape[:2]:
         raise ValueError("ensembles have mismatched index sets")
-    if e1.driver.seed != e2.driver.seed or e1.driver.dt != e2.driver.dt:
+    if e1.driver.fingerprint != e2.driver.fingerprint:
         raise ValueError("ensembles do not share a driver")
     inside = (
         (e1.sup_norm() <= radius)

@@ -79,6 +79,19 @@ class TestRun:
                                n_omega=8, n_x=16, dt=2.0**-6, mc_budget=4000)
         assert run(cfg, budget_scale=0.25, printer=None) == 0
 
+    def test_budget_scale_leaves_config_unchanged(self, tmp_path):
+        cfg = ExperimentConfig(kind="simulate", out=str(tmp_path), seed=5,
+                               dt=2.0**-6, mc_budget=8000)
+        given = cfg.to_dict()
+        recorded = []
+        for _ in range(2):
+            run(cfg, budget_scale=0.25, printer=None)
+            assert cfg.to_dict() == given
+            recorded.append(json.loads((tmp_path / "summary.json").read_text())["config"])
+        # both runs rescale the given config once
+        assert recorded[0] == recorded[1]
+        assert (recorded[0]["n_omega"], recorded[0]["mc_budget"]) == (8, 2000)
+
     def test_derivative_kind_needs_deriv_family(self, tmp_path):
         cfg = ExperimentConfig(kind="derivative", family="linear",
                                out=str(tmp_path))

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate
 
 from roughflow import (
+    FAMILY_NAMES,
+    BrownianDriver,
     CoefficientField,
     MollifierSpec,
     ReferenceMeasure,
@@ -21,9 +23,16 @@ from roughflow import (
     mollify_structured,
     scaled_drift,
     scaled_sigma,
+    track_density,
 )
 from roughflow._seeds import derive_rng
-from roughflow.coefficients import noise_term_domination_constant
+from roughflow.coefficients import (
+    StructuredCoefficient,
+    _smoothstep,
+    _smoothstep_deriv,
+    noise_term_domination_constant,
+)
+from roughflow.flow import integrate as integrate_flow
 
 
 def scalar_field_1d(fn, dfn=None, name=""):
@@ -383,3 +392,132 @@ class TestNoiseTermDomination:
             )
         assert all(np.isfinite(c) for c in constants)
         assert max(constants) < 10 * max(min(constants), 1e-6)
+
+
+def _smoothstep_reference(t):
+    # the formula before the exponentials were restricted to the band
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        gm = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
+    return g / (g + gm)
+
+
+def _smoothstep_deriv_reference(t):
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        gm = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
+        gp = np.where(t > 0, g / np.maximum(t, 1e-300) ** 2, 0.0)
+        gmp = np.where(1 - t > 0, -gm / np.maximum(1 - t, 1e-300) ** 2, 0.0)
+        denom = (g + gm) ** 2
+        return np.where(denom > 0, (gp * gm - g * gmp) / np.maximum(denom, 1e-300), 0.0)
+
+
+class TestSmoothstep:
+    GRID = np.concatenate([
+        [-1e300, -1e3, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-150, 1e-100, 1e-3,
+         0.5, 1.0 - 1e-16, 1.0, 1.0 + 1e-16, 2.0, 1e3, 1e300, np.inf, -np.inf],
+        np.linspace(-0.5, 1.5, 2001),
+        np.nextafter([0.0, 1.0], [1.0, 0.0]),
+    ])
+
+    def test_value_bitwise_equal_to_full_formula(self):
+        got = _smoothstep(self.GRID)
+        ref = _smoothstep_reference(self.GRID)
+        assert got.tobytes() == ref.tobytes()
+        assert np.isnan(_smoothstep(np.nan))
+
+    def test_derivative_bitwise_equal_where_full_formula_is_finite(self):
+        got = _smoothstep_deriv(self.GRID)
+        ref = _smoothstep_deriv_reference(self.GRID)
+        finite = np.isfinite(ref)
+        assert got[finite].tobytes() == ref[finite].tobytes()
+        # just above 0 the full formula's t**2 underflows and gives 0/0; the
+        # derivative there is 0
+        assert np.isnan(ref[self.GRID == 5e-324]).all()
+        assert np.all(got[~finite] == 0.0)
+        assert np.all(got[(self.GRID <= 0) | (self.GRID >= 1)] == 0.0)
+
+
+_MOLLIFIED_SPEC = dict(level=4.0)  # order 32, two panels: gradient weights accurate to ~1e-8
+
+
+def _evaluation_cases():
+    for name in FAMILY_NAMES:
+        yield name, "plain"
+        yield name, "mollify"
+        if isinstance(make_family(name).field, StructuredCoefficient):
+            yield name, "mollify_structured"
+
+
+def _field_for(name, smoothing):
+    fam = make_family(name)
+    field = fam.field
+    if smoothing != "plain":
+        spec = MollifierSpec(dim=field.dim_state, **_MOLLIFIED_SPEC)
+        smooth = mollify if smoothing == "mollify" else mollify_structured
+        field = smooth(field, spec)
+    return fam, field
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("name,smoothing", list(_evaluation_cases()))
+    def test_single_pass_matches_accessors_and_differences(self, name, smoothing):
+        fam, field = _field_for(name, smoothing)
+        pts = fam.measure.sample(derive_rng(10, f"eval-{name}-{smoothing}"), 600)
+        # away from the singular sets (the origin, the x1-step, the kink of
+        # the log-Lipschitz profile) and, for smoothed fields, a kernel
+        # radius beyond them
+        pts = pts[np.all(np.abs(pts) > 0.6, axis=-1)][:40]
+        assert len(pts) >= 10
+        ev = field.evaluate(pts, jac=True)
+        vals = field.evaluate(pts)
+        assert vals.sigma_jac is None and vals.drift_jac is None
+        for got in (vals.sigma, field.sigma(pts)):
+            assert np.allclose(ev.sigma, got, rtol=1e-12, atol=1e-14)
+        for got in (vals.drift, field.drift(pts)):
+            assert np.allclose(ev.drift, got, rtol=1e-12, atol=1e-14)
+        assert np.allclose(ev.sigma_jac, field.sigma_jac(pts), rtol=1e-12, atol=1e-14)
+        assert np.allclose(ev.drift_jac, field.drift_jac(pts), rtol=1e-12, atol=1e-14)
+        h = 1e-5
+        for j in range(field.dim_state):
+            step = np.zeros(field.dim_state)
+            step[j] = h
+            plus, minus = field.evaluate(pts + step), field.evaluate(pts - step)
+            fd_sigma = (plus.sigma - minus.sigma) / (2 * h)
+            fd_drift = (plus.drift - minus.drift) / (2 * h)
+            assert np.allclose(ev.sigma_jac[..., j], fd_sigma, rtol=1e-4, atol=1e-6)
+            assert np.allclose(ev.drift_jac[..., j], fd_drift, rtol=1e-4, atol=1e-6)
+
+
+class TestQuadraturePassBudget:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = {"n": 0}
+        for attr in ("convolve", "convolve_with_grad"):
+            original = getattr(MollifierSpec, attr)
+
+            def counted(self, func, x, _original=original):
+                count["n"] += 1
+                return _original(self, func, x)
+
+            monkeypatch.setattr(MollifierSpec, attr, counted)
+        return count
+
+    @pytest.mark.parametrize("name,smoothing,track_passes", [
+        ("log-singular", "mollify", 1),
+        ("partially-sobolev", "mollify_structured", 2),
+        ("deriv-smooth", "mollify", 2),
+    ])
+    def test_one_pass_per_step_and_per_track(self, passes, name, smoothing,
+                                             track_passes):
+        fam, field = _field_for(name, smoothing)
+        n_steps = 8
+        drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, 3, seed=4)
+        x0 = fam.measure.sample(derive_rng(11, f"passes-{name}"), 5)
+        ens = integrate_flow(field, drv, x0, n_steps * drv.dt)
+        assert passes["n"] == n_steps
+        passes["n"] = 0
+        track_density(ens, field, fam.measure)
+        assert passes["n"] == track_passes

@@ -16,6 +16,7 @@ from roughflow import (
     track_density,
 )
 from roughflow._seeds import derive_rng, derive_seed
+from roughflow.stability import stability_functional
 
 
 def zero_field(dim=1):
@@ -250,3 +251,30 @@ class TestDeterminism:
         lines = path.read_text().splitlines()
         assert lines[0] == "omega_index,x_index,t,x0"
         assert len(lines) == 1 + 2 * 3 * 5  # header + omega*x*times
+
+
+class TestDriverFingerprint:
+    def test_time_shifted_ensemble_rejected(self):
+        fam = make_family("linear")
+        drv = BrownianDriver.generate(1, dt=2**-5, n_steps=2**6, n_omega=3, seed=7)
+        x0 = fam.measure.sample(derive_rng(12, "shift-x0"), 4)
+        direct = integrate(fam.field, drv, x0, 1.0)
+        shifted_drv = drv.time_shift(1.0)
+        assert shifted_drv.offset == 2**5
+        assert shifted_drv.fingerprint != drv.fingerprint
+        # same seed, dt, horizon and shapes: only the step offset differs
+        shifted = integrate(fam.field, shifted_drv, x0, 1.0)
+        assert convergence_metric(direct, integrate(fam.field, drv, x0, 1.0)) == 0.0
+        with pytest.raises(ValueError, match="share a driver"):
+            convergence_metric(direct, shifted)
+        with pytest.raises(ValueError, match="share a driver"):
+            stability_functional(direct, shifted, 5.0, 0.1, fam.measure)
+
+    def test_offset_follows_shifts_and_coarsening(self):
+        drv = BrownianDriver.generate(1, dt=2**-6, n_steps=2**6, n_omega=2, seed=9)
+        twice = drv.time_shift(0.25).time_shift(0.25)
+        assert twice.offset == drv.time_shift(0.5).offset == 2**5
+        assert twice.coarsen(4).offset == 2**3
+        odd = BrownianDriver.generate(1, dt=2**-6, n_steps=65, n_omega=2, seed=9)
+        with pytest.raises(ValueError, match="offset"):
+            odd.time_shift(2**-6).coarsen(2)  # 64 steps, offset 1
