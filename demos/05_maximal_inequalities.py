@@ -12,12 +12,12 @@ import numpy as np
 
 from roughflow import ReferenceMeasure
 from roughflow._seeds import derive_rng
-from roughflow.acceptance import _random_compact_grid
 from roughflow.analysis import (
     local_maximal,
     maximal_exp_check,
     maximal_lp_check,
     partial_maximal,
+    random_compact_grid,
     ring_ratio_scan,
     weight_ring_ratio,
 )
@@ -35,7 +35,7 @@ gauss = ring_ratio_scan(lambda r: np.exp(-r * r), 1.0, k_max=40)
 print(f"Gaussian-type profile: ring ratios keep growing "
       f"(diverging = {gauss.diverging}) -- the inequality fails there.\n")
 
-g = _random_compact_grid(1, rng)
+g = random_compact_grid(1, rng)
 mf = local_maximal(g, delta=1.0)
 print("random compactly supported grid function:")
 print(f"  max |f| = {np.abs(g.values).max():.3f}, max M_delta f = "

@@ -17,6 +17,7 @@ from ._seeds import derive_rng, derive_seed
 from .catalog import FAMILY_NAMES, Family, make_family
 from .coefficients import (
     CoefficientField,
+    FieldBlocks,
     FieldEval,
     MollifierSpec,
     StructuredCoefficient,
@@ -33,6 +34,7 @@ from .coefficients import (
     mollify_structured,
     scaled_drift,
     scaled_sigma,
+    smooth_field,
 )
 from .density import (
     DensityTrack,

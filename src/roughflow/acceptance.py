@@ -34,9 +34,21 @@ from .density import (
 from .flow import BrownianDriver, compose_time_shift, integrate, level_set_tail
 from .measure import ReferenceMeasure
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "SMOOTHING_SPECS", "smoothing_spec"]
 
 DEFAULT_SEED = 20240915
+
+# Mollifier quadrature of the smoothed families in criteria 4 and 8 (and the
+# CLI).  Two panels along x1 put a panel edge on the partially-sobolev x1-step.
+SMOOTHING_SPECS = {
+    "log-singular": dict(order=16, panels=1),
+    "partially-sobolev": dict(order=16, panels=(2, 1)),
+}
+
+
+def smoothing_spec(family: str) -> dict:
+    """``SMOOTHING_SPECS`` entry of a family; order 16, one panel otherwise."""
+    return dict(SMOOTHING_SPECS.get(family, dict(order=16, panels=1)))
 
 
 @dataclass
@@ -205,10 +217,7 @@ def criterion_4(seed: int, scale: float) -> CriterionResult:
     p = 2.0
     details = {}
     passed = True
-    for name, spec_kwargs in (
-        ("log-singular", dict(order=16, panels=1)),
-        ("partially-sobolev", dict(order=16, panels=(2, 1))),
-    ):
+    for name, spec_kwargs in SMOOTHING_SPECS.items():
         fam = make_family(name)
         t_horizon = select_t0(fam.p0, p)
         dt = 2.0**-10
@@ -289,57 +298,15 @@ def criterion_5(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_compact_grid(n: int, rng: np.random.Generator) -> an.GridFunction:
-    """Random piecewise-constant function supported in B(2), grid B(2+delta)."""
-    if n == 1:
-        axis = np.linspace(-4.0, 4.0, 161)
-        axes = (axis,)
-    else:
-        axis = np.linspace(-4.0, 4.0, 65)
-        axes = (axis, axis)
-    pts = np.meshgrid(*axes, indexing="ij")
-    radius = np.sqrt(sum(p * p for p in pts))
-    shape = radius.shape
-    n_pieces = int(rng.integers(3, 9))
-    vals = np.zeros(shape)
-    for _ in range(n_pieces):
-        lo = rng.uniform(0.0, 1.8)
-        hi = lo + rng.uniform(0.05, 1.0)
-        level = rng.normal(0.0, 1.0)
-        ring = (radius >= lo) & (radius <= hi)
-        sector = np.ones(shape, dtype=bool)
-        if n == 2 and rng.random() < 0.7:
-            ang = np.arctan2(pts[1], pts[0])
-            a0 = rng.uniform(-np.pi, np.pi)
-            width = rng.uniform(0.5, 2 * np.pi)
-            sector = np.mod(ang - a0, 2 * np.pi) <= width
-        vals = np.where(ring & sector, vals + level, vals)
-    vals = np.where(radius <= 2.0, vals, 0.0)
-    return an.GridFunction(axes, vals)
-
-
 def criterion_6(seed: int, scale: float) -> CriterionResult:
     t0 = time.time()
     n_funcs = _scaled(200, scale, minimum=20)
-    deltas = (0.5, 1.0, 2.0)
-    p_values = (1.5, 2.0, 4.0)
-    thetas = (0.25, 0.5)
     total = failures = 0
     for n in (1, 2):
-        m = ReferenceMeasure(n, 1.5)
         rng = derive_rng(seed, f"c6-funcs-{n}")
-        for i in range(n_funcs):
-            g = _random_compact_grid(n, rng)
-            for delta in deltas:
-                mf = an.local_maximal(g, delta)
-                for p in p_values:
-                    rep = an.maximal_lp_check(g, m, delta, p, maximal=mf)
-                    total += 1
-                    failures += not rep.passed
-                for theta in thetas:
-                    rep = an.maximal_exp_check(g, m, delta, theta, maximal=mf)
-                    total += 1
-                    failures += not rep.passed
+        for _, _, rep in an.random_maximal_checks(n, rng, n_funcs):
+            total += 1
+            failures += not rep.passed
     lam_ok = True
     lam_err = 0.0
     for n in (1, 2):
@@ -397,10 +364,7 @@ def criterion_8(seed: int, scale: float) -> CriterionResult:
     levels = [2.0, 4.0, 8.0, 16.0]
     details = {}
     passed = True
-    for name, spec_kwargs in (
-        ("log-singular", dict(order=16, panels=1)),
-        ("partially-sobolev", dict(order=16, panels=(2, 1))),
-    ):
+    for name, spec_kwargs in SMOOTHING_SPECS.items():
         fam = make_family(name)
         dt = 2.0**-10
         T = 0.25

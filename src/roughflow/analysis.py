@@ -43,6 +43,8 @@ __all__ = [
     "maximal_lp_check",
     "maximal_exp_check",
     "pointwise_sobolev_check",
+    "random_compact_grid",
+    "random_maximal_checks",
     "RingScan",
     "MaximalReport",
     "ExpMaximalReport",
@@ -369,3 +371,53 @@ def pointwise_sobolev_check(
         ratios = np.where(num == 0.0, 0.0, num / np.where(denom > 0, denom, np.inf))
     fitted = float(np.max(ratios)) if ratios.size else 0.0
     return SobolevPointwiseReport(fitted, int(keep.sum()), radius)
+
+
+# ---------------------------------------------------------------------------
+# randomized batches
+# ---------------------------------------------------------------------------
+
+
+def random_compact_grid(n: int, rng: np.random.Generator) -> GridFunction:
+    """Random piecewise-constant function supported in B(2), grid B(2+delta)."""
+    if n == 1:
+        axis = np.linspace(-4.0, 4.0, 161)
+        axes = (axis,)
+    else:
+        axis = np.linspace(-4.0, 4.0, 65)
+        axes = (axis, axis)
+    pts = np.meshgrid(*axes, indexing="ij")
+    radius = np.sqrt(sum(p * p for p in pts))
+    shape = radius.shape
+    n_pieces = int(rng.integers(3, 9))
+    vals = np.zeros(shape)
+    for _ in range(n_pieces):
+        lo = rng.uniform(0.0, 1.8)
+        hi = lo + rng.uniform(0.05, 1.0)
+        level = rng.normal(0.0, 1.0)
+        ring = (radius >= lo) & (radius <= hi)
+        sector = np.ones(shape, dtype=bool)
+        if n == 2 and rng.random() < 0.7:
+            ang = np.arctan2(pts[1], pts[0])
+            a0 = rng.uniform(-np.pi, np.pi)
+            width = rng.uniform(0.5, 2 * np.pi)
+            sector = np.mod(ang - a0, 2 * np.pi) <= width
+        vals = np.where(ring & sector, vals + level, vals)
+    vals = np.where(radius <= 2.0, vals, 0.0)
+    return GridFunction(axes, vals)
+
+
+def random_maximal_checks(n: int, rng: np.random.Generator, n_funcs: int):
+    """Both maximal inequalities on ``n_funcs`` ``random_compact_grid``
+    functions against ``ReferenceMeasure(n, 1.5)``: per delta in (0.5, 1, 2),
+    the L^p form at p = 1.5, 2, 4, then the exp form at theta = 0.25, 0.5.
+    Yields ``(delta, p or theta, report)``."""
+    m = ReferenceMeasure(n, 1.5)
+    for _ in range(n_funcs):
+        g = random_compact_grid(n, rng)
+        for delta in (0.5, 1.0, 2.0):
+            mf = local_maximal(g, delta)
+            for p in (1.5, 2.0, 4.0):
+                yield delta, p, maximal_lp_check(g, m, delta, p, maximal=mf)
+            for theta in (0.25, 0.5):
+                yield delta, theta, maximal_exp_check(g, m, delta, theta, maximal=mf)

@@ -243,7 +243,7 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
     fam = cfg.build_family()
     drv = cfg.build_driver(fam.field.dim_noise)
     x0 = fam.measure.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
-    spec_kwargs = dict(order=16, panels=1)
+    spec_kwargs = acceptance.smoothing_spec(cfg.family)
     table = st.cauchy_experiment(
         fam, list(cfg.k_list), drv, x0, cfg.T,
         norm_budget=cfg.quadrature_points, spec_kwargs=spec_kwargs,
@@ -283,29 +283,18 @@ def _run_derivative(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_analysis(cfg: ExperimentConfig, out: Path) -> list:
-    from .acceptance import _random_compact_grid
-
     n_funcs = max(5, cfg.mc_budget // 400)
     checks = []
     rows = []
     for n in (1, 2):
-        m = ReferenceMeasure(n, 1.5)
         rng = derive_rng(cfg.seed, f"analysis-{n}")
         failures = 0
         total = 0
-        for _ in range(n_funcs):
-            g = _random_compact_grid(n, rng)
-            for delta in (0.5, 1.0, 2.0):
-                mf = an.local_maximal(g, delta)
-                for p in (1.5, 2.0, 4.0):
-                    rep = an.maximal_lp_check(g, m, delta, p, maximal=mf)
-                    rows.append([n, delta, p, rep.ratio, int(rep.passed)])
-                    total += 1
-                    failures += not rep.passed
-                for theta in (0.25, 0.5):
-                    rep2 = an.maximal_exp_check(g, m, delta, theta, maximal=mf)
-                    total += 1
-                    failures += not rep2.passed
+        for delta, p, rep in an.random_maximal_checks(n, rng, n_funcs):
+            if isinstance(rep, an.MaximalReport):
+                rows.append([n, delta, p, rep.ratio, int(rep.passed)])
+            total += 1
+            failures += not rep.passed
         checks.append(dict(
             name=f"maximal inequalities n={n}", passed=failures == 0,
             checks=total, failures=failures,

@@ -43,9 +43,11 @@ __all__ = [
     "CoefficientField",
     "FieldEval",
     "StructuredCoefficient",
+    "FieldBlocks",
     "MollifierSpec",
     "mollify",
     "mollify_structured",
+    "smooth_field",
     "scaled_sigma",
     "scaled_drift",
     "density_noise_term",
@@ -53,6 +55,7 @@ __all__ = [
     "density_drift_term",
     "gradient_contraction",
     "gradient_contraction_split",
+    "exp_integrand",
     "condition_integrals",
     "block_condition_integrals",
     "mollifier_domination_check",
@@ -172,9 +175,6 @@ class CoefficientField:
         """Column divergences (div sigma^{.,1}, ..., div sigma^{.,m})."""
         return np.einsum("...iki->...k", self.sigma_jac(x))
 
-    def drift_divergence(self, x) -> NDArray[np.float64]:
-        return np.einsum("...ii->...", self.drift_jac(x))
-
     def evaluate(self, x, jac: bool = False) -> FieldEval:
         """sigma and b at ``x``, plus both Jacobians when ``jac`` is set."""
         pts = self._pts(x)
@@ -184,9 +184,30 @@ class CoefficientField:
                          self.sigma_jac(pts), self.drift_jac(pts))
 
 
+@dataclass(frozen=True)
+class FieldBlocks:
+    """Block callables of a structured field: the first block (with its
+    Jacobians) of ``x1 = x[..., :n1]``, the second block of the full ``x``.
+    A field smoothed by ``mollify_structured`` keeps its base's record, so
+    ``sigma2``/``drift2`` are the rough functions; ``second_block`` reads
+    any field's own second block.
+    """
+
+    sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)
+    drift1: Callable                        # x1           -> (..., n1)
+    sigma2: Callable                        # x  (..., n)  -> (..., n2, m)
+    drift2: Callable                        # x            -> (..., n2)
+    sigma1_jac: Optional[Callable] = None   # x1 -> (..., n1, m, n1)
+    drift1_jac: Optional[Callable] = None   # x1 -> (..., n1, n1)
+
+
 class StructuredCoefficient(CoefficientField):
     """Block-structured field: the first ``n1`` rows of sigma and components
     of b depend on ``x1 = x[:n1]`` only.
+
+    The constructor requires the ``FieldBlocks`` record (``from_blocks``
+    builds it).  The blockwise checks read each block in its own variables:
+    ``first_block`` on points of R^n1, ``second_block`` on R^n.
 
     The cross-block partial derivatives ``d(sigma_2)/d(x1)`` need not exist
     for partially Sobolev coefficients; Jacobians returned by this class set
@@ -201,15 +222,27 @@ class StructuredCoefficient(CoefficientField):
     difference over ``sqrt(dt)``, multiplied by increments of order dt).
     """
 
-    def __init__(self, n1: int, **kwargs):
+    def __init__(self, n1: int, blocks: FieldBlocks, **kwargs):
         super().__init__(**kwargs)
         if not 1 <= n1 < self.dim_state:
             raise ValueError(f"n1 must be in [1, dim_state), got {n1}")
         self.n1 = n1
+        self.blocks = blocks
 
     @property
     def n2(self) -> int:
         return self.dim_state - self.n1
+
+    def first_block(self, x1) -> FieldEval:
+        """First-block sigma, b and their x1-Jacobians at points of R^n1."""
+        b = self.blocks
+        return FieldEval(b.sigma1(x1), b.drift1(x1), b.sigma1_jac(x1), b.drift1_jac(x1))
+
+    def second_block(self, x) -> FieldEval:
+        """Second-block rows of ``evaluate(x, jac=True)``, Jacobians in x2 only."""
+        n1, ev = self.n1, self.evaluate(x, jac=True)
+        return FieldEval(ev.sigma[..., n1:, :], ev.drift[..., n1:],
+                         ev.sigma_jac[..., n1:, :, n1:], ev.drift_jac[..., n1:, n1:])
 
     @classmethod
     def from_blocks(
@@ -228,8 +261,6 @@ class StructuredCoefficient(CoefficientField):
         smoothness: str = "rough-partial",
         name: str = "",
     ) -> "StructuredCoefficient":
-        n2 = dim_state - n1
-
         def sigma_fn(x):
             s1 = sigma1_fn(x[..., :n1])
             s2 = sigma2_fn(x)
@@ -260,8 +291,10 @@ class StructuredCoefficient(CoefficientField):
                 jac[..., n1:, n1:] = drift2_jac_x2_fn(x)
                 return jac
 
-        obj = cls(
+        return cls(
             n1,
+            FieldBlocks(sigma1_fn, drift1_fn, sigma2_fn, drift2_fn,
+                        sigma1_jac_fn, drift1_jac_fn),
             dim_state=dim_state,
             dim_noise=dim_noise,
             sigma_fn=sigma_fn,
@@ -271,13 +304,6 @@ class StructuredCoefficient(CoefficientField):
             smoothness=smoothness,
             name=name,
         )
-        obj._blocks = dict(
-            sigma1_fn=sigma1_fn, sigma2_fn=sigma2_fn,
-            drift1_fn=drift1_fn, drift2_fn=drift2_fn,
-            sigma1_jac_fn=sigma1_jac_fn, sigma2_jac_x2_fn=sigma2_jac_x2_fn,
-            drift1_jac_fn=drift1_jac_fn, drift2_jac_x2_fn=drift2_jac_x2_fn,
-        )
-        return obj
 
 
 # -- scaled (sublinear-growth) magnitudes -----------------------------------
@@ -446,14 +472,13 @@ class MollifierSpec:
         return k**self.dim * self._bump(k * self._points(x)) / _bump_mass(self.dim, self.shape)
 
     def kernel_mass_quadrature(self, n_points: int = 4001) -> float:
-        """Numeric integral of the normalized kernel (radial quadrature)."""
+        """Integral of ``kernel`` itself (Simpson rule on ``n_points`` radii
+        of B(1/k)), so a wrong scaling or normalization shows as mass != 1."""
         surf = 2.0 * np.pi ** (self.dim / 2.0) / special.gamma(self.dim / 2.0)
-
-        def radial(r):
-            return r ** (self.dim - 1) * np.exp(-self.shape / (1.0 - r * r))
-
-        val, _ = integrate.quad(radial, 0.0, 1.0, limit=200)
-        return float(surf * val / _bump_mass(self.dim, self.shape))
+        r = np.linspace(0.0, 1.0 / self.level, n_points)
+        pts = np.zeros((n_points, self.dim))
+        pts[:, 0] = r
+        return float(surf * integrate.simpson(r ** (self.dim - 1) * self.kernel(pts), x=r))
 
     def cutoff(self, x) -> NDArray[np.float64]:
         """psi_k(x): 1 on B(k), 0 outside B(2k), smooth in between."""
@@ -588,18 +613,18 @@ class _Mollified:
 
     def _with_first_block(self, pts, got) -> dict:
         """Stack the unsmoothed first block on top of the smoothed rows."""
-        r0, blocks = self._r0, self._base._blocks
+        r0, blocks = self._r0, self.blocks
         x1 = pts[..., :r0]
         out = {}
         for name, rows in (("sigma", -2), ("drift", -1)):  # row axis of the value
             if name not in got:
                 continue
             val2, jac2 = got[name]
-            val = np.concatenate([blocks[f"{name}1_fn"](x1), val2], axis=rows)
+            val = np.concatenate([getattr(blocks, f"{name}1")(x1), val2], axis=rows)
             jac = None
             if jac2 is not None:  # the first block does not depend on x2
                 jac1 = np.zeros(jac2.shape[:rows - 1] + (r0,) + jac2.shape[rows:])
-                jac1[..., :r0] = blocks[f"{name}1_jac_fn"](x1)
+                jac1[..., :r0] = getattr(blocks, f"{name}1_jac")(x1)
                 jac = np.concatenate([jac1, jac2], axis=rows - 1)
             out[name] = (val, jac)
         return out
@@ -632,18 +657,11 @@ class _MollifiedStructuredField(_Mollified, StructuredCoefficient):
     """
 
     def __init__(self, base: StructuredCoefficient, spec: MollifierSpec):
-        blocks, n1 = base._blocks, base.n1
+        blocks = base.blocks
         StructuredCoefficient.__init__(
-            self, n1,
-            **self._setup(base, spec, n1, blocks["sigma2_fn"], blocks["drift2_fn"]),
+            self, base.n1, blocks,
+            **self._setup(base, spec, base.n1, blocks.sigma2, blocks.drift2),
             name=f"{base.name}|k2={spec.level:g}",
-        )
-        self._blocks = dict(
-            blocks,
-            sigma2_fn=lambda x: self.sigma(x)[..., n1:, :],
-            drift2_fn=lambda x: self.drift(x)[..., n1:],
-            sigma2_jac_x2_fn=lambda x: self.sigma_jac(x)[..., n1:, :, n1:],
-            drift2_jac_x2_fn=lambda x: self.drift_jac(x)[..., n1:, n1:],
         )
 
 
@@ -656,13 +674,23 @@ def mollify_structured(
     so it is kept as is; the smoothed second block gets analytic partials
     from the kernel gradient.  The smoothed second block is genuinely
     differentiable in the first variables as well, and the full Jacobian is
-    returned for it.
+    returned for it.  An already smoothed field is rejected (its block
+    record holds the rough second block).
     """
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
-    if field._blocks.get("sigma1_jac_fn") is None:
+    if field.blocks.sigma1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
+    if isinstance(field, _Mollified):
+        raise ValueError("field is already smoothed; smooth its rough base instead")
     return _MollifiedStructuredField(field, spec)
+
+
+def smooth_field(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
+    """``mollify_structured`` for a structured field, ``mollify`` otherwise."""
+    if isinstance(field, StructuredCoefficient):
+        return mollify_structured(field, spec)
+    return mollify(field, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -798,18 +826,16 @@ class ConditionReport:
         return self.estimates[-1]
 
 
-def _exp_integrand(field: CoefficientField, p0: float):
-    sbar = scaled_sigma(field)
-    bbar = scaled_drift(field)
-
-    def fn(x):
-        divb = field.drift_divergence(x)
-        neg = np.maximum(-divb, 0.0)
-        grad = field.sigma_jac(x)
-        grad_sq = np.einsum("...ikj,...ikj->...", grad, grad)
-        return np.exp(p0 * (neg + bbar(x) + sbar(x) ** 2 + grad_sq))
-
-    return fn
+def exp_integrand(x, ev: FieldEval, p0: float):
+    """``exp(p0([div b]^- + |b bar| + |sigma bar|^2 + |grad sigma|^2))`` at
+    ``x``, with ``|b bar|`` and ``|sigma bar|`` (``f bar = f / (1 + |x|)``),
+    from the values and Jacobians in ``ev`` (a whole field or one block)."""
+    scale = 1.0 + np.linalg.norm(x, axis=-1)
+    neg = np.maximum(-np.einsum("...ii->...", ev.drift_jac), 0.0)
+    bbar = np.linalg.norm(ev.drift, axis=-1) / scale
+    sbar = np.linalg.norm(ev.sigma, axis=(-2, -1)) / scale
+    gsq = np.einsum("...ikj,...ikj->...", ev.sigma_jac, ev.sigma_jac)
+    return np.exp(p0 * (neg + bbar + sbar**2 + gsq)), bbar, sbar
 
 
 def _stabilized_expect(m: ReferenceMeasure, fn, budget: int, rng, stages: int = 3):
@@ -856,8 +882,13 @@ def condition_integrals(
     dominates.  When ``gradient_drift_measure`` is given, also estimates
     ``integral exp(p0 |grad b|) d mu1`` against it.
     """
+
+    def integrand(x):
+        pts = field._pts(x)
+        return exp_integrand(pts, field.evaluate(pts, jac=True), p0)[0]
+
     estimates, ses, n_bad, max_share, divergent = _stabilized_expect(
-        m, _exp_integrand(field, p0), budget, rng
+        m, integrand, budget, rng
     )
     gb_val = gb_se = None
     if gradient_drift_measure is not None:
@@ -882,42 +913,15 @@ def block_condition_integrals(
     """Blockwise exp-integrability: first block against mu1, second against mu.
 
     Returns ``(report_block1, report_block2)``; each uses only the partial
-    derivatives of its own block, so nothing differentiates the second block
-    in the first variables.
+    derivatives of its own block (``first_block`` on samples of mu1,
+    ``second_block`` on samples of mu), so nothing differentiates the second
+    block in the first variables.
     """
-    n1 = field.n1
-    blocks = field._blocks
-
-    def fn1(x1):
-        b1 = blocks["drift1_fn"](x1)
-        s1 = blocks["sigma1_fn"](x1)
-        jb1 = blocks["drift1_jac_fn"](x1)
-        js1 = blocks["sigma1_jac_fn"](x1)
-        scale = 1.0 + np.linalg.norm(x1, axis=-1)
-        neg = np.maximum(-np.einsum("...ii->...", jb1), 0.0)
-        bbar = np.linalg.norm(b1, axis=-1) / scale
-        sbar = np.linalg.norm(s1, axis=(-2, -1)) / scale
-        gsq = np.einsum("...ikj,...ikj->...", js1, js1)
-        return np.exp(p0 * (neg + bbar + sbar**2 + gsq))
-
-    def fn2(x):
-        b2 = blocks["drift2_fn"](x)
-        s2 = blocks["sigma2_fn"](x)
-        jb2 = blocks["drift2_jac_x2_fn"](x)
-        js2 = blocks["sigma2_jac_x2_fn"](x)
-        scale = 1.0 + np.linalg.norm(x, axis=-1)
-        neg = np.maximum(-np.einsum("...ii->...", jb2), 0.0)
-        bbar = np.linalg.norm(b2, axis=-1) / scale
-        sbar = np.linalg.norm(s2, axis=(-2, -1)) / scale
-        gsq = np.einsum("...ikj,...ikj->...", js2, js2)
-        return np.exp(p0 * (neg + bbar + sbar**2 + gsq))
-
-    e1, s1_, nb1, ms1, d1 = _stabilized_expect(m1, fn1, budget, rng)
-    e2, s2_, nb2, ms2, d2 = _stabilized_expect(m, fn2, budget, rng)
-    return (
-        ConditionReport(e1, s1_, nb1, ms1, d1),
-        ConditionReport(e2, s2_, nb2, ms2, d2),
-    )
+    rep1 = ConditionReport(*_stabilized_expect(
+        m1, lambda x1: exp_integrand(x1, field.first_block(x1), p0)[0], budget, rng))
+    rep2 = ConditionReport(*_stabilized_expect(
+        m, lambda x: exp_integrand(x, field.second_block(x), p0)[0], budget, rng))
+    return rep1, rep2
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ from .coefficients import (
     density_drift_term,
     density_noise_term,
     density_noise_with_gradient,
-    mollify,
-    mollify_structured,
+    smooth_field,
 )
 from .flow import BrownianDriver, FlowEnsemble, integrate
 from .measure import ReferenceMeasure
@@ -190,13 +189,19 @@ class NormEstimate:
         return self.max_share > threshold
 
 
+def _require_valid(valid: NDArray) -> None:
+    if not valid.any():
+        raise ValueError("density track has no valid sample")
+
+
 def _clustered_mean(samples_2d: NDArray, valid: NDArray):
     """Mean with a standard error that respects shared-driver correlation.
 
     Samples sharing a Brownian path are dependent, so the error is taken
     across per-path means rather than pretending all (omega, x) samples are
-    independent.
+    independent.  A track without a valid sample is rejected.
     """
+    _require_valid(valid)
     flat = samples_2d[valid]
     mean = float(flat.mean())
     counts = valid.sum(axis=1)
@@ -236,6 +241,7 @@ def sup_lp_density_norm(
     """sup over grid times <= t_max of the L^p(P x mu) density norm."""
     if p <= 1:
         raise ValueError("p must exceed 1")
+    _require_valid(track.valid)
     idx = track.time_index(t_max) if t_max is not None else len(track.times) - 1
     samples = np.exp((1.0 - p) * track.log_density()[:, :, : idx + 1])
     means = samples[track.valid].mean(axis=0)
@@ -368,7 +374,7 @@ def uniform_density_bound(
     norms = []
     for k in levels:
         spec = MollifierSpec(dim=field.dim_state, level=k, **(spec_kwargs or {}))
-        smooth = mollify_structured(field, spec) if structured else mollify(field, spec)
+        smooth = smooth_field(field, spec)
         ens = integrate(smooth, driver, x0s, t0)
         track = track_density(ens, smooth, m)
         norms.append(sup_lp_density_norm(track, p).value)

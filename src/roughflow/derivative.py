@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientField, StructuredCoefficient
+from .coefficients import CoefficientField, StructuredCoefficient, exp_integrand
 from .flow import BrownianDriver, FlowEnsemble, integrate
 from .measure import ReferenceMeasure
 
@@ -279,10 +279,13 @@ def verify_hypotheses(
 
     for the derivative system and for each finite-difference system in
     ``eps_set``, and asserts the eps-uniform band (max/min below
-    ``ratio_bound``).  Also verifies the pointwise dominations
-    |drift2-bar| <= |grad b(x)| and |sigma2-bar| <= |grad sigma(x)| on the
-    sample.  ``m2`` is the doubled-space measure (its decay exponent must
-    exceed 2 alpha1 + q + d/2 for the base measure exponent alpha1);
+    ``ratio_bound``).  The integrand is ``coefficients.exp_integrand`` of
+    each system's ``second_block``, on one shared sample of mu2.  Also
+    verifies the pointwise dominations |drift2-bar| <= |grad b(x)| and
+    |sigma2-bar| <= |grad sigma(x)| on the sample, with the base Jacobians
+    from one ``evaluate``.  ``m2`` is the doubled-space measure (its decay
+    exponent must exceed 2 alpha1 + q + d/2 for the base measure exponent
+    alpha1);
     ``m1`` is the base measure, retained for reporting the base-side
     integrability through the same sample's first components.
     """
@@ -295,31 +298,15 @@ def verify_hypotheses(
     mass2 = m2.total_mass()
 
     def h4_bundle(field: StructuredCoefficient):
-        blocks = field._blocks
-        s2 = blocks["sigma2_fn"](pts)
-        b2 = blocks["drift2_fn"](pts)
-        js2 = blocks["sigma2_jac_x2_fn"](pts)
-        jb2 = blocks["drift2_jac_x2_fn"](pts)
-        scale = 1.0 + np.linalg.norm(pts, axis=-1)
-        neg = np.maximum(-np.einsum("...ii->...", jb2), 0.0)
-        bbar = np.linalg.norm(b2, axis=-1) / scale
-        sbar = np.linalg.norm(s2, axis=(-2, -1)) / scale
-        gsq = np.einsum("...ikj,...ikj->...", js2, js2)
-        vals = np.exp(p0 * (neg + bbar + sbar**2 + gsq))
-        good = np.isfinite(vals)
-        vals = vals[good]
+        vals, bbar, sbar = exp_integrand(pts, field.second_block(pts), p0)
+        vals = vals[np.isfinite(vals)]
         share = float(vals.max() / vals.sum()) if vals.sum() > 0 else 0.0
         return mass2 * float(vals.mean()), share, bbar, sbar
 
     lifted_integral, share0, bbar, sbar = h4_bundle(sys.lifted)
-    base_grad_b = np.sqrt(
-        np.einsum("...ij,...ij->...", sys.base.drift_jac(pts[:, :d]),
-                  sys.base.drift_jac(pts[:, :d]))
-    )
-    base_grad_s = np.sqrt(
-        np.einsum("...ikj,...ikj->...", sys.base.sigma_jac(pts[:, :d]),
-                  sys.base.sigma_jac(pts[:, :d]))
-    )
+    base = sys.base.evaluate(pts[:, :d], jac=True)
+    base_grad_b = np.sqrt(np.einsum("...ij,...ij->...", base.drift_jac, base.drift_jac))
+    base_grad_s = np.sqrt(np.einsum("...ikj,...ikj->...", base.sigma_jac, base.sigma_jac))
     tol = 1e-9
     drift_frac = float((bbar <= base_grad_b + tol).mean())
     sigma_frac = float((sbar <= base_grad_s + tol).mean())

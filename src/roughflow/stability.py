@@ -26,8 +26,7 @@ from .coefficients import (
     CoefficientField,
     MollifierSpec,
     StructuredCoefficient,
-    mollify,
-    mollify_structured,
+    smooth_field,
 )
 from .density import sup_lp_density_norm, track_density
 from .flow import BrownianDriver, FlowEnsemble, convergence_metric, integrate
@@ -94,6 +93,31 @@ def stability_functional(
     )
 
 
+def _halton_ball(radius: float, dim: int, budget: int,
+                 center: Optional[np.ndarray] = None):
+    """Halton points on the cube around B(center, radius), and the L^q norm
+    over the ball of values at those points (Euclidean norm taken over
+    trailing axes).  Unscrambled: one draw serves every norm on the ball.
+    """
+    sampler = qmc.Halton(d=dim, scramble=False)
+    pts = (2.0 * sampler.random(budget) - 1.0) * radius
+    if center is not None:
+        pts = pts + np.asarray(center)[None, :]
+        inside = np.linalg.norm(pts - np.asarray(center)[None, :], axis=-1) <= radius
+    else:
+        inside = np.linalg.norm(pts, axis=-1) <= radius
+
+    def norm(vals, q: float) -> float:
+        vals = np.asarray(vals, dtype=np.float64)
+        if vals.ndim > 1:
+            vals = np.sqrt(np.sum(vals**2, axis=tuple(range(1, vals.ndim))))
+        cube_vol = (2.0 * radius) ** dim
+        integral = cube_vol * float(np.mean(np.abs(vals) ** q * inside))
+        return integral ** (1.0 / q)
+
+    return pts, norm
+
+
 def ball_lebesgue_norm(
     fn,
     radius: float,
@@ -108,19 +132,8 @@ def ball_lebesgue_norm(
     ``fn`` maps points (..., dim) to scalars or arrays (Euclidean norm
     taken over trailing axes).
     """
-    sampler = qmc.Halton(d=dim, scramble=False)
-    pts = (2.0 * sampler.random(budget) - 1.0) * radius
-    if center is not None:
-        pts = pts + np.asarray(center)[None, :]
-        inside = np.linalg.norm(pts - np.asarray(center)[None, :], axis=-1) <= radius
-    else:
-        inside = np.linalg.norm(pts, axis=-1) <= radius
-    vals = np.asarray(fn(pts), dtype=np.float64)
-    if vals.ndim > 1:
-        vals = np.sqrt(np.sum(vals**2, axis=tuple(range(1, vals.ndim))))
-    cube_vol = (2.0 * radius) ** dim
-    integral = cube_vol * float(np.mean(np.abs(vals) ** q * inside))
-    return integral ** (1.0 / q)
+    pts, norm = _halton_ball(radius, dim, budget, center)
+    return norm(fn(pts), q)
 
 
 @dataclass
@@ -133,6 +146,45 @@ class StabilityBound:
     lambda_pt: float
     partial_form: bool
     gradient_ball_radius: float
+
+
+def _bound_norms(f1, f2, radius: float, q: float, budget: int):
+    """Ball norms of the stability bound from three evaluations: f1 with
+    Jacobians on the gradient ball, f1 and f2 on B(R).
+
+    Returns ``(sd, bd, bound)``: the difference norms and
+    ``bound(delta, lambda_pt) -> StabilityBound``, since delta enters only
+    the assembly.
+    """
+    structured = isinstance(f1, StructuredCoefficient) and isinstance(
+        f2, StructuredCoefficient
+    )
+    r = f1.n1 if structured else 0  # second-block rows and variables only
+    grad_radius = (4.0 if structured else 3.0) * radius
+    pts, norm = _halton_ball(grad_radius, f1.dim_state, budget)
+    ev = f1.evaluate(pts, jac=True)
+    nb = norm(ev.drift_jac[..., r:, r:], q)
+    ns = norm(ev.sigma_jac[..., r:, :, r:], 2 * q)
+    pts, norm = _halton_ball(radius, f1.dim_state, budget)
+    e1, e2 = f1.evaluate(pts), f2.evaluate(pts)
+    sd = norm(e1.sigma[..., r:, :] - e2.sigma[..., r:, :], 2 * q)
+    bd = norm(e1.drift[..., r:] - e2.drift[..., r:], q)
+    grad_terms = nb + ns + ns**2
+
+    def bound(delta: float, lambda_pt: float) -> StabilityBound:
+        diff_terms = sd**2 / delta**2 + (sd + bd) / delta
+        return StabilityBound(
+            value=lambda_pt * (grad_terms + diff_terms),
+            gradient_terms=grad_terms,
+            difference_terms=diff_terms,
+            sigma_diff_norm=sd,
+            drift_diff_norm=bd,
+            lambda_pt=lambda_pt,
+            partial_form=structured,
+            gradient_ball_radius=grad_radius,
+        )
+
+    return sd, bd, bound
 
 
 def stability_bound(
@@ -151,73 +203,17 @@ def stability_bound(
     for a structured pair (sharing the first block) the partial form is
     used: second-block gradients in the second variables only, over B(4R),
     and second-block differences over B(R).  The inexplicit constants are
-    set to 1 and reported through the returned components.
+    set to 1 and reported through the returned components.  The norms take
+    ``f1.evaluate(jac=True)`` on the gradient ball and ``f1.evaluate``,
+    ``f2.evaluate`` on B(R): three evaluations on two Halton draws.
     """
-    structured = isinstance(f1, StructuredCoefficient) and isinstance(
-        f2, StructuredCoefficient
-    )
-    dim = f1.dim_state
-    if structured:
-        ball_grad = 4.0 * radius
-        n1 = f1.n1
-
-        def grad_b(x):
-            return f1.drift_jac(x)[..., n1:, n1:]
-
-        def grad_s(x):
-            return f1.sigma_jac(x)[..., n1:, :, n1:]
-
-        def s_diff(x):
-            return f1.sigma(x)[..., n1:, :] - f2.sigma(x)[..., n1:, :]
-
-        def b_diff(x):
-            return f1.drift(x)[..., n1:] - f2.drift(x)[..., n1:]
-
-    else:
-        ball_grad = 3.0 * radius
-
-        def grad_b(x):
-            return f1.drift_jac(x)
-
-        def grad_s(x):
-            return f1.sigma_jac(x)
-
-        def s_diff(x):
-            return f1.sigma(x) - f2.sigma(x)
-
-        def b_diff(x):
-            return f1.drift(x) - f2.drift(x)
-
-    nb = ball_lebesgue_norm(grad_b, ball_grad, q, dim, budget)
-    ns = ball_lebesgue_norm(grad_s, ball_grad, 2 * q, dim, budget)
-    sd = ball_lebesgue_norm(s_diff, radius, 2 * q, dim, budget)
-    bd = ball_lebesgue_norm(b_diff, radius, q, dim, budget)
-    grad_terms = nb + ns + ns**2
-    diff_terms = sd**2 / delta**2 + (sd + bd) / delta
-    return StabilityBound(
-        value=lambda_pt * (grad_terms + diff_terms),
-        gradient_terms=grad_terms,
-        difference_terms=diff_terms,
-        sigma_diff_norm=sd,
-        drift_diff_norm=bd,
-        lambda_pt=lambda_pt,
-        partial_form=structured,
-        gradient_ball_radius=ball_grad,
-    )
+    *_, bound = _bound_norms(f1, f2, radius, q, budget)
+    return bound(delta, lambda_pt)
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
-
-
-def _smooth_at_level(family: Family, level: float, spec_kwargs: Optional[dict]):
-    spec = MollifierSpec(
-        dim=family.field.dim_state, level=level, **(spec_kwargs or {})
-    )
-    if isinstance(family.field, StructuredCoefficient):
-        return mollify_structured(family.field, spec)
-    return mollify(family.field, spec)
 
 
 def _pick_radius(ensembles, candidates=(2.0, 5.0, 10.0, 20.0), target=0.05):
@@ -273,11 +269,18 @@ def cauchy_experiment(
     For each consecutive pair (k, l) of levels, computes the coefficient
     gap delta_kl (ball L^{2q}/L^q norms of the differences), the stability
     functional at delta = delta_kl, the unit-constant bound, and the
-    clipped convergence metric.  Convergence of the scheme shows as the
-    metric column decreasing in k.
+    clipped convergence metric.  The gap is the bound's own difference
+    norms, so a pair costs the bound's three evaluations and no more.  For
+    a structured family these are second-block norms; the first block is
+    shared across levels, so its difference is zero.  Convergence of the
+    scheme shows as the metric column decreasing in k.
     """
     m, q = family.measure, family.q
-    fields = {k: _smooth_at_level(family, k, spec_kwargs) for k in levels}
+    dim = family.field.dim_state
+    fields = {
+        k: smooth_field(family.field, MollifierSpec(dim=dim, level=k, **(spec_kwargs or {})))
+        for k in levels
+    }
     ensembles = {k: integrate(fields[k], driver, x0s, T) for k in levels}
     radius = _pick_radius(list(ensembles.values()))
     if lambda_pt is None:
@@ -289,19 +292,12 @@ def cauchy_experiment(
         ).value
     rows = []
     for k, l in zip(levels, levels[1:]):
-        fk, fl = fields[k], fields[l]
-        sd = ball_lebesgue_norm(
-            lambda x: fk.sigma(x) - fl.sigma(x), radius, 2 * q,
-            m.dim, norm_budget,
-        )
-        bd = ball_lebesgue_norm(
-            lambda x: fk.drift(x) - fl.drift(x), radius, q, m.dim, norm_budget
-        )
+        sd, bd, bound = _bound_norms(fields[k], fields[l], radius, q, norm_budget)
         delta_kl = sd + bd
         if delta_kl <= 0:
             delta_kl = 1e-12
         lhs = stability_functional(ensembles[k], ensembles[l], radius, delta_kl, m)
-        rhs = stability_bound(fk, fl, m, radius, delta_kl, q, lambda_pt, norm_budget)
+        rhs = bound(delta_kl, lambda_pt)
         rows.append(
             CauchyRow(
                 k=k, l=l, delta_kl=delta_kl,
@@ -341,11 +337,7 @@ def uniqueness_experiment(
         spec = MollifierSpec(
             dim=family.field.dim_state, level=level, shape=a, **kwargs
         )
-        if isinstance(family.field, StructuredCoefficient):
-            smooth = mollify_structured(family.field, spec)
-        else:
-            smooth = mollify(family.field, spec)
-        ensembles.append(integrate(smooth, driver, x0s, T))
+        ensembles.append(integrate(smooth_field(family.field, spec), driver, x0s, T))
     return UniquenessResult(
         metric=convergence_metric(ensembles[0], ensembles[1]),
         level=level,

@@ -181,15 +181,32 @@ class TestMaximalInequalities:
 
     def test_batch_random_piecewise(self):
         # a smaller randomized batch; the acceptance suite runs the full matrix
-        from roughflow.acceptance import _random_compact_grid
+        from roughflow.analysis import random_compact_grid
 
         m1, m2 = ReferenceMeasure(1, 1.5), ReferenceMeasure(2, 1.5)
         rng = derive_rng(8, "batch")
         for _ in range(25):
             for n, m in ((1, m1), (2, m2)):
-                g = _random_compact_grid(n, rng)
+                g = random_compact_grid(n, rng)
                 rep = maximal_lp_check(g, m, 1.0, 2.0)
                 assert rep.passed
+
+    def test_random_batch_grid_of_checks(self):
+        from roughflow.analysis import (
+            ExpMaximalReport,
+            MaximalReport,
+            random_maximal_checks,
+        )
+
+        got = list(random_maximal_checks(1, derive_rng(9, "batch"), 2))
+        # per function: three deltas, each with three L^p and two exp checks
+        assert [(d, e) for d, e, _ in got[:15]] == [
+            (d, e) for d in (0.5, 1.0, 2.0) for e in (1.5, 2.0, 4.0, 0.25, 0.5)
+        ]
+        assert len(got) == 30
+        kinds = [type(rep) for _, _, rep in got[:5]]
+        assert kinds == [MaximalReport] * 3 + [ExpMaximalReport] * 2
+        assert all(rep.passed for _, _, rep in got)
 
 
 class TestPointwiseSobolev:

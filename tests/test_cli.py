@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from roughflow._seeds import derive_rng
 from roughflow.cli import KINDS, ExperimentConfig, main, run
+from roughflow.stability import cauchy_experiment
 
 
 class TestConfig:
@@ -91,6 +93,25 @@ class TestRun:
         # both runs rescale the given config once
         assert recorded[0] == recorded[1]
         assert (recorded[0]["n_omega"], recorded[0]["mc_budget"]) == (8, 2000)
+
+    def test_stability_smooths_with_the_family_panels(self, tmp_path):
+        # partially-sobolev is smoothed with a panel edge on its x1-step, as
+        # in the acceptance suite
+        cfg = ExperimentConfig(kind="stability", family="partially-sobolev",
+                               out=str(tmp_path), seed=4, n_omega=2, n_x=4,
+                               T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
+                               quadrature_points=500)
+        run(cfg, printer=None)
+        fam = cfg.build_family()
+        x0 = fam.measure.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
+        want = cauchy_experiment(
+            fam, cfg.k_list, cfg.build_driver(fam.field.dim_noise), x0, cfg.T,
+            norm_budget=cfg.quadrature_points,
+            spec_kwargs=dict(order=16, panels=(2, 1)),
+        )
+        want.to_csv(tmp_path / "want.csv")
+        assert ((tmp_path / "stability.csv").read_text()
+                == (tmp_path / "want.csv").read_text())
 
     def test_derivative_kind_needs_deriv_family(self, tmp_path):
         cfg = ExperimentConfig(kind="derivative", family="linear",

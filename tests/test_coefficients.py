@@ -27,7 +27,9 @@ from roughflow import (
 )
 from roughflow._seeds import derive_rng
 from roughflow.coefficients import (
+    FieldBlocks,
     StructuredCoefficient,
+    _bump_mass,
     _smoothstep,
     _smoothstep_deriv,
     noise_term_domination_constant,
@@ -56,6 +58,13 @@ class TestMollifierSpec:
             pts = rng.uniform(-2, 2, size=(200, dim))
             assert np.all(spec.kernel(pts) >= 0.0)
             assert spec.kernel_mass_quadrature() == pytest.approx(1.0, abs=1e-6)
+
+    def test_kernel_mass_check_sees_a_missing_scaling(self, monkeypatch):
+        spec = MollifierSpec(dim=2, level=3.0)
+        monkeypatch.setattr(MollifierSpec, "kernel",
+                            lambda self, x: self._bump(self.level * self._points(x))
+                            / _bump_mass(self.dim, self.shape))
+        assert spec.kernel_mass_quadrature() == pytest.approx(1.0 / 9.0, rel=1e-6)
 
     def test_kernel_support_in_unit_ball_over_k(self):
         spec = MollifierSpec(dim=1, level=4.0)
@@ -147,6 +156,35 @@ class TestMollify:
             smooth.sigma(pts)[:, :1, :], fam.field.sigma(pts)[:, :1, :]
         )
         assert np.allclose(smooth.drift(pts)[:, 0], fam.field.drift(pts)[:, 0])
+
+
+class TestStructuredBlocks:
+    def test_block_record_required(self):
+        fam = make_family("linear")
+        kwargs = dict(dim_state=2, dim_noise=1, sigma_fn=fam.field.sigma_fn,
+                      drift_fn=fam.field.drift_fn)
+        with pytest.raises(TypeError, match="blocks"):
+            StructuredCoefficient(1, **kwargs)
+
+    def test_blocks_read_their_own_variables(self):
+        field = make_family("partially-sobolev").field
+        pts = make_family("partially-sobolev").measure.sample(derive_rng(3, "blocks"), 16)
+        ev = field.evaluate(pts, jac=True)
+        first, second = field.first_block(pts[:, :1]), field.second_block(pts)
+        assert np.array_equal(first.sigma, ev.sigma[:, :1, :])
+        assert np.array_equal(first.drift_jac, ev.drift_jac[:, :1, :1])
+        assert np.array_equal(second.sigma, field.blocks.sigma2(pts))
+        assert np.array_equal(second.drift, field.blocks.drift2(pts))
+        assert np.array_equal(second.sigma_jac, ev.sigma_jac[:, 1:, :, 1:])
+
+    def test_smoothed_field_shares_the_first_block_and_is_not_resmoothed(self):
+        field = make_family("partially-sobolev").field
+        spec = MollifierSpec(dim=2, level=4.0, order=16, panels=1)
+        smooth = mollify_structured(field, spec)
+        assert isinstance(smooth.blocks, FieldBlocks)
+        assert smooth.blocks is field.blocks
+        with pytest.raises(ValueError, match="already smoothed"):
+            mollify_structured(smooth, spec)
 
 
 class TestFiniteDifferenceFallback:

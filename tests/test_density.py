@@ -156,6 +156,20 @@ class TestLpNorm:
         assert sup_est.value >= max(finals) - 1e-12
 
 
+class TestNoValidSample:
+    def test_estimators_reject_all_invalid_track(self):
+        shape = (2, 3, 5)
+        track = DensityTrack(
+            times=np.linspace(0.0, 1.0, shape[-1]), stochastic=np.zeros(shape),
+            time_integral=np.zeros(shape), valid=np.zeros(shape[:2], dtype=bool),
+            total_mass=1.0,
+        )
+        for estimate in (lambda t: lp_density_norm(t, 2.0),
+                         lambda t: sup_lp_density_norm(t, 2.0), entropy):
+            with pytest.raises(ValueError, match="no valid sample"):
+                estimate(track)
+
+
 class TestBounds:
     def test_trivial_bound_value(self):
         m = ReferenceMeasure(1, 2.0)

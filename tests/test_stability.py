@@ -7,8 +7,10 @@ from roughflow import (
     BrownianDriver,
     CoefficientField,
     FlowEnsemble,
+    MollifierSpec,
     integrate,
     make_family,
+    smooth_field,
 )
 from roughflow._seeds import derive_rng, derive_seed
 from roughflow.stability import (
@@ -182,3 +184,40 @@ class TestExperiments:
         from roughflow import convergence_metric
 
         assert convergence_metric(e1, e2) > 0.05
+
+
+class TestQuadraturePassBudget:
+    """Quadrature passes of the stability norms on smoothed fields."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = {"n": 0}
+        for attr in ("convolve", "convolve_with_grad"):
+            original = getattr(MollifierSpec, attr)
+
+            def counted(self, func, x, _original=original):
+                count["n"] += 1
+                return _original(self, func, x)
+
+            monkeypatch.setattr(MollifierSpec, attr, counted)
+        return count
+
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_bound_makes_three_passes(self, passes, name):
+        fam = make_family(name)
+        fk, fl = (smooth_field(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
+                  for k in (2.0, 4.0))
+        stability_bound(fk, fl, fam.measure, 2.0, 0.1, fam.q, 1.0, budget=500)
+        assert passes["n"] == 3
+
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_cauchy_pays_only_flows_and_bound(self, passes, name):
+        fam = make_family(name)
+        levels, n_steps = [2.0, 4.0, 8.0], 4
+        drv = BrownianDriver.generate(fam.field.dim_noise, 2.0**-6, n_steps, 2,
+                                      derive_seed(12, f"passes-{name}"))
+        x0 = fam.measure.sample(derive_rng(12, f"passes-x0-{name}"), 3)
+        cauchy_experiment(fam, levels, drv, x0, n_steps * drv.dt, norm_budget=500,
+                          spec_kwargs=dict(order=8, panels=1), lambda_pt=1.0)
+        # one pass per step and level for the flows, the bound's three per pair
+        assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1)
