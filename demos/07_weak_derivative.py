@@ -16,7 +16,6 @@ from roughflow.derivative import lift, verify_hypotheses, weak_derivative_conver
 seed = 2024
 q, d = 2.0, 1
 alpha1 = q + d / 2 + 0.5
-m1 = ReferenceMeasure(d, alpha1)
 m2 = ReferenceMeasure(2 * d, 2 * alpha1 + q + d / 2 + 0.5)
 driver = BrownianDriver.generate(1, 2.0**-10, 2**10, 24,
                                  derive_seed(seed, "demo-deriv"))
@@ -32,7 +31,7 @@ print("a linear base is exact for every eps; smooth and rough bases show "
       "the O(eps) trend.\n")
 
 sys_rough = lift(make_family("deriv-rough").field)
-rep = verify_hypotheses(sys_rough, m2, m1, p0=0.5,
+rep = verify_hypotheses(sys_rough, m2, p0=0.5,
                         eps_set=[0.5, 0.25, 0.125], budget=10_000,
                         rng=derive_rng(seed, "demo-hyp"))
 print("doubled-system hypotheses for the rough base:")

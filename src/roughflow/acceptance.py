@@ -4,7 +4,9 @@ Each criterion function runs one end-to-end verification at pinned
 tolerances and returns a result record; ``run_all`` executes the whole
 suite and prints one pass/fail line per criterion.  ``budget_scale``
 multiplies the Monte Carlo budgets (sample counts, never tolerances) for
-quick smoke runs; pass/fail semantics are unchanged.
+quick smoke runs; pass/fail semantics are unchanged.  The pass rules
+that the command line asserts as well are the public ``*_checks`` and
+``ring_ratio_closed_form`` functions here, called by both.
 
 All randomness derives from the master seed through named child streams,
 so repeated runs produce identical results.
@@ -12,6 +14,7 @@ so repeated runs produce identical results.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -34,7 +37,11 @@ from .density import (
 from .flow import BrownianDriver, compose_time_shift, integrate, level_set_tail
 from .measure import ReferenceMeasure
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA", "SMOOTHING_SPECS", "smoothing_spec"]
+__all__ = [
+    "CriterionResult", "run_all", "CRITERIA", "SMOOTHING_SPECS", "smoothing_spec",
+    "draw_paths", "lp_density_checks", "level_set_checks",
+    "cauchy_uniqueness_checks", "ring_ratio_closed_form",
+]
 
 DEFAULT_SEED = 20240915
 
@@ -77,12 +84,113 @@ def _scaled(value: int, scale: float, minimum: int = 8) -> int:
     return max(minimum, int(round(value * scale)))
 
 
+CRITERIA: dict = {}
+
+
+def _criterion(index: int, name: str):
+    """Register ``body(seed, scale) -> (passed, details)`` in ``CRITERIA``,
+    timed and wrapped into its ``CriterionResult``."""
+
+    def register(body):
+        @functools.wraps(body)
+        def timed(seed: int, scale: float) -> CriterionResult:
+            t0 = time.time()
+            passed, details = body(seed, scale)
+            return CriterionResult(index, name, passed, time.time() - t0, details)
+
+        CRITERIA[index] = timed
+        return timed
+
+    return register
+
+
+def draw_paths(seed: int, measure: ReferenceMeasure, dim_noise: int, dt: float,
+               T: float, n_omega: int, n_x: int, driver_stream: str, x0_stream: str):
+    """``(driver, x0)``: ``n_omega`` Brownian paths on ``[0, T]`` with step
+    ``dt`` and ``n_x`` start points sampled from ``measure``, each from its
+    own named child stream of ``seed``."""
+    driver = BrownianDriver.generate(
+        dim_noise, dt, int(round(T / dt)), n_omega, derive_seed(seed, driver_stream)
+    )
+    return driver, measure.sample(derive_rng(seed, x0_stream), n_x)
+
+
+# ---------------------------------------------------------------------------
+# checks shared with the command line
+# ---------------------------------------------------------------------------
+
+
+def lp_density_checks(
+    track, field, measure: ReferenceMeasure, p: float, q: float, horizon: float,
+    budget: int, seed: int, stream: str,
+) -> list:
+    """The L^p density bound at ``p`` and at the conjugate exponent of ``q``:
+    per exponent ``e`` (ascending) ``(e, measured, rhs, passed)``.  The
+    sup-in-time norm of the tracked density passes when the right-hand side
+    at ``horizon`` (drawn from stream ``f"{stream}{e}"``) is not divergent
+    and exceeds it by at least two standard errors of the norm."""
+    checks = []
+    for e in sorted({p, q / (q - 1.0)}):
+        measured = sup_lp_density_norm(track, e)
+        rhs = density_bound_rhs(
+            field, measure, e, horizon, budget, derive_rng(seed, f"{stream}{e}")
+        )
+        ok = (not rhs.divergent) and measured.value <= rhs.value + 2.0 * measured.se
+        checks.append((e, measured, rhs, ok))
+    return checks
+
+
+def level_set_checks(
+    ens, track, measure: ReferenceMeasure, q: float, radii, budget: int,
+    seed: int, stream: str,
+):
+    """The level-set tail bound per radius: ``(lambda, [LevelSetReport])``,
+    lambda the sup-in-time L^{q'} norm of the tracked density (q' conjugate
+    to ``q``); radius ``r`` draws from stream ``f"{stream}{r}"``."""
+    lam = sup_lp_density_norm(track, q / (q - 1.0)).value
+    return lam, [
+        level_set_tail(ens, r, measure, q, lam, mc_budget=budget,
+                       rng=derive_rng(seed, f"{stream}{r}"))
+        for r in radii
+    ]
+
+
+def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int):
+    """Stability and uniqueness of the generalized flow, smoothed with
+    ``smoothing_spec(fam.name)``: ``(table, uniqueness, decreasing,
+    below_final_gap)``.  The Cauchy metrics must decrease along ``levels``
+    and the uniqueness metric at the last level sit below the final gap."""
+    spec_kwargs = smoothing_spec(fam.name)
+    table = st.cauchy_experiment(
+        fam, levels, driver, x0, T, norm_budget=norm_budget, spec_kwargs=spec_kwargs
+    )
+    metrics = table.metrics()
+    decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
+    unq = st.uniqueness_experiment(fam, levels[-1], driver, x0, T, spec_kwargs=spec_kwargs)
+    return table, unq, decreasing, unq.metric < metrics[-1]
+
+
+def ring_ratio_closed_form():
+    """The ring-ratio scan against its closed form ``(1 + 4 delta^2)^alpha``
+    for alpha in (1, 1.5, 2.5) and delta in (1, 2, 5).  The scan reads only
+    the weight exponent, so one dimension covers all.  Returns the largest
+    relative error and whether every one is below 1e-6."""
+    errors = []
+    for alpha in (1.0, 1.5, 2.5):
+        for delta in (1.0, 2.0, 5.0):
+            scan = an.weight_ring_ratio(ReferenceMeasure(1, alpha), delta)
+            closed = (1.0 + 4.0 * delta**2) ** alpha
+            errors.append(abs(scan - closed) / closed)
+    return max(errors), all(e < 1e-6 for e in errors)
+
+
 # ---------------------------------------------------------------------------
 # 1. pathwise density oracle, translation flow
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(seed: int, scale: float) -> CriterionResult:
+@_criterion(1, "pathwise density oracle (translation flow)")
+def criterion_1(seed: int, scale: float):
     """Translation flow: tracked density vs the exact weight ratio.
 
     The check requires per-path relative error below 1e-2 at every grid
@@ -93,43 +201,30 @@ def criterion_1(seed: int, scale: float) -> CriterionResult:
     of ``track_density`` removes that leading error.  Here m = 1, so the
     corrected sum has strong order 1.
     """
-    t0 = time.time()
     fam = make_family("translation")
     m = fam.measure
     n_omega, n_x = _scaled(50, scale), 20  # 1000 trajectories at scale 1
+    fine, x0 = draw_paths(seed, m, 1, 2.0**-11, 1.0, n_omega, n_x, "c1-driver", "c1-x0")
 
-    def run(dt_exp: int, driver=None):
-        n_steps = 2**dt_exp
-        drv = driver if driver is not None else BrownianDriver.generate(
-            1, 2.0**-dt_exp, n_steps, n_omega, derive_seed(seed, "c1-driver")
-        )
-        x0 = m.sample(derive_rng(seed, "c1-x0"), n_x)
+    def path_errors(drv):
         ens = integrate(fam.field, drv, x0, 1.0)
         track = track_density(ens, fam.field, m)
         logw = m.log_weight(ens.states)
         oracle = logw - logw[:, :, 0:1]
         rel = np.abs(np.exp(track.log_density() - oracle) - 1.0)
-        return rel.max(axis=2), drv
+        return rel.max(axis=2)
 
-    fine = BrownianDriver.generate(
-        1, 2.0**-11, 2**11, n_omega, derive_seed(seed, "c1-driver")
-    )
-    err_coarse, _ = run(10, fine.coarsen(2))
-    err_fine, _ = run(11, fine)
+    err_coarse = path_errors(fine.coarsen(2))
+    err_fine = path_errors(fine)
     frac_within = float((err_coarse < 1e-2).mean())
     med_coarse = float(np.median(err_coarse))
     med_fine = float(np.median(err_fine))
     ratio = med_fine / med_coarse
-    passed = frac_within == 1.0 and ratio <= 0.55
-    return CriterionResult(
-        1, "pathwise density oracle (translation flow)", passed,
-        time.time() - t0,
-        dict(
-            frac_paths_within_1e2=frac_within,
-            median_err=med_coarse,
-            median_err_half_dt=med_fine,
-            median_ratio=ratio,
-        ),
+    return frac_within == 1.0 and ratio <= 0.55, dict(
+        frac_paths_within_1e2=frac_within,
+        median_err=med_coarse,
+        median_err_half_dt=med_fine,
+        median_ratio=ratio,
     )
 
 
@@ -138,13 +233,12 @@ def criterion_1(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_2(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(2, "pathwise density oracle (linear drift)")
+def criterion_2(seed: int, scale: float):
     fam = make_family("pure-drift")
     m = fam.measure
     dt = 2.0**-10
-    drv = BrownianDriver.generate(1, dt, 2**10, 1, derive_seed(seed, "c2-driver"))
-    x0 = m.sample(derive_rng(seed, "c2-x0"), _scaled(500, scale))
+    drv, x0 = draw_paths(seed, m, 1, dt, 1.0, 1, _scaled(500, scale), "c2-driver", "c2-x0")
     ens = integrate(fam.field, drv, x0, 1.0)
     track = track_density(ens, fam.field, m)
     t = ens.times
@@ -156,54 +250,41 @@ def criterion_2(seed: int, scale: float) -> CriterionResult:
     )
     rel = np.abs(np.exp(track.log_density() - oracle) - 1.0)
     worst = float(rel.max())
-    passed = worst < 10.0 * dt
-    return CriterionResult(
-        2, "pathwise density oracle (linear drift)", passed, time.time() - t0,
-        dict(max_rel_err=worst, tolerance=10.0 * dt),
-    )
+    return worst < 10.0 * dt, dict(max_rel_err=worst, tolerance=10.0 * dt)
 
 
 # ---------------------------------------------------------------------------
 # 3. L^p density bound per catalog family
 # ---------------------------------------------------------------------------
 
-_C3_FAMILIES = ("linear", "log-singular", "partially-sobolev", "deriv-rough")
+_DENSITY_FAMILIES = ("linear", "log-singular", "partially-sobolev", "deriv-rough")
 
 
-def criterion_3(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
-    q = 2.0
-    ps = sorted({2.0, q / (q - 1.0)})
+@_criterion(3, "L^p density bound per family")
+def criterion_3(seed: int, scale: float):
+    p = q = 2.0  # q = 2 is its own conjugate: one exponent
     results = {}
     passed = True
-    for name in _C3_FAMILIES:
+    for name in _DENSITY_FAMILIES:
         fam = make_family(name)
         m = fam.measure
-        t_horizon = select_t0(fam.p0, max(ps))
-        dt = 2.0**-10
-        n_steps = int(round(t_horizon / dt))
+        t_horizon = select_t0(fam.p0, p)
         n_omega, n_x = _scaled(100, np.sqrt(scale)), _scaled(100, np.sqrt(scale))
-        drv = BrownianDriver.generate(
-            fam.field.dim_noise, dt, n_steps, n_omega,
-            derive_seed(seed, f"c3-driver-{name}"),
+        drv, x0 = draw_paths(
+            seed, m, fam.field.dim_noise, 2.0**-10, t_horizon, n_omega, n_x,
+            f"c3-driver-{name}", f"c3-x0-{name}",
         )
-        x0 = m.sample(derive_rng(seed, f"c3-x0-{name}"), n_x)
         ens = integrate(fam.field, drv, x0, t_horizon)
         track = track_density(ens, fam.field, m)
-        for p in ps:
-            measured = sup_lp_density_norm(track, p)
-            rhs = density_bound_rhs(
-                fam.field, m, p, t_horizon,
-                _scaled(20000, scale), derive_rng(seed, f"c3-rhs-{name}-{p}"),
-            )
-            ok = (not rhs.divergent) and measured.value <= rhs.value + 2.0 * measured.se
+        for e, measured, rhs, ok in lp_density_checks(
+            track, fam.field, m, p, q, t_horizon,
+            _scaled(20000, scale), seed, f"c3-rhs-{name}-",
+        ):
             passed &= ok
-            results[f"{name}:p={p:g}"] = (
+            results[f"{name}:p={e:g}"] = (
                 round(measured.value, 4), round(rhs.value, 4), ok
             )
-    return CriterionResult(
-        3, "L^p density bound per family", passed, time.time() - t0, results
-    )
+    return passed, results
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +292,8 @@ def criterion_3(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(4, "uniform density estimate over levels")
+def criterion_4(seed: int, scale: float):
     levels = [2.0, 4.0, 8.0, 16.0]
     p = 2.0
     details = {}
@@ -220,14 +301,11 @@ def criterion_4(seed: int, scale: float) -> CriterionResult:
     for name, spec_kwargs in SMOOTHING_SPECS.items():
         fam = make_family(name)
         t_horizon = select_t0(fam.p0, p)
-        dt = 2.0**-10
-        n_steps = int(round(t_horizon / dt))
         n_omega, n_x = _scaled(40, np.sqrt(scale)), _scaled(50, np.sqrt(scale))
-        drv = BrownianDriver.generate(
-            fam.field.dim_noise, dt, n_steps, n_omega,
-            derive_seed(seed, f"c4-driver-{name}"),
+        drv, x0 = draw_paths(
+            seed, fam.measure, fam.field.dim_noise, 2.0**-10, t_horizon, n_omega, n_x,
+            f"c4-driver-{name}", f"c4-x0-{name}",
         )
-        x0 = fam.measure.sample(derive_rng(seed, f"c4-x0-{name}"), n_x)
         report = uniform_density_bound(
             fam, levels, drv, x0, p,
             budget=_scaled(20000, scale),
@@ -241,56 +319,41 @@ def criterion_4(seed: int, scale: float) -> CriterionResult:
             product_form=report.product_form,
             ok=report.passed,
         )
-    return CriterionResult(
-        4, "uniform density estimate over levels", passed, time.time() - t0, details
-    )
+    return passed, details
 
 
 # ---------------------------------------------------------------------------
 # 5. level-set tail bound
 # ---------------------------------------------------------------------------
 
-_C5_FAMILIES = ("linear", "log-singular", "partially-sobolev", "deriv-rough")
-
-
-def criterion_5(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(5, "level-set tail bound")
+def criterion_5(seed: int, scale: float):
     radii = (2.0, 5.0, 10.0, 20.0)
     q = 2.0
-    p = 2.0
     details = {}
     passed = True
-    for name in _C5_FAMILIES:
+    for name in _DENSITY_FAMILIES:
         fam = make_family(name)
         m = fam.measure
-        dt = 2.0**-10
-        drv = BrownianDriver.generate(
-            fam.field.dim_noise, dt, 2**10, _scaled(40, np.sqrt(scale)),
-            derive_seed(seed, f"c5-driver-{name}"),
+        drv, x0 = draw_paths(
+            seed, m, fam.field.dim_noise, 2.0**-10, 1.0,
+            _scaled(40, np.sqrt(scale)), _scaled(50, np.sqrt(scale)),
+            f"c5-driver-{name}", f"c5-x0-{name}",
         )
-        x0 = m.sample(derive_rng(seed, f"c5-x0-{name}"), _scaled(50, np.sqrt(scale)))
         ens = integrate(fam.field, drv, x0, 1.0)
         track = track_density(ens, fam.field, m)
-        lam = sup_lp_density_norm(track, p).value
-        fam_ok = True
-        ratios = []
-        for r in radii:
-            rep = level_set_tail(
-                ens, r, m, q, lam,
-                mc_budget=_scaled(20000, scale),
-                rng=derive_rng(seed, f"c5-norms-{name}-{r}"),
-            )
-            fam_ok &= rep.passed
-            ratios.append(
-                float(round(rep.empirical / rep.bound, 4)) if rep.bound > 0
-                else np.inf
-            )
+        lam, reports = level_set_checks(
+            ens, track, m, q, radii, _scaled(20000, scale), seed, f"c5-norms-{name}-"
+        )
+        fam_ok = all(rep.passed for rep in reports)
+        ratios = [
+            float(round(rep.empirical / rep.bound, 4)) if rep.bound > 0 else np.inf
+            for rep in reports
+        ]
         passed &= fam_ok
         details[name] = dict(tail_over_bound=ratios, lambda_pt=float(round(lam, 3)),
                              ok=fam_ok)
-    return CriterionResult(
-        5, "level-set tail bound", passed, time.time() - t0, details
-    )
+    return passed, details
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +361,8 @@ def criterion_5(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(6, "maximal-function inequalities")
+def criterion_6(seed: int, scale: float):
     n_funcs = _scaled(200, scale, minimum=20)
     total = failures = 0
     for n in (1, 2):
@@ -307,21 +370,9 @@ def criterion_6(seed: int, scale: float) -> CriterionResult:
         for _, _, rep in an.random_maximal_checks(n, rng, n_funcs):
             total += 1
             failures += not rep.passed
-    lam_ok = True
-    lam_err = 0.0
-    for n in (1, 2):
-        for alpha in (1.0, 1.5, 2.5):
-            m = ReferenceMeasure(n, alpha)
-            for delta in (1.0, 2.0, 5.0):
-                scan = an.weight_ring_ratio(m, delta)
-                closed = (1.0 + 4.0 * delta**2) ** alpha
-                rel = abs(scan - closed) / closed
-                lam_err = max(lam_err, rel)
-                lam_ok &= rel < 1e-6
-    passed = failures == 0 and lam_ok
-    return CriterionResult(
-        6, "maximal-function inequalities", passed, time.time() - t0,
-        dict(checks=total, failures=failures, ring_scan_max_rel_err=lam_err),
+    lam_err, lam_ok = ring_ratio_closed_form()
+    return failures == 0 and lam_ok, dict(
+        checks=total, failures=failures, ring_scan_max_rel_err=lam_err
     )
 
 
@@ -330,8 +381,8 @@ def criterion_6(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_7(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(7, "weight-mollification inequality")
+def criterion_7(seed: int, scale: float):
     levels = (1.0, 2.0, 4.0, 8.0)
     margins = {}
     passed = True
@@ -349,9 +400,7 @@ def criterion_7(seed: int, scale: float) -> CriterionResult:
             margin = float(np.min(conv + alpha * np.log(3.0) - m.log_weight(pts)))
             margins[f"n{n}-k{k:g}"] = round(margin, 5)
             passed &= margin >= 0.0
-    return CriterionResult(
-        7, "weight-mollification inequality", passed, time.time() - t0, margins
-    )
+    return passed, margins
 
 
 # ---------------------------------------------------------------------------
@@ -359,44 +408,30 @@ def criterion_7(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_8(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(8, "Cauchy/stability convergence and uniqueness")
+def criterion_8(seed: int, scale: float):
     levels = [2.0, 4.0, 8.0, 16.0]
     details = {}
     passed = True
-    for name, spec_kwargs in SMOOTHING_SPECS.items():
+    for name in SMOOTHING_SPECS:
         fam = make_family(name)
-        dt = 2.0**-10
         T = 0.25
-        n_steps = int(round(T / dt))
-        n_omega, n_x = _scaled(20, np.sqrt(scale)), _scaled(32, np.sqrt(scale))
-        drv = BrownianDriver.generate(
-            fam.field.dim_noise, dt, n_steps, n_omega,
-            derive_seed(seed, f"c8-driver-{name}"),
+        drv, x0 = draw_paths(
+            seed, fam.measure, fam.field.dim_noise, 2.0**-10, T,
+            _scaled(20, np.sqrt(scale)), _scaled(32, np.sqrt(scale)),
+            f"c8-driver-{name}", f"c8-x0-{name}",
         )
-        x0 = fam.measure.sample(derive_rng(seed, f"c8-x0-{name}"), n_x)
-        table = st.cauchy_experiment(
-            fam, levels, drv, x0, T,
-            norm_budget=_scaled(20000, scale),
-            spec_kwargs=spec_kwargs,
+        table, unq, decreasing, below_gap = cauchy_uniqueness_checks(
+            fam, levels, drv, x0, T, _scaled(20000, scale)
         )
-        metrics = table.metrics()
-        decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
-        unq = st.uniqueness_experiment(
-            fam, levels[-1], drv, x0, T, spec_kwargs=spec_kwargs
-        )
-        below_gap = unq.metric < metrics[-1]
         passed &= decreasing and below_gap
         details[name] = dict(
-            metrics=[round(v, 5) for v in metrics],
+            metrics=[round(v, 5) for v in table.metrics()],
             uniqueness_metric=round(unq.metric, 6),
             decreasing=decreasing,
             below_final_gap=below_gap,
         )
-    return CriterionResult(
-        8, "Cauchy/stability convergence and uniqueness", passed,
-        time.time() - t0, details,
-    )
+    return passed, details
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +439,18 @@ def criterion_8(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_9(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(9, "weak differentiability")
+def criterion_9(seed: int, scale: float):
     eps_seq = [2.0**-j for j in range(1, 5)]
     q, d = 2.0, 1
     alpha1 = q + d / 2.0 + 0.5
     alpha = 2 * alpha1 + q + d / 2.0 + 0.5
     m2 = ReferenceMeasure(2 * d, alpha)
-    m1 = ReferenceMeasure(d, alpha1)
-    dt = 2.0**-10
-    drv = BrownianDriver.generate(
-        1, dt, 2**10, _scaled(24, np.sqrt(scale)),
-        derive_seed(seed, "c9-driver"),
+    drv, xy0 = draw_paths(
+        seed, m2, 1, 2.0**-10, 1.0,
+        _scaled(24, np.sqrt(scale)), _scaled(48, np.sqrt(scale)),
+        "c9-driver", "c9-xy0",
     )
-    xy0 = m2.sample(derive_rng(seed, "c9-xy0"), _scaled(48, np.sqrt(scale)))
     details = {}
 
     sys_lin = dv.lift(make_family("deriv-linear").field)
@@ -436,7 +469,7 @@ def criterion_9(seed: int, scale: float) -> CriterionResult:
 
     sys_rough = dv.lift(make_family("deriv-rough").field)
     hyp = dv.verify_hypotheses(
-        sys_rough, m2, m1, p0=0.5, eps_set=[0.5, 0.25, 0.125],
+        sys_rough, m2, p0=0.5, eps_set=[0.5, 0.25, 0.125],
         budget=_scaled(10000, scale), rng=derive_rng(seed, "c9-hyp"),
     )
     passed &= hyp.passed
@@ -446,9 +479,7 @@ def criterion_9(seed: int, scale: float) -> CriterionResult:
         sigma_domination=hyp.sigma_domination_fraction,
         ok=hyp.passed,
     )
-    return CriterionResult(
-        9, "weak differentiability", passed, time.time() - t0, details
-    )
+    return passed, details
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +487,8 @@ def criterion_9(seed: int, scale: float) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_10(seed: int, scale: float) -> CriterionResult:
-    t0 = time.time()
+@_criterion(10, "flow property and determinism")
+def criterion_10(seed: int, scale: float):
     dt = 2.0**-7
     details = {}
     passed = True
@@ -467,10 +498,8 @@ def criterion_10(seed: int, scale: float) -> CriterionResult:
         field = fam.field
         if name == "log-singular":
             field = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=1))
-        drv = BrownianDriver.generate(
-            field.dim_noise, dt, 2**7, 4, derive_seed(seed, f"c10-{name}")
-        )
-        x0 = fam.measure.sample(derive_rng(seed, f"c10-x0-{name}"), 8)
+        drv, x0 = draw_paths(seed, fam.measure, field.dim_noise, dt, 1.0, 4, 8,
+                             f"c10-{name}", f"c10-x0-{name}")
         ens = integrate(field, drv, x0, 1.0)
         comp = compose_time_shift(field, ens, 0.5, 0.5)
         bitwise = bool(
@@ -483,23 +512,7 @@ def criterion_10(seed: int, scale: float) -> CriterionResult:
         identical = ens.states.tobytes() == ens2.states.tobytes()
         passed &= bitwise and identical
         details[name] = dict(compose_bitwise=bitwise, rerun_identical=identical)
-    return CriterionResult(
-        10, "flow property and determinism", passed, time.time() - t0, details
-    )
-
-
-CRITERIA: dict = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+    return passed, details
 
 
 def run_all(

@@ -45,7 +45,7 @@ from .coefficients import (
     density_noise_with_gradient,
     smooth_field,
 )
-from .flow import BrownianDriver, FlowEnsemble, integrate
+from .flow import BrownianDriver, FlowEnsemble, grid_index, integrate
 from .measure import ReferenceMeasure
 
 _TRACK_BLOCK_STATES = 2**15  # states per density-exponent evaluation block
@@ -88,11 +88,7 @@ class DensityTrack:
         return np.exp(logr[:, :, self.time_index(t)])
 
     def time_index(self, t: float) -> int:
-        dt = self.times[1] - self.times[0]
-        idx = int(round(t / dt))
-        if not 0 <= idx < len(self.times) or abs(idx * dt - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} not on the track grid")
-        return idx
+        return grid_index(self.times, t, "track")
 
     def to_csv(self, path, time_stride: int = 1) -> None:
         """Rows (omega_index, x_index, t, rho_tilde, S, A)."""

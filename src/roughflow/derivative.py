@@ -263,7 +263,6 @@ class HypothesisReport:
 def verify_hypotheses(
     sys: DerivativeSystem,
     m2: ReferenceMeasure,
-    m1: ReferenceMeasure,
     p0: float,
     eps_set: Sequence[float],
     budget: int,
@@ -285,15 +284,11 @@ def verify_hypotheses(
     |sigma2-bar| <= |grad sigma(x)| on the sample, with the base Jacobians
     from one ``evaluate``.  ``m2`` is the doubled-space measure (its decay
     exponent must exceed 2 alpha1 + q + d/2 for the base measure exponent
-    alpha1);
-    ``m1`` is the base measure, retained for reporting the base-side
-    integrability through the same sample's first components.
+    alpha1).
     """
     d = sys.dim
     if m2.dim != 2 * d:
         raise ValueError("m2 must live on the doubled space")
-    if m1.dim != d:
-        raise ValueError("m1 must live on the base space")
     pts = m2.sample(rng, budget)
     mass2 = m2.total_mass()
 

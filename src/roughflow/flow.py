@@ -108,6 +108,15 @@ class BrownianDriver:
         return out
 
 
+def grid_index(times: NDArray[np.float64], t: float, grid: str) -> int:
+    """Index of ``t`` on the uniform ``times``; else a ValueError naming ``grid``."""
+    dt = times[1] - times[0]
+    idx = int(round(t / dt))
+    if not 0 <= idx < len(times) or abs(idx * dt - t) > 1e-12 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} not on the {grid} grid")
+    return idx
+
+
 @dataclass
 class FlowEnsemble:
     """Trajectories X_t(omega_j, x_i), shape (n_omega, n_x, n_times, n)."""
@@ -139,11 +148,7 @@ class FlowEnsemble:
         return np.linalg.norm(self.states, axis=-1).max(axis=-1)
 
     def time_index(self, t: float) -> int:
-        dt = self.times[1] - self.times[0]
-        idx = int(round(t / dt))
-        if not 0 <= idx < len(self.times) or abs(idx * dt - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} not on the ensemble grid")
-        return idx
+        return grid_index(self.times, t, "ensemble")
 
     def state_at(self, t: float) -> NDArray[np.float64]:
         return self.states[:, :, self.time_index(t), :]

@@ -190,7 +190,6 @@ def _bound_norms(f1, f2, radius: float, q: float, budget: int):
 def stability_bound(
     f1: CoefficientField,
     f2: CoefficientField,
-    m: ReferenceMeasure,
     radius: float,
     delta: float,
     q: float,

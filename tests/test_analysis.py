@@ -124,6 +124,11 @@ class TestRingRatio:
         got = weight_ring_ratio(ReferenceMeasure(1, alpha), delta)
         assert got == pytest.approx((1 + 4 * delta**2) ** alpha, rel=1e-6)
 
+    def test_dimension_free(self):
+        # the scan reads only the weight exponent
+        assert (weight_ring_ratio(ReferenceMeasure(1, 2.5), 5.0)
+                == weight_ring_ratio(ReferenceMeasure(2, 2.5), 5.0))
+
     def test_delta_one_alpha_one_is_five(self):
         assert weight_ring_ratio(ReferenceMeasure(2, 1.0), 1.0) == pytest.approx(5.0)
 

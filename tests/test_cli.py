@@ -120,6 +120,43 @@ class TestRun:
             run(cfg, printer=None)
 
 
+class TestCheckRecords:
+    """Each kind's check records at a small budget: names, keys, verdicts."""
+
+    @staticmethod
+    def records(tmp_path, **raw):
+        assert run(ExperimentConfig(out=str(tmp_path), **raw), printer=None) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        return [(c["name"], sorted(c), c["passed"]) for c in summary["checks"]]
+
+    def test_simulate(self, tmp_path):
+        got = self.records(tmp_path, kind="simulate", seed=5, n_omega=4, n_x=8,
+                           dt=2.0**-6, mc_budget=1000)
+        keys = ["bound", "empirical", "excluded", "name", "passed"]
+        assert got == [(f"level-set tail R={r}", keys, True) for r in (2, 5, 10, 20)]
+
+    def test_stability(self, tmp_path):
+        got = self.records(tmp_path, kind="stability", family="log-singular",
+                           seed=4, n_omega=2, n_x=4, T=0.25, dt=2.0**-6,
+                           k_list=[2.0, 4.0, 8.0], quadrature_points=500)
+        assert got == [
+            ("convergence metric decreasing", ["metrics", "name", "passed"], True),
+            ("uniqueness metric below final gap",
+             ["final_gap", "name", "passed", "uniqueness_metric"], True),
+        ]
+
+    def test_analysis(self, tmp_path):
+        got = self.records(tmp_path, kind="analysis", seed=7, mc_budget=2000)
+        keys = ["checks", "failures", "name", "passed"]
+        assert got == [
+            ("maximal inequalities n=1", keys, True),
+            ("maximal inequalities n=2", keys, True),
+            ("ring-ratio closed form", ["name", "passed"], True),
+        ]
+        header = (tmp_path / "maximal.csv").read_text().splitlines()[0]
+        assert header == "n,delta,p,ratio,passed"
+
+
 class TestMain:
     def test_malformed_config_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -187,16 +187,16 @@ class TestConvergence:
 class TestHypotheses:
     def test_linear_base_finite_for_large_p0(self):
         sys_ = lift(make_family("deriv-linear").field)
-        m2, m1 = lifted_measure()
-        rep = verify_hypotheses(sys_, m2, m1, p0=2.0,
+        m2, _ = lifted_measure()
+        rep = verify_hypotheses(sys_, m2, p0=2.0,
                                 eps_set=[0.5, 0.25], budget=4000,
                                 rng=derive_rng(11, "h"))
         assert rep.passed
 
     def test_rough_base_eps_uniform(self):
         sys_ = lift(make_family("deriv-rough").field)
-        m2, m1 = lifted_measure()
-        rep = verify_hypotheses(sys_, m2, m1, p0=0.5,
+        m2, _ = lifted_measure()
+        rep = verify_hypotheses(sys_, m2, p0=0.5,
                                 eps_set=[0.5, 0.25, 0.125], budget=8000,
                                 rng=derive_rng(12, "h2"))
         assert rep.eps_ratio < 10.0
@@ -208,5 +208,5 @@ class TestHypotheses:
         sys_ = lift(make_family("deriv-linear").field)
         m2, m1 = lifted_measure()
         with pytest.raises(ValueError):
-            verify_hypotheses(sys_, m1, m1, 1.0, [0.5], 100,
+            verify_hypotheses(sys_, m1, 1.0, [0.5], 100,
                               derive_rng(13, "bad"))

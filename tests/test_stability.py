@@ -105,7 +105,7 @@ class TestBallNorm:
 class TestBound:
     def test_identical_pair_reduces_to_gradient_terms(self):
         fam = make_family("linear")
-        b = stability_bound(fam.field, fam.field, fam.measure, 2.0, 0.1, 2.0,
+        b = stability_bound(fam.field, fam.field, 2.0, 0.1, 2.0,
                             lambda_pt=1.5, budget=20_000)
         assert b.difference_terms == pytest.approx(0.0, abs=1e-12)
         assert b.value == pytest.approx(1.5 * b.gradient_terms, rel=1e-12)
@@ -113,7 +113,7 @@ class TestBound:
     def test_structured_pair_uses_partial_form(self):
         fam = make_family("partially-sobolev")
         other = make_family("partially-sobolev", step_amp=0.2)
-        b = stability_bound(fam.field, other.field, fam.measure, 2.0, 0.1,
+        b = stability_bound(fam.field, other.field, 2.0, 0.1,
                             2.0, lambda_pt=1.0, budget=20_000)
         assert b.partial_form
         assert b.gradient_ball_radius == pytest.approx(8.0)  # 4R
@@ -121,7 +121,7 @@ class TestBound:
 
     def test_large_delta_limit(self):
         fam, _, _, shifted = ou_pair(shift=0.3)
-        small = stability_bound(fam.field, shifted, fam.measure, 2.0, 1e6,
+        small = stability_bound(fam.field, shifted, 2.0, 1e6,
                                 2.0, lambda_pt=1.0, budget=10_000)
         assert small.difference_terms == pytest.approx(0.0, abs=1e-4)
 
@@ -207,7 +207,7 @@ class TestQuadraturePassBudget:
         fam = make_family(name)
         fk, fl = (smooth_field(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
                   for k in (2.0, 4.0))
-        stability_bound(fk, fl, fam.measure, 2.0, 0.1, fam.q, 1.0, budget=500)
+        stability_bound(fk, fl, 2.0, 0.1, fam.q, 1.0, budget=500)
         assert passes["n"] == 3
 
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
