@@ -22,7 +22,7 @@ from roughflow import (
 
 fam = make_family("log-singular")
 field = fam.field
-print("family:", field.name, "| smoothness tag:", field.smoothness)
+print("family:", field.name)
 
 probe = np.array([[0.02, 0.0], [0.2, 0.1], [1.0, -0.5]])
 print("\n|drift| near the origin (unbounded):",

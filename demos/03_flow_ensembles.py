@@ -34,11 +34,11 @@ print(f"ensemble: {ens.n_omega} paths x {ens.n_x} starts, "
 print(f"  exploded trajectories : {ens.n_exploded}")
 print(f"  mean sup-norm         : {ens.sup_norm().mean():.3f}")
 
-composed = compose_time_shift(fam.field, ens, s=0.5, horizon=0.5)
+composed = compose_time_shift(ens, s=0.5, horizon=0.5)
 direct = ens.states[:, :, driver.step_index(0.5):, :]
 print(f"  flow property (bitwise): {np.array_equal(composed.states, direct)}")
 
-track = lam = track_density(ens, fam.field, fam.measure)
+track = track_density(ens, fam.measure)
 lam = sup_lp_density_norm(track, p=2.0).value
 print(f"  measured sup_t |rho_t|_L2 : {lam:.3f}")
 

@@ -26,14 +26,10 @@ from .coefficients import (
     density_drift_term,
     density_noise_term,
     density_noise_with_gradient,
-    gradient_contraction,
-    gradient_contraction_split,
     mollified_convergence,
     mollifier_domination_check,
     mollify,
     mollify_structured,
-    scaled_drift,
-    scaled_sigma,
     smooth_field,
 )
 from .density import (

@@ -24,9 +24,8 @@ over (inf of the weight on the delta-neighborhood of R_k).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -92,39 +91,6 @@ class GridFunction:
         """All grid points, shape values.shape + (ndim,)."""
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(grids, axis=-1)
-
-    @classmethod
-    def from_callable(cls, axes: Sequence, fn: Callable) -> "GridFunction":
-        axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = np.asarray(fn(pts), dtype=np.float64).reshape(
-            tuple(len(a) for a in axes)
-        )
-        return cls(axes, vals)
-
-    def to_csv(self, path) -> None:
-        """Axis header rows followed by row-major value rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for i, a in enumerate(self.axes):
-                writer.writerow([f"axis{i}"] + [f"{v:.17g}" for v in a])
-            vals = self.values.reshape(self.values.shape[0], -1)
-            for row in vals:
-                writer.writerow([f"{v:.17g}" for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        axes = []
-        i = 0
-        while i < len(rows) and rows[i] and str(rows[i][0]).startswith("axis"):
-            axes.append(np.array([float(v) for v in rows[i][1:]]))
-            i += 1
-        data = np.array([[float(v) for v in row] for row in rows[i:]])
-        shape = tuple(len(a) for a in axes)
-        return cls(tuple(axes), data.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +192,14 @@ def ring_ratio_scan(
     return RingScan(ratios=ratios, value=value, diverging=diverging)
 
 
-def weight_ring_ratio(m: ReferenceMeasure, delta: float, k_max: int = 200) -> float:
-    """Ring-ratio constant of the polynomial weight.
+def weight_ring_ratio(m: ReferenceMeasure, delta: float) -> float:
+    """Ring-ratio constant of the polynomial weight, scanned over the
+    default 200 rings.
 
     For delta >= 1 this equals ``(1 + 4 delta^2)^alpha`` exactly (the
     supremum is attained on the innermost ring).
     """
-    scan = ring_ratio_scan(
-        lambda r: (1.0 + r * r) ** (-m.alpha), delta, k_max=k_max
-    )
-    return scan.value
+    return ring_ratio_scan(lambda r: (1.0 + r * r) ** (-m.alpha), delta).value
 
 
 # ---------------------------------------------------------------------------

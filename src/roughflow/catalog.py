@@ -96,7 +96,7 @@ def _linear(dim: int, rate: float, noise: float) -> CoefficientField:
         dim_state=dim, dim_noise=dim,
         sigma_fn=sigma_fn, drift_fn=drift_fn,
         sigma_jac_fn=sigma_jac_fn, drift_jac_fn=drift_jac_fn,
-        smoothness="smooth", name=f"linear(rate={rate:g},noise={noise:g})",
+        name=f"linear(rate={rate:g},noise={noise:g})",
         sigma_constant=True,
     )
 
@@ -108,7 +108,7 @@ def _translation() -> CoefficientField:
         drift_fn=lambda x: np.zeros_like(x),
         sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
         drift_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
-        smoothness="smooth", name="translation",
+        name="translation",
         sigma_constant=True,
     )
 
@@ -124,7 +124,7 @@ def _pure_drift(dim: int = 1) -> CoefficientField:
         sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)),
         drift_jac_fn=lambda x: np.broadcast_to(
             -np.eye(dim), x.shape[:-1] + (dim, dim)).copy(),
-        smoothness="smooth", name="pure-drift",
+        name="pure-drift",
         sigma_constant=True,
     )
 
@@ -195,7 +195,7 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
         dim_state=2, dim_noise=2,
         sigma_fn=sigma_fn, drift_fn=drift_fn,
         sigma_jac_fn=sigma_jac_fn, drift_jac_fn=drift_jac_fn,
-        smoothness="sobolev", name=f"log-singular(beta={beta:g})",
+        name=f"log-singular(beta={beta:g})",
         sigma_constant=True,
     )
 
@@ -262,7 +262,6 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
         drift1_fn=drift1_fn, drift2_fn=drift2_fn,
         sigma1_jac_fn=sigma1_jac_fn, sigma2_jac_x2_fn=sigma2_jac_x2_fn,
         drift1_jac_fn=drift1_jac_fn, drift2_jac_x2_fn=drift2_jac_x2_fn,
-        smoothness="rough-partial",
         name=f"partially-sobolev(step={step_amp:g})",
     )
 
@@ -319,7 +318,6 @@ def _deriv_base(kind: str) -> CoefficientField:
         dim_state=1, dim_noise=1,
         sigma_fn=sigma_fn, drift_fn=drift_fn,
         sigma_jac_fn=sigma_jac_fn, drift_jac_fn=drift_jac_fn,
-        smoothness="smooth" if kind != "rough" else "sobolev",
         name=f"deriv-{kind}",
     )
 

@@ -33,10 +33,10 @@ from . import __version__
 from . import acceptance
 from . import analysis as an
 from . import derivative as dv
-from ._seeds import derive_rng, derive_seed
+from ._seeds import derive_rng
 from .catalog import FAMILY_NAMES, make_family
 from .density import entropy, select_t0, track_density
-from .flow import BrownianDriver, integrate
+from .flow import integrate
 from .measure import ReferenceMeasure
 
 __all__ = ["ExperimentConfig", "run", "verify_all", "main"]
@@ -66,7 +66,6 @@ class ExperimentConfig:
     p: float = 2.0
     q: float = 2.0
     p0: float = 1.0
-    delta: float = 0.1
     eps_list: list = dc_field(default_factory=lambda: [0.5, 0.25, 0.125, 0.0625])
     k_list: list = dc_field(default_factory=lambda: [2.0, 4.0, 8.0, 16.0])
     n_omega: int = 16
@@ -165,12 +164,6 @@ class ExperimentConfig:
             fam.measure = ReferenceMeasure(dim, float(self.measure["alpha"]))
         return fam
 
-    def build_driver(self, dim_noise: int) -> BrownianDriver:
-        n_steps = int(round(self.T / self.dt))
-        return BrownianDriver.generate(
-            dim_noise, self.dt, n_steps, self.n_omega, derive_seed(self.seed, "driver")
-        )
-
 
 # ---------------------------------------------------------------------------
 # experiment runners
@@ -179,11 +172,13 @@ class ExperimentConfig:
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
     fam = cfg.build_family()
-    drv = cfg.build_driver(fam.field.dim_noise)
-    x0 = fam.measure.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
+    drv, x0 = acceptance.draw_paths(
+        cfg.seed, fam.measure, fam.field.dim_noise, cfg.dt, cfg.T,
+        cfg.n_omega, cfg.n_x, "driver", "x0",
+    )
     ens = integrate(fam.field, drv, x0, cfg.T)
     ens.to_csv(out / "ensemble.csv", time_stride=max(1, len(ens.times) // 65))
-    track = track_density(ens, fam.field, fam.measure)
+    track = track_density(ens, fam.measure)
     _, reports = acceptance.level_set_checks(
         ens, track, fam.measure, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
     )
@@ -205,7 +200,7 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
         cfg.n_omega, cfg.n_x, "driver", "x0",
     )
     ens = integrate(fam.field, drv, x0, steps * cfg.dt)
-    track = track_density(ens, fam.field, fam.measure)
+    track = track_density(ens, fam.measure)
     track.to_csv(out / "density.csv", time_stride=max(1, len(track.times) // 65))
     checks = [dict(
         name=f"L^p density bound p={p:g}",
@@ -228,8 +223,10 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
 
 def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
     fam = cfg.build_family()
-    drv = cfg.build_driver(fam.field.dim_noise)
-    x0 = fam.measure.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
+    drv, x0 = acceptance.draw_paths(
+        cfg.seed, fam.measure, fam.field.dim_noise, cfg.dt, cfg.T,
+        cfg.n_omega, cfg.n_x, "driver", "x0",
+    )
     table, unq, decreasing, below_gap = acceptance.cauchy_uniqueness_checks(
         fam, list(cfg.k_list), drv, x0, cfg.T, cfg.quadrature_points
     )
@@ -250,8 +247,10 @@ def _run_derivative(cfg: ExperimentConfig, out: Path) -> list:
     sys_ = dv.lift(fam.field)
     d = fam.field.dim_state
     m2 = ReferenceMeasure(2 * d, cfg._lifted_alpha())
-    drv = cfg.build_driver(fam.field.dim_noise)
-    xy0 = m2.sample(derive_rng(cfg.seed, "xy0"), cfg.n_x)
+    drv, xy0 = acceptance.draw_paths(
+        cfg.seed, m2, fam.field.dim_noise, cfg.dt, cfg.T,
+        cfg.n_omega, cfg.n_x, "driver", "xy0",
+    )
     table = dv.weak_derivative_convergence(sys_, list(cfg.eps_list), drv, xy0, cfg.T)
     table.to_csv(out / "derivative.csv")
     ms = table.metrics()

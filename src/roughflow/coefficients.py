@@ -2,8 +2,10 @@
 
 A coefficient pair is a diffusion matrix ``sigma : R^n -> R^(n x m)`` and a
 drift ``b : R^n -> R^n``.  Fields evaluate on batches of points (shape
-``(..., n)``) and expose Jacobians either analytically or by scale-aware
-central differences.  Every field has one evaluation entry point,
+``(..., n)``).  Jacobians are analytic: a field either carries Jacobian
+callables or is smoothed, whose derivatives come from the kernel gradient;
+a field without them can be evaluated and smoothed but not differentiated.
+Every field has one evaluation entry point,
 ``evaluate(x, jac=False) -> FieldEval``, which returns sigma and b (and
 their Jacobians) together; the single-component accessors ``sigma``,
 ``drift``, ``sigma_jac`` and ``drift_jac`` serve callers that need one of
@@ -48,13 +50,9 @@ __all__ = [
     "mollify",
     "mollify_structured",
     "smooth_field",
-    "scaled_sigma",
-    "scaled_drift",
     "density_noise_term",
     "density_noise_with_gradient",
     "density_drift_term",
-    "gradient_contraction",
-    "gradient_contraction_split",
     "exp_integrand",
     "condition_integrals",
     "block_condition_integrals",
@@ -91,8 +89,9 @@ class CoefficientField:
     ``evaluate`` is the evaluation entry point: it returns sigma and b, and
     with ``jac=True`` their Jacobians, in one ``FieldEval``.  Smoothed fields
     override it with a single quadrature pass over sigma and b together.
-    When Jacobian callables are absent, derivatives fall back to central
-    finite differences with a scale-aware step ``h = fd_scale * (1 + |x|)``.
+    A field without Jacobian callables is never differenced (its
+    coefficients may jump): ``sigma_jac`` and ``drift_jac`` raise a
+    ``ValueError`` naming it, and ``mollify`` gives a differentiable field.
     Fields are immutable in practice: evaluation never mutates state, so a
     field instance is safe for concurrent use.
     """
@@ -103,9 +102,7 @@ class CoefficientField:
     drift_fn: Callable
     sigma_jac_fn: Optional[Callable] = None
     drift_jac_fn: Optional[Callable] = None
-    smoothness: str = "smooth"  # smooth | sobolev | rough-partial
     name: str = ""
-    fd_scale: float = 1e-4
     sigma_constant: bool = False  # enables the exact fast path under smoothing
 
     # -- evaluation --------------------------------------------------------
@@ -142,34 +139,17 @@ class CoefficientField:
 
     def sigma_jac(self, x) -> NDArray[np.float64]:
         """d sigma^{ik} / d x_j, shape (..., n, m, n)."""
-        pts = self._pts(x)
-        if self.sigma_jac_fn is not None:
-            return np.asarray(self.sigma_jac_fn(pts), dtype=np.float64)
-        h = self.fd_scale * (1.0 + np.linalg.norm(pts, axis=-1))
-        cols = []
-        for j in range(self.dim_state):
-            step = np.zeros_like(pts)
-            step[..., j] = h
-            cols.append(
-                (self.sigma(pts + step) - self.sigma(pts - step))
-                / (2.0 * h)[..., None, None]
-            )
-        return np.stack(cols, axis=-1)
+        return self._jacobian(self.sigma_jac_fn, "sigma", x)
 
     def drift_jac(self, x) -> NDArray[np.float64]:
         """d b^i / d x_j, shape (..., n, n)."""
-        pts = self._pts(x)
-        if self.drift_jac_fn is not None:
-            return np.asarray(self.drift_jac_fn(pts), dtype=np.float64)
-        h = self.fd_scale * (1.0 + np.linalg.norm(pts, axis=-1))
-        cols = []
-        for j in range(self.dim_state):
-            step = np.zeros_like(pts)
-            step[..., j] = h
-            cols.append(
-                (self.drift(pts + step) - self.drift(pts - step)) / (2.0 * h)[..., None]
-            )
-        return np.stack(cols, axis=-1)
+        return self._jacobian(self.drift_jac_fn, "drift", x)
+
+    def _jacobian(self, fn: Optional[Callable], name: str, x) -> NDArray[np.float64]:
+        if fn is None:
+            raise ValueError(f"field {self.name!r} has no {name} Jacobian; "
+                             "smooth it with mollify to differentiate it")
+        return np.asarray(fn(self._pts(x)), dtype=np.float64)
 
     def sigma_divergence(self, x) -> NDArray[np.float64]:
         """Column divergences (div sigma^{.,1}, ..., div sigma^{.,m})."""
@@ -258,7 +238,6 @@ class StructuredCoefficient(CoefficientField):
         sigma2_jac_x2_fn: Optional[Callable] = None,  # -> (..., n2, m, n2)
         drift1_jac_fn: Optional[Callable] = None,   # -> (..., n1, n1)
         drift2_jac_x2_fn: Optional[Callable] = None,  # -> (..., n2, n2)
-        smoothness: str = "rough-partial",
         name: str = "",
     ) -> "StructuredCoefficient":
         def sigma_fn(x):
@@ -301,34 +280,8 @@ class StructuredCoefficient(CoefficientField):
             drift_fn=drift_fn,
             sigma_jac_fn=sigma_jac_fn,
             drift_jac_fn=drift_jac_fn,
-            smoothness=smoothness,
             name=name,
         )
-
-
-# -- scaled (sublinear-growth) magnitudes -----------------------------------
-
-
-def scaled_sigma(field: CoefficientField) -> Callable:
-    """Scalar field |sigma(x)|_F / (1 + |x|)."""
-
-    def fn(x):
-        pts = field._pts(x)
-        s = field.sigma(pts)
-        return np.linalg.norm(s, axis=(-2, -1)) / (1.0 + np.linalg.norm(pts, axis=-1))
-
-    return fn
-
-
-def scaled_drift(field: CoefficientField) -> Callable:
-    """Scalar field |b(x)| / (1 + |x|)."""
-
-    def fn(x):
-        pts = field._pts(x)
-        b = field.drift(pts)
-        return np.linalg.norm(b, axis=-1) / (1.0 + np.linalg.norm(pts, axis=-1))
-
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +512,6 @@ class _Mollified:
             drift_fn=lambda x: self._smooth(x, sigma=False).drift,
             sigma_jac_fn=lambda x: self._smooth(x, drift=False, jac=True).sigma_jac,
             drift_jac_fn=lambda x: self._smooth(x, sigma=False, jac=True).drift_jac,
-            smoothness="smooth",
         )
 
     def evaluate(self, x, jac: bool = False) -> FieldEval:
@@ -761,7 +713,7 @@ def density_drift_term(
     """Scalar integrand of the time integral in the log-density.
 
     ``div(b) + 1/2 <sigma sigma^T, Hess log w> + <b, grad log w>
-    - 1/2 * gradient_contraction``.  With ``g = grad log w`` the weight
+    - 1/2 sum_kij (d_i sigma^{jk})(d_j sigma^{ik})``.  With ``g = grad log w`` the weight
     term is ``-2 alpha/(1+|x|^2) |sigma|_F^2 + |sigma^T g|^2 / alpha``, so
     neither the Hessian nor ``sigma sigma^T`` is formed.  ``ev`` is
     ``field.evaluate(x, jac=True)`` when the caller already has it.
@@ -787,23 +739,6 @@ def _contraction(jac) -> NDArray[np.float64]:
     return np.einsum("...jki,...ikj->...", jac, jac)
 
 
-def gradient_contraction(field: CoefficientField, x) -> NDArray[np.float64]:
-    """Double contraction sum_k sum_ij (d_i sigma^{jk})(d_j sigma^{ik})."""
-    return _contraction(field.sigma_jac(field._pts(x)))
-
-
-def gradient_contraction_split(field: StructuredCoefficient, x):
-    """Two-block split of the contraction for structured fields.
-
-    Returns ``(block1, block2)`` where block1 involves only d(sigma_1)/d(x1)
-    and block2 only d(sigma_2)/d(x2); their sum equals the full contraction
-    because the cross terms carry the factor d(sigma_1)/d(x2) = 0.
-    """
-    n1 = field.n1
-    jac = field.sigma_jac(field._pts(x))
-    return _contraction(jac[..., :n1, :, :n1]), _contraction(jac[..., n1:, :, n1:])
-
-
 # ---------------------------------------------------------------------------
 # condition checks
 # ---------------------------------------------------------------------------
@@ -818,8 +753,6 @@ class ConditionReport:
     n_nonfinite: int
     max_share: float
     divergent: bool
-    gradient_drift_integral: Optional[float] = None
-    gradient_drift_se: Optional[float] = None
 
     @property
     def value(self) -> float:
@@ -872,34 +805,20 @@ def condition_integrals(
     p0: float,
     budget: int,
     rng: np.random.Generator,
-    gradient_drift_measure: Optional[ReferenceMeasure] = None,
 ) -> ConditionReport:
     """Monte Carlo check of exp-integrability of the coefficient functionals.
 
     Estimates ``integral exp[p0([div b]^- + |b/(1+|x|)| + |s/(1+|x|)|^2
     + |grad s|^2)] d mu`` at doubling budgets and flags divergence when the
     running estimate keeps growing beyond its error bars or a single sample
-    dominates.  When ``gradient_drift_measure`` is given, also estimates
-    ``integral exp(p0 |grad b|) d mu1`` against it.
+    dominates.
     """
 
     def integrand(x):
         pts = field._pts(x)
         return exp_integrand(pts, field.evaluate(pts, jac=True), p0)[0]
 
-    estimates, ses, n_bad, max_share, divergent = _stabilized_expect(
-        m, integrand, budget, rng
-    )
-    gb_val = gb_se = None
-    if gradient_drift_measure is not None:
-
-        def grad_b(x):
-            jac = field.drift_jac(x)
-            return np.exp(p0 * np.sqrt(np.einsum("...ij,...ij->...", jac, jac)))
-
-        est = gradient_drift_measure.expect(grad_b, budget * 4, rng)
-        gb_val, gb_se = est.value, est.se
-    return ConditionReport(estimates, ses, n_bad, max_share, divergent, gb_val, gb_se)
+    return ConditionReport(*_stabilized_expect(m, integrand, budget, rng))
 
 
 def block_condition_integrals(
@@ -1025,11 +944,11 @@ def noise_term_domination_constant(
     pts = field._pts(grid)
     lam1 = density_noise_term(mollified, m, pts)
     lhs = np.sum(lam1**2, axis=-1)
-    sbar = scaled_sigma(field)
 
     def envelope(y):
-        div = field.sigma_divergence(y)
-        return np.sum(div**2, axis=-1) + sbar(y) ** 2
+        ev = field.evaluate(y, jac=True)
+        div = np.einsum("...iki->...k", ev.sigma_jac)
+        return np.sum(div**2, axis=-1) + exp_integrand(y, ev, 0.0)[2] ** 2
 
     rhs = spec.convolve(envelope, pts)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -49,6 +49,7 @@ from .flow import BrownianDriver, FlowEnsemble, grid_index, integrate
 from .measure import ReferenceMeasure
 
 _TRACK_BLOCK_STATES = 2**15  # states per density-exponent evaluation block
+_RHS_TIME_PROBES = 9  # probe times of the sup over [0, T] in density_bound_rhs
 
 __all__ = [
     "DensityTrack",
@@ -107,29 +108,23 @@ class DensityTrack:
                         ])
 
 
-def track_density(
-    ensemble: FlowEnsemble,
-    field: CoefficientField,
-    m: ReferenceMeasure,
-    midpoint: bool = False,
-) -> DensityTrack:
+def track_density(ensemble: FlowEnsemble, m: ReferenceMeasure) -> DensityTrack:
     """Accumulate the density exponent along an integrated ensemble.
 
-    The field must provide derivatives (analytic or smoothed); evaluation is
-    at the left grid point, matching the Ito integral of the simulation.
-    One ``field.evaluate(left, jac=True)`` serves both exponent terms; the
-    only other evaluation is the sigma-divergence difference of G.  States
+    The terms are those of ``ensemble.field``, the field that was
+    integrated; it must provide Jacobians (analytic or smoothed).
+    Evaluation is at the left grid point, matching the Ito integral of the
+    simulation.  One ``field.evaluate(left, jac=True)`` serves both exponent
+    terms; the only other evaluation is the sigma-divergence difference of
+    G.  States
     are evaluated in blocks of whole time steps of at most
     ``_TRACK_BLOCK_STATES`` states (at least one step), which bounds memory
     independently of the ensemble size.
     Each step of the stochastic sum carries the Ito-Taylor (Milstein) term
     of the module docstring, with G from ``density_noise_with_gradient``;
     the orders stated there are those of the sum along the simulated path.
-    ``midpoint=True`` switches the stochastic sum to uncorrected midpoint
-    evaluation and exists only to demonstrate that the left-point
-    convention is the correct one against translation-flow oracles.
     """
-    states = ensemble.states
+    field, states = ensemble.field, ensemble.states
     n_omega, n_x, n_times, _ = states.shape
     n_steps = n_times - 1
     dt = float(ensemble.times[1] - ensemble.times[0])
@@ -143,11 +138,6 @@ def track_density(
         left = states[:, :, steps, :]
         ev = field.evaluate(left, jac=True)
         lam2[:, :, steps] = density_drift_term(field, m, left, ev)
-        if midpoint:
-            mid = 0.5 * (left + states[:, :, a + 1:steps.stop + 1, :])
-            ds[:, :, steps] = np.einsum(
-                "oxnm,onm->oxn", density_noise_term(field, m, mid), inc)
-            continue
         lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
         quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
         ds[:, :, steps] = (np.einsum("oxnm,onm->oxn", lam1, inc)
@@ -276,15 +266,15 @@ def density_bound_rhs(
     T: float,
     budget: int,
     rng: np.random.Generator,
-    n_time_probes: int = 9,
 ) -> DensityBound:
     """Monte Carlo value of the smooth-field density-norm bound.
 
     ``mass^(1/(p+1)) (sup_{t<=T} integral exp(p^3 t |noise|^2
-    - p^2 t drift) d mu)^(1/(p(p+1)))``, with the sup taken over a probe
-    grid of times.  A heavy-tail flag marks the bound as untrustworthy
-    (vacuous) when a single sample dominates or the estimate does not
-    stabilize under doubling of the budget.
+    - p^2 t drift) d mu)^(1/(p(p+1)))``, with the sup taken over
+    ``_RHS_TIME_PROBES`` equally spaced probe times in [0, T].  A heavy-tail
+    flag marks the bound as untrustworthy (vacuous) when a single sample
+    dominates or the estimate does not stabilize under doubling of the
+    budget.
     """
     mass = m.total_mass()
     pts = m.sample(rng, budget)
@@ -295,7 +285,7 @@ def density_bound_rhs(
     g = g[np.isfinite(g)]
     sup_val, sup_share, sup_t = -np.inf, 0.0, 0.0
     unstable = False
-    for t in np.linspace(0.0, T, n_time_probes):
+    for t in np.linspace(0.0, T, _RHS_TIME_PROBES):
         with np.errstate(over="ignore"):  # inf feeds the divergence flag
             vals = np.exp(t * g)
         mean = vals.mean()
@@ -372,7 +362,7 @@ def uniform_density_bound(
         spec = MollifierSpec(dim=field.dim_state, level=k, **(spec_kwargs or {}))
         smooth = smooth_field(field, spec)
         ens = integrate(smooth, driver, x0s, t0)
-        track = track_density(ens, smooth, m)
+        track = track_density(ens, m)
         norms.append(sup_lp_density_norm(track, p).value)
     mass = m.total_mass()
     # exponent multiplier C_{2,p} t0 with the kernel constant set to 1

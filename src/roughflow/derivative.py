@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class DerivativeSystem:
             sigma2_jac_x2_fn=lambda xy: base.sigma_jac(xy[..., :d]),
             drift1_jac_fn=base.drift_jac_fn,
             drift2_jac_x2_fn=lambda xy: base.drift_jac(xy[..., :d]),
-            smoothness=base.smoothness,
             name=f"{base.name}|derivative",
         )
 
@@ -125,7 +124,6 @@ class DerivativeSystem:
             drift2_jac_x2_fn=lambda xy: base.drift_jac(
                 xy[..., :d] + eps * xy[..., d:]
             ),
-            smoothness=base.smoothness,
             name=f"{base.name}|difference(eps={eps:g})",
         )
 
@@ -140,10 +138,9 @@ def derivative_flow(
     driver: BrownianDriver,
     xy0s,
     T: float,
-    dt: Optional[float] = None,
 ) -> FlowEnsemble:
     """Coupled Euler-Maruyama run of (X_t, Y_t) on the doubled space."""
-    return integrate(sys.lifted, driver, xy0s, T, dt)
+    return integrate(sys.lifted, driver, xy0s, T)
 
 
 def difference_flow(
@@ -152,7 +149,6 @@ def difference_flow(
     driver: BrownianDriver,
     xy0s,
     T: float,
-    dt: Optional[float] = None,
 ) -> FlowEnsemble:
     """Scaled difference of two base flows under the same increments.
 
@@ -166,8 +162,8 @@ def difference_flow(
     if xy0s.ndim != 2 or xy0s.shape[1] != 2 * d:
         raise ValueError("xy0s must have shape (n, 2d)")
     x0, y0 = xy0s[:, :d], xy0s[:, d:]
-    e_base = integrate(sys.base, driver, x0, T, dt)
-    e_pert = integrate(sys.base, driver, x0 + eps * y0, T, dt)
+    e_base = integrate(sys.base, driver, x0, T)
+    e_pert = integrate(sys.base, driver, x0 + eps * y0, T)
     diff = (e_pert.states - e_base.states) / eps
     states = np.concatenate([e_base.states, diff], axis=-1)
     return FlowEnsemble(
@@ -248,6 +244,9 @@ def weak_derivative_convergence(
 # ---------------------------------------------------------------------------
 
 
+_EPS_RATIO_BOUND = 10.0  # eps-uniform band: max/min of the eps integrals
+
+
 @dataclass
 class HypothesisReport:
     lifted_integral: float
@@ -267,7 +266,6 @@ def verify_hypotheses(
     eps_set: Sequence[float],
     budget: int,
     rng: np.random.Generator,
-    ratio_bound: float = 10.0,
 ) -> HypothesisReport:
     """Check the doubled systems' integrability and domination hypotheses.
 
@@ -278,7 +276,7 @@ def verify_hypotheses(
 
     for the derivative system and for each finite-difference system in
     ``eps_set``, and asserts the eps-uniform band (max/min below
-    ``ratio_bound``).  The integrand is ``coefficients.exp_integrand`` of
+    ``_EPS_RATIO_BOUND``).  The integrand is ``coefficients.exp_integrand`` of
     each system's ``second_block``, on one shared sample of mu2.  Also
     verifies the pointwise dominations |drift2-bar| <= |grad b(x)| and
     |sigma2-bar| <= |grad sigma(x)| on the sample, with the base Jacobians
@@ -315,7 +313,7 @@ def verify_hypotheses(
     eps_ratio = float(vals.max() / vals.min()) if vals.min() > 0 else np.inf
     any_dominated = bool(max(shares) > 0.5)
     passed = bool(
-        eps_ratio < ratio_bound
+        eps_ratio < _EPS_RATIO_BOUND
         and drift_frac == 1.0
         and sigma_frac == 1.0
         and not any_dominated

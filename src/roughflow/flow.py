@@ -199,7 +199,6 @@ def integrate(
     driver: BrownianDriver,
     x0s,
     T: float,
-    dt: Optional[float] = None,
 ) -> FlowEnsemble:
     """Euler-Maruyama ensemble over [0, T] on the driver's grid.
 
@@ -208,8 +207,6 @@ def integrate(
     1e8 are flagged as exploded and frozen; estimators exclude them and
     report the count.
     """
-    if dt is not None and abs(dt - driver.dt) > 1e-12 * driver.dt:
-        raise ValueError(f"dt={dt} does not match the driver grid dt={driver.dt}")
     dt = driver.dt
     n_steps = driver.step_index(T)
     if n_steps < 1:
@@ -248,18 +245,16 @@ def integrate(
     )
 
 
-def compose_time_shift(
-    field: CoefficientField, ensemble: FlowEnsemble, s: float, horizon: float
-) -> FlowEnsemble:
-    """Restart the flow at time s with the time-shifted driver.
+def compose_time_shift(ensemble: FlowEnsemble, s: float, horizon: float) -> FlowEnsemble:
+    """Restart the flow of ``ensemble.field`` at time s with the time-shifted
+    driver.
 
     The composed trajectories consume the same increments in the same order
     as a direct run, so for every coefficient field the composed states are
     bitwise equal to ``ensemble`` over [s, s + horizon].
     """
-    start = ensemble.state_at(s)
     shifted = ensemble.driver.time_shift(s)
-    return integrate(field, shifted, start, horizon)
+    return integrate(ensemble.field, shifted, ensemble.state_at(s), horizon)
 
 
 def convergence_metric(e1: FlowEnsemble, e2: FlowEnsemble) -> float:

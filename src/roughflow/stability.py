@@ -93,19 +93,14 @@ def stability_functional(
     )
 
 
-def _halton_ball(radius: float, dim: int, budget: int,
-                 center: Optional[np.ndarray] = None):
-    """Halton points on the cube around B(center, radius), and the L^q norm
-    over the ball of values at those points (Euclidean norm taken over
-    trailing axes).  Unscrambled: one draw serves every norm on the ball.
+def _halton_ball(radius: float, dim: int, budget: int):
+    """Halton points on the cube around B(0, radius), and the L^q norm over
+    the ball of values at those points (Euclidean norm taken over trailing
+    axes).  Unscrambled: one draw serves every norm on the ball.
     """
     sampler = qmc.Halton(d=dim, scramble=False)
     pts = (2.0 * sampler.random(budget) - 1.0) * radius
-    if center is not None:
-        pts = pts + np.asarray(center)[None, :]
-        inside = np.linalg.norm(pts - np.asarray(center)[None, :], axis=-1) <= radius
-    else:
-        inside = np.linalg.norm(pts, axis=-1) <= radius
+    inside = np.linalg.norm(pts, axis=-1) <= radius
 
     def norm(vals, q: float) -> float:
         vals = np.asarray(vals, dtype=np.float64)
@@ -124,15 +119,15 @@ def ball_lebesgue_norm(
     q: float,
     dim: int,
     budget: int = 100_000,
-    center: Optional[np.ndarray] = None,
 ) -> float:
-    """L^q norm over the ball B(center, radius), Lebesgue measure.
+    """L^q norm over the centred ball B(0, radius), Lebesgue measure.
 
     Halton quasi-Monte Carlo on the bounding cube; deterministic.
     ``fn`` maps points (..., dim) to scalars or arrays (Euclidean norm
-    taken over trailing axes).
+    taken over trailing axes).  Every ball of the stability bound is
+    centred at the origin.
     """
-    pts, norm = _halton_ball(radius, dim, budget, center)
+    pts, norm = _halton_ball(radius, dim, budget)
     return norm(fn(pts), q)
 
 
@@ -287,7 +282,7 @@ def cauchy_experiment(
         # level-uniform by construction (and that is asserted elsewhere)
         k_ref = levels[-1]
         lambda_pt = sup_lp_density_norm(
-            track_density(ensembles[k_ref], fields[k_ref], m), family.p
+            track_density(ensembles[k_ref], m), family.p
         ).value
     rows = []
     for k, l in zip(levels, levels[1:]):
@@ -307,11 +302,13 @@ def cauchy_experiment(
     return CauchyExperiment(rows=rows, radius=radius, lambda_pt=float(lambda_pt))
 
 
+_KERNEL_SHAPES = (1.0, 3.0)  # bump shapes of the two smoothing schemes compared
+
+
 @dataclass
 class UniquenessResult:
     metric: float
     level: float
-    kernel_shapes: tuple
 
 
 def uniqueness_experiment(
@@ -320,19 +317,19 @@ def uniqueness_experiment(
     driver: BrownianDriver,
     x0s,
     T: float,
-    kernel_shapes: tuple = (1.0, 3.0),
     spec_kwargs: Optional[dict] = None,
 ) -> UniquenessResult:
     """Compare the limits of two different smoothing schemes.
 
-    Runs the flow at one level under two admissible kernels (different bump
-    sharpness) and reports the clipped convergence metric between them; a
-    value below the final Cauchy gap of either scheme evidences a common
-    limit, i.e. uniqueness of the generalized flow.
+    Runs the flow at one level under two admissible kernels (bump shapes
+    ``_KERNEL_SHAPES``, different sharpness) and reports the clipped
+    convergence metric between them; a value below the final Cauchy gap of
+    either scheme evidences a common limit, i.e. uniqueness of the
+    generalized flow.
     """
     kwargs = dict(spec_kwargs or {})
     ensembles = []
-    for a in kernel_shapes:
+    for a in _KERNEL_SHAPES:
         spec = MollifierSpec(
             dim=family.field.dim_state, level=level, shape=a, **kwargs
         )
@@ -340,5 +337,4 @@ def uniqueness_experiment(
     return UniquenessResult(
         metric=convergence_metric(ensembles[0], ensembles[1]),
         level=level,
-        kernel_shapes=tuple(kernel_shapes),
     )

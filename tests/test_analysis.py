@@ -35,18 +35,6 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction((grid_1d(3),), np.array([0.0, np.inf, 1.0]))
 
-    def test_csv_roundtrip(self, tmp_path):
-        rng = derive_rng(0, "csv")
-        g = GridFunction(
-            (np.linspace(-1, 1, 5), np.linspace(0, 2, 3)),
-            rng.normal(size=(5, 3)),
-        )
-        path = tmp_path / "grid.csv"
-        g.to_csv(path)
-        back = GridFunction.from_csv(path)
-        assert all(np.array_equal(a, b) for a, b in zip(g.axes, back.axes))
-        assert np.array_equal(g.values, back.values)
-
 
 class TestLocalMaximal:
     def test_constant_function(self):

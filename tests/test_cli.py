@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from roughflow._seeds import derive_rng
+from roughflow import BrownianDriver
+from roughflow._seeds import derive_rng, derive_seed
 from roughflow.cli import KINDS, ExperimentConfig, main, run
 from roughflow.stability import cauchy_experiment
 
@@ -104,8 +105,10 @@ class TestRun:
         run(cfg, printer=None)
         fam = cfg.build_family()
         x0 = fam.measure.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
+        drv = BrownianDriver.generate(fam.field.dim_noise, cfg.dt, round(cfg.T / cfg.dt),
+                                      cfg.n_omega, derive_seed(cfg.seed, "driver"))
         want = cauchy_experiment(
-            fam, cfg.k_list, cfg.build_driver(fam.field.dim_noise), x0, cfg.T,
+            fam, cfg.k_list, drv, x0, cfg.T,
             norm_budget=cfg.quadrature_points,
             spec_kwargs=dict(order=16, panels=(2, 1)),
         )
@@ -172,6 +175,21 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         ExperimentConfig(kind="analysis").dump(cfg)
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("family", ["linear", "translation", "pure-drift",
+                                        "deriv-linear"])
+    def test_stability_rejects_a_family_smoothing_reproduces(self, tmp_path, capsys,
+                                                            family):
+        # an affine family is its own smoothing: every Cauchy and uniqueness
+        # metric is rounding noise (6.9e-18 on linear), not a verdict
+        cfg = tmp_path / "cfg.json"
+        ExperimentConfig(kind="stability", family=family, seed=4, n_omega=2, n_x=4,
+                         T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
+                         quadrature_points=500, out=str(tmp_path)).dump(cfg)
+        assert main(["stability", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"family {family!r}" in err and "the mollifier reproduces" in err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_cli_flags_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

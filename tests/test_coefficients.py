@@ -14,15 +14,11 @@ from roughflow import (
     density_drift_term,
     density_noise_term,
     density_noise_with_gradient,
-    gradient_contraction,
-    gradient_contraction_split,
     make_family,
     mollified_convergence,
     mollifier_domination_check,
     mollify,
     mollify_structured,
-    scaled_drift,
-    scaled_sigma,
     track_density,
 )
 from roughflow._seeds import derive_rng
@@ -141,12 +137,6 @@ class TestMollify:
         assert np.allclose(smooth.drift_jac(x)[..., 0], fd_drift, rtol=1e-5,
                            atol=1e-9)
 
-    def test_smoothness_tag(self):
-        fam = make_family("log-singular")
-        smooth = mollify(fam.field, MollifierSpec(dim=2, level=2.0, order=16,
-                                                  panels=1))
-        assert smooth.smoothness == "smooth"
-
     def test_structured_mollify_keeps_first_block(self):
         fam = make_family("partially-sobolev")
         spec = MollifierSpec(dim=2, level=4.0, order=16, panels=1)
@@ -187,35 +177,21 @@ class TestStructuredBlocks:
             mollify_structured(smooth, spec)
 
 
-class TestFiniteDifferenceFallback:
-    def test_fd_jacobian_matches_analytic(self):
+class TestFieldWithoutJacobians:
+    def test_jacobians_raise_and_smoothing_still_differentiates(self):
         fam = make_family("deriv-smooth")
         bare = CoefficientField(
             dim_state=1, dim_noise=1,
-            sigma_fn=fam.field.sigma_fn, drift_fn=fam.field.drift_fn,
+            sigma_fn=fam.field.sigma_fn, drift_fn=fam.field.drift_fn, name="bare",
         )
         assert not bare.is_analytic
         pts = derive_rng(3, "fd").uniform(-3, 3, size=(30, 1))
-        assert np.allclose(bare.sigma_jac(pts), fam.field.sigma_jac(pts),
-                           rtol=1e-5, atol=1e-8)
-        assert np.allclose(bare.drift_jac(pts), fam.field.drift_jac(pts),
-                           rtol=1e-5, atol=1e-8)
-
-
-class TestScaledFields:
-    def test_drift_ratio_below_one(self):
-        f = scalar_field_1d(lambda u: u)
-        vals = scaled_drift(f)(np.linspace(-9, 9, 33)[:, None])
-        assert np.all(vals < 1.0)
-
-    def test_constant_sigma_ratio(self):
-        fam = make_family("linear", noise=0.7)
-        x = np.array([[3.0]])
-        assert scaled_sigma(fam.field)(x)[0] == pytest.approx(0.7 / 4.0)
-
-    def test_origin_value(self):
-        f = scalar_field_1d(lambda u: np.full_like(u, 2.5))
-        assert scaled_drift(f)(np.zeros((1, 1)))[0] == pytest.approx(2.5)
+        with pytest.raises(ValueError, match="field 'bare' has no sigma Jacobian"):
+            bare.sigma_jac(pts)
+        with pytest.raises(ValueError, match="field 'bare' has no drift Jacobian"):
+            bare.drift_jac(pts)
+        ev = mollify(bare, MollifierSpec(dim=1, level=2.0)).evaluate(pts, jac=True)
+        assert np.all(np.isfinite(ev.sigma_jac)) and np.all(np.isfinite(ev.drift_jac))
 
 
 class TestDensityExponentTerms:
@@ -291,29 +267,6 @@ class TestDensityExponentTerms:
         assert np.allclose(grad, ref, rtol=1e-3, atol=1e-3)
 
 
-class TestGradientContraction:
-    def test_constant_sigma(self):
-        fam = make_family("linear")
-        assert np.allclose(gradient_contraction(fam.field, np.ones((3, 1))), 0.0)
-
-    def test_linear_sigma(self):
-        f = CoefficientField(
-            1, 1,
-            sigma_fn=lambda x: x[..., None],
-            drift_fn=lambda x: np.zeros_like(x),
-            sigma_jac_fn=lambda x: np.ones(x.shape[:-1] + (1, 1, 1)),
-            drift_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
-        )
-        assert gradient_contraction(f, np.array([[2.0]]))[0] == pytest.approx(1.0)
-
-    def test_block_split_exact(self):
-        fam = make_family("partially-sobolev")
-        pts = fam.measure.sample(derive_rng(4, "split"), 200)
-        b1, b2 = gradient_contraction_split(fam.field, pts)
-        total = gradient_contraction(fam.field, pts)
-        assert np.allclose(b1 + b2, total, atol=1e-10)
-
-
 class TestConditionIntegrals:
     def test_zero_field_gives_mass(self):
         f = scalar_field_1d(lambda u: np.zeros_like(u), dfn=lambda u: np.zeros_like(u))
@@ -345,15 +298,6 @@ class TestConditionIntegrals:
         rep = condition_integrals(fam.field, fam.measure, p0, 40_000,
                                   derive_rng(7, "sing"))
         assert rep.divergent
-
-    def test_gradient_drift_integral(self):
-        fam = make_family("deriv-rough")
-        rep = condition_integrals(
-            fam.field, fam.measure, 0.5, 2000, derive_rng(8, "a3"),
-            gradient_drift_measure=fam.measure,
-        )
-        assert rep.gradient_drift_integral is not None
-        assert np.isfinite(rep.gradient_drift_integral)
 
 
 class TestKernelDomination:
@@ -557,5 +501,5 @@ class TestQuadraturePassBudget:
         ens = integrate_flow(field, drv, x0, n_steps * drv.dt)
         assert passes["n"] == n_steps
         passes["n"] = 0
-        track_density(ens, field, fam.measure)
+        track_density(ens, fam.measure)
         assert passes["n"] == track_passes

@@ -41,7 +41,7 @@ def tracked(family_name, dt_exp=8, n_omega=8, n_x=24, T=1.0, seed=0):
     )
     x0 = fam.measure.sample(derive_rng(seed, f"{family_name}-x0"), n_x)
     ens = integrate(fam.field, drv, x0, T)
-    return fam, ens, track_density(ens, fam.field, fam.measure)
+    return fam, ens, track_density(ens, fam.measure)
 
 
 class TestTrackBasics:
@@ -50,7 +50,7 @@ class TestTrackBasics:
         drv = BrownianDriver.generate(1, 2**-5, 2**5, 3, seed=1)
         x0 = m.sample(derive_rng(1, "z"), 5)
         ens = integrate(zero_field(), drv, x0, 1.0)
-        track = track_density(ens, zero_field(), m)
+        track = track_density(ens, m)
         assert np.all(track.density() == 1.0)
 
     def test_starts_at_one_and_positive(self):
@@ -81,22 +81,11 @@ class TestTrackBasics:
         rel = np.abs(np.exp(track.log_density() - oracle) - 1.0)
         assert rel.max() < 10.0 * 2.0**-10
 
-    def test_left_point_beats_midpoint_on_ito_oracle(self):
-        fam, ens, _ = tracked("translation", dt_exp=8, n_omega=16, n_x=16)
-        m = fam.measure
-        logw = m.log_weight(ens.states)
-        oracle = logw - logw[:, :, 0:1]
-        left = track_density(ens, fam.field, m)
-        mid = track_density(ens, fam.field, m, midpoint=True)
-        err_left = np.abs(left.log_density() - oracle).max(axis=2)
-        err_mid = np.abs(mid.log_density() - oracle).max(axis=2)
-        assert np.median(err_left) < 0.5 * np.median(err_mid)
-
     def test_multiplicative_under_composition(self):
         fam, ens, track = tracked("deriv-smooth", dt_exp=8, n_omega=4, n_x=8)
         m = fam.measure
-        comp = compose_time_shift(fam.field, ens, 0.5, 0.5)
-        track2 = track_density(comp, fam.field, m)
+        comp = compose_time_shift(ens, 0.5, 0.5)
+        track2 = track_density(comp, m)
         j = ens.time_index(0.5)
         direct = track.log_density()[:, :, -1]
         composed = track.log_density()[:, :, j] + track2.log_density()[:, :, -1]
@@ -117,7 +106,7 @@ class TestLpNorm:
         drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=2)
         x0 = m.sample(derive_rng(2, "lp"), 8)
         ens = integrate(zero_field(), drv, x0, 1.0)
-        track = track_density(ens, zero_field(), m)
+        track = track_density(ens, m)
         for p in (2.0, 3.0):
             est = lp_density_norm(track, p)
             assert est.value == pytest.approx(m.total_mass() ** (1 / p), rel=1e-12)
@@ -239,7 +228,7 @@ class TestEntropy:
         drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=8)
         x0 = m.sample(derive_rng(8, "e"), 8)
         ens = integrate(zero_field(), drv, x0, 1.0)
-        track = track_density(ens, zero_field(), m)
+        track = track_density(ens, m)
         assert entropy(track).value == 0.0
 
     def test_translation_entropy_vs_quadrature_oracle(self):

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from roughflow import (
+    FAMILY_NAMES,
     BrownianDriver,
     CoefficientField,
     FlowEnsemble,
+    MollifierSpec,
     compose_time_shift,
     convergence_metric,
     integrate,
     level_set_tail,
     make_family,
+    mollify,
     sup_lp_density_norm,
     track_density,
 )
@@ -87,11 +91,6 @@ class TestIntegrate:
         expect = x0[None, :, None, :] + drv.path_values()[:, None, :, :]
         assert np.allclose(ens.states, expect, rtol=0, atol=1e-13)
 
-    def test_mismatched_dt_rejected(self):
-        drv = BrownianDriver.generate(1, 2**-6, 2**6, 1, seed=5)
-        with pytest.raises(ValueError):
-            integrate(zero_field(), drv, np.zeros((1, 1)), 1.0, dt=2**-5)
-
     def test_explosion_flagged_and_frozen(self):
         cubic = CoefficientField(
             1, 1,
@@ -162,7 +161,7 @@ class TestSupNormAndLevelSets:
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 40, seed=12)
         x0 = fam.measure.sample(derive_rng(4, "ls"), 40)
         ens = integrate(fam.field, drv, x0, 1.0)
-        track = track_density(ens, fam.field, fam.measure)
+        track = track_density(ens, fam.measure)
         lam = sup_lp_density_norm(track, 2.0).value
         rep = level_set_tail(ens, 5.0, fam.measure, 2.0, lam, mc_budget=5000,
                              rng=derive_rng(5, "lsn"))
@@ -179,7 +178,7 @@ class TestComposition:
         drv = BrownianDriver.generate(1, 2**-6, 2**6, 4, seed=13)
         x0 = fam.measure.sample(derive_rng(7, "cmp"), 6)
         ens = integrate(fam.field, drv, x0, 1.0)
-        again = compose_time_shift(fam.field, ens, 0.0, 1.0)
+        again = compose_time_shift(ens, 0.0, 1.0)
         assert np.array_equal(again.states, ens.states)
 
     def test_contraction_semigroup(self):
@@ -187,7 +186,7 @@ class TestComposition:
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 1, seed=14)
         x0 = np.array([[1.0]])
         ens = integrate(fam.field, drv, x0, 1.0)
-        comp = compose_time_shift(fam.field, ens, 0.5, 0.5)
+        comp = compose_time_shift(ens, 0.5, 0.5)
         assert comp.terminal_states()[0, 0, 0] == pytest.approx(np.exp(-1.0),
                                                                 rel=3e-3)
 
@@ -196,9 +195,35 @@ class TestComposition:
         drv = BrownianDriver.generate(1, 2**-7, 2**7, 6, seed=15)
         x0 = fam.measure.sample(derive_rng(8, "bw"), 10)
         ens = integrate(fam.field, drv, x0, 1.0)
-        comp = compose_time_shift(fam.field, ens, 0.25, 0.75)
+        comp = compose_time_shift(ens, 0.25, 0.75)
         j = drv.step_index(0.25)
         assert np.array_equal(comp.states, ens.states[:, :, j:, :])
+
+
+class TestCompositionProperties:
+    """Time-shift composition on every catalog family and on a smoothed one."""
+
+    @given(hst.sampled_from([(name, False) for name in FAMILY_NAMES]
+                            + [("log-singular", True)]),
+           hst.integers(0, 31), hst.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_bitwise_states_and_multiplicative_density(self, family, j, seed):
+        name, smoothed = family
+        fam = make_family(name)
+        field = fam.field
+        if smoothed:
+            field = mollify(field, MollifierSpec(dim=2, level=4.0, order=8, panels=1))
+        dt = 2.0**-5
+        drv = BrownianDriver.generate(field.dim_noise, dt, 32, 2, seed)
+        x0 = fam.measure.sample(derive_rng(seed, "prop-x0"), 3)
+        ens = integrate(field, drv, x0, 1.0)
+        s = j * dt
+        comp = compose_time_shift(ens, s, 1.0 - s)
+        assert np.array_equal(comp.states, ens.states[:, :, j:, :])
+        direct = track_density(ens, fam.measure).log_density()
+        tail = track_density(comp, fam.measure).log_density()[:, :, -1]
+        assert np.allclose(direct[:, :, -1], direct[:, :, j] + tail,
+                           rtol=1e-10, atol=1e-12)
 
 
 class TestConvergenceMetric:
