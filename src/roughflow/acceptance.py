@@ -178,7 +178,7 @@ def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int
     )
     metrics = table.metrics()
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
-    unq = st.uniqueness_experiment(fam, levels[-1], driver, x0, T, spec_kwargs=spec_kwargs)
+    unq = st.uniqueness_experiment(fam, table)
     return table, unq, decreasing, unq.metric < metrics[-1]
 
 

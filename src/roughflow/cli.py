@@ -385,6 +385,14 @@ def run(cfg: ExperimentConfig, budget_scale: float = 1.0, printer=print) -> int:
 # ---------------------------------------------------------------------------
 
 
+# family a bare subcommand runs on: the kinds that reject the affine default
+_DEFAULT_FAMILY = {
+    "stability": "log-singular",
+    "derivative": "deriv-smooth",
+    "verify-hypotheses": "deriv-smooth",
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="roughflow",
@@ -411,8 +419,7 @@ def main(argv=None) -> int:
                 )
         else:
             cfg = ExperimentConfig(kind=args.kind)
-            if args.kind == "derivative" or args.kind == "verify-hypotheses":
-                cfg.family = "deriv-smooth"
+            cfg.family = _DEFAULT_FAMILY.get(args.kind, cfg.family)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:

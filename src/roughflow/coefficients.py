@@ -61,7 +61,7 @@ __all__ = [
     "noise_term_domination_constant",
 ]
 
-_MAX_EVAL_BLOCK = 2**21  # limit batch*quadrature buffer sizes
+_MAX_EVAL_BLOCK = 2**16  # point-node pairs per quadrature block: ~1 MB temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +349,14 @@ class MollifierSpec:
     kernel is ``chi_k(x) = k^n chi(kx)``.  The cutoff is 1 on B(1) and 0
     outside B(2), scaled as ``psi_k(x) = psi(x/k)``.  Convolutions are
     evaluated by composite tensor-product Gauss-Legendre quadrature on the
-    kernel support, with weights renormalized so constants are reproduced
-    exactly.  The value weights and the kernel-gradient weights are stacked
-    into one ``(1 + dim, Q)`` matrix, so a quadrature pass returns the
-    convolution and its gradient from one matrix product per block of
-    points.  ``order``/``panels`` trade accuracy for evaluation cost.
+    cube [-1, 1]^dim, keeping only the nodes inside the open unit ball
+    where the kernel is positive (elsewhere it and its gradient are exactly
+    0), with weights renormalized so constants are reproduced exactly.  The
+    value weights and the kernel-gradient weights are stacked into one
+    ``(1 + dim, Q)`` matrix, so a quadrature pass returns the convolution
+    and its gradient from one matrix product per block of at most
+    ``_MAX_EVAL_BLOCK`` (``2**16``) point-node pairs.  ``order``/``panels``
+    trade accuracy for evaluation cost.
     """
 
     dim: int
@@ -379,10 +382,14 @@ class MollifierSpec:
             axes_weights.append(np.concatenate(
                 [(e1 - e0) / 2 * gl_w for e0, e1 in zip(edges, edges[1:])]))
         grids = np.meshgrid(*axes_nodes, indexing="ij")
-        self._nodes = np.stack([g.ravel() for g in grids], axis=-1)  # (Q, dim)
+        nodes = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*axes_weights, indexing="ij")
         raw_w = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
-        bump = self._bump(self._nodes)
+        bump = self._bump(nodes)
+        # the kernel and its gradient are exactly 0 off the open unit ball
+        # (and where exp underflows): those nodes would only cost evaluations
+        keep = bump > 0.0
+        self._nodes, raw_w, bump = nodes[keep], raw_w[keep], bump[keep]  # (Q, dim)
         z = float(np.sum(raw_w * bump))
         grad_w = (raw_w[:, None] * self._bump_grad(self._nodes)) / z
         grad_w -= grad_w.mean(axis=0, keepdims=True)

@@ -15,7 +15,7 @@ evaluated by Halton quasi-Monte Carlo.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,6 +233,8 @@ class CauchyExperiment:
     rows: list
     radius: float
     lambda_pt: float
+    final: FlowEnsemble          # the flow at the last level, for uniqueness_experiment
+    final_spec: MollifierSpec    # its smoothing
 
     def metrics(self) -> list:
         return [r.metric for r in self.rows]
@@ -271,10 +273,8 @@ def cauchy_experiment(
     """
     m, q = family.measure, family.q
     dim = family.field.dim_state
-    fields = {
-        k: smooth_field(family.field, MollifierSpec(dim=dim, level=k, **(spec_kwargs or {})))
-        for k in levels
-    }
+    specs = {k: MollifierSpec(dim=dim, level=k, **(spec_kwargs or {})) for k in levels}
+    fields = {k: smooth_field(family.field, specs[k]) for k in levels}
     ensembles = {k: integrate(fields[k], driver, x0s, T) for k in levels}
     radius = _pick_radius(list(ensembles.values()))
     if lambda_pt is None:
@@ -299,10 +299,11 @@ def cauchy_experiment(
                 metric=convergence_metric(ensembles[k], ensembles[l]),
             )
         )
-    return CauchyExperiment(rows=rows, radius=radius, lambda_pt=float(lambda_pt))
+    return CauchyExperiment(rows=rows, radius=radius, lambda_pt=float(lambda_pt),
+                            final=ensembles[levels[-1]], final_spec=specs[levels[-1]])
 
 
-_KERNEL_SHAPES = (1.0, 3.0)  # bump shapes of the two smoothing schemes compared
+_UNIQUENESS_SHAPE = 3.0  # bump shape of the second smoothing scheme
 
 
 @dataclass
@@ -311,30 +312,18 @@ class UniquenessResult:
     level: float
 
 
-def uniqueness_experiment(
-    family: Family,
-    level: float,
-    driver: BrownianDriver,
-    x0s,
-    T: float,
-    spec_kwargs: Optional[dict] = None,
-) -> UniquenessResult:
+def uniqueness_experiment(family: Family, cauchy: CauchyExperiment) -> UniquenessResult:
     """Compare the limits of two different smoothing schemes.
 
-    Runs the flow at one level under two admissible kernels (bump shapes
-    ``_KERNEL_SHAPES``, different sharpness) and reports the clipped
-    convergence metric between them; a value below the final Cauchy gap of
-    either scheme evidences a common limit, i.e. uniqueness of the
-    generalized flow.
+    Reruns the last flow of ``cauchy`` (same level, quadrature, driver,
+    starts and horizon) under a second admissible kernel, the bump of shape
+    ``_UNIQUENESS_SHAPE`` (sharper than the Cauchy kernel's), and reports
+    the clipped convergence metric between the two; a value below the final
+    Cauchy gap evidences a common limit, i.e. uniqueness of the generalized
+    flow.  Only the second kernel's flow is integrated here.
     """
-    kwargs = dict(spec_kwargs or {})
-    ensembles = []
-    for a in _KERNEL_SHAPES:
-        spec = MollifierSpec(
-            dim=family.field.dim_state, level=level, shape=a, **kwargs
-        )
-        ensembles.append(integrate(smooth_field(family.field, spec), driver, x0s, T))
-    return UniquenessResult(
-        metric=convergence_metric(ensembles[0], ensembles[1]),
-        level=level,
-    )
+    ref = cauchy.final
+    spec = replace(cauchy.final_spec, shape=_UNIQUENESS_SHAPE)
+    other = integrate(smooth_field(family.field, spec), ref.driver,
+                      ref.states[:, :, 0, :], ref.times[-1])
+    return UniquenessResult(metric=convergence_metric(ref, other), level=spec.level)

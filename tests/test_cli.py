@@ -191,6 +191,13 @@ class TestMain:
         assert f"family {family!r}" in err and "the mollifier reproduces" in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_bare_stability_runs_on_a_rough_family(self, tmp_path):
+        # the config default family is the affine `linear`, which stability
+        # rejects; a bare subcommand runs on log-singular instead
+        assert main(["stability", "--budget-scale", "0.01", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["family"] == "log-singular"
+
     def test_cli_flags_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         ExperimentConfig(kind="simulate", seed=1, n_omega=4, n_x=8,

@@ -21,7 +21,9 @@ from roughflow import (
     mollify_structured,
     track_density,
 )
+from roughflow import coefficients
 from roughflow._seeds import derive_rng
+from roughflow.acceptance import smoothing_spec
 from roughflow.coefficients import (
     FieldBlocks,
     StructuredCoefficient,
@@ -105,18 +107,21 @@ class TestMollify:
         x = np.array([[0.01, 0.0]])
         got = smooth.drift(x)[0]
 
-        # oracle: adaptive 2-D quadrature of the convolution over B(1/k)
+        # oracle: adaptive 2-D quadrature of the convolution over B(1/k), in
+        # polar coordinates u = r (cos t, sin t); t runs over (-pi, pi) so
+        # the singular direction t = 0 is inside the range, not on its edge
         def integrand(component):
-            def fn(u2, u1):
+            def fn(r, t):
+                u1, u2 = r * np.cos(t), r * np.sin(t)
                 pt = np.array([[x[0, 0] - u1, x[0, 1] - u2]])
                 chi = spec.kernel(np.array([[u1, u2]]))[0]
-                return fam.field.drift(pt)[0, component] * chi
+                return fam.field.drift(pt)[0, component] * chi * r
 
             return fn
 
         k = spec.level
         oracle = np.array([
-            integrate.dblquad(integrand(c), -1 / k, 1 / k, -1 / k, 1 / k,
+            integrate.dblquad(integrand(c), -np.pi, np.pi, 0.0, 1 / k,
                               epsabs=1e-9)[0]
             for c in range(2)
         ])
@@ -441,6 +446,82 @@ def _field_for(name, smoothing):
         smooth = mollify if smoothing == "mollify" else mollify_structured
         field = smooth(field, spec)
     return fam, field
+
+
+def _full_cube_rule(spec):
+    """Nodes and ``(1 + dim, Q)`` weights of the composite tensor
+    Gauss-Legendre rule on the whole cube [-1, 1]^dim, normalized and
+    mean-centred like ``MollifierSpec``'s, nodes off the ball included."""
+    panels = spec.panels if isinstance(spec.panels, tuple) else (spec.panels,) * spec.dim
+    gl_x, gl_w = np.polynomial.legendre.leggauss(spec.order)
+    axes = []
+    for p in panels:
+        edges = np.linspace(-1.0, 1.0, p + 1)
+        axes.append((
+            np.concatenate([(a + b) / 2 + (b - a) / 2 * gl_x for a, b in zip(edges, edges[1:])]),
+            np.concatenate([(b - a) / 2 * gl_w for a, b in zip(edges, edges[1:])]),
+        ))
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*(a[0] for a in axes), indexing="ij")], -1)
+    raw = np.prod(np.stack([g.ravel() for g in np.meshgrid(*(a[1] for a in axes),
+                                                           indexing="ij")], -1), -1)
+    bump = spec._bump(nodes)
+    z = np.sum(raw * bump)
+    grad = raw[:, None] * spec._bump_grad(nodes) / z
+    grad -= grad.mean(axis=0, keepdims=True)
+    return nodes, np.concatenate([(raw * bump / z)[None, :], spec.level * grad.T])
+
+
+class TestBallNodes:
+    """The quadrature keeps only the tensor nodes where the kernel lives."""
+
+    @pytest.mark.parametrize("dim,order,panels,count", [
+        (2, 16, 1, 144), (2, 16, (2, 1), 328), (2, 16, 2, 728),
+        (1, 16, 1, 16), (1, 32, 2, 64),
+    ])
+    def test_nodes_in_open_ball_with_positive_weight(self, dim, order, panels, count):
+        spec = MollifierSpec(dim=dim, order=order, panels=panels)
+        assert spec._nodes.shape == (count, dim)
+        assert np.all(np.linalg.norm(spec._nodes, axis=-1) < 1.0)
+        assert np.all(spec._weights[0] > 0.0)
+        assert abs(spec._weights[0].sum() - 1.0) <= 1e-15
+        assert np.all(np.abs(spec._weights[1:].sum(axis=1)) <= 1e-15)
+
+    @pytest.mark.parametrize("name,smoothing", [
+        ("log-singular", "mollify"), ("partially-sobolev", "mollify_structured"),
+    ])
+    @pytest.mark.parametrize("level", [2.0, 8.0, 16.0])
+    def test_evaluate_matches_full_cube_rule(self, monkeypatch, name, smoothing, level):
+        fam = make_family(name)
+        smooth = mollify if smoothing == "mollify" else mollify_structured
+        spec = MollifierSpec(dim=2, level=level, **smoothing_spec(name))
+        field = smooth(fam.field, spec)
+        pts = fam.measure.sample(derive_rng(14, f"cube-{name}"), 400)
+        got = field.evaluate(pts, jac=True)
+        nodes, weights = _full_cube_rule(spec)
+        assert len(nodes) > len(spec._nodes)
+        monkeypatch.setattr(spec, "_nodes", nodes)
+        monkeypatch.setattr(spec, "_weights", weights)
+        ref = field.evaluate(pts, jac=True)
+        for part in ("sigma", "drift"):
+            assert np.max(np.abs(getattr(got, part) - getattr(ref, part))) <= 1e-14
+            assert np.max(np.abs(getattr(got, part + "_jac")
+                                 - getattr(ref, part + "_jac"))) <= 1e-13
+
+
+class TestQuadratureBlocks:
+    @pytest.mark.parametrize("name,smoothing", [
+        ("log-singular", "mollify"), ("partially-sobolev", "mollify_structured"),
+    ])
+    def test_evaluation_independent_of_block_size(self, monkeypatch, name, smoothing):
+        fam, field = _field_for(name, smoothing)
+        pts = fam.measure.sample(derive_rng(15, f"blocks-{name}"), 300)
+        # more than one block at the default size: 300 points x Q nodes
+        assert len(pts) * field._spec._nodes.shape[0] > coefficients._MAX_EVAL_BLOCK
+        default = field.evaluate(pts, jac=True)
+        monkeypatch.setattr(coefficients, "_MAX_EVAL_BLOCK", 2**10)
+        small = field.evaluate(pts, jac=True)
+        for part in ("sigma", "drift", "sigma_jac", "drift_jac"):
+            assert np.array_equal(getattr(default, part), getattr(small, part))
 
 
 class TestEvaluate:

@@ -12,7 +12,10 @@ from roughflow import (
     make_family,
     smooth_field,
 )
+from roughflow import stability as st
 from roughflow._seeds import derive_rng, derive_seed
+from roughflow.acceptance import cauchy_uniqueness_checks, smoothing_spec
+from roughflow.flow import convergence_metric
 from roughflow.stability import (
     ball_lebesgue_norm,
     cauchy_experiment,
@@ -169,7 +172,10 @@ class TestExperiments:
         drv = BrownianDriver.generate(1, 2**-7, 2**7, 4,
                                       derive_seed(9, "us-driver"))
         x0 = fam.measure.sample(derive_rng(9, "us-x0"), 8)
-        res = uniqueness_experiment(fam, 8.0, drv, x0, 1.0)
+        table = cauchy_experiment(fam, [8.0], drv, x0, 1.0, norm_budget=500,
+                                  lambda_pt=1.0)
+        res = uniqueness_experiment(fam, table)
+        assert res.level == 8.0
         assert res.metric < 1e-6
 
     def test_uniqueness_adversarial_distinct_drifts(self):
@@ -221,3 +227,48 @@ class TestQuadraturePassBudget:
                           spec_kwargs=dict(order=8, panels=1), lambda_pt=1.0)
         # one pass per step and level for the flows, the bound's three per pair
         assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1)
+
+
+class TestOneFlowPerLevelAndKernel:
+    """The uniqueness check reuses the Cauchy table's last flow."""
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        count = {"n": 0}
+        original = st.integrate
+
+        def counted(*args, **kwargs):
+            count["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(st, "integrate", counted)
+        return count
+
+    @staticmethod
+    def case(name, n_steps=4):
+        fam = make_family(name)
+        drv = BrownianDriver.generate(fam.field.dim_noise, 2.0**-6, n_steps, 2,
+                                      derive_seed(13, f"flows-{name}"))
+        x0 = fam.measure.sample(derive_rng(13, f"flows-x0-{name}"), 3)
+        return fam, drv, x0, n_steps * drv.dt
+
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_checks_integrate_once_per_level_and_kernel(self, flows, name):
+        fam, drv, x0, T = self.case(name)
+        levels = [2.0, 4.0, 8.0]
+        cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
+        assert flows["n"] == len(levels) + 1
+
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_metric_equals_two_separate_runs(self, name):
+        fam, drv, x0, T = self.case(name)
+        levels = [2.0, 4.0]
+        _, unq, _, _ = cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
+        # both kernels integrated from scratch at the last level
+        ensembles = [
+            integrate(smooth_field(fam.field, MollifierSpec(
+                dim=2, level=levels[-1], shape=a, **smoothing_spec(name))), drv, x0, T)
+            for a in (1.0, 3.0)
+        ]
+        assert unq.level == levels[-1]
+        assert unq.metric == convergence_metric(*ensembles)
