@@ -377,14 +377,20 @@ def criterion_5(seed: int, scale: float):
 def criterion_6(seed: int, scale: float):
     n_funcs = _scaled(200, scale, minimum=20)
     total = failures = 0
+    lp_ratios, exp_slacks = [], []
     for n in (1, 2):
         rng = derive_rng(seed, f"c6-funcs-{n}")
         for _, _, rep in an.random_maximal_checks(n, rng, n_funcs):
             total += 1
             failures += not rep.passed
+            if isinstance(rep, an.MaximalReport):
+                lp_ratios.append(rep.ratio)
+            else:
+                exp_slacks.append(rep.slack / rep.bound)
     lam_err, lam_ok = ring_ratio_closed_form()
     return failures == 0 and lam_ok, dict(
-        checks=total, failures=failures, ring_scan_max_rel_err=lam_err
+        checks=total, failures=failures, ring_scan_max_rel_err=lam_err,
+        max_lp_ratio=max(lp_ratios), min_exp_slack_rel=min(exp_slacks),
     )
 
 

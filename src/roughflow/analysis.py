@@ -25,11 +25,12 @@ over (inf of the weight on the delta-neighborhood of R_k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .measure import ReferenceMeasure
 
@@ -98,9 +99,9 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _ball_average(absvals: NDArray, mask: NDArray) -> NDArray:
-    avg = fftconvolve(absvals, mask / mask.sum(), mode="same")
-    return np.maximum(avg, 0.0)
+def _check_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _radii(step: float, delta: float) -> NDArray[np.float64]:
@@ -110,21 +111,68 @@ def _radii(step: float, delta: float) -> NDArray[np.float64]:
     return step * np.arange(1, j_max + 1)
 
 
+@dataclass(frozen=True)
+class _BallSpectra:
+    """Spectra of the normalized discrete balls of every radius up to delta.
+
+    ``spectra[i]`` is the ``rfftn`` over ``axes``, at the padded shape
+    ``fshape`` that ``fftconvolve`` picks, of the ball mask of the i-th
+    radius divided by its cell count; ``window`` is the slice of the padded
+    inverse transform that ``fftconvolve(..., mode="same")`` keeps.
+    """
+
+    axes: tuple
+    fshape: tuple
+    window: tuple
+    spectra: tuple
+
+
+@lru_cache(maxsize=8)
+def _ball_spectra(shape: tuple, step: float, delta: float, axes: tuple) -> _BallSpectra:
+    radii = _radii(step, delta)
+    j_max = int(round(radii[-1] / step))
+    offs = np.arange(-j_max, j_max + 1).astype(float) * step
+    dist = np.sqrt(sum(o**2 for o in np.meshgrid(*([offs] * len(axes)), indexing="ij")))
+    mask_shape = [2 * j_max + 1 if a in axes else 1 for a in range(len(shape))]
+    fshape = tuple(next_fast_len(shape[a] + 2 * j_max, True) for a in axes)
+    window = tuple(slice(j_max, j_max + s) if a in axes else slice(None)
+                   for a, s in enumerate(shape))
+    spectra = []
+    for r in radii:
+        mask = (dist <= r + 1e-9 * step).astype(float).reshape(mask_shape)
+        spectrum = rfftn(mask / mask.sum(), fshape, axes=axes)
+        spectrum.flags.writeable = False  # shared by every caller of the cache
+        spectra.append(spectrum)
+    return _BallSpectra(axes, fshape, window, tuple(spectra))
+
+
+def _ball_average(f_hat: NDArray, ball_hat: NDArray, balls: _BallSpectra) -> NDArray:
+    avg = irfftn(f_hat * ball_hat, balls.fshape, axes=balls.axes)[balls.window]
+    return np.maximum(avg, 0.0)
+
+
+def _maximal(g: GridFunction, step: float, delta: float, axes: tuple) -> GridFunction:
+    """Pointwise max of |g| and its averages over the balls in ``axes`` of
+    every grid radius up to delta.  Each average equals
+    ``fftconvolve(|g|, ball, mode="same")`` bit for bit: the same padded
+    transforms, with the ball spectra cached per grid and |g| transformed
+    once."""
+    balls = _ball_spectra(g.values.shape, step, float(delta), axes)
+    absvals = np.abs(g.values)
+    f_hat = rfftn(absvals, balls.fshape, axes=axes)
+    out = absvals  # the cell itself: r -> 0 ball
+    for ball_hat in balls.spectra:
+        out = np.maximum(out, _ball_average(f_hat, ball_hat, balls))
+    return GridFunction(g.axes, out)
+
+
 def local_maximal(g: GridFunction, delta: float) -> GridFunction:
     """Discrete local maximal function over balls of radius up to delta."""
+    _check_positive("delta", delta)
     h = g.steps[0]
     if any(abs(s - h) > 1e-9 * h for s in g.steps):
         raise ValueError("local_maximal needs equal steps on all axes")
-    radii = _radii(h, delta)
-    absvals = np.abs(g.values)
-    out = absvals.copy()  # the cell itself: r -> 0 ball
-    j_max = int(round(radii[-1] / h))
-    offsets = np.meshgrid(*([np.arange(-j_max, j_max + 1)] * g.ndim), indexing="ij")
-    dist = np.sqrt(sum((o.astype(float) * h) ** 2 for o in offsets))
-    for r in radii:
-        mask = (dist <= r + 1e-9 * h).astype(float)
-        out = np.maximum(out, _ball_average(absvals, mask))
-    return GridFunction(g.axes, out)
+    return _maximal(g, h, delta, tuple(range(g.ndim)))
 
 
 def partial_maximal(g: GridFunction, radius: float) -> GridFunction:
@@ -136,17 +184,8 @@ def partial_maximal(g: GridFunction, radius: float) -> GridFunction:
     """
     if g.ndim < 2:
         raise ValueError("partial_maximal needs a 2-block grid function")
-    h = g.steps[-1]
-    radii = _radii(h, radius)
-    absvals = np.abs(g.values)
-    out = absvals.copy()
-    j_max = int(round(radii[-1] / h))
-    offs = np.arange(-j_max, j_max + 1).astype(float) * h
-    for r in radii:
-        mask1d = (np.abs(offs) <= r + 1e-9 * h).astype(float)
-        mask = mask1d.reshape((1,) * (g.ndim - 1) + (-1,))
-        out = np.maximum(out, _ball_average(absvals, mask))
-    return GridFunction(g.axes, out)
+    _check_positive("radius", radius)
+    return _maximal(g, g.steps[-1], radius, (g.ndim - 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +208,27 @@ def ring_ratio_scan(
 ) -> RingScan:
     """Scan sup_k (sup profile on ring k) / (inf profile on its neighborhood).
 
-    ``profile`` is the radial weight r -> w(r) > 0.  A scan whose running
-    ratios are still growing at the cap is flagged as diverging (the
-    constant is infinite, as for Gaussian-type weights).
+    ``profile`` is the radial weight r -> w(r) > 0.  It must act
+    elementwise on an array of radii of any shape: the scan evaluates it
+    once on the ``(k_max, samples_per_ring)`` ring samples and once on the
+    ``(k_max, 3 samples_per_ring)`` neighborhood samples.  A ring whose
+    neighborhood infimum is not positive has ratio inf.  A scan whose
+    running ratios are still growing at the cap is flagged as diverging
+    (the constant is infinite, as for Gaussian-type weights).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    ratios = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        ring = np.linspace((k - 1) * delta, k * delta, samples_per_ring)
-        hood = np.linspace(max(0.0, (k - 2) * delta), (k + 1) * delta,
-                           3 * samples_per_ring)
-        sup = float(np.max(profile(ring)))
-        inf = float(np.min(profile(hood)))
-        ratios[k - 1] = np.inf if inf <= 0 else sup / inf
+    _check_positive("delta", delta)
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if samples_per_ring < 2:
+        raise ValueError(f"samples_per_ring must be at least 2, got {samples_per_ring}")
+    k = np.arange(1, k_max + 1)
+    ring = np.linspace((k - 1) * delta, k * delta, samples_per_ring, axis=1)
+    hood = np.linspace(np.maximum(0.0, (k - 2) * delta), (k + 1) * delta,
+                       3 * samples_per_ring, axis=1)
+    sup = np.max(profile(ring), axis=1)
+    inf = np.min(profile(hood), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(inf <= 0, np.inf, sup / inf)
     value = float(np.max(ratios))
     tail = ratios[-min(10, k_max):]
     diverging = bool(
@@ -194,12 +240,17 @@ def ring_ratio_scan(
 
 def weight_ring_ratio(m: ReferenceMeasure, delta: float) -> float:
     """Ring-ratio constant of the polynomial weight, scanned over the
-    default 200 rings.
+    default 200 rings once per ``(m.alpha, delta)``.
 
     For delta >= 1 this equals ``(1 + 4 delta^2)^alpha`` exactly (the
     supremum is attained on the innermost ring).
     """
-    return ring_ratio_scan(lambda r: (1.0 + r * r) ** (-m.alpha), delta).value
+    return _polynomial_ring_ratio(float(m.alpha), float(delta))
+
+
+@lru_cache(maxsize=64)
+def _polynomial_ring_ratio(alpha: float, delta: float) -> float:
+    return ring_ratio_scan(lambda r: (1.0 + r * r) ** (-alpha), delta).value
 
 
 # ---------------------------------------------------------------------------

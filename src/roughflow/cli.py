@@ -285,6 +285,23 @@ def _run_analysis(cfg: ExperimentConfig, out: Path) -> list:
                               for v in row) + "\n")
     _, closed_ok = acceptance.ring_ratio_closed_form()
     checks.append(dict(name="ring-ratio closed form", passed=closed_ok))
+    # f = cos(2 x2) on a 2-block grid: the fitted pointwise Sobolev constant
+    # must be finite and stable across the partial-maximal radius
+    ax1, ax2 = np.linspace(-1.0, 1.0, 9), np.linspace(-2.0, 2.0, 65)
+    _, x2 = np.meshgrid(ax1, ax2, indexing="ij")
+    g = an.GridFunction((ax1, ax2), np.cos(2.0 * x2))
+    grad = an.GridFunction((ax1, ax2), np.abs(2.0 * np.sin(2.0 * x2)))
+    fits = [
+        an.pointwise_sobolev_check(
+            g, grad, r, 3000, derive_rng(cfg.seed, f"analysis-sobolev-{r}")
+        ).fitted_constant
+        for r in (0.5, 1.0, 2.0)
+    ]
+    checks.append(dict(
+        name="partial pointwise Sobolev inequality",
+        passed=bool(all(np.isfinite(fits)) and max(fits) < 3 * min(fits)),
+        fits=fits,
+    ))
     return checks
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.signal import fftconvolve
 
 from roughflow import ReferenceMeasure
 from roughflow._seeds import derive_rng
@@ -13,6 +14,7 @@ from roughflow.analysis import (
     maximal_lp_check,
     partial_maximal,
     pointwise_sobolev_check,
+    random_compact_grid,
     ring_ratio_scan,
     weight_ring_ratio,
 )
@@ -20,6 +22,39 @@ from roughflow.analysis import (
 
 def grid_1d(n=81, extent=4.0):
     return np.linspace(-extent, extent, n)
+
+
+def loop_ring_ratios(profile, delta, k_max=200, samples_per_ring=65):
+    """Reference ring ratios: one scalar linspace pair per ring."""
+    ratios = np.empty(k_max)
+    for k in range(1, k_max + 1):
+        ring = np.linspace((k - 1) * delta, k * delta, samples_per_ring)
+        hood = np.linspace(max(0.0, (k - 2) * delta), (k + 1) * delta,
+                           3 * samples_per_ring)
+        sup = float(np.max(profile(ring)))
+        inf = float(np.min(profile(hood)))
+        ratios[k - 1] = np.inf if inf <= 0 else sup / inf
+    return ratios
+
+
+def convolve_maximal(g, delta, partial=False):
+    """Reference maximal function: one fftconvolve per radius, over every
+    axis or (``partial``) over the last axis only."""
+    h = g.steps[-1]
+    j_max = int(np.floor(delta / h + 1e-9))
+    offs = np.arange(-j_max, j_max + 1).astype(float) * h
+    if partial:
+        dist = np.abs(offs).reshape((1,) * (g.ndim - 1) + (-1,))
+    else:
+        grids = np.meshgrid(*([offs] * g.ndim), indexing="ij")
+        dist = np.sqrt(sum(o**2 for o in grids))
+    absvals = np.abs(g.values)
+    out = absvals.copy()
+    for r in h * np.arange(1, j_max + 1):
+        mask = (dist <= r + 1e-9 * h).astype(float)
+        avg = fftconvolve(absvals, mask / mask.sum(), mode="same")
+        out = np.maximum(out, np.maximum(avg, 0.0))
+    return out
 
 
 class TestGridFunction:
@@ -64,6 +99,23 @@ class TestLocalMaximal:
         with pytest.raises(ValueError):
             local_maximal(g, 0.01)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -1.0])
+    def test_nonpositive_or_nonfinite_delta_rejected(self, delta):
+        g = GridFunction((grid_1d(),), np.zeros(81))
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            local_maximal(g, delta)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_per_radius_fftconvolve(self, n):
+        # cached ball spectra and one transform of |g| per call reproduce
+        # one fftconvolve per radius bit for bit
+        rng = derive_rng(13, f"conv-{n}")
+        for _ in range(4):
+            g = random_compact_grid(n, rng)
+            for delta in (0.5, 1.0, 2.0):
+                assert np.array_equal(local_maximal(g, delta).values,
+                                      convolve_maximal(g, delta))
+
     @given(hst.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_sublinearity(self, seed):
@@ -104,6 +156,20 @@ class TestPartialMaximal:
             row = local_maximal(GridFunction((ax2,), vals[i]), 0.8)
             assert np.allclose(mf.values[i], row.values)
 
+    def test_equals_per_radius_fftconvolve(self):
+        rng = derive_rng(14, "conv-partial")
+        for _ in range(4):
+            g = random_compact_grid(2, rng)
+            for radius in (0.5, 1.0, 2.0):
+                assert np.array_equal(partial_maximal(g, radius).values,
+                                      convolve_maximal(g, radius, partial=True))
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+    def test_nonpositive_or_nonfinite_radius_rejected(self, radius):
+        g = GridFunction((grid_1d(5, 1.0), grid_1d(9, 2.0)), np.zeros((5, 9)))
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            partial_maximal(g, radius)
+
 
 class TestRingRatio:
     @pytest.mark.parametrize("alpha,delta", [(1.0, 1.0), (1.5, 1.0), (1.5, 2.0),
@@ -127,6 +193,36 @@ class TestRingRatio:
     def test_polynomial_profile_converges(self):
         scan = ring_ratio_scan(lambda r: (1 + r * r) ** -2.0, 1.0, k_max=60)
         assert not scan.diverging
+
+    @pytest.mark.parametrize("profile,delta,k_max", [
+        (lambda r: (1.0 + r * r) ** -1.5, 0.5, 200),
+        (lambda r: (1.0 + r * r) ** -2.5, 5.0, 200),
+        (lambda r: np.exp(-(r**2)), 1.0, 40),
+        (lambda r: np.maximum(0.0, 1.0 - r / 10.0), 1.0, 40),
+        (lambda r: 2.0 + np.sin(3.0 * r), 0.7, 50),  # extrema between the ends
+    ], ids=["weight-1.5", "weight-2.5", "gaussian", "reaches-zero", "oscillating"])
+    def test_equals_scalar_linspace_loop(self, profile, delta, k_max):
+        scan = ring_ratio_scan(profile, delta, k_max=k_max)
+        assert np.array_equal(scan.ratios, loop_ring_ratios(profile, delta, k_max))
+
+    def test_profile_reaching_zero_diverges(self):
+        scan = ring_ratio_scan(lambda r: np.maximum(0.0, 1.0 - r / 10.0), 1.0, k_max=40)
+        assert np.isinf(scan.value) and scan.diverging
+
+    def test_memo_returns_fresh_scan_per_alpha(self):
+        for alpha in (1.5, 2.5, 1.5):
+            fresh = ring_ratio_scan(lambda r: (1.0 + r * r) ** (-alpha), 2.0).value
+            assert weight_ring_ratio(ReferenceMeasure(1, alpha), 2.0) == fresh
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(delta=np.nan), "delta"),
+        (dict(delta=np.inf), "delta"),
+        (dict(delta=1.0, k_max=0), "k_max"),
+        (dict(delta=1.0, samples_per_ring=1), "samples_per_ring"),
+    ], ids=["delta-nan", "delta-inf", "k_max-0", "samples_per_ring-1"])
+    def test_nonsense_input_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ring_ratio_scan(lambda r: (1.0 + r * r) ** -1.5, **kwargs)
 
 
 class TestMaximalInequalities:
@@ -174,8 +270,6 @@ class TestMaximalInequalities:
 
     def test_batch_random_piecewise(self):
         # a smaller randomized batch; the acceptance suite runs the full matrix
-        from roughflow.analysis import random_compact_grid
-
         m1, m2 = ReferenceMeasure(1, 1.5), ReferenceMeasure(2, 1.5)
         rng = derive_rng(8, "batch")
         for _ in range(25):

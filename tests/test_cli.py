@@ -155,6 +155,7 @@ class TestCheckRecords:
             ("maximal inequalities n=1", keys, True),
             ("maximal inequalities n=2", keys, True),
             ("ring-ratio closed form", ["name", "passed"], True),
+            ("partial pointwise Sobolev inequality", ["fits", "name", "passed"], True),
         ]
         header = (tmp_path / "maximal.csv").read_text().splitlines()[0]
         assert header == "n,delta,p,ratio,passed"
