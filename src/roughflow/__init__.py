@@ -29,8 +29,6 @@ from .coefficients import (
     mollified_convergence,
     mollifier_domination_check,
     mollify,
-    mollify_structured,
-    smooth_field,
 )
 from .density import (
     DensityTrack,

@@ -75,6 +75,7 @@ class GridFunction:
                 raise ValueError("axes must be uniform and increasing")
             steps.append(float(d[0]))
         object.__setattr__(self, "_steps", tuple(steps))
+        object.__setattr__(self, "_weights", {})
 
     @property
     def ndim(self) -> int:
@@ -92,6 +93,14 @@ class GridFunction:
         """All grid points, shape values.shape + (ndim,)."""
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(grids, axis=-1)
+
+    def _weight(self, m: ReferenceMeasure) -> NDArray[np.float64]:
+        """``m.weight`` at every grid point, shape values.shape; computed once
+        per measure, since every weighted integral on the grid reuses it."""
+        if m not in self._weights:
+            pts = self.points().reshape(-1, self.ndim)
+            self._weights[m] = m.weight(pts).reshape(self.values.shape)
+        return self._weights[m]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +268,7 @@ def _polynomial_ring_ratio(alpha: float, delta: float) -> float:
 
 
 def _mu_integral(g: GridFunction, m: ReferenceMeasure, values: NDArray) -> float:
-    pts = g.points().reshape(-1, g.ndim)
-    w = m.weight(pts).reshape(g.values.shape)
-    return float(np.sum(values * w) * g.cell_volume)
+    return float(np.sum(values * g._weight(m)) * g.cell_volume)
 
 
 @dataclass

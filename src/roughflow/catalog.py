@@ -34,7 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientField, StructuredCoefficient, _smoothstep, _smoothstep_deriv
+from .coefficients import (
+    CoefficientField, FieldBlocks, StructuredCoefficient, _smoothstep, _smoothstep_deriv,
+)
 from .measure import ReferenceMeasure
 
 __all__ = ["Family", "make_family", "FAMILY_NAMES"]
@@ -256,13 +258,12 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
             ..., None, None
         ]
 
-    return StructuredCoefficient.from_blocks(
-        n1=1, dim_state=2, dim_noise=1,
-        sigma1_fn=sigma1_fn, sigma2_fn=sigma2_fn,
-        drift1_fn=drift1_fn, drift2_fn=drift2_fn,
-        sigma1_jac_fn=sigma1_jac_fn, sigma2_jac_x2_fn=sigma2_jac_x2_fn,
-        drift1_jac_fn=drift1_jac_fn, drift2_jac_x2_fn=drift2_jac_x2_fn,
-        name=f"partially-sobolev(step={step_amp:g})",
+    return StructuredCoefficient(
+        1,
+        FieldBlocks(sigma1=sigma1_fn, drift1=drift1_fn, sigma2=sigma2_fn, drift2=drift2_fn,
+                    sigma1_jac=sigma1_jac_fn, drift1_jac=drift1_jac_fn,
+                    sigma2_jac=sigma2_jac_x2_fn, drift2_jac=drift2_jac_x2_fn),
+        dim_state=2, dim_noise=1, name=f"partially-sobolev(step={step_amp:g})",
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
@@ -50,6 +51,11 @@ KINDS = (
     "verify-hypotheses",
     "verify-all",
 )
+
+
+def _finite_reals(values) -> bool:
+    return isinstance(values, (list, tuple)) and all(
+        isinstance(v, numbers.Real) and np.isfinite(v) for v in values)
 
 
 @dataclass
@@ -109,12 +115,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown family {self.family!r}; known: {', '.join(FAMILY_NAMES)}"
             )
-        if self.q <= 1:
-            raise ValueError("q must exceed 1")
-        if self.p <= 1:
-            raise ValueError("p must exceed 1")
-        if not (self.dt > 0 and self.T > 0):
-            raise ValueError("T and dt must be positive")
+        if not self.q > 1:
+            raise ValueError(f"q must exceed 1, got {self.q}")
+        if not self.p > 1:
+            raise ValueError(f"p must exceed 1, got {self.p}")
+        if not (np.isfinite(self.p0) and self.p0 > 0):
+            raise ValueError(f"p0 must be finite and positive, got {self.p0}")
+        for key in ("n_omega", "n_x", "mc_budget", "quadrature_points"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
+            raise ValueError("T and dt must be finite and positive")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide T")
@@ -136,10 +148,18 @@ class ExperimentConfig:
                     "lifted alpha must exceed 2 alpha1 + q + d/2 = "
                     f"{2 * alpha1 + self.q + d / 2.0}, got {alpha}"
                 )
-        if any(k < 1 for k in self.k_list):
-            raise ValueError("mollification levels must be >= 1")
-        if any(e <= 0 for e in self.eps_list):
-            raise ValueError("eps values must be positive")
+        if not (_finite_reals(self.k_list) and len(self.k_list) >= 2
+                and min(self.k_list) >= 1):
+            raise ValueError("k_list needs at least two finite mollification levels >= 1, "
+                             f"got {self.k_list}")
+        for key in ("eps_list", "radii"):
+            values = getattr(self, key)
+            if not (_finite_reals(values) and values and min(values) > 0):
+                raise ValueError(f"{key} needs at least one value, each finite and "
+                                 f"positive, got {values}")
+        if self.kind == "verify-hypotheses" and min(self.eps_list) > 0.5:
+            raise ValueError("verify-hypotheses needs an eps_list value <= 0.5, "
+                             f"got {self.eps_list}")
 
     # -- derived objects ----------------------------------------------------
 

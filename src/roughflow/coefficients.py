@@ -5,17 +5,21 @@ drift ``b : R^n -> R^n``.  Fields evaluate on batches of points (shape
 ``(..., n)``).  Jacobians are analytic: a field either carries Jacobian
 callables or is smoothed, whose derivatives come from the kernel gradient;
 a field without them can be evaluated and smoothed but not differentiated.
-Every field has one evaluation entry point,
-``evaluate(x, jac=False) -> FieldEval``, which returns sigma and b (and
-their Jacobians) together; the single-component accessors ``sigma``,
-``drift``, ``sigma_jac`` and ``drift_jac`` serve callers that need one of
-them.  The module also provides
+Every field type evaluates through one method, ``_eval``, which returns
+the requested components of sigma and b (and their Jacobians) together;
+``evaluate(x, jac=False) -> FieldEval`` and the single-component accessors
+``sigma``, ``drift``, ``sigma_jac`` and ``drift_jac`` are one-liners over
+it.  A ``StructuredCoefficient`` stacks its first block, read from its
+``FieldBlocks`` record, on top of its second-block rows.  The module also
+provides
 
 * compactly supported bump mollifiers ``chi_k`` with cutoffs ``psi_k`` and
   the smoothing ``f_k = (f * chi_k) psi_k``, whose derivatives are computed
   from ``f * grad(chi_k)`` and ``grad(psi_k)`` rather than by differencing.
-  A smoothed field packs sigma and b into one function, so ``evaluate``
-  costs one quadrature pass over the rough field;
+  ``mollify`` is the one smoothing entry: it smooths every row of a plain
+  field and the second block of a structured one, packing sigma and b into
+  one function, so an evaluation costs one quadrature pass over the rough
+  field;
 * the vector and scalar functionals entering the exponent of the pathwise
   push-forward density (``density_noise_term`` / ``density_drift_term``),
   and the Ito-Taylor coefficient of the noise term
@@ -48,8 +52,6 @@ __all__ = [
     "FieldBlocks",
     "MollifierSpec",
     "mollify",
-    "mollify_structured",
-    "smooth_field",
     "density_noise_term",
     "density_noise_with_gradient",
     "density_drift_term",
@@ -82,18 +84,29 @@ class FieldEval:
     drift_jac: Optional[NDArray[np.float64]] = None  # (..., n, n)
 
 
+def _jacobian(field, fn: Optional[Callable], name: str, x) -> NDArray[np.float64]:
+    if fn is None:
+        raise ValueError(f"field {field.name!r} has no {name} Jacobian; "
+                         "smooth it with mollify to differentiate it")
+    return np.asarray(fn(x), dtype=np.float64)
+
+
 @dataclass
 class CoefficientField:
     """Coefficient pair (sigma, b) with optional analytic Jacobians.
 
-    ``evaluate`` is the evaluation entry point: it returns sigma and b, and
-    with ``jac=True`` their Jacobians, in one ``FieldEval``.  Smoothed fields
-    override it with a single quadrature pass over sigma and b together.
-    A field without Jacobian callables is never differenced (its
-    coefficients may jump): ``sigma_jac`` and ``drift_jac`` raise a
-    ``ValueError`` naming it, and ``mollify`` gives a differentiable field.
-    Fields are immutable in practice: evaluation never mutates state, so a
-    field instance is safe for concurrent use.
+    ``_eval(pts, sigma, drift, jac)`` is the one evaluation method: it
+    returns the requested components, with their Jacobians when ``jac`` is
+    set, in one ``FieldEval``.  Here it calls the ``*_fn`` callables and
+    checks the value shapes; a field smoothed by ``mollify`` evaluates by
+    one quadrature pass instead, and a ``StructuredCoefficient`` from its
+    block record (neither carries the callables, so ``is_analytic`` is
+    False for them).  ``evaluate`` and the accessors call ``_eval``.  A
+    field without Jacobian callables is never differenced (its coefficients
+    may jump): asking for a Jacobian raises a ``ValueError`` naming it, and
+    ``mollify`` gives a differentiable field.  Fields are immutable in
+    practice: evaluation never mutates state, so a field instance is safe
+    for concurrent use.
     """
 
     dim_state: int
@@ -117,60 +130,57 @@ class CoefficientField:
             )
         return pts
 
-    def sigma(self, x) -> NDArray[np.float64]:
-        pts = self._pts(x)
-        out = np.asarray(self.sigma_fn(pts), dtype=np.float64)
-        want = pts.shape[:-1] + (self.dim_state, self.dim_noise)
-        if out.shape != want:
-            raise ValueError(f"sigma returned shape {out.shape}, expected {want}")
+    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+        """sigma and/or b at ``pts`` (shape ``(..., n)``), each with its
+        Jacobian when ``jac`` is set."""
+        out, lead = FieldEval(None, None), pts.shape[:-1]
+        for name, want, on in (("sigma", (self.dim_state, self.dim_noise), sigma),
+                               ("drift", (self.dim_state,), drift)):
+            if not on:
+                continue
+            val = np.asarray(getattr(self, f"{name}_fn")(pts), dtype=np.float64)
+            if val.shape != lead + want:
+                raise ValueError(f"{name} returned shape {val.shape}, expected {lead + want}")
+            setattr(out, name, val)
+            if jac:
+                setattr(out, f"{name}_jac",
+                        _jacobian(self, getattr(self, f"{name}_jac_fn"), name, pts))
         return out
 
+    def evaluate(self, x, jac: bool = False) -> FieldEval:
+        """sigma and b at ``x``, plus both Jacobians when ``jac`` is set."""
+        return self._eval(self._pts(x), jac=jac)
+
+    def sigma(self, x) -> NDArray[np.float64]:
+        return self._eval(self._pts(x), drift=False).sigma
+
     def drift(self, x) -> NDArray[np.float64]:
-        pts = self._pts(x)
-        out = np.asarray(self.drift_fn(pts), dtype=np.float64)
-        want = pts.shape[:-1] + (self.dim_state,)
-        if out.shape != want:
-            raise ValueError(f"drift returned shape {out.shape}, expected {want}")
-        return out
+        return self._eval(self._pts(x), sigma=False).drift
+
+    def sigma_jac(self, x) -> NDArray[np.float64]:
+        """d sigma^{ik} / d x_j, shape (..., n, m, n)."""
+        return self._eval(self._pts(x), drift=False, jac=True).sigma_jac
+
+    def drift_jac(self, x) -> NDArray[np.float64]:
+        """d b^i / d x_j, shape (..., n, n)."""
+        return self._eval(self._pts(x), sigma=False, jac=True).drift_jac
 
     @property
     def is_analytic(self) -> bool:
         return self.sigma_jac_fn is not None and self.drift_jac_fn is not None
 
-    def sigma_jac(self, x) -> NDArray[np.float64]:
-        """d sigma^{ik} / d x_j, shape (..., n, m, n)."""
-        return self._jacobian(self.sigma_jac_fn, "sigma", x)
-
-    def drift_jac(self, x) -> NDArray[np.float64]:
-        """d b^i / d x_j, shape (..., n, n)."""
-        return self._jacobian(self.drift_jac_fn, "drift", x)
-
-    def _jacobian(self, fn: Optional[Callable], name: str, x) -> NDArray[np.float64]:
-        if fn is None:
-            raise ValueError(f"field {self.name!r} has no {name} Jacobian; "
-                             "smooth it with mollify to differentiate it")
-        return np.asarray(fn(self._pts(x)), dtype=np.float64)
-
     def sigma_divergence(self, x) -> NDArray[np.float64]:
         """Column divergences (div sigma^{.,1}, ..., div sigma^{.,m})."""
         return np.einsum("...iki->...k", self.sigma_jac(x))
-
-    def evaluate(self, x, jac: bool = False) -> FieldEval:
-        """sigma and b at ``x``, plus both Jacobians when ``jac`` is set."""
-        pts = self._pts(x)
-        if not jac:
-            return FieldEval(self.sigma(pts), self.drift(pts))
-        return FieldEval(self.sigma(pts), self.drift(pts),
-                         self.sigma_jac(pts), self.drift_jac(pts))
 
 
 @dataclass(frozen=True)
 class FieldBlocks:
     """Block callables of a structured field: the first block (with its
-    Jacobians) of ``x1 = x[..., :n1]``, the second block of the full ``x``.
-    A field smoothed by ``mollify_structured`` keeps its base's record, so
-    ``sigma2``/``drift2`` are the rough functions; ``second_block`` reads
-    any field's own second block.
+    x1-Jacobians) of ``x1 = x[..., :n1]``, the second block (with its
+    x2-Jacobians) of the full ``x``.  A field smoothed by ``mollify`` keeps
+    its base's record, so the second-block callables are the rough
+    functions; ``second_block`` reads any field's own second block.
     """
 
     sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)
@@ -179,31 +189,38 @@ class FieldBlocks:
     drift2: Callable                        # x            -> (..., n2)
     sigma1_jac: Optional[Callable] = None   # x1 -> (..., n1, m, n1)
     drift1_jac: Optional[Callable] = None   # x1 -> (..., n1, n1)
+    sigma2_jac: Optional[Callable] = None   # x  -> (..., n2, m, n2), in x2
+    drift2_jac: Optional[Callable] = None   # x  -> (..., n2, n2), in x2
 
 
 class StructuredCoefficient(CoefficientField):
     """Block-structured field: the first ``n1`` rows of sigma and components
     of b depend on ``x1 = x[:n1]`` only.
 
-    The constructor requires the ``FieldBlocks`` record (``from_blocks``
-    builds it).  The blockwise checks read each block in its own variables:
-    ``first_block`` on points of R^n1, ``second_block`` on R^n.
+    ``StructuredCoefficient(n1, blocks, dim_state, dim_noise, name)``
+    evaluates from its ``FieldBlocks`` record: ``_eval`` stacks the first
+    block on top of ``_second``, the second-block rows with Jacobian
+    columns over all of x (``mollify`` replaces ``_second`` by one
+    quadrature pass).  The blockwise checks read each block in its own
+    variables: ``first_block`` on points of R^n1, ``second_block`` on R^n.
 
     The cross-block partial derivatives ``d(sigma_2)/d(x1)`` need not exist
-    for partially Sobolev coefficients; Jacobians returned by this class set
-    those entries to zero.  Column divergences use diagonal blocks only, and
-    the gradient contraction's cross terms carry a genuine zero factor
-    ``d(sigma_1)/d(x2) = 0``, so neither depends on the zeroed entries.  The
-    Ito-Taylor coefficient of ``density_noise_with_gradient`` does read
-    them (``sum_ij sigma^{ik} d_i sigma^{jl} g_j`` with i in the first block,
-    j in the second), and its divergence difference may straddle a jump in
-    x1.  For a rough block field the density tracker therefore has no
-    order-1 claim; the correction stays bounded (a jump enters as a
-    difference over ``sqrt(dt)``, multiplied by increments of order dt).
+    for partially Sobolev coefficients; Jacobians of a rough structured
+    field set those entries to zero.  Column divergences use diagonal blocks
+    only, and the gradient contraction's cross terms carry a genuine zero
+    factor ``d(sigma_1)/d(x2) = 0``, so neither depends on the zeroed
+    entries.  The Ito-Taylor coefficient of ``density_noise_with_gradient``
+    does read them (``sum_ij sigma^{ik} d_i sigma^{jl} g_j`` with i in the
+    first block, j in the second), and its divergence difference may
+    straddle a jump in x1.  For a rough block field the density tracker
+    therefore has no order-1 claim; the correction stays bounded (a jump
+    enters as a difference over ``sqrt(dt)``, multiplied by increments of
+    order dt).
     """
 
-    def __init__(self, n1: int, blocks: FieldBlocks, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, n1: int, blocks: FieldBlocks, dim_state: int, dim_noise: int,
+                 name: str = ""):
+        super().__init__(dim_state, dim_noise, None, None, name=name)
         if not 1 <= n1 < self.dim_state:
             raise ValueError(f"n1 must be in [1, dim_state), got {n1}")
         self.n1 = n1
@@ -213,75 +230,46 @@ class StructuredCoefficient(CoefficientField):
     def n2(self) -> int:
         return self.dim_state - self.n1
 
+    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+        n1, b = self.n1, self.blocks
+        x1, out = pts[..., :n1], self._second(pts, sigma, drift, jac)
+        for name, rows in (("sigma", -2), ("drift", -1)):  # row axis of the value
+            val2 = getattr(out, name)
+            if val2 is None:
+                continue
+            setattr(out, name, np.concatenate([getattr(b, f"{name}1")(x1), val2], axis=rows))
+            if jac:  # the first block does not depend on x2
+                jac2 = getattr(out, f"{name}_jac")
+                jac1 = np.zeros(jac2.shape[:rows - 1] + (n1,) + jac2.shape[rows:])
+                jac1[..., :n1] = _jacobian(self, getattr(b, f"{name}1_jac"), name, x1)
+                setattr(out, f"{name}_jac", np.concatenate([jac1, jac2], axis=rows - 1))
+        return out
+
+    def _second(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+        """Second-block rows of sigma and/or b at ``pts``, Jacobian columns
+        over all of x (zero in x1)."""
+        out = FieldEval(None, None)
+        for name, on in (("sigma", sigma), ("drift", drift)):
+            if not on:
+                continue
+            val = getattr(self.blocks, f"{name}2")(pts)
+            setattr(out, name, val)
+            if jac:
+                full = np.zeros(np.shape(val) + (self.dim_state,))
+                full[..., self.n1:] = _jacobian(
+                    self, getattr(self.blocks, f"{name}2_jac"), name, pts)
+                setattr(out, f"{name}_jac", full)
+        return out
+
     def first_block(self, x1) -> FieldEval:
         """First-block sigma, b and their x1-Jacobians at points of R^n1."""
         b = self.blocks
         return FieldEval(b.sigma1(x1), b.drift1(x1), b.sigma1_jac(x1), b.drift1_jac(x1))
 
     def second_block(self, x) -> FieldEval:
-        """Second-block rows of ``evaluate(x, jac=True)``, Jacobians in x2 only."""
-        n1, ev = self.n1, self.evaluate(x, jac=True)
-        return FieldEval(ev.sigma[..., n1:, :], ev.drift[..., n1:],
-                         ev.sigma_jac[..., n1:, :, n1:], ev.drift_jac[..., n1:, n1:])
-
-    @classmethod
-    def from_blocks(
-        cls,
-        n1: int,
-        dim_state: int,
-        dim_noise: int,
-        sigma1_fn: Callable,   # x1 (..., n1)      -> (..., n1, m)
-        sigma2_fn: Callable,   # x  (..., n)       -> (..., n2, m)
-        drift1_fn: Callable,   # x1                -> (..., n1)
-        drift2_fn: Callable,   # x                 -> (..., n2)
-        sigma1_jac_fn: Optional[Callable] = None,   # -> (..., n1, m, n1)
-        sigma2_jac_x2_fn: Optional[Callable] = None,  # -> (..., n2, m, n2)
-        drift1_jac_fn: Optional[Callable] = None,   # -> (..., n1, n1)
-        drift2_jac_x2_fn: Optional[Callable] = None,  # -> (..., n2, n2)
-        name: str = "",
-    ) -> "StructuredCoefficient":
-        def sigma_fn(x):
-            s1 = sigma1_fn(x[..., :n1])
-            s2 = sigma2_fn(x)
-            return np.concatenate([s1, s2], axis=-2)
-
-        def drift_fn(x):
-            b1 = drift1_fn(x[..., :n1])
-            b2 = drift2_fn(x)
-            return np.concatenate([b1, b2], axis=-1)
-
-        sigma_jac_fn = None
-        if sigma1_jac_fn is not None and sigma2_jac_x2_fn is not None:
-
-            def sigma_jac_fn(x):
-                batch = x.shape[:-1]
-                jac = np.zeros(batch + (dim_state, dim_noise, dim_state))
-                jac[..., :n1, :, :n1] = sigma1_jac_fn(x[..., :n1])
-                jac[..., n1:, :, n1:] = sigma2_jac_x2_fn(x)
-                return jac
-
-        drift_jac_fn = None
-        if drift1_jac_fn is not None and drift2_jac_x2_fn is not None:
-
-            def drift_jac_fn(x):
-                batch = x.shape[:-1]
-                jac = np.zeros(batch + (dim_state, dim_state))
-                jac[..., :n1, :n1] = drift1_jac_fn(x[..., :n1])
-                jac[..., n1:, n1:] = drift2_jac_x2_fn(x)
-                return jac
-
-        return cls(
-            n1,
-            FieldBlocks(sigma1_fn, drift1_fn, sigma2_fn, drift2_fn,
-                        sigma1_jac_fn, drift1_jac_fn),
-            dim_state=dim_state,
-            dim_noise=dim_noise,
-            sigma_fn=sigma_fn,
-            drift_fn=drift_fn,
-            sigma_jac_fn=sigma_jac_fn,
-            drift_jac_fn=drift_jac_fn,
-            name=name,
-        )
+        """Second-block sigma, b and their x2-Jacobians at points of R^n."""
+        n1, ev = self.n1, self._second(self._pts(x), jac=True)
+        return FieldEval(ev.sigma, ev.drift, ev.sigma_jac[..., n1:], ev.drift_jac[..., n1:])
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +354,18 @@ class MollifierSpec:
     shape: float = 1.0
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"mollification level must be >= 1, got {self.level}")
+        if not (np.isfinite(self.level) and self.level >= 1):
+            raise ValueError(f"mollification level must be finite and >= 1, got {self.level}")
+        if not (np.isfinite(self.shape) and self.shape > 0):
+            raise ValueError(f"kernel shape must be finite and positive, got {self.shape}")
+        if self.order < 1:
+            raise ValueError(f"quadrature order must be >= 1, got {self.order}")
         panels = tuple(self.panels) if isinstance(self.panels, (tuple, list)) else (
             (int(self.panels),) * self.dim)
         if len(panels) != self.dim:
             raise ValueError("need one panel count per axis")
+        if min(panels) < 1:
+            raise ValueError(f"panel counts must be >= 1, got {self.panels}")
         axes_nodes, axes_weights = [], []
         gl_x, gl_w = special.roots_legendre(self.order)
         for p in panels:
@@ -491,165 +485,90 @@ class MollifierSpec:
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
 
 
-class _Mollified:
-    """Evaluation path shared by the smoothed fields.
+class _Smoother:
+    """``f_k = (f * chi_k) psi_k`` of a rough evaluation, with analytic
+    derivatives: ``mollify`` makes one the ``_eval`` of a smoothed field, or
+    the ``_second`` of a smoothed structured field.
 
-    Rows ``r0:`` of sigma and b are smoothed, ``f_k = (f * chi_k) psi_k``
-    (all rows for ``mollify``, the second block for ``mollify_structured``);
-    rows above ``r0`` are the first block, evaluated as it is.  ``evaluate``
-    and the single-component accessors all go through ``_smooth``, which
-    packs the requested rough components into one function, so that one
-    quadrature pass serves them all: ``convolve`` for values,
-    ``convolve_with_grad`` for the Jacobian ``(f * grad chi_k) psi_k +
-    (f * chi_k) grad psi_k``.  For a declared-constant sigma the convolution
+    ``rough(y, sigma, drift)`` is the rough field's own ``_eval`` (or
+    ``_second``); its sigma has shape ``sigma_shape``.  A call packs the
+    requested rough components into one function, so that one quadrature
+    pass serves them all: ``convolve`` for values, ``convolve_with_grad``
+    for the Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k``.
+    For a declared-constant sigma (``sigma0``, its value) the convolution
     is the identity (the discrete kernel weights sum to one), so sigma_k
     reduces exactly to sigma * psi_k and only the cutoff is evaluated.
     """
 
-    def _setup(self, base, spec, r0, rough_sigma, rough_drift) -> dict:
-        self._base, self._spec, self._r0 = base, spec, r0
-        self._rough = dict(sigma=rough_sigma, drift=rough_drift)
-        self._sigma0 = None
-        if base.sigma_constant:
-            self._sigma0 = base.sigma(np.zeros((1, base.dim_state)))[0, r0:]
-        return dict(
-            dim_state=base.dim_state,
-            dim_noise=base.dim_noise,
-            sigma_fn=lambda x: self._smooth(x, drift=False).sigma,
-            drift_fn=lambda x: self._smooth(x, sigma=False).drift,
-            sigma_jac_fn=lambda x: self._smooth(x, drift=False, jac=True).sigma_jac,
-            drift_jac_fn=lambda x: self._smooth(x, sigma=False, jac=True).drift_jac,
-        )
+    def __init__(self, spec: MollifierSpec, rough: Callable, sigma_shape: tuple,
+                 sigma0: Optional[NDArray[np.float64]] = None):
+        self.spec, self.rough, self.sigma0 = spec, rough, sigma0
+        self.shapes = dict(sigma=sigma_shape, drift=sigma_shape[:1])
 
-    def evaluate(self, x, jac: bool = False) -> FieldEval:
-        return self._smooth(self._pts(x), jac=jac)
+    def __call__(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+        spec, out = self.spec, FieldEval(None, None)
+        names = [name for name, on in (("sigma", sigma and self.sigma0 is None),
+                                       ("drift", drift)) if on]
+        if names:
+            def packed(y):
+                ev = self.rough(y, "sigma" in names, drift)
+                cols = [np.asarray(getattr(ev, name), dtype=np.float64)
+                        .reshape(y.shape[:-1] + (-1,)) for name in names]
+                return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
 
-    def _smooth(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
-        n, m, r0, spec = self.dim_state, self.dim_noise, self._r0, self._spec
-        shapes = {}
-        if sigma and self._sigma0 is None:
-            shapes["sigma"] = (n - r0, m)
-        if drift:
-            shapes["drift"] = (n - r0,)
-        got = self._convolved(pts, shapes, jac) if shapes else {}
-        if sigma and self._sigma0 is not None:
-            s0 = self._sigma0
-            got["sigma"] = (
-                s0 * spec.cutoff(pts)[..., None, None],
-                s0[..., None] * spec.cutoff_grad(pts)[..., None, None, :] if jac else None,
-            )
-        if r0:
-            got = self._with_first_block(pts, got)
-        sig, sjac = got.get("sigma", (None, None))
-        b, bjac = got.get("drift", (None, None))
-        return FieldEval(sig, b, sjac, bjac)
-
-    def _convolved(self, pts, shapes: dict, jac: bool) -> dict:
-        """``name: (value, jacobian or None)`` of the smoothed rough parts."""
-        spec, fns = self._spec, [self._rough[name] for name in shapes]
-
-        def packed(y):
-            cols = [np.asarray(f(y), dtype=np.float64).reshape(y.shape[:-1] + (-1,))
-                    for f in fns]
-            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
-
-        psi = spec.cutoff(pts)[..., None]
-        if jac:
-            conv, grad = spec.convolve_with_grad(packed, pts)
-            grad = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[..., None, :]
-        else:
-            conv = spec.convolve(packed, pts)
-        val = conv * psi
-        lead, out, start = pts.shape[:-1], {}, 0
-        for name, shape in shapes.items():
-            stop = start + math.prod(shape)
-            out[name] = (
-                val[..., start:stop].reshape(lead + shape),
-                grad[..., start:stop, :].reshape(lead + shape + pts.shape[-1:]) if jac else None,
-            )
-            start = stop
+            psi = spec.cutoff(pts)[..., None]
+            if jac:
+                conv, grad = spec.convolve_with_grad(packed, pts)
+                grad = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[..., None, :]
+            else:
+                conv = spec.convolve(packed, pts)
+            val, lead, start = conv * psi, pts.shape[:-1], 0
+            for name in names:
+                shape = self.shapes[name]
+                stop = start + math.prod(shape)
+                setattr(out, name, val[..., start:stop].reshape(lead + shape))
+                if jac:
+                    setattr(out, f"{name}_jac",
+                            grad[..., start:stop, :].reshape(lead + shape + pts.shape[-1:]))
+                start = stop
+        if sigma and self.sigma0 is not None:
+            s0 = self.sigma0
+            out.sigma = s0 * spec.cutoff(pts)[..., None, None]
+            if jac:
+                out.sigma_jac = s0[..., None] * spec.cutoff_grad(pts)[..., None, None, :]
         return out
-
-    def _with_first_block(self, pts, got) -> dict:
-        """Stack the unsmoothed first block on top of the smoothed rows."""
-        r0, blocks = self._r0, self.blocks
-        x1 = pts[..., :r0]
-        out = {}
-        for name, rows in (("sigma", -2), ("drift", -1)):  # row axis of the value
-            if name not in got:
-                continue
-            val2, jac2 = got[name]
-            val = np.concatenate([getattr(blocks, f"{name}1")(x1), val2], axis=rows)
-            jac = None
-            if jac2 is not None:  # the first block does not depend on x2
-                jac1 = np.zeros(jac2.shape[:rows - 1] + (r0,) + jac2.shape[rows:])
-                jac1[..., :r0] = getattr(blocks, f"{name}1_jac")(x1)
-                jac = np.concatenate([jac1, jac2], axis=rows - 1)
-            out[name] = (val, jac)
-        return out
-
-
-class _MollifiedField(_Mollified, CoefficientField):
-    """``mollify``: every row of sigma and b smoothed."""
-
-    def __init__(self, base: CoefficientField, spec: MollifierSpec):
-        CoefficientField.__init__(
-            self, **self._setup(base, spec, 0, base.sigma_fn, base.drift_fn),
-            name=f"{base.name}|k={spec.level:g}",
-        )
 
 
 def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     """Smooth a field: ``f_k = (f * chi_k) psi_k`` with analytic derivatives.
 
     Derivatives come from ``f * grad(chi_k)`` plus the product rule with
-    ``grad(psi_k)``; the rough field is never differenced.
-    """
-    if spec.dim != field.dim_state:
-        raise ValueError("mollifier dimension does not match the field")
-    return _MollifiedField(field, spec)
-
-
-class _MollifiedStructuredField(_Mollified, StructuredCoefficient):
-    """Structured field whose second block is smoothed; the first block is
-    untouched, so the first-block flow is identical across smoothing levels.
-    """
-
-    def __init__(self, base: StructuredCoefficient, spec: MollifierSpec):
-        blocks = base.blocks
-        StructuredCoefficient.__init__(
-            self, base.n1, blocks,
-            **self._setup(base, spec, base.n1, blocks.sigma2, blocks.drift2),
-            name=f"{base.name}|k2={spec.level:g}",
-        )
-
-
-def mollify_structured(
-    field: StructuredCoefficient, spec: MollifierSpec
-) -> StructuredCoefficient:
-    """Smooth only the second block of a structured field.
-
-    The first block needs no regularization for the partial-Sobolev theory,
-    so it is kept as is; the smoothed second block gets analytic partials
-    from the kernel gradient.  The smoothed second block is genuinely
+    ``grad(psi_k)``; the rough field is never differenced.  Every row of a
+    plain field is smoothed.  Of a structured field only the second block
+    is: the first block needs no regularization for the partial-Sobolev
+    theory, so it is kept as is and the first-block flow is identical
+    across smoothing levels.  The smoothed second block is genuinely
     differentiable in the first variables as well, and the full Jacobian is
-    returned for it.  An already smoothed field is rejected (its block
-    record holds the rough second block).
+    returned for it.  A structured field without first-block Jacobians is
+    rejected, and so is an already smoothed one (its block record holds the
+    rough second block).
     """
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
+    n, m = field.dim_state, field.dim_noise
+    if not isinstance(field, StructuredCoefficient):
+        sigma0 = field.sigma(np.zeros((1, n)))[0] if field.sigma_constant else None
+        smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
+        smooth._eval = _Smoother(spec, field._eval, (n, m), sigma0)
+        return smooth
     if field.blocks.sigma1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
-    if isinstance(field, _Mollified):
+    if isinstance(field._second, _Smoother):
         raise ValueError("field is already smoothed; smooth its rough base instead")
-    return _MollifiedStructuredField(field, spec)
-
-
-def smooth_field(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
-    """``mollify_structured`` for a structured field, ``mollify`` otherwise."""
-    if isinstance(field, StructuredCoefficient):
-        return mollify_structured(field, spec)
-    return mollify(field, spec)
+    smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
+                                   name=f"{field.name}|k2={spec.level:g}")
+    smooth._second = _Smoother(spec, field._second, (field.n2, m))
+    return smooth
 
 
 # ---------------------------------------------------------------------------

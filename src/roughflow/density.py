@@ -43,7 +43,7 @@ from .coefficients import (
     density_drift_term,
     density_noise_term,
     density_noise_with_gradient,
-    smooth_field,
+    mollify,
 )
 from .flow import BrownianDriver, FlowEnsemble, grid_index, integrate
 from .measure import ReferenceMeasure
@@ -360,7 +360,7 @@ def uniform_density_bound(
     norms = []
     for k in levels:
         spec = MollifierSpec(dim=field.dim_state, level=k, **(spec_kwargs or {}))
-        smooth = smooth_field(field, spec)
+        smooth = mollify(field, spec)
         ens = integrate(smooth, driver, x0s, t0)
         track = track_density(ens, m)
         norms.append(sup_lp_density_norm(track, p).value)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientField, StructuredCoefficient, exp_integrand
+from .coefficients import CoefficientField, FieldBlocks, StructuredCoefficient, exp_integrand
 from .flow import BrownianDriver, FlowEnsemble, integrate
 from .measure import ReferenceMeasure
 
@@ -65,30 +65,20 @@ class DerivativeSystem:
         return self._lifted
 
     def _build_lifted(self) -> StructuredCoefficient:
-        base, d = self.base, self.base.dim_state
+        base, d = self.base, self.dim
 
         def sigma2_fn(xy):
-            jac = base.sigma_jac(xy[..., :d])
+            jac = base.sigma_jac_fn(xy[..., :d])
             return np.einsum("...ikj,...j->...ik", jac, xy[..., d:])
 
         def drift2_fn(xy):
-            jac = base.drift_jac(xy[..., :d])
+            jac = base.drift_jac_fn(xy[..., :d])
             return np.einsum("...ij,...j->...i", jac, xy[..., d:])
 
-        return StructuredCoefficient.from_blocks(
-            n1=d,
-            dim_state=2 * d,
-            dim_noise=base.dim_noise,
-            sigma1_fn=base.sigma_fn,
-            sigma2_fn=sigma2_fn,
-            drift1_fn=base.drift_fn,
-            drift2_fn=drift2_fn,
-            sigma1_jac_fn=base.sigma_jac_fn,
-            sigma2_jac_x2_fn=lambda xy: base.sigma_jac(xy[..., :d]),
-            drift1_jac_fn=base.drift_jac_fn,
-            drift2_jac_x2_fn=lambda xy: base.drift_jac(xy[..., :d]),
-            name=f"{base.name}|derivative",
-        )
+        return self._doubled(sigma2_fn, drift2_fn,
+                             lambda xy: base.sigma_jac_fn(xy[..., :d]),
+                             lambda xy: base.drift_jac_fn(xy[..., :d]),
+                             f"{base.name}|derivative")
 
     def epsilon_system(self, eps: float) -> StructuredCoefficient:
         """Doubled-space coefficients of the finite-difference system.
@@ -98,7 +88,7 @@ class DerivativeSystem:
         """
         if eps <= 0:
             raise ValueError("eps must be positive")
-        base, d = self.base, self.base.dim_state
+        base, d = self.base, self.dim
 
         def sigma2_fn(xy):
             x, y = xy[..., :d], xy[..., d:]
@@ -108,23 +98,20 @@ class DerivativeSystem:
             x, y = xy[..., :d], xy[..., d:]
             return (base.drift(x + eps * y) - base.drift(x)) / eps
 
-        return StructuredCoefficient.from_blocks(
-            n1=d,
-            dim_state=2 * d,
-            dim_noise=base.dim_noise,
-            sigma1_fn=base.sigma_fn,
-            sigma2_fn=sigma2_fn,
-            drift1_fn=base.drift_fn,
-            drift2_fn=drift2_fn,
-            sigma1_jac_fn=base.sigma_jac_fn,
-            sigma2_jac_x2_fn=lambda xy: base.sigma_jac(
-                xy[..., :d] + eps * xy[..., d:]
-            ),
-            drift1_jac_fn=base.drift_jac_fn,
-            drift2_jac_x2_fn=lambda xy: base.drift_jac(
-                xy[..., :d] + eps * xy[..., d:]
-            ),
-            name=f"{base.name}|difference(eps={eps:g})",
+        return self._doubled(sigma2_fn, drift2_fn,
+                             lambda xy: base.sigma_jac_fn(xy[..., :d] + eps * xy[..., d:]),
+                             lambda xy: base.drift_jac_fn(xy[..., :d] + eps * xy[..., d:]),
+                             f"{base.name}|difference(eps={eps:g})")
+
+    def _doubled(self, sigma2, drift2, sigma2_jac, drift2_jac, name) -> StructuredCoefficient:
+        """Doubled-space field: the base's callables on the first block, the
+        given second block (with its y-Jacobians) on the second."""
+        base = self.base
+        return StructuredCoefficient(
+            self.dim,
+            FieldBlocks(base.sigma_fn, base.drift_fn, sigma2, drift2,
+                        base.sigma_jac_fn, base.drift_jac_fn, sigma2_jac, drift2_jac),
+            dim_state=2 * self.dim, dim_noise=base.dim_noise, name=name,
         )
 
 

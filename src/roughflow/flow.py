@@ -92,6 +92,8 @@ class BrownianDriver:
 
     def coarsen(self, factor: int) -> "BrownianDriver":
         """Aggregate consecutive increments: the same path on a coarser grid."""
+        if factor < 1:
+            raise ValueError(f"coarsening factor must be >= 1, got {factor}")
         if self.n_steps % factor or self.offset % factor:
             raise ValueError("factor must divide n_steps and the step offset")
         inc = self.increments.reshape(

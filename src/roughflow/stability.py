@@ -26,7 +26,7 @@ from .coefficients import (
     CoefficientField,
     MollifierSpec,
     StructuredCoefficient,
-    smooth_field,
+    mollify,
 )
 from .density import sup_lp_density_norm, track_density
 from .flow import BrownianDriver, FlowEnsemble, convergence_metric, integrate
@@ -274,7 +274,7 @@ def cauchy_experiment(
     m, q = family.measure, family.q
     dim = family.field.dim_state
     specs = {k: MollifierSpec(dim=dim, level=k, **(spec_kwargs or {})) for k in levels}
-    fields = {k: smooth_field(family.field, specs[k]) for k in levels}
+    fields = {k: mollify(family.field, specs[k]) for k in levels}
     ensembles = {k: integrate(fields[k], driver, x0s, T) for k in levels}
     radius = _pick_radius(list(ensembles.values()))
     if lambda_pt is None:
@@ -324,6 +324,6 @@ def uniqueness_experiment(family: Family, cauchy: CauchyExperiment) -> Uniquenes
     """
     ref = cauchy.final
     spec = replace(cauchy.final_spec, shape=_UNIQUENESS_SHAPE)
-    other = integrate(smooth_field(family.field, spec), ref.driver,
+    other = integrate(mollify(family.field, spec), ref.driver,
                       ref.states[:, :, 0, :], ref.times[-1])
     return UniquenessResult(metric=convergence_metric(ref, other), level=spec.level)

@@ -268,6 +268,21 @@ class TestMaximalInequalities:
         rep = maximal_exp_check(g, m, 1.0, 0.5)
         assert rep.passed and rep.slack > 0
 
+    def test_weighted_integrals_use_each_measure_weight(self):
+        # the grid keeps one weight per measure: checks against two measures
+        # in turn match fresh grids and the per-call weight, bit for bit
+        g = random_compact_grid(2, derive_rng(10, "weight-memo"))
+        mf = local_maximal(g, 1.0)
+        for alpha in (1.5, 2.5, 1.5):
+            m = ReferenceMeasure(2, alpha)
+            fresh = GridFunction(g.axes, g.values)
+            rep = maximal_lp_check(g, m, 1.0, 2.0, maximal=mf)
+            assert rep == maximal_lp_check(fresh, m, 1.0, 2.0, maximal=mf)
+            assert (maximal_exp_check(g, m, 1.0, 0.5, maximal=mf)
+                    == maximal_exp_check(fresh, m, 1.0, 0.5, maximal=mf))
+            w = m.weight(g.points().reshape(-1, 2)).reshape(g.values.shape)
+            assert rep.lhs == float(np.sum(mf.values**2.0 * w) * g.cell_volume)
+
     def test_batch_random_piecewise(self):
         # a smaller randomized batch; the acceptance suite runs the full matrix
         m1, m2 = ReferenceMeasure(1, 1.5), ReferenceMeasure(2, 1.5)

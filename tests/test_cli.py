@@ -192,6 +192,31 @@ class TestMain:
         assert f"family {family!r}" in err and "the mollifier reproduces" in err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("kind,raw,match", [
+        ("stability", {"family": "log-singular", "k_list": [2.0]}, "k_list needs"),
+        ("stability", {"family": "log-singular", "k_list": [2.0, float("nan")]},
+         "k_list needs"),
+        ("stability", {"family": "log-singular", "k_list": ["2", "4"]}, "k_list needs"),
+        ("derivative", {"family": "deriv-smooth", "eps_list": []}, "eps_list needs"),
+        ("verify-hypotheses", {"family": "deriv-smooth", "eps_list": [1.0]},
+         "eps_list value <= 0.5"),
+        ("simulate", {"radii": []}, "radii needs"),
+        ("simulate", {"n_omega": 0}, "n_omega must be a positive integer"),
+        ("simulate", {"n_x": 0}, "n_x must be a positive integer"),
+        ("density", {"mc_budget": 0}, "mc_budget must be a positive integer"),
+        ("density", {"p0": -1.0}, "p0 must be finite and positive"),
+        ("stability", {"family": "log-singular", "quadrature_points": 0},
+         "quadrature_points must be a positive integer"),
+        ("density", {"q": float("nan")}, "q must exceed 1, got nan"),
+        ("simulate", {"T": float("inf")}, "T and dt must be finite"),
+    ])
+    def test_nonsense_input_is_a_named_error(self, tmp_path, capsys, kind, raw, match):
+        cfg = tmp_path / "cfg.json"
+        ExperimentConfig(kind=kind, out=str(tmp_path / "run"), **raw).dump(cfg)
+        assert main([kind, "--config", str(cfg)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bare_stability_runs_on_a_rough_family(self, tmp_path):
         # the config default family is the affine `linear`, which stability
         # rejects; a bare subcommand runs on log-singular instead

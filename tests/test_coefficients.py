@@ -18,7 +18,6 @@ from roughflow import (
     mollified_convergence,
     mollifier_domination_check,
     mollify,
-    mollify_structured,
     track_density,
 )
 from roughflow import coefficients
@@ -32,6 +31,7 @@ from roughflow.coefficients import (
     _smoothstep_deriv,
     noise_term_domination_constant,
 )
+from roughflow.derivative import lift
 from roughflow.flow import integrate as integrate_flow
 
 
@@ -83,6 +83,19 @@ class TestMollifierSpec:
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
             MollifierSpec(dim=1, level=0.5)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(level=float("nan")), "level must be finite"),
+        (dict(level=float("inf")), "level must be finite"),
+        (dict(shape=-1.0), "kernel shape"),
+        (dict(shape=0.0), "kernel shape"),
+        (dict(order=0), "quadrature order"),
+        (dict(panels=0), "panel counts"),
+        (dict(panels=(2, 0)), "panel counts"),
+    ])
+    def test_nonsense_rejected_by_name(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MollifierSpec(dim=2, **kwargs)
 
 
 class TestMollify:
@@ -145,7 +158,7 @@ class TestMollify:
     def test_structured_mollify_keeps_first_block(self):
         fam = make_family("partially-sobolev")
         spec = MollifierSpec(dim=2, level=4.0, order=16, panels=1)
-        smooth = mollify_structured(fam.field, spec)
+        smooth = mollify(fam.field, spec)
         pts = fam.measure.sample(derive_rng(2, "structmoll"), 20)
         assert np.allclose(
             smooth.sigma(pts)[:, :1, :], fam.field.sigma(pts)[:, :1, :]
@@ -155,11 +168,8 @@ class TestMollify:
 
 class TestStructuredBlocks:
     def test_block_record_required(self):
-        fam = make_family("linear")
-        kwargs = dict(dim_state=2, dim_noise=1, sigma_fn=fam.field.sigma_fn,
-                      drift_fn=fam.field.drift_fn)
         with pytest.raises(TypeError, match="blocks"):
-            StructuredCoefficient(1, **kwargs)
+            StructuredCoefficient(1, dim_state=2, dim_noise=1)
 
     def test_blocks_read_their_own_variables(self):
         field = make_family("partially-sobolev").field
@@ -175,11 +185,40 @@ class TestStructuredBlocks:
     def test_smoothed_field_shares_the_first_block_and_is_not_resmoothed(self):
         field = make_family("partially-sobolev").field
         spec = MollifierSpec(dim=2, level=4.0, order=16, panels=1)
-        smooth = mollify_structured(field, spec)
+        smooth = mollify(field, spec)
         assert isinstance(smooth.blocks, FieldBlocks)
         assert smooth.blocks is field.blocks
         with pytest.raises(ValueError, match="already smoothed"):
-            mollify_structured(smooth, spec)
+            mollify(smooth, spec)
+
+    @pytest.mark.parametrize("family,variant", [
+        ("partially-sobolev", "rough"), ("partially-sobolev", "smoothed"),
+        *[(f"deriv-{kind}", system) for kind in ("linear", "smooth", "rough")
+          for system in ("lifted", "epsilon")],
+    ])
+    def test_evaluate_is_first_block_stacked_on_second_rows(self, family, variant):
+        field = make_family(family).field
+        if variant == "smoothed":
+            field = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1)))
+        elif variant != "rough":
+            sys_ = lift(field)
+            field = sys_.lifted if variant == "lifted" else sys_.epsilon_system(0.25)
+        n1, n = field.n1, field.dim_state
+        pts = ReferenceMeasure(n, 3.0).sample(derive_rng(16, f"stack-{family}-{variant}"), 40)
+        ev = field.evaluate(pts, jac=True)
+        first, rows = field.first_block(pts[:, :n1]), field._second(pts, jac=True)
+        for name in ("sigma", "drift"):
+            want = np.concatenate([getattr(first, name), getattr(rows, name)], axis=1)
+            assert getattr(ev, name).tobytes() == want.tobytes()
+            jac2 = getattr(rows, name + "_jac")
+            jac1 = np.zeros((len(pts), n1) + jac2.shape[2:])
+            jac1[..., :n1] = getattr(first, name + "_jac")
+            want = np.concatenate([jac1, jac2], axis=1)
+            assert getattr(ev, name + "_jac").tobytes() == want.tobytes()
+            second = getattr(field.second_block(pts), name + "_jac")
+            assert second.tobytes() == np.ascontiguousarray(jac2[..., n1:]).tobytes()
+            if variant != "smoothed":  # a rough second block has no x1-derivative
+                assert np.all(jac2[..., :n1] == 0.0)
 
 
 class TestFieldWithoutJacobians:
@@ -254,7 +293,7 @@ class TestDensityExponentTerms:
         m, field = fam.measure, fam.field
         pts = m.sample(derive_rng(5, f"grad-{name}"), 400)
         if name == "partially-sobolev":
-            field = mollify_structured(
+            field = mollify(
                 field, MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1))
             )
             # inside the kernel radius of the x1-step the value quadrature is
@@ -430,21 +469,11 @@ class TestSmoothstep:
 _MOLLIFIED_SPEC = dict(level=4.0)  # order 32, two panels: gradient weights accurate to ~1e-8
 
 
-def _evaluation_cases():
-    for name in FAMILY_NAMES:
-        yield name, "plain"
-        yield name, "mollify"
-        if isinstance(make_family(name).field, StructuredCoefficient):
-            yield name, "mollify_structured"
-
-
 def _field_for(name, smoothing):
     fam = make_family(name)
     field = fam.field
     if smoothing != "plain":
-        spec = MollifierSpec(dim=field.dim_state, **_MOLLIFIED_SPEC)
-        smooth = mollify if smoothing == "mollify" else mollify_structured
-        field = smooth(field, spec)
+        field = mollify(field, MollifierSpec(dim=field.dim_state, **_MOLLIFIED_SPEC))
     return fam, field
 
 
@@ -486,15 +515,12 @@ class TestBallNodes:
         assert abs(spec._weights[0].sum() - 1.0) <= 1e-15
         assert np.all(np.abs(spec._weights[1:].sum(axis=1)) <= 1e-15)
 
-    @pytest.mark.parametrize("name,smoothing", [
-        ("log-singular", "mollify"), ("partially-sobolev", "mollify_structured"),
-    ])
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     @pytest.mark.parametrize("level", [2.0, 8.0, 16.0])
-    def test_evaluate_matches_full_cube_rule(self, monkeypatch, name, smoothing, level):
+    def test_evaluate_matches_full_cube_rule(self, monkeypatch, name, level):
         fam = make_family(name)
-        smooth = mollify if smoothing == "mollify" else mollify_structured
         spec = MollifierSpec(dim=2, level=level, **smoothing_spec(name))
-        field = smooth(fam.field, spec)
+        field = mollify(fam.field, spec)
         pts = fam.measure.sample(derive_rng(14, f"cube-{name}"), 400)
         got = field.evaluate(pts, jac=True)
         nodes, weights = _full_cube_rule(spec)
@@ -509,14 +535,13 @@ class TestBallNodes:
 
 
 class TestQuadratureBlocks:
-    @pytest.mark.parametrize("name,smoothing", [
-        ("log-singular", "mollify"), ("partially-sobolev", "mollify_structured"),
-    ])
-    def test_evaluation_independent_of_block_size(self, monkeypatch, name, smoothing):
-        fam, field = _field_for(name, smoothing)
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_evaluation_independent_of_block_size(self, monkeypatch, name):
+        fam, field = _field_for(name, "mollify")
         pts = fam.measure.sample(derive_rng(15, f"blocks-{name}"), 300)
         # more than one block at the default size: 300 points x Q nodes
-        assert len(pts) * field._spec._nodes.shape[0] > coefficients._MAX_EVAL_BLOCK
+        nodes = MollifierSpec(dim=2, **_MOLLIFIED_SPEC)._nodes
+        assert len(pts) * nodes.shape[0] > coefficients._MAX_EVAL_BLOCK
         default = field.evaluate(pts, jac=True)
         monkeypatch.setattr(coefficients, "_MAX_EVAL_BLOCK", 2**10)
         small = field.evaluate(pts, jac=True)
@@ -525,7 +550,8 @@ class TestQuadratureBlocks:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("name,smoothing", list(_evaluation_cases()))
+    @pytest.mark.parametrize("smoothing", ["plain", "mollify"])
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_single_pass_matches_accessors_and_differences(self, name, smoothing):
         fam, field = _field_for(name, smoothing)
         pts = fam.measure.sample(derive_rng(10, f"eval-{name}-{smoothing}"), 600)
@@ -568,14 +594,11 @@ class TestQuadraturePassBudget:
             monkeypatch.setattr(MollifierSpec, attr, counted)
         return count
 
-    @pytest.mark.parametrize("name,smoothing,track_passes", [
-        ("log-singular", "mollify", 1),
-        ("partially-sobolev", "mollify_structured", 2),
-        ("deriv-smooth", "mollify", 2),
+    @pytest.mark.parametrize("name,track_passes", [
+        ("log-singular", 1), ("partially-sobolev", 2), ("deriv-smooth", 2),
     ])
-    def test_one_pass_per_step_and_per_track(self, passes, name, smoothing,
-                                             track_passes):
-        fam, field = _field_for(name, smoothing)
+    def test_one_pass_per_step_and_per_track(self, passes, name, track_passes):
+        fam, field = _field_for(name, "mollify")
         n_steps = 8
         drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, 3, seed=4)
         x0 = fam.measure.sample(derive_rng(11, f"passes-{name}"), 5)

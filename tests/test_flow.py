@@ -59,6 +59,12 @@ class TestDriver:
         assert coarse.dt == pytest.approx(2**-4)
         assert np.allclose(coarse.path_values(), drv.path_values()[:, ::4, :])
 
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_coarsen_rejects_a_factor_below_one(self, factor):
+        drv = BrownianDriver.generate(1, dt=2**-6, n_steps=2**6, n_omega=2, seed=9)
+        with pytest.raises(ValueError, match="coarsening factor must be >= 1"):
+            drv.coarsen(factor)
+
     def test_off_grid_time_rejected(self):
         drv = BrownianDriver.generate(1, dt=0.25, n_steps=4, n_omega=1, seed=1)
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from roughflow import (
     MollifierSpec,
     integrate,
     make_family,
-    smooth_field,
+    mollify,
 )
 from roughflow import stability as st
 from roughflow._seeds import derive_rng, derive_seed
@@ -211,7 +211,7 @@ class TestQuadraturePassBudget:
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     def test_bound_makes_three_passes(self, passes, name):
         fam = make_family(name)
-        fk, fl = (smooth_field(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
+        fk, fl = (mollify(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
                   for k in (2.0, 4.0))
         stability_bound(fk, fl, 2.0, 0.1, fam.q, 1.0, budget=500)
         assert passes["n"] == 3
@@ -266,7 +266,7 @@ class TestOneFlowPerLevelAndKernel:
         _, unq, _, _ = cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
         # both kernels integrated from scratch at the last level
         ensembles = [
-            integrate(smooth_field(fam.field, MollifierSpec(
+            integrate(mollify(fam.field, MollifierSpec(
                 dim=2, level=levels[-1], shape=a, **smoothing_spec(name))), drv, x0, T)
             for a in (1.0, 3.0)
         ]
