@@ -13,7 +13,6 @@ the origin while staying Sobolev (W^{1,q} for q < 2).
 import numpy as np
 
 from roughflow import (
-    MollifierSpec,
     make_family,
     mollified_convergence,
     mollifier_domination_check,
@@ -29,12 +28,11 @@ print("\n|drift| near the origin (unbounded):",
       np.linalg.norm(field.drift(probe), axis=1).round(3))
 
 for k in (2.0, 8.0):
-    spec = MollifierSpec(dim=2, level=k, order=16, panels=1)
-    smooth = mollify(field, spec)
+    smooth = mollify(field, fam.mollifier(k))
     print(f"  smoothed at level k={k:>4g}:",
           np.linalg.norm(smooth.drift(probe), axis=1).round(3))
 
-spec = MollifierSpec(dim=2, level=4.0, order=16, panels=1)
+spec = fam.mollifier(4.0)
 print("\nkernel mass (numeric quadrature):", f"{spec.kernel_mass_quadrature():.8f}")
 
 rep = mollifier_domination_check(
@@ -48,7 +46,7 @@ print("scaled-kernel domination  |f*chi_k|/(1+|x|) <= 2 (|f-bar|*chi_k):",
 
 norms = mollified_convergence(
     lambda p: field.drift(p), fam.measure, [2, 4, 8, 16], radius=2.0,
-    exponent=2.0, n_grid=129, spec_kwargs=dict(order=16, panels=1),
+    exponent=2.0, n_grid=129, mollifier=fam.mollifier,
 )
 print("\nL^2(mu) distance of the smoothed drift from the rough one on B(2):")
 for k, v in zip([2, 4, 8, 16], norms):

@@ -21,10 +21,7 @@ driver = BrownianDriver.generate(
 )
 x0 = fam.measure.sample(derive_rng(seed, "demo-stab-x0"), 24)
 
-table = cauchy_experiment(
-    fam, [2.0, 4.0, 8.0, 16.0], driver, x0, T,
-    norm_budget=10_000, spec_kwargs=dict(order=16, panels=1),
-)
+table = cauchy_experiment(fam, [2.0, 4.0, 8.0, 16.0], driver, x0, T, norm_budget=10_000)
 print(f"family {fam.field.name}  (level-set radius R = {table.radius:g}, "
       f"measured density norm {table.lambda_pt:.3f})")
 print(f"{'k':>4} {'l':>4} {'coef gap':>10} {'functional':>11} "

@@ -8,15 +8,13 @@ As eps decreases, the difference flows converge to Y in the clipped
 L^1(P x mu) metric over a joint sample of (x, y).
 """
 
-from roughflow import ReferenceMeasure, make_family
-from roughflow import BrownianDriver
+from roughflow import BrownianDriver, make_family
 from roughflow._seeds import derive_rng, derive_seed
+from roughflow.catalog import doubled_measure
 from roughflow.derivative import lift, verify_hypotheses, weak_derivative_convergence
 
 seed = 2024
-q, d = 2.0, 1
-alpha1 = q + d / 2 + 0.5
-m2 = ReferenceMeasure(2 * d, 2 * alpha1 + q + d / 2 + 0.5)
+m2 = doubled_measure(1, 2.0)  # (x, y) measure: alpha = 2 alpha1 + q + d/2 + 1/2
 driver = BrownianDriver.generate(1, 2.0**-10, 2**10, 24,
                                  derive_seed(seed, "demo-deriv"))
 xy = m2.sample(derive_rng(seed, "demo-deriv-xy"), 48)

@@ -25,7 +25,7 @@ from . import analysis as an
 from . import derivative as dv
 from . import stability as st
 from ._seeds import derive_rng, derive_seed
-from .catalog import make_family
+from .catalog import doubled_measure, make_family
 from .coefficients import MollifierSpec, mollify
 from .density import (
     density_bound_rhs,
@@ -38,30 +38,20 @@ from .flow import BrownianDriver, compose_time_shift, integrate, level_set_tail
 from .measure import ReferenceMeasure
 
 __all__ = [
-    "CriterionResult", "run_all", "CRITERIA", "SMOOTHING_SPECS", "smoothing_spec",
-    "draw_paths", "lp_density_checks", "level_set_checks",
-    "cauchy_uniqueness_checks", "ring_ratio_closed_form",
+    "CriterionResult", "run_all", "CRITERIA", "draw_paths", "lp_density_checks",
+    "level_set_checks", "cauchy_uniqueness_checks", "ring_ratio_closed_form",
 ]
 
 DEFAULT_SEED = 20240915
 
-# Mollifier quadrature of the smoothed families in criteria 4 and 8 (and the
-# CLI).  Two panels along x1 put a panel edge on the partially-sobolev x1-step.
-SMOOTHING_SPECS = {
-    "log-singular": dict(order=16, panels=1),
-    "partially-sobolev": dict(order=16, panels=(2, 1)),
-}
-
+# The rough families that criteria 4 and 8 smooth, each with its own
+# quadrature (``Family.mollifier``).
+_SMOOTHED_FAMILIES = ("log-singular", "partially-sobolev")
 
 # Families whose sigma and b are affine: the symmetric kernel reproduces
 # affine functions and the cutoff is 1 on B(k), so smoothing leaves them
 # unchanged there and they have no Cauchy check.
 _AFFINE_FAMILIES = ("linear", "translation", "pure-drift", "deriv-linear")
-
-
-def smoothing_spec(family: str) -> dict:
-    """``SMOOTHING_SPECS`` entry of a family; order 16, one panel otherwise."""
-    return dict(SMOOTHING_SPECS.get(family, dict(order=16, panels=1)))
 
 
 @dataclass
@@ -163,7 +153,7 @@ def level_set_checks(
 
 def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int):
     """Stability and uniqueness of the generalized flow, smoothed with
-    ``smoothing_spec(fam.name)``: ``(table, uniqueness, decreasing,
+    ``fam.mollifier``: ``(table, uniqueness, decreasing,
     below_final_gap)``.  The Cauchy metrics must decrease along ``levels``
     and the uniqueness metric at the last level sit below the final gap.
     A family in ``_AFFINE_FAMILIES`` is rejected with a ``ValueError``."""
@@ -172,10 +162,7 @@ def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int
             f"family {fam.name!r} has affine coefficients, which the mollifier "
             "reproduces: its Cauchy and uniqueness metrics are rounding noise"
         )
-    spec_kwargs = smoothing_spec(fam.name)
-    table = st.cauchy_experiment(
-        fam, levels, driver, x0, T, norm_budget=norm_budget, spec_kwargs=spec_kwargs
-    )
+    table = st.cauchy_experiment(fam, levels, driver, x0, T, norm_budget=norm_budget)
     metrics = table.metrics()
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
     unq = st.uniqueness_experiment(fam, table)
@@ -310,7 +297,7 @@ def criterion_4(seed: int, scale: float):
     p = 2.0
     details = {}
     passed = True
-    for name, spec_kwargs in SMOOTHING_SPECS.items():
+    for name in _SMOOTHED_FAMILIES:
         fam = make_family(name)
         t_horizon = select_t0(fam.p0, p)
         n_omega, n_x = _scaled(40, np.sqrt(scale)), _scaled(50, np.sqrt(scale))
@@ -322,7 +309,6 @@ def criterion_4(seed: int, scale: float):
             fam, levels, drv, x0, p,
             budget=_scaled(20000, scale),
             rng=derive_rng(seed, f"c4-rhs-{name}"),
-            spec_kwargs=spec_kwargs,
         )
         passed &= report.passed
         details[name] = dict(
@@ -431,7 +417,7 @@ def criterion_8(seed: int, scale: float):
     levels = [2.0, 4.0, 8.0, 16.0]
     details = {}
     passed = True
-    for name in SMOOTHING_SPECS:
+    for name in _SMOOTHED_FAMILIES:
         fam = make_family(name)
         T = 0.25
         drv, x0 = draw_paths(
@@ -460,10 +446,7 @@ def criterion_8(seed: int, scale: float):
 @_criterion(9, "weak differentiability")
 def criterion_9(seed: int, scale: float):
     eps_seq = [2.0**-j for j in range(1, 5)]
-    q, d = 2.0, 1
-    alpha1 = q + d / 2.0 + 0.5
-    alpha = 2 * alpha1 + q + d / 2.0 + 0.5
-    m2 = ReferenceMeasure(2 * d, alpha)
+    m2 = doubled_measure(1, 2.0)
     drv, xy0 = draw_paths(
         seed, m2, 1, 2.0**-10, 1.0,
         _scaled(24, np.sqrt(scale)), _scaled(48, np.sqrt(scale)),
@@ -515,7 +498,7 @@ def criterion_10(seed: int, scale: float):
         fam = make_family(name)
         field = fam.field
         if name == "log-singular":
-            field = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=1))
+            field = mollify(field, fam.mollifier(4.0))
         drv, x0 = draw_paths(seed, fam.measure, field.dim_noise, dt, 1.0, 4, 8,
                              f"c10-{name}", f"c10-x0-{name}")
         ens = integrate(field, drv, x0, 1.0)

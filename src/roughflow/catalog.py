@@ -5,7 +5,9 @@ it satisfies, the exponential-integrability parameter p0, and reference
 measures whose decay exponents respect the standing constraints
 (``alpha > q + n/2``; for block-structured fields additionally
 ``alpha1 > q + n1/2`` and ``alpha > alpha1 + n2/2``), each exceeding its
-bound by 0.5.
+bound by 0.5, and the mollifier quadrature it is smoothed with
+(``Family.mollifier``).  ``doubled_measure`` gives the measure of the
+doubled space of a derivative base under the same convention.
 
 Families:
 
@@ -35,11 +37,12 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import (
-    CoefficientField, FieldBlocks, StructuredCoefficient, _smoothstep, _smoothstep_deriv,
+    CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, _smoothstep,
+    _smoothstep_deriv,
 )
 from .measure import ReferenceMeasure
 
-__all__ = ["Family", "make_family", "FAMILY_NAMES"]
+__all__ = ["Family", "make_family", "doubled_measure", "FAMILY_NAMES"]
 
 FAMILY_NAMES = (
     "linear",
@@ -51,6 +54,7 @@ FAMILY_NAMES = (
     "deriv-smooth",
     "deriv-rough",
 )
+_MOLLIFIER_ORDER = 16  # Gauss-Legendre nodes per panel and axis of every family
 
 
 @dataclass
@@ -63,15 +67,40 @@ class Family:
     p0: float
     measure: ReferenceMeasure
     measure1: Optional[ReferenceMeasure] = None  # first-block measure (structured)
+    mollifier_panels: int | tuple = 1            # quadrature panels (per axis if a tuple)
 
     @property
     def p(self) -> float:
         """Conjugate exponent of q."""
         return self.q / (self.q - 1.0)
 
+    def mollifier(self, level: float) -> MollifierSpec:
+        """The family's smoothing at ``level``, with its recorded quadrature."""
+        return MollifierSpec(dim=self.field.dim_state, level=level,
+                             order=_MOLLIFIER_ORDER, panels=self.mollifier_panels)
+
 
 def _alpha_for(q: float, n: int, extra: float = 0.0) -> float:
     return max(q + n / 2.0, extra) + 0.5
+
+
+def doubled_measure(d: int, q: float, alpha: Optional[float] = None) -> ReferenceMeasure:
+    """The measure on R^2d of the derivative system of a base on R^d.
+
+    The weak-derivative theory needs ``alpha > 2 alpha1 + q + d/2`` on the
+    doubled space, alpha1 the base exponent.  Both take the catalog's 0.5
+    margin: ``alpha1 = q + d/2 + 0.5`` (the base measure of the deriv
+    families) and, unless ``alpha`` is given, ``alpha = 2 alpha1 + q + d/2
+    + 0.5``.  A given ``alpha`` at or below the bound is rejected with a
+    ``ValueError``.
+    """
+    alpha1 = _alpha_for(q, d)
+    floor = 2 * alpha1 + q + d / 2.0
+    if alpha is None:
+        alpha = floor + 0.5
+    elif not alpha > floor:
+        raise ValueError(f"lifted alpha must exceed 2 alpha1 + q + d/2 = {floor}, got {alpha}")
+    return ReferenceMeasure(2 * d, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +390,14 @@ def make_family(name: str, **params) -> Family:
         q = 2.0
         alpha1 = _alpha_for(q, 1)                       # q + n1/2 + 0.5
         alpha = _alpha_for(q, 2, extra=alpha1 + 0.5)    # also > alpha1 + n2/2
-        fam = Family(name, field, q, p0,
-                     ReferenceMeasure(2, alpha), ReferenceMeasure(1, alpha1))
+        # two x1-panels put a panel edge on the x1-step
+        fam = Family(name, field, q, p0, ReferenceMeasure(2, alpha),
+                     ReferenceMeasure(1, alpha1), mollifier_panels=(2, 1))
     elif name in ("deriv-linear", "deriv-smooth", "deriv-rough"):
         kind = name.split("-", 1)[1]
         field = _deriv_base(kind)
         q = 2.0
-        d = 1
-        alpha1 = q + d / 2.0 + 0.5
-        fam = Family(name, field, q, p0, ReferenceMeasure(d, alpha1))
+        fam = Family(name, field, q, p0, ReferenceMeasure(1, _alpha_for(q, 1)))
     else:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     if params:

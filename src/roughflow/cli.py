@@ -4,10 +4,16 @@ report emission.
 Subcommands: ``simulate``, ``density``, ``stability``, ``derivative``,
 ``analysis``, ``verify-hypotheses``, ``verify-all``.  Each accepts
 ``--config PATH`` (JSON), ``--seed U64``, ``--out DIR``,
-``--budget-scale FLOAT`` and ``--family NAME``.  Outputs are CSV tables
-plus a ``summary.json`` that embeds the fully resolved configuration and
-the package version; the exit status is 0 exactly when every asserted
-inequality passed.
+``--budget-scale FLOAT`` and ``--family NAME``.  Outputs are a
+``summary.json`` that embeds the fully resolved configuration and the
+package version, plus one CSV table written by ``_write_table``:
+``ensemble.csv`` (simulate), ``density.csv``, ``stability.csv``,
+``derivative.csv`` or ``maximal.csv`` (analysis).  The exit status is 0
+exactly when every asserted inequality passed, and 2 for a config that
+``ExperimentConfig.validate`` rejects, before the output directory exists.
+A ``measure`` (``alpha`` and ``dim``) replaces the exponent of the measure
+the start points are drawn from, the doubled-space one of
+``catalog.doubled_measure`` for ``derivative`` and ``verify-hypotheses``.
 
 All randomness flows from the master seed through named child streams
 (component label + index hashed into the seed), so reruns with the same
@@ -21,6 +27,7 @@ functions, on the configured family and budget and their own streams.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import numbers
 import sys
@@ -35,7 +42,7 @@ from . import acceptance
 from . import analysis as an
 from . import derivative as dv
 from ._seeds import derive_rng
-from .catalog import FAMILY_NAMES, make_family
+from .catalog import FAMILY_NAMES, doubled_measure, make_family
 from .density import entropy, select_t0, track_density
 from .flow import integrate
 from .measure import ReferenceMeasure
@@ -51,6 +58,7 @@ KINDS = (
     "verify-hypotheses",
     "verify-all",
 )
+_LIFTED_KINDS = ("derivative", "verify-hypotheses")  # sample the doubled space
 
 
 def _finite_reals(values) -> bool:
@@ -65,7 +73,7 @@ class ExperimentConfig:
     kind: str
     family: str = "linear"
     family_params: dict = dc_field(default_factory=dict)
-    measure: Optional[dict] = None      # {"dim":…, "alpha":…, "alpha1":…}
+    measure: Optional[dict] = None      # {"dim":…, "alpha":…}
     T: float = 1.0
     dt: float = 2.0**-10
     radii: list = dc_field(default_factory=lambda: [2.0, 5.0, 10.0, 20.0])
@@ -130,23 +138,24 @@ class ExperimentConfig:
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide T")
+        if self.kind in _LIFTED_KINDS and not self.family.startswith("deriv"):
+            raise ValueError(f"{self.kind} needs a deriv-* family, got {self.family!r}")
         if self.measure is not None:
+            unknown = sorted(set(self.measure) - {"alpha", "dim"})
+            if unknown:
+                raise ValueError(f"unknown measure keys {unknown}; known: alpha, dim")
             if "alpha" not in self.measure:
                 raise ValueError("measure.alpha is required when a measure is given")
-            dim = int(self.measure.get("dim", 1))
-            alpha = float(self.measure["alpha"])
-            if alpha <= self.q + dim / 2.0:
+            alpha, dim = float(self.measure["alpha"]), int(self.measure.get("dim", 1))
+            if self.kind not in ("analysis", "verify-all"):  # the kinds that sample
+                space = self.build()[1].dim  # rejects a lifted alpha at its bound
+                dim = int(self.measure.get("dim", space))
+                if dim != space:
+                    raise ValueError(f"measure.dim {dim} does not match the {space}-"
+                                     f"dimensional space that {self.kind} samples")
+            if not alpha > self.q + dim / 2.0:
                 raise ValueError(
                     f"alpha must exceed q + n/2 = {self.q + dim / 2.0}, got {alpha}"
-                )
-        if self.kind == "derivative":
-            alpha1 = self._alpha1()
-            alpha = self._lifted_alpha()
-            d = self._base_dim()
-            if alpha <= 2 * alpha1 + self.q + d / 2.0:
-                raise ValueError(
-                    "lifted alpha must exceed 2 alpha1 + q + d/2 = "
-                    f"{2 * alpha1 + self.q + d / 2.0}, got {alpha}"
                 )
         if not (_finite_reals(self.k_list) and len(self.k_list) >= 2
                 and min(self.k_list) >= 1):
@@ -163,26 +172,35 @@ class ExperimentConfig:
 
     # -- derived objects ----------------------------------------------------
 
-    def _base_dim(self) -> int:
-        return 1  # derivative bases in the catalog are one-dimensional
-
-    def _alpha1(self) -> float:
-        if self.measure and "alpha1" in self.measure:
-            return float(self.measure["alpha1"])
-        return self.q + self._base_dim() / 2.0 + 0.5
-
-    def _lifted_alpha(self) -> float:
-        if self.measure and "alpha" in self.measure:
-            return float(self.measure["alpha"])
-        d = self._base_dim()
-        return 2 * self._alpha1() + self.q + d / 2.0 + 0.5
-
-    def build_family(self):
+    def build(self):
+        """``(family, measure)``: the configured family and the measure its
+        start points are drawn from, the family's own or, for the lifted
+        kinds, the doubled-space measure at ``q``; ``measure.alpha`` replaces
+        its exponent."""
         fam = make_family(self.family, p0=self.p0, **self.family_params)
-        if self.measure is not None:
-            dim = int(self.measure.get("dim", fam.measure.dim))
-            fam.measure = ReferenceMeasure(dim, float(self.measure["alpha"]))
-        return fam
+        alpha = None if self.measure is None else float(self.measure["alpha"])
+        if self.kind in _LIFTED_KINDS:
+            return fam, doubled_measure(fam.field.dim_state, self.q, alpha)
+        if alpha is not None:
+            fam.measure = ReferenceMeasure(fam.measure.dim, alpha)
+        return fam, fam.measure
+
+
+def _write_table(path: Path, columns: dict, rows) -> None:
+    """CSV report table: the column names, then per row each value ``v`` of
+    column ``c`` as ``format(v, columns[c])``."""
+    formats = list(columns.values())
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, f) for v, f in zip(row, formats)) + "\n")
+
+
+def _path_rows(times, n_omega: int, n_x: int):
+    """``(omega, x, time)`` indices of a per-path table: every time, or
+    every ``len(times) // 65``-th from 130 times on."""
+    return itertools.product(range(n_omega), range(n_x),
+                             range(0, len(times), max(1, len(times) // 65)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +209,22 @@ class ExperimentConfig:
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
-    fam = cfg.build_family()
+    fam, m = cfg.build()
     drv, x0 = acceptance.draw_paths(
-        cfg.seed, fam.measure, fam.field.dim_noise, cfg.dt, cfg.T,
+        cfg.seed, m, fam.field.dim_noise, cfg.dt, cfg.T,
         cfg.n_omega, cfg.n_x, "driver", "x0",
     )
     ens = integrate(fam.field, drv, x0, cfg.T)
-    ens.to_csv(out / "ensemble.csv", time_stride=max(1, len(ens.times) // 65))
-    track = track_density(ens, fam.measure)
+    _write_table(
+        out / "ensemble.csv",
+        dict(omega_index="d", x_index="d", t=".10g",
+             **{f"x{i}": ".17g" for i in range(fam.field.dim_state)}),
+        ([j, i, ens.times[t], *ens.states[j, i, t]]
+         for j, i, t in _path_rows(ens.times, ens.n_omega, ens.n_x)),
+    )
+    track = track_density(ens, m)
     _, reports = acceptance.level_set_checks(
-        ens, track, fam.measure, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
+        ens, track, m, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
     )
     return [dict(
         name=f"level-set tail R={r:g}",
@@ -212,16 +236,24 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_density(cfg: ExperimentConfig, out: Path) -> list:
-    fam = cfg.build_family()
+    fam, m = cfg.build()
     t0 = min(cfg.T, select_t0(fam.p0, cfg.p))
     steps = max(1, int(round(t0 / cfg.dt)))
     drv, x0 = acceptance.draw_paths(
-        cfg.seed, fam.measure, fam.field.dim_noise, cfg.dt, steps * cfg.dt,
+        cfg.seed, m, fam.field.dim_noise, cfg.dt, steps * cfg.dt,
         cfg.n_omega, cfg.n_x, "driver", "x0",
     )
     ens = integrate(fam.field, drv, x0, steps * cfg.dt)
-    track = track_density(ens, fam.measure)
-    track.to_csv(out / "density.csv", time_stride=max(1, len(track.times) // 65))
+    track = track_density(ens, m)
+    logr = track.log_density()
+    _write_table(
+        out / "density.csv",
+        dict(omega_index="d", x_index="d", t=".10g", rho_tilde=".17g", S=".17g",
+             A=".17g"),
+        ([j, i, track.times[t], np.exp(logr[j, i, t]), track.stochastic[j, i, t],
+          track.time_integral[j, i, t]]
+         for j, i, t in _path_rows(track.times, ens.n_omega, ens.n_x)),
+    )
     checks = [dict(
         name=f"L^p density bound p={p:g}",
         passed=ok,
@@ -230,7 +262,7 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
         bound=rhs.value,
         bound_divergent=rhs.divergent,
     ) for p, measured, rhs, ok in acceptance.lp_density_checks(
-        track, fam.field, fam.measure, cfg.p, cfg.q, steps * cfg.dt,
+        track, fam.field, m, cfg.p, cfg.q, steps * cfg.dt,
         cfg.mc_budget, cfg.seed, "rhs-",
     )]
     ent = entropy(track)
@@ -242,15 +274,19 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
-    fam = cfg.build_family()
+    fam, m = cfg.build()
     drv, x0 = acceptance.draw_paths(
-        cfg.seed, fam.measure, fam.field.dim_noise, cfg.dt, cfg.T,
+        cfg.seed, m, fam.field.dim_noise, cfg.dt, cfg.T,
         cfg.n_omega, cfg.n_x, "driver", "x0",
     )
     table, unq, decreasing, below_gap = acceptance.cauchy_uniqueness_checks(
         fam, list(cfg.k_list), drv, x0, cfg.T, cfg.quadrature_points
     )
-    table.to_csv(out / "stability.csv")
+    _write_table(
+        out / "stability.csv",
+        dict(k="g", l="g", delta_kl=".10g", lhs=".10g", rhs=".10g", metric=".10g"),
+        ([r.k, r.l, r.delta_kl, r.lhs, r.rhs, r.metric] for r in table.rows),
+    )
     metrics = table.metrics()
     return [
         dict(name="convergence metric decreasing", passed=decreasing,
@@ -261,18 +297,16 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_derivative(cfg: ExperimentConfig, out: Path) -> list:
-    if not cfg.family.startswith("deriv"):
-        raise ValueError("derivative experiments need a deriv-* family")
-    fam = cfg.build_family()
-    sys_ = dv.lift(fam.field)
-    d = fam.field.dim_state
-    m2 = ReferenceMeasure(2 * d, cfg._lifted_alpha())
+    fam, m2 = cfg.build()
     drv, xy0 = acceptance.draw_paths(
         cfg.seed, m2, fam.field.dim_noise, cfg.dt, cfg.T,
         cfg.n_omega, cfg.n_x, "driver", "xy0",
     )
-    table = dv.weak_derivative_convergence(sys_, list(cfg.eps_list), drv, xy0, cfg.T)
-    table.to_csv(out / "derivative.csv")
+    table = dv.weak_derivative_convergence(
+        dv.lift(fam.field), list(cfg.eps_list), drv, xy0, cfg.T
+    )
+    _write_table(out / "derivative.csv", dict(epsilon="g", metric=".10g", se=".10g"),
+                 ([r.epsilon, r.metric, r.se] for r in table.rows))
     ms = table.metrics()
     return [dict(
         name="difference flows converge to the derivative flow",
@@ -298,11 +332,8 @@ def _run_analysis(cfg: ExperimentConfig, out: Path) -> list:
             name=f"maximal inequalities n={n}", passed=failures == 0,
             checks=total, failures=failures,
         ))
-    with open(out / "maximal.csv", "w") as fh:
-        fh.write("n,delta,p,ratio,passed\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    _write_table(out / "maximal.csv",
+                 dict(n="d", delta=".10g", p=".10g", ratio=".10g", passed="d"), rows)
     _, closed_ok = acceptance.ring_ratio_closed_form()
     checks.append(dict(name="ring-ratio closed form", passed=closed_ok))
     # f = cos(2 x2) on a 2-block grid: the fitted pointwise Sobolev constant
@@ -326,15 +357,10 @@ def _run_analysis(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_verify_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
-    if not cfg.family.startswith("deriv"):
-        raise ValueError("hypothesis verification needs a deriv-* family")
-    fam = cfg.build_family()
-    sys_ = dv.lift(fam.field)
-    d = fam.field.dim_state
-    m2 = ReferenceMeasure(2 * d, cfg._lifted_alpha())
+    fam, m2 = cfg.build()
     eps = [e for e in cfg.eps_list if e <= 0.5]
     rep = dv.verify_hypotheses(
-        sys_, m2, cfg.p0 / 2.0, eps, cfg.mc_budget,
+        dv.lift(fam.field), m2, cfg.p0 / 2.0, eps, cfg.mc_budget,
         derive_rng(cfg.seed, "hypotheses"),
     )
     return [dict(

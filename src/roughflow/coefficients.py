@@ -84,10 +84,10 @@ class FieldEval:
     drift_jac: Optional[NDArray[np.float64]] = None  # (..., n, n)
 
 
-def _jacobian(field, fn: Optional[Callable], name: str, x) -> NDArray[np.float64]:
+def _jacobian(field, fn: Optional[Callable], name: str, x,
+              fix: str = "smooth it with mollify to differentiate it") -> NDArray[np.float64]:
     if fn is None:
-        raise ValueError(f"field {field.name!r} has no {name} Jacobian; "
-                         "smooth it with mollify to differentiate it")
+        raise ValueError(f"field {field.name!r} has no {name} Jacobian; {fix}")
     return np.asarray(fn(x), dtype=np.float64)
 
 
@@ -241,7 +241,9 @@ class StructuredCoefficient(CoefficientField):
             if jac:  # the first block does not depend on x2
                 jac2 = getattr(out, f"{name}_jac")
                 jac1 = np.zeros(jac2.shape[:rows - 1] + (n1,) + jac2.shape[rows:])
-                jac1[..., :n1] = _jacobian(self, getattr(b, f"{name}1_jac"), name, x1)
+                jac1[..., :n1] = _jacobian(
+                    self, getattr(b, f"{name}1_jac"), f"first-block {name}", x1,
+                    f"smoothing keeps the first block, so give FieldBlocks a {name}1_jac")
                 setattr(out, f"{name}_jac", np.concatenate([jac1, jac2], axis=rows - 1))
         return out
 
@@ -821,11 +823,13 @@ def mollified_convergence(
     radius: float,
     exponent: float,
     n_grid: int = 257,
-    spec_kwargs: Optional[dict] = None,
+    mollifier: Optional[Callable[[float], MollifierSpec]] = None,
 ) -> list:
     """``L^r(mu)`` distance of f_k from f on the ball B(radius), per level.
 
-    Quadrature on a tensor grid (dim <= 2); ``f_k = (f * chi_k) psi_k``.
+    Quadrature on a tensor grid (dim <= 2); ``f_k = (f * chi_k) psi_k``
+    with the spec ``mollifier(k)``, a catalog ``Family.mollifier`` for
+    instance (default: ``MollifierSpec`` at level k).
     """
     if m.dim > 2:
         raise ValueError("convergence quadrature supports dim <= 2 only")
@@ -844,7 +848,7 @@ def mollified_convergence(
     base = np.asarray(func(pts), dtype=np.float64)
     norms = []
     for k in levels:
-        spec = MollifierSpec(dim=m.dim, level=k, **(spec_kwargs or {}))
+        spec = mollifier(k) if mollifier else MollifierSpec(dim=m.dim, level=k)
         fk = spec.convolve(func, pts)
         fk = fk * spec.cutoff(pts).reshape(fk.shape[:1] + (1,) * (fk.ndim - 1))
         diff = np.abs(fk - base)

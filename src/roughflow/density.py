@@ -26,7 +26,6 @@ mass as a heavy-tail diagnostic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +35,6 @@ from numpy.typing import NDArray
 from .catalog import Family
 from .coefficients import (
     CoefficientField,
-    MollifierSpec,
     StructuredCoefficient,
     block_condition_integrals,
     condition_integrals,
@@ -90,22 +88,6 @@ class DensityTrack:
 
     def time_index(self, t: float) -> int:
         return grid_index(self.times, t, "track")
-
-    def to_csv(self, path, time_stride: int = 1) -> None:
-        """Rows (omega_index, x_index, t, rho_tilde, S, A)."""
-        logr = self.log_density()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["omega_index", "x_index", "t", "rho_tilde", "S", "A"])
-            for j in range(self.stochastic.shape[0]):
-                for i in range(self.stochastic.shape[1]):
-                    for ti in range(0, len(self.times), time_stride):
-                        writer.writerow([
-                            j, i, f"{self.times[ti]:.10g}",
-                            f"{np.exp(logr[j, i, ti]):.17g}",
-                            f"{self.stochastic[j, i, ti]:.17g}",
-                            f"{self.time_integral[j, i, ti]:.17g}",
-                        ])
 
 
 def track_density(ensemble: FlowEnsemble, m: ReferenceMeasure) -> DensityTrack:
@@ -337,20 +319,20 @@ def uniform_density_bound(
     t0: Optional[float] = None,
     budget: int = 20000,
     rng: Optional[np.random.Generator] = None,
-    spec_kwargs: Optional[dict] = None,
 ) -> UniformDensityReport:
     """Level-uniform density bound across a mollification family.
 
-    Simulates the smoothed field at each level under a shared driver,
-    measures ``sup_{t<=T0} |rho^k_t|_{L^p}`` and compares every level
-    against one level-free right-hand side built from the rough field: the
-    single exponential integral for plain fields, or the product of the two
-    blockwise integrals for structured fields (which never differentiates
-    the second block in the first variables).  All explicit proof factors
-    are kept (mass prefactor, the 3^alpha weight-mollification factor, the
-    p-power exponent multipliers, the second-block measure mass); only the
-    kernel domination constant is set to 1, with the fitted ratios
-    reported.  The default horizon is the guaranteed one, p0 / C_{2,p}.
+    Simulates the field smoothed by ``family.mollifier`` at each level
+    under a shared driver, measures ``sup_{t<=T0} |rho^k_t|_{L^p}`` and
+    compares every level against one level-free right-hand side built from
+    the rough field: the single exponential integral for plain fields, or
+    the product of the two blockwise integrals for structured fields (which
+    never differentiates the second block in the first variables).  All
+    explicit proof factors are kept (mass prefactor, the 3^alpha
+    weight-mollification factor, the p-power exponent multipliers, the
+    second-block measure mass); only the kernel domination constant is set
+    to 1, with the fitted ratios reported.  The default horizon is the
+    guaranteed one, p0 / C_{2,p}.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     field = family.field
@@ -359,8 +341,7 @@ def uniform_density_bound(
     t0 = t0 if t0 is not None else select_t0(family.p0, p, product_form=structured)
     norms = []
     for k in levels:
-        spec = MollifierSpec(dim=field.dim_state, level=k, **(spec_kwargs or {}))
-        smooth = mollify(field, spec)
+        smooth = mollify(field, family.mollifier(k))
         ens = integrate(smooth, driver, x0s, t0)
         track = track_density(ens, m)
         norms.append(sup_lp_density_norm(track, p).value)

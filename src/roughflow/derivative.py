@@ -21,7 +21,6 @@ exponential integrability that the doubled systems must satisfy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -185,13 +184,6 @@ class ConvergenceTable:
     def monotone_decreasing(self) -> bool:
         ms = self.metrics()
         return all(b < a for a, b in zip(ms, ms[1:]))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epsilon", "metric", "se"])
-            for r in self.rows:
-                writer.writerow([f"{r.epsilon:g}", f"{r.metric:.10g}", f"{r.se:.10g}"])
 
 
 def weak_derivative_convergence(

@@ -14,7 +14,6 @@ direct run, giving bitwise equal trajectories.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -42,17 +41,15 @@ EXPLOSION_THRESHOLD = 1e8
 class BrownianDriver:
     """Pre-generated Brownian increments on a uniform grid.
 
-    ``increments[j, i, :]`` is the step of path j over ``[i dt, (i+1) dt)``.
+    ``increments[j, i, :]`` is the step of path j over ``[i dt, (i+1) dt)``;
+    their shape ``(n_omega, n_steps, dim_noise)`` gives the three counts.
     ``offset`` counts the steps of the generated path that precede this
     driver's first increment (nonzero after ``time_shift``).
     """
 
-    dim_noise: int
     dt: float
-    n_steps: int
-    n_omega: int
     seed: int
-    increments: NDArray[np.float64] = dc_field(repr=False, default=None)
+    increments: NDArray[np.float64] = dc_field(repr=False)
     offset: int = 0
 
     @classmethod
@@ -60,7 +57,19 @@ class BrownianDriver:
                  seed: int) -> "BrownianDriver":
         rng = derive_rng(seed, "brownian-driver")
         inc = rng.normal(0.0, np.sqrt(dt), size=(n_omega, n_steps, dim_noise))
-        return cls(dim_noise, dt, n_steps, n_omega, seed, inc)
+        return cls(dt, seed, inc)
+
+    @property
+    def n_omega(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[1]
+
+    @property
+    def dim_noise(self) -> int:
+        return self.increments.shape[2]
 
     @property
     def fingerprint(self) -> tuple:
@@ -86,9 +95,7 @@ class BrownianDriver:
     def time_shift(self, s: float) -> "BrownianDriver":
         """Driver of the shifted path B_{t+s} - B_s (a view, same memory)."""
         j = self.step_index(s)
-        return BrownianDriver(self.dim_noise, self.dt, self.n_steps - j,
-                              self.n_omega, self.seed, self.increments[:, j:, :],
-                              self.offset + j)
+        return BrownianDriver(self.dt, self.seed, self.increments[:, j:, :], self.offset + j)
 
     def coarsen(self, factor: int) -> "BrownianDriver":
         """Aggregate consecutive increments: the same path on a coarser grid."""
@@ -99,9 +106,7 @@ class BrownianDriver:
         inc = self.increments.reshape(
             self.n_omega, self.n_steps // factor, factor, self.dim_noise
         ).sum(axis=2)
-        return BrownianDriver(self.dim_noise, self.dt * factor,
-                              self.n_steps // factor, self.n_omega, self.seed, inc,
-                              self.offset // factor)
+        return BrownianDriver(self.dt * factor, self.seed, inc, self.offset // factor)
 
     def path_values(self) -> NDArray[np.float64]:
         """B at grid times, shape (n_omega, n_steps + 1, m); B_0 = 0."""
@@ -163,22 +168,6 @@ class FlowEnsemble:
         n_t = min(self.states.shape[2], other.states.shape[2])
         diff = self.states[:, :, :n_t, :] - other.states[:, :, :n_t, :]
         return np.linalg.norm(diff, axis=-1).max(axis=-1)
-
-    def to_csv(self, path, time_stride: int = 1) -> None:
-        """Snapshot export: rows (omega_index, x_index, t, state...)."""
-        n = self.states.shape[-1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["omega_index", "x_index", "t"] + [f"x{i}" for i in range(n)]
-            )
-            for j in range(self.n_omega):
-                for i in range(self.n_x):
-                    for ti in range(0, len(self.times), time_stride):
-                        writer.writerow(
-                            [j, i, f"{self.times[ti]:.10g}"]
-                            + [f"{v:.17g}" for v in self.states[j, i, ti]]
-                        )
 
 
 def _initial_states(x0s, n_omega: int, dim: int):

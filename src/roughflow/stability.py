@@ -14,7 +14,6 @@ evaluated by Halton quasi-Monte Carlo.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -239,16 +238,6 @@ class CauchyExperiment:
     def metrics(self) -> list:
         return [r.metric for r in self.rows]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "l", "delta_kl", "lhs", "rhs", "metric"])
-            for r in self.rows:
-                writer.writerow([
-                    f"{r.k:g}", f"{r.l:g}", f"{r.delta_kl:.10g}",
-                    f"{r.lhs:.10g}", f"{r.rhs:.10g}", f"{r.metric:.10g}",
-                ])
-
 
 def cauchy_experiment(
     family: Family,
@@ -257,13 +246,13 @@ def cauchy_experiment(
     x0s,
     T: float,
     norm_budget: int = 50_000,
-    spec_kwargs: Optional[dict] = None,
     lambda_pt: Optional[float] = None,
 ) -> CauchyExperiment:
     """Pathwise Cauchy table across consecutive smoothing levels.
 
-    For each consecutive pair (k, l) of levels, computes the coefficient
-    gap delta_kl (ball L^{2q}/L^q norms of the differences), the stability
+    Each level smooths the family with ``family.mollifier``.  For each
+    consecutive pair (k, l) of levels, computes the coefficient gap
+    delta_kl (ball L^{2q}/L^q norms of the differences), the stability
     functional at delta = delta_kl, the unit-constant bound, and the
     clipped convergence metric.  The gap is the bound's own difference
     norms, so a pair costs the bound's three evaluations and no more.  For
@@ -272,8 +261,7 @@ def cauchy_experiment(
     scheme shows as the metric column decreasing in k.
     """
     m, q = family.measure, family.q
-    dim = family.field.dim_state
-    specs = {k: MollifierSpec(dim=dim, level=k, **(spec_kwargs or {})) for k in levels}
+    specs = {k: family.mollifier(k) for k in levels}
     fields = {k: mollify(family.field, specs[k]) for k in levels}
     ensembles = {k: integrate(fields[k], driver, x0s, T) for k in levels}
     radius = _pick_radius(list(ensembles.values()))

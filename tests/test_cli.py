@@ -1,10 +1,11 @@
 """Config handling, experiment dispatch, report determinism."""
 
 import json
+import shutil
 
 import pytest
 
-from roughflow import BrownianDriver
+from roughflow import BrownianDriver, MollifierSpec
 from roughflow._seeds import derive_rng, derive_seed
 from roughflow.cli import KINDS, ExperimentConfig, main, run
 from roughflow.stability import cauchy_experiment
@@ -103,18 +104,66 @@ class TestRun:
                                T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
                                quadrature_points=500)
         run(cfg, printer=None)
-        fam = cfg.build_family()
-        x0 = fam.measure.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
+        fam, m = cfg.build()
+        assert fam.mollifier(4.0) == MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1))
+        x0 = m.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
         drv = BrownianDriver.generate(fam.field.dim_noise, cfg.dt, round(cfg.T / cfg.dt),
                                       cfg.n_omega, derive_seed(cfg.seed, "driver"))
-        want = cauchy_experiment(
-            fam, cfg.k_list, drv, x0, cfg.T,
-            norm_budget=cfg.quadrature_points,
-            spec_kwargs=dict(order=16, panels=(2, 1)),
-        )
-        want.to_csv(tmp_path / "want.csv")
-        assert ((tmp_path / "stability.csv").read_text()
-                == (tmp_path / "want.csv").read_text())
+        want = cauchy_experiment(fam, cfg.k_list, drv, x0, cfg.T,
+                                 norm_budget=cfg.quadrature_points)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"][0]["metrics"] == want.metrics()
+        # the whole table, every library value in its own column
+        assert (tmp_path / "stability.csv").read_text() == "".join(
+            ["k,l,delta_kl,lhs,rhs,metric\n"]
+            + [f"{r.k:g},{r.l:g},{r.delta_kl:.10g},{r.lhs:.10g},{r.rhs:.10g},"
+               f"{r.metric:.10g}\n" for r in want.rows])
+
+    # one tiny config per kind, with every file it writes
+    TINY = {
+        "simulate": (dict(family="log-singular", mc_budget=500), ["ensemble.csv"]),
+        "density": (dict(family="linear", mc_budget=500), ["density.csv"]),
+        "stability": (dict(family="log-singular", T=0.25, k_list=[2.0, 4.0, 8.0],
+                           quadrature_points=500), ["stability.csv"]),
+        "derivative": (dict(family="deriv-smooth", eps_list=[0.5, 0.25, 0.125]),
+                       ["derivative.csv"]),
+        "analysis": (dict(mc_budget=500), ["maximal.csv"]),
+        "verify-hypotheses": (dict(family="deriv-smooth", mc_budget=500,
+                                   eps_list=[0.5, 0.25]), []),
+    }
+
+    @staticmethod
+    def tiny_run(out, kind):
+        raw, _ = TestRun.TINY[kind]
+        cfg = ExperimentConfig(kind=kind, out=str(out), seed=6, n_omega=2, n_x=4,
+                               dt=2.0**-5, **raw)
+        status = run(cfg, printer=None)
+        return status, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "verify-all"])
+    def test_rerun_writes_identical_files(self, tmp_path, kind):
+        first = self.tiny_run(tmp_path, kind)
+        shutil.rmtree(tmp_path)
+        second = self.tiny_run(tmp_path, kind)
+        assert sorted(first[1]) == sorted(["summary.json"] + self.TINY[kind][1])
+        assert first == second
+
+    # header and row count of each tiny run's table
+    TABLES = {
+        "simulate": ("omega_index,x_index,t,x0,x1", 2 * 4 * 33),
+        "density": ("omega_index,x_index,t,rho_tilde,S,A", 2 * 4 * 3),  # T0 = 1/16
+        "stability": ("k,l,delta_kl,lhs,rhs,metric", 2),
+        "derivative": ("epsilon,metric,se", 3),
+        "analysis": ("n,delta,p,ratio,passed", 2 * 5 * 3 * 3),
+    }
+
+    @pytest.mark.parametrize("kind", list(TABLES))
+    def test_report_table_header_and_rows(self, tmp_path, kind):
+        header, rows = self.TABLES[kind]
+        _, files = self.tiny_run(tmp_path, kind)
+        lines = files[self.TINY[kind][1][0]].decode().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
 
     def test_derivative_kind_needs_deriv_family(self, tmp_path):
         cfg = ExperimentConfig(kind="derivative", family="linear",
@@ -209,6 +258,15 @@ class TestMain:
          "quadrature_points must be a positive integer"),
         ("density", {"q": float("nan")}, "q must exceed 1, got nan"),
         ("simulate", {"T": float("inf")}, "T and dt must be finite"),
+        ("verify-hypotheses", {"family": "deriv-smooth", "measure": {"dim": 2, "alpha": 3.5}},
+         "lifted alpha must exceed 2 alpha1 + q + d/2 = 8.5, got 3.5"),
+        ("simulate", {"measure": {"dim": 1, "alhpa1": 3.0, "alpha": 3.0}},
+         "unknown measure keys ['alhpa1']"),
+        ("derivative", {"family": "deriv-smooth", "measure": {"alpha1": 3.0, "alpha": 9.0}},
+         "unknown measure keys ['alpha1']"),
+        ("simulate", {"family": "log-singular", "measure": {"dim": 1, "alpha": 3.0}},
+         "measure.dim 1 does not match the 2-dimensional space"),
+        ("derivative", {"family": "linear"}, "derivative needs a deriv-* family"),
     ])
     def test_nonsense_input_is_a_named_error(self, tmp_path, capsys, kind, raw, match):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Coefficient fields, mollification, and the density-exponent functionals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -22,7 +24,6 @@ from roughflow import (
 )
 from roughflow import coefficients
 from roughflow._seeds import derive_rng
-from roughflow.acceptance import smoothing_spec
 from roughflow.coefficients import (
     FieldBlocks,
     StructuredCoefficient,
@@ -236,6 +237,17 @@ class TestFieldWithoutJacobians:
             bare.drift_jac(pts)
         ev = mollify(bare, MollifierSpec(dim=1, level=2.0)).evaluate(pts, jac=True)
         assert np.all(np.isfinite(ev.sigma_jac)) and np.all(np.isfinite(ev.drift_jac))
+
+    def test_missing_first_block_jacobian_is_named_without_mollify(self):
+        # smoothing keeps the first block, and mollify rejects this field
+        blocks = make_family("partially-sobolev").field.blocks
+        field = StructuredCoefficient(1, replace(blocks, sigma1_jac=None), 2, 1, "no-jac")
+        with pytest.raises(ValueError) as err:
+            field.sigma_jac(np.zeros((3, 2)))
+        assert "field 'no-jac' has no first-block sigma Jacobian" in str(err.value)
+        assert "sigma1_jac" in str(err.value) and "mollify" not in str(err.value)
+        with pytest.raises(ValueError, match="first-block Jacobians"):
+            mollify(field, make_family("partially-sobolev").mollifier(4.0))
 
 
 class TestDensityExponentTerms:
@@ -519,7 +531,7 @@ class TestBallNodes:
     @pytest.mark.parametrize("level", [2.0, 8.0, 16.0])
     def test_evaluate_matches_full_cube_rule(self, monkeypatch, name, level):
         fam = make_family(name)
-        spec = MollifierSpec(dim=2, level=level, **smoothing_spec(name))
+        spec = fam.mollifier(level)
         field = mollify(fam.field, spec)
         pts = fam.measure.sample(derive_rng(14, f"cube-{name}"), 400)
         got = field.evaluate(pts, jac=True)

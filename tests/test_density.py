@@ -91,14 +91,6 @@ class TestTrackBasics:
         composed = track.log_density()[:, :, j] + track2.log_density()[:, :, -1]
         assert np.allclose(direct, composed, rtol=1e-10, atol=1e-12)
 
-    def test_csv_export(self, tmp_path):
-        _, _, track = tracked("linear", dt_exp=4, n_omega=2, n_x=3)
-        path = tmp_path / "density.csv"
-        track.to_csv(path, time_stride=8)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "omega_index,x_index,t,rho_tilde,S,A"
-        assert len(lines) == 1 + 2 * 3 * 3
-
 
 class TestLpNorm:
     def test_trivial_density_norm(self):
@@ -215,7 +207,6 @@ class TestBounds:
         report = uniform_density_bound(
             fam, [2.0, 4.0], drv, x0, 2.0, budget=4000,
             rng=derive_rng(7, "ub2-rhs"),
-            spec_kwargs=dict(order=16, panels=(2, 1)),
         )
         assert report.product_form
         assert np.isfinite(report.rhs) and not report.rhs_divergent

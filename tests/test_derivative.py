@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from roughflow import BrownianDriver, CoefficientField, ReferenceMeasure, make_family
+from roughflow import BrownianDriver, CoefficientField, make_family
 from roughflow._seeds import derive_rng, derive_seed
+from roughflow.catalog import doubled_measure
 from roughflow.derivative import (
     derivative_flow,
     difference_flow,
@@ -12,12 +13,6 @@ from roughflow.derivative import (
     verify_hypotheses,
     weak_derivative_convergence,
 )
-
-
-def lifted_measure(d=1, q=2.0):
-    alpha1 = q + d / 2.0 + 0.5
-    return (ReferenceMeasure(2 * d, 2 * alpha1 + q + d / 2.0 + 0.5),
-            ReferenceMeasure(d, alpha1))
 
 
 def sample_xy(seed, count, m2):
@@ -57,7 +52,7 @@ class TestLift:
 class TestFlows:
     def test_linear_base_exactness(self):
         sys_ = lift(make_family("deriv-linear").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         xy = sample_xy(1, 16, m2)
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 6, derive_seed(1, "d"))
         table = weak_derivative_convergence(sys_, [0.5, 0.125, 2**-6], drv, xy,
@@ -66,7 +61,7 @@ class TestFlows:
 
     def test_matrix_exponential_oracle(self):
         sys_ = lift(make_family("deriv-linear").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         xy = sample_xy(2, 12, m2)
         dt = 2**-9
         drv = BrownianDriver.generate(1, dt, 2**9, 4, derive_seed(2, "d"))
@@ -118,7 +113,7 @@ class TestFlows:
 
     def test_difference_flow_deterministic(self):
         sys_ = lift(make_family("deriv-smooth").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         xy = sample_xy(6, 8, m2)
         runs = []
         for _ in range(2):
@@ -128,7 +123,7 @@ class TestFlows:
 
     def test_difference_flow_eps_trend_smooth(self):
         sys_ = lift(make_family("deriv-smooth").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         xy = sample_xy(7, 16, m2)
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 6, derive_seed(7, "t"))
         e_deriv = derivative_flow(sys_, drv, xy, 1.0)
@@ -144,7 +139,7 @@ class TestFlows:
 
         fam = make_family("deriv-smooth")
         sys_ = lift(fam.field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         xy = sample_xy(8, 24, m2)
         dt = 2**-9
         drv = BrownianDriver.generate(1, dt, 2**9, 8, derive_seed(8, "jvp"))
@@ -161,7 +156,7 @@ class TestFlows:
 class TestConvergence:
     def test_monotone_decrease_smooth(self):
         sys_ = lift(make_family("deriv-smooth").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         xy = sample_xy(9, 32, m2)
         drv = BrownianDriver.generate(1, 2**-9, 2**9, 8, derive_seed(9, "m"))
         table = weak_derivative_convergence(
@@ -171,23 +166,22 @@ class TestConvergence:
         ms = table.metrics()
         assert ms[-1] < ms[0] / 4
 
-    def test_csv(self, tmp_path):
-        sys_ = lift(make_family("deriv-linear").field)
-        m2, _ = lifted_measure()
-        xy = sample_xy(10, 8, m2)
-        drv = BrownianDriver.generate(1, 2**-6, 2**6, 2, derive_seed(10, "c"))
-        table = weak_derivative_convergence(sys_, [0.5, 0.25], drv, xy, 1.0)
-        path = tmp_path / "deriv.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epsilon,metric,se"
-        assert len(lines) == 3
+
+class TestDoubledMeasures:
+    def test_exponents_take_the_catalog_margin(self):
+        m1, m2 = make_family("deriv-rough").measure, doubled_measure(1, 2.0)
+        assert (m1.dim, m1.alpha, m2.dim, m2.alpha) == (1, 3.0, 2, 9.0)
+        assert doubled_measure(1, 2.0, alpha=8.75).alpha == 8.75
+
+    def test_alpha_at_the_bound_rejected(self):
+        with pytest.raises(ValueError, match="2 alpha1 \\+ q \\+ d/2 = 8.5, got 8.5"):
+            doubled_measure(1, 2.0, alpha=8.5)
 
 
 class TestHypotheses:
     def test_linear_base_finite_for_large_p0(self):
         sys_ = lift(make_family("deriv-linear").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         rep = verify_hypotheses(sys_, m2, p0=2.0,
                                 eps_set=[0.5, 0.25], budget=4000,
                                 rng=derive_rng(11, "h"))
@@ -195,7 +189,7 @@ class TestHypotheses:
 
     def test_rough_base_eps_uniform(self):
         sys_ = lift(make_family("deriv-rough").field)
-        m2, _ = lifted_measure()
+        m2 = doubled_measure(1, 2.0)
         rep = verify_hypotheses(sys_, m2, p0=0.5,
                                 eps_set=[0.5, 0.25, 0.125], budget=8000,
                                 rng=derive_rng(12, "h2"))
@@ -205,8 +199,7 @@ class TestHypotheses:
         assert rep.passed
 
     def test_wrong_measure_dimension_rejected(self):
-        sys_ = lift(make_family("deriv-linear").field)
-        m2, m1 = lifted_measure()
+        fam = make_family("deriv-linear")
         with pytest.raises(ValueError):
-            verify_hypotheses(sys_, m1, 1.0, [0.5], 100,
+            verify_hypotheses(lift(fam.field), fam.measure, 1.0, [0.5], 100,
                               derive_rng(13, "bad"))

@@ -65,6 +65,13 @@ class TestDriver:
         with pytest.raises(ValueError, match="coarsening factor must be >= 1"):
             drv.coarsen(factor)
 
+    def test_counts_are_the_increment_shape(self):
+        drv = BrownianDriver.generate(2, dt=2**-4, n_steps=16, n_omega=3, seed=4)
+        assert drv.fingerprint == (4, 2**-4, 0, 3, 2)
+        for d in (drv, drv.time_shift(0.25), drv.coarsen(4), drv.time_shift(0.5).coarsen(2)):
+            assert (d.n_omega, d.n_steps, d.dim_noise) == d.increments.shape
+        assert (drv.time_shift(0.25).n_steps, drv.coarsen(4).n_steps) == (12, 4)
+
     def test_off_grid_time_rejected(self):
         drv = BrownianDriver.generate(1, dt=0.25, n_steps=4, n_omega=1, seed=1)
         with pytest.raises(ValueError):
@@ -272,16 +279,6 @@ class TestDeterminism:
             runs.append(integrate(fam.field, drv, x0, 1.0).states.tobytes())
         assert runs[0] == runs[1]
 
-    def test_csv_export(self, tmp_path):
-        fam = make_family("linear")
-        drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=20)
-        x0 = fam.measure.sample(derive_rng(11, "csv"), 3)
-        ens = integrate(fam.field, drv, x0, 1.0)
-        path = tmp_path / "ens.csv"
-        ens.to_csv(path, time_stride=4)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "omega_index,x_index,t,x0"
-        assert len(lines) == 1 + 2 * 3 * 5  # header + omega*x*times
 
 
 class TestDriverFingerprint:

@@ -1,5 +1,7 @@
 """Stability functional, bounds, Cauchy and uniqueness experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from roughflow import (
 )
 from roughflow import stability as st
 from roughflow._seeds import derive_rng, derive_seed
-from roughflow.acceptance import cauchy_uniqueness_checks, smoothing_spec
+from roughflow.acceptance import cauchy_uniqueness_checks
 from roughflow.flow import convergence_metric
 from roughflow.stability import (
     ball_lebesgue_norm,
@@ -144,28 +146,12 @@ class TestExperiments:
         drv = BrownianDriver.generate(2, 2**-9, 2**7, 8,
                                       derive_seed(7, "cr-driver"))
         x0 = fam.measure.sample(derive_rng(7, "cr-x0"), 16)
-        table = cauchy_experiment(
-            fam, [2.0, 4.0, 8.0], drv, x0, 0.25, norm_budget=5000,
-            spec_kwargs=dict(order=16, panels=1),
-        )
+        table = cauchy_experiment(fam, [2.0, 4.0, 8.0], drv, x0, 0.25, norm_budget=5000)
         ms = table.metrics()
         assert ms[1] < ms[0]
         for row in table.rows:
             assert row.lhs <= 50 * row.rhs  # finite fitted constant
             assert row.delta_kl > 0
-
-    def test_cauchy_csv(self, tmp_path):
-        fam = make_family("linear")
-        drv = BrownianDriver.generate(1, 2**-6, 2**6, 4,
-                                      derive_seed(8, "csv-driver"))
-        x0 = fam.measure.sample(derive_rng(8, "csv-x0"), 8)
-        table = cauchy_experiment(fam, [2.0, 4.0], drv, x0, 1.0,
-                                  norm_budget=2000)
-        path = tmp_path / "stab.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,l,delta_kl,lhs,rhs,metric"
-        assert len(lines) == 2
 
     def test_uniqueness_smooth_family(self):
         fam = make_family("linear")
@@ -224,7 +210,7 @@ class TestQuadraturePassBudget:
                                       derive_seed(12, f"passes-{name}"))
         x0 = fam.measure.sample(derive_rng(12, f"passes-x0-{name}"), 3)
         cauchy_experiment(fam, levels, drv, x0, n_steps * drv.dt, norm_budget=500,
-                          spec_kwargs=dict(order=8, panels=1), lambda_pt=1.0)
+                          lambda_pt=1.0)
         # one pass per step and level for the flows, the bound's three per pair
         assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1)
 
@@ -266,8 +252,8 @@ class TestOneFlowPerLevelAndKernel:
         _, unq, _, _ = cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
         # both kernels integrated from scratch at the last level
         ensembles = [
-            integrate(mollify(fam.field, MollifierSpec(
-                dim=2, level=levels[-1], shape=a, **smoothing_spec(name))), drv, x0, T)
+            integrate(mollify(fam.field, replace(fam.mollifier(levels[-1]), shape=a)),
+                      drv, x0, T)
             for a in (1.0, 3.0)
         ]
         assert unq.level == levels[-1]
