@@ -17,7 +17,6 @@ from roughflow import (
     level_set_tail,
     make_family,
     sup_lp_density_norm,
-    track_density,
 )
 from roughflow._seeds import derive_rng, derive_seed
 
@@ -28,7 +27,7 @@ driver = BrownianDriver.generate(
     n_omega=24, seed=derive_seed(seed, "demo-driver"),
 )
 x0 = fam.measure.sample(derive_rng(seed, "demo-x0"), 32)
-ens = integrate(fam.field, driver, x0, T=1.0)
+ens = integrate(fam.field, driver, x0, T=1.0, density=fam.measure)
 print(f"ensemble: {ens.n_omega} paths x {ens.n_x} starts, "
       f"{len(ens.times) - 1} steps of dt = {driver.dt:g}")
 print(f"  exploded trajectories : {ens.n_exploded}")
@@ -38,8 +37,7 @@ composed = compose_time_shift(ens, s=0.5, horizon=0.5)
 direct = ens.states[:, :, driver.step_index(0.5):, :]
 print(f"  flow property (bitwise): {np.array_equal(composed.states, direct)}")
 
-track = track_density(ens, fam.measure)
-lam = sup_lp_density_norm(track, p=2.0).value
+lam = sup_lp_density_norm(ens.density, p=2.0).value
 print(f"  measured sup_t |rho_t|_L2 : {lam:.3f}")
 
 print("\nlevel-set tail (P x mu)(sup |X| > R) <= C/R:")

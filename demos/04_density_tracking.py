@@ -24,7 +24,6 @@ from roughflow import (
     kde_crosscheck,
     lp_density_norm,
     make_family,
-    track_density,
 )
 from roughflow._seeds import derive_rng, derive_seed
 
@@ -34,8 +33,8 @@ seed = 2024
 fam = make_family("translation")
 drv = BrownianDriver.generate(1, 2.0**-10, 2**10, 32, derive_seed(seed, "d1"))
 x0 = fam.measure.sample(derive_rng(seed, "x1"), 16)
-ens = integrate(fam.field, drv, x0, 1.0)
-track = track_density(ens, fam.measure)
+ens = integrate(fam.field, drv, x0, 1.0, density=fam.measure)
+track = ens.density
 logw = fam.measure.log_weight(ens.states)
 oracle = logw - logw[:, :, :1]
 err = np.abs(np.exp(track.log_density() - oracle) - 1.0).max(axis=2)
@@ -47,8 +46,8 @@ print("  (Milstein-corrected left-point sums: O(dt) pathwise error)")
 fam = make_family("pure-drift")
 drv = BrownianDriver.generate(1, 2.0**-10, 2**10, 1, derive_seed(seed, "d2"))
 x0 = fam.measure.sample(derive_rng(seed, "x2"), 64)
-ens = integrate(fam.field, drv, x0, 1.0)
-track = track_density(ens, fam.measure)
+ens = integrate(fam.field, drv, x0, 1.0, density=fam.measure)
+track = ens.density
 t = ens.times
 exact = x0[None, :, None, :] * np.exp(-t)[None, None, :, None]
 oracle = (-t[None, None, :] + fam.measure.log_weight(exact)
@@ -61,8 +60,8 @@ print(f"\ncontraction flow vs change-of-variables oracle: max rel err "
 fam = make_family("linear")
 drv = BrownianDriver.generate(1, 2.0**-9, 2**6, 48, derive_seed(seed, "d3"))
 x0 = fam.measure.sample(derive_rng(seed, "x3"), 64)
-ens = integrate(fam.field, drv, x0, 2.0**-3)
-track = track_density(ens, fam.measure)
+ens = integrate(fam.field, drv, x0, 2.0**-3, density=fam.measure)
+track = ens.density
 measured = lp_density_norm(track, p=2.0)
 bound = density_bound_rhs(fam.field, fam.measure, 2.0, 2.0**-3, 20_000,
                           derive_rng(seed, "rhs"))

@@ -38,7 +38,6 @@ from .density import (
     lp_density_norm,
     select_t0,
     sup_lp_density_norm,
-    track_density,
     uniform_density_bound,
 )
 from .flow import (

@@ -31,7 +31,6 @@ from .density import (
     density_bound_rhs,
     select_t0,
     sup_lp_density_norm,
-    track_density,
     uniform_density_bound,
 )
 from .flow import BrownianDriver, compose_time_shift, integrate, level_set_tail
@@ -197,7 +196,7 @@ def criterion_1(seed: int, scale: float):
     order 1.  A plain left-point Riemann sum of the stochastic integral
     carries a pathwise error of order sqrt(dt) (a martingale of per-step
     variance ~ dt^2) and contracts by 1/sqrt(2) only; the Ito-Taylor term
-    of ``track_density`` removes that leading error.  Here m = 1, so the
+    of the tracked exponent removes that leading error.  Here m = 1, so the
     corrected sum has strong order 1.
     """
     fam = make_family("translation")
@@ -206,11 +205,10 @@ def criterion_1(seed: int, scale: float):
     fine, x0 = draw_paths(seed, m, 1, 2.0**-11, 1.0, n_omega, n_x, "c1-driver", "c1-x0")
 
     def path_errors(drv):
-        ens = integrate(fam.field, drv, x0, 1.0)
-        track = track_density(ens, m)
+        ens = integrate(fam.field, drv, x0, 1.0, density=m)
         logw = m.log_weight(ens.states)
         oracle = logw - logw[:, :, 0:1]
-        rel = np.abs(np.exp(track.log_density() - oracle) - 1.0)
+        rel = np.abs(np.exp(ens.density.log_density() - oracle) - 1.0)
         return rel.max(axis=2)
 
     err_coarse = path_errors(fine.coarsen(2))
@@ -238,8 +236,7 @@ def criterion_2(seed: int, scale: float):
     m = fam.measure
     dt = 2.0**-10
     drv, x0 = draw_paths(seed, m, 1, dt, 1.0, 1, _scaled(500, scale), "c2-driver", "c2-x0")
-    ens = integrate(fam.field, drv, x0, 1.0)
-    track = track_density(ens, m)
+    ens = integrate(fam.field, drv, x0, 1.0, density=m)
     t = ens.times
     exact = x0[None, :, None, :] * np.exp(-t)[None, None, :, None]
     oracle = (
@@ -247,7 +244,7 @@ def criterion_2(seed: int, scale: float):
         + m.log_weight(exact)
         - m.log_weight(x0)[None, :, None]
     )
-    rel = np.abs(np.exp(track.log_density() - oracle) - 1.0)
+    rel = np.abs(np.exp(ens.density.log_density() - oracle) - 1.0)
     worst = float(rel.max())
     return worst < 10.0 * dt, dict(max_rel_err=worst, tolerance=10.0 * dt)
 
@@ -273,8 +270,7 @@ def criterion_3(seed: int, scale: float):
             seed, m, fam.field.dim_noise, 2.0**-10, t_horizon, n_omega, n_x,
             f"c3-driver-{name}", f"c3-x0-{name}",
         )
-        ens = integrate(fam.field, drv, x0, t_horizon)
-        track = track_density(ens, m)
+        track = integrate(fam.field, drv, x0, t_horizon, density=m).density
         for e, measured, rhs, ok in lp_density_checks(
             track, fam.field, m, p, q, t_horizon,
             _scaled(20000, scale), seed, f"c3-rhs-{name}-",
@@ -338,10 +334,9 @@ def criterion_5(seed: int, scale: float):
             _scaled(40, np.sqrt(scale)), _scaled(50, np.sqrt(scale)),
             f"c5-driver-{name}", f"c5-x0-{name}",
         )
-        ens = integrate(fam.field, drv, x0, 1.0)
-        track = track_density(ens, m)
+        ens = integrate(fam.field, drv, x0, 1.0, density=m)
         lam, reports = level_set_checks(
-            ens, track, m, q, radii, _scaled(20000, scale), seed, f"c5-norms-{name}-"
+            ens, ens.density, m, q, radii, _scaled(20000, scale), seed, f"c5-norms-{name}-"
         )
         fam_ok = all(rep.passed for rep in reports)
         ratios = [

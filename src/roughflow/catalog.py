@@ -182,10 +182,12 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
     """
 
     def swirl_scale(r):
-        # g(r) = beta * log(1/r) * zeta(r) / r, the coefficient of x-perp
-        safe = np.where(r > 0, r, 1.0)
-        val = beta * (-np.log(safe)) * _zeta(safe) / safe
-        return np.where(r > 0, val, 0.0)
+        # g(r) = beta * log(1/r) * zeta(r) / r, the coefficient of x-perp;
+        # zeta vanishes from r = 1 on, so log and zeta run on 0 < r < 1 only
+        g, on = np.zeros(np.shape(r)), (r > 0) & (r < 1)
+        ro = r[on]
+        g[on] = beta * (-np.log(ro)) * _zeta(ro) / ro
+        return g
 
     def swirl_scale_deriv(r):
         safe = np.where(r > 0, r, 1.0)
@@ -196,10 +198,9 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
         return np.where(r > 0, val, 0.0)
 
     def drift_fn(x):
-        r = np.linalg.norm(x, axis=-1)
-        g = swirl_scale(r)
-        perp = np.stack([-x[..., 1], x[..., 0]], axis=-1)
-        return -x + g[..., None] * perp
+        x0, x1 = x[..., 0], x[..., 1]
+        g = swirl_scale(np.sqrt(x0 * x0 + x1 * x1))
+        return np.stack([-x0 - g * x1, -x1 + g * x0], axis=-1)
 
     def drift_jac_fn(x):
         r = np.linalg.norm(x, axis=-1)

@@ -13,7 +13,8 @@ exactly when every asserted inequality passed, and 2 for a config that
 ``ExperimentConfig.validate`` rejects, before the output directory exists.
 A ``measure`` (``alpha`` and ``dim``) replaces the exponent of the measure
 the start points are drawn from, the doubled-space one of
-``catalog.doubled_measure`` for ``derivative`` and ``verify-hypotheses``.
+``catalog.doubled_measure`` for ``derivative`` and ``verify-hypotheses``;
+``analysis`` and ``verify-all`` draw from none and reject it.
 
 All randomness flows from the master seed through named child streams
 (component label + index hashed into the seed), so reruns with the same
@@ -43,7 +44,7 @@ from . import analysis as an
 from . import derivative as dv
 from ._seeds import derive_rng
 from .catalog import FAMILY_NAMES, doubled_measure, make_family
-from .density import entropy, select_t0, track_density
+from .density import entropy, select_t0
 from .flow import integrate
 from .measure import ReferenceMeasure
 
@@ -140,19 +141,23 @@ class ExperimentConfig:
             raise ValueError("dt must divide T")
         if self.kind in _LIFTED_KINDS and not self.family.startswith("deriv"):
             raise ValueError(f"{self.kind} needs a deriv-* family, got {self.family!r}")
+        sampling = self.kind not in ("analysis", "verify-all")  # build a family and sample
         if self.measure is not None:
+            if not sampling:
+                raise ValueError(f"{self.kind} draws from no configured measure; "
+                                 "remove 'measure' from the config")
             unknown = sorted(set(self.measure) - {"alpha", "dim"})
             if unknown:
                 raise ValueError(f"unknown measure keys {unknown}; known: alpha, dim")
             if "alpha" not in self.measure:
                 raise ValueError("measure.alpha is required when a measure is given")
-            alpha, dim = float(self.measure["alpha"]), int(self.measure.get("dim", 1))
-            if self.kind not in ("analysis", "verify-all"):  # the kinds that sample
-                space = self.build()[1].dim  # rejects a lifted alpha at its bound
-                dim = int(self.measure.get("dim", space))
-                if dim != space:
-                    raise ValueError(f"measure.dim {dim} does not match the {space}-"
-                                     f"dimensional space that {self.kind} samples")
+        if sampling:  # rejects unused family parameters and a lifted alpha at its bound
+            space = self.build()[1].dim
+        if self.measure is not None:
+            alpha, dim = float(self.measure["alpha"]), int(self.measure.get("dim", space))
+            if dim != space:
+                raise ValueError(f"measure.dim {dim} does not match the {space}-"
+                                 f"dimensional space that {self.kind} samples")
             if not alpha > self.q + dim / 2.0:
                 raise ValueError(
                     f"alpha must exceed q + n/2 = {self.q + dim / 2.0}, got {alpha}"
@@ -214,7 +219,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
         cfg.seed, m, fam.field.dim_noise, cfg.dt, cfg.T,
         cfg.n_omega, cfg.n_x, "driver", "x0",
     )
-    ens = integrate(fam.field, drv, x0, cfg.T)
+    ens = integrate(fam.field, drv, x0, cfg.T, density=m)
     _write_table(
         out / "ensemble.csv",
         dict(omega_index="d", x_index="d", t=".10g",
@@ -222,9 +227,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
         ([j, i, ens.times[t], *ens.states[j, i, t]]
          for j, i, t in _path_rows(ens.times, ens.n_omega, ens.n_x)),
     )
-    track = track_density(ens, m)
     _, reports = acceptance.level_set_checks(
-        ens, track, m, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
+        ens, ens.density, m, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
     )
     return [dict(
         name=f"level-set tail R={r:g}",
@@ -243,8 +247,8 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
         cfg.seed, m, fam.field.dim_noise, cfg.dt, steps * cfg.dt,
         cfg.n_omega, cfg.n_x, "driver", "x0",
     )
-    ens = integrate(fam.field, drv, x0, steps * cfg.dt)
-    track = track_density(ens, m)
+    ens = integrate(fam.field, drv, x0, steps * cfg.dt, density=m)
+    track = ens.density
     logr = track.log_density()
     _write_table(
         out / "density.csv",

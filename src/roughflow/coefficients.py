@@ -130,18 +130,19 @@ class CoefficientField:
             )
         return pts
 
-    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+    def _eval(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
         """sigma and/or b at ``pts`` (shape ``(..., n)``), each with its
-        Jacobian when ``jac`` is set."""
+        Jacobian when ``jac`` is set (``values=False``: Jacobians alone)."""
         out, lead = FieldEval(None, None), pts.shape[:-1]
         for name, want, on in (("sigma", (self.dim_state, self.dim_noise), sigma),
                                ("drift", (self.dim_state,), drift)):
             if not on:
                 continue
-            val = np.asarray(getattr(self, f"{name}_fn")(pts), dtype=np.float64)
-            if val.shape != lead + want:
-                raise ValueError(f"{name} returned shape {val.shape}, expected {lead + want}")
-            setattr(out, name, val)
+            if values:
+                val = np.asarray(getattr(self, f"{name}_fn")(pts), dtype=np.float64)
+                if val.shape != lead + want:
+                    raise ValueError(f"{name} returned shape {val.shape}, expected {lead + want}")
+                setattr(out, name, val)
             if jac:
                 setattr(out, f"{name}_jac",
                         _jacobian(self, getattr(self, f"{name}_jac_fn"), name, pts))
@@ -159,15 +160,20 @@ class CoefficientField:
 
     def sigma_jac(self, x) -> NDArray[np.float64]:
         """d sigma^{ik} / d x_j, shape (..., n, m, n)."""
-        return self._eval(self._pts(x), drift=False, jac=True).sigma_jac
+        return self._eval(self._pts(x), drift=False, jac=True, values=False).sigma_jac
 
     def drift_jac(self, x) -> NDArray[np.float64]:
         """d b^i / d x_j, shape (..., n, n)."""
-        return self._eval(self._pts(x), sigma=False, jac=True).drift_jac
+        return self._eval(self._pts(x), sigma=False, jac=True, values=False).drift_jac
 
     @property
     def is_analytic(self) -> bool:
         return self.sigma_jac_fn is not None and self.drift_jac_fn is not None
+
+    @property
+    def is_smoothed(self) -> bool:
+        """Built by ``mollify``: one quadrature pass gives values and Jacobians."""
+        return isinstance(self._eval, _Smoother)
 
     def sigma_divergence(self, x) -> NDArray[np.float64]:
         """Column divergences (div sigma^{.,1}, ..., div sigma^{.,m})."""
@@ -230,14 +236,18 @@ class StructuredCoefficient(CoefficientField):
     def n2(self) -> int:
         return self.dim_state - self.n1
 
-    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+    @property
+    def is_smoothed(self) -> bool:
+        return isinstance(self._second, _Smoother)
+
+    def _eval(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
         n1, b = self.n1, self.blocks
-        x1, out = pts[..., :n1], self._second(pts, sigma, drift, jac)
-        for name, rows in (("sigma", -2), ("drift", -1)):  # row axis of the value
-            val2 = getattr(out, name)
-            if val2 is None:
+        x1, out = pts[..., :n1], self._second(pts, sigma, drift, jac, values)
+        for name, rows, on in (("sigma", -2, sigma), ("drift", -1, drift)):  # rows: value axis
+            if not on:
                 continue
-            setattr(out, name, np.concatenate([getattr(b, f"{name}1")(x1), val2], axis=rows))
+            setattr(out, name, np.concatenate([getattr(b, f"{name}1")(x1), getattr(out, name)],
+                                              axis=rows) if values else None)
             if jac:  # the first block does not depend on x2
                 jac2 = getattr(out, f"{name}_jac")
                 jac1 = np.zeros(jac2.shape[:rows - 1] + (n1,) + jac2.shape[rows:])
@@ -247,19 +257,19 @@ class StructuredCoefficient(CoefficientField):
                 setattr(out, f"{name}_jac", np.concatenate([jac1, jac2], axis=rows - 1))
         return out
 
-    def _second(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+    def _second(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
         """Second-block rows of sigma and/or b at ``pts``, Jacobian columns
         over all of x (zero in x1)."""
         out = FieldEval(None, None)
         for name, on in (("sigma", sigma), ("drift", drift)):
             if not on:
                 continue
-            val = getattr(self.blocks, f"{name}2")(pts)
-            setattr(out, name, val)
+            if values:
+                setattr(out, name, getattr(self.blocks, f"{name}2")(pts))
             if jac:
-                full = np.zeros(np.shape(val) + (self.dim_state,))
-                full[..., self.n1:] = _jacobian(
-                    self, getattr(self.blocks, f"{name}2_jac"), name, pts)
+                jac2 = _jacobian(self, getattr(self.blocks, f"{name}2_jac"), name, pts)
+                full = np.zeros(jac2.shape[:-1] + (self.dim_state,))
+                full[..., self.n1:] = jac2
                 setattr(out, f"{name}_jac", full)
         return out
 
@@ -474,14 +484,21 @@ class MollifierSpec:
         pts = self._points(x)
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
-        q = self._nodes.shape[0]
+        shifts = self._nodes / self.level                          # (Q, dim)
+        q = shifts.shape[0]
         block = max(1, _MAX_EVAL_BLOCK // q)
         outs = []
         for start in range(0, flat.shape[0], block):
             chunk = flat[start:start + block]                      # (B, dim)
-            shifted = chunk[:, None, :] - self._nodes[None, :, :] / self.level
+            shifted = np.empty((len(chunk), q, self.dim))
+            for j in range(self.dim):  # one axis at a time: 4x cheaper than a 3-d broadcast
+                np.subtract(chunk[:, j, None], shifts[None, :, j], out=shifted[:, :, j])
             f = np.asarray(func(shifted), dtype=np.float64)        # (B, Q, *out)
-            red = np.matmul(weights, f.reshape(f.shape[:2] + (-1,)))  # (B, J, K)
+            f2 = f.reshape(f.shape[:2] + (-1,))
+            # the value row is a product of its own, so a value is bitwise the
+            # same whether or not the gradient rows come with it
+            red = np.concatenate([np.matmul(w, f2) for w in (weights[:1], weights[1:])
+                                  if len(w)], axis=1)              # (B, J, K)
             outs.append(red.reshape(red.shape[:2] + f.shape[2:]))
         out = np.moveaxis(np.concatenate(outs, axis=0), 1, 0)    # (J, nb, *out)
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
@@ -496,7 +513,8 @@ class _Smoother:
     ``_second``); its sigma has shape ``sigma_shape``.  A call packs the
     requested rough components into one function, so that one quadrature
     pass serves them all: ``convolve`` for values, ``convolve_with_grad``
-    for the Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k``.
+    for the Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k``,
+    whose product rule needs the values (``values=False`` returns them too).
     For a declared-constant sigma (``sigma0``, its value) the convolution
     is the identity (the discrete kernel weights sum to one), so sigma_k
     reduces exactly to sigma * psi_k and only the cutoff is evaluated.
@@ -507,7 +525,7 @@ class _Smoother:
         self.spec, self.rough, self.sigma0 = spec, rough, sigma0
         self.shapes = dict(sigma=sigma_shape, drift=sigma_shape[:1])
 
-    def __call__(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+    def __call__(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
         spec, out = self.spec, FieldEval(None, None)
         names = [name for name, on in (("sigma", sigma and self.sigma0 is None),
                                        ("drift", drift)) if on]
@@ -565,7 +583,7 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
         return smooth
     if field.blocks.sigma1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
-    if isinstance(field._second, _Smoother):
+    if field.is_smoothed:
         raise ValueError("field is already smoothed; smooth its rough base instead")
     smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
                                    name=f"{field.name}|k2={spec.level:g}")

@@ -1,6 +1,7 @@
 """Pathwise push-forward density tracking and its theoretical bounds.
 
-Along each trajectory the log of the inverse-flow density is accumulated as
+Along each trajectory ``integrate(..., density=m)`` accumulates the log of
+the inverse-flow density (a ``DensityTrack``) as
 
     log rho~_t = sum [<noise_term(X_i), dB_i>
                       + 1/2 sum_kl G_kl(X_i) (dB_i^k dB_i^l - delta_kl dt)]
@@ -40,18 +41,15 @@ from .coefficients import (
     condition_integrals,
     density_drift_term,
     density_noise_term,
-    density_noise_with_gradient,
     mollify,
 )
-from .flow import BrownianDriver, FlowEnsemble, grid_index, integrate
+from .flow import BrownianDriver, DensityTrack, FlowEnsemble, integrate
 from .measure import ReferenceMeasure
 
-_TRACK_BLOCK_STATES = 2**15  # states per density-exponent evaluation block
 _RHS_TIME_PROBES = 9  # probe times of the sup over [0, T] in density_bound_rhs
 
 __all__ = [
     "DensityTrack",
-    "track_density",
     "lp_density_norm",
     "sup_lp_density_norm",
     "density_bound_rhs",
@@ -60,86 +58,6 @@ __all__ = [
     "kde_crosscheck",
     "select_t0",
 ]
-
-
-@dataclass
-class DensityTrack:
-    """Per-trajectory accumulators of the inverse-flow density.
-
-    ``stochastic`` and ``time_integral`` are cumulative sums over grid
-    times (shape (n_omega, n_x, n_times)); the density is
-    ``exp(stochastic + time_integral)``, which is 1 at t=0 and positive.
-    """
-
-    times: NDArray[np.float64]
-    stochastic: NDArray[np.float64]
-    time_integral: NDArray[np.float64]
-    valid: NDArray[np.bool_]
-    total_mass: float
-
-    def log_density(self) -> NDArray[np.float64]:
-        return self.stochastic + self.time_integral
-
-    def density(self, t: Optional[float] = None) -> NDArray[np.float64]:
-        logr = self.log_density()
-        if t is None:
-            return np.exp(logr)
-        return np.exp(logr[:, :, self.time_index(t)])
-
-    def time_index(self, t: float) -> int:
-        return grid_index(self.times, t, "track")
-
-
-def track_density(ensemble: FlowEnsemble, m: ReferenceMeasure) -> DensityTrack:
-    """Accumulate the density exponent along an integrated ensemble.
-
-    The terms are those of ``ensemble.field``, the field that was
-    integrated; it must provide Jacobians (analytic or smoothed).
-    Evaluation is at the left grid point, matching the Ito integral of the
-    simulation.  One ``field.evaluate(left, jac=True)`` serves both exponent
-    terms; the only other evaluation is the sigma-divergence difference of
-    G.  States
-    are evaluated in blocks of whole time steps of at most
-    ``_TRACK_BLOCK_STATES`` states (at least one step), which bounds memory
-    independently of the ensemble size.
-    Each step of the stochastic sum carries the Ito-Taylor (Milstein) term
-    of the module docstring, with G from ``density_noise_with_gradient``;
-    the orders stated there are those of the sum along the simulated path.
-    """
-    field, states = ensemble.field, ensemble.states
-    n_omega, n_x, n_times, _ = states.shape
-    n_steps = n_times - 1
-    dt = float(ensemble.times[1] - ensemble.times[0])
-    lam2 = np.empty((n_omega, n_x, n_steps))
-    ds = np.empty((n_omega, n_x, n_steps))
-    # blocks of whole time steps bound the per-state arrays (FieldEval, G)
-    per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
-    for a in range(0, n_steps, per_block):
-        steps = slice(a, min(a + per_block, n_steps))
-        inc = ensemble.driver.increments[:, steps, :]
-        left = states[:, :, steps, :]
-        ev = field.evaluate(left, jac=True)
-        lam2[:, :, steps] = density_drift_term(field, m, left, ev)
-        lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
-        quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
-        ds[:, :, steps] = (np.einsum("oxnm,onm->oxn", lam1, inc)
-                           + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))
-    stochastic = np.zeros((n_omega, n_x, n_times))
-    time_integral = np.zeros((n_omega, n_x, n_times))
-    np.cumsum(ds, axis=2, out=stochastic[:, :, 1:])
-    np.cumsum(lam2 * dt, axis=2, out=time_integral[:, :, 1:])
-    valid = (
-        ensemble.valid()
-        & np.isfinite(stochastic[:, :, -1])
-        & np.isfinite(time_integral[:, :, -1])
-    )
-    return DensityTrack(
-        times=ensemble.times.copy(),
-        stochastic=stochastic,
-        time_integral=time_integral,
-        valid=valid,
-        total_mass=m.total_mass(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +260,7 @@ def uniform_density_bound(
     norms = []
     for k in levels:
         smooth = mollify(field, family.mollifier(k))
-        ens = integrate(smooth, driver, x0s, t0)
-        track = track_density(ens, m)
+        track = integrate(smooth, driver, x0s, t0, density=m).density
         norms.append(sup_lp_density_norm(track, p).value)
     mass = m.total_mass()
     # exponent multiplier C_{2,p} t0 with the kernel constant set to 1

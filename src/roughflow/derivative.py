@@ -22,7 +22,7 @@ exponential integrability that the doubled systems must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
     "DerivativeSystem",
     "lift",
     "derivative_flow",
-    "difference_flow",
+    "difference_flows",
     "weak_derivative_convergence",
     "verify_hypotheses",
     "ConvergenceRow",
@@ -129,37 +129,35 @@ def derivative_flow(
     return integrate(sys.lifted, driver, xy0s, T)
 
 
-def difference_flow(
+def difference_flows(
     sys: DerivativeSystem,
-    eps: float,
+    eps_sequence: Sequence[float],
     driver: BrownianDriver,
     xy0s,
     T: float,
-) -> FlowEnsemble:
-    """Scaled difference of two base flows under the same increments.
+) -> Iterator[FlowEnsemble]:
+    """Scaled differences of base flows under the same increments, one per eps.
 
-    Integrates the base field from x and from x + eps y and returns the
-    doubled-space ensemble (X_t, (X_t(x + eps y) - X_t(x)) / eps).
+    Integrates the base field from x once, then from x + eps y as each
+    doubled-space ensemble (X_t, (X_t(x + eps y) - X_t(x)) / eps) is requested.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     d = sys.dim
     xy0s = np.asarray(xy0s, dtype=np.float64)
     if xy0s.ndim != 2 or xy0s.shape[1] != 2 * d:
         raise ValueError("xy0s must have shape (n, 2d)")
+    if any(eps <= 0 for eps in eps_sequence):
+        raise ValueError("eps must be positive")
     x0, y0 = xy0s[:, :d], xy0s[:, d:]
     e_base = integrate(sys.base, driver, x0, T)
-    e_pert = integrate(sys.base, driver, x0 + eps * y0, T)
-    diff = (e_pert.states - e_base.states) / eps
-    states = np.concatenate([e_base.states, diff], axis=-1)
-    return FlowEnsemble(
-        states=states,
-        times=e_base.times,
-        x0s=xy0s,
-        field=sys.epsilon_system(eps),
-        driver=driver,
-        exploded=e_base.exploded | e_pert.exploded,
-    )
+
+    def scaled_difference(eps):
+        pert = integrate(sys.base, driver, x0 + eps * y0, T)
+        states = np.concatenate([e_base.states, (pert.states - e_base.states) / eps], axis=-1)
+        return FlowEnsemble(states=states, times=e_base.times, x0s=xy0s,
+                            field=sys.epsilon_system(eps), driver=driver,
+                            exploded=e_base.exploded | pert.exploded)
+
+    return map(scaled_difference, eps_sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +194,13 @@ def weak_derivative_convergence(
     """Clipped distance of the difference flows from the derivative flow.
 
     For each eps, reports the sample mean of 1 ^ sup_t |Y^eps_t - Y_t| over
-    the joint (omega, (x, y)) ensemble, with its standard error.
+    the joint (omega, (x, y)) ensemble, with its standard error.  The base
+    flow from x is integrated once and shared by every eps.
     """
     e_deriv = derivative_flow(sys, driver, xy0s, T)
     d = sys.dim
     rows = []
-    for eps in eps_sequence:
-        e_diff = difference_flow(sys, eps, driver, xy0s, T)
+    for eps, e_diff in zip(eps_sequence, difference_flows(sys, eps_sequence, driver, xy0s, T)):
         gap = np.linalg.norm(
             e_diff.states[..., d:] - e_deriv.states[..., d:], axis=-1
         ).max(axis=-1)

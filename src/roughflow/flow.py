@@ -4,7 +4,8 @@ Trajectories are indexed by (omega_j, x_i): every starting point is driven
 by every Brownian path of the driver, so pathwise comparisons between two
 flows (stability, mollification levels, time-shift composition) are made
 under identical noise.  Integration is Euler-Maruyama with the left-point
-convention, matching the convention used by the density accumulators.
+convention; ``integrate(..., density=m)`` accumulates the density exponent
+of ``roughflow.density`` at the same left points.
 
 Determinism contract: states are produced by a fixed serial reduction
 order, so identical (seed, config) reruns are bitwise identical, and a
@@ -21,11 +22,17 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._seeds import derive_rng
-from .coefficients import CoefficientField
+from .coefficients import (
+    CoefficientField,
+    FieldEval,
+    density_drift_term,
+    density_noise_with_gradient,
+)
 from .measure import ReferenceMeasure
 
 __all__ = [
     "BrownianDriver",
+    "DensityTrack",
     "FlowEnsemble",
     "integrate",
     "compose_time_shift",
@@ -35,6 +42,7 @@ __all__ = [
 ]
 
 EXPLOSION_THRESHOLD = 1e8
+_TRACK_BLOCK_STATES = 2**15  # states per density-exponent block
 
 
 @dataclass
@@ -125,8 +133,37 @@ def grid_index(times: NDArray[np.float64], t: float, grid: str) -> int:
 
 
 @dataclass
+class DensityTrack:
+    """Per-trajectory accumulators of the inverse-flow density.
+
+    ``stochastic`` and ``time_integral`` are cumulative sums over grid
+    times (shape (n_omega, n_x, n_times)); the density is
+    ``exp(stochastic + time_integral)``, which is 1 at t=0 and positive.
+    """
+
+    times: NDArray[np.float64]
+    stochastic: NDArray[np.float64]
+    time_integral: NDArray[np.float64]
+    valid: NDArray[np.bool_]
+    total_mass: float
+
+    def log_density(self) -> NDArray[np.float64]:
+        return self.stochastic + self.time_integral
+
+    def density(self, t: Optional[float] = None) -> NDArray[np.float64]:
+        logr = self.log_density()
+        if t is None:
+            return np.exp(logr)
+        return np.exp(logr[:, :, self.time_index(t)])
+
+    def time_index(self, t: float) -> int:
+        return grid_index(self.times, t, "track")
+
+
+@dataclass
 class FlowEnsemble:
-    """Trajectories X_t(omega_j, x_i), shape (n_omega, n_x, n_times, n)."""
+    """Trajectories X_t(omega_j, x_i), shape (n_omega, n_x, n_times, n),
+    with their ``DensityTrack`` when integrated with ``density=m``."""
 
     states: NDArray[np.float64]
     times: NDArray[np.float64]
@@ -134,6 +171,7 @@ class FlowEnsemble:
     field: CoefficientField
     driver: BrownianDriver
     exploded: NDArray[np.bool_]
+    density: Optional[DensityTrack] = None
 
     @property
     def n_omega(self) -> int:
@@ -190,6 +228,7 @@ def integrate(
     driver: BrownianDriver,
     x0s,
     T: float,
+    density: Optional[ReferenceMeasure] = None,
 ) -> FlowEnsemble:
     """Euler-Maruyama ensemble over [0, T] on the driver's grid.
 
@@ -197,6 +236,13 @@ def integrate(
     (n_omega, n_x, n) for restarts.  Trajectories whose state norm exceeds
     1e8 are flagged as exploded and frozen; estimators exclude them and
     report the count.
+
+    With ``density=m`` the ensemble carries the ``DensityTrack`` of the
+    push-forward of ``m`` (the field must provide Jacobians), accumulated in
+    blocks of whole steps of at most ``_TRACK_BLOCK_STATES`` states (at least
+    one step).  A smoothed field's Jacobians come from each step's quadrature
+    pass and are buffered per block; any other field evaluates them once per
+    block.  The states do not depend on ``density``.
     """
     dt = driver.dt
     n_steps = driver.step_index(T)
@@ -209,8 +255,12 @@ def integrate(
     states = np.empty((n_omega, n_x, n_steps + 1, n))
     states[:, :, 0, :] = x
     alive = np.ones((n_omega, n_x), dtype=bool)
+    if density is not None:
+        per_step, buf = field.is_smoothed, None
+        per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
+        lam2, ds = np.empty((2, n_omega, n_x, n_steps))
     for i in range(n_steps):
-        ev = field.evaluate(x)
+        ev = field.evaluate(x, jac=density is not None and per_step)
         step = (
             np.einsum("oxnm,om->oxn", ev.sigma, driver.increments[:, i, :])
             + ev.drift * dt
@@ -226,14 +276,53 @@ def integrate(
             x = np.where(newly[..., None], states[:, :, i, :], x)
             alive &= ~newly
         states[:, :, i + 1, :] = x
+        if density is None:
+            continue
+        j = i % per_block  # this step's place in its block
+        if per_step:
+            if j == 0:
+                size = min(per_block, n_steps - i)
+                buf = FieldEval(*(np.empty(v.shape[:2] + (size,) + v.shape[2:])
+                                  for v in vars(ev).values()))
+            for name, v in vars(ev).items():
+                getattr(buf, name)[:, :, j] = v
+        if j + 1 == per_block or i + 1 == n_steps:
+            steps = slice(i - j, i + 1)
+            lam2[:, :, steps], ds[:, :, steps] = _exponent_terms(
+                field, density, states[:, :, steps, :], driver.increments[:, steps, :],
+                dt, buf)
+    times = np.arange(n_steps + 1) * dt
     return FlowEnsemble(
         states=states,
-        times=np.arange(n_steps + 1) * dt,
+        times=times,
         x0s=shared_x0s if shared_x0s is not None else states[0, :, 0, :],
         field=field,
         driver=driver,
         exploded=~alive,
+        density=None if density is None else _track(times, lam2, ds, alive, dt, density),
     )
+
+
+def _exponent_terms(field, m, left, inc, dt, ev):
+    """Drift term and stochastic step (with its Ito-Taylor term) of the
+    exponent at a block's left points ``left`` (n_omega, n_x, steps, n), from
+    ``ev``, the field there with Jacobians (evaluated here when None)."""
+    ev = field.evaluate(left, jac=True) if ev is None else ev
+    lam2 = density_drift_term(field, m, left, ev)
+    lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
+    quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
+    return lam2, (np.einsum("oxnm,onm->oxn", lam1, inc)
+                  + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))
+
+
+def _track(times, lam2, ds, alive, dt, m: ReferenceMeasure) -> DensityTrack:
+    """Cumulative sums of the exponent's per-step terms."""
+    stochastic, time_integral = np.zeros((2,) + lam2.shape[:2] + times.shape)
+    np.cumsum(ds, axis=2, out=stochastic[:, :, 1:])
+    lam2 *= dt
+    np.cumsum(lam2, axis=2, out=time_integral[:, :, 1:])
+    valid = alive & np.isfinite(stochastic[:, :, -1]) & np.isfinite(time_integral[:, :, -1])
+    return DensityTrack(times, stochastic, time_integral, valid, m.total_mass())
 
 
 def compose_time_shift(ensemble: FlowEnsemble, s: float, horizon: float) -> FlowEnsemble:

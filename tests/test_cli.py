@@ -267,6 +267,13 @@ class TestMain:
         ("simulate", {"family": "log-singular", "measure": {"dim": 1, "alpha": 3.0}},
          "measure.dim 1 does not match the 2-dimensional space"),
         ("derivative", {"family": "linear"}, "derivative needs a deriv-* family"),
+        ("density", {"family_params": {"bogus": 1}}, "unused family parameters: ['bogus']"),
+        ("stability", {"family": "log-singular", "family_params": {"bogus": 1}},
+         "unused family parameters: ['bogus']"),
+        ("analysis", {"measure": {"alpha": 3.0}},
+         "analysis draws from no configured measure"),
+        ("verify-all", {"measure": {"dim": 1, "alpha": 3.0}},
+         "verify-all draws from no configured measure"),
     ])
     def test_nonsense_input_is_a_named_error(self, tmp_path, capsys, kind, raw, match):
         cfg = tmp_path / "cfg.json"

@@ -20,7 +20,6 @@ from roughflow import (
     mollified_convergence,
     mollifier_domination_check,
     mollify,
-    track_density,
 )
 from roughflow import coefficients
 from roughflow._seeds import derive_rng
@@ -561,6 +560,43 @@ class TestQuadratureBlocks:
             assert np.array_equal(getattr(default, part), getattr(small, part))
 
 
+def _counted(calls, name, fn):
+    def wrapped(x):
+        calls.append(name)
+        return fn(x)
+
+    return wrapped
+
+
+class TestJacobianOnlyRequests:
+    """``sigma_jac``, ``drift_jac`` and ``sigma_divergence`` skip the value callables."""
+
+    def test_analytic_field(self):
+        base, calls = make_family("deriv-smooth").field, []
+        field = CoefficientField(1, 1, _counted(calls, "sigma", base.sigma_fn),
+                                 _counted(calls, "drift", base.drift_fn),
+                                 base.sigma_jac_fn, base.drift_jac_fn)
+        x = np.linspace(-1.0, 1.0, 7)[:, None]
+        for get in ("sigma_jac", "drift_jac", "sigma_divergence"):
+            assert np.array_equal(getattr(field, get)(x), getattr(base, get)(x))
+        assert calls == []
+        field.evaluate(x, jac=True)
+        assert calls == ["sigma", "drift"]
+
+    def test_structured_field(self):
+        base, calls = make_family("partially-sobolev").field, []
+        b = base.blocks
+        field = StructuredCoefficient(
+            1, FieldBlocks(*(_counted(calls, name, getattr(b, name))
+                             for name in ("sigma1", "drift1", "sigma2", "drift2")),
+                           b.sigma1_jac, b.drift1_jac, b.sigma2_jac, b.drift2_jac),
+            2, 1)
+        x = np.array([[-0.7, 0.4], [0.3, -1.2], [1.5, 0.9]])
+        for get in ("sigma_jac", "drift_jac", "sigma_divergence"):
+            assert np.array_equal(getattr(field, get)(x), getattr(base, get)(x))
+        assert calls == []
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("smoothing", ["plain", "mollify"])
     @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -607,15 +643,17 @@ class TestQuadraturePassBudget:
         return count
 
     @pytest.mark.parametrize("name,track_passes", [
-        ("log-singular", 1), ("partially-sobolev", 2), ("deriv-smooth", 2),
+        ("log-singular", 0), ("partially-sobolev", 1), ("deriv-smooth", 1),
     ])
     def test_one_pass_per_step_and_per_track(self, passes, name, track_passes):
+        # the step's pass serves the density exponent too; a track adds only
+        # the sigma-divergence difference of a non-constant sigma (one block)
         fam, field = _field_for(name, "mollify")
         n_steps = 8
         drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, 3, seed=4)
         x0 = fam.measure.sample(derive_rng(11, f"passes-{name}"), 5)
-        ens = integrate_flow(field, drv, x0, n_steps * drv.dt)
+        integrate_flow(field, drv, x0, n_steps * drv.dt)
         assert passes["n"] == n_steps
         passes["n"] = 0
-        track_density(ens, fam.measure)
-        assert passes["n"] == track_passes
+        integrate_flow(field, drv, x0, n_steps * drv.dt, density=fam.measure)
+        assert passes["n"] == n_steps + track_passes

@@ -11,15 +11,18 @@ from roughflow import (
     ReferenceMeasure,
     compose_time_shift,
     density_bound_rhs,
+    density_drift_term,
+    density_noise_with_gradient,
     entropy,
     integrate,
     kde_crosscheck,
     lp_density_norm,
     make_family,
+    mollify,
     sup_lp_density_norm,
-    track_density,
     uniform_density_bound,
 )
+from roughflow import flow
 from roughflow._seeds import derive_rng, derive_seed
 
 
@@ -40,8 +43,8 @@ def tracked(family_name, dt_exp=8, n_omega=8, n_x=24, T=1.0, seed=0):
         derive_seed(seed, f"{family_name}-driver"),
     )
     x0 = fam.measure.sample(derive_rng(seed, f"{family_name}-x0"), n_x)
-    ens = integrate(fam.field, drv, x0, T)
-    return fam, ens, track_density(ens, fam.measure)
+    ens = integrate(fam.field, drv, x0, T, density=fam.measure)
+    return fam, ens, ens.density
 
 
 class TestTrackBasics:
@@ -49,8 +52,7 @@ class TestTrackBasics:
         m = ReferenceMeasure(1, 2.0)
         drv = BrownianDriver.generate(1, 2**-5, 2**5, 3, seed=1)
         x0 = m.sample(derive_rng(1, "z"), 5)
-        ens = integrate(zero_field(), drv, x0, 1.0)
-        track = track_density(ens, m)
+        track = integrate(zero_field(), drv, x0, 1.0, density=m).density
         assert np.all(track.density() == 1.0)
 
     def test_starts_at_one_and_positive(self):
@@ -85,11 +87,68 @@ class TestTrackBasics:
         fam, ens, track = tracked("deriv-smooth", dt_exp=8, n_omega=4, n_x=8)
         m = fam.measure
         comp = compose_time_shift(ens, 0.5, 0.5)
-        track2 = track_density(comp, m)
+        # the composed flow's density, tracked from s = 0.5 on
+        track2 = integrate(comp.field, comp.driver, ens.state_at(0.5), 0.5, density=m).density
         j = ens.time_index(0.5)
         direct = track.log_density()[:, :, -1]
         composed = track.log_density()[:, :, j] + track2.log_density()[:, :, -1]
         assert np.allclose(direct, composed, rtol=1e-10, atol=1e-12)
+
+
+def block_reevaluation(ens, m, per_block):
+    """The density exponent of ``ens`` re-evaluated after the flow: blocks of
+    ``per_block`` whole steps, each block's left points evaluated once with
+    Jacobians and shared by both terms."""
+    field, states, dt = ens.field, ens.states, ens.driver.dt
+    n_omega, n_x, n_times, _ = states.shape
+    lam2, ds = np.empty((2, n_omega, n_x, n_times - 1))
+    for a in range(0, n_times - 1, per_block):
+        steps = slice(a, min(a + per_block, n_times - 1))
+        left, inc = states[:, :, steps, :], ens.driver.increments[:, steps, :]
+        ev = field.evaluate(left, jac=True)
+        lam2[:, :, steps] = density_drift_term(field, m, left, ev)
+        lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
+        quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
+        ds[:, :, steps] = (np.einsum("oxnm,onm->oxn", lam1, inc)
+                           + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))
+    stochastic, time_integral = np.zeros((2, n_omega, n_x, n_times))
+    np.cumsum(ds, axis=2, out=stochastic[:, :, 1:])
+    np.cumsum(lam2 * dt, axis=2, out=time_integral[:, :, 1:])
+    return stochastic, time_integral
+
+
+class TestTrackInIntegrate:
+    """``integrate(..., density=m)`` against the block re-evaluation it replaced."""
+
+    @pytest.mark.parametrize("steps_per_block", [3, None])  # None: one block
+    @pytest.mark.parametrize("name,smoothed", [
+        ("log-singular", True), ("partially-sobolev", True), ("deriv-smooth", True),
+        ("linear", False), ("partially-sobolev", False),
+    ])
+    def test_bitwise_equal_to_block_reevaluation(self, monkeypatch, name, smoothed,
+                                                 steps_per_block):
+        fam = make_family(name)
+        field = mollify(fam.field, fam.mollifier(4.0)) if smoothed else fam.field
+        assert field.is_smoothed == smoothed
+        n_omega, n_x, n_steps = 3, 5, 11
+        per_block = steps_per_block or n_steps
+        monkeypatch.setattr(flow, "_TRACK_BLOCK_STATES", n_omega * n_x * per_block)
+        drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, n_omega,
+                                      derive_seed(21, f"inline-{name}"))
+        x0 = fam.measure.sample(derive_rng(21, f"inline-x0-{name}"), n_x)
+        ens = integrate(field, drv, x0, n_steps * drv.dt, density=fam.measure)
+        # tracking the density leaves the flow bitwise unchanged
+        assert np.array_equal(ens.states, integrate(field, drv, x0, n_steps * drv.dt).states)
+        stochastic, time_integral = block_reevaluation(ens, fam.measure, per_block)
+        assert np.array_equal(ens.density.stochastic, stochastic)
+        assert np.array_equal(ens.density.time_integral, time_integral)
+        assert np.array_equal(ens.density.valid, ~ens.exploded)
+        assert np.array_equal(ens.density.times, ens.times)
+
+    def test_untracked_flow_has_no_density(self):
+        fam = make_family("linear")
+        drv = BrownianDriver.generate(1, 2**-4, 4, 2, seed=3)
+        assert integrate(fam.field, drv, [[0.5]], 0.25).density is None
 
 
 class TestLpNorm:
@@ -97,8 +156,7 @@ class TestLpNorm:
         m = ReferenceMeasure(1, 2.0)
         drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=2)
         x0 = m.sample(derive_rng(2, "lp"), 8)
-        ens = integrate(zero_field(), drv, x0, 1.0)
-        track = track_density(ens, m)
+        track = integrate(zero_field(), drv, x0, 1.0, density=m).density
         for p in (2.0, 3.0):
             est = lp_density_norm(track, p)
             assert est.value == pytest.approx(m.total_mass() ** (1 / p), rel=1e-12)
@@ -218,8 +276,7 @@ class TestEntropy:
         m = ReferenceMeasure(1, 2.0)
         drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=8)
         x0 = m.sample(derive_rng(8, "e"), 8)
-        ens = integrate(zero_field(), drv, x0, 1.0)
-        track = track_density(ens, m)
+        track = integrate(zero_field(), drv, x0, 1.0, density=m).density
         assert entropy(track).value == 0.0
 
     def test_translation_entropy_vs_quadrature_oracle(self):

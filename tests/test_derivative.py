@@ -8,7 +8,7 @@ from roughflow._seeds import derive_rng, derive_seed
 from roughflow.catalog import doubled_measure
 from roughflow.derivative import (
     derivative_flow,
-    difference_flow,
+    difference_flows,
     lift,
     verify_hypotheses,
     weak_derivative_convergence,
@@ -118,8 +118,11 @@ class TestFlows:
         runs = []
         for _ in range(2):
             drv = BrownianDriver.generate(1, 2**-7, 2**7, 3, derive_seed(6, "r"))
-            runs.append(difference_flow(sys_, 0.25, drv, xy, 1.0).states.tobytes())
+            runs.append(next(difference_flows(sys_, [0.25], drv, xy, 1.0)).states.tobytes())
         assert runs[0] == runs[1]
+        # a shared base flow gives each eps the ensemble it gets alone
+        shared = list(difference_flows(sys_, [0.5, 0.25], drv, xy, 1.0))
+        assert shared[1].states.tobytes() == runs[0]
 
     def test_difference_flow_eps_trend_smooth(self):
         sys_ = lift(make_family("deriv-smooth").field)
@@ -128,8 +131,7 @@ class TestFlows:
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 6, derive_seed(7, "t"))
         e_deriv = derivative_flow(sys_, drv, xy, 1.0)
         gaps = []
-        for eps in (1e-2, 1e-3):
-            e_diff = difference_flow(sys_, eps, drv, xy, 1.0)
+        for e_diff in difference_flows(sys_, (1e-2, 1e-3), drv, xy, 1.0):
             gaps.append(np.abs(e_diff.states[..., 1]
                                - e_deriv.states[..., 1]).max())
         assert gaps[1] < gaps[0]

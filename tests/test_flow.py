@@ -17,7 +17,6 @@ from roughflow import (
     make_family,
     mollify,
     sup_lp_density_norm,
-    track_density,
 )
 from roughflow._seeds import derive_rng, derive_seed
 from roughflow.stability import stability_functional
@@ -173,9 +172,8 @@ class TestSupNormAndLevelSets:
         fam = make_family("linear")
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 40, seed=12)
         x0 = fam.measure.sample(derive_rng(4, "ls"), 40)
-        ens = integrate(fam.field, drv, x0, 1.0)
-        track = track_density(ens, fam.measure)
-        lam = sup_lp_density_norm(track, 2.0).value
+        ens = integrate(fam.field, drv, x0, 1.0, density=fam.measure)
+        lam = sup_lp_density_norm(ens.density, 2.0).value
         rep = level_set_tail(ens, 5.0, fam.measure, 2.0, lam, mc_budget=5000,
                              rng=derive_rng(5, "lsn"))
         assert rep.passed
@@ -229,12 +227,13 @@ class TestCompositionProperties:
         dt = 2.0**-5
         drv = BrownianDriver.generate(field.dim_noise, dt, 32, 2, seed)
         x0 = fam.measure.sample(derive_rng(seed, "prop-x0"), 3)
-        ens = integrate(field, drv, x0, 1.0)
+        ens = integrate(field, drv, x0, 1.0, density=fam.measure)
         s = j * dt
         comp = compose_time_shift(ens, s, 1.0 - s)
         assert np.array_equal(comp.states, ens.states[:, :, j:, :])
-        direct = track_density(ens, fam.measure).log_density()
-        tail = track_density(comp, fam.measure).log_density()[:, :, -1]
+        direct = ens.density.log_density()
+        tail = integrate(field, comp.driver, ens.state_at(s), 1.0 - s,
+                         density=fam.measure).density.log_density()[:, :, -1]
         assert np.allclose(direct[:, :, -1], direct[:, :, j] + tail,
                            rtol=1e-10, atol=1e-12)
 
