@@ -238,19 +238,24 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
 
 
 def _loglip(u):
-    """-u log|u| zeta(|u|): bounded, Sobolev, not Lipschitz at 0."""
+    """-u log|u| zeta(|u|): bounded, Sobolev, not Lipschitz at 0.
+
+    zeta vanishes from |u| = 1 on, so log and zeta run on 0 < |u| < 1 only.
+    """
     a = np.abs(u)
-    safe = np.where(a > 0, a, 1.0)
-    val = -u * np.log(safe) * _zeta(safe)
-    return np.where(a > 0, val, 0.0)
+    out, on = np.zeros(a.shape), (a > 0) & (a < 1)
+    ao = a[on]
+    out[on] = -u[on] * np.log(ao) * _zeta(ao)
+    return out
 
 
 def _loglip_deriv(u):
     a = np.abs(u)
-    safe = np.where(a > 0, a, 1.0)
-    sgn = np.sign(u)
-    val = (-np.log(safe) - 1.0) * _zeta(safe) - u * np.log(safe) * _zeta_deriv(safe) * sgn
-    return np.where(a > 0, val, 0.0)
+    out, on = np.zeros(a.shape), (a > 0) & (a < 1)
+    uo, ao = u[on], a[on]
+    log = np.log(ao)
+    out[on] = (-log - 1.0) * _zeta(ao) - uo * log * _zeta_deriv(ao) * np.sign(uo)
+    return out
 
 
 def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
@@ -272,19 +277,21 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
     def drift1_jac_fn(x1):
         return -np.ones(x1.shape[:-1] + (1, 1))
 
-    def sigma2_fn(x):
-        s = step(x[..., 0])
-        return (noise * (1.0 + 0.5 * s) * (1.0 + 0.3 * np.sin(x[..., 1])))[..., None, None]
+    # each second-block term is a product of an x1 factor and an x2 factor:
+    # on the quadrature's block grids each factor is evaluated once per offset
+    def sigma2_fn(x1, x2):
+        s = step(x1[..., 0])
+        return (noise * (1.0 + 0.5 * s) * (1.0 + 0.3 * np.sin(x2[..., 0])))[..., None, None]
 
-    def sigma2_jac_x2_fn(x):
-        s = step(x[..., 0])
-        return (noise * (1.0 + 0.5 * s) * 0.3 * np.cos(x[..., 1]))[..., None, None, None]
+    def sigma2_jac_x2_fn(x1, x2):
+        s = step(x1[..., 0])
+        return (noise * (1.0 + 0.5 * s) * 0.3 * np.cos(x2[..., 0]))[..., None, None, None]
 
-    def drift2_fn(x):
-        return (-x[..., 1] + step_amp * step(x[..., 0]) * _loglip(x[..., 1]))[..., None]
+    def drift2_fn(x1, x2):
+        return (-x2[..., 0] + step_amp * step(x1[..., 0]) * _loglip(x2[..., 0]))[..., None]
 
-    def drift2_jac_x2_fn(x):
-        return (-1.0 + step_amp * step(x[..., 0]) * _loglip_deriv(x[..., 1]))[
+    def drift2_jac_x2_fn(x1, x2):
+        return (-1.0 + step_amp * step(x1[..., 0]) * _loglip_deriv(x2[..., 0]))[
             ..., None, None
         ]
 

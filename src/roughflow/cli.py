@@ -142,6 +142,9 @@ class ExperimentConfig:
         if self.kind in _LIFTED_KINDS and not self.family.startswith("deriv"):
             raise ValueError(f"{self.kind} needs a deriv-* family, got {self.family!r}")
         sampling = self.kind not in ("analysis", "verify-all")  # build a family and sample
+        if self.family_params and not sampling:
+            raise ValueError(f"{self.kind} builds no family; "
+                             "remove 'family_params' from the config")
         if self.measure is not None:
             if not sampling:
                 raise ValueError(f"{self.kind} draws from no configured measure; "

@@ -84,11 +84,11 @@ class FieldEval:
     drift_jac: Optional[NDArray[np.float64]] = None  # (..., n, n)
 
 
-def _jacobian(field, fn: Optional[Callable], name: str, x,
+def _jacobian(field, fn: Optional[Callable], name: str, *args,
               fix: str = "smooth it with mollify to differentiate it") -> NDArray[np.float64]:
     if fn is None:
         raise ValueError(f"field {field.name!r} has no {name} Jacobian; {fix}")
-    return np.asarray(fn(x), dtype=np.float64)
+    return np.asarray(fn(*args), dtype=np.float64)
 
 
 @dataclass
@@ -184,19 +184,25 @@ class CoefficientField:
 class FieldBlocks:
     """Block callables of a structured field: the first block (with its
     x1-Jacobians) of ``x1 = x[..., :n1]``, the second block (with its
-    x2-Jacobians) of the full ``x``.  A field smoothed by ``mollify`` keeps
-    its base's record, so the second-block callables are the rough
-    functions; ``second_block`` reads any field's own second block.
+    x2-Jacobians) of ``(x1, x2)``, ``x2 = x[..., n1:]``.  A field smoothed by
+    ``mollify`` keeps its base's record, so the second-block callables are
+    the rough functions; ``second_block`` reads any field's own second block.
+
+    The second-block callables must broadcast over the leading axes of x1
+    and x2: a smoothing pass calls them on the block grids ``x1 - u1/k`` of
+    shape (B, G1, 1, n1) and ``x2 - u2/k`` of shape (B, 1, G2, n2), the
+    distinct node offsets of each block, so a factor of x1 alone or of x2
+    alone is computed once per offset rather than once per node.
     """
 
     sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)
     drift1: Callable                        # x1           -> (..., n1)
-    sigma2: Callable                        # x  (..., n)  -> (..., n2, m)
-    drift2: Callable                        # x            -> (..., n2)
+    sigma2: Callable                        # x1, x2 (..., n2) -> (..., n2, m)
+    drift2: Callable                        # x1, x2       -> (..., n2)
     sigma1_jac: Optional[Callable] = None   # x1 -> (..., n1, m, n1)
     drift1_jac: Optional[Callable] = None   # x1 -> (..., n1, n1)
-    sigma2_jac: Optional[Callable] = None   # x  -> (..., n2, m, n2), in x2
-    drift2_jac: Optional[Callable] = None   # x  -> (..., n2, n2), in x2
+    sigma2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, m, n2), in x2
+    drift2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, n2), in x2
 
 
 class StructuredCoefficient(CoefficientField):
@@ -253,25 +259,28 @@ class StructuredCoefficient(CoefficientField):
                 jac1 = np.zeros(jac2.shape[:rows - 1] + (n1,) + jac2.shape[rows:])
                 jac1[..., :n1] = _jacobian(
                     self, getattr(b, f"{name}1_jac"), f"first-block {name}", x1,
-                    f"smoothing keeps the first block, so give FieldBlocks a {name}1_jac")
+                    fix=f"smoothing keeps the first block, so give FieldBlocks a {name}1_jac")
                 setattr(out, f"{name}_jac", np.concatenate([jac1, jac2], axis=rows - 1))
         return out
 
     def _second(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
         """Second-block rows of sigma and/or b at ``pts``, Jacobian columns
         over all of x (zero in x1)."""
-        out = FieldEval(None, None)
+        x1, x2 = pts[..., :self.n1], pts[..., self.n1:]
+        out = self._rows(x1, x2, sigma and values, drift and values)
         for name, on in (("sigma", sigma), ("drift", drift)):
-            if not on:
-                continue
-            if values:
-                setattr(out, name, getattr(self.blocks, f"{name}2")(pts))
-            if jac:
-                jac2 = _jacobian(self, getattr(self.blocks, f"{name}2_jac"), name, pts)
+            if on and jac:
+                jac2 = _jacobian(self, getattr(self.blocks, f"{name}2_jac"), name, x1, x2)
                 full = np.zeros(jac2.shape[:-1] + (self.dim_state,))
                 full[..., self.n1:] = jac2
                 setattr(out, f"{name}_jac", full)
         return out
+
+    def _rows(self, x1, x2, sigma=True, drift=True) -> FieldEval:
+        """Rough second-block values of sigma and/or b at the block
+        coordinates ``(x1, x2)``: points, or a quadrature's block grids."""
+        b = self.blocks
+        return FieldEval(b.sigma2(x1, x2) if sigma else None, b.drift2(x1, x2) if drift else None)
 
     def first_block(self, x1) -> FieldEval:
         """First-block sigma, b and their x1-Jacobians at points of R^n1."""
@@ -402,6 +411,7 @@ class MollifierSpec:
         # row 0: value weights (sum to 1 exactly); row 1 + j: d/dx_j weights
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
+        self._grids = {}  # column split -> ``_block_grids``
 
     def _points(self, x) -> NDArray[np.float64]:
         pts = np.asarray(x, dtype=np.float64)
@@ -461,39 +471,78 @@ class MollifierSpec:
 
     # -- convolution ---------------------------------------------------------
 
-    def convolve(self, func: Callable, x) -> NDArray[np.float64]:
-        """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out)."""
-        return self._quadrature(func, x, self._weights[:1])[0]
+    def convolve(self, func: Callable, x, split: tuple = ()) -> NDArray[np.float64]:
+        """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out).
 
-    def convolve_with_grad(self, func: Callable, x):
+        With a column ``split`` (as in ``np.split``) ``func`` takes one
+        argument per block of columns, the block grids of ``_quadrature``.
+        """
+        return self._quadrature(func, x, self._weights[:1], split)[0]
+
+    def convolve_with_grad(self, func: Callable, x, split: tuple = ()):
         """Value and gradient of func * chi_k in a single pass over func.
 
         Returns ``(value, grad)`` with shapes ``(..., *out)`` and
-        ``(..., *out, dim)``.
+        ``(..., *out, dim)``; ``split`` as in ``convolve``.
         """
-        out = self._quadrature(func, x, self._weights)
+        out = self._quadrature(func, x, self._weights, split)
         return out[0], np.moveaxis(out[1:], 0, -1)
 
-    def _quadrature(self, func, x, weights):
+    def _block_grids(self, split: tuple):
+        """``(blocks, gather)`` of the node columns split at ``split``.
+
+        ``blocks`` holds, per block, its first column and its distinct node
+        offsets over k, shape (G_b, n_b).  ``gather`` maps each of the Q
+        nodes to its cell of the raveled (G_1, ..., G_nb) grid of offsets,
+        or is None where that grid is the nodes in order (one block).  Built
+        once per spec and split.
+        """
+        if split not in self._grids:
+            blocks, cells, starts = [], [], (0,) + split
+            for start, cols in zip(starts, np.split(self._nodes, split, axis=1)):
+                offsets, cell = np.unique(cols, axis=0, return_inverse=True)
+                if len(offsets) == len(cols):  # all distinct: keep the node order
+                    offsets, cell = cols, np.arange(len(cols))
+                blocks.append((start, offsets / self.level))
+                cells.append(cell.reshape(-1))
+            gather = np.ravel_multi_index(cells, [len(off) for _, off in blocks])
+            identity = np.array_equal(gather, np.arange(len(gather)))
+            self._grids[split] = blocks, None if identity else gather
+        return self._grids[split]
+
+    def _quadrature(self, func, x, weights, split=()):
         """``sum_q weights[j, q] func(x - u_q / k)`` at every point x.
 
         Returns shape ``(J,) + batch + out``.  Points go in blocks of at most
-        ``_MAX_EVAL_BLOCK`` point-node pairs, and each block's ``(B, Q, K)``
-        function values are reduced with one matrix product.
+        ``_MAX_EVAL_BLOCK`` point-node pairs.  ``func`` takes one grid per
+        block of columns (``split``): block b of a chunk of B points is
+        ``x_b - D_b / k`` over its distinct node offsets D_b, shape (B, G_b,
+        n_b) with singleton axes for the other blocks, so a factor of one
+        block's variables alone is evaluated once per offset.  The Q nodes
+        are gathered from the resulting (B, G_1, ..., *out) values, and the
+        chunk's ``(B, Q, K)`` values are reduced with one matrix product.
         """
         pts = self._points(x)
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
-        shifts = self._nodes / self.level                          # (Q, dim)
-        q = shifts.shape[0]
-        block = max(1, _MAX_EVAL_BLOCK // q)
+        blocks, gather = self._block_grids(tuple(split))
+        block = max(1, _MAX_EVAL_BLOCK // len(self._nodes))
         outs = []
         for start in range(0, flat.shape[0], block):
             chunk = flat[start:start + block]                      # (B, dim)
-            shifted = np.empty((len(chunk), q, self.dim))
-            for j in range(self.dim):  # one axis at a time: 4x cheaper than a 3-d broadcast
-                np.subtract(chunk[:, j, None], shifts[None, :, j], out=shifted[:, :, j])
-            f = np.asarray(func(shifted), dtype=np.float64)        # (B, Q, *out)
+            grids = []
+            for b, (col, offsets) in enumerate(blocks):
+                grid = np.empty((len(chunk),) + offsets.shape)
+                # one axis at a time: 4x cheaper than a 3-d broadcast
+                for j in range(offsets.shape[1]):
+                    np.subtract(chunk[:, col + j, None], offsets[None, :, j], out=grid[:, :, j])
+                axes = [1] * len(blocks)
+                axes[b] = len(offsets)
+                grids.append(grid.reshape((len(chunk), *axes, offsets.shape[1])))
+            f = np.asarray(func(*grids), dtype=np.float64)         # (B, G_1, ..., *out)
+            f = f.reshape((len(chunk), -1) + f.shape[1 + len(blocks):])
+            if gather is not None:
+                f = np.take(f, gather, axis=1)  # (B, Q, *out); 8x faster than f[:, gather]
             f2 = f.reshape(f.shape[:2] + (-1,))
             # the value row is a product of its own, so a value is bitwise the
             # same whether or not the gradient rows come with it
@@ -509,20 +558,22 @@ class _Smoother:
     derivatives: ``mollify`` makes one the ``_eval`` of a smoothed field, or
     the ``_second`` of a smoothed structured field.
 
-    ``rough(y, sigma, drift)`` is the rough field's own ``_eval`` (or
-    ``_second``); its sigma has shape ``sigma_shape``.  A call packs the
-    requested rough components into one function, so that one quadrature
-    pass serves them all: ``convolve`` for values, ``convolve_with_grad``
-    for the Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k``,
-    whose product rule needs the values (``values=False`` returns them too).
-    For a declared-constant sigma (``sigma0``, its value) the convolution
-    is the identity (the discrete kernel weights sum to one), so sigma_k
-    reduces exactly to sigma * psi_k and only the cutoff is evaluated.
+    ``rough(*xs, sigma, drift)`` is the rough field's own ``_eval`` (one
+    block, ``split=()``) or, for a structured field, its ``_rows`` of the
+    block coordinates ``(x1, x2)`` (``split=(n1,)``); its sigma has shape
+    ``sigma_shape``.  A call packs the requested rough components into one
+    function of the quadrature's block grids, so that one quadrature pass
+    serves them all: ``convolve`` for values, ``convolve_with_grad`` for the
+    Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k``, whose
+    product rule needs the values (``values=False`` returns them too).  For
+    a declared-constant sigma (``sigma0``, its value) the convolution is the
+    identity (the discrete kernel weights sum to one), so sigma_k reduces
+    exactly to sigma * psi_k and only the cutoff is evaluated.
     """
 
     def __init__(self, spec: MollifierSpec, rough: Callable, sigma_shape: tuple,
-                 sigma0: Optional[NDArray[np.float64]] = None):
-        self.spec, self.rough, self.sigma0 = spec, rough, sigma0
+                 sigma0: Optional[NDArray[np.float64]] = None, split: tuple = ()):
+        self.spec, self.rough, self.sigma0, self.split = spec, rough, sigma0, split
         self.shapes = dict(sigma=sigma_shape, drift=sigma_shape[:1])
 
     def __call__(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
@@ -530,18 +581,20 @@ class _Smoother:
         names = [name for name, on in (("sigma", sigma and self.sigma0 is None),
                                        ("drift", drift)) if on]
         if names:
-            def packed(y):
-                ev = self.rough(y, "sigma" in names, drift)
-                cols = [np.asarray(getattr(ev, name), dtype=np.float64)
-                        .reshape(y.shape[:-1] + (-1,)) for name in names]
+            def packed(*grids):
+                ev = self.rough(*grids, "sigma" in names, drift)
+                lead = np.broadcast_shapes(*(g.shape[:-1] for g in grids))
+                cols = [np.broadcast_to(np.asarray(getattr(ev, name), dtype=np.float64),
+                                        lead + self.shapes[name]).reshape(lead + (-1,))
+                        for name in names]
                 return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
 
             psi = spec.cutoff(pts)[..., None]
             if jac:
-                conv, grad = spec.convolve_with_grad(packed, pts)
+                conv, grad = spec.convolve_with_grad(packed, pts, self.split)
                 grad = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[..., None, :]
             else:
-                conv = spec.convolve(packed, pts)
+                conv = spec.convolve(packed, pts, self.split)
             val, lead, start = conv * psi, pts.shape[:-1], 0
             for name in names:
                 shape = self.shapes[name]
@@ -587,7 +640,7 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
         raise ValueError("field is already smoothed; smooth its rough base instead")
     smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
                                    name=f"{field.name}|k2={spec.level:g}")
-    smooth._second = _Smoother(spec, field._second, (field.n2, m))
+    smooth._second = _Smoother(spec, field._rows, (field.n2, m), split=(field.n1,))
     return smooth
 
 

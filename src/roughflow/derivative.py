@@ -64,19 +64,17 @@ class DerivativeSystem:
         return self._lifted
 
     def _build_lifted(self) -> StructuredCoefficient:
-        base, d = self.base, self.dim
+        base = self.base
 
-        def sigma2_fn(xy):
-            jac = base.sigma_jac_fn(xy[..., :d])
-            return np.einsum("...ikj,...j->...ik", jac, xy[..., d:])
+        def sigma2_fn(x, y):
+            return np.einsum("...ikj,...j->...ik", base.sigma_jac_fn(x), y)
 
-        def drift2_fn(xy):
-            jac = base.drift_jac_fn(xy[..., :d])
-            return np.einsum("...ij,...j->...i", jac, xy[..., d:])
+        def drift2_fn(x, y):
+            return np.einsum("...ij,...j->...i", base.drift_jac_fn(x), y)
 
         return self._doubled(sigma2_fn, drift2_fn,
-                             lambda xy: base.sigma_jac_fn(xy[..., :d]),
-                             lambda xy: base.drift_jac_fn(xy[..., :d]),
+                             lambda x, y: base.sigma_jac_fn(x),
+                             lambda x, y: base.drift_jac_fn(x),
                              f"{base.name}|derivative")
 
     def epsilon_system(self, eps: float) -> StructuredCoefficient:
@@ -87,24 +85,22 @@ class DerivativeSystem:
         """
         if eps <= 0:
             raise ValueError("eps must be positive")
-        base, d = self.base, self.dim
+        base = self.base
 
-        def sigma2_fn(xy):
-            x, y = xy[..., :d], xy[..., d:]
+        def sigma2_fn(x, y):
             return (base.sigma(x + eps * y) - base.sigma(x)) / eps
 
-        def drift2_fn(xy):
-            x, y = xy[..., :d], xy[..., d:]
+        def drift2_fn(x, y):
             return (base.drift(x + eps * y) - base.drift(x)) / eps
 
         return self._doubled(sigma2_fn, drift2_fn,
-                             lambda xy: base.sigma_jac_fn(xy[..., :d] + eps * xy[..., d:]),
-                             lambda xy: base.drift_jac_fn(xy[..., :d] + eps * xy[..., d:]),
+                             lambda x, y: base.sigma_jac_fn(x + eps * y),
+                             lambda x, y: base.drift_jac_fn(x + eps * y),
                              f"{base.name}|difference(eps={eps:g})")
 
     def _doubled(self, sigma2, drift2, sigma2_jac, drift2_jac, name) -> StructuredCoefficient:
         """Doubled-space field: the base's callables on the first block, the
-        given second block (with its y-Jacobians) on the second."""
+        given second block of ``(x, y)`` (with its y-Jacobians) on the second."""
         base = self.base
         return StructuredCoefficient(
             self.dim,

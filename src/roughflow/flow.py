@@ -116,12 +116,6 @@ class BrownianDriver:
         ).sum(axis=2)
         return BrownianDriver(self.dt * factor, self.seed, inc, self.offset // factor)
 
-    def path_values(self) -> NDArray[np.float64]:
-        """B at grid times, shape (n_omega, n_steps + 1, m); B_0 = 0."""
-        out = np.zeros((self.n_omega, self.n_steps + 1, self.dim_noise))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:, :])
-        return out
-
 
 def grid_index(times: NDArray[np.float64], t: float, grid: str) -> int:
     """Index of ``t`` on the uniform ``times``; else a ValueError naming ``grid``."""
@@ -198,9 +192,6 @@ class FlowEnsemble:
     def state_at(self, t: float) -> NDArray[np.float64]:
         return self.states[:, :, self.time_index(t), :]
 
-    def terminal_states(self) -> NDArray[np.float64]:
-        return self.states[:, :, -1, :]
-
     def diff_sup(self, other: "FlowEnsemble") -> NDArray[np.float64]:
         """max over common grid times of |X - Y|, per (omega, x)."""
         n_t = min(self.states.shape[2], other.states.shape[2])
@@ -254,7 +245,7 @@ def integrate(
     n_omega, n_x, n = x.shape
     states = np.empty((n_omega, n_x, n_steps + 1, n))
     states[:, :, 0, :] = x
-    alive = np.ones((n_omega, n_x), dtype=bool)
+    alive, frozen = np.ones((n_omega, n_x), dtype=bool), False
     if density is not None:
         per_step, buf = field.is_smoothed, None
         per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
@@ -265,16 +256,17 @@ def integrate(
             np.einsum("oxnm,om->oxn", ev.sigma, driver.increments[:, i, :])
             + ev.drift * dt
         )
-        x = np.where(alive[..., None], x + step, x)
-        bad = ~np.isfinite(x).all(axis=-1) | (
-            np.linalg.norm(np.where(np.isfinite(x), x, 0.0), axis=-1)
-            > EXPLOSION_THRESHOLD
-        )
-        newly = bad & alive
+        moved = x + step
+        if frozen:
+            moved = np.where(alive[..., None], moved, x)
+        # one sum of squares per state; nan and inf fail the comparison
+        newly = ~(np.sum(moved * moved, axis=-1) <= EXPLOSION_THRESHOLD**2) & alive
         if newly.any():
             # freeze at the last finite state
-            x = np.where(newly[..., None], states[:, :, i, :], x)
+            moved = np.where(newly[..., None], x, moved)
             alive &= ~newly
+            frozen = True
+        x = moved
         states[:, :, i + 1, :] = x
         if density is None:
             continue

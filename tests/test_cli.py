@@ -274,6 +274,8 @@ class TestMain:
          "analysis draws from no configured measure"),
         ("verify-all", {"measure": {"dim": 1, "alpha": 3.0}},
          "verify-all draws from no configured measure"),
+        ("analysis", {"family_params": {"bogus": 1}}, "analysis builds no family"),
+        ("verify-all", {"family_params": {"bogus": 1}}, "verify-all builds no family"),
     ])
     def test_nonsense_input_is_a_named_error(self, tmp_path, capsys, kind, raw, match):
         cfg = tmp_path / "cfg.json"

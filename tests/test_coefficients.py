@@ -178,8 +178,8 @@ class TestStructuredBlocks:
         first, second = field.first_block(pts[:, :1]), field.second_block(pts)
         assert np.array_equal(first.sigma, ev.sigma[:, :1, :])
         assert np.array_equal(first.drift_jac, ev.drift_jac[:, :1, :1])
-        assert np.array_equal(second.sigma, field.blocks.sigma2(pts))
-        assert np.array_equal(second.drift, field.blocks.drift2(pts))
+        assert np.array_equal(second.sigma, field.blocks.sigma2(pts[:, :1], pts[:, 1:]))
+        assert np.array_equal(second.drift, field.blocks.drift2(pts[:, :1], pts[:, 1:]))
         assert np.array_equal(second.sigma_jac, ev.sigma_jac[:, 1:, :, 1:])
 
     def test_smoothed_field_shares_the_first_block_and_is_not_resmoothed(self):
@@ -538,6 +538,7 @@ class TestBallNodes:
         assert len(nodes) > len(spec._nodes)
         monkeypatch.setattr(spec, "_nodes", nodes)
         monkeypatch.setattr(spec, "_weights", weights)
+        monkeypatch.setattr(spec, "_grids", {})  # block grids derived from the cube nodes
         ref = field.evaluate(pts, jac=True)
         for part in ("sigma", "drift"):
             assert np.max(np.abs(getattr(got, part) - getattr(ref, part))) <= 1e-14
@@ -560,10 +561,63 @@ class TestQuadratureBlocks:
             assert np.array_equal(getattr(default, part), getattr(small, part))
 
 
+class TestSecondBlockGrids:
+    """A smoothed structured field evaluates its second block on the
+    quadrature's block grids and gathers the ball nodes from them."""
+
+    @pytest.mark.parametrize("shape", [1.0, 3.0])
+    @pytest.mark.parametrize("level", [2.0, 4.0, 8.0, 16.0])
+    def test_equals_per_pair_quadrature(self, level, shape):
+        fam = make_family("partially-sobolev")
+        spec = replace(fam.mollifier(level), shape=shape)
+        rng = derive_rng(17, f"pairs-{level}-{shape}")
+        pts = fam.measure.sample(rng, 48)
+        pts[:16, 0] = rng.uniform(-1.0 / level, 1.0 / level, 16)  # the x1-step's band
+        ev = mollify(fam.field, spec).evaluate(pts, jac=True)
+        # the rough second block at every point-node pair x - u_q / k
+        pairs = pts[:, None, :] - spec._nodes[None, :, :] / spec.level   # (N, Q, 2)
+        b = fam.field.blocks
+        f = np.concatenate([b.sigma2(pairs[..., :1], pairs[..., 1:])[..., 0],
+                            b.drift2(pairs[..., :1], pairs[..., 1:])], axis=-1)
+        conv = np.matmul(spec._weights[:1], f)[:, 0]                     # (N, 2)
+        grad = np.moveaxis(np.matmul(spec._weights[1:], f), 1, -1)       # (N, 2, 2)
+        psi = spec.cutoff(pts)[:, None]
+        val = conv * psi
+        jac = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[:, None, :]
+        first = fam.field.evaluate(pts, jac=True)
+        for name, col in (("sigma", 0), ("drift", 1)):
+            got, got_jac = getattr(ev, name), getattr(ev, name + "_jac")
+            assert np.array_equal(got[:, :1], getattr(first, name)[:, :1])
+            assert np.array_equal(got_jac[:, :1], getattr(first, name + "_jac")[:, :1])
+            assert got[:, 1:].reshape(-1).tobytes() == val[:, col].tobytes()
+            assert got_jac[:, 1:].reshape(-1, 2).tobytes() == jac[:, col].tobytes()
+
+    def test_callables_see_each_distinct_offset_once(self):
+        fam = make_family("partially-sobolev")
+        base, seen = fam.field.blocks, []
+
+        def recorded(fn):
+            def wrapped(x1, x2):
+                seen.append((x1.shape, x2.shape))
+                return fn(x1, x2)
+            return wrapped
+
+        field = StructuredCoefficient(
+            1, replace(base, sigma2=recorded(base.sigma2), drift2=recorded(base.drift2)), 2, 1)
+        spec = fam.mollifier(4.0)
+        assert len(spec._nodes) == 328  # of the 32 x 16 tensor nodes
+        n = 250  # two chunks of at most 2**16 point-node pairs
+        block = coefficients._MAX_EVAL_BLOCK // 328
+        mollify(field, spec).evaluate(fam.measure.sample(derive_rng(18, "grids"), n), jac=True)
+        # sigma and drift once per chunk: B x 32 x1 and B x 16 x2 coordinates
+        assert seen == [((b, 32, 1, 1), (b, 1, 16, 1)) for b in (block, n - block)
+                        for _ in range(2)]
+
+
 def _counted(calls, name, fn):
-    def wrapped(x):
+    def wrapped(*xs):
         calls.append(name)
-        return fn(x)
+        return fn(*xs)
 
     return wrapped
 
@@ -635,9 +689,9 @@ class TestQuadraturePassBudget:
         for attr in ("convolve", "convolve_with_grad"):
             original = getattr(MollifierSpec, attr)
 
-            def counted(self, func, x, _original=original):
+            def counted(self, func, x, *args, _original=original):
                 count["n"] += 1
-                return _original(self, func, x)
+                return _original(self, func, x, *args)
 
             monkeypatch.setattr(MollifierSpec, attr, counted)
         return count

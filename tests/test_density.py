@@ -338,7 +338,7 @@ class TestKdeCrosscheck:
                               seed=14)
         m = fam.measure
         rep = kde_crosscheck(ens, m, 1.0, bandwidth=0.3, omega_index=1)
-        b_t = ens.driver.path_values()[1, -1, 0]
+        b_t = np.cumsum(ens.driver.increments, axis=1)[1, -1, 0]
         pts = rep.probe_points[:, 0]
         oracle = m.weight((pts - b_t)[:, None]) / m.weight(pts[:, None])
         assert np.all(np.abs(rep.ratio / oracle - 1.0) < 0.15)

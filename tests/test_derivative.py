@@ -23,20 +23,20 @@ class TestLift:
     def test_linear_drift_block_independent_of_x(self):
         sys_ = lift(make_family("deriv-linear").field)
         xy = np.array([[0.3, 1.0], [7.0, 1.0], [-2.0, 1.0]])
-        b2 = sys_.lifted.blocks.drift2(xy)
+        b2 = sys_.lifted.blocks.drift2(xy[:, :1], xy[:, 1:])
         assert np.allclose(b2, -0.8)  # A y with A = -0.8, y = 1
 
     def test_constant_sigma_gives_zero_noise_block(self):
         sys_ = lift(make_family("deriv-linear").field)
         xy = np.array([[1.0, 2.0]])
-        assert np.allclose(sys_.lifted.blocks.sigma2(xy), 0.0)
+        assert np.allclose(sys_.lifted.blocks.sigma2(xy[:, :1], xy[:, 1:]), 0.0)
 
     def test_linear_difference_block_exact_for_every_eps(self):
         sys_ = lift(make_family("deriv-linear").field)
         xy = np.array([[0.5, 2.0], [-1.0, 0.3]])
         want = -0.8 * xy[:, 1:]
         for eps in (0.5, 0.01, 1e-4):
-            got = sys_.epsilon_system(eps).blocks.drift2(xy)
+            got = sys_.epsilon_system(eps).blocks.drift2(xy[:, :1], xy[:, 1:])
             assert np.allclose(got, want, atol=1e-9)
 
     def test_nonanalytic_base_rejected(self):
@@ -67,7 +67,7 @@ class TestFlows:
         drv = BrownianDriver.generate(1, dt, 2**9, 4, derive_seed(2, "d"))
         ens = derivative_flow(sys_, drv, xy, 1.0)
         want = xy[None, :, 1] * np.exp(-0.8)
-        got = ens.terminal_states()[..., 1]
+        got = ens.states[:, :, -1, 1]
         assert np.allclose(got, want, atol=5 * dt * np.abs(want).max() + 1e-6)
 
     def test_geometric_noise_derivative_identity(self):
@@ -89,9 +89,9 @@ class TestFlows:
         pred = x_t / xy[None, :, None, 0] * xy[None, :, None, 1]
         assert np.allclose(y_t, pred, rtol=1e-11, atol=1e-11)
         # and X follows geometric Brownian motion up to scheme error
-        b_t = drv.path_values()[:, None, -1, 0]
+        b_t = np.cumsum(drv.increments, axis=1)[:, None, -1, 0]
         gbm_oracle = xy[None, :, 0] * np.exp(c * b_t - c**2 / 2)
-        rms = np.sqrt(np.mean((ens.terminal_states()[..., 0] - gbm_oracle) ** 2))
+        rms = np.sqrt(np.mean((ens.states[:, :, -1, 0] - gbm_oracle) ** 2))
         assert rms < 10 * np.sqrt(2**-9)
 
     def test_zero_initial_derivative_stays_zero(self):
@@ -149,8 +149,8 @@ class TestFlows:
         h = 1e-4
         plus = integrate(fam.field, drv, xy[:, :1] + h * xy[:, 1:], 1.0)
         minus = integrate(fam.field, drv, xy[:, :1] - h * xy[:, 1:], 1.0)
-        jvp = (plus.terminal_states() - minus.terminal_states()) / (2 * h)
-        y_t = ens.terminal_states()[..., 1:]
+        jvp = (plus.states[:, :, -1, :] - minus.states[:, :, -1, :]) / (2 * h)
+        y_t = ens.states[:, :, -1, 1:]
         rel_rms = np.sqrt(np.mean((y_t - jvp) ** 2)) / np.sqrt(np.mean(jvp**2))
         assert rel_rms < 10 * np.sqrt(dt)
 

@@ -33,6 +33,13 @@ def zero_field(dim=1):
     )
 
 
+def _path(drv):
+    """B at grid times, shape (n_omega, n_steps + 1, m); B_0 = 0."""
+    out = np.zeros((drv.n_omega, drv.n_steps + 1, drv.dim_noise))
+    np.cumsum(drv.increments, axis=1, out=out[:, 1:, :])
+    return out
+
+
 class TestDriver:
     def test_increment_moments(self):
         drv = BrownianDriver.generate(2, dt=2**-8, n_steps=2**8, n_omega=64,
@@ -47,8 +54,8 @@ class TestDriver:
         drv = BrownianDriver.generate(1, dt=0.25, n_steps=8, n_omega=3, seed=5)
         s = 0.5
         shifted = drv.time_shift(s)
-        b = drv.path_values()
-        bs = shifted.path_values()
+        b = _path(drv)
+        bs = _path(shifted)
         j = drv.step_index(s)
         assert np.allclose(bs, b[:, j:, :] - b[:, j:j + 1, :])
 
@@ -56,7 +63,7 @@ class TestDriver:
         drv = BrownianDriver.generate(1, dt=2**-6, n_steps=2**6, n_omega=2, seed=9)
         coarse = drv.coarsen(4)
         assert coarse.dt == pytest.approx(2**-4)
-        assert np.allclose(coarse.path_values(), drv.path_values()[:, ::4, :])
+        assert np.allclose(_path(coarse), _path(drv)[:, ::4, :])
 
     @pytest.mark.parametrize("factor", [0, -2])
     def test_coarsen_rejects_a_factor_below_one(self, factor):
@@ -100,7 +107,7 @@ class TestIntegrate:
         drv = BrownianDriver.generate(1, 2**-6, 2**6, 8, seed=4)
         x0 = fam.measure.sample(derive_rng(0, "x0"), 6)
         ens = integrate(fam.field, drv, x0, 1.0)
-        expect = x0[None, :, None, :] + drv.path_values()[:, None, :, :]
+        expect = x0[None, :, None, :] + _path(drv)[:, None, :, :]
         assert np.allclose(ens.states, expect, rtol=0, atol=1e-13)
 
     def test_explosion_flagged_and_frozen(self):
@@ -122,10 +129,10 @@ class TestIntegrate:
         fine = BrownianDriver.generate(1, 2**-11, 2**11, 24, seed=7)
         x0 = fam.measure.sample(derive_rng(1, "so"), 12)
         errs, dts = [], []
-        ref = integrate(fam.field, fine, x0, 1.0).terminal_states()
+        ref = integrate(fam.field, fine, x0, 1.0).states[:, :, -1, :]
         for lvl in (5, 6, 7, 8):
             drv = fine.coarsen(2 ** (11 - lvl))
-            term = integrate(fam.field, drv, x0, 1.0).terminal_states()
+            term = integrate(fam.field, drv, x0, 1.0).states[:, :, -1, :]
             errs.append(np.sqrt(np.mean((term - ref) ** 2)))
             dts.append(drv.dt)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -198,7 +205,7 @@ class TestComposition:
         x0 = np.array([[1.0]])
         ens = integrate(fam.field, drv, x0, 1.0)
         comp = compose_time_shift(ens, 0.5, 0.5)
-        assert comp.terminal_states()[0, 0, 0] == pytest.approx(np.exp(-1.0),
+        assert comp.states[0, 0, -1, 0] == pytest.approx(np.exp(-1.0),
                                                                 rel=3e-3)
 
     def test_bitwise_composition_smooth_sde(self):
