@@ -21,8 +21,11 @@ print(f"  exact first radial moment : {m.first_radial_moment():.10f}")
 
 x = np.array([0.7, -0.4])
 print("\nlog-weight calculus at x =", x)
-print("  gradient :", m.grad_log_weight(x))
-print("  Hessian  :\n", m.hess_log_weight(x))
+g = m.grad_log_weight(x)
+print("  gradient g :", g)
+# the density terms use the Hessian in this closed form, through sigma^T g
+hess = -2.0 * m.alpha / (1.0 + x @ x) * np.eye(m.dim) + np.outer(g, g) / m.alpha
+print("  Hessian = -2 alpha/(1+|x|^2) I + g g^T / alpha :\n", hess)
 
 rng = derive_rng(2024, "demo-measure")
 draws = m.sample(rng, 50_000)

@@ -72,5 +72,5 @@ print(f"  theoretical bound   = {bound.value:.4f} "
 ent = entropy(track)
 print(f"  entropy E int rho |log rho| d mu = {ent.value:.4f} +- {ent.se:.4f}")
 
-rep = kde_crosscheck(ens, fam.measure, 2.0**-3, bandwidth=0.1, track=track)
+rep = kde_crosscheck(ens, fam.measure, 2.0**-3, bandwidth=0.1)
 print(f"  KDE cross-check qq-distance to pathwise values: {rep.qq_distance:.3f}")

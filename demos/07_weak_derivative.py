@@ -11,7 +11,11 @@ L^1(P x mu) metric over a joint sample of (x, y).
 from roughflow import BrownianDriver, make_family
 from roughflow._seeds import derive_rng, derive_seed
 from roughflow.catalog import doubled_measure
-from roughflow.derivative import lift, verify_hypotheses, weak_derivative_convergence
+from roughflow.derivative import (
+    DerivativeSystem,
+    verify_hypotheses,
+    weak_derivative_convergence,
+)
 
 seed = 2024
 m2 = doubled_measure(1, 2.0)  # (x, y) measure: alpha = 2 alpha1 + q + d/2 + 1/2
@@ -21,14 +25,14 @@ xy = m2.sample(derive_rng(seed, "demo-deriv-xy"), 48)
 eps_seq = [2.0**-j for j in range(1, 5)]
 
 for name in ("deriv-linear", "deriv-smooth", "deriv-rough"):
-    sys_ = lift(make_family(name).field)
+    sys_ = DerivativeSystem(make_family(name).field)
     table = weak_derivative_convergence(sys_, eps_seq, driver, xy, T=1.0)
     cells = ", ".join(f"{r.epsilon:g}: {r.metric:.2e}" for r in table.rows)
     print(f"{name:>14}: E[1 ^ sup|Y^eps - Y|] = {{{cells}}}")
 print("a linear base is exact for every eps; smooth and rough bases show "
       "the O(eps) trend.\n")
 
-sys_rough = lift(make_family("deriv-rough").field)
+sys_rough = DerivativeSystem(make_family("deriv-rough").field)
 rep = verify_hypotheses(sys_rough, m2, p0=0.5,
                         eps_set=[0.5, 0.25, 0.125], budget=10_000,
                         rng=derive_rng(seed, "demo-hyp"))

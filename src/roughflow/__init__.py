@@ -23,9 +23,7 @@ from .coefficients import (
     StructuredCoefficient,
     block_condition_integrals,
     condition_integrals,
-    density_drift_term,
-    density_noise_term,
-    density_noise_with_gradient,
+    density_terms,
     mollified_convergence,
     mollifier_domination_check,
     mollify,

@@ -449,21 +449,21 @@ def criterion_9(seed: int, scale: float):
     )
     details = {}
 
-    sys_lin = dv.lift(make_family("deriv-linear").field)
+    sys_lin = dv.DerivativeSystem(make_family("deriv-linear").field)
     tab_lin = dv.weak_derivative_convergence(sys_lin, eps_seq, drv, xy0, 1.0)
     lin_ok = max(tab_lin.metrics()) < 1e-10
     details["linear_max_metric"] = float(max(tab_lin.metrics()))
 
     passed = lin_ok
     for name in ("deriv-smooth", "deriv-rough"):
-        sys_ = dv.lift(make_family(name).field)
+        sys_ = dv.DerivativeSystem(make_family(name).field)
         tab = dv.weak_derivative_convergence(sys_, eps_seq, drv, xy0, 1.0)
         ms = tab.metrics()
         ok = tab.monotone_decreasing() and ms[-1] < ms[0] / 4.0
         passed &= ok
         details[name] = dict(metrics=[round(v, 5) for v in ms], ok=ok)
 
-    sys_rough = dv.lift(make_family("deriv-rough").field)
+    sys_rough = dv.DerivativeSystem(make_family("deriv-rough").field)
     hyp = dv.verify_hypotheses(
         sys_rough, m2, p0=0.5, eps_set=[0.5, 0.25, 0.125],
         budget=_scaled(10000, scale), rng=derive_rng(seed, "c9-hyp"),

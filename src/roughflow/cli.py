@@ -10,7 +10,8 @@ package version, plus one CSV table written by ``_write_table``:
 ``ensemble.csv`` (simulate), ``density.csv``, ``stability.csv``,
 ``derivative.csv`` or ``maximal.csv`` (analysis).  The exit status is 0
 exactly when every asserted inequality passed, and 2 for a config that
-``ExperimentConfig.validate`` rejects, before the output directory exists.
+``ExperimentConfig.validate`` rejects or a budget scale that is not finite
+and positive, before the output directory exists.
 A ``measure`` (``alpha`` and ``dim``) replaces the exponent of the measure
 the start points are drawn from, the doubled-space one of
 ``catalog.doubled_measure`` for ``derivative`` and ``verify-hypotheses``;
@@ -310,7 +311,7 @@ def _run_derivative(cfg: ExperimentConfig, out: Path) -> list:
         cfg.n_omega, cfg.n_x, "driver", "xy0",
     )
     table = dv.weak_derivative_convergence(
-        dv.lift(fam.field), list(cfg.eps_list), drv, xy0, cfg.T
+        dv.DerivativeSystem(fam.field), list(cfg.eps_list), drv, xy0, cfg.T
     )
     _write_table(out / "derivative.csv", dict(epsilon="g", metric=".10g", se=".10g"),
                  ([r.epsilon, r.metric, r.se] for r in table.rows))
@@ -367,7 +368,7 @@ def _run_verify_hypotheses(cfg: ExperimentConfig, out: Path) -> list:
     fam, m2 = cfg.build()
     eps = [e for e in cfg.eps_list if e <= 0.5]
     rep = dv.verify_hypotheses(
-        dv.lift(fam.field), m2, cfg.p0 / 2.0, eps, cfg.mc_budget,
+        dv.DerivativeSystem(fam.field), m2, cfg.p0 / 2.0, eps, cfg.mc_budget,
         derive_rng(cfg.seed, "hypotheses"),
     )
     return [dict(
@@ -416,6 +417,8 @@ def _jsonable(v):
 def run(cfg: ExperimentConfig, budget_scale: float = 1.0, printer=print) -> int:
     """Execute a configured experiment; returns the process exit status."""
     cfg.validate()
+    if not (np.isfinite(budget_scale) and budget_scale > 0):
+        raise ValueError(f"budget scale must be finite and positive, got {budget_scale}")
     out = Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     if budget_scale != 1.0:  # rescale a copy: the caller's config stays as given

@@ -20,10 +20,9 @@ provides
   field and the second block of a structured one, packing sigma and b into
   one function, so an evaluation costs one quadrature pass over the rough
   field;
-* the vector and scalar functionals entering the exponent of the pathwise
-  push-forward density (``density_noise_term`` / ``density_drift_term``),
-  and the Ito-Taylor coefficient of the noise term
-  (``density_noise_with_gradient``), which can share one ``FieldEval``;
+* ``density_terms``, the terms of the exponent of the pathwise push-forward
+  density from one ``FieldEval``: the noise term, the drift term and, given
+  a difference step, the Ito-Taylor coefficient of the noise term;
 * checkers for the exponential-integrability condition on the coefficients
   and for the kernel domination and convergence properties of smoothing.
 
@@ -52,15 +51,12 @@ __all__ = [
     "FieldBlocks",
     "MollifierSpec",
     "mollify",
-    "density_noise_term",
-    "density_noise_with_gradient",
-    "density_drift_term",
+    "density_terms",
     "exp_integrand",
     "condition_integrals",
     "block_condition_integrals",
     "mollifier_domination_check",
     "mollified_convergence",
-    "noise_term_domination_constant",
 ]
 
 _MAX_EVAL_BLOCK = 2**16  # point-node pairs per quadrature block: ~1 MB temporaries
@@ -221,7 +217,7 @@ class StructuredCoefficient(CoefficientField):
     field set those entries to zero.  Column divergences use diagonal blocks
     only, and the gradient contraction's cross terms carry a genuine zero
     factor ``d(sigma_1)/d(x2) = 0``, so neither depends on the zeroed
-    entries.  The Ito-Taylor coefficient of ``density_noise_with_gradient``
+    entries.  The Ito-Taylor coefficient G of ``density_terms``
     does read them (``sum_ij sigma^{ik} d_i sigma^{jl} g_j`` with i in the
     first block, j in the second), and its divergence difference may
     straddle a jump in x1.  For a rough block field the density tracker
@@ -323,19 +319,20 @@ def _step_band(t):
     return band, tb, g, np.exp(-1.0 / (1.0 - tb))
 
 
-def _smoothstep(t):
+def _smoothstep(t, parts=None):
     """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t).
 
-    A nan input stays nan.
+    A nan input stays nan.  ``parts`` is ``_step_band(t)`` when the caller
+    already has it.
     """
     t = np.asarray(t, dtype=np.float64)
     out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, np.nan))
-    band, _, g, gm = _step_band(t)
+    band, _, g, gm = _step_band(t) if parts is None else parts
     out[band] = g / (g + gm)
     return out
 
 
-def _smoothstep_deriv(t):
+def _smoothstep_deriv(t, parts=None):
     """Derivative of ``_smoothstep``; exactly 0 outside the band 0 < t < 1.
 
     Where ``t**2`` underflows (t < 1e-150) the numerator ``exp(-1/t)`` is
@@ -343,7 +340,7 @@ def _smoothstep_deriv(t):
     """
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape)
-    band, tb, g, gm = _step_band(t)
+    band, tb, g, gm = _step_band(t) if parts is None else parts
     gp = g / np.maximum(tb, 1e-150) ** 2
     gmp = -gm / (1.0 - tb) ** 2
     out[band] = (gp * gm - g * gmp) / (g + gm) ** 2
@@ -456,18 +453,22 @@ class MollifierSpec:
         pts[:, 0] = r
         return float(surf * integrate.simpson(r ** (self.dim - 1) * self.kernel(pts), x=r))
 
-    def cutoff(self, x) -> NDArray[np.float64]:
-        """psi_k(x): 1 on B(k), 0 outside B(2k), smooth in between."""
-        r = np.linalg.norm(self._points(x), axis=-1) / self.level
-        return _smoothstep(2.0 - r)
+    def cutoff(self, x, grad: bool = False):
+        """psi_k(x): 1 on B(k), 0 outside B(2k), smooth in between.
 
-    def cutoff_grad(self, x) -> NDArray[np.float64]:
+        With ``grad``, ``(psi_k, grad psi_k)`` from one norm and one pass
+        over the transition band.
+        """
         pts = self._points(x)
         r = np.linalg.norm(pts, axis=-1)
-        rk = r / self.level
-        deriv = _smoothstep_deriv(2.0 - rk) * (-1.0 / self.level)
+        t = 2.0 - r / self.level
+        parts = _step_band(t)
+        psi = _smoothstep(t, parts)
+        if not grad:
+            return psi
+        deriv = _smoothstep_deriv(t, parts) * (-1.0 / self.level)
         safe_r = np.where(r > 0, r, 1.0)
-        return deriv[..., None] * pts / safe_r[..., None]
+        return psi, deriv[..., None] * pts / safe_r[..., None]
 
     # -- convolution ---------------------------------------------------------
 
@@ -578,6 +579,7 @@ class _Smoother:
 
     def __call__(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
         spec, out = self.spec, FieldEval(None, None)
+        psi, dpsi = spec.cutoff(pts, grad=True) if jac else (spec.cutoff(pts), None)
         names = [name for name, on in (("sigma", sigma and self.sigma0 is None),
                                        ("drift", drift)) if on]
         if names:
@@ -589,13 +591,12 @@ class _Smoother:
                         for name in names]
                 return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
 
-            psi = spec.cutoff(pts)[..., None]
             if jac:
                 conv, grad = spec.convolve_with_grad(packed, pts, self.split)
-                grad = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[..., None, :]
+                grad = grad * psi[..., None, None] + conv[..., None] * dpsi[..., None, :]
             else:
                 conv = spec.convolve(packed, pts, self.split)
-            val, lead, start = conv * psi, pts.shape[:-1], 0
+            val, lead, start = conv * psi[..., None], pts.shape[:-1], 0
             for name in names:
                 shape = self.shapes[name]
                 stop = start + math.prod(shape)
@@ -606,9 +607,9 @@ class _Smoother:
                 start = stop
         if sigma and self.sigma0 is not None:
             s0 = self.sigma0
-            out.sigma = s0 * spec.cutoff(pts)[..., None, None]
+            out.sigma = s0 * psi[..., None, None]
             if jac:
-                out.sigma_jac = s0[..., None] * spec.cutoff_grad(pts)[..., None, None, :]
+                out.sigma_jac = s0[..., None] * dpsi[..., None, None, :]
         return out
 
 
@@ -649,93 +650,61 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
 # ---------------------------------------------------------------------------
 
 
-def density_noise_term(
-    field: CoefficientField, m: ReferenceMeasure, x, ev: Optional[FieldEval] = None
-) -> NDArray[np.float64]:
-    """Vector integrand of the stochastic integral in the log-density.
+def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
+                  ev: Optional[FieldEval] = None, h: Optional[float] = None):
+    """The density exponent's terms ``(lam1, lam2, G)`` at ``x``.
 
-    Component l is ``div(sigma^{.,l})(x) + <sigma^{.,l}(x), grad log w(x)>``.
-    ``ev`` is ``field.evaluate(x, jac=True)`` when the caller already has it.
-    """
-    pts = field._pts(x)
-    ev = field.evaluate(pts, jac=True) if ev is None else ev
-    div = np.einsum("...iki->...k", ev.sigma_jac)
-    return div + np.einsum("...nm,...n->...m", ev.sigma, m.grad_log_weight(pts))
+    With ``g = grad log w`` and the weight Hessian
+    ``-2 alpha/(1+|x|^2) I + g g^T / alpha`` (formed through ``sigma^T g``
+    only):
 
-
-def density_noise_with_gradient(
-    field: CoefficientField, m: ReferenceMeasure, x, h: float,
-    ev: Optional[FieldEval] = None,
-):
-    """Noise term ``lam1`` and its derivatives along the sigma columns.
-
-    Returns ``(lam1, G)`` with ``G[..., k, l] = <sigma^{.,k}, grad lam1^l>``,
-    the coefficient of the Ito-Taylor (Milstein) term of the stochastic
-    integral in the log-density.  With ``g = grad log w``,
+    * ``lam1`` (..., m), the integrand of the stochastic integral:
+      ``lam1^l = div(sigma^{.,l}) + <sigma^{.,l}, g>``;
+    * ``lam2`` (...), the integrand of the time integral:
+      ``div(b) + 1/2 <sigma sigma^T, Hess log w> + <b, g>
+      - 1/2 sum_kij (d_i sigma^{jk})(d_j sigma^{ik})``;
+    * ``G`` (..., m, m), the coefficient of the Ito-Taylor (Milstein) term,
+      ``G_kl = <sigma^{.,k}, grad lam1^l>``:
 
         G_kl = sigma^{.,k}^T Hess(log w) sigma^{.,l}
                + sum_ij sigma^{ik} d_i sigma^{jl} g_j
                + <sigma^{.,k}, grad div sigma^{.,l}>.
 
-    The weight Hessian is ``-2 alpha/(1+|x|^2) I + g g^T / alpha``, so the
-    first term needs only ``sigma^T sigma`` and ``sigma^T g``.  The last
-    term is the only one with second derivatives of sigma; it is taken as
-    the one-sided difference of the column divergences along
+    The last term of G is the only one with second derivatives of sigma; it
+    is taken as the one-sided difference of the column divergences along
     ``h sigma^{.,k}`` (Platen's derivative-free form; ``h = sqrt(dt)`` in
     the density tracker), which stays bounded where sigma jumps.  That
-    difference is the only evaluation besides ``ev`` (``field.evaluate(x,
-    jac=True)``, shared with ``density_drift_term``), and it needs the
-    sigma Jacobian only.  For a declared-constant sigma the divergence and
-    the last two terms vanish and are skipped.
+    difference needs the sigma Jacobian only, and is the only evaluation
+    besides ``ev``, ``field.evaluate(x, jac=True)`` (taken here when None).
+    With ``h=None`` G is None and the difference is skipped.  For a
+    declared-constant sigma the divergence and the sigma-derivative terms
+    of G vanish and are skipped.
     """
     pts = field._pts(x)
     ev = field.evaluate(pts, jac=True) if ev is None else ev
-    sig, g = ev.sigma, m.grad_log_weight(pts)
+    sig, jac, g = ev.sigma, ev.sigma_jac, m.grad_log_weight(pts)
     sg = np.einsum("...nm,...n->...m", sig, g)
-    grad = np.einsum("...ik,...il->...kl", sig, sig)
-    grad *= (-2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1)))[..., None, None]
-    grad += np.einsum("...k,...l->...kl", sg, sg / m.alpha)
-    if field.sigma_constant:  # div sigma = 0
-        return sg, grad
-    jac = ev.sigma_jac
-    div = np.einsum("...iki->...k", jac)
-    grad += np.einsum("...ik,...jli,...j->...kl", sig, jac, g)
-    for k in range(field.dim_noise):
-        shifted = field.sigma_divergence(pts + h * sig[..., :, k])
-        grad[..., k, :] += (shifted - div) / h
-    return div + sg, grad
-
-
-def density_drift_term(
-    field: CoefficientField, m: ReferenceMeasure, x, ev: Optional[FieldEval] = None
-) -> NDArray[np.float64]:
-    """Scalar integrand of the time integral in the log-density.
-
-    ``div(b) + 1/2 <sigma sigma^T, Hess log w> + <b, grad log w>
-    - 1/2 sum_kij (d_i sigma^{jk})(d_j sigma^{ik})``.  With ``g = grad log w`` the weight
-    term is ``-2 alpha/(1+|x|^2) |sigma|_F^2 + |sigma^T g|^2 / alpha``, so
-    neither the Hessian nor ``sigma sigma^T`` is formed.  ``ev`` is
-    ``field.evaluate(x, jac=True)`` when the caller already has it.
-    """
-    pts = field._pts(x)
-    ev = field.evaluate(pts, jac=True) if ev is None else ev
-    sig, g = ev.sigma, m.grad_log_weight(pts)
-    sg = np.einsum("...nm,...n->...m", sig, g)
-    weight = (
-        -2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1))
-        * np.einsum("...ik,...ik->...", sig, sig)
-        + np.einsum("...k,...k->...", sg, sg) / m.alpha
-    )
-    return (
+    c = -2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1))
+    lam2 = (
         np.einsum("...ii->...", ev.drift_jac)
-        + 0.5 * weight
+        + 0.5 * (c * np.einsum("...ik,...ik->...", sig, sig)
+                 + np.einsum("...k,...k->...", sg, sg) / m.alpha)
         + np.einsum("...i,...i->...", ev.drift, g)
-        - 0.5 * _contraction(ev.sigma_jac)
+        - 0.5 * np.einsum("...jki,...ikj->...", jac, jac)
     )
-
-
-def _contraction(jac) -> NDArray[np.float64]:
-    return np.einsum("...jki,...ikj->...", jac, jac)
+    div = None if field.sigma_constant else np.einsum("...iki->...k", jac)
+    lam1 = sg if div is None else div + sg
+    if h is None:
+        return lam1, lam2, None
+    G = np.einsum("...ik,...il->...kl", sig, sig)
+    G *= c[..., None, None]
+    G += np.einsum("...k,...l->...kl", sg, sg / m.alpha)
+    if div is not None:
+        G += np.einsum("...ik,...jli,...j->...kl", sig, jac, g)
+        for k in range(field.dim_noise):
+            shifted = field.sigma_divergence(pts + h * sig[..., :, k])
+            G[..., k, :] += (shifted - div) / h
+    return lam1, lam2, G
 
 
 # ---------------------------------------------------------------------------
@@ -927,31 +896,3 @@ def mollified_convergence(
             diff = np.sqrt(np.sum(diff**2, axis=tuple(range(1, diff.ndim))))
         norms.append(float((np.sum(w * diff**exponent)) ** (1.0 / exponent)))
     return norms
-
-
-def noise_term_domination_constant(
-    field: CoefficientField,
-    mollified: CoefficientField,
-    spec: MollifierSpec,
-    m: ReferenceMeasure,
-    grid,
-) -> float:
-    """Fitted constant C with |noise term of f_k|^2 <= C (|div s|^2+|s bar|^2)*chi_k.
-
-    The theory guarantees some finite, level-independent C; its value is
-    not pinned down, so callers assert finiteness and stability across
-    levels rather than a specific number.
-    """
-    pts = field._pts(grid)
-    lam1 = density_noise_term(mollified, m, pts)
-    lhs = np.sum(lam1**2, axis=-1)
-
-    def envelope(y):
-        ev = field.evaluate(y, jac=True)
-        div = np.einsum("...iki->...k", ev.sigma_jac)
-        return np.sum(div**2, axis=-1) + exp_integrand(y, ev, 0.0)[2] ** 2
-
-    rhs = spec.convolve(envelope, pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rhs > 1e-300, lhs / np.maximum(rhs, 1e-300), 0.0)
-    return float(np.max(ratio))

@@ -3,13 +3,15 @@
 Along each trajectory ``integrate(..., density=m)`` accumulates the log of
 the inverse-flow density (a ``DensityTrack``) as
 
-    log rho~_t = sum [<noise_term(X_i), dB_i>
+    log rho~_t = sum [<lam1(X_i), dB_i>
                       + 1/2 sum_kl G_kl(X_i) (dB_i^k dB_i^l - delta_kl dt)]
-                 + sum drift_term(X_i) dt
+                 + sum lam2(X_i) dt
 
-with left-point evaluation, matching the Ito convention of the integrator.
+with left-point evaluation, matching the Ito convention of the integrator;
+``coefficients.density_terms`` gives the noise term lam1, the drift term
+lam2 and G (and ``density_bound_rhs`` reads lam1 and lam2 from it).
 The second stochastic term is the Ito-Taylor (Milstein) correction, with
-``G_kl = <sigma^{.,k}, grad noise_term^l>`` (Kloeden-Platen 1992, 10.3);
+``G_kl = <sigma^{.,k}, grad lam1^l>`` (Kloeden-Platen 1992, 10.3);
 it lifts the stochastic sum from strong order 1/2 to strong order 1 where
 G is symmetric (m = 1, or constant sigma).  For m >= 2 with an asymmetric
 G the Levy-area term is omitted and the order stays 1/2.
@@ -39,8 +41,7 @@ from .coefficients import (
     StructuredCoefficient,
     block_condition_integrals,
     condition_integrals,
-    density_drift_term,
-    density_noise_term,
+    density_terms,
     mollify,
 )
 from .flow import BrownianDriver, DensityTrack, FlowEnsemble, integrate
@@ -169,8 +170,8 @@ def density_bound_rhs(
 ) -> DensityBound:
     """Monte Carlo value of the smooth-field density-norm bound.
 
-    ``mass^(1/(p+1)) (sup_{t<=T} integral exp(p^3 t |noise|^2
-    - p^2 t drift) d mu)^(1/(p(p+1)))``, with the sup taken over
+    ``mass^(1/(p+1)) (sup_{t<=T} integral exp(p^3 t |lam1|^2
+    - p^2 t lam2) d mu)^(1/(p(p+1)))`` (``density_terms``), with the sup over
     ``_RHS_TIME_PROBES`` equally spaced probe times in [0, T].  A heavy-tail
     flag marks the bound as untrustworthy (vacuous) when a single sample
     dominates or the estimate does not stabilize under doubling of the
@@ -178,9 +179,7 @@ def density_bound_rhs(
     """
     mass = m.total_mass()
     pts = m.sample(rng, budget)
-    ev = field.evaluate(pts, jac=True)
-    lam1 = density_noise_term(field, m, pts, ev)
-    lam2 = density_drift_term(field, m, pts, ev)
+    lam1, lam2, _ = density_terms(field, m, pts)
     g = p**3 * np.sum(lam1**2, axis=-1) - p**2 * lam2
     g = g[np.isfinite(g)]
     sup_val, sup_share, sup_t = -np.inf, 0.0, 0.0
@@ -316,7 +315,6 @@ def kde_crosscheck(
     m: ReferenceMeasure,
     t: float,
     bandwidth: float,
-    track: Optional[DensityTrack] = None,
     n_probe: int = 33,
     omega_index: int = 0,
 ) -> KdeReport:
@@ -326,9 +324,10 @@ def kde_crosscheck(
     Gaussian kernel of *absolute* bandwidth (the reference measures are
     heavy-tailed, so sample-variance-relative bandwidths are unreliable),
     then divided by the normalized reference weight to give a density
-    relative to mu on a probe grid.  When a track is supplied, the
-    distribution of KDE values at the sample points is compared with the
-    pathwise values 1/rho~ by a relative quantile-quantile distance.
+    relative to mu on a probe grid.  When the ensemble carries its density
+    (``integrate(..., density=m)``), the distribution of KDE values at the
+    sample points is compared with the pathwise values 1/rho~ by a relative
+    quantile-quantile distance.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -352,8 +351,8 @@ def kde_crosscheck(
         probes = np.stack([g.ravel() for g in grids], axis=-1)
     ratio = mass * kde(probes) / m.weight(probes)
     qq = None
-    if track is not None:
-        pathwise = 1.0 / track.density(t)[omega_index]
+    if ensemble.density is not None:
+        pathwise = 1.0 / ensemble.density.density(t)[omega_index]
         at_samples = mass * kde(pts) / m.weight(pts)
         a = np.sort(at_samples)
         b = np.sort(pathwise)

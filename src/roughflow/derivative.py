@@ -11,7 +11,9 @@ second block is linear in y with coefficients evaluated along X.  Its
 finite-difference counterpart replaces the second equation by the scaled
 difference of two copies of the base flow started at x and x + eps y.
 Both are instances of the partially Sobolev structure, so the whole flow
-and density machinery applies on the doubled space.
+and density machinery applies on the doubled space: ``DerivativeSystem(base)``
+holds both doubled fields, and the derivative flow is
+``integrate(DerivativeSystem(base).lifted, driver, xy0s, T)``.
 
 ``weak_derivative_convergence`` measures the clipped distance between the
 difference flows and the derivative flow over a joint sample of (x, y);
@@ -32,8 +34,6 @@ from .measure import ReferenceMeasure
 
 __all__ = [
     "DerivativeSystem",
-    "lift",
-    "derivative_flow",
     "difference_flows",
     "weak_derivative_convergence",
     "verify_hypotheses",
@@ -110,21 +110,6 @@ class DerivativeSystem:
         )
 
 
-def lift(base: CoefficientField) -> DerivativeSystem:
-    """Build the derivative system of a base field with analytic Jacobians."""
-    return DerivativeSystem(base)
-
-
-def derivative_flow(
-    sys: DerivativeSystem,
-    driver: BrownianDriver,
-    xy0s,
-    T: float,
-) -> FlowEnsemble:
-    """Coupled Euler-Maruyama run of (X_t, Y_t) on the doubled space."""
-    return integrate(sys.lifted, driver, xy0s, T)
-
-
 def difference_flows(
     sys: DerivativeSystem,
     eps_sequence: Sequence[float],
@@ -193,7 +178,7 @@ def weak_derivative_convergence(
     the joint (omega, (x, y)) ensemble, with its standard error.  The base
     flow from x is integrated once and shared by every eps.
     """
-    e_deriv = derivative_flow(sys, driver, xy0s, T)
+    e_deriv = integrate(sys.lifted, driver, xy0s, T)
     d = sys.dim
     rows = []
     for eps, e_diff in zip(eps_sequence, difference_flows(sys, eps_sequence, driver, xy0s, T)):

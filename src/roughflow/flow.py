@@ -5,7 +5,8 @@ by every Brownian path of the driver, so pathwise comparisons between two
 flows (stability, mollification levels, time-shift composition) are made
 under identical noise.  Integration is Euler-Maruyama with the left-point
 convention; ``integrate(..., density=m)`` accumulates the density exponent
-of ``roughflow.density`` at the same left points.
+of ``roughflow.density``, its terms from ``coefficients.density_terms``, at
+the same left points.
 
 Determinism contract: states are produced by a fixed serial reduction
 order, so identical (seed, config) reruns are bitwise identical, and a
@@ -22,12 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._seeds import derive_rng
-from .coefficients import (
-    CoefficientField,
-    FieldEval,
-    density_drift_term,
-    density_noise_with_gradient,
-)
+from .coefficients import CoefficientField, FieldEval, density_terms
 from .measure import ReferenceMeasure
 
 __all__ = [
@@ -299,9 +295,7 @@ def _exponent_terms(field, m, left, inc, dt, ev):
     """Drift term and stochastic step (with its Ito-Taylor term) of the
     exponent at a block's left points ``left`` (n_omega, n_x, steps, n), from
     ``ev``, the field there with Jacobians (evaluated here when None)."""
-    ev = field.evaluate(left, jac=True) if ev is None else ev
-    lam2 = density_drift_term(field, m, left, ev)
-    lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
+    lam1, lam2, grad = density_terms(field, m, left, ev, np.sqrt(dt))
     quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
     return lam2, (np.einsum("oxnm,onm->oxn", lam1, inc)
                   + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))

@@ -78,19 +78,6 @@ class ReferenceMeasure:
         sq = np.sum(pts * pts, axis=-1, keepdims=True)
         return -2.0 * self.alpha * pts / (1.0 + sq)
 
-    def hess_log_weight(self, x) -> NDArray[np.float64]:
-        """Hessian of the log-weight, shape (..., dim, dim).
-
-        Entries are ``-2 a d_ij / (1+|x|^2) + 4 a x_i x_j / (1+|x|^2)^2``.
-        """
-        pts = self._as_points(x)
-        sq = np.sum(pts * pts, axis=-1)[..., np.newaxis, np.newaxis]
-        eye = np.eye(self.dim)
-        outer = pts[..., :, np.newaxis] * pts[..., np.newaxis, :]
-        return (-2.0 * self.alpha / (1.0 + sq)) * eye + (
-            4.0 * self.alpha / (1.0 + sq) ** 2
-        ) * outer
-
     # -- mass and moments -------------------------------------------------
 
     def _require_finite_mass(self):

@@ -34,7 +34,6 @@ from .measure import ReferenceMeasure
 __all__ = [
     "stability_functional",
     "stability_bound",
-    "ball_lebesgue_norm",
     "cauchy_experiment",
     "uniqueness_experiment",
     "StabilityValue",
@@ -112,24 +111,6 @@ def _halton_ball(radius: float, dim: int, budget: int):
     return pts, norm
 
 
-def ball_lebesgue_norm(
-    fn,
-    radius: float,
-    q: float,
-    dim: int,
-    budget: int = 100_000,
-) -> float:
-    """L^q norm over the centred ball B(0, radius), Lebesgue measure.
-
-    Halton quasi-Monte Carlo on the bounding cube; deterministic.
-    ``fn`` maps points (..., dim) to scalars or arrays (Euclidean norm
-    taken over trailing axes).  Every ball of the stability bound is
-    centred at the origin.
-    """
-    pts, norm = _halton_ball(radius, dim, budget)
-    return norm(fn(pts), q)
-
-
 @dataclass
 class StabilityBound:
     value: float
@@ -142,11 +123,20 @@ class StabilityBound:
     gradient_ball_radius: float
 
 
-def _bound_norms(f1, f2, radius: float, q: float, budget: int):
-    """Ball norms of the stability bound from three evaluations: f1 with
-    Jacobians on the gradient ball, f1 and f2 on B(R).
+def stability_bound(f1: CoefficientField, f2: CoefficientField, radius: float, q: float,
+                    budget: int):
+    """The stability right-hand side with unit proof constants.
 
-    Returns ``(sd, bd, bound)``: the difference norms and
+    For plain fields the gradient terms use the full Jacobians over B(3R);
+    for a structured pair (sharing the first block) the partial form is
+    used: second-block gradients in the second variables only, over B(4R),
+    and second-block differences over B(R).  The inexplicit constants are
+    set to 1 and reported through the assembled components.  The Halton
+    ball norms take three evaluations on two draws of ``budget`` points:
+    ``f1.evaluate(jac=True)`` on the gradient ball, ``f1.evaluate`` and
+    ``f2.evaluate`` on B(R).
+
+    Returns ``(sd, bd, bound)``: the sigma and drift difference norms and
     ``bound(delta, lambda_pt) -> StabilityBound``, since delta enters only
     the assembly.
     """
@@ -179,29 +169,6 @@ def _bound_norms(f1, f2, radius: float, q: float, budget: int):
         )
 
     return sd, bd, bound
-
-
-def stability_bound(
-    f1: CoefficientField,
-    f2: CoefficientField,
-    radius: float,
-    delta: float,
-    q: float,
-    lambda_pt: float,
-    budget: int = 50_000,
-) -> StabilityBound:
-    """Assemble the stability right-hand side with unit proof constants.
-
-    For plain fields the gradient terms use the full Jacobians over B(3R);
-    for a structured pair (sharing the first block) the partial form is
-    used: second-block gradients in the second variables only, over B(4R),
-    and second-block differences over B(R).  The inexplicit constants are
-    set to 1 and reported through the returned components.  The norms take
-    ``f1.evaluate(jac=True)`` on the gradient ball and ``f1.evaluate``,
-    ``f2.evaluate`` on B(R): three evaluations on two Halton draws.
-    """
-    *_, bound = _bound_norms(f1, f2, radius, q, budget)
-    return bound(delta, lambda_pt)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +240,7 @@ def cauchy_experiment(
         lambda_pt = sup_lp_density_norm(ensembles[k_ref].density, family.p).value
     rows = []
     for k, l in zip(levels, levels[1:]):
-        sd, bd, bound = _bound_norms(fields[k], fields[l], radius, q, norm_budget)
+        sd, bd, bound = stability_bound(fields[k], fields[l], radius, q, norm_budget)
         delta_kl = sd + bd
         if delta_kl <= 0:
             delta_kl = 1e-12

@@ -276,11 +276,18 @@ class TestMain:
          "verify-all draws from no configured measure"),
         ("analysis", {"family_params": {"bogus": 1}}, "analysis builds no family"),
         ("verify-all", {"family_params": {"bogus": 1}}, "verify-all builds no family"),
+        ("density", {"--budget-scale": "-1"},
+         "budget scale must be finite and positive, got -1.0"),
+        ("density", {"--budget-scale": "inf"},
+         "budget scale must be finite and positive, got inf"),
     ])
     def test_nonsense_input_is_a_named_error(self, tmp_path, capsys, kind, raw, match):
+        # keys starting with "--" are command-line flags, the rest config fields
+        flags = [a for k, v in raw.items() if k.startswith("--") for a in (k, v)]
+        fields = {k: v for k, v in raw.items() if not k.startswith("--")}
         cfg = tmp_path / "cfg.json"
-        ExperimentConfig(kind=kind, out=str(tmp_path / "run"), **raw).dump(cfg)
-        assert main([kind, "--config", str(cfg)]) == 2
+        ExperimentConfig(kind=kind, out=str(tmp_path / "run"), **fields).dump(cfg)
+        assert main([kind, "--config", str(cfg), *flags]) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 

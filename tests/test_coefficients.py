@@ -13,9 +13,7 @@ from roughflow import (
     MollifierSpec,
     ReferenceMeasure,
     condition_integrals,
-    density_drift_term,
-    density_noise_term,
-    density_noise_with_gradient,
+    density_terms,
     make_family,
     mollified_convergence,
     mollifier_domination_check,
@@ -29,9 +27,8 @@ from roughflow.coefficients import (
     _bump_mass,
     _smoothstep,
     _smoothstep_deriv,
-    noise_term_domination_constant,
 )
-from roughflow.derivative import lift
+from roughflow.derivative import DerivativeSystem
 from roughflow.flow import integrate as integrate_flow
 
 
@@ -79,6 +76,12 @@ class TestMollifierSpec:
         mid = rng.uniform(-6, 6, size=(200, 2))
         vals = spec.cutoff(mid)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+        psi, grad = spec.cutoff(mid, grad=True)
+        assert psi.tobytes() == vals.tobytes()
+        step = 1e-6 * np.eye(2)
+        fd = np.stack([spec.cutoff(mid + step[j]) - spec.cutoff(mid - step[j])
+                       for j in range(2)], axis=-1) / 2e-6
+        assert np.allclose(grad, fd, atol=1e-6)
 
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -201,7 +204,7 @@ class TestStructuredBlocks:
         if variant == "smoothed":
             field = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1)))
         elif variant != "rough":
-            sys_ = lift(field)
+            sys_ = DerivativeSystem(field)
             field = sys_.lifted if variant == "lifted" else sys_.epsilon_system(0.25)
         n1, n = field.n1, field.dim_state
         pts = ReferenceMeasure(n, 3.0).sample(derive_rng(16, f"stack-{family}-{variant}"), 40)
@@ -253,7 +256,7 @@ class TestDensityExponentTerms:
     def test_noise_term_constant_sigma_at_origin(self):
         fam = make_family("linear")
         m = fam.measure
-        assert np.allclose(density_noise_term(fam.field, m, np.zeros((1, 1))), 0.0)
+        assert np.allclose(density_terms(fam.field, m, np.zeros((1, 1)))[0], 0.0)
 
     def test_noise_term_linear_sigma(self):
         # sigma(x) = x, alpha = 1: divergence 1 plus x * grad-log-weight = 0 at x=1
@@ -265,33 +268,33 @@ class TestDensityExponentTerms:
             drift_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
         )
         m = ReferenceMeasure(1, 1.0)
-        assert density_noise_term(f, m, np.array([[1.0]]))[0, 0] == pytest.approx(0.0)
+        assert density_terms(f, m, np.array([[1.0]]))[0][0, 0] == pytest.approx(0.0)
 
     def test_noise_term_constant_sigma(self):
         c = 1.3
         fam = make_family("linear", noise=c)
         m = ReferenceMeasure(1, 1.0)
-        val = density_noise_term(fam.field, m, np.array([[1.0]]))
+        val = density_terms(fam.field, m, np.array([[1.0]]))[0]
         assert val[0, 0] == pytest.approx(-c)
 
     def test_drift_term_contraction_flow(self):
         fam = make_family("pure-drift")
         alpha = fam.measure.alpha
         x = np.array([[0.7]])
-        got = density_drift_term(fam.field, fam.measure, x)[0]
+        got = density_terms(fam.field, fam.measure, x)[1][0]
         want = -1.0 + 2 * alpha * 0.49 / (1 + 0.49)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_drift_term_zero_field(self):
         f = scalar_field_1d(lambda u: np.zeros_like(u), dfn=lambda u: np.zeros_like(u))
         m = ReferenceMeasure(1, 2.0)
-        assert density_drift_term(f, m, np.array([[0.3]]))[0] == 0.0
+        assert density_terms(f, m, np.array([[0.3]]))[1][0] == 0.0
 
     def test_drift_term_identity_sigma_at_origin(self):
         n = 2
         fam = make_family("linear", dim=n, noise=1.0, rate=0.0)
         m = ReferenceMeasure(n, 1.5)
-        got = density_drift_term(fam.field, m, np.zeros((1, n)))[0]
+        got = density_terms(fam.field, m, np.zeros((1, n)))[1][0]
         assert got == pytest.approx(-n * 1.5)  # half the Hessian trace
 
     @pytest.mark.parametrize("name", ["deriv-smooth", "partially-sobolev",
@@ -300,6 +303,7 @@ class TestDensityExponentTerms:
         # G[k, l] = <sigma^{.,k}, grad lam1^l> against a central difference
         # of the noise term along each sigma column, on a non-constant 1-D
         # sigma, a smoothed 2-D block field and a constant sigma with m = 2
+        # (where G is the closed-form weight Hessian between sigma columns)
         fam = make_family(name)
         m, field = fam.measure, fam.field
         pts = m.sample(derive_rng(5, f"grad-{name}"), 400)
@@ -310,16 +314,38 @@ class TestDensityExponentTerms:
             # inside the kernel radius of the x1-step the value quadrature is
             # a staircase in x1, which a difference quotient cannot see past
             pts = pts[np.abs(pts[:, 0]) > 0.3]
-        lam1, grad = density_noise_with_gradient(field, m, pts, 2.0**-12)
-        assert np.array_equal(lam1, density_noise_term(field, m, pts))
+        lam1, lam2, grad = density_terms(field, m, pts, h=2.0**-12)
+        # the difference step touches G only
+        plain = density_terms(field, m, pts, field.evaluate(pts, jac=True))
+        assert plain[0].tobytes() == lam1.tobytes() and plain[1].tobytes() == lam2.tobytes()
+        assert plain[2] is None
         sig = field.sigma(pts)
         eps = 1e-5
         ref = np.stack([
-            (density_noise_term(field, m, pts + eps * sig[:, :, k])
-             - density_noise_term(field, m, pts - eps * sig[:, :, k])) / (2 * eps)
+            (density_terms(field, m, pts + eps * sig[:, :, k])[0]
+             - density_terms(field, m, pts - eps * sig[:, :, k])[0]) / (2 * eps)
             for k in range(field.dim_noise)
         ], axis=1)
         assert np.allclose(grad, ref, rtol=1e-3, atol=1e-3)
+
+    @pytest.mark.parametrize("variant", ["rough", "smoothed"])
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_lam_terms_do_not_depend_on_h(self, name, variant):
+        # h feeds G only: lam1 and lam2 are bitwise the same with and
+        # without it, and with or without a caller-supplied evaluation
+        fam = make_family(name)
+        m, field = fam.measure, fam.field
+        if variant == "smoothed":
+            field = mollify(field, fam.mollifier(4.0))
+        pts = m.sample(derive_rng(6, f"terms-{name}-{variant}"), 25)
+        lam1, lam2, G = density_terms(field, m, pts)
+        assert G is None
+        assert lam1.shape == (25, field.dim_noise) and lam2.shape == (25,)
+        for ev in (None, field.evaluate(pts, jac=True)):
+            got1, got2, G = density_terms(field, m, pts, ev, h=2.0**-10)
+            assert got1.tobytes() == lam1.tobytes() and got2.tobytes() == lam2.tobytes()
+            assert G.shape == (25, field.dim_noise, field.dim_noise)
+            assert np.all(np.isfinite(G))
 
 
 class TestConditionIntegrals:
@@ -411,24 +437,6 @@ class TestMollifiedConvergence:
             lambda x: np.zeros(x.shape[:-1]), m, [1, 2], radius=2.0, exponent=2.0
         )
         assert norms == [0.0, 0.0]
-
-
-class TestNoiseTermDomination:
-    def test_level_uniform_constant(self):
-        fam = make_family("log-singular")
-        grid1 = np.linspace(-3, 3, 15)
-        g1, g2 = np.meshgrid(grid1, grid1, indexing="ij")
-        grid = np.stack([g1.ravel(), g2.ravel()], axis=-1)
-        constants = []
-        for k in (2.0, 4.0, 8.0):
-            spec = MollifierSpec(dim=2, level=k, order=16, panels=1)
-            smooth = mollify(fam.field, spec)
-            constants.append(
-                noise_term_domination_constant(fam.field, smooth, spec,
-                                               fam.measure, grid)
-            )
-        assert all(np.isfinite(c) for c in constants)
-        assert max(constants) < 10 * max(min(constants), 1e-6)
 
 
 def _smoothstep_reference(t):
@@ -581,9 +589,9 @@ class TestSecondBlockGrids:
                             b.drift2(pairs[..., :1], pairs[..., 1:])], axis=-1)
         conv = np.matmul(spec._weights[:1], f)[:, 0]                     # (N, 2)
         grad = np.moveaxis(np.matmul(spec._weights[1:], f), 1, -1)       # (N, 2, 2)
-        psi = spec.cutoff(pts)[:, None]
-        val = conv * psi
-        jac = grad * psi[..., None] + conv[..., None] * spec.cutoff_grad(pts)[:, None, :]
+        psi, dpsi = spec.cutoff(pts, grad=True)
+        val = conv * psi[:, None]
+        jac = grad * psi[:, None, None] + conv[..., None] * dpsi[:, None, :]
         first = fam.field.evaluate(pts, jac=True)
         for name, col in (("sigma", 0), ("drift", 1)):
             got, got_jac = getattr(ev, name), getattr(ev, name + "_jac")

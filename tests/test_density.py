@@ -11,8 +11,7 @@ from roughflow import (
     ReferenceMeasure,
     compose_time_shift,
     density_bound_rhs,
-    density_drift_term,
-    density_noise_with_gradient,
+    density_terms,
     entropy,
     integrate,
     kde_crosscheck,
@@ -106,8 +105,7 @@ def block_reevaluation(ens, m, per_block):
         steps = slice(a, min(a + per_block, n_times - 1))
         left, inc = states[:, :, steps, :], ens.driver.increments[:, steps, :]
         ev = field.evaluate(left, jac=True)
-        lam2[:, :, steps] = density_drift_term(field, m, left, ev)
-        lam1, grad = density_noise_with_gradient(field, m, left, np.sqrt(dt), ev)
+        lam1, lam2[:, :, steps], grad = density_terms(field, m, left, ev, np.sqrt(dt))
         quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
         ds[:, :, steps] = (np.einsum("oxnm,onm->oxn", lam1, inc)
                            + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))
@@ -318,14 +316,14 @@ class TestKdeCrosscheck:
         ens = integrate(zero_field(), drv, x0, 1.0)
         rep = kde_crosscheck(ens, m, 1.0, bandwidth=0.25)
         assert np.all(np.abs(rep.ratio - 1.0) < 0.15)
+        assert rep.qq_distance is None  # an untracked ensemble has no pathwise values
 
     def test_contraction_pushforward(self):
-        fam, ens, track = tracked("pure-drift", dt_exp=8, n_omega=1, n_x=4000,
-                                  seed=13)
+        fam, ens, _ = tracked("pure-drift", dt_exp=8, n_omega=1, n_x=4000, seed=13)
         m = fam.measure
         # bandwidth well below the density's variation scale (the flow
         # compresses mass by a factor e, so the pushforward varies fast)
-        rep = kde_crosscheck(ens, m, 1.0, bandwidth=0.05, track=track)
+        rep = kde_crosscheck(ens, m, 1.0, bandwidth=0.05)
         T = 1.0
         pts = rep.probe_points[:, 0]
         oracle = (np.exp(T) * m.weight((np.exp(T) * pts)[:, None])

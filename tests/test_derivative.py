@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from roughflow import BrownianDriver, CoefficientField, make_family
+from roughflow import BrownianDriver, CoefficientField, integrate, make_family
 from roughflow._seeds import derive_rng, derive_seed
 from roughflow.catalog import doubled_measure
 from roughflow.derivative import (
-    derivative_flow,
+    DerivativeSystem,
     difference_flows,
-    lift,
     verify_hypotheses,
     weak_derivative_convergence,
 )
@@ -21,18 +20,18 @@ def sample_xy(seed, count, m2):
 
 class TestLift:
     def test_linear_drift_block_independent_of_x(self):
-        sys_ = lift(make_family("deriv-linear").field)
+        sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[0.3, 1.0], [7.0, 1.0], [-2.0, 1.0]])
         b2 = sys_.lifted.blocks.drift2(xy[:, :1], xy[:, 1:])
         assert np.allclose(b2, -0.8)  # A y with A = -0.8, y = 1
 
     def test_constant_sigma_gives_zero_noise_block(self):
-        sys_ = lift(make_family("deriv-linear").field)
+        sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[1.0, 2.0]])
         assert np.allclose(sys_.lifted.blocks.sigma2(xy[:, :1], xy[:, 1:]), 0.0)
 
     def test_linear_difference_block_exact_for_every_eps(self):
-        sys_ = lift(make_family("deriv-linear").field)
+        sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[0.5, 2.0], [-1.0, 0.3]])
         want = -0.8 * xy[:, 1:]
         for eps in (0.5, 0.01, 1e-4):
@@ -46,12 +45,12 @@ class TestLift:
             drift_fn=lambda x: -x,
         )
         with pytest.raises(ValueError):
-            lift(bare)
+            DerivativeSystem(bare)
 
 
 class TestFlows:
     def test_linear_base_exactness(self):
-        sys_ = lift(make_family("deriv-linear").field)
+        sys_ = DerivativeSystem(make_family("deriv-linear").field)
         m2 = doubled_measure(1, 2.0)
         xy = sample_xy(1, 16, m2)
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 6, derive_seed(1, "d"))
@@ -60,12 +59,12 @@ class TestFlows:
         assert max(table.metrics()) < 1e-10
 
     def test_matrix_exponential_oracle(self):
-        sys_ = lift(make_family("deriv-linear").field)
+        sys_ = DerivativeSystem(make_family("deriv-linear").field)
         m2 = doubled_measure(1, 2.0)
         xy = sample_xy(2, 12, m2)
         dt = 2**-9
         drv = BrownianDriver.generate(1, dt, 2**9, 4, derive_seed(2, "d"))
-        ens = derivative_flow(sys_, drv, xy, 1.0)
+        ens = integrate(sys_.lifted, drv, xy, 1.0)
         want = xy[None, :, 1] * np.exp(-0.8)
         got = ens.states[:, :, -1, 1]
         assert np.allclose(got, want, atol=5 * dt * np.abs(want).max() + 1e-6)
@@ -79,10 +78,10 @@ class TestFlows:
             sigma_jac_fn=lambda x: np.full(x.shape[:-1] + (1, 1, 1), c),
             drift_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
         )
-        sys_ = lift(gbm)
+        sys_ = DerivativeSystem(gbm)
         xy = np.array([[1.0, 0.5], [2.0, -1.0]])
         drv = BrownianDriver.generate(1, 2**-9, 2**9, 8, derive_seed(3, "g"))
-        ens = derivative_flow(sys_, drv, xy, 1.0)
+        ens = integrate(sys_.lifted, drv, xy, 1.0)
         x_t = ens.states[..., 0]
         y_t = ens.states[..., 1]
         # under the scheme Y and X satisfy the same recursion, so Y = (X/x) y
@@ -95,24 +94,24 @@ class TestFlows:
         assert rms < 10 * np.sqrt(2**-9)
 
     def test_zero_initial_derivative_stays_zero(self):
-        sys_ = lift(make_family("deriv-smooth").field)
+        sys_ = DerivativeSystem(make_family("deriv-smooth").field)
         xy = np.array([[0.7, 0.0], [-1.2, 0.0]])
         drv = BrownianDriver.generate(1, 2**-7, 2**7, 3, derive_seed(4, "z"))
-        ens = derivative_flow(sys_, drv, xy, 1.0)
+        ens = integrate(sys_.lifted, drv, xy, 1.0)
         assert np.all(ens.states[..., 1] == 0.0)
 
     def test_linearity_in_y(self):
-        sys_ = lift(make_family("deriv-smooth").field)
+        sys_ = DerivativeSystem(make_family("deriv-smooth").field)
         drv = BrownianDriver.generate(1, 2**-7, 2**7, 4, derive_seed(5, "l"))
         xy = np.array([[0.5, 0.8]])
         xy2 = np.array([[0.5, 1.6]])
-        e1 = derivative_flow(sys_, drv, xy, 1.0)
-        e2 = derivative_flow(sys_, drv, xy2, 1.0)
+        e1 = integrate(sys_.lifted, drv, xy, 1.0)
+        e2 = integrate(sys_.lifted, drv, xy2, 1.0)
         assert np.allclose(e2.states[..., 1], 2.0 * e1.states[..., 1],
                            rtol=1e-12, atol=1e-13)
 
     def test_difference_flow_deterministic(self):
-        sys_ = lift(make_family("deriv-smooth").field)
+        sys_ = DerivativeSystem(make_family("deriv-smooth").field)
         m2 = doubled_measure(1, 2.0)
         xy = sample_xy(6, 8, m2)
         runs = []
@@ -125,11 +124,11 @@ class TestFlows:
         assert shared[1].states.tobytes() == runs[0]
 
     def test_difference_flow_eps_trend_smooth(self):
-        sys_ = lift(make_family("deriv-smooth").field)
+        sys_ = DerivativeSystem(make_family("deriv-smooth").field)
         m2 = doubled_measure(1, 2.0)
         xy = sample_xy(7, 16, m2)
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 6, derive_seed(7, "t"))
-        e_deriv = derivative_flow(sys_, drv, xy, 1.0)
+        e_deriv = integrate(sys_.lifted, drv, xy, 1.0)
         gaps = []
         for e_diff in difference_flows(sys_, (1e-2, 1e-3), drv, xy, 1.0):
             gaps.append(np.abs(e_diff.states[..., 1]
@@ -137,15 +136,13 @@ class TestFlows:
         assert gaps[1] < gaps[0]
 
     def test_jacobian_vector_product_oracle(self):
-        from roughflow import integrate
-
         fam = make_family("deriv-smooth")
-        sys_ = lift(fam.field)
+        sys_ = DerivativeSystem(fam.field)
         m2 = doubled_measure(1, 2.0)
         xy = sample_xy(8, 24, m2)
         dt = 2**-9
         drv = BrownianDriver.generate(1, dt, 2**9, 8, derive_seed(8, "jvp"))
-        ens = derivative_flow(sys_, drv, xy, 1.0)
+        ens = integrate(sys_.lifted, drv, xy, 1.0)
         h = 1e-4
         plus = integrate(fam.field, drv, xy[:, :1] + h * xy[:, 1:], 1.0)
         minus = integrate(fam.field, drv, xy[:, :1] - h * xy[:, 1:], 1.0)
@@ -157,7 +154,7 @@ class TestFlows:
 
 class TestConvergence:
     def test_monotone_decrease_smooth(self):
-        sys_ = lift(make_family("deriv-smooth").field)
+        sys_ = DerivativeSystem(make_family("deriv-smooth").field)
         m2 = doubled_measure(1, 2.0)
         xy = sample_xy(9, 32, m2)
         drv = BrownianDriver.generate(1, 2**-9, 2**9, 8, derive_seed(9, "m"))
@@ -182,7 +179,7 @@ class TestDoubledMeasures:
 
 class TestHypotheses:
     def test_linear_base_finite_for_large_p0(self):
-        sys_ = lift(make_family("deriv-linear").field)
+        sys_ = DerivativeSystem(make_family("deriv-linear").field)
         m2 = doubled_measure(1, 2.0)
         rep = verify_hypotheses(sys_, m2, p0=2.0,
                                 eps_set=[0.5, 0.25], budget=4000,
@@ -190,7 +187,7 @@ class TestHypotheses:
         assert rep.passed
 
     def test_rough_base_eps_uniform(self):
-        sys_ = lift(make_family("deriv-rough").field)
+        sys_ = DerivativeSystem(make_family("deriv-rough").field)
         m2 = doubled_measure(1, 2.0)
         rep = verify_hypotheses(sys_, m2, p0=0.5,
                                 eps_set=[0.5, 0.25, 0.125], budget=8000,
@@ -203,5 +200,5 @@ class TestHypotheses:
     def test_wrong_measure_dimension_rejected(self):
         fam = make_family("deriv-linear")
         with pytest.raises(ValueError):
-            verify_hypotheses(lift(fam.field), fam.measure, 1.0, [0.5], 100,
+            verify_hypotheses(DerivativeSystem(fam.field), fam.measure, 1.0, [0.5], 100,
                               derive_rng(13, "bad"))

@@ -61,20 +61,6 @@ class TestLogWeightCalculus:
         m = ReferenceMeasure(2, 3.0)
         assert np.allclose(m.grad_log_weight([1.0, 0.0]), [-3.0, 0.0])
 
-    def test_hess_1d_origin(self):
-        m = ReferenceMeasure(1, 1.0)
-        assert m.hess_log_weight(0.0) == pytest.approx(np.array([[-2.0]]))
-
-    def test_hess_2d_origin(self):
-        m = ReferenceMeasure(2, 1.0)
-        assert np.allclose(m.hess_log_weight([0.0, 0.0]), -2.0 * np.eye(2))
-
-    def test_hess_symmetric(self):
-        m = ReferenceMeasure(3, 2.0)
-        pts = derive_rng(0, "hess").normal(size=(50, 3)) * 3
-        h = m.hess_log_weight(pts)
-        assert np.allclose(h, np.swapaxes(h, -1, -2))
-
     def test_derivatives_match_finite_differences(self):
         m = ReferenceMeasure(2, 2.3)
         rng = derive_rng(1, "fd")
@@ -85,11 +71,6 @@ class TestLogWeightCalculus:
             step[0, j] = h
             fd_grad = (m.log_weight(pts + step) - m.log_weight(pts - step)) / (2 * h)
             assert np.allclose(fd_grad, m.grad_log_weight(pts)[:, j], rtol=1e-6,
-                               atol=1e-8)
-            fd_hess = (m.grad_log_weight(pts + step) - m.grad_log_weight(pts - step)) / (
-                2 * h
-            )
-            assert np.allclose(fd_hess, m.hess_log_weight(pts)[:, :, j], rtol=1e-6,
                                atol=1e-8)
 
 

@@ -19,7 +19,7 @@ from roughflow._seeds import derive_rng, derive_seed
 from roughflow.acceptance import cauchy_uniqueness_checks
 from roughflow.flow import convergence_metric
 from roughflow.stability import (
-    ball_lebesgue_norm,
+    _halton_ball,
     cauchy_experiment,
     stability_bound,
     stability_functional,
@@ -93,16 +93,13 @@ class TestFunctional:
 
 class TestBallNorm:
     def test_constant_function_volume(self):
-        val = ball_lebesgue_norm(lambda x: np.ones(x.shape[0]), 1.0, 2.0, 2,
-                                 budget=200_000)
+        pts, norm = _halton_ball(1.0, 2, 200_000)
+        val = norm(np.ones(pts.shape[0]), 2.0)
         assert val == pytest.approx(np.sqrt(np.pi), rel=5e-3)
 
     def test_matrix_valued_uses_frobenius(self):
-        val = ball_lebesgue_norm(
-            lambda x: np.broadcast_to(np.eye(2) * 3.0,
-                                      x.shape[:-1] + (2, 2)).copy(),
-            1.0, 2.0, 1, budget=50_000,
-        )
+        pts, norm = _halton_ball(1.0, 1, 50_000)
+        val = norm(np.broadcast_to(np.eye(2) * 3.0, pts.shape[:-1] + (2, 2)), 2.0)
         # |3 I|_F = 3 sqrt(2) on a 1-D "ball" of length 2
         assert val == pytest.approx(3 * np.sqrt(2) * 2 ** 0.5, rel=5e-3)
 
@@ -110,24 +107,25 @@ class TestBallNorm:
 class TestBound:
     def test_identical_pair_reduces_to_gradient_terms(self):
         fam = make_family("linear")
-        b = stability_bound(fam.field, fam.field, 2.0, 0.1, 2.0,
-                            lambda_pt=1.5, budget=20_000)
+        *_, bound = stability_bound(fam.field, fam.field, 2.0, 2.0, 20_000)
+        b = bound(0.1, lambda_pt=1.5)
         assert b.difference_terms == pytest.approx(0.0, abs=1e-12)
         assert b.value == pytest.approx(1.5 * b.gradient_terms, rel=1e-12)
 
     def test_structured_pair_uses_partial_form(self):
         fam = make_family("partially-sobolev")
         other = make_family("partially-sobolev", step_amp=0.2)
-        b = stability_bound(fam.field, other.field, 2.0, 0.1,
-                            2.0, lambda_pt=1.0, budget=20_000)
+        sd, bd, bound = stability_bound(fam.field, other.field, 2.0, 2.0, 20_000)
+        b = bound(0.1, lambda_pt=1.0)
+        assert (b.sigma_diff_norm, b.drift_diff_norm) == (sd, bd)
         assert b.partial_form
         assert b.gradient_ball_radius == pytest.approx(8.0)  # 4R
         assert np.isfinite(b.value)
 
     def test_large_delta_limit(self):
         fam, _, _, shifted = ou_pair(shift=0.3)
-        small = stability_bound(fam.field, shifted, 2.0, 1e6,
-                                2.0, lambda_pt=1.0, budget=10_000)
+        *_, bound = stability_bound(fam.field, shifted, 2.0, 2.0, 10_000)
+        small = bound(1e6, lambda_pt=1.0)
         assert small.difference_terms == pytest.approx(0.0, abs=1e-4)
 
 
@@ -199,7 +197,7 @@ class TestQuadraturePassBudget:
         fam = make_family(name)
         fk, fl = (mollify(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
                   for k in (2.0, 4.0))
-        stability_bound(fk, fl, 2.0, 0.1, fam.q, 1.0, budget=500)
+        stability_bound(fk, fl, 2.0, fam.q, 500)
         assert passes["n"] == 3
 
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
