@@ -310,6 +310,8 @@ def criterion_4(seed: int, scale: float):
         details[name] = dict(
             norms=[round(v, 4) for v in report.norms],
             rhs=round(report.rhs, 4),
+            rhs_divergent=report.rhs_divergent,
+            fitted_constants=[round(v, 4) for v in report.fitted_constants],
             product_form=report.product_form,
             ok=report.passed,
         )
@@ -427,6 +429,8 @@ def criterion_8(seed: int, scale: float):
         details[name] = dict(
             metrics=[round(v, 5) for v in table.metrics()],
             uniqueness_metric=round(unq.metric, 6),
+            radius=float(table.radius),
+            lambda_pt=float(round(table.lambda_pt, 4)),
             decreasing=decreasing,
             below_final_gap=below_gap,
         )

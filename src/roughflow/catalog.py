@@ -277,18 +277,20 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
     def drift1_jac_fn(x1):
         return -np.ones(x1.shape[:-1] + (1, 1))
 
-    # each second-block term is a product of an x1 factor and an x2 factor:
-    # on the quadrature's block grids each factor is evaluated once per offset
+    # the second block in term form, (x1 factor, x2 factor) pairs: a smoothing
+    # pass evaluates each factor once per offset of its own block
     def sigma2_fn(x1, x2):
         s = step(x1[..., 0])
-        return (noise * (1.0 + 0.5 * s) * (1.0 + 0.3 * np.sin(x2[..., 0])))[..., None, None]
+        return [((noise * (1.0 + 0.5 * s))[..., None, None],
+                 (1.0 + 0.3 * np.sin(x2[..., 0]))[..., None, None])]
 
     def sigma2_jac_x2_fn(x1, x2):
         s = step(x1[..., 0])
         return (noise * (1.0 + 0.5 * s) * 0.3 * np.cos(x2[..., 0]))[..., None, None, None]
 
     def drift2_fn(x1, x2):
-        return (-x2[..., 0] + step_amp * step(x1[..., 0]) * _loglip(x2[..., 0]))[..., None]
+        return [(np.ones((1,) * x1.ndim), (-x2[..., 0])[..., None]),
+                ((step_amp * step(x1[..., 0]))[..., None], _loglip(x2[..., 0])[..., None])]
 
     def drift2_jac_x2_fn(x1, x2):
         return (-1.0 + step_amp * step(x1[..., 0]) * _loglip_deriv(x2[..., 0]))[

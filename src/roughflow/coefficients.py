@@ -184,21 +184,38 @@ class FieldBlocks:
     ``mollify`` keeps its base's record, so the second-block callables are
     the rough functions; ``second_block`` reads any field's own second block.
 
-    The second-block callables must broadcast over the leading axes of x1
-    and x2: a smoothing pass calls them on the block grids ``x1 - u1/k`` of
-    shape (B, G1, 1, n1) and ``x2 - u2/k`` of shape (B, 1, G2, n2), the
-    distinct node offsets of each block, so a factor of x1 alone or of x2
-    alone is computed once per offset rather than once per node.
+    ``sigma2`` and ``drift2`` return their block in term form: a sequence of
+    ``(x1 factor, x2 factor)`` array pairs whose products sum to the block,
+    ``sum_t a1_t * a2_t``.  A factor has the leading axes of the block
+    coordinates it reads and one axis per value axis, each of size 1 where
+    the factor does not vary along it.  At points the terms are summed in order; a smoothing
+    pass calls the callables on the block grids ``x1 - u1/k`` of shape
+    (B, G1, 1, n1) and ``x2 - u2/k`` of shape (B, 1, G2, n2), the distinct
+    node offsets of each block, and contracts each x1 factor and each x2
+    factor through the kernel weights, so no factor is formed on the
+    (G1, G2) product grid.  A block with a factor of both x1 and x2 (such as
+    a finite difference along x + eps y) evaluates at points, but smoothing
+    it raises a ``ValueError``.  The Jacobian callables return arrays and
+    are evaluated at points only.
     """
 
     sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)
     drift1: Callable                        # x1           -> (..., n1)
-    sigma2: Callable                        # x1, x2 (..., n2) -> (..., n2, m)
-    drift2: Callable                        # x1, x2       -> (..., n2)
+    sigma2: Callable                        # x1, x2 (..., n2) -> terms of (..., n2, m)
+    drift2: Callable                        # x1, x2       -> terms of (..., n2)
     sigma1_jac: Optional[Callable] = None   # x1 -> (..., n1, m, n1)
     drift1_jac: Optional[Callable] = None   # x1 -> (..., n1, n1)
     sigma2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, m, n2), in x2
     drift2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, n2), in x2
+
+
+def _term_sum(terms) -> NDArray[np.float64]:
+    """``sum_t a1_t * a2_t`` of a block in term form, added in term order."""
+    (a1, a2), *rest = terms
+    total = a1 * a2
+    for a1, a2 in rest:
+        total = total + a1 * a2
+    return total
 
 
 class StructuredCoefficient(CoefficientField):
@@ -263,7 +280,8 @@ class StructuredCoefficient(CoefficientField):
         """Second-block rows of sigma and/or b at ``pts``, Jacobian columns
         over all of x (zero in x1)."""
         x1, x2 = pts[..., :self.n1], pts[..., self.n1:]
-        out = self._rows(x1, x2, sigma and values, drift and values)
+        terms = self._terms(x1, x2, sigma and values, drift and values)
+        out = FieldEval(*(None if t is None else _term_sum(t) for t in (terms.sigma, terms.drift)))
         for name, on in (("sigma", sigma), ("drift", drift)):
             if on and jac:
                 jac2 = _jacobian(self, getattr(self.blocks, f"{name}2_jac"), name, x1, x2)
@@ -272,8 +290,8 @@ class StructuredCoefficient(CoefficientField):
                 setattr(out, f"{name}_jac", full)
         return out
 
-    def _rows(self, x1, x2, sigma=True, drift=True) -> FieldEval:
-        """Rough second-block values of sigma and/or b at the block
+    def _terms(self, x1, x2, sigma=True, drift=True) -> FieldEval:
+        """Rough second-block sigma and/or b in term form at the block
         coordinates ``(x1, x2)``: points, or a quadrature's block grids."""
         b = self.blocks
         return FieldEval(b.sigma2(x1, x2) if sigma else None, b.drift2(x1, x2) if drift else None)
@@ -360,9 +378,11 @@ class MollifierSpec:
     0), with weights renormalized so constants are reproduced exactly.  The
     value weights and the kernel-gradient weights are stacked into one
     ``(1 + dim, Q)`` matrix, so a quadrature pass returns the convolution
-    and its gradient from one matrix product per block of at most
-    ``_MAX_EVAL_BLOCK`` (``2**16``) point-node pairs.  ``order``/``panels``
-    trade accuracy for evaluation cost.
+    and its gradient from one matrix product per row group and chunk of at
+    most ``_MAX_EVAL_BLOCK`` (``2**16``) point-node pairs.  A pass split
+    into two column blocks contracts a function in term form through the
+    same weights scattered over the blocks' offset grids (``_contract``).
+    ``order``/``panels`` trade accuracy for evaluation cost.
     """
 
     dim: int
@@ -408,7 +428,7 @@ class MollifierSpec:
         # row 0: value weights (sum to 1 exactly); row 1 + j: d/dx_j weights
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
-        self._grids = {}  # column split -> ``_block_grids``
+        self._grids = {}  # column split -> ``_block_weights``
 
     def _points(self, x) -> NDArray[np.float64]:
         pts = np.asarray(x, dtype=np.float64)
@@ -475,10 +495,11 @@ class MollifierSpec:
     def convolve(self, func: Callable, x, split: tuple = ()) -> NDArray[np.float64]:
         """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out).
 
-        With a column ``split`` (as in ``np.split``) ``func`` takes one
-        argument per block of columns, the block grids of ``_quadrature``.
+        With a column ``split`` ``(n1,)`` ``func`` takes the two block grids
+        and returns parts in term form (see ``_contract``); the result's last
+        axis holds each part's values, flattened, in order.
         """
-        return self._quadrature(func, x, self._weights[:1], split)[0]
+        return self._quadrature(func, x, False, split)[0]
 
     def convolve_with_grad(self, func: Callable, x, split: tuple = ()):
         """Value and gradient of func * chi_k in a single pass over func.
@@ -486,72 +507,125 @@ class MollifierSpec:
         Returns ``(value, grad)`` with shapes ``(..., *out)`` and
         ``(..., *out, dim)``; ``split`` as in ``convolve``.
         """
-        out = self._quadrature(func, x, self._weights, split)
+        out = self._quadrature(func, x, True, split)
         return out[0], np.moveaxis(out[1:], 0, -1)
 
-    def _block_grids(self, split: tuple):
-        """``(blocks, gather)`` of the node columns split at ``split``.
+    def _quadrature(self, func, x, grad: bool, split=()):
+        """``sum_q weights[j, q] func(x - u_q / k)`` at every point x, for the
+        value row j = 0 and, with ``grad``, the kernel-gradient rows.
 
-        ``blocks`` holds, per block, its first column and its distinct node
-        offsets over k, shape (G_b, n_b).  ``gather`` maps each of the Q
-        nodes to its cell of the raveled (G_1, ..., G_nb) grid of offsets,
-        or is None where that grid is the nodes in order (one block).  Built
-        once per spec and split.
-        """
-        if split not in self._grids:
-            blocks, cells, starts = [], [], (0,) + split
-            for start, cols in zip(starts, np.split(self._nodes, split, axis=1)):
-                offsets, cell = np.unique(cols, axis=0, return_inverse=True)
-                if len(offsets) == len(cols):  # all distinct: keep the node order
-                    offsets, cell = cols, np.arange(len(cols))
-                blocks.append((start, offsets / self.level))
-                cells.append(cell.reshape(-1))
-            gather = np.ravel_multi_index(cells, [len(off) for _, off in blocks])
-            identity = np.array_equal(gather, np.arange(len(gather)))
-            self._grids[split] = blocks, None if identity else gather
-        return self._grids[split]
-
-    def _quadrature(self, func, x, weights, split=()):
-        """``sum_q weights[j, q] func(x - u_q / k)`` at every point x.
-
-        Returns shape ``(J,) + batch + out``.  Points go in blocks of at most
-        ``_MAX_EVAL_BLOCK`` point-node pairs.  ``func`` takes one grid per
-        block of columns (``split``): block b of a chunk of B points is
-        ``x_b - D_b / k`` over its distinct node offsets D_b, shape (B, G_b,
-        n_b) with singleton axes for the other blocks, so a factor of one
-        block's variables alone is evaluated once per offset.  The Q nodes
-        are gathered from the resulting (B, G_1, ..., *out) values, and the
-        chunk's ``(B, Q, K)`` values are reduced with one matrix product.
+        Returns shape ``(J,) + batch + out``.  Points go in chunks of at most
+        ``_MAX_EVAL_BLOCK`` point-node pairs, through ``_shifted`` or, with a
+        split, ``_contract``.  The value row is a product of its own, so a
+        value is bitwise the same whether or not the gradient rows come with
+        it.
         """
         pts = self._points(x)
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
-        blocks, gather = self._block_grids(tuple(split))
         block = max(1, _MAX_EVAL_BLOCK // len(self._nodes))
         outs = []
         for start in range(0, flat.shape[0], block):
             chunk = flat[start:start + block]                      # (B, dim)
-            grids = []
-            for b, (col, offsets) in enumerate(blocks):
-                grid = np.empty((len(chunk),) + offsets.shape)
-                # one axis at a time: 4x cheaper than a 3-d broadcast
-                for j in range(offsets.shape[1]):
-                    np.subtract(chunk[:, col + j, None], offsets[None, :, j], out=grid[:, :, j])
-                axes = [1] * len(blocks)
-                axes[b] = len(offsets)
-                grids.append(grid.reshape((len(chunk), *axes, offsets.shape[1])))
-            f = np.asarray(func(*grids), dtype=np.float64)         # (B, G_1, ..., *out)
-            f = f.reshape((len(chunk), -1) + f.shape[1 + len(blocks):])
-            if gather is not None:
-                f = np.take(f, gather, axis=1)  # (B, Q, *out); 8x faster than f[:, gather]
-            f2 = f.reshape(f.shape[:2] + (-1,))
-            # the value row is a product of its own, so a value is bitwise the
-            # same whether or not the gradient rows come with it
-            red = np.concatenate([np.matmul(w, f2) for w in (weights[:1], weights[1:])
-                                  if len(w)], axis=1)              # (B, J, K)
-            outs.append(red.reshape(red.shape[:2] + f.shape[2:]))
+            outs.append(self._contract(func, chunk, grad, tuple(split)) if split
+                        else self._shifted(func, chunk, grad))
         out = np.moveaxis(np.concatenate(outs, axis=0), 1, 0)    # (J, nb, *out)
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
+
+    def _shifted(self, func, chunk, grad: bool):
+        """One chunk without a split, shape (B, J, *out): ``func`` of the
+        (B, Q, dim) shifted points, reduced with one matrix product per row
+        group."""
+        shifts = self._nodes / self.level
+        grid = np.empty((len(chunk),) + shifts.shape)
+        # one axis at a time: 4x cheaper than a 3-d broadcast
+        for j in range(self.dim):
+            np.subtract(chunk[:, j, None], shifts[None, :, j], out=grid[:, :, j])
+        f = np.asarray(func(grid), dtype=np.float64)            # (B, Q, *out)
+        f2 = f.reshape(f.shape[:2] + (-1,))
+        weights = self._weights if grad else self._weights[:1]
+        red = np.concatenate([np.matmul(w, f2) for w in (weights[:1], weights[1:])
+                              if len(w)], axis=1)              # (B, J, K)
+        return red.reshape(red.shape[:2] + f.shape[2:])
+
+    def _block_weights(self, split: tuple):
+        """The two block grids' offsets and the weights scattered over them.
+
+        For the column split ``(n1,)``: the distinct node offsets of each
+        block over k, shapes (G1, n1) and (G2, n2), and the (1 + dim, Q)
+        weights scattered into a dense (1 + dim, G1, G2) tensor, zero on the
+        cells that are no ball node, laid out for ``_contract``'s products:
+        the value weights (G1, G2) and the gradient weights (G1, dim * G2).
+        Built once per spec and split.
+        """
+        if split not in self._grids:
+            blocks = [np.unique(cols, axis=0, return_inverse=True)
+                      for cols in np.split(self._nodes, split, axis=1)]
+            (off1, cell1), (off2, cell2) = blocks
+            dense = np.zeros((len(self._weights), len(off1), len(off2)))
+            dense[:, cell1.reshape(-1), cell2.reshape(-1)] = self._weights
+            grad = np.ascontiguousarray(dense[1:].transpose(1, 0, 2)).reshape(len(off1), -1)
+            self._grids[split] = off1 / self.level, off2 / self.level, dense[0], grad
+        return self._grids[split]
+
+    def _contract(self, func, chunk, grad: bool, split: tuple):
+        """One chunk of a split quadrature, shape (B, J, K).
+
+        ``func(x1, x2)`` gets the block grids ``x1 - u1/k`` (B, G1, 1, n1)
+        and ``x2 - u2/k`` (B, 1, G2, n2) and returns parts, each a sequence
+        of ``(a1, a2)`` terms: an x1 factor whose leading axes broadcast to
+        (B, G1, 1) and an x2 factor whose leading axes broadcast to
+        (B, 1, G2), with value axes that broadcast to the part's.  A term is contracted in two steps, one matrix product
+        of its (B, G1) x1 factors against the dense weights and a dot of the
+        result with its (B, G2) x2 factors, and a part sums its terms in
+        order.  A factor spanning both grids raises a ``ValueError``.
+        """
+        off1, off2, w_val, w_grad = self._block_weights(split)
+        (n1,), n = split, len(chunk)
+        g1, g2 = len(off1), len(off2)
+        x1 = chunk[:, None, None, :n1] - off1[None, :, None, :]
+        x2 = chunk[:, None, None, n1:] - off2[None, None, :, :]
+        cols = []
+        for terms in func(x1, x2):
+            terms = [(np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64))
+                     for a1, a2 in terms]
+            for a1, a2 in terms:
+                if a1.ndim < 3 or a2.ndim < 3 or a1.shape[2] != 1 or a2.shape[1] != 1:
+                    raise ValueError(
+                        f"second-block term factors of shapes {a1.shape} and {a2.shape} on "
+                        f"block grids ({n}, {g1}, 1, ...) and ({n}, 1, {g2}, ...): a factor "
+                        "spans both block grids, so the block is not a sum of x1-factor x "
+                        "x2-factor terms and cannot be smoothed")
+            out = np.broadcast_shapes(*(a.shape[3:] for term in terms for a in term))
+            k = math.prod(out)
+            val = dval = None
+            for a1, a2 in terms:
+                # (B K, G1) x1 factors and (B, K, G2) x2 factors
+                rows = _full(a1, (n, g1, 1) + out).reshape(n, g1, k).transpose(0, 2, 1)
+                rows = rows.reshape(n * k, g1)
+                if n * k == 1:
+                    # numpy sends a one-row product to gemv, which rounds unlike
+                    # gemm: two rows keep a state's value independent of its chunk
+                    rows = np.concatenate([rows, rows])
+                f2 = _full(a2, (n, 1, g2) + out).reshape(n, g2, k).transpose(0, 2, 1)
+                t = np.matmul(rows, w_val)[:n * k].reshape(n, k, g2)
+                t *= f2
+                t = t.sum(axis=-1)
+                val = t if val is None else val + t
+                if grad:
+                    t = np.matmul(rows, w_grad)[:n * k].reshape(n, k, -1, g2)
+                    t *= f2[:, :, None, :]
+                    t = t.sum(axis=-1)
+                    dval = t if dval is None else dval + t
+            part = val[:, None, :]                                      # (B, 1, K)
+            cols.append(part if dval is None else
+                        np.concatenate([part, dval.transpose(0, 2, 1)], axis=1))
+        return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+
+
+def _full(a, shape):
+    """``a`` broadcast to ``shape`` (a view, or ``a`` itself if it has it)."""
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 class _Smoother:
@@ -560,16 +634,18 @@ class _Smoother:
     the ``_second`` of a smoothed structured field.
 
     ``rough(*xs, sigma, drift)`` is the rough field's own ``_eval`` (one
-    block, ``split=()``) or, for a structured field, its ``_rows`` of the
+    block, ``split=()``) or, for a structured field, its ``_terms`` of the
     block coordinates ``(x1, x2)`` (``split=(n1,)``); its sigma has shape
     ``sigma_shape``.  A call packs the requested rough components into one
-    function of the quadrature's block grids, so that one quadrature pass
-    serves them all: ``convolve`` for values, ``convolve_with_grad`` for the
-    Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k``, whose
-    product rule needs the values (``values=False`` returns them too).  For
-    a declared-constant sigma (``sigma0``, its value) the convolution is the
-    identity (the discrete kernel weights sum to one), so sigma_k reduces
-    exactly to sigma * psi_k and only the cutoff is evaluated.
+    function of the quadrature's grids, so that one quadrature pass serves
+    them all: the values concatenated on the shifted points, or one part of
+    terms per component on the block grids.  ``convolve`` gives the values,
+    ``convolve_with_grad`` the Jacobian ``(f * grad chi_k) psi_k + (f *
+    chi_k) grad psi_k``, whose product rule needs the values
+    (``values=False`` returns them too).  For a declared-constant sigma
+    (``sigma0``, its value) the convolution is the identity (the discrete
+    kernel weights sum to one), so sigma_k reduces exactly to sigma * psi_k
+    and only the cutoff is evaluated.
     """
 
     def __init__(self, spec: MollifierSpec, rough: Callable, sigma_shape: tuple,
@@ -585,7 +661,9 @@ class _Smoother:
         if names:
             def packed(*grids):
                 ev = self.rough(*grids, "sigma" in names, drift)
-                lead = np.broadcast_shapes(*(g.shape[:-1] for g in grids))
+                if self.split:  # one part of terms per component
+                    return [getattr(ev, name) for name in names]
+                lead = grids[0].shape[:-1]
                 cols = [np.broadcast_to(np.asarray(getattr(ev, name), dtype=np.float64),
                                         lead + self.shapes[name]).reshape(lead + (-1,))
                         for name in names]
@@ -635,13 +713,13 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
         smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
         smooth._eval = _Smoother(spec, field._eval, (n, m), sigma0)
         return smooth
-    if field.blocks.sigma1_jac is None:
+    if field.blocks.sigma1_jac is None or field.blocks.drift1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
     if field.is_smoothed:
         raise ValueError("field is already smoothed; smooth its rough base instead")
     smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
                                    name=f"{field.name}|k2={spec.level:g}")
-    smooth._second = _Smoother(spec, field._rows, (field.n2, m), split=(field.n1,))
+    smooth._second = _Smoother(spec, field._terms, (field.n2, m), split=(field.n1,))
     return smooth
 
 

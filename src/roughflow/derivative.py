@@ -66,11 +66,18 @@ class DerivativeSystem:
     def _build_lifted(self) -> StructuredCoefficient:
         base = self.base
 
+        # one term per base coordinate j, d_j f(x) times y_j, after a zero
+        # term: the sum starts from +0.0 as a contraction over j does
+        def terms(jac, y, value_axes):
+            zero = np.zeros((1,) * (y.ndim - 1 + value_axes))
+            return [(zero, zero)] + [(jac[..., j], y[(..., j) + (None,) * value_axes])
+                                     for j in range(y.shape[-1])]
+
         def sigma2_fn(x, y):
-            return np.einsum("...ikj,...j->...ik", base.sigma_jac_fn(x), y)
+            return terms(base.sigma_jac_fn(x), y, 2)
 
         def drift2_fn(x, y):
-            return np.einsum("...ij,...j->...i", base.drift_jac_fn(x), y)
+            return terms(base.drift_jac_fn(x), y, 1)
 
         return self._doubled(sigma2_fn, drift2_fn,
                              lambda x, y: base.sigma_jac_fn(x),
@@ -87,11 +94,15 @@ class DerivativeSystem:
             raise ValueError("eps must be positive")
         base = self.base
 
+        # one term whose factor reads both x and y: not separable, so the
+        # system evaluates at points and cannot be smoothed
         def sigma2_fn(x, y):
-            return (base.sigma(x + eps * y) - base.sigma(x)) / eps
+            diff = (base.sigma(x + eps * y) - base.sigma(x)) / eps
+            return [(np.ones((1,) * diff.ndim), diff)]
 
         def drift2_fn(x, y):
-            return (base.drift(x + eps * y) - base.drift(x)) / eps
+            diff = (base.drift(x + eps * y) - base.drift(x)) / eps
+            return [(np.ones((1,) * diff.ndim), diff)]
 
         return self._doubled(sigma2_fn, drift2_fn,
                              lambda x, y: base.sigma_jac_fn(x + eps * y),

@@ -21,12 +21,14 @@ from roughflow import (
 )
 from roughflow import coefficients
 from roughflow._seeds import derive_rng
+from roughflow.catalog import _loglip
 from roughflow.coefficients import (
     FieldBlocks,
     StructuredCoefficient,
     _bump_mass,
     _smoothstep,
     _smoothstep_deriv,
+    _term_sum,
 )
 from roughflow.derivative import DerivativeSystem
 from roughflow.flow import integrate as integrate_flow
@@ -181,8 +183,9 @@ class TestStructuredBlocks:
         first, second = field.first_block(pts[:, :1]), field.second_block(pts)
         assert np.array_equal(first.sigma, ev.sigma[:, :1, :])
         assert np.array_equal(first.drift_jac, ev.drift_jac[:, :1, :1])
-        assert np.array_equal(second.sigma, field.blocks.sigma2(pts[:, :1], pts[:, 1:]))
-        assert np.array_equal(second.drift, field.blocks.drift2(pts[:, :1], pts[:, 1:]))
+        x1, x2 = pts[:, :1], pts[:, 1:]
+        assert np.array_equal(second.sigma, _term_sum(field.blocks.sigma2(x1, x2)))
+        assert np.array_equal(second.drift, _term_sum(field.blocks.drift2(x1, x2)))
         assert np.array_equal(second.sigma_jac, ev.sigma_jac[:, 1:, :, 1:])
 
     def test_smoothed_field_shares_the_first_block_and_is_not_resmoothed(self):
@@ -250,6 +253,13 @@ class TestFieldWithoutJacobians:
         assert "sigma1_jac" in str(err.value) and "mollify" not in str(err.value)
         with pytest.raises(ValueError, match="first-block Jacobians"):
             mollify(field, make_family("partially-sobolev").mollifier(4.0))
+
+    @pytest.mark.parametrize("missing", ["sigma1_jac", "drift1_jac"])
+    def test_mollify_checks_both_first_block_jacobians(self, missing):
+        fam = make_family("partially-sobolev")
+        field = StructuredCoefficient(1, replace(fam.field.blocks, **{missing: None}), 2, 1)
+        with pytest.raises(ValueError, match="first-block Jacobians"):
+            mollify(field, fam.mollifier(4.0))
 
 
 class TestDensityExponentTerms:
@@ -570,12 +580,14 @@ class TestQuadratureBlocks:
 
 
 class TestSecondBlockGrids:
-    """A smoothed structured field evaluates its second block on the
-    quadrature's block grids and gathers the ball nodes from them."""
+    """A smoothed structured field contracts its second block's x1 and x2
+    factors through the kernel weights on the block grids."""
 
     @pytest.mark.parametrize("shape", [1.0, 3.0])
     @pytest.mark.parametrize("level", [2.0, 4.0, 8.0, 16.0])
-    def test_equals_per_pair_quadrature(self, level, shape):
+    def test_matches_per_pair_quadrature(self, level, shape):
+        # the terms are contracted one by one, so the sum runs in another
+        # order than the per-pair reduction: equal up to rounding, not bitwise
         fam = make_family("partially-sobolev")
         spec = replace(fam.mollifier(level), shape=shape)
         rng = derive_rng(17, f"pairs-{level}-{shape}")
@@ -584,9 +596,8 @@ class TestSecondBlockGrids:
         ev = mollify(fam.field, spec).evaluate(pts, jac=True)
         # the rough second block at every point-node pair x - u_q / k
         pairs = pts[:, None, :] - spec._nodes[None, :, :] / spec.level   # (N, Q, 2)
-        b = fam.field.blocks
-        f = np.concatenate([b.sigma2(pairs[..., :1], pairs[..., 1:])[..., 0],
-                            b.drift2(pairs[..., :1], pairs[..., 1:])], axis=-1)
+        rough = fam.field.evaluate(pairs)
+        f = np.concatenate([rough.sigma[..., 1, :], rough.drift[..., 1:]], axis=-1)
         conv = np.matmul(spec._weights[:1], f)[:, 0]                     # (N, 2)
         grad = np.moveaxis(np.matmul(spec._weights[1:], f), 1, -1)       # (N, 2, 2)
         psi, dpsi = spec.cutoff(pts, grad=True)
@@ -597,17 +608,19 @@ class TestSecondBlockGrids:
             got, got_jac = getattr(ev, name), getattr(ev, name + "_jac")
             assert np.array_equal(got[:, :1], getattr(first, name)[:, :1])
             assert np.array_equal(got_jac[:, :1], getattr(first, name + "_jac")[:, :1])
-            assert got[:, 1:].reshape(-1).tobytes() == val[:, col].tobytes()
-            assert got_jac[:, 1:].reshape(-1, 2).tobytes() == jac[:, col].tobytes()
+            assert np.max(np.abs(got[:, 1:].reshape(-1) - val[:, col])) <= 1e-13
+            assert np.max(np.abs(got_jac[:, 1:].reshape(-1, 2) - jac[:, col])) <= 1e-13
 
-    def test_callables_see_each_distinct_offset_once(self):
+    def test_factors_see_only_their_block_grid(self):
         fam = make_family("partially-sobolev")
         base, seen = fam.field.blocks, []
 
         def recorded(fn):
             def wrapped(x1, x2):
-                seen.append((x1.shape, x2.shape))
-                return fn(x1, x2)
+                terms = fn(x1, x2)
+                seen.append((x1.shape, x2.shape,
+                             [(a1.shape[:3], a2.shape[:3]) for a1, a2 in terms]))
+                return terms
             return wrapped
 
         field = StructuredCoefficient(
@@ -617,9 +630,58 @@ class TestSecondBlockGrids:
         n = 250  # two chunks of at most 2**16 point-node pairs
         block = coefficients._MAX_EVAL_BLOCK // 328
         mollify(field, spec).evaluate(fam.measure.sample(derive_rng(18, "grids"), n), jac=True)
-        # sigma and drift once per chunk: B x 32 x1 and B x 16 x2 coordinates
-        assert seen == [((b, 32, 1, 1), (b, 1, 16, 1)) for b in (block, n - block)
-                        for _ in range(2)]
+        # sigma (one term) and drift (two terms) once per chunk: the x1
+        # factors on B x 32 offsets (the drift's constant 1 on none), the x2
+        # factors on B x 16, never on the 32 x 16 product grid
+        assert seen == [entry for b in (block, n - block) for entry in (
+            ((b, 32, 1, 1), (b, 1, 16, 1), [((b, 32, 1), (b, 1, 16))]),
+            ((b, 32, 1, 1), (b, 1, 16, 1), [((1, 1, 1), (b, 1, 16)), ((b, 32, 1), (b, 1, 16))]),
+        )]
+
+    @pytest.mark.parametrize("panels", [1, (2, 1)])
+    def test_non_separable_block_is_rejected(self, panels):
+        # the finite difference reads x + eps y: its factor spans both block
+        # grids, also where the two grids have the same size (one panel)
+        sys_ = DerivativeSystem(make_family("deriv-smooth").field)
+        field = sys_.epsilon_system(0.25)
+        pts = ReferenceMeasure(2, 3.0).sample(derive_rng(19, "eps-smooth"), 10)
+        assert np.all(np.isfinite(field.evaluate(pts).sigma))
+        smooth = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=panels))
+        for jac in (False, True):
+            with pytest.raises(ValueError, match="spans both block grids"):
+                smooth.evaluate(pts, jac=jac)
+        # the lift of the same base is a sum of products, and smooths
+        lifted = mollify(sys_.lifted, MollifierSpec(dim=2, level=4.0, order=16, panels=panels))
+        assert np.all(np.isfinite(lifted.evaluate(pts, jac=True).drift_jac))
+
+    def test_raw_second_blocks_are_the_closed_forms_bitwise(self):
+        # the term sums reproduce the closed forms in their own operation order
+        def step(u):
+            return np.sign(u) + (u == 0.0)
+
+        rng = derive_rng(20, "closed-forms")
+        pts = ReferenceMeasure(2, 3.0).sample(rng, 200)
+        pts[:20, 1] = 0.0            # exact zeros: the sign of a zero is kept
+        pts[20:40, 0] = 0.0
+        ps = make_family("partially-sobolev").field.second_block(pts)
+        x1, x2 = pts[:, 0], pts[:, 1]
+        want_sigma = (0.25 * (1.0 + 0.5 * step(x1)) * (1.0 + 0.3 * np.sin(x2)))[:, None, None]
+        want_drift = (-x2 + 0.4 * step(x1) * _loglip(x2))[:, None]
+        assert ps.sigma.tobytes() == want_sigma.tobytes()
+        assert ps.drift.tobytes() == want_drift.tobytes()
+        for kind in ("linear", "smooth", "rough"):
+            base = make_family(f"deriv-{kind}").field
+            x, y = pts[:, :1], pts[:, 1:]
+            lifted = DerivativeSystem(base).lifted.second_block(pts)
+            want = np.einsum("...ikj,...j->...ik", base.sigma_jac_fn(x), y)
+            assert lifted.sigma.tobytes() == want.tobytes()
+            want = np.einsum("...ij,...j->...i", base.drift_jac_fn(x), y)
+            assert lifted.drift.tobytes() == want.tobytes()
+            eps = DerivativeSystem(base).epsilon_system(0.25).second_block(pts)
+            want = (base.sigma(x + 0.25 * y) - base.sigma(x)) / 0.25
+            assert eps.sigma.tobytes() == want.tobytes()
+            want = (base.drift(x + 0.25 * y) - base.drift(x)) / 0.25
+            assert eps.drift.tobytes() == want.tobytes()
 
 
 def _counted(calls, name, fn):

@@ -22,20 +22,20 @@ class TestLift:
     def test_linear_drift_block_independent_of_x(self):
         sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[0.3, 1.0], [7.0, 1.0], [-2.0, 1.0]])
-        b2 = sys_.lifted.blocks.drift2(xy[:, :1], xy[:, 1:])
+        b2 = sys_.lifted.second_block(xy).drift
         assert np.allclose(b2, -0.8)  # A y with A = -0.8, y = 1
 
     def test_constant_sigma_gives_zero_noise_block(self):
         sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[1.0, 2.0]])
-        assert np.allclose(sys_.lifted.blocks.sigma2(xy[:, :1], xy[:, 1:]), 0.0)
+        assert np.allclose(sys_.lifted.second_block(xy).sigma, 0.0)
 
     def test_linear_difference_block_exact_for_every_eps(self):
         sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[0.5, 2.0], [-1.0, 0.3]])
         want = -0.8 * xy[:, 1:]
         for eps in (0.5, 0.01, 1e-4):
-            got = sys_.epsilon_system(eps).blocks.drift2(xy[:, :1], xy[:, 1:])
+            got = sys_.epsilon_system(eps).second_block(xy).drift
             assert np.allclose(got, want, atol=1e-9)
 
     def test_nonanalytic_base_rejected(self):
