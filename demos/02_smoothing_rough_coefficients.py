@@ -18,6 +18,7 @@ from roughflow import (
     mollifier_domination_check,
     mollify,
 )
+from roughflow.measure import grid_points
 
 fam = make_family("log-singular")
 field = fam.field
@@ -37,8 +38,7 @@ print("\nkernel mass (numeric quadrature):", f"{spec.kernel_mass_quadrature():.8
 
 rep = mollifier_domination_check(
     lambda p: field.drift(p), spec,
-    np.stack(np.meshgrid(np.linspace(-3, 3, 13), np.linspace(-3, 3, 13),
-                         indexing="ij"), axis=-1).reshape(-1, 2),
+    grid_points((np.linspace(-3, 3, 13),) * 2).reshape(-1, 2),
 )
 print("scaled-kernel domination  |f*chi_k|/(1+|x|) <= 2 (|f-bar|*chi_k):",
       f"max ratio {rep.max_ratio:.3f} (bound 2) ->",

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .measure import ReferenceMeasure
+from .measure import ReferenceMeasure, grid_points
 
 __all__ = [
     "GridFunction",
@@ -91,8 +91,7 @@ class GridFunction:
 
     def points(self) -> NDArray[np.float64]:
         """All grid points, shape values.shape + (ndim,)."""
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        return grid_points(self.axes)
 
     def _weight(self, m: ReferenceMeasure) -> NDArray[np.float64]:
         """``m.weight`` at every grid point, shape values.shape; computed once

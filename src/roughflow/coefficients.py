@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, special
 
-from .measure import ReferenceMeasure
+from .measure import ReferenceMeasure, as_points, grid_points, magnitude
 
 __all__ = [
     "CoefficientField",
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _MAX_EVAL_BLOCK = 2**16  # point-node pairs per quadrature block: ~1 MB temporaries
+_CONDITION_STAGES = 3    # doubling budgets of a condition integral
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +117,18 @@ class CoefficientField:
 
     # -- evaluation --------------------------------------------------------
 
-    def _pts(self, x) -> NDArray[np.float64]:
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim_state == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        if pts.shape[-1] != self.dim_state:
-            raise ValueError(
-                f"point dimension {pts.shape[-1]} != field dimension {self.dim_state}"
-            )
-        return pts
-
-    def _eval(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
+    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         """sigma and/or b at ``pts`` (shape ``(..., n)``), each with its
-        Jacobian when ``jac`` is set (``values=False``: Jacobians alone)."""
+        Jacobian when ``jac`` is set."""
         out, lead = FieldEval(None, None), pts.shape[:-1]
         for name, want, on in (("sigma", (self.dim_state, self.dim_noise), sigma),
                                ("drift", (self.dim_state,), drift)):
             if not on:
                 continue
-            if values:
-                val = np.asarray(getattr(self, f"{name}_fn")(pts), dtype=np.float64)
-                if val.shape != lead + want:
-                    raise ValueError(f"{name} returned shape {val.shape}, expected {lead + want}")
-                setattr(out, name, val)
+            val = np.asarray(getattr(self, f"{name}_fn")(pts), dtype=np.float64)
+            if val.shape != lead + want:
+                raise ValueError(f"{name} returned shape {val.shape}, expected {lead + want}")
+            setattr(out, name, val)
             if jac:
                 setattr(out, f"{name}_jac",
                         _jacobian(self, getattr(self, f"{name}_jac_fn"), name, pts))
@@ -146,21 +136,21 @@ class CoefficientField:
 
     def evaluate(self, x, jac: bool = False) -> FieldEval:
         """sigma and b at ``x``, plus both Jacobians when ``jac`` is set."""
-        return self._eval(self._pts(x), jac=jac)
+        return self._eval(as_points(x, self.dim_state, "field"), jac=jac)
 
     def sigma(self, x) -> NDArray[np.float64]:
-        return self._eval(self._pts(x), drift=False).sigma
+        return self._eval(as_points(x, self.dim_state, "field"), drift=False).sigma
 
     def drift(self, x) -> NDArray[np.float64]:
-        return self._eval(self._pts(x), sigma=False).drift
+        return self._eval(as_points(x, self.dim_state, "field"), sigma=False).drift
 
     def sigma_jac(self, x) -> NDArray[np.float64]:
         """d sigma^{ik} / d x_j, shape (..., n, m, n)."""
-        return self._eval(self._pts(x), drift=False, jac=True, values=False).sigma_jac
+        return self._eval(as_points(x, self.dim_state, "field"), drift=False, jac=True).sigma_jac
 
     def drift_jac(self, x) -> NDArray[np.float64]:
         """d b^i / d x_j, shape (..., n, n)."""
-        return self._eval(self._pts(x), sigma=False, jac=True, values=False).drift_jac
+        return self._eval(as_points(x, self.dim_state, "field"), sigma=False, jac=True).drift_jac
 
     @property
     def is_analytic(self) -> bool:
@@ -259,14 +249,14 @@ class StructuredCoefficient(CoefficientField):
     def is_smoothed(self) -> bool:
         return isinstance(self._second, _Smoother)
 
-    def _eval(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
+    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         n1, b = self.n1, self.blocks
-        x1, out = pts[..., :n1], self._second(pts, sigma, drift, jac, values)
+        x1, out = pts[..., :n1], self._second(pts, sigma, drift, jac)
         for name, rows, on in (("sigma", -2, sigma), ("drift", -1, drift)):  # rows: value axis
             if not on:
                 continue
             setattr(out, name, np.concatenate([getattr(b, f"{name}1")(x1), getattr(out, name)],
-                                              axis=rows) if values else None)
+                                              axis=rows))
             if jac:  # the first block does not depend on x2
                 jac2 = getattr(out, f"{name}_jac")
                 jac1 = np.zeros(jac2.shape[:rows - 1] + (n1,) + jac2.shape[rows:])
@@ -276,11 +266,11 @@ class StructuredCoefficient(CoefficientField):
                 setattr(out, f"{name}_jac", np.concatenate([jac1, jac2], axis=rows - 1))
         return out
 
-    def _second(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
+    def _second(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         """Second-block rows of sigma and/or b at ``pts``, Jacobian columns
         over all of x (zero in x1)."""
         x1, x2 = pts[..., :self.n1], pts[..., self.n1:]
-        terms = self._terms(x1, x2, sigma and values, drift and values)
+        terms = self._terms(x1, x2, sigma, drift)
         out = FieldEval(*(None if t is None else _term_sum(t) for t in (terms.sigma, terms.drift)))
         for name, on in (("sigma", sigma), ("drift", drift)):
             if on and jac:
@@ -303,7 +293,7 @@ class StructuredCoefficient(CoefficientField):
 
     def second_block(self, x) -> FieldEval:
         """Second-block sigma, b and their x2-Jacobians at points of R^n."""
-        n1, ev = self.n1, self._second(self._pts(x), jac=True)
+        n1, ev = self.n1, self._second(as_points(x, self.dim_state, "field"), jac=True)
         return FieldEval(ev.sigma, ev.drift, ev.sigma_jac[..., n1:], ev.drift_jac[..., n1:])
 
 
@@ -413,10 +403,8 @@ class MollifierSpec:
                  for e0, e1 in zip(edges, edges[1:])]))
             axes_weights.append(np.concatenate(
                 [(e1 - e0) / 2 * gl_w for e0, e1 in zip(edges, edges[1:])]))
-        grids = np.meshgrid(*axes_nodes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*axes_weights, indexing="ij")
-        raw_w = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
+        nodes = grid_points(axes_nodes).reshape(-1, self.dim)
+        raw_w = np.prod(grid_points(axes_weights).reshape(-1, self.dim), axis=-1)
         bump = self._bump(nodes)
         # the kernel and its gradient are exactly 0 off the open unit ball
         # (and where exp underflows): those nodes would only cost evaluations
@@ -429,12 +417,6 @@ class MollifierSpec:
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
         self._grids = {}  # column split -> ``_block_weights``
-
-    def _points(self, x) -> NDArray[np.float64]:
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        return pts
 
     # -- kernel and cutoff ---------------------------------------------------
 
@@ -461,8 +443,8 @@ class MollifierSpec:
 
     def kernel(self, x) -> NDArray[np.float64]:
         """Scaled kernel chi_k, normalized with the continuum constant."""
-        k = self.level
-        return k**self.dim * self._bump(k * self._points(x)) / _bump_mass(self.dim, self.shape)
+        k, pts = self.level, as_points(x, self.dim, "mollifier")
+        return k**self.dim * self._bump(k * pts) / _bump_mass(self.dim, self.shape)
 
     def kernel_mass_quadrature(self, n_points: int = 4001) -> float:
         """Integral of ``kernel`` itself (Simpson rule on ``n_points`` radii
@@ -479,7 +461,7 @@ class MollifierSpec:
         With ``grad``, ``(psi_k, grad psi_k)`` from one norm and one pass
         over the transition band.
         """
-        pts = self._points(x)
+        pts = as_points(x, self.dim, "mollifier")
         r = np.linalg.norm(pts, axis=-1)
         t = 2.0 - r / self.level
         parts = _step_band(t)
@@ -520,7 +502,7 @@ class MollifierSpec:
         value is bitwise the same whether or not the gradient rows come with
         it.
         """
-        pts = self._points(x)
+        pts = as_points(x, self.dim, "mollifier")
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
         block = max(1, _MAX_EVAL_BLOCK // len(self._nodes))
@@ -575,10 +557,11 @@ class MollifierSpec:
         and ``x2 - u2/k`` (B, 1, G2, n2) and returns parts, each a sequence
         of ``(a1, a2)`` terms: an x1 factor whose leading axes broadcast to
         (B, G1, 1) and an x2 factor whose leading axes broadcast to
-        (B, 1, G2), with value axes that broadcast to the part's.  A term is contracted in two steps, one matrix product
-        of its (B, G1) x1 factors against the dense weights and a dot of the
-        result with its (B, G2) x2 factors, and a part sums its terms in
-        order.  A factor spanning both grids raises a ``ValueError``.
+        (B, 1, G2), with value axes that broadcast to the part's.  A term is
+        contracted in two steps, one matrix product of its (B, G1) x1 factors
+        against the dense weights and a dot of the result with its (B, G2) x2
+        factors, and a part sums its terms in order.  A factor spanning both
+        grids raises a ``ValueError``.
         """
         off1, off2, w_val, w_grad = self._block_weights(split)
         (n1,), n = split, len(chunk)
@@ -641,8 +624,8 @@ class _Smoother:
     them all: the values concatenated on the shifted points, or one part of
     terms per component on the block grids.  ``convolve`` gives the values,
     ``convolve_with_grad`` the Jacobian ``(f * grad chi_k) psi_k + (f *
-    chi_k) grad psi_k``, whose product rule needs the values
-    (``values=False`` returns them too).  For a declared-constant sigma
+    chi_k) grad psi_k``, whose product rule needs the values, so a call
+    returns the values with every Jacobian.  For a declared-constant sigma
     (``sigma0``, its value) the convolution is the identity (the discrete
     kernel weights sum to one), so sigma_k reduces exactly to sigma * psi_k
     and only the cutoff is evaluated.
@@ -653,7 +636,7 @@ class _Smoother:
         self.spec, self.rough, self.sigma0, self.split = spec, rough, sigma0, split
         self.shapes = dict(sigma=sigma_shape, drift=sigma_shape[:1])
 
-    def __call__(self, pts, sigma=True, drift=True, jac=False, values=True) -> FieldEval:
+    def __call__(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         spec, out = self.spec, FieldEval(None, None)
         psi, dpsi = spec.cutoff(pts, grad=True) if jac else (spec.cutoff(pts), None)
         names = [name for name, on in (("sigma", sigma and self.sigma0 is None),
@@ -758,7 +741,7 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     declared-constant sigma the divergence and the sigma-derivative terms
     of G vanish and are skipped.
     """
-    pts = field._pts(x)
+    pts = as_points(x, field.dim_state, "field")
     ev = field.evaluate(pts, jac=True) if ev is None else ev
     sig, jac, g = ev.sigma, ev.sigma_jac, m.grad_log_weight(pts)
     sg = np.einsum("...nm,...n->...m", sig, g)
@@ -817,8 +800,8 @@ def exp_integrand(x, ev: FieldEval, p0: float):
     return np.exp(p0 * (neg + bbar + sbar**2 + gsq)), bbar, sbar
 
 
-def _stabilized_expect(m: ReferenceMeasure, fn, budget: int, rng, stages: int = 3):
-    """Estimates at doubling budgets plus a divergence flag.
+def _stabilized_expect(m: ReferenceMeasure, fn, budget: int, rng):
+    """Estimates at ``_CONDITION_STAGES`` doubling budgets plus a divergence flag.
 
     A non-integrable exponential shows up as a last-stage estimate still
     dominated by a single sample (integrable heavy tails dilute under a
@@ -828,7 +811,7 @@ def _stabilized_expect(m: ReferenceMeasure, fn, budget: int, rng, stages: int = 
     estimates, ses = [], []
     n_bad = 0
     last_share = 0.0
-    for i in range(stages):
+    for i in range(_CONDITION_STAGES):
         est = m.expect(fn, budget * 2**i, rng)
         estimates.append(est.value)
         ses.append(est.se)
@@ -861,7 +844,7 @@ def condition_integrals(
     """
 
     def integrand(x):
-        pts = field._pts(x)
+        pts = as_points(x, field.dim_state, "field")
         return exp_integrand(pts, field.evaluate(pts, jac=True), p0)[0]
 
     return ConditionReport(*_stabilized_expect(m, integrand, budget, rng))
@@ -911,17 +894,11 @@ def mollifier_domination_check(
     the largest value of lhs / (|f bar| * chi_k); the bound asserts it
     never exceeds 2.
     """
-    pts = spec._points(grid)
-    conv = spec.convolve(func, pts)
-    extra = tuple(range(pts.ndim - 1, conv.ndim))
-    lhs = np.sqrt(np.sum(conv**2, axis=extra)) if extra else np.abs(conv)
-    lhs = lhs / (1.0 + np.linalg.norm(pts, axis=-1))
+    pts = as_points(grid, spec.dim, "mollifier")
+    lhs = magnitude(spec.convolve(func, pts), pts.ndim - 1) / (1.0 + np.linalg.norm(pts, axis=-1))
 
     def scaled_abs(y):
-        v = np.asarray(func(y), dtype=np.float64)
-        extra_axes = tuple(range(y.ndim - 1, v.ndim))
-        mag = np.sqrt(np.sum(v**2, axis=extra_axes)) if extra_axes else np.abs(v)
-        return mag / (1.0 + np.linalg.norm(y, axis=-1))
+        return magnitude(func(y), y.ndim - 1) / (1.0 + np.linalg.norm(y, axis=-1))
 
     conv_bar = spec.convolve(scaled_abs, pts)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -953,13 +930,8 @@ def mollified_convergence(
         raise ValueError("convergence quadrature supports dim <= 2 only")
     axis = np.linspace(-radius, radius, n_grid)
     h = axis[1] - axis[0]
-    if m.dim == 1:
-        pts = axis[:, None]
-        cell = h
-    else:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([g1.ravel(), g2.ravel()], axis=-1)
-        cell = h * h
+    pts = grid_points((axis,) * m.dim).reshape(-1, m.dim)
+    cell = h if m.dim == 1 else h * h
     inside = np.linalg.norm(pts, axis=-1) <= radius
     pts = pts[inside]
     w = m.weight(pts) * cell
@@ -969,8 +941,6 @@ def mollified_convergence(
         spec = mollifier(k) if mollifier else MollifierSpec(dim=m.dim, level=k)
         fk = spec.convolve(func, pts)
         fk = fk * spec.cutoff(pts).reshape(fk.shape[:1] + (1,) * (fk.ndim - 1))
-        diff = np.abs(fk - base)
-        if diff.ndim > 1:
-            diff = np.sqrt(np.sum(diff**2, axis=tuple(range(1, diff.ndim))))
+        diff = magnitude(fk - base, 1)
         norms.append(float((np.sum(w * diff**exponent)) ** (1.0 / exponent)))
     return norms

@@ -45,9 +45,10 @@ from .coefficients import (
     mollify,
 )
 from .flow import BrownianDriver, DensityTrack, FlowEnsemble, integrate
-from .measure import ReferenceMeasure
+from .measure import MonteCarloEstimate, ReferenceMeasure, grid_points
 
 _RHS_TIME_PROBES = 9  # probe times of the sup over [0, T] in density_bound_rhs
+_KDE_PROBES = 33      # probe points of kde_crosscheck (a side of 33^(1/n) per axis)
 
 __all__ = [
     "DensityTrack",
@@ -66,46 +67,50 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NormEstimate:
-    value: float
-    se: float
-    max_share: float
-
-    def dominated(self, threshold: float = 0.5) -> bool:
-        return self.max_share > threshold
-
-
 def _require_valid(valid: NDArray) -> None:
     if not valid.any():
         raise ValueError("density track has no valid sample")
 
 
-def _clustered_mean(samples_2d: NDArray, valid: NDArray):
-    """Mean with a standard error that respects shared-driver correlation.
+def _log_density(track: DensityTrack) -> NDArray:
+    """The track's log density, 0 on its invalid tracks: the estimators
+    leave those out, and an exploded track's value may overflow ``exp``."""
+    return np.where(track.valid[..., None], track.log_density(), 0.0)
+
+
+def _estimate(track: DensityTrack, samples: NDArray, p: Optional[float] = None
+              ) -> MonteCarloEstimate:
+    """The (P x mu) integral of ``samples`` (n_omega, n_x) over the track's
+    valid samples or, given ``p``, its p-th root (an L^p norm, with the
+    delta-method standard error).
 
     Samples sharing a Brownian path are dependent, so the error is taken
     across per-path means rather than pretending all (omega, x) samples are
-    independent.  A track without a valid sample is rejected.
+    independent.  ``n_samples`` counts the tracks and ``n_nonfinite`` the
+    invalid ones; a track without a valid sample is rejected.
     """
+    valid = track.valid
     _require_valid(valid)
-    flat = samples_2d[valid]
+    flat = samples[valid]
     mean = float(flat.mean())
-    counts = valid.sum(axis=1)
-    rows = counts > 0
+    rows = valid.sum(axis=1) > 0
     if rows.sum() > 1:
-        omega_means = np.array([
-            samples_2d[j][valid[j]].mean() for j in np.nonzero(rows)[0]
-        ])
+        omega_means = np.array([samples[j][valid[j]].mean() for j in np.nonzero(rows)[0]])
         se = float(omega_means.std(ddof=1) / np.sqrt(omega_means.size))
     else:
         se = float(flat.std(ddof=1) / np.sqrt(flat.size)) if flat.size > 1 else np.inf
     total = flat.sum()
     max_share = float(flat.max() / total) if total > 0 else 0.0
-    return mean, se, max_share
+    if p is None:
+        value, se = track.total_mass * mean, track.total_mass * se
+    else:
+        value = (track.total_mass * mean) ** (1.0 / p)
+        se = value / (p * mean) * se if mean > 0 else np.inf
+    return MonteCarloEstimate(value, se, int((~valid).sum()), valid.size, max_share)
 
 
-def lp_density_norm(track: DensityTrack, p: float, t: Optional[float] = None) -> NormEstimate:
+def lp_density_norm(track: DensityTrack, p: float, t: Optional[float] = None
+                    ) -> MonteCarloEstimate:
     """L^p(P x mu) norm of the push-forward density at time t (default: final).
 
     Uses the pullback identity: the p-th power of the norm equals the
@@ -113,38 +118,24 @@ def lp_density_norm(track: DensityTrack, p: float, t: Optional[float] = None) ->
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    idx = track.time_index(t) if t is not None else len(track.times) - 1
-    samples = np.exp((1.0 - p) * track.log_density()[:, :, idx])
-    mean, se, max_share = _clustered_mean(samples, track.valid)
-    value = (track.total_mass * mean) ** (1.0 / p)
-    # delta method for the norm's standard error
-    se_value = value / (p * mean) * se if mean > 0 else np.inf
-    return NormEstimate(value, se_value, max_share)
+    logr = _log_density(track)[:, :, -1 if t is None else track.time_index(t)]
+    return _estimate(track, np.exp((1.0 - p) * logr), p)
 
 
-def sup_lp_density_norm(
-    track: DensityTrack, p: float, t_max: Optional[float] = None
-) -> NormEstimate:
-    """sup over grid times <= t_max of the L^p(P x mu) density norm."""
+def sup_lp_density_norm(track: DensityTrack, p: float) -> MonteCarloEstimate:
+    """sup over the track's grid times of the L^p(P x mu) density norm."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     _require_valid(track.valid)
-    idx = track.time_index(t_max) if t_max is not None else len(track.times) - 1
-    samples = np.exp((1.0 - p) * track.log_density()[:, :, : idx + 1])
-    means = samples[track.valid].mean(axis=0)
-    j = int(np.argmax(means))
-    mean, se, max_share = _clustered_mean(samples[:, :, j], track.valid)
-    value = (track.total_mass * mean) ** (1.0 / p)
-    se_value = value / (p * mean) * se if mean > 0 else np.inf
-    return NormEstimate(value, se_value, max_share)
+    samples = np.exp((1.0 - p) * _log_density(track))
+    j = int(np.argmax(samples[track.valid].mean(axis=0)))
+    return _estimate(track, samples[:, :, j], p)
 
 
-def entropy(track: DensityTrack, t: Optional[float] = None) -> NormEstimate:
+def entropy(track: DensityTrack, t: Optional[float] = None) -> MonteCarloEstimate:
     """E int rho_t |log rho_t| d mu via the pullback E|log rho~_t|."""
-    idx = track.time_index(t) if t is not None else len(track.times) - 1
-    samples = np.abs(track.log_density()[:, :, idx])
-    mean, se, max_share = _clustered_mean(samples, track.valid)
-    return NormEstimate(track.total_mass * mean, track.total_mass * se, max_share)
+    logr = _log_density(track)[:, :, -1 if t is None else track.time_index(t)]
+    return _estimate(track, np.abs(logr))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +224,6 @@ def uniform_density_bound(
     driver: BrownianDriver,
     x0s,
     p: float,
-    t0: Optional[float] = None,
     budget: int = 20000,
     rng: Optional[np.random.Generator] = None,
 ) -> UniformDensityReport:
@@ -248,14 +238,14 @@ def uniform_density_bound(
     explicit proof factors are kept (mass prefactor, the 3^alpha
     weight-mollification factor, the p-power exponent multipliers, the
     second-block measure mass); only the kernel domination constant is set
-    to 1, with the fitted ratios reported.  The default horizon is the
-    guaranteed one, p0 / C_{2,p}.
+    to 1, with the fitted ratios reported.  The horizon is the guaranteed
+    one, ``select_t0``: p0 / C_{2,p}.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     field = family.field
     m = family.measure
     structured = isinstance(field, StructuredCoefficient)
-    t0 = t0 if t0 is not None else select_t0(family.p0, p, product_form=structured)
+    t0 = select_t0(family.p0, p, product_form=structured)
     norms = []
     for k in levels:
         smooth = mollify(field, family.mollifier(k))
@@ -315,7 +305,6 @@ def kde_crosscheck(
     m: ReferenceMeasure,
     t: float,
     bandwidth: float,
-    n_probe: int = 33,
     omega_index: int = 0,
 ) -> KdeReport:
     """Independent kernel-density estimate of the push-forward density.
@@ -324,10 +313,11 @@ def kde_crosscheck(
     Gaussian kernel of *absolute* bandwidth (the reference measures are
     heavy-tailed, so sample-variance-relative bandwidths are unreliable),
     then divided by the normalized reference weight to give a density
-    relative to mu on a probe grid.  When the ensemble carries its density
-    (``integrate(..., density=m)``), the distribution of KDE values at the
-    sample points is compared with the pathwise values 1/rho~ by a relative
-    quantile-quantile distance.
+    relative to mu on a probe grid of about ``_KDE_PROBES`` points spanning
+    the 10-90% sample quantiles of each axis.  When the ensemble carries
+    its density (``integrate(..., density=m)``), the distribution of KDE
+    values at the sample points is compared with the pathwise values 1/rho~
+    by a relative quantile-quantile distance.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -342,13 +332,8 @@ def kde_crosscheck(
     mass = m.total_mass()
     lo = np.quantile(pts, 0.1, axis=0)
     hi = np.quantile(pts, 0.9, axis=0)
-    if n == 1:
-        probes = np.linspace(lo[0], hi[0], n_probe)[:, None]
-    else:
-        side = max(3, int(round(n_probe ** (1.0 / n))))
-        axes = [np.linspace(lo[j], hi[j], side) for j in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        probes = np.stack([g.ravel() for g in grids], axis=-1)
+    side = max(3, int(round(_KDE_PROBES ** (1.0 / n))))
+    probes = grid_points([np.linspace(lo[j], hi[j], side) for j in range(n)]).reshape(-1, n)
     ratio = mass * kde(probes) / m.weight(probes)
     qq = None
     if ensemble.density is not None:

@@ -81,20 +81,11 @@ class BrownianDriver:
         return (self.seed, self.dt, self.offset, self.n_omega, self.dim_noise)
 
     @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
-
-    @property
     def times(self) -> NDArray[np.float64]:
         return np.arange(self.n_steps + 1) * self.dt
 
     def step_index(self, t: float) -> int:
-        idx = int(round(t / self.dt))
-        if abs(idx * self.dt - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the dt={self.dt} grid")
-        if not 0 <= idx <= self.n_steps:
-            raise ValueError(f"time {t} outside driver horizon {self.horizon}")
-        return idx
+        return grid_index(self.times, t, "driver")
 
     def time_shift(self, s: float) -> "BrownianDriver":
         """Driver of the shifted path B_{t+s} - B_s (a view, same memory)."""
@@ -114,8 +105,10 @@ class BrownianDriver:
 
 
 def grid_index(times: NDArray[np.float64], t: float, grid: str) -> int:
-    """Index of ``t`` on the uniform ``times``; else a ValueError naming ``grid``."""
-    dt = times[1] - times[0]
+    """Index of ``t`` on the uniform ``times`` from 0; else a ValueError
+    naming ``grid``.  A one-time grid (a driver shifted to its end) holds
+    t = 0 only."""
+    dt = times[1] - times[0] if len(times) > 1 else 1.0
     idx = int(round(t / dt))
     if not 0 <= idx < len(times) or abs(idx * dt - t) > 1e-12 * max(1.0, abs(t)):
         raise ValueError(f"time {t} not on the {grid} grid")

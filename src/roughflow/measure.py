@@ -9,6 +9,11 @@ spherical Student-t construction, and Monte Carlo integration against the
 Conventions: ``sample`` draws from the *normalized* measure; every
 integral estimator (``expect``, ``lp_norm``) reports values for the
 *unnormalized* measure, i.e. it rescales sample means by ``total_mass``.
+
+The module is also the one home of the array conventions every layer
+shares: ``as_points`` (batches of points on R^dim), ``grid_points``
+(tensor grids in ``ij`` order) and ``magnitude`` (the Euclidean norm over
+value axes).
 """
 
 from __future__ import annotations
@@ -23,7 +28,36 @@ __all__ = [
     "InfiniteMassError",
     "MonteCarloEstimate",
     "ReferenceMeasure",
+    "as_points",
+    "grid_points",
+    "magnitude",
 ]
+
+
+def as_points(x, dim: int, owner: str) -> NDArray[np.float64]:
+    """``x`` as float points of shape (..., dim): for dim = 1 a bare scalar,
+    or an array whose last axis is not 1, gains a trailing axis; any other
+    last axis than dim raises a ValueError naming ``owner``."""
+    pts = np.asarray(x, dtype=np.float64)
+    if dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
+        pts = pts[..., np.newaxis]
+    if pts.shape[-1] != dim:
+        raise ValueError(f"points have dimension {pts.shape[-1]}, the {owner} lives on R^{dim}")
+    return pts
+
+
+def grid_points(axes) -> NDArray[np.float64]:
+    """The points of the tensor grid of ``axes`` in ``ij`` order, shape
+    ``(len(axes[0]), ..., len(axes[-1]), len(axes))``."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def magnitude(v, lead: int) -> NDArray[np.float64]:
+    """Euclidean norm of ``v`` over its axes after the first ``lead``:
+    ``sqrt(sum v^2)``, or ``|v|`` when it has no such axis."""
+    v = np.asarray(v, dtype=np.float64)
+    values = tuple(range(lead, v.ndim))
+    return np.sqrt(np.sum(v**2, axis=values)) if values else np.abs(v)
 
 
 class InfiniteMassError(ValueError):
@@ -46,14 +80,8 @@ class ReferenceMeasure:
     # -- point handling ---------------------------------------------------
 
     def _as_points(self, x) -> NDArray[np.float64]:
-        """Coerce to an array of shape (..., dim); scalars allowed for dim=1."""
-        pts = np.asarray(x, dtype=np.float64)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        if pts.shape[-1] != self.dim:
-            raise ValueError(
-                f"point has dimension {pts.shape[-1]}, measure lives on R^{self.dim}"
-            )
+        """``as_points`` on R^dim, rejecting non-finite points."""
+        pts = as_points(x, self.dim, "measure")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite point passed to a weight evaluation")
         return pts
@@ -170,8 +198,11 @@ class ReferenceMeasure:
 class MonteCarloEstimate:
     """Integral estimate with its standard error and diagnostics.
 
-    ``max_share`` is the largest single-sample share of the absolute mass
-    of the estimate; values near 1 flag a heavy-tailed, untrustworthy mean.
+    ``n_samples`` counts the samples drawn and ``n_nonfinite`` those left
+    out of the mean (for a density functional: the tracks, and the invalid
+    ones).  ``max_share`` is the largest single-sample share of the
+    absolute mass of the estimate; values near 1 flag a heavy-tailed,
+    untrustworthy mean.
     """
 
     value: float

@@ -29,7 +29,7 @@ from .coefficients import (
 )
 from .density import sup_lp_density_norm
 from .flow import BrownianDriver, FlowEnsemble, convergence_metric, integrate
-from .measure import ReferenceMeasure
+from .measure import ReferenceMeasure, magnitude
 
 __all__ = [
     "stability_functional",
@@ -93,7 +93,7 @@ def stability_functional(
 
 def _halton_ball(radius: float, dim: int, budget: int):
     """Halton points on the cube around B(0, radius), and the L^q norm over
-    the ball of values at those points (Euclidean norm taken over trailing
+    the ball of values at those points (their ``magnitude`` over trailing
     axes).  Unscrambled: one draw serves every norm on the ball.
     """
     sampler = qmc.Halton(d=dim, scramble=False)
@@ -101,11 +101,8 @@ def _halton_ball(radius: float, dim: int, budget: int):
     inside = np.linalg.norm(pts, axis=-1) <= radius
 
     def norm(vals, q: float) -> float:
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.ndim > 1:
-            vals = np.sqrt(np.sum(vals**2, axis=tuple(range(1, vals.ndim))))
         cube_vol = (2.0 * radius) ** dim
-        integral = cube_vol * float(np.mean(np.abs(vals) ** q * inside))
+        integral = cube_vol * float(np.mean(magnitude(vals, 1) ** q * inside))
         return integral ** (1.0 / q)
 
     return pts, norm

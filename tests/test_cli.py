@@ -247,6 +247,8 @@ class TestMain:
          "k_list needs"),
         ("stability", {"family": "log-singular", "k_list": ["2", "4"]}, "k_list needs"),
         ("derivative", {"family": "deriv-smooth", "eps_list": []}, "eps_list needs"),
+        ("derivative", {"family": "deriv-smooth", "eps_list": [0.25]},
+         "derivative needs at least two eps_list values"),
         ("verify-hypotheses", {"family": "deriv-smooth", "eps_list": [1.0]},
          "eps_list value <= 0.5"),
         ("simulate", {"radii": []}, "radii needs"),
@@ -290,6 +292,15 @@ class TestMain:
         assert main([kind, "--config", str(cfg), *flags]) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_derivative_passes_an_affine_base(self, tmp_path):
+        # deriv-linear's difference flows are its derivative flow, so its
+        # metrics are rounding noise (1e-15 to 1e-14): criterion 9's rule
+        # passes them below 1e-10
+        assert main(["derivative", "--family", "deriv-linear", "--budget-scale", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert max(summary["checks"][0]["metrics"]) < 1e-10
 
     def test_bare_stability_runs_on_a_rough_family(self, tmp_path):
         # the config default family is the affine `linear`, which stability

@@ -59,9 +59,18 @@ class TestMollifierSpec:
     def test_kernel_mass_check_sees_a_missing_scaling(self, monkeypatch):
         spec = MollifierSpec(dim=2, level=3.0)
         monkeypatch.setattr(MollifierSpec, "kernel",
-                            lambda self, x: self._bump(self.level * self._points(x))
+                            lambda self, x: self._bump(self.level * x)
                             / _bump_mass(self.dim, self.shape))
         assert spec.kernel_mass_quadrature() == pytest.approx(1.0 / 9.0, rel=1e-6)
+
+    def test_points_of_another_dimension_are_rejected(self):
+        spec = MollifierSpec(dim=2, level=2, order=8, panels=1)
+        pts = np.ones((3, 3)) * 3
+        for call in (spec.cutoff,
+                     lambda x: spec.convolve(lambda y: y[..., 0], x),
+                     lambda x: spec.convolve_with_grad(lambda y: y[..., 0], x)):
+            with pytest.raises(ValueError, match=r"dimension 3, the mollifier lives on R\^2"):
+                call(pts)
 
     def test_kernel_support_in_unit_ball_over_k(self):
         spec = MollifierSpec(dim=1, level=4.0)
@@ -693,7 +702,16 @@ def _counted(calls, name, fn):
 
 
 class TestJacobianOnlyRequests:
-    """``sigma_jac``, ``drift_jac`` and ``sigma_divergence`` skip the value callables."""
+    """``sigma_jac``, ``drift_jac`` and ``sigma_divergence`` run one pass
+    that evaluates their own component's callables only."""
+
+    @staticmethod
+    def check(field, base, x, calls, sigma_calls, drift_calls):
+        for get, want in (("sigma_jac", sigma_calls), ("drift_jac", drift_calls),
+                          ("sigma_divergence", sigma_calls)):
+            calls.clear()
+            assert np.array_equal(getattr(field, get)(x), getattr(base, get)(x))
+            assert calls == want
 
     def test_analytic_field(self):
         base, calls = make_family("deriv-smooth").field, []
@@ -701,9 +719,8 @@ class TestJacobianOnlyRequests:
                                  _counted(calls, "drift", base.drift_fn),
                                  base.sigma_jac_fn, base.drift_jac_fn)
         x = np.linspace(-1.0, 1.0, 7)[:, None]
-        for get in ("sigma_jac", "drift_jac", "sigma_divergence"):
-            assert np.array_equal(getattr(field, get)(x), getattr(base, get)(x))
-        assert calls == []
+        self.check(field, base, x, calls, ["sigma"], ["drift"])
+        calls.clear()
         field.evaluate(x, jac=True)
         assert calls == ["sigma", "drift"]
 
@@ -716,9 +733,7 @@ class TestJacobianOnlyRequests:
                            b.sigma1_jac, b.drift1_jac, b.sigma2_jac, b.drift2_jac),
             2, 1)
         x = np.array([[-0.7, 0.4], [0.3, -1.2], [1.5, 0.9]])
-        for get in ("sigma_jac", "drift_jac", "sigma_divergence"):
-            assert np.array_equal(getattr(field, get)(x), getattr(base, get)(x))
-        assert calls == []
+        self.check(field, base, x, calls, ["sigma2", "sigma1"], ["drift2", "drift1"])
 
 
 class TestEvaluate:

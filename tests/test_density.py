@@ -8,6 +8,7 @@ from roughflow import (
     BrownianDriver,
     CoefficientField,
     DensityTrack,
+    MonteCarloEstimate,
     ReferenceMeasure,
     compose_time_shift,
     density_bound_rhs,
@@ -193,6 +194,30 @@ class TestLpNorm:
         assert sup_est.value >= max(finals) - 1e-12
 
 
+class TestEstimateRecord:
+    @pytest.mark.filterwarnings("error")  # an exploded track must not overflow exp
+    def test_functionals_count_tracks_and_invalid_ones(self):
+        # x' = x^3 explodes from x0 = 50 on every path and stays put near 0
+        m = ReferenceMeasure(1, 2.0)
+        field = CoefficientField(
+            1, 1,
+            sigma_fn=lambda x: np.full(x.shape[:-1] + (1, 1), 0.1),
+            drift_fn=lambda x: x**3,
+            sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+            drift_jac_fn=lambda x: 3.0 * x[..., None] ** 2,
+        )
+        drv = BrownianDriver.generate(1, 2**-4, 2**4, 3, seed=4)
+        ens = integrate(field, drv, [[0.1], [-0.2], [0.3], [50.0]], 1.0, density=m)
+        track = ens.density
+        assert ens.n_exploded == 3 and (~track.valid).sum() == 3
+        for est in (lp_density_norm(track, 2.0), sup_lp_density_norm(track, 2.0),
+                    entropy(track)):
+            assert isinstance(est, MonteCarloEstimate)
+            assert est.n_samples == 3 * 4
+            assert est.n_nonfinite == (~track.valid).sum()
+            assert np.isfinite(est.value) and np.isfinite(est.se)
+
+
 class TestNoValidSample:
     def test_estimators_reject_all_invalid_track(self):
         shape = (2, 3, 5)
@@ -294,10 +319,15 @@ class TestEntropy:
                           - m.log_weight([x]))
             return float(vals @ weights)
 
-        oracle, _ = sci.quad(
-            lambda x: inner(x) * float(m.weight([x])), -np.inf, np.inf,
-            limit=200,
-        )
+        # piecewise: the integrand has a kink where |x + node| = |x|
+        def integrand(x):
+            return inner(x) * float(m.weight([x]))
+
+        kinks = np.sort(-nodes / 2.0)
+        oracle = (sci.quad(integrand, -np.inf, kinks[0])[0]
+                  + sci.quad(integrand, kinks[0], kinks[-1], points=kinks[1:-1],
+                             limit=200)[0]
+                  + sci.quad(integrand, kinks[-1], np.inf)[0])
         assert abs(est.value - oracle) < 3 * est.se + 0.02 * oracle
 
     def test_ou_entropy_stable_under_budget(self):

@@ -5,6 +5,7 @@ import pytest
 
 from roughflow import BrownianDriver, CoefficientField, integrate, make_family
 from roughflow._seeds import derive_rng, derive_seed
+from roughflow.acceptance import weak_derivative_checks
 from roughflow.catalog import doubled_measure
 from roughflow.derivative import (
     DerivativeSystem,
@@ -164,6 +165,35 @@ class TestConvergence:
         assert table.monotone_decreasing()
         ms = table.metrics()
         assert ms[-1] < ms[0] / 4
+
+
+class TestWeakDerivativeChecks:
+    """``acceptance.weak_derivative_checks``: criterion 9's pass rule, which
+    the command line's ``derivative`` kind asserts too."""
+
+    @staticmethod
+    def paths(seed=9):
+        drv = BrownianDriver.generate(1, 2**-6, 2**5, 4, derive_seed(seed, "checks"))
+        return drv, sample_xy(seed, 8, doubled_measure(1, 2.0))
+
+    def test_affine_base_passes_on_rounding_noise(self):
+        drv, xy = self.paths()
+        table, passed = weak_derivative_checks(make_family("deriv-linear"), [0.5, 0.25],
+                                               drv, xy, 0.5)
+        assert max(table.metrics()) < 1e-10
+        assert passed
+
+    def test_other_base_needs_the_first_order_rate(self):
+        drv, xy = self.paths()
+        eps = [0.5, 0.25, 0.125, 0.0625]
+        table, passed = weak_derivative_checks(make_family("deriv-smooth"), eps, drv, xy, 0.5)
+        ms = table.metrics()
+        assert passed == (table.monotone_decreasing() and ms[-1] < ms[0] / 4)
+
+    def test_one_eps_value_is_rejected(self):
+        drv, xy = self.paths()
+        with pytest.raises(ValueError, match="at least two eps values"):
+            weak_derivative_checks(make_family("deriv-smooth"), [0.25], drv, xy, 0.5)
 
 
 class TestDoubledMeasures:

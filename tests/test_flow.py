@@ -83,6 +83,14 @@ class TestDriver:
         with pytest.raises(ValueError):
             drv.step_index(0.3)
 
+    def test_driver_shifted_to_its_end_holds_time_zero_only(self):
+        drv = BrownianDriver.generate(1, dt=0.25, n_steps=4, n_omega=1, seed=1)
+        end = drv.time_shift(1.0)
+        assert end.n_steps == 0 and end.step_index(0.0) == 0
+        for t in (0.25, 1.0):
+            with pytest.raises(ValueError, match="not on the driver grid"):
+                end.step_index(t)
+
 
 class TestIntegrate:
     def test_zero_field_constant(self):
