@@ -91,9 +91,9 @@ def _criterion(index: int, name: str):
     def register(body):
         @functools.wraps(body)
         def timed(seed: int, scale: float) -> CriterionResult:
-            t0 = time.time()
+            t0 = time.perf_counter()
             passed, details = body(seed, scale)
-            return CriterionResult(index, name, passed, time.time() - t0, details)
+            return CriterionResult(index, name, passed, time.perf_counter() - t0, details)
 
         CRITERIA[index] = timed
         return timed
@@ -299,6 +299,10 @@ def criterion_3(seed: int, scale: float):
             results[f"{name}:p={e:g}"] = (
                 round(measured.value, 4), round(rhs.value, 4), ok
             )
+            results[f"{name}:p={e:g}:diagnostics"] = dict(
+                rhs_divergent=rhs.divergent, rhs_max_share=round(rhs.max_share, 6),
+                n_nonfinite=measured.n_nonfinite,
+            )
     return passed, results
 
 
@@ -367,7 +371,7 @@ def criterion_5(seed: int, scale: float):
         ]
         passed &= fam_ok
         details[name] = dict(tail_over_bound=ratios, lambda_pt=float(round(lam, 3)),
-                             ok=fam_ok)
+                             ok=fam_ok, n_excluded=reports[0].n_excluded)
     return passed, details
 
 

@@ -113,7 +113,7 @@ class CoefficientField:
     sigma_jac_fn: Optional[Callable] = None
     drift_jac_fn: Optional[Callable] = None
     name: str = ""
-    sigma_constant: bool = False  # enables the exact fast path under smoothing
+    sigma_constant: bool = False  # sigma is read at one point (smoothing, density terms)
 
     # -- evaluation --------------------------------------------------------
 
@@ -151,6 +151,11 @@ class CoefficientField:
     def drift_jac(self, x) -> NDArray[np.float64]:
         """d b^i / d x_j, shape (..., n, n)."""
         return self._eval(as_points(x, self.dim_state, "field"), sigma=False, jac=True).drift_jac
+
+    def constant_sigma(self) -> Optional[NDArray[np.float64]]:
+        """The (n, m) matrix of a declared-constant sigma, read at the
+        origin; None for any other field."""
+        return self.sigma(np.zeros((1, self.dim_state)))[0] if self.sigma_constant else None
 
     @property
     def is_analytic(self) -> bool:
@@ -692,9 +697,8 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
         raise ValueError("mollifier dimension does not match the field")
     n, m = field.dim_state, field.dim_noise
     if not isinstance(field, StructuredCoefficient):
-        sigma0 = field.sigma(np.zeros((1, n)))[0] if field.sigma_constant else None
         smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
-        smooth._eval = _Smoother(spec, field._eval, (n, m), sigma0)
+        smooth._eval = _Smoother(spec, field._eval, (n, m), field.constant_sigma())
         return smooth
     if field.blocks.sigma1_jac is None or field.blocks.drift1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
@@ -736,14 +740,25 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     ``h sigma^{.,k}`` (Platen's derivative-free form; ``h = sqrt(dt)`` in
     the density tracker), which stays bounded where sigma jumps.  That
     difference needs the sigma Jacobian only, and is the only evaluation
-    besides ``ev``, ``field.evaluate(x, jac=True)`` (taken here when None).
-    With ``h=None`` G is None and the difference is skipped.  For a
-    declared-constant sigma the divergence and the sigma-derivative terms
-    of G vanish and are skipped.
+    besides ``ev``, the field with Jacobians at ``x`` (taken here when None).
+    With ``h=None`` G is None and the difference is skipped.
+
+    A declared-constant sigma (``sigma_constant``) is one (n, m) matrix
+    (``constant_sigma``): no per-state sigma or sigma Jacobian is evaluated
+    or read, its Gram terms ``sigma^T sigma`` and ``|sigma|^2`` are formed
+    once and broadcast against the weight factor, and every term with a
+    sigma derivative (the divergence, ``-1/2 sum (d sigma)(d sigma)``, and
+    the last two terms of G) vanishes and is skipped.  Each term is bitwise
+    the one the per-state path gives on a sigma Jacobian of zeros.
     """
     pts = as_points(x, field.dim_state, "field")
-    ev = field.evaluate(pts, jac=True) if ev is None else ev
-    sig, jac, g = ev.sigma, ev.sigma_jac, m.grad_log_weight(pts)
+    sig = field.constant_sigma()
+    const = sig is not None
+    if ev is None:
+        ev = field._eval(pts, sigma=not const, jac=True)
+    if not const:
+        sig, jac = ev.sigma, ev.sigma_jac
+    g = m.grad_log_weight(pts)
     sg = np.einsum("...nm,...n->...m", sig, g)
     c = -2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1))
     lam2 = (
@@ -751,16 +766,20 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
         + 0.5 * (c * np.einsum("...ik,...ik->...", sig, sig)
                  + np.einsum("...k,...k->...", sg, sg) / m.alpha)
         + np.einsum("...i,...i->...", ev.drift, g)
-        - 0.5 * np.einsum("...jki,...ikj->...", jac, jac)
     )
-    div = None if field.sigma_constant else np.einsum("...iki->...k", jac)
-    lam1 = sg if div is None else div + sg
+    lam1 = sg
+    if not const:
+        lam2 = lam2 - 0.5 * np.einsum("...jki,...ikj->...", jac, jac)
+        div = np.einsum("...iki->...k", jac)
+        lam1 = div + sg
     if h is None:
         return lam1, lam2, None
-    G = np.einsum("...ik,...il->...kl", sig, sig)
-    G *= c[..., None, None]
+    # one (m, m) matrix for a constant sigma; a per-state Gram is scaled in
+    # place, since a second per-state array raises a density track's peak memory
+    gram = np.einsum("...ik,...il->...kl", sig, sig)
+    G = np.multiply(gram, c[..., None, None], out=None if const else gram)
     G += np.einsum("...k,...l->...kl", sg, sg / m.alpha)
-    if div is not None:
+    if not const:
         G += np.einsum("...ik,...jli,...j->...kl", sig, jac, g)
         for k in range(field.dim_noise):
             shifted = field.sigma_divergence(pts + h * sig[..., :, k])

@@ -130,8 +130,13 @@ def difference_flows(
 ) -> Iterator[FlowEnsemble]:
     """Scaled differences of base flows under the same increments, one per eps.
 
-    Integrates the base field from x once, then from x + eps y as each
-    doubled-space ensemble (X_t, (X_t(x + eps y) - X_t(x)) / eps) is requested.
+    The base field is integrated in one pass from the starts ``x`` and
+    ``x + eps y`` of every eps, stacked as ``[x, x + eps_1 y, ...]``: its
+    states array has shape ``(n_omega, (1 + len(eps)) n_x, n_steps + 1, d)``.
+    Euler-Maruyama treats each state on its own (an exploded track is frozen
+    alone), so each eps's tracks are bitwise those of a pass of their own.
+    The doubled-space ensemble (X_t, (X_t(x + eps y) - X_t(x)) / eps) of
+    each eps is sliced out of that pass as it is requested.
     """
     d = sys.dim
     xy0s = np.asarray(xy0s, dtype=np.float64)
@@ -139,17 +144,19 @@ def difference_flows(
         raise ValueError("xy0s must have shape (n, 2d)")
     if any(eps <= 0 for eps in eps_sequence):
         raise ValueError("eps must be positive")
-    x0, y0 = xy0s[:, :d], xy0s[:, d:]
-    e_base = integrate(sys.base, driver, x0, T)
+    n, x0, y0 = len(xy0s), xy0s[:, :d], xy0s[:, d:]
+    flow = integrate(sys.base, driver,
+                     np.concatenate([x0] + [x0 + eps * y0 for eps in eps_sequence]), T)
+    base, base_exploded = flow.states[:, :n], flow.exploded[:, :n]
 
-    def scaled_difference(eps):
-        pert = integrate(sys.base, driver, x0 + eps * y0, T)
-        states = np.concatenate([e_base.states, (pert.states - e_base.states) / eps], axis=-1)
-        return FlowEnsemble(states=states, times=e_base.times, x0s=xy0s,
+    def scaled_difference(i, eps):
+        pert = slice((i + 1) * n, (i + 2) * n)
+        states = np.concatenate([base, (flow.states[:, pert] - base) / eps], axis=-1)
+        return FlowEnsemble(states=states, times=flow.times, x0s=xy0s,
                             field=sys.epsilon_system(eps), driver=driver,
-                            exploded=e_base.exploded | pert.exploded)
+                            exploded=base_exploded | flow.exploded[:, pert])
 
-    return map(scaled_difference, eps_sequence)
+    return map(scaled_difference, range(len(eps_sequence)), eps_sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +194,7 @@ def weak_derivative_convergence(
 
     For each eps, reports the sample mean of 1 ^ sup_t |Y^eps_t - Y_t| over
     the joint (omega, (x, y)) ensemble, with its standard error.  The base
-    flow from x is integrated once and shared by every eps.
+    flow from x and from every x + eps y is one pass (``difference_flows``).
     """
     e_deriv = integrate(sys.lifted, driver, xy0s, T)
     d = sys.dim

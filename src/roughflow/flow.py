@@ -155,6 +155,8 @@ class FlowEnsemble:
     driver: BrownianDriver
     exploded: NDArray[np.bool_]
     density: Optional[DensityTrack] = None
+    _sup_norm: Optional[NDArray[np.float64]] = dc_field(default=None, init=False, repr=False,
+                                                        compare=False)
 
     @property
     def n_omega(self) -> int:
@@ -172,8 +174,12 @@ class FlowEnsemble:
         return ~self.exploded
 
     def sup_norm(self) -> NDArray[np.float64]:
-        """max over grid times of |X_t|, per (omega, x)."""
-        return np.linalg.norm(self.states, axis=-1).max(axis=-1)
+        """max over grid times of |X_t|, per (omega, x): computed on the
+        first call and returned read-only from then on."""
+        if self._sup_norm is None:
+            self._sup_norm = np.linalg.norm(self.states, axis=-1).max(axis=-1)
+            self._sup_norm.flags.writeable = False
+        return self._sup_norm
 
     def time_index(self, t: float) -> int:
         return grid_index(self.times, t, "ensemble")

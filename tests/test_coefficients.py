@@ -367,6 +367,36 @@ class TestDensityExponentTerms:
             assert np.all(np.isfinite(G))
 
 
+class TestConstantSigma:
+    """A field declaring ``sigma_constant`` is read at one point by
+    ``mollify`` and ``density_terms``: the flag must hold, and the one-point
+    path must give the per-state path's terms bitwise."""
+
+    @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular"])
+    def test_declared_constant_sigma_is_one_matrix_with_zero_jacobian(self, name):
+        fam = make_family(name)
+        field = fam.field
+        assert field.sigma_constant
+        pts = fam.measure.sample(derive_rng(12, f"const-{name}"), 200)
+        sig0 = field.constant_sigma()
+        assert sig0.shape == (field.dim_state, field.dim_noise)
+        assert np.array_equal(field.sigma(pts), np.broadcast_to(sig0, (200,) + sig0.shape))
+        assert not np.any(field.sigma_jac(pts))
+
+    @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular"])
+    def test_density_terms_bitwise_the_per_state_path(self, name):
+        fam = make_family(name)
+        m, field = fam.measure, fam.field
+        per_state = replace(field, sigma_constant=False)
+        assert per_state.constant_sigma() is None
+        pts = m.sample(derive_rng(13, f"const-terms-{name}"), 300)
+        for ev in (None, per_state.evaluate(pts, jac=True)):
+            got = density_terms(field, m, pts, ev, 2.0**-5)
+            want = density_terms(per_state, m, pts, ev, 2.0**-5)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestConditionIntegrals:
     def test_zero_field_gives_mass(self):
         f = scalar_field_1d(lambda u: np.zeros_like(u), dfn=lambda u: np.zeros_like(u))

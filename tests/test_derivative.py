@@ -124,6 +124,36 @@ class TestFlows:
         shared = list(difference_flows(sys_, [0.5, 0.25], drv, xy, 1.0))
         assert shared[1].states.tobytes() == runs[0]
 
+    def test_batched_difference_flows_with_an_explosion(self):
+        # base x' = x^3 + 0.1 dB: the eps = 1 start 0.5 + 2 = 2.5 blows up
+        # near t = 0.08; every other start lies within 0.63 of 0 and lives past T = 1
+        cubic = CoefficientField(
+            1, 1,
+            sigma_fn=lambda x: np.full(x.shape[:-1] + (1, 1), 0.1),
+            drift_fn=lambda x: x**3,
+            sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+            drift_jac_fn=lambda x: (3 * x[..., 0] ** 2)[..., None, None],
+        )
+        sys_ = DerivativeSystem(cubic)
+        xy = np.array([[0.5, 2.0], [-0.3, 0.5], [0.2, -0.5]])
+        eps_list = [1.0, 2.0**-4, 2.0**-8]
+        drv = BrownianDriver.generate(1, 2**-7, 2**7, 4, derive_seed(9, "x"))
+        batched = list(difference_flows(sys_, eps_list, drv, xy, 1.0))
+        assert batched[0].exploded[:, 0].all() and batched[0].n_exploded == drv.n_omega
+        assert not batched[1].exploded.any() and not batched[2].exploded.any()
+        for eps, ens in zip(eps_list, batched):
+            alone = next(difference_flows(sys_, [eps], drv, xy, 1.0))
+            assert ens.states.tobytes() == alone.states.tobytes()
+            assert np.array_equal(ens.exploded, alone.exploded)
+            assert np.all(np.isfinite(ens.states))
+        # the exploding track is frozen at its last finite state
+        pert = integrate(cubic, drv, xy[:1, :1] + xy[:1, 1:], 1.0)
+        frozen = pert.states[:, 0, -1, :]
+        assert np.all(np.abs(frozen) <= 1e8) and np.all(pert.states[:, 0, -2, :] == frozen)
+        base = batched[0].states[:, 0, :, :1]
+        assert np.array_equal(batched[0].states[:, 0, :, 1:],
+                              (pert.states[:, 0] - base) / 1.0)
+
     def test_difference_flow_eps_trend_smooth(self):
         sys_ = DerivativeSystem(make_family("deriv-smooth").field)
         m2 = doubled_measure(1, 2.0)

@@ -168,6 +168,14 @@ class TestSupNormAndLevelSets:
         ens = integrate(fam.field, drv, x0, 1.0)
         assert np.all(ens.sup_norm() >= np.abs(x0[:, 0])[None, :] - 1e-15)
 
+    def test_sup_norm_computed_once_and_read_only(self):
+        fam = make_family("translation")
+        drv = BrownianDriver.generate(1, 2**-6, 2**6, 3, seed=10)
+        ens = integrate(fam.field, drv, fam.measure.sample(derive_rng(2, "once"), 4), 1.0)
+        sup = ens.sup_norm()
+        assert ens.sup_norm() is sup and not sup.flags.writeable
+        assert np.array_equal(sup, np.linalg.norm(ens.states, axis=-1).max(axis=-1))
+
     def test_static_tail_matches_quadrature(self):
         from scipy import integrate as sci
 
