@@ -48,12 +48,6 @@ DEFAULT_SEED = 20240915
 # quadrature (``Family.mollifier``).
 _SMOOTHED_FAMILIES = ("log-singular", "partially-sobolev")
 
-# Families whose sigma and b are affine: the symmetric kernel reproduces
-# affine functions and the cutoff is 1 on B(k), so smoothing leaves them
-# unchanged there and they have no Cauchy check; their difference flows are
-# their derivative flow, so their derivative metrics are rounding noise.
-_AFFINE_FAMILIES = ("linear", "translation", "pure-drift", "deriv-linear")
-
 
 @dataclass
 class CriterionResult:
@@ -138,13 +132,12 @@ def lp_density_checks(
 
 
 def level_set_checks(
-    ens, track, measure: ReferenceMeasure, q: float, radii, budget: int,
-    seed: int, stream: str,
+    ens, measure: ReferenceMeasure, q: float, radii, budget: int, seed: int, stream: str,
 ):
     """The level-set tail bound per radius: ``(lambda, [LevelSetReport])``,
-    lambda the sup-in-time L^{q'} norm of the tracked density (q' conjugate
-    to ``q``); radius ``r`` draws from stream ``f"{stream}{r}"``."""
-    lam = sup_lp_density_norm(track, q / (q - 1.0)).value
+    lambda the sup-in-time L^{q'} norm of the ensemble's tracked density (q'
+    conjugate to ``q``); radius ``r`` draws from stream ``f"{stream}{r}"``."""
+    lam = sup_lp_density_norm(ens.density, q / (q - 1.0)).value
     return lam, [
         level_set_tail(ens, r, measure, q, lam, mc_budget=budget,
                        rng=derive_rng(seed, f"{stream}{r}"))
@@ -157,13 +150,13 @@ def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int
     ``fam.mollifier``: ``(table, uniqueness, decreasing,
     below_final_gap)``.  The Cauchy metrics must decrease along ``levels``
     and the uniqueness metric at the last level sit below the final gap.
-    A family in ``_AFFINE_FAMILIES`` is rejected with a ``ValueError``."""
-    if fam.name in _AFFINE_FAMILIES:
+    An affine family (``Family.affine``) is rejected with a ``ValueError``."""
+    if fam.affine:
         raise ValueError(
             f"family {fam.name!r} has affine coefficients, which the mollifier "
             "reproduces: its Cauchy and uniqueness metrics are rounding noise"
         )
-    table = st.cauchy_experiment(fam, levels, driver, x0, T, norm_budget=norm_budget)
+    table = st.cauchy_experiment(fam, levels, driver, x0, T, norm_budget)
     metrics = table.metrics()
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
     unq = st.uniqueness_experiment(fam, table)
@@ -173,8 +166,8 @@ def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int
 def weak_derivative_checks(fam, eps_list, driver, xy0, T: float):
     """Weak differentiability of the flow of ``fam`` (a deriv-* family):
     ``(table, passed)`` for the ``weak_derivative_convergence`` table of its
-    difference flows at ``eps_list`` (at least two values).  A family in
-    ``_AFFINE_FAMILIES`` passes when its largest metric is below 1e-10; any
+    difference flows at ``eps_list`` (at least two values).  An affine family
+    (``Family.affine``) passes when its largest metric is below 1e-10; any
     other when the metrics decrease and the last is below ``2 eps_last /
     eps_first`` times the first (a quarter of it for eps 1/2 ... 1/16)."""
     if len(eps_list) < 2:
@@ -182,7 +175,7 @@ def weak_derivative_checks(fam, eps_list, driver, xy0, T: float):
     table = dv.weak_derivative_convergence(dv.DerivativeSystem(fam.field), eps_list,
                                            driver, xy0, T)
     ms = table.metrics()
-    if fam.name in _AFFINE_FAMILIES:
+    if fam.affine:
         return table, max(ms) < 1e-10
     rate = 2.0 * (eps_list[-1] / eps_list[0])
     return table, table.monotone_decreasing() and ms[-1] < rate * ms[0]
@@ -362,7 +355,7 @@ def criterion_5(seed: int, scale: float):
         )
         ens = integrate(fam.field, drv, x0, 1.0, density=m)
         lam, reports = level_set_checks(
-            ens, ens.density, m, q, radii, _scaled(20000, scale), seed, f"c5-norms-{name}-"
+            ens, m, q, radii, _scaled(20000, scale), seed, f"c5-norms-{name}-"
         )
         fam_ok = all(rep.passed for rep in reports)
         ratios = [
@@ -447,6 +440,7 @@ def criterion_8(seed: int, scale: float):
         passed &= decreasing and below_gap
         details[name] = dict(
             metrics=[round(v, 5) for v in table.metrics()],
+            support_fraction=[r.support_fraction for r in table.rows],
             uniqueness_metric=round(unq.metric, 6),
             radius=float(table.radius),
             lambda_pt=float(round(table.lambda_pt, 4)),

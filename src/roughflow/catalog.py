@@ -5,13 +5,15 @@ it satisfies, the exponential-integrability parameter p0, and reference
 measures whose decay exponents respect the standing constraints
 (``alpha > q + n/2``; for block-structured fields additionally
 ``alpha1 > q + n1/2`` and ``alpha > alpha1 + n2/2``), each exceeding its
-bound by 0.5, and the mollifier quadrature it is smoothed with
-(``Family.mollifier``).  ``doubled_measure`` gives the measure of the
-doubled space of a derivative base under the same convention.
+bound by 0.5 (translation's measure keeps alpha = 1.5), and the mollifier
+quadrature it is smoothed with (``Family.mollifier``).  ``doubled_measure``
+gives the measure of the doubled space of a derivative base under the same
+convention.
 
 Families:
 
-* ``linear``            -- Ornstein-Uhlenbeck type: constant sigma, b = A x.
+* ``linear``            -- Ornstein-Uhlenbeck type: sigma = noise I,
+                           b = -rate x.
 * ``translation``       -- sigma = 1, b = 0 (n = m = 1); additive noise.
 * ``pure-drift``        -- sigma = 0, b = -x; deterministic contraction.
 * ``log-singular``      -- n = 2 divergence-free vortex drift with a
@@ -24,9 +26,15 @@ Families:
                            x2-derivatives with a log singularity.
 * ``deriv-linear`` / ``deriv-smooth`` / ``deriv-rough``
                         -- one-dimensional bases for the derivative-system
-                           experiments; the rough one has a drift with a
+                           experiments; deriv-linear is sigma = 0.5,
+                           b = -0.8 x, and the rough one has a drift with a
                            log-singular (exponentially integrable)
                            derivative, Sobolev but not Lipschitz.
+
+linear, translation, pure-drift and deriv-linear are the affine families:
+one builder, ``_affine(dim, rate, noise, name)``, gives each field from its
+``(dim, rate, noise)`` in the table ``_AFFINE``, and that table is the one
+place that says a family is affine (``Family.affine``).
 """
 
 from __future__ import annotations
@@ -70,6 +78,11 @@ class Family:
     mollifier_panels: int | tuple = 1            # quadrature panels (per axis if a tuple)
 
     @property
+    def affine(self) -> bool:
+        """sigma and b are affine (``_AFFINE``): smoothing reproduces them."""
+        return self.name in _AFFINE
+
+    @property
     def p(self) -> float:
         """Conjugate exponent of q."""
         return self.q / (self.q - 1.0)
@@ -104,58 +117,42 @@ def doubled_measure(d: int, q: float, alpha: Optional[float] = None) -> Referenc
 
 
 # ---------------------------------------------------------------------------
-# smooth families
+# affine families
 # ---------------------------------------------------------------------------
 
-
-def _linear(dim: int, rate: float, noise: float) -> CoefficientField:
-    eye = np.eye(dim)
-
-    def sigma_fn(x):
-        return np.broadcast_to(noise * eye, x.shape[:-1] + (dim, dim)).copy()
-
-    def drift_fn(x):
-        return -rate * x
-
-    def sigma_jac_fn(x):
-        return np.zeros(x.shape[:-1] + (dim, dim, dim))
-
-    def drift_jac_fn(x):
-        return np.broadcast_to(-rate * eye, x.shape[:-1] + (dim, dim)).copy()
-
-    return CoefficientField(
-        dim_state=dim, dim_noise=dim,
-        sigma_fn=sigma_fn, drift_fn=drift_fn,
-        sigma_jac_fn=sigma_jac_fn, drift_jac_fn=drift_jac_fn,
-        name=f"linear(rate={rate:g},noise={noise:g})",
-        sigma_constant=True,
-    )
+# The families whose sigma and b are affine, sigma = noise I and b = -rate x:
+# name -> ((dim, rate, noise), the ones of them ``make_family`` lets a caller
+# set).  The symmetric kernel reproduces affine functions and the cutoff
+# psi_k is 1 on B(k), so smoothing leaves these fields unchanged there: they
+# have no Cauchy check, and their difference flows are their derivative flow,
+# so their derivative metrics are rounding noise (``Family.affine``).
+_AFFINE = {
+    "linear": ((1, 1.0, 0.6), ("dim", "rate", "noise")),
+    "translation": ((1, 0.0, 1.0), ()),
+    "pure-drift": ((1, 1.0, 0.0), ("dim",)),
+    "deriv-linear": ((1, 0.8, 0.5), ()),
+}
 
 
-def _translation() -> CoefficientField:
-    return CoefficientField(
-        dim_state=1, dim_noise=1,
-        sigma_fn=lambda x: np.ones(x.shape[:-1] + (1, 1)),
-        drift_fn=lambda x: np.zeros_like(x),
-        sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
-        drift_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
-        name="translation",
-        sigma_constant=True,
-    )
+def _affine(dim: int, rate: float, noise: float, name: str) -> CoefficientField:
+    """sigma = noise I and b = -rate x on R^dim, with their Jacobians."""
 
+    def tiled(mat):
+        # mat at every point, as a fresh array: one allocation and one copy
+        def fn(x):
+            out = np.empty(x.shape[:-1] + mat.shape)
+            out[...] = mat
+            return out
 
-def _pure_drift(dim: int = 1) -> CoefficientField:
-    def sigma_fn(x):
-        return np.zeros(x.shape[:-1] + (dim, dim))
+        return fn
 
     return CoefficientField(
         dim_state=dim, dim_noise=dim,
-        sigma_fn=sigma_fn,
-        drift_fn=lambda x: -x,
+        sigma_fn=tiled(noise * np.eye(dim)),
+        drift_fn=lambda x: -rate * x,
         sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)),
-        drift_jac_fn=lambda x: np.broadcast_to(
-            -np.eye(dim), x.shape[:-1] + (dim, dim)).copy(),
-        name="pure-drift",
+        drift_jac_fn=tiled(-rate * np.eye(dim)),
+        name=name,
         sigma_constant=True,
     )
 
@@ -312,20 +309,7 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
 
 
 def _deriv_base(kind: str) -> CoefficientField:
-    if kind == "linear":
-        def sigma_fn(x):
-            return np.full(x.shape[:-1] + (1, 1), 0.5)
-
-        def sigma_jac_fn(x):
-            return np.zeros(x.shape[:-1] + (1, 1, 1))
-
-        def drift_fn(x):
-            return -0.8 * x
-
-        def drift_jac_fn(x):
-            return np.full(x.shape[:-1] + (1, 1), -0.8)
-
-    elif kind == "smooth":
+    if kind == "smooth":
         def sigma_fn(x):
             return (0.5 + 0.2 * np.sin(x[..., 0]))[..., None, None]
 
@@ -338,7 +322,7 @@ def _deriv_base(kind: str) -> CoefficientField:
         def drift_jac_fn(x):
             return (-1.0 - np.sin(2.0 * x[..., 0]))[..., None, None]
 
-    elif kind == "rough":
+    else:  # rough
         def sigma_fn(x):
             return (0.4 + 0.2 * np.sin(x[..., 0]))[..., None, None]
 
@@ -350,9 +334,6 @@ def _deriv_base(kind: str) -> CoefficientField:
 
         def drift_jac_fn(x):
             return (-1.0 + 0.5 * _loglip_deriv(x[..., 0]))[..., None, None]
-
-    else:
-        raise ValueError(f"unknown derivative base kind: {kind}")
 
     return CoefficientField(
         dim_state=1, dim_noise=1,
@@ -374,21 +355,15 @@ def make_family(name: str, **params) -> Family:
     ``p0``, ``step_amp``, ``dim`` (linear / pure-drift only).
     """
     p0 = float(params.pop("p0", 1.0))
-    if name == "linear":
-        dim = int(params.pop("dim", 1))
-        field = _linear(dim, float(params.pop("rate", 1.0)),
-                        float(params.pop("noise", 0.6)))
-        q = 2.0
-        meas = ReferenceMeasure(dim, _alpha_for(q, dim))
-        fam = Family(name, field, q, p0, meas)
-    elif name == "translation":
-        field = _translation()
-        fam = Family(name, field, 2.0, p0, ReferenceMeasure(1, 1.5))
-    elif name == "pure-drift":
-        dim = int(params.pop("dim", 1))
-        field = _pure_drift(dim)
-        q = 2.0
-        fam = Family(name, field, q, p0, ReferenceMeasure(dim, _alpha_for(q, dim)))
+    if name in _AFFINE:
+        defaults, settable = _AFFINE[name]
+        dim, rate, noise = (type(v)(params.pop(key, v)) if key in settable else v
+                            for key, v in zip(("dim", "rate", "noise"), defaults))
+        label = f"linear(rate={rate:g},noise={noise:g})" if name == "linear" else name
+        # translation's measure keeps its own exponent (criterion 1's oracle)
+        alpha = 1.5 if name == "translation" else _alpha_for(2.0, dim)
+        fam = Family(name, _affine(dim, rate, noise, label), 2.0, p0,
+                     ReferenceMeasure(dim, alpha))
     elif name == "log-singular":
         beta = float(params.pop("beta", 1.2))
         field = _log_singular(beta, float(params.pop("noise", 0.3)))
@@ -403,7 +378,7 @@ def make_family(name: str, **params) -> Family:
         # two x1-panels put a panel edge on the x1-step
         fam = Family(name, field, q, p0, ReferenceMeasure(2, alpha),
                      ReferenceMeasure(1, alpha1), mollifier_panels=(2, 1))
-    elif name in ("deriv-linear", "deriv-smooth", "deriv-rough"):
+    elif name in ("deriv-smooth", "deriv-rough"):
         kind = name.split("-", 1)[1]
         field = _deriv_base(kind)
         q = 2.0

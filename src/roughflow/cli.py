@@ -236,7 +236,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
          for j, i, t in _path_rows(ens.times, ens.n_omega, ens.n_x)),
     )
     _, reports = acceptance.level_set_checks(
-        ens, ens.density, m, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
+        ens, m, cfg.q, cfg.radii, cfg.mc_budget, cfg.seed, "norms-"
     )
     return [dict(
         name=f"level-set tail R={r:g}",
@@ -302,7 +302,7 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
     metrics = table.metrics()
     return [
         dict(name="convergence metric decreasing", passed=decreasing,
-             metrics=metrics),
+             metrics=metrics, support_fraction=[r.support_fraction for r in table.rows]),
         dict(name="uniqueness metric below final gap", passed=below_gap,
              uniqueness_metric=unq.metric, final_gap=metrics[-1]),
     ]

@@ -224,8 +224,8 @@ def uniform_density_bound(
     driver: BrownianDriver,
     x0s,
     p: float,
-    budget: int = 20000,
-    rng: Optional[np.random.Generator] = None,
+    budget: int,
+    rng: np.random.Generator,
 ) -> UniformDensityReport:
     """Level-uniform density bound across a mollification family.
 
@@ -241,7 +241,6 @@ def uniform_density_bound(
     to 1, with the fitted ratios reported.  The horizon is the guaranteed
     one, ``select_t0``: p0 / C_{2,p}.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     field = family.field
     m = family.measure
     structured = isinstance(field, StructuredCoefficient)

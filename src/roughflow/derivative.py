@@ -195,6 +195,7 @@ def weak_derivative_convergence(
     For each eps, reports the sample mean of 1 ^ sup_t |Y^eps_t - Y_t| over
     the joint (omega, (x, y)) ensemble, with its standard error.  The base
     flow from x and from every x + eps y is one pass (``difference_flows``).
+    An eps with no track valid in both flows raises a ``ValueError``.
     """
     e_deriv = integrate(sys.lifted, driver, xy0s, T)
     d = sys.dim
@@ -204,6 +205,9 @@ def weak_derivative_convergence(
             e_diff.states[..., d:] - e_deriv.states[..., d:], axis=-1
         ).max(axis=-1)
         ok = e_diff.valid() & e_deriv.valid()
+        if not ok.any():
+            raise ValueError(f"weak-derivative convergence: at eps = {eps:g} no track "
+                             "is valid in both the difference and the derivative flow")
         clipped = np.minimum(1.0, gap)[ok]
         rows.append(
             ConvergenceRow(

@@ -326,7 +326,8 @@ def convergence_metric(e1: FlowEnsemble, e2: FlowEnsemble) -> float:
     """Mean of 1 ^ sup_t |X1 - X2| over (omega, x), normalized in mu.
 
     Both ensembles must share the driver (``BrownianDriver.fingerprint``),
-    starting points and time grid.
+    starting points and time grid, and at least one track must be valid in
+    both (else a ``ValueError``).
     """
     if e1.states.shape != e2.states.shape:
         raise ValueError("ensembles have mismatched shapes")
@@ -335,6 +336,8 @@ def convergence_metric(e1: FlowEnsemble, e2: FlowEnsemble) -> float:
     if not np.array_equal(e1.states[:, :, 0, :], e2.states[:, :, 0, :]):
         raise ValueError("ensembles do not share starting points")
     ok = e1.valid() & e2.valid()
+    if not ok.any():
+        raise ValueError("convergence metric: no track is valid in both ensembles")
     clipped = np.minimum(1.0, e1.diff_sup(e2))
     return float(clipped[ok].mean())
 
@@ -360,8 +363,8 @@ def level_set_tail(
     m: ReferenceMeasure,
     q: float,
     lambda_pt: float,
-    mc_budget: int = 20000,
-    rng: Optional[np.random.Generator] = None,
+    mc_budget: int,
+    rng: np.random.Generator,
 ) -> LevelSetReport:
     """Check the level-set tail bound (P x mu)(G_R^c) <= C / R.
 
@@ -369,9 +372,12 @@ def level_set_tail(
     + T lambda_pt |b|_{L^q(mu)}`` with ``C1 = integral |x| d mu`` and
     ``lambda_pt`` the measured sup-in-time L^p norm of the push-forward
     density (p conjugate to q).  The empirical side weights the sample
-    fraction by the measure mass, matching the unnormalized statement.
+    fraction by the measure mass, matching the unnormalized statement; an
+    ensemble with no valid track is rejected with a ``ValueError``.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    ok = ensemble.valid()
+    if not ok.any():
+        raise ValueError("level-set tail: every track of the ensemble exploded")
     mass = m.total_mass()
     field = ensemble.field
     sigma_norm = m.lp_norm(
@@ -387,7 +393,6 @@ def level_set_tail(
         + 2.0 * np.sqrt(mass * T * lambda_pt) * sigma_norm
         + T * lambda_pt * drift_norm
     )
-    ok = ensemble.valid()
     sup = ensemble.sup_norm()[ok]
     empirical = mass * float((sup > radius).mean())
     bound = constant / radius

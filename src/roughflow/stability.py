@@ -189,6 +189,7 @@ class CauchyRow:
     lhs: float
     rhs: float
     metric: float
+    support_fraction: float  # share of tracks in both level sets (the functional's)
 
 
 @dataclass
@@ -209,7 +210,7 @@ def cauchy_experiment(
     driver: BrownianDriver,
     x0s,
     T: float,
-    norm_budget: int = 50_000,
+    norm_budget: int,
     lambda_pt: Optional[float] = None,
 ) -> CauchyExperiment:
     """Pathwise Cauchy table across consecutive smoothing levels.
@@ -248,6 +249,7 @@ def cauchy_experiment(
                 k=k, l=l, delta_kl=delta_kl,
                 lhs=lhs.value, rhs=rhs.value,
                 metric=convergence_metric(ensembles[k], ensembles[l]),
+                support_fraction=lhs.support_fraction,
             )
         )
     return CauchyExperiment(rows=rows, radius=radius, lambda_pt=float(lambda_pt),

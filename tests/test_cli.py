@@ -192,7 +192,8 @@ class TestCheckRecords:
                            seed=4, n_omega=2, n_x=4, T=0.25, dt=2.0**-6,
                            k_list=[2.0, 4.0, 8.0], quadrature_points=500)
         assert got == [
-            ("convergence metric decreasing", ["metrics", "name", "passed"], True),
+            ("convergence metric decreasing",
+             ["metrics", "name", "passed", "support_fraction"], True),
             ("uniqueness metric below final gap",
              ["final_gap", "name", "passed", "uniqueness_metric"], True),
         ]

@@ -372,7 +372,8 @@ class TestConstantSigma:
     ``mollify`` and ``density_terms``: the flag must hold, and the one-point
     path must give the per-state path's terms bitwise."""
 
-    @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular"])
+    @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular",
+                                      "deriv-linear"])
     def test_declared_constant_sigma_is_one_matrix_with_zero_jacobian(self, name):
         fam = make_family(name)
         field = fam.field
@@ -383,7 +384,8 @@ class TestConstantSigma:
         assert np.array_equal(field.sigma(pts), np.broadcast_to(sig0, (200,) + sig0.shape))
         assert not np.any(field.sigma_jac(pts))
 
-    @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular"])
+    @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular",
+                                      "deriv-linear"])
     def test_density_terms_bitwise_the_per_state_path(self, name):
         fam = make_family(name)
         m, field = fam.measure, fam.field
@@ -395,6 +397,58 @@ class TestConstantSigma:
             want = density_terms(per_state, m, pts, ev, 2.0**-5)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _old_affine_closed_form(name, x, rate=1.0, noise=0.6):
+    """(sigma, b, sigma_jac, b_jac) of an affine family as each was written
+    before one builder gave them all."""
+    lead, n = x.shape[:-1], x.shape[-1]
+    eye, sigma_jac = np.eye(n), np.zeros(lead + (n, n, n))
+    if name == "linear":
+        return (np.broadcast_to(noise * eye, lead + (n, n)).copy(), -rate * x, sigma_jac,
+                np.broadcast_to(-rate * eye, lead + (n, n)).copy())
+    if name == "translation":
+        return np.ones(lead + (1, 1)), np.zeros_like(x), sigma_jac, np.zeros(lead + (1, 1))
+    if name == "pure-drift":
+        return (np.zeros(lead + (n, n)), -x, sigma_jac,
+                np.broadcast_to(-eye, lead + (n, n)).copy())
+    return np.full(lead + (1, 1), 0.5), -0.8 * x, sigma_jac, np.full(lead + (1, 1), -0.8)
+
+
+class TestAffineFamilies:
+    """The catalog's one affine builder against the fields it replaced, and
+    ``Family.affine`` against what smoothing does to each family."""
+
+    @pytest.mark.parametrize("name, params, label", [
+        ("linear", {}, "linear(rate=1,noise=0.6)"),
+        ("linear", dict(dim=2, rate=0.5, noise=0.3), "linear(rate=0.5,noise=0.3)"),
+        ("translation", {}, "translation"),
+        ("pure-drift", {}, "pure-drift"),
+        ("pure-drift", dict(dim=2), "pure-drift"),
+        ("deriv-linear", {}, "deriv-linear"),
+    ])
+    def test_fields_bitwise_their_old_closed_forms(self, name, params, label):
+        fam = make_family(name, **params)
+        field = fam.field
+        assert fam.affine and field.sigma_constant and field.name == label
+        x = fam.measure.sample(derive_rng(14, f"affine-{name}"), 50)
+        ev = field.evaluate(x, jac=True)
+        old = _old_affine_closed_form(name, x, **{k: v for k, v in params.items()
+                                                  if k != "dim"})
+        # + 0.0 turns -0.0 into +0.0: translation's b = -0 x has signed zeros
+        for got, want in zip((ev.sigma, ev.drift, ev.sigma_jac, ev.drift_jac), old):
+            assert got.shape == want.shape
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_affine_exactly_when_smoothing_reproduces_the_field(self, name):
+        fam = make_family(name)
+        k, n = 2.0, fam.field.dim_state
+        smooth = mollify(fam.field, fam.mollifier(k))
+        x = derive_rng(15, f"affine-ball-{name}").uniform(-1.4, 1.4, (200, n))  # in B(k)
+        raw, got = fam.field.evaluate(x), smooth.evaluate(x)
+        gap = max(np.max(np.abs(got.sigma - raw.sigma)), np.max(np.abs(got.drift - raw.drift)))
+        assert (gap < 1e-12) == fam.affine
 
 
 class TestConditionIntegrals:

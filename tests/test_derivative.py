@@ -196,6 +196,20 @@ class TestConvergence:
         ms = table.metrics()
         assert ms[-1] < ms[0] / 4
 
+    def test_no_valid_track_is_a_named_error(self):
+        # x' = 1e3 x^3 from x = 5 and 6: base, perturbed and lifted flows all explode
+        cubic = CoefficientField(
+            1, 1,
+            sigma_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
+            drift_fn=lambda x: 1e3 * x**3,
+            sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+            drift_jac_fn=lambda x: (3e3 * x[..., 0] ** 2)[..., None, None],
+        )
+        drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=6)
+        xy = np.array([[5.0, 1.0], [6.0, 1.0]])
+        with pytest.raises(ValueError, match="weak-derivative convergence: at eps = 0.5"):
+            weak_derivative_convergence(DerivativeSystem(cubic), [0.5, 0.25], drv, xy, 1.0)
+
 
 class TestWeakDerivativeChecks:
     """``acceptance.weak_derivative_checks``: criterion 9's pass rule, which

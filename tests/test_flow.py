@@ -33,6 +33,22 @@ def zero_field(dim=1):
     )
 
 
+def exploded_ensemble():
+    """Flow of x' = 1e3 x^3 from x = 5 and 6: every track explodes in its
+    first steps and is frozen."""
+    cubic = CoefficientField(
+        1, 1,
+        sigma_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
+        drift_fn=lambda x: 1e3 * x**3,
+        sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+        drift_jac_fn=lambda x: (3e3 * x[..., 0] ** 2)[..., None, None],
+    )
+    drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=6)
+    ens = integrate(cubic, drv, np.array([[5.0], [6.0]]), 1.0)
+    assert not ens.valid().any()
+    return ens
+
+
 def _path(drv):
     """B at grid times, shape (n_omega, n_steps + 1, m); B_0 = 0."""
     out = np.zeros((drv.n_omega, drv.n_steps + 1, drv.dim_noise))
@@ -205,6 +221,12 @@ class TestSupNormAndLevelSets:
                                  mc_budget=2000, rng=derive_rng(6, "lsf"))
         assert rep_far.empirical == 0.0
 
+    def test_level_set_tail_with_every_track_exploded_is_a_named_error(self):
+        m = make_family("linear").measure
+        with pytest.raises(ValueError, match="level-set tail: every track"):
+            level_set_tail(exploded_ensemble(), 5.0, m, 2.0, 1.0, 500,
+                           derive_rng(7, "lse"))
+
 
 class TestComposition:
     def test_zero_shift_identical(self):
@@ -288,6 +310,11 @@ class TestConvergenceMetric:
         e2 = integrate(fam.field, d2, x0, 1.0)
         with pytest.raises(ValueError):
             convergence_metric(e1, e2)
+
+    def test_no_valid_track_is_a_named_error(self):
+        ens = exploded_ensemble()
+        with pytest.raises(ValueError, match="convergence metric: no track"):
+            convergence_metric(ens, ens)
 
 
 class TestDeterminism:
