@@ -48,7 +48,7 @@ from .coefficients import (
     CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, _smoothstep,
     _smoothstep_deriv,
 )
-from .measure import ReferenceMeasure
+from .measure import ReferenceMeasure, sq_norm
 
 __all__ = ["Family", "make_family", "doubled_measure", "FAMILY_NAMES"]
 
@@ -200,7 +200,7 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
         return np.stack([-x0 - g * x1, -x1 + g * x0], axis=-1)
 
     def drift_jac_fn(x):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(sq_norm(x))
         g = swirl_scale(r)
         gp = swirl_scale_deriv(r)
         perp = np.stack([-x[..., 1], x[..., 0]], axis=-1)

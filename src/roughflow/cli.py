@@ -179,6 +179,8 @@ class ExperimentConfig:
         if self.kind == "derivative" and len(self.eps_list) < 2:
             raise ValueError("derivative needs at least two eps_list values to compare, "
                              f"got {self.eps_list}")
+        if self.kind == "derivative" and self.n_omega * self.n_x < 2:
+            raise ValueError(f"derivative needs n_omega * n_x >= 2, got {self.n_omega * self.n_x}")
         if self.kind == "verify-hypotheses" and min(self.eps_list) > 0.5:
             raise ValueError("verify-hypotheses needs an eps_list value <= 0.5, "
                              f"got {self.eps_list}")

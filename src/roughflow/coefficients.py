@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, special
 
-from .measure import ReferenceMeasure, as_points, grid_points, magnitude
+from .measure import ReferenceMeasure, as_points, grid_points, magnitude, sq_norm
 
 __all__ = [
     "CoefficientField",
@@ -59,7 +59,7 @@ __all__ = [
     "mollified_convergence",
 ]
 
-_MAX_EVAL_BLOCK = 2**16  # point-node pairs per quadrature block: ~1 MB temporaries
+_MAX_EVAL_BLOCK = 2**14  # rough-callable points per quadrature chunk: temporaries stay in cache
 _CONDITION_STAGES = 3    # doubling budgets of a condition integral
 
 
@@ -373,11 +373,11 @@ class MollifierSpec:
     0), with weights renormalized so constants are reproduced exactly.  The
     value weights and the kernel-gradient weights are stacked into one
     ``(1 + dim, Q)`` matrix, so a quadrature pass returns the convolution
-    and its gradient from one matrix product per row group and chunk of at
-    most ``_MAX_EVAL_BLOCK`` (``2**16``) point-node pairs.  A pass split
-    into two column blocks contracts a function in term form through the
-    same weights scattered over the blocks' offset grids (``_contract``).
-    ``order``/``panels`` trade accuracy for evaluation cost.
+    and its gradient from one matrix product per row group and chunk of
+    states, where the convolved function sees at most ``_MAX_EVAL_BLOCK``
+    points.  A pass split into two column blocks contracts a function in
+    term form through the same weights scattered over the blocks' offset
+    grids (``_contract``).  ``order``/``panels`` trade accuracy for cost.
     """
 
     dim: int
@@ -467,7 +467,7 @@ class MollifierSpec:
         over the transition band.
         """
         pts = as_points(x, self.dim, "mollifier")
-        r = np.linalg.norm(pts, axis=-1)
+        r = np.sqrt(sq_norm(pts))
         t = 2.0 - r / self.level
         parts = _step_band(t)
         psi = _smoothstep(t, parts)
@@ -501,20 +501,21 @@ class MollifierSpec:
         """``sum_q weights[j, q] func(x - u_q / k)`` at every point x, for the
         value row j = 0 and, with ``grad``, the kernel-gradient rows.
 
-        Returns shape ``(J,) + batch + out``.  Points go in chunks of at most
-        ``_MAX_EVAL_BLOCK`` point-node pairs, through ``_shifted`` or, with a
-        split, ``_contract``.  The value row is a product of its own, so a
-        value is bitwise the same whether or not the gradient rows come with
-        it.
+        Returns shape ``(J,) + batch + out``.  Points go in chunks where
+        ``func`` sees at most ``_MAX_EVAL_BLOCK`` points: Q per state through
+        ``_shifted``, G1 + G2 block offsets per state through ``_contract``.
+        The value row is a product of its own, so a value is bitwise the same
+        whether or not the gradient rows come with it.
         """
         pts = as_points(x, self.dim, "mollifier")
         batch = pts.shape[:-1]
-        flat = pts.reshape(-1, self.dim)
-        block = max(1, _MAX_EVAL_BLOCK // len(self._nodes))
+        flat, split = pts.reshape(-1, self.dim), tuple(split)
+        seen = sum(map(len, self._block_weights(split)[:2])) if split else len(self._nodes)
+        block = max(1, _MAX_EVAL_BLOCK // seen)
         outs = []
         for start in range(0, flat.shape[0], block):
             chunk = flat[start:start + block]                      # (B, dim)
-            outs.append(self._contract(func, chunk, grad, tuple(split)) if split
+            outs.append(self._contract(func, chunk, grad, split) if split
                         else self._shifted(func, chunk, grad))
         out = np.moveaxis(np.concatenate(outs, axis=0), 1, 0)    # (J, nb, *out)
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
@@ -760,7 +761,7 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
         sig, jac = ev.sigma, ev.sigma_jac
     g = m.grad_log_weight(pts)
     sg = np.einsum("...nm,...n->...m", sig, g)
-    c = -2.0 * m.alpha / (1.0 + np.sum(pts * pts, axis=-1))
+    c = -2.0 * m.alpha / (1.0 + sq_norm(pts))
     lam2 = (
         np.einsum("...ii->...", ev.drift_jac)
         + 0.5 * (c * np.einsum("...ik,...ik->...", sig, sig)

@@ -45,7 +45,7 @@ from .coefficients import (
     mollify,
 )
 from .flow import BrownianDriver, DensityTrack, FlowEnsemble, integrate
-from .measure import MonteCarloEstimate, ReferenceMeasure, grid_points
+from .measure import MonteCarloEstimate, ReferenceMeasure, grid_points, sq_norm
 
 _RHS_TIME_PROBES = 9  # probe times of the sup over [0, T] in density_bound_rhs
 _KDE_PROBES = 33      # probe points of kde_crosscheck (a side of 33^(1/n) per axis)
@@ -171,7 +171,7 @@ def density_bound_rhs(
     mass = m.total_mass()
     pts = m.sample(rng, budget)
     lam1, lam2, _ = density_terms(field, m, pts)
-    g = p**3 * np.sum(lam1**2, axis=-1) - p**2 * lam2
+    g = p**3 * sq_norm(lam1) - p**2 * lam2
     g = g[np.isfinite(g)]
     sup_val, sup_share, sup_t = -np.inf, 0.0, 0.0
     unstable = False

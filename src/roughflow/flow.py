@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from ._seeds import derive_rng
 from .coefficients import CoefficientField, FieldEval, density_terms
-from .measure import ReferenceMeasure
+from .measure import ReferenceMeasure, sq_norm
 
 __all__ = [
     "BrownianDriver",
@@ -177,7 +177,7 @@ class FlowEnsemble:
         """max over grid times of |X_t|, per (omega, x): computed on the
         first call and returned read-only from then on."""
         if self._sup_norm is None:
-            self._sup_norm = np.linalg.norm(self.states, axis=-1).max(axis=-1)
+            self._sup_norm = np.sqrt(sq_norm(self.states)).max(axis=-1)
             self._sup_norm.flags.writeable = False
         return self._sup_norm
 
@@ -191,7 +191,7 @@ class FlowEnsemble:
         """max over common grid times of |X - Y|, per (omega, x)."""
         n_t = min(self.states.shape[2], other.states.shape[2])
         diff = self.states[:, :, :n_t, :] - other.states[:, :, :n_t, :]
-        return np.linalg.norm(diff, axis=-1).max(axis=-1)
+        return np.sqrt(sq_norm(diff)).max(axis=-1)
 
 
 def _initial_states(x0s, n_omega: int, dim: int):
@@ -255,7 +255,7 @@ def integrate(
         if frozen:
             moved = np.where(alive[..., None], moved, x)
         # one sum of squares per state; nan and inf fail the comparison
-        newly = ~(np.sum(moved * moved, axis=-1) <= EXPLOSION_THRESHOLD**2) & alive
+        newly = ~(sq_norm(moved) <= EXPLOSION_THRESHOLD**2) & alive
         if newly.any():
             # freeze at the last finite state
             moved = np.where(newly[..., None], x, moved)

@@ -12,12 +12,13 @@ integral estimator (``expect``, ``lp_norm``) reports values for the
 
 The module is also the one home of the array conventions every layer
 shares: ``as_points`` (batches of points on R^dim), ``grid_points``
-(tensor grids in ``ij`` order) and ``magnitude`` (the Euclidean norm over
-value axes).
+(tensor grids in ``ij`` order), ``sq_norm`` (the squared Euclidean norm
+over the last axis) and ``magnitude`` (the Euclidean norm over value axes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "as_points",
     "grid_points",
     "magnitude",
+    "sq_norm",
 ]
 
 
@@ -52,12 +54,28 @@ def grid_points(axes) -> NDArray[np.float64]:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def magnitude(v, lead: int) -> NDArray[np.float64]:
-    """Euclidean norm of ``v`` over its axes after the first ``lead``:
-    ``sqrt(sum v^2)``, or ``|v|`` when it has no such axis."""
+def sq_norm(v) -> NDArray[np.float64]:
+    """Squared Euclidean norm over the last axis, ``sum_j v[..., j]^2``,
+    summed one component at a time.
+
+    For fewer than 8 components (numpy's pairwise summation starts at 8)
+    it is bitwise ``np.sum(v * v, axis=-1)``, without the overhead of a
+    reduction over a short trailing axis.
+    """
     v = np.asarray(v, dtype=np.float64)
-    values = tuple(range(lead, v.ndim))
-    return np.sqrt(np.sum(v**2, axis=values)) if values else np.abs(v)
+    out = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        out += v[..., j] * v[..., j]
+    return out
+
+
+def magnitude(v, lead: int) -> NDArray[np.float64]:
+    """Euclidean norm of ``v`` over its axes after the first ``lead``, read
+    flat in C order by ``sq_norm``, or ``|v|`` when it has no such axis."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == lead:
+        return np.abs(v)
+    return np.sqrt(sq_norm(v.reshape(v.shape[:lead] + (math.prod(v.shape[lead:]),))))
 
 
 class InfiniteMassError(ValueError):
@@ -90,21 +108,16 @@ class ReferenceMeasure:
 
     def weight(self, x) -> NDArray[np.float64]:
         """Weight ``(1 + |x|^2)^(-alpha)``; equals exp(log_weight)."""
-        pts = self._as_points(x)
-        sq = np.sum(pts * pts, axis=-1)
-        return (1.0 + sq) ** (-self.alpha)
+        return (1.0 + sq_norm(self._as_points(x))) ** (-self.alpha)
 
     def log_weight(self, x) -> NDArray[np.float64]:
         """Log-weight ``-alpha * log(1 + |x|^2)``."""
-        pts = self._as_points(x)
-        sq = np.sum(pts * pts, axis=-1)
-        return -self.alpha * np.log1p(sq)
+        return -self.alpha * np.log1p(sq_norm(self._as_points(x)))
 
     def grad_log_weight(self, x) -> NDArray[np.float64]:
         """Gradient of the log-weight: ``-2 alpha x / (1 + |x|^2)``."""
         pts = self._as_points(x)
-        sq = np.sum(pts * pts, axis=-1, keepdims=True)
-        return -2.0 * self.alpha * pts / (1.0 + sq)
+        return -2.0 * self.alpha * pts / (1.0 + sq_norm(pts)[..., None])
 
     # -- mass and moments -------------------------------------------------
 

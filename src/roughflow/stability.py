@@ -29,7 +29,7 @@ from .coefficients import (
 )
 from .density import sup_lp_density_norm
 from .flow import BrownianDriver, FlowEnsemble, convergence_metric, integrate
-from .measure import ReferenceMeasure, magnitude
+from .measure import ReferenceMeasure, magnitude, sq_norm
 
 __all__ = [
     "stability_functional",
@@ -98,7 +98,7 @@ def _halton_ball(radius: float, dim: int, budget: int):
     """
     sampler = qmc.Halton(d=dim, scramble=False)
     pts = (2.0 * sampler.random(budget) - 1.0) * radius
-    inside = np.linalg.norm(pts, axis=-1) <= radius
+    inside = np.sqrt(sq_norm(pts)) <= radius
 
     def norm(vals, q: float) -> float:
         cube_vol = (2.0 * radius) ** dim

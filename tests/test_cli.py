@@ -250,6 +250,10 @@ class TestMain:
         ("derivative", {"family": "deriv-smooth", "eps_list": []}, "eps_list needs"),
         ("derivative", {"family": "deriv-smooth", "eps_list": [0.25]},
          "derivative needs at least two eps_list values"),
+        # one track has no standard error (a nan and a RuntimeWarning)
+        pytest.param("derivative", {"family": "deriv-smooth", "n_omega": 1, "n_x": 1},
+                     "derivative needs n_omega * n_x >= 2, got 1",
+                     marks=pytest.mark.filterwarnings("error")),
         ("verify-hypotheses", {"family": "deriv-smooth", "eps_list": [1.0]},
          "eps_list value <= 0.5"),
         ("simulate", {"radii": []}, "radii needs"),

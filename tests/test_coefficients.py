@@ -662,9 +662,13 @@ class TestQuadratureBlocks:
     def test_evaluation_independent_of_block_size(self, monkeypatch, name):
         fam, field = _field_for(name, "mollify")
         pts = fam.measure.sample(derive_rng(15, f"blocks-{name}"), 300)
-        # more than one block at the default size: 300 points x Q nodes
-        nodes = MollifierSpec(dim=2, **_MOLLIFIED_SPEC)._nodes
-        assert len(pts) * nodes.shape[0] > coefficients._MAX_EVAL_BLOCK
+        # more than one chunk at the default size: the rough callables see
+        # Q shifted points per state on the plain path, G1 + G2 block
+        # offsets on partially-sobolev's split path
+        spec = MollifierSpec(dim=2, **_MOLLIFIED_SPEC)
+        seen = (len(spec._nodes) if name == "log-singular"
+                else sum(map(len, spec._block_weights((1,))[:2])))
+        assert len(pts) * seen > coefficients._MAX_EVAL_BLOCK
         default = field.evaluate(pts, jac=True)
         monkeypatch.setattr(coefficients, "_MAX_EVAL_BLOCK", 2**10)
         small = field.evaluate(pts, jac=True)
@@ -720,8 +724,12 @@ class TestSecondBlockGrids:
             1, replace(base, sigma2=recorded(base.sigma2), drift2=recorded(base.drift2)), 2, 1)
         spec = fam.mollifier(4.0)
         assert len(spec._nodes) == 328  # of the 32 x 16 tensor nodes
-        n = 250  # two chunks of at most 2**16 point-node pairs
-        block = coefficients._MAX_EVAL_BLOCK // 328
+        # a state shows the callables its G1 + G2 = 32 + 16 block offsets
+        g1, g2 = map(len, spec._block_weights((1,))[:2])
+        assert (g1, g2) == (32, 16)
+        block = coefficients._MAX_EVAL_BLOCK // (g1 + g2)
+        n = 500  # two chunks of at most _MAX_EVAL_BLOCK callable points
+        assert block < n <= 2 * block
         mollify(field, spec).evaluate(fam.measure.sample(derive_rng(18, "grids"), n), jac=True)
         # sigma (one term) and drift (two terms) once per chunk: the x1
         # factors on B x 32 offsets (the drift's constant 1 on none), the x2

@@ -196,8 +196,13 @@ class TestConvergence:
         ms = table.metrics()
         assert ms[-1] < ms[0] / 4
 
-    def test_no_valid_track_is_a_named_error(self):
-        # x' = 1e3 x^3 from x = 5 and 6: base, perturbed and lifted flows all explode
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_omega,xy,valid", [
+        (2, [[5.0, 1.0], [6.0, 1.0]], 0),  # base, perturbed and lifted flows all explode
+        (1, [[0.0, 0.0], [5.0, 1.0]], 1),  # (0, 0) stays at rest: one track, no std error
+    ])
+    def test_fewer_than_two_valid_tracks_is_a_named_error(self, n_omega, xy, valid):
+        # x' = 1e3 x^3 explodes from x = 5 and 6
         cubic = CoefficientField(
             1, 1,
             sigma_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
@@ -205,10 +210,11 @@ class TestConvergence:
             sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
             drift_jac_fn=lambda x: (3e3 * x[..., 0] ** 2)[..., None, None],
         )
-        drv = BrownianDriver.generate(1, 2**-4, 2**4, 2, seed=6)
-        xy = np.array([[5.0, 1.0], [6.0, 1.0]])
-        with pytest.raises(ValueError, match="weak-derivative convergence: at eps = 0.5"):
-            weak_derivative_convergence(DerivativeSystem(cubic), [0.5, 0.25], drv, xy, 1.0)
+        drv = BrownianDriver.generate(1, 2**-4, 2**4, n_omega, seed=6)
+        with pytest.raises(ValueError,
+                           match=f"weak-derivative convergence: at eps = 0.5 {valid} track"):
+            weak_derivative_convergence(DerivativeSystem(cubic), [0.5, 0.25], drv,
+                                        np.array(xy), 1.0)
 
 
 class TestWeakDerivativeChecks:

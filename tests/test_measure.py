@@ -7,6 +7,7 @@ from scipy import integrate
 
 from roughflow import InfiniteMassError, ReferenceMeasure
 from roughflow._seeds import derive_rng
+from roughflow.measure import sq_norm
 
 
 def radial_mass_quadrature(dim, alpha):
@@ -46,6 +47,27 @@ class TestWeight:
         m = ReferenceMeasure(2, 1.7)
         pt = np.array([x, y])
         assert np.exp(m.log_weight(pt)) == pytest.approx(m.weight(pt), rel=1e-14)
+
+
+class TestSqNorm:
+    """Below numpy's pairwise-summation threshold of 8 components, the one
+    component at a time sum is numpy's reduction bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bitwise_numpy_reductions(self, n):
+        rng = derive_rng(2, f"sq-norm-{n}")
+        v = rng.standard_normal((5000, n)) * rng.lognormal(0.0, 3.0, (5000, 1))
+        assert np.array_equal(sq_norm(v), np.sum(v * v, axis=-1))
+        assert np.array_equal(np.sqrt(sq_norm(v)), np.linalg.norm(v, axis=-1))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bitwise_on_a_block_of_steps(self, n):
+        # the strided view states[:, :, a:b, :] that density_terms receives
+        states = derive_rng(3, f"sq-norm-view-{n}").standard_normal((4, 30, 65, n))
+        v = states[:, :, 16:48, :]
+        assert not v.flags.c_contiguous
+        assert np.array_equal(sq_norm(v), np.sum(v * v, axis=-1))
+        assert np.array_equal(np.sqrt(sq_norm(v)), np.linalg.norm(v, axis=-1))
 
 
 class TestLogWeightCalculus:
