@@ -21,7 +21,6 @@ from .coefficients import (
     FieldEval,
     MollifierSpec,
     StructuredCoefficient,
-    block_condition_integrals,
     condition_integrals,
     density_terms,
     mollified_convergence,

@@ -328,6 +328,8 @@ def criterion_4(seed: int, scale: float):
             norms=[round(v, 4) for v in report.norms],
             rhs=round(report.rhs, 4),
             rhs_divergent=report.rhs_divergent,
+            rhs_max_share=[round(est.max_share, 6) for est in report.estimates],
+            rhs_n_nonfinite=[est.n_nonfinite for est in report.estimates],
             fitted_constants=[round(v, 4) for v in report.fitted_constants],
             product_form=report.product_form,
             ok=report.passed,

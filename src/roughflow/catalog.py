@@ -46,7 +46,7 @@ import numpy as np
 
 from .coefficients import (
     CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, _smoothstep,
-    _smoothstep_deriv,
+    _smoothstep_deriv, _step_band,
 )
 from .measure import ReferenceMeasure, sq_norm
 
@@ -178,31 +178,33 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
     magnitude, which is integrable for p0 * beta < 2.
     """
 
-    def swirl_scale(r):
-        # g(r) = beta * log(1/r) * zeta(r) / r, the coefficient of x-perp;
-        # zeta vanishes from r = 1 on, so log and zeta run on 0 < r < 1 only
+    def swirl(r, deriv: bool = False):
+        # g(r) = s(r) / r with s(r) = beta * log(1/r) * zeta(r), the
+        # coefficient of x-perp, and with ``deriv`` also g'(r); zeta vanishes
+        # from r = 1 on, so everything runs on 0 < r < 1 only, with one pass
+        # over zeta's transition band 1/2 < r < 1 for zeta and zeta'
         g, on = np.zeros(np.shape(r)), (r > 0) & (r < 1)
         ro = r[on]
-        g[on] = beta * (-np.log(ro)) * _zeta(ro) / ro
-        return g
-
-    def swirl_scale_deriv(r):
-        safe = np.where(r > 0, r, 1.0)
-        logterm = -np.log(safe)
-        s = beta * logterm * _zeta(safe)                      # s(r)
-        sp = beta * (-_zeta(safe) / safe + logterm * _zeta_deriv(safe))
-        val = sp / safe - s / safe**2                          # (s/r)'
-        return np.where(r > 0, val, 0.0)
+        t = 2.0 - 2.0 * ro
+        parts = _step_band(t)
+        zeta, logterm = _smoothstep(t, parts), -np.log(ro)
+        s = beta * logterm * zeta
+        g[on] = s / ro
+        if not deriv:
+            return g
+        sp = beta * (-zeta / ro + logterm * (-2.0 * _smoothstep_deriv(t, parts)))
+        gp = np.zeros(np.shape(r))
+        gp[on] = sp / ro - s / ro**2
+        return g, gp
 
     def drift_fn(x):
         x0, x1 = x[..., 0], x[..., 1]
-        g = swirl_scale(np.sqrt(x0 * x0 + x1 * x1))
+        g = swirl(np.sqrt(x0 * x0 + x1 * x1))
         return np.stack([-x0 - g * x1, -x1 + g * x0], axis=-1)
 
     def drift_jac_fn(x):
         r = np.sqrt(sq_norm(x))
-        g = swirl_scale(r)
-        gp = swirl_scale_deriv(r)
+        g, gp = swirl(r, deriv=True)
         perp = np.stack([-x[..., 1], x[..., 0]], axis=-1)
         safe_r = np.where(r > 0, r, 1.0)
         grad_g = gp[..., None] * x / safe_r[..., None]

@@ -275,6 +275,7 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
         se=measured.se,
         bound=rhs.value,
         bound_divergent=rhs.divergent,
+        bound_max_share=rhs.max_share,
     ) for p, measured, rhs, ok in acceptance.lp_density_checks(
         track, fam.field, m, cfg.p, cfg.q, steps * cfg.dt,
         cfg.mc_budget, cfg.seed, "rhs-",

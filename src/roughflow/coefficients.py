@@ -54,7 +54,6 @@ __all__ = [
     "density_terms",
     "exp_integrand",
     "condition_integrals",
-    "block_condition_integrals",
     "mollifier_domination_check",
     "mollified_convergence",
 ]
@@ -793,21 +792,6 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConditionReport:
-    """Exponential-integrability report for a coefficient pair."""
-
-    estimates: list          # estimate per doubling stage
-    standard_errors: list
-    n_nonfinite: int
-    max_share: float
-    divergent: bool
-
-    @property
-    def value(self) -> float:
-        return self.estimates[-1]
-
-
 def exp_integrand(x, ev: FieldEval, p0: float):
     """``exp(p0([div b]^- + |b bar| + |sigma bar|^2 + |grad sigma|^2))`` at
     ``x``, with ``|b bar|`` and ``|sigma bar|`` (``f bar = f / (1 + |x|)``),
@@ -820,76 +804,45 @@ def exp_integrand(x, ev: FieldEval, p0: float):
     return np.exp(p0 * (neg + bbar + sbar**2 + gsq)), bbar, sbar
 
 
-def _stabilized_expect(m: ReferenceMeasure, fn, budget: int, rng):
-    """Estimates at ``_CONDITION_STAGES`` doubling budgets plus a divergence flag.
-
-    A non-integrable exponential shows up as a last-stage estimate still
-    dominated by a single sample (integrable heavy tails dilute under a
-    larger budget) or as a running estimate that keeps moving by more than
-    10% between the last two stages.
-    """
-    estimates, ses = [], []
-    n_bad = 0
-    last_share = 0.0
-    for i in range(_CONDITION_STAGES):
-        est = m.expect(fn, budget * 2**i, rng)
-        estimates.append(est.value)
-        ses.append(est.se)
-        n_bad += est.n_nonfinite
-        last_share = est.max_share
-    rel_change = (
-        abs(estimates[-1] - estimates[-2]) / abs(estimates[-1])
-        if estimates[-1] not in (0.0,) and np.isfinite(estimates[-1])
-        else np.inf
-    )
-    divergent = (
-        last_share > 0.1 or rel_change > 0.1 or not np.isfinite(estimates[-1])
-    )
-    return estimates, ses, n_bad, last_share, divergent
-
-
 def condition_integrals(
-    field: CoefficientField,
     m: ReferenceMeasure,
+    evaluate: Callable[[NDArray], FieldEval],
     p0: float,
     budget: int,
     rng: np.random.Generator,
-) -> ConditionReport:
+) -> tuple:
     """Monte Carlo check of exp-integrability of the coefficient functionals.
 
     Estimates ``integral exp[p0([div b]^- + |b/(1+|x|)| + |s/(1+|x|)|^2
-    + |grad s|^2)] d mu`` at doubling budgets and flags divergence when the
-    running estimate keeps growing beyond its error bars or a single sample
-    dominates.
+    + |grad s|^2)] d m`` (``exp_integrand``) at ``_CONDITION_STAGES``
+    doubling budgets, with ``evaluate`` mapping samples of ``m`` to a
+    ``FieldEval`` with Jacobians: ``lambda x: field.evaluate(x, jac=True)``
+    for a whole field, or a structured field's ``first_block`` on its mu1
+    and ``second_block`` on mu, so nothing differentiates the second block
+    in the first variables.
+
+    Returns ``(estimate, divergent)``: the last stage's
+    ``MonteCarloEstimate`` and a divergence flag.  A non-integrable
+    exponential shows up as a last-stage estimate still dominated by a
+    single sample (integrable heavy tails dilute under a larger budget) or
+    as a running estimate that keeps moving by more than 10% between the
+    last two stages.
     """
 
     def integrand(x):
-        pts = as_points(x, field.dim_state, "field")
-        return exp_integrand(pts, field.evaluate(pts, jac=True), p0)[0]
+        return exp_integrand(x, evaluate(x), p0)[0]
 
-    return ConditionReport(*_stabilized_expect(m, integrand, budget, rng))
-
-
-def block_condition_integrals(
-    field: StructuredCoefficient,
-    m: ReferenceMeasure,
-    m1: ReferenceMeasure,
-    p0: float,
-    budget: int,
-    rng: np.random.Generator,
-):
-    """Blockwise exp-integrability: first block against mu1, second against mu.
-
-    Returns ``(report_block1, report_block2)``; each uses only the partial
-    derivatives of its own block (``first_block`` on samples of mu1,
-    ``second_block`` on samples of mu), so nothing differentiates the second
-    block in the first variables.
-    """
-    rep1 = ConditionReport(*_stabilized_expect(
-        m1, lambda x1: exp_integrand(x1, field.first_block(x1), p0)[0], budget, rng))
-    rep2 = ConditionReport(*_stabilized_expect(
-        m, lambda x: exp_integrand(x, field.second_block(x), p0)[0], budget, rng))
-    return rep1, rep2
+    values = []
+    for i in range(_CONDITION_STAGES):
+        est = m.expect(integrand, budget * 2**i, rng)
+        values.append(est.value)
+    rel_change = (
+        abs(values[-1] - values[-2]) / abs(values[-1])
+        if values[-1] != 0.0 and np.isfinite(values[-1])
+        else np.inf
+    )
+    divergent = est.max_share > 0.1 or rel_change > 0.1 or not np.isfinite(values[-1])
+    return est, bool(divergent)
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,14 @@ from .catalog import Family
 from .coefficients import (
     CoefficientField,
     StructuredCoefficient,
-    block_condition_integrals,
     condition_integrals,
     density_terms,
     mollify,
 )
 from .flow import BrownianDriver, DensityTrack, FlowEnsemble, integrate
-from .measure import MonteCarloEstimate, ReferenceMeasure, grid_points, sq_norm
+from .measure import (
+    MonteCarloEstimate, ReferenceMeasure, grid_points, largest_share, sq_norm,
+)
 
 _RHS_TIME_PROBES = 9  # probe times of the sup over [0, T] in density_bound_rhs
 _KDE_PROBES = 33      # probe points of kde_crosscheck (a side of 33^(1/n) per axis)
@@ -99,8 +100,7 @@ def _estimate(track: DensityTrack, samples: NDArray, p: Optional[float] = None
         se = float(omega_means.std(ddof=1) / np.sqrt(omega_means.size))
     else:
         se = float(flat.std(ddof=1) / np.sqrt(flat.size)) if flat.size > 1 else np.inf
-    total = flat.sum()
-    max_share = float(flat.max() / total) if total > 0 else 0.0
+    max_share = largest_share(flat)
     if p is None:
         value, se = track.total_mass * mean, track.total_mass * se
     else:
@@ -178,17 +178,16 @@ def density_bound_rhs(
     for t in np.linspace(0.0, T, _RHS_TIME_PROBES):
         with np.errstate(over="ignore"):  # inf feeds the divergence flag
             vals = np.exp(t * g)
-        mean = vals.mean()
-        if not np.isfinite(mean):
+        est = MonteCarloEstimate.of(vals, mass)
+        if est.n_nonfinite or not np.isfinite(est.value):
             unstable = True
             sup_val, sup_share, sup_t = np.inf, 1.0, float(t)
             continue
-        half = vals[: vals.size // 2].mean()
-        if mean > 0 and abs(mean - half) > 0.2 * mean:
+        half = MonteCarloEstimate.of(vals[: vals.size // 2], mass).value
+        if est.value > 0 and abs(est.value - half) > 0.2 * est.value:
             unstable = True
-        share = float(vals.max() / vals.sum()) if vals.sum() > 0 else 0.0
-        if mass * mean > sup_val:
-            sup_val, sup_share, sup_t = mass * mean, share, float(t)
+        if est.value > sup_val:
+            sup_val, sup_share, sup_t = est.value, est.max_share, float(t)
     value = mass ** (1.0 / (p + 1.0)) * sup_val ** (1.0 / (p * (p + 1.0)))
     divergent = sup_share > 0.1 or unstable or not np.isfinite(value)
     return DensityBound(float(value), bool(divergent), sup_share, sup_t)
@@ -212,6 +211,7 @@ class UniformDensityReport:
     norms: list                  # measured sup_{t<=T0} L^p norms per level
     rhs: float                   # level-free bound, proof constants set to 1
     rhs_divergent: bool
+    estimates: list              # MonteCarloEstimate per condition integral (one per block)
     fitted_constants: list       # norm / rhs per level
     passed: bool
     t0: float
@@ -254,25 +254,26 @@ def uniform_density_bound(
     # exponent multiplier C_{2,p} t0 with the kernel constant set to 1
     if structured:
         mult = 4.0 * p**3 * t0
-        rep1, rep2 = block_condition_integrals(
-            field, m, family.measure1, mult, budget, rng
-        )
         m1 = family.measure1
+        est1, div1 = condition_integrals(m1, field.first_block, mult, budget, rng)
+        est2, div2 = condition_integrals(m, field.second_block, mult, budget, rng)
         mu2_mass = ReferenceMeasure(
             field.dim_state - field.n1, m.alpha - m1.alpha
         ).total_mass()
         explicit = mu2_mass * 3.0**m1.alpha * 3.0**m.alpha
         rhs = mass ** (1.0 / (p + 1.0)) * (
-            explicit * max(rep1.value, 0.0) * max(rep2.value, 0.0)
+            explicit * max(est1.value, 0.0) * max(est2.value, 0.0)
         ) ** (1.0 / (2.0 * p * (p + 1.0)))
-        divergent = rep1.divergent or rep2.divergent
+        estimates, divergent = [est1, est2], div1 or div2
     else:
         mult = 2.0 * p**3 * t0
-        rep = condition_integrals(field, m, mult, budget, rng)
+        est, divergent = condition_integrals(
+            m, lambda x: field.evaluate(x, jac=True), mult, budget, rng
+        )
         rhs = mass ** (1.0 / (p + 1.0)) * (
-            3.0**m.alpha * max(rep.value, 0.0)
+            3.0**m.alpha * max(est.value, 0.0)
         ) ** (1.0 / (p * (p + 1.0)))
-        divergent = rep.divergent
+        estimates = [est]
     fitted = [n / rhs for n in norms]
     passed = bool(np.isfinite(rhs) and not divergent and all(n <= rhs for n in norms))
     return UniformDensityReport(
@@ -280,6 +281,7 @@ def uniform_density_bound(
         norms=norms,
         rhs=float(rhs),
         rhs_divergent=bool(divergent),
+        estimates=estimates,
         fitted_constants=fitted,
         passed=passed,
         t0=t0,

@@ -29,8 +29,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .coefficients import CoefficientField, FieldBlocks, StructuredCoefficient, exp_integrand
-from .flow import BrownianDriver, FlowEnsemble, integrate
-from .measure import ReferenceMeasure, sq_norm
+from .flow import BrownianDriver, integrate
+from .measure import MonteCarloEstimate, ReferenceMeasure, sq_norm
 
 __all__ = [
     "DerivativeSystem",
@@ -127,7 +127,7 @@ def difference_flows(
     driver: BrownianDriver,
     xy0s,
     T: float,
-) -> Iterator[FlowEnsemble]:
+) -> Iterator[tuple]:
     """Scaled differences of base flows under the same increments, one per eps.
 
     The base field is integrated in one pass from the starts ``x`` and
@@ -135,8 +135,10 @@ def difference_flows(
     states array has shape ``(n_omega, (1 + len(eps)) n_x, n_steps + 1, d)``.
     Euler-Maruyama treats each state on its own (an exploded track is frozen
     alone), so each eps's tracks are bitwise those of a pass of their own.
-    The doubled-space ensemble (X_t, (X_t(x + eps y) - X_t(x)) / eps) of
-    each eps is sliced out of that pass as it is requested.
+    For each eps, as it is requested, yields ``(diff, exploded)``: the
+    scaled difference ``(X_t(x + eps y) - X_t(x)) / eps``, shape
+    ``(n_omega, n_x, n_steps + 1, d)``, and the ``(n_omega, n_x)`` mask of
+    the tracks exploded in either flow.
     """
     d = sys.dim
     xy0s = np.asarray(xy0s, dtype=np.float64)
@@ -151,10 +153,7 @@ def difference_flows(
 
     def scaled_difference(i, eps):
         pert = slice((i + 1) * n, (i + 2) * n)
-        states = np.concatenate([base, (flow.states[:, pert] - base) / eps], axis=-1)
-        return FlowEnsemble(states=states, times=flow.times, x0s=xy0s,
-                            field=sys.epsilon_system(eps), driver=driver,
-                            exploded=base_exploded | flow.exploded[:, pert])
+        return (flow.states[:, pert] - base) / eps, base_exploded | flow.exploded[:, pert]
 
     return map(scaled_difference, range(len(eps_sequence)), eps_sequence)
 
@@ -200,9 +199,10 @@ def weak_derivative_convergence(
     e_deriv = integrate(sys.lifted, driver, xy0s, T)
     d = sys.dim
     rows = []
-    for eps, e_diff in zip(eps_sequence, difference_flows(sys, eps_sequence, driver, xy0s, T)):
-        gap = np.sqrt(sq_norm(e_diff.states[..., d:] - e_deriv.states[..., d:])).max(axis=-1)
-        ok = e_diff.valid() & e_deriv.valid()
+    for eps, (diff, exploded) in zip(eps_sequence,
+                                     difference_flows(sys, eps_sequence, driver, xy0s, T)):
+        gap = np.sqrt(sq_norm(diff - e_deriv.states[..., d:])).max(axis=-1)
+        ok = ~exploded & e_deriv.valid()
         if ok.sum() < 2:
             raise ValueError(f"weak-derivative convergence: at eps = {eps:g} {ok.sum()} "
                              "track(s) valid in both the difference and the derivative "
@@ -271,11 +271,9 @@ def verify_hypotheses(
 
     def h4_bundle(field: StructuredCoefficient):
         vals, bbar, sbar = exp_integrand(pts, field.second_block(pts), p0)
-        vals = vals[np.isfinite(vals)]
-        share = float(vals.max() / vals.sum()) if vals.sum() > 0 else 0.0
-        return mass2 * float(vals.mean()), share, bbar, sbar
+        return MonteCarloEstimate.of(vals, mass2), bbar, sbar
 
-    lifted_integral, share0, bbar, sbar = h4_bundle(sys.lifted)
+    lifted, bbar, sbar = h4_bundle(sys.lifted)
     base = sys.base.evaluate(pts[:, :d], jac=True)
     base_grad_b = np.sqrt(np.einsum("...ij,...ij->...", base.drift_jac, base.drift_jac))
     base_grad_s = np.sqrt(np.einsum("...ikj,...ikj->...", base.sigma_jac, base.sigma_jac))
@@ -283,23 +281,20 @@ def verify_hypotheses(
     drift_frac = float((bbar <= base_grad_b + tol).mean())
     sigma_frac = float((sbar <= base_grad_s + tol).mean())
 
-    eps_integrals, shares = {}, [share0]
-    for eps in eps_set:
-        val, share, _, _ = h4_bundle(sys.epsilon_system(eps))
-        eps_integrals[float(eps)] = val
-        shares.append(share)
+    estimates = {float(eps): h4_bundle(sys.epsilon_system(eps))[0] for eps in eps_set}
+    eps_integrals = {eps: est.value for eps, est in estimates.items()}
     vals = np.array(list(eps_integrals.values()))
     eps_ratio = float(vals.max() / vals.min()) if vals.min() > 0 else np.inf
-    any_dominated = bool(max(shares) > 0.5)
+    any_dominated = any(est.dominated() for est in [lifted, *estimates.values()])
     passed = bool(
         eps_ratio < _EPS_RATIO_BOUND
         and drift_frac == 1.0
         and sigma_frac == 1.0
         and not any_dominated
-        and np.isfinite(lifted_integral)
+        and np.isfinite(lifted.value)
     )
     return HypothesisReport(
-        lifted_integral=lifted_integral,
+        lifted_integral=lifted.value,
         eps_integrals=eps_integrals,
         eps_ratio=eps_ratio,
         drift_domination_fraction=drift_frac,

@@ -7,8 +7,13 @@ spherical Student-t construction, and Monte Carlo integration against the
 (unnormalized) measure.
 
 Conventions: ``sample`` draws from the *normalized* measure; every
-integral estimator (``expect``, ``lp_norm``) reports values for the
-*unnormalized* measure, i.e. it rescales sample means by ``total_mass``.
+integral estimator reports values for the *unnormalized* measure, i.e. it
+rescales sample means by ``total_mass``.  ``MonteCarloEstimate.of`` is the
+one builder of an estimate from such samples (the finite filter, the
+mass-scaled mean and standard error, the non-finite count and the
+``largest_share`` heavy-tail diagnostic); ``expect`` is ``sample`` plus
+``of``, and the density bound, the condition integrals and the doubled
+systems' hypotheses build their estimates through it too.
 
 The module is also the one home of the array conventions every layer
 shares: ``as_points`` (batches of points on R^dim), ``grid_points``
@@ -31,6 +36,7 @@ __all__ = [
     "ReferenceMeasure",
     "as_points",
     "grid_points",
+    "largest_share",
     "magnitude",
     "sq_norm",
 ]
@@ -178,27 +184,9 @@ class ReferenceMeasure:
     # -- integrals ----------------------------------------------------------
 
     def expect(self, f, count: int, rng: np.random.Generator) -> "MonteCarloEstimate":
-        """Monte Carlo estimate of ``integral f d mu`` (unnormalized mu).
-
-        Non-finite integrand values are excluded from the mean but counted
-        and reported, since the integrands of interest are only defined
-        almost everywhere.
-        """
-        pts = self.sample(rng, count)
-        vals = np.asarray(f(pts), dtype=np.float64)
-        if vals.shape != (count,):
-            vals = vals.reshape(count)
-        good = np.isfinite(vals)
-        n_bad = int(count - good.sum())
-        vals = vals[good]
-        mass = self.total_mass()
-        if vals.size == 0:
-            return MonteCarloEstimate(np.nan, np.nan, n_bad, count, 1.0)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else np.inf
-        total_abs = np.abs(vals).sum()
-        max_share = float(np.abs(vals).max() / total_abs) if total_abs > 0 else 0.0
-        return MonteCarloEstimate(mass * mean, mass * se, n_bad, count, max_share)
+        """Monte Carlo estimate of ``integral f d mu`` (unnormalized mu) from
+        ``count`` samples (``MonteCarloEstimate.of``)."""
+        return MonteCarloEstimate.of(f(self.sample(rng, count)), self.total_mass())
 
     def lp_norm(self, f, q: float, count: int, rng: np.random.Generator) -> float:
         """Monte Carlo ``L^q(mu)`` norm of a scalar field (unnormalized mu)."""
@@ -207,15 +195,27 @@ class ReferenceMeasure:
         return float(est.value ** (1.0 / q))
 
 
+def largest_share(values) -> float:
+    """Largest single-sample share of the absolute mass of ``values`` (0 when
+    that mass is 0, or overflows): the heavy-tail diagnostic of every
+    estimate, near 1 when one sample carries the mean."""
+    a = np.abs(values)
+    with np.errstate(over="ignore"):
+        total = a.sum()
+    return float(a.max() / total) if total > 0 else 0.0
+
+
+_SQUARE_SAFE = 1e150  # samples above this magnitude are rescaled before squaring
+
+
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """Integral estimate with its standard error and diagnostics.
 
     ``n_samples`` counts the samples drawn and ``n_nonfinite`` those left
     out of the mean (for a density functional: the tracks, and the invalid
-    ones).  ``max_share`` is the largest single-sample share of the
-    absolute mass of the estimate; values near 1 flag a heavy-tailed,
-    untrustworthy mean.
+    ones).  ``max_share`` is ``largest_share`` of the samples; values near 1
+    flag a heavy-tailed, untrustworthy mean.
     """
 
     value: float
@@ -224,5 +224,32 @@ class MonteCarloEstimate:
     n_samples: int
     max_share: float
 
-    def dominated(self, threshold: float = 0.5) -> bool:
-        return self.max_share > threshold
+    @classmethod
+    def of(cls, values, mass: float) -> "MonteCarloEstimate":
+        """The estimate of ``mass * E[values]`` from i.i.d. samples of a
+        normalized measure of total mass ``mass``.
+
+        Non-finite values are left out of the mean but counted, since the
+        integrands of interest are only defined almost everywhere.  A sum
+        that overflows gives an infinite value; samples too large to square
+        are scaled by the largest one for the standard error.
+        """
+        vals = np.asarray(values, dtype=np.float64).reshape(-1)
+        count = vals.size
+        good = np.isfinite(vals)
+        n_bad = int(count - good.sum())
+        vals = vals[good]
+        if vals.size == 0:
+            return cls(np.nan, np.nan, n_bad, count, 1.0)
+        with np.errstate(over="ignore"):
+            mean = float(vals.mean())
+        se = np.inf
+        if vals.size > 1:
+            top = float(np.abs(vals).max())
+            scale = top if top > _SQUARE_SAFE else 1.0
+            se = scale * float((vals / scale).std(ddof=1)) / math.sqrt(vals.size)
+        return cls(mass * mean, mass * se, n_bad, count, largest_share(vals))
+
+    def dominated(self) -> bool:
+        """Whether one sample carries more than half the estimate's mass."""
+        return self.max_share > 0.5

@@ -451,20 +451,47 @@ class TestAffineFamilies:
         assert (gap < 1e-12) == fam.affine
 
 
+def whole(field):
+    """The evaluator of a whole field for ``condition_integrals``."""
+    return lambda x: field.evaluate(x, jac=True)
+
+
 class TestConditionIntegrals:
     def test_zero_field_gives_mass(self):
         f = scalar_field_1d(lambda u: np.zeros_like(u), dfn=lambda u: np.zeros_like(u))
         m = ReferenceMeasure(1, 2.0)
-        rep = condition_integrals(f, m, 1.0, 300, derive_rng(5, "zero"))
-        assert rep.value == pytest.approx(m.total_mass(), rel=1e-12)
-        assert not rep.divergent
+        est, divergent = condition_integrals(m, whole(f), 1.0, 300, derive_rng(5, "zero"))
+        assert est.value == pytest.approx(m.total_mass(), rel=1e-12)
+        assert est.n_samples == 4 * 300 and est.n_nonfinite == 0  # the last stage's
+        assert not divergent
+
+    def test_zero_blocks_give_each_measure_its_mass(self):
+        # both blocks vanish: the integrand is exp(0) = 1 against mu1 and against mu
+        def zero(*value_shape):  # of x1, or of (x1, x2): zeros at the last block's points
+            return lambda *x: np.zeros(x[-1].shape[:-1] + value_shape)
+
+        def zero_terms(*value_shape):
+            return lambda x1, x2: [(zero(*value_shape)(x1), zero(*value_shape)(x2))]
+
+        field = StructuredCoefficient(
+            1, FieldBlocks(zero(1, 1), zero(1), zero_terms(1, 1), zero_terms(1),
+                           zero(1, 1, 1), zero(1, 1), zero(1, 1, 1), zero(1, 1)),
+            dim_state=2, dim_noise=1, name="zero-blocks",
+        )
+        m1, m = ReferenceMeasure(1, 1.5), ReferenceMeasure(2, 3.0)
+        rng = derive_rng(5, "zero-blocks")
+        for measure, block in ((m1, field.first_block), (m, field.second_block)):
+            est, divergent = condition_integrals(measure, block, 1.0, 300, rng)
+            assert est.value == pytest.approx(measure.total_mass(), rel=1e-12)
+            assert est.max_share == pytest.approx(1.0 / (4 * 300), rel=1e-12)
+            assert not divergent
 
     def test_lipschitz_field_finite_for_large_p0(self):
         fam = make_family("linear")
-        rep = condition_integrals(fam.field, fam.measure, 2.0, 2000,
-                                  derive_rng(6, "lin"))
-        assert np.isfinite(rep.value)
-        assert not rep.divergent
+        est, divergent = condition_integrals(fam.measure, whole(fam.field), 2.0, 2000,
+                                             derive_rng(6, "lin"))
+        assert np.isfinite(est.value)
+        assert not divergent
 
     def test_supercritical_log_singularity_flagged(self):
         # beta > n / p0 makes exp(p0 |b-bar|) ~ r^(-p0 beta) non-integrable;
@@ -479,9 +506,9 @@ class TestConditionIntegrals:
             return val
 
         assert partial(1e-4) > 10 * partial(1e-2)
-        rep = condition_integrals(fam.field, fam.measure, p0, 40_000,
-                                  derive_rng(7, "sing"))
-        assert rep.divergent
+        _, divergent = condition_integrals(fam.measure, whole(fam.field), p0, 40_000,
+                                           derive_rng(7, "sing"))
+        assert divergent
 
 
 class TestKernelDomination:

@@ -118,11 +118,13 @@ class TestFlows:
         runs = []
         for _ in range(2):
             drv = BrownianDriver.generate(1, 2**-7, 2**7, 3, derive_seed(6, "r"))
-            runs.append(next(difference_flows(sys_, [0.25], drv, xy, 1.0)).states.tobytes())
+            diff, _ = next(difference_flows(sys_, [0.25], drv, xy, 1.0))
+            runs.append(diff.tobytes())
+        assert diff.shape == (3, 8, 2**7 + 1, 1)
         assert runs[0] == runs[1]
-        # a shared base flow gives each eps the ensemble it gets alone
+        # a shared base flow gives each eps the difference it gets alone
         shared = list(difference_flows(sys_, [0.5, 0.25], drv, xy, 1.0))
-        assert shared[1].states.tobytes() == runs[0]
+        assert shared[1][0].tobytes() == runs[0]
 
     def test_batched_difference_flows_with_an_explosion(self):
         # base x' = x^3 + 0.1 dB: the eps = 1 start 0.5 + 2 = 2.5 blows up
@@ -139,20 +141,20 @@ class TestFlows:
         eps_list = [1.0, 2.0**-4, 2.0**-8]
         drv = BrownianDriver.generate(1, 2**-7, 2**7, 4, derive_seed(9, "x"))
         batched = list(difference_flows(sys_, eps_list, drv, xy, 1.0))
-        assert batched[0].exploded[:, 0].all() and batched[0].n_exploded == drv.n_omega
-        assert not batched[1].exploded.any() and not batched[2].exploded.any()
-        for eps, ens in zip(eps_list, batched):
-            alone = next(difference_flows(sys_, [eps], drv, xy, 1.0))
-            assert ens.states.tobytes() == alone.states.tobytes()
-            assert np.array_equal(ens.exploded, alone.exploded)
-            assert np.all(np.isfinite(ens.states))
+        exploded = batched[0][1]
+        assert exploded[:, 0].all() and exploded.sum() == drv.n_omega
+        assert not batched[1][1].any() and not batched[2][1].any()
+        for eps, (diff, mask) in zip(eps_list, batched):
+            alone, alone_mask = next(difference_flows(sys_, [eps], drv, xy, 1.0))
+            assert diff.tobytes() == alone.tobytes()
+            assert np.array_equal(mask, alone_mask)
+            assert np.all(np.isfinite(diff))
         # the exploding track is frozen at its last finite state
         pert = integrate(cubic, drv, xy[:1, :1] + xy[:1, 1:], 1.0)
         frozen = pert.states[:, 0, -1, :]
         assert np.all(np.abs(frozen) <= 1e8) and np.all(pert.states[:, 0, -2, :] == frozen)
-        base = batched[0].states[:, 0, :, :1]
-        assert np.array_equal(batched[0].states[:, 0, :, 1:],
-                              (pert.states[:, 0] - base) / 1.0)
+        base = integrate(cubic, drv, xy[:1, :1], 1.0).states[:, 0]
+        assert np.array_equal(batched[0][0][:, 0], (pert.states[:, 0] - base) / 1.0)
 
     def test_difference_flow_eps_trend_smooth(self):
         sys_ = DerivativeSystem(make_family("deriv-smooth").field)
@@ -161,9 +163,8 @@ class TestFlows:
         drv = BrownianDriver.generate(1, 2**-8, 2**8, 6, derive_seed(7, "t"))
         e_deriv = integrate(sys_.lifted, drv, xy, 1.0)
         gaps = []
-        for e_diff in difference_flows(sys_, (1e-2, 1e-3), drv, xy, 1.0):
-            gaps.append(np.abs(e_diff.states[..., 1]
-                               - e_deriv.states[..., 1]).max())
+        for diff, _ in difference_flows(sys_, (1e-2, 1e-3), drv, xy, 1.0):
+            gaps.append(np.abs(diff[..., 0] - e_deriv.states[..., 1]).max())
         assert gaps[1] < gaps[0]
 
     def test_jacobian_vector_product_oracle(self):

@@ -14,6 +14,8 @@ REMOVED = {
     "ball_lebesgue_norm",               # stability._halton_ball
     "lift",                             # derivative.DerivativeSystem
     "derivative_flow",                  # integrate(DerivativeSystem(base).lifted, ...)
+    "block_condition_integrals",        # condition_integrals(m1, field.first_block, ...)
+    "ConditionReport",                  # (MonteCarloEstimate, divergent) of condition_integrals
 }
 
 

@@ -1,11 +1,14 @@
 """Reference-measure calculus, mass, sampling and integration."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy import integrate
 
-from roughflow import InfiniteMassError, ReferenceMeasure
+from roughflow import InfiniteMassError, MonteCarloEstimate, ReferenceMeasure
 from roughflow._seeds import derive_rng
 from roughflow.measure import sq_norm
 
@@ -185,6 +188,32 @@ class TestExpect:
         est = m.expect(f, 20_000, derive_rng(6, "bad"))
         assert est.n_nonfinite > 0
         assert np.isfinite(est.value)
+
+    def test_expect_is_sample_plus_of(self):
+        m = ReferenceMeasure(2, 2.5)
+
+        def f(x):
+            return np.where(x[:, 0] > 2.0, np.inf, np.exp(np.abs(x[:, 1])))
+
+        est = m.expect(f, 5000, derive_rng(7, "of"))
+        ref = MonteCarloEstimate.of(f(m.sample(derive_rng(7, "of"), 5000)), m.total_mass())
+        assert est.n_nonfinite > 0
+        for a, b in zip(dataclasses.astuple(est), dataclasses.astuple(ref)):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    def test_of_huge_samples_without_overflow(self):
+        # the regime of a divergent density bound: exp values up to 1e305 and an inf
+        vals = np.array([1.0, 2.5, 3.2e213, 1e305, 4.0, np.inf, 7e290])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = MonteCarloEstimate.of(vals, 2.0)
+        finite = vals[np.isfinite(vals)]
+        assert est.n_nonfinite == 1 and est.n_samples == vals.size
+        assert est.value == pytest.approx(2.0 * finite.mean(), rel=1e-12)
+        assert est.se == pytest.approx(2.0 * 1e305 * (finite / 1e305).std(ddof=1)
+                                       / np.sqrt(finite.size), rel=1e-12)
+        assert est.max_share == pytest.approx(1e305 / finite.sum(), rel=1e-12)
+        assert est.dominated()
 
     def test_lp_norm_constant(self):
         m = ReferenceMeasure(2, 2.0)
