@@ -526,7 +526,6 @@ def criterion_10(seed: int, scale: float):
 def run_all(
     seed: int = DEFAULT_SEED,
     budget_scale: float = 1.0,
-    indices: Optional[list] = None,
     printer: Optional[Callable[[str], None]] = print,
 ) -> list:
     """Run the acceptance criteria and return their results.
@@ -535,7 +534,7 @@ def run_all(
     ``None`` to silence).
     """
     results = []
-    for idx in sorted(indices or CRITERIA):
+    for idx in sorted(CRITERIA):
         res = CRITERIA[idx](seed, budget_scale)
         results.append(res)
         if printer is not None:

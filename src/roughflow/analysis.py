@@ -201,6 +201,9 @@ def partial_maximal(g: GridFunction, radius: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
+_RING_SAMPLES = 65  # radii per ring; its neighborhood gets three times as many
+
+
 @dataclass
 class RingScan:
     ratios: NDArray[np.float64]
@@ -212,14 +215,13 @@ def ring_ratio_scan(
     profile: Callable[[NDArray], NDArray],
     delta: float,
     k_max: int = 200,
-    samples_per_ring: int = 65,
 ) -> RingScan:
     """Scan sup_k (sup profile on ring k) / (inf profile on its neighborhood).
 
     ``profile`` is the radial weight r -> w(r) > 0.  It must act
     elementwise on an array of radii of any shape: the scan evaluates it
-    once on the ``(k_max, samples_per_ring)`` ring samples and once on the
-    ``(k_max, 3 samples_per_ring)`` neighborhood samples.  A ring whose
+    once on the ``(k_max, _RING_SAMPLES)`` ring samples and once on the
+    ``(k_max, 3 _RING_SAMPLES)`` neighborhood samples.  A ring whose
     neighborhood infimum is not positive has ratio inf.  A scan whose
     running ratios are still growing at the cap is flagged as diverging
     (the constant is infinite, as for Gaussian-type weights).
@@ -227,12 +229,10 @@ def ring_ratio_scan(
     _check_positive("delta", delta)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    if samples_per_ring < 2:
-        raise ValueError(f"samples_per_ring must be at least 2, got {samples_per_ring}")
     k = np.arange(1, k_max + 1)
-    ring = np.linspace((k - 1) * delta, k * delta, samples_per_ring, axis=1)
+    ring = np.linspace((k - 1) * delta, k * delta, _RING_SAMPLES, axis=1)
     hood = np.linspace(np.maximum(0.0, (k - 2) * delta), (k + 1) * delta,
-                       3 * samples_per_ring, axis=1)
+                       3 * _RING_SAMPLES, axis=1)
     sup = np.max(profile(ring), axis=1)
     inf = np.min(profile(hood), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -39,6 +39,7 @@ place that says a family is affine (``Family.affine``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -350,16 +351,31 @@ def _deriv_base(kind: str) -> CoefficientField:
 # ---------------------------------------------------------------------------
 
 
+def _param(params: dict, key: str, default):
+    """``params.pop(key, default)``, which must be a positive integer for an
+    integer default and a finite number otherwise (a ``ValueError`` names it)."""
+    value = params.pop(key, default)
+    if isinstance(default, int):
+        ok, must = isinstance(value, numbers.Integral) and value >= 1, "a positive integer"
+    else:
+        ok, must = isinstance(value, numbers.Real) and np.isfinite(value), "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"family parameter {key!r} must be {must}, got {value!r}")
+    return type(default)(value)
+
+
 def make_family(name: str, **params) -> Family:
     """Build a catalog family by name.
 
     Recognized parameters (all optional): ``rate``, ``noise``, ``beta``,
-    ``p0``, ``step_amp``, ``dim`` (linear / pure-drift only).
+    ``p0``, ``step_amp`` (finite numbers) and ``dim`` (a positive integer;
+    linear / pure-drift only).  A parameter of another type, or one the
+    family does not use, raises a ``ValueError`` that names it.
     """
-    p0 = float(params.pop("p0", 1.0))
+    p0 = _param(params, "p0", 1.0)
     if name in _AFFINE:
         defaults, settable = _AFFINE[name]
-        dim, rate, noise = (type(v)(params.pop(key, v)) if key in settable else v
+        dim, rate, noise = (_param(params, key, v) if key in settable else v
                             for key, v in zip(("dim", "rate", "noise"), defaults))
         label = f"linear(rate={rate:g},noise={noise:g})" if name == "linear" else name
         # translation's measure keeps its own exponent (criterion 1's oracle)
@@ -367,13 +383,12 @@ def make_family(name: str, **params) -> Family:
         fam = Family(name, _affine(dim, rate, noise, label), 2.0, p0,
                      ReferenceMeasure(dim, alpha))
     elif name == "log-singular":
-        beta = float(params.pop("beta", 1.2))
-        field = _log_singular(beta, float(params.pop("noise", 0.3)))
+        field = _log_singular(_param(params, "beta", 1.2), _param(params, "noise", 0.3))
         q = 1.5
         fam = Family(name, field, q, p0, ReferenceMeasure(2, _alpha_for(q, 2)))
     elif name == "partially-sobolev":
-        field = _partially_sobolev(float(params.pop("step_amp", 0.4)),
-                                   float(params.pop("noise", 0.25)))
+        field = _partially_sobolev(_param(params, "step_amp", 0.4),
+                                   _param(params, "noise", 0.25))
         q = 2.0
         alpha1 = _alpha_for(q, 1)                       # q + n1/2 + 0.5
         alpha = _alpha_for(q, 2, extra=alpha1 + 0.5)    # also > alpha1 + n2/2

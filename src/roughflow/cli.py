@@ -1,30 +1,31 @@
 """Experiment orchestration: config ingestion, deterministic seeding,
 report emission.
 
-Subcommands: ``simulate``, ``density``, ``stability``, ``derivative``,
-``analysis``, ``verify-hypotheses``, ``verify-all``.  Each accepts
-``--config PATH`` (JSON), ``--seed U64``, ``--out DIR``,
-``--budget-scale FLOAT`` and ``--family NAME``.  Outputs are a
-``summary.json`` that embeds the fully resolved configuration and the
-package version, plus one CSV table written by ``_write_table``:
-``ensemble.csv`` (simulate), ``density.csv``, ``stability.csv``,
-``derivative.csv`` or ``maximal.csv`` (analysis).  The exit status is 0
-exactly when every asserted inequality passed, and 2 for a config that
-``ExperimentConfig.validate`` rejects or a budget scale that is not finite
-and positive, before the output directory exists.
-A ``measure`` (``alpha`` and ``dim``) replaces the exponent of the measure
-the start points are drawn from, the doubled-space one of
-``catalog.doubled_measure`` for ``derivative`` and ``verify-hypotheses``;
-``analysis`` and ``verify-all`` draw from none and reject it.
+``KINDS`` is the one table of experiment kinds, the subcommands.  Each
+entry holds the kind's runner, its default family (none for ``analysis``
+and ``verify-all``, which build no family and reject ``family``,
+``family_params`` and ``measure``) and whether it samples the family's
+measure or, needing a ``deriv-*`` family, ``catalog.doubled_measure``.
+Each subcommand accepts ``--config PATH`` (JSON), ``--seed U64``,
+``--out DIR``, ``--budget-scale FLOAT`` and ``--family NAME``; a config
+without ``family`` runs the kind's default, as the bare subcommand does.
+Outputs are a ``summary.json`` that embeds the fully resolved
+configuration and the package version, plus one CSV table written by
+``_write_table`` (``ensemble.csv``, ``density.csv``, ``stability.csv``,
+``derivative.csv`` or ``maximal.csv``).  The exit status is 0 exactly
+when every asserted inequality passed, and 2, before the output directory
+exists, for a budget scale that is not finite and positive or a config
+that ``ExperimentConfig.validate`` rejects: it checks each setting once,
+for its JSON type and its range, and names it.  A ``measure`` (``alpha``
+and ``dim``) replaces the exponent of the sampled measure.  ``mc_budget``
+is every kind's Monte Carlo budget (for ``stability``, the Halton points
+of each ball norm).
 
-All randomness flows from the master seed through named child streams
-(component label + index hashed into the seed), so reruns with the same
-configuration are byte-identical.
-
-``density``, ``simulate``, ``stability``, ``analysis`` and ``derivative``
-assert the checks of acceptance criteria 3, 5, 8, 6 and 9 through the same
-``acceptance`` functions, on the configured family and budget and their
-own streams.
+All randomness flows from the master seed through named child streams,
+so reruns with the same configuration are byte-identical.  ``density``,
+``simulate``, ``stability``, ``analysis`` and ``derivative`` assert the
+checks of acceptance criteria 3, 5, 8, 6 and 9 through the same
+``acceptance`` functions, on their own streams.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,23 +51,43 @@ from .density import entropy, select_t0
 from .flow import integrate
 from .measure import ReferenceMeasure, grid_points
 
-__all__ = ["ExperimentConfig", "run", "verify_all", "main"]
+__all__ = ["ExperimentConfig", "KINDS", "run", "verify_all", "main"]
 
-KINDS = (
-    "simulate",
-    "density",
-    "stability",
-    "derivative",
-    "analysis",
-    "verify-hypotheses",
-    "verify-all",
+
+def _number(v) -> bool:
+    """A JSON number: a boolean is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    """A JSON number that is finite as a float (a long integer may not be)."""
+    return _number(v) and abs(v) <= sys.float_info.max
+
+
+def _count(v) -> bool:
+    return _number(v) and isinstance(v, numbers.Integral) and v >= 1
+
+
+def _finite_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_finite(x) for x in v)
+
+
+# each setting's one check of its JSON type and range: (keys, holds, what each must be)
+_SETTINGS = (
+    (("T", "dt", "p0"), lambda v: _finite(v) and v > 0, "must be finite and positive"),
+    (("p", "q"), lambda v: _finite(v) and v > 1, "must be finite and exceed 1"),
+    (("n_omega", "n_x", "mc_budget"), _count, "must be a positive integer"),
+    (("seed",), lambda v: _number(v) and isinstance(v, numbers.Integral),
+     "must be an integer"),
+    (("k_list",), lambda v: _finite_numbers(v) and len(v) >= 2 and min(v) >= 1,
+     "needs at least two finite mollification levels >= 1"),
+    (("eps_list", "radii"), lambda v: _finite_numbers(v) and len(v) >= 1 and min(v) > 0,
+     "needs at least one value, each finite and positive"),
+    (("family_params",), lambda v: isinstance(v, dict), "must be an object of parameters"),
+    (("measure",), lambda v: v is None or isinstance(v, dict),
+     "must be null or an object with alpha and dim"),
+    (("out",), lambda v: v is None or isinstance(v, str), "must be null or a directory path"),
 )
-_LIFTED_KINDS = ("derivative", "verify-hypotheses")  # sample the doubled space
-
-
-def _finite_reals(values) -> bool:
-    return isinstance(values, (list, tuple)) and all(
-        isinstance(v, numbers.Real) and np.isfinite(v) for v in values)
 
 
 @dataclass
@@ -74,7 +95,7 @@ class ExperimentConfig:
     """Validated experiment description with a JSON-compatible data model."""
 
     kind: str
-    family: str = "linear"
+    family: Optional[str] = None        # None: the kind's default (``KINDS``)
     family_params: dict = dc_field(default_factory=dict)
     measure: Optional[dict] = None      # {"dim":…, "alpha":…}
     T: float = 1.0
@@ -88,9 +109,12 @@ class ExperimentConfig:
     n_omega: int = 16
     n_x: int = 32
     mc_budget: int = 20000
-    quadrature_points: int = 20000
     seed: int = acceptance.DEFAULT_SEED
     out: Optional[str] = None
+
+    def __post_init__(self):
+        if self.family is None and self.kind in KINDS:
+            self.family = KINDS[self.kind].family
 
     # -- serialization ------------------------------------------------------
 
@@ -99,11 +123,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config is a JSON object, got {raw!r}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "kind" not in raw:
+        if not isinstance(raw.get("kind"), str):
             raise ValueError("config must name an experiment kind")
         return cls(**raw)
 
@@ -121,45 +146,41 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind != "verify-all" and self.family not in FAMILY_NAMES:
-            raise ValueError(
-                f"unknown family {self.family!r}; known: {', '.join(FAMILY_NAMES)}"
-            )
-        if not self.q > 1:
-            raise ValueError(f"q must exceed 1, got {self.q}")
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not (np.isfinite(self.p0) and self.p0 > 0):
-            raise ValueError(f"p0 must be finite and positive, got {self.p0}")
-        for key in ("n_omega", "n_x", "mc_budget", "quadrature_points"):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{key} must be a positive integer, got {value!r}")
-        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
-            raise ValueError("T and dt must be finite and positive")
+            raise ValueError(f"unknown kind {self.kind!r}; expected one of {tuple(KINDS)}")
+        for keys, holds, must in _SETTINGS:
+            for key in keys:
+                if not holds(getattr(self, key)):
+                    raise ValueError(f"{key} {must}, got {getattr(self, key)!r}")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide T")
-        if self.kind in _LIFTED_KINDS and not self.family.startswith("deriv"):
-            raise ValueError(f"{self.kind} needs a deriv-* family, got {self.family!r}")
-        sampling = self.kind not in ("analysis", "verify-all")  # build a family and sample
-        if self.family_params and not sampling:
-            raise ValueError(f"{self.kind} builds no family; "
-                             "remove 'family_params' from the config")
-        if self.measure is not None:
-            if not sampling:
+        kind = KINDS[self.kind]
+        if kind.family is None:  # builds no family and draws from no measure
+            if self.family is not None or self.family_params:
+                raise ValueError(f"{self.kind} builds no family; "
+                                 "remove 'family' and 'family_params' from the config")
+            if self.measure is not None:
                 raise ValueError(f"{self.kind} draws from no configured measure; "
                                  "remove 'measure' from the config")
+            return
+        if self.family not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {self.family!r}; known: {', '.join(FAMILY_NAMES)}")
+        if kind.doubled and not self.family.startswith("deriv"):
+            raise ValueError(f"{self.kind} needs a deriv-* family, got {self.family!r}")
+        if "p0" in self.family_params:
+            raise ValueError("family_params cannot set p0; set the top-level p0")
+        if self.measure is not None:
             unknown = sorted(set(self.measure) - {"alpha", "dim"})
             if unknown:
                 raise ValueError(f"unknown measure keys {unknown}; known: alpha, dim")
-            if "alpha" not in self.measure:
-                raise ValueError("measure.alpha is required when a measure is given")
-        if sampling:  # rejects unused family parameters and a lifted alpha at its bound
-            space = self.build()[1].dim
+            if not (_finite_numbers([self.measure.get("alpha")])
+                    and _count(self.measure.get("dim", 1))):
+                raise ValueError("measure.alpha is required, a finite number, and measure.dim "
+                                 f"a positive integer if given; got {self.measure}")
+        # rejects wrong or unused family parameters and a lifted alpha at its bound
+        space = self.build()[1].dim
         if self.measure is not None:
-            alpha, dim = float(self.measure["alpha"]), int(self.measure.get("dim", space))
+            alpha, dim = float(self.measure["alpha"]), self.measure.get("dim", space)
             if dim != space:
                 raise ValueError(f"measure.dim {dim} does not match the {space}-"
                                  f"dimensional space that {self.kind} samples")
@@ -167,38 +188,32 @@ class ExperimentConfig:
                 raise ValueError(
                     f"alpha must exceed q + n/2 = {self.q + dim / 2.0}, got {alpha}"
                 )
-        if not (_finite_reals(self.k_list) and len(self.k_list) >= 2
-                and min(self.k_list) >= 1):
-            raise ValueError("k_list needs at least two finite mollification levels >= 1, "
-                             f"got {self.k_list}")
-        for key in ("eps_list", "radii"):
-            values = getattr(self, key)
-            if not (_finite_reals(values) and values and min(values) > 0):
-                raise ValueError(f"{key} needs at least one value, each finite and "
-                                 f"positive, got {values}")
-        if self.kind == "derivative" and len(self.eps_list) < 2:
-            raise ValueError("derivative needs at least two eps_list values to compare, "
-                             f"got {self.eps_list}")
-        if self.kind == "derivative" and self.n_omega * self.n_x < 2:
-            raise ValueError(f"derivative needs n_omega * n_x >= 2, got {self.n_omega * self.n_x}")
-        if self.kind == "verify-hypotheses" and min(self.eps_list) > 0.5:
-            raise ValueError("verify-hypotheses needs an eps_list value <= 0.5, "
-                             f"got {self.eps_list}")
+        unmet = kind.needs(self) if kind.needs else None
+        if unmet:
+            raise ValueError(f"{self.kind} needs {unmet}")
 
     # -- derived objects ----------------------------------------------------
 
     def build(self):
         """``(family, measure)``: the configured family and the measure its
-        start points are drawn from, the family's own or, for the lifted
-        kinds, the doubled-space measure at ``q``; ``measure.alpha`` replaces
-        its exponent."""
+        start points are drawn from, the family's own or, for a kind that
+        samples the doubled space, the doubled-space measure at ``q``;
+        ``measure.alpha`` replaces its exponent."""
         fam = make_family(self.family, p0=self.p0, **self.family_params)
         alpha = None if self.measure is None else float(self.measure["alpha"])
-        if self.kind in _LIFTED_KINDS:
+        if KINDS[self.kind].doubled:
             return fam, doubled_measure(fam.field.dim_state, self.q, alpha)
         if alpha is not None:
             fam.measure = ReferenceMeasure(fam.measure.dim, alpha)
         return fam, fam.measure
+
+    def paths(self, T: float, start: str = "x0"):
+        """``(family, measure, driver, starts)``: ``build``, then the driver
+        to ``T`` and the start points from the ``driver`` and ``start`` streams."""
+        fam, m = self.build()
+        drv, x0 = acceptance.draw_paths(self.seed, m, fam.field.dim_noise, self.dt, T,
+                                        self.n_omega, self.n_x, "driver", start)
+        return fam, m, drv, x0
 
 
 def _write_table(path: Path, columns: dict, rows) -> None:
@@ -224,11 +239,7 @@ def _path_rows(times, n_omega: int, n_x: int):
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
-    fam, m = cfg.build()
-    drv, x0 = acceptance.draw_paths(
-        cfg.seed, m, fam.field.dim_noise, cfg.dt, cfg.T,
-        cfg.n_omega, cfg.n_x, "driver", "x0",
-    )
+    fam, m, drv, x0 = cfg.paths(cfg.T)
     ens = integrate(fam.field, drv, x0, cfg.T, density=m)
     _write_table(
         out / "ensemble.csv",
@@ -250,14 +261,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_density(cfg: ExperimentConfig, out: Path) -> list:
-    fam, m = cfg.build()
-    t0 = min(cfg.T, select_t0(fam.p0, cfg.p))
-    steps = max(1, int(round(t0 / cfg.dt)))
-    drv, x0 = acceptance.draw_paths(
-        cfg.seed, m, fam.field.dim_noise, cfg.dt, steps * cfg.dt,
-        cfg.n_omega, cfg.n_x, "driver", "x0",
-    )
-    ens = integrate(fam.field, drv, x0, steps * cfg.dt, density=m)
+    # the guaranteed horizon, in whole steps of at least one
+    T = max(1, int(round(min(cfg.T, select_t0(float(cfg.p0), cfg.p)) / cfg.dt))) * cfg.dt
+    fam, m, drv, x0 = cfg.paths(T)
+    ens = integrate(fam.field, drv, x0, T, density=m)
     track = ens.density
     logr = track.log_density()
     _write_table(
@@ -277,8 +284,7 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
         bound_divergent=rhs.divergent,
         bound_max_share=rhs.max_share,
     ) for p, measured, rhs, ok in acceptance.lp_density_checks(
-        track, fam.field, m, cfg.p, cfg.q, steps * cfg.dt,
-        cfg.mc_budget, cfg.seed, "rhs-",
+        track, fam.field, m, cfg.p, cfg.q, T, cfg.mc_budget, cfg.seed, "rhs-",
     )]
     ent = entropy(track)
     checks.append(dict(
@@ -289,13 +295,9 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
-    fam, m = cfg.build()
-    drv, x0 = acceptance.draw_paths(
-        cfg.seed, m, fam.field.dim_noise, cfg.dt, cfg.T,
-        cfg.n_omega, cfg.n_x, "driver", "x0",
-    )
+    fam, m, drv, x0 = cfg.paths(cfg.T)
     table, unq, decreasing, below_gap = acceptance.cauchy_uniqueness_checks(
-        fam, list(cfg.k_list), drv, x0, cfg.T, cfg.quadrature_points
+        fam, list(cfg.k_list), drv, x0, cfg.T, cfg.mc_budget
     )
     _write_table(
         out / "stability.csv",
@@ -312,11 +314,7 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_derivative(cfg: ExperimentConfig, out: Path) -> list:
-    fam, m2 = cfg.build()
-    drv, xy0 = acceptance.draw_paths(
-        cfg.seed, m2, fam.field.dim_noise, cfg.dt, cfg.T,
-        cfg.n_omega, cfg.n_x, "driver", "xy0",
-    )
+    fam, _, drv, xy0 = cfg.paths(cfg.T, "xy0")
     table, passed = acceptance.weak_derivative_checks(
         fam, list(cfg.eps_list), drv, xy0, cfg.T)
     _write_table(out / "derivative.csv", dict(epsilon="g", metric=".10g", se=".10g"),
@@ -397,21 +395,57 @@ def verify_all(seed: int, budget_scale: float = 1.0, printer=print) -> list:
     ) for r in results]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "density": _run_density,
-    "stability": _run_stability,
-    "derivative": _run_derivative,
-    "analysis": _run_analysis,
-    "verify-hypotheses": _run_verify_hypotheses,
+def _reported(runner):
+    """A kind's runner from ``runner(cfg, out)``, which returns its check
+    records: it prints one pass/fail line per record through ``printer``."""
+    def run_kind(cfg, out, budget_scale, printer):
+        checks = runner(cfg, out)
+        for c in checks if printer is not None else ():
+            printer(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
+        return checks
+
+    return run_kind
+
+
+def _derivative_needs(cfg: ExperimentConfig) -> Optional[str]:
+    # the rule compares eps values, and each metric's standard error needs two tracks
+    if len(cfg.eps_list) < 2:
+        return f"at least two eps_list values to compare, got {cfg.eps_list}"
+    if cfg.n_omega * cfg.n_x < 2:
+        return f"n_omega * n_x >= 2, got {cfg.n_omega * cfg.n_x}"
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """``runner(cfg, out, budget_scale, printer)`` returns the check records;
+    ``family`` is the default (None: no family, no measure); ``doubled`` samples
+    ``catalog.doubled_measure``; ``needs(cfg)`` names what else a config lacks."""
+
+    runner: Callable
+    family: Optional[str]
+    doubled: bool = False
+    needs: Optional[Callable[[ExperimentConfig], Optional[str]]] = None
+
+
+KINDS = {
+    "simulate": _Kind(_reported(_run_simulate), "linear"),
+    "density": _Kind(_reported(_run_density), "linear"),
+    "stability": _Kind(_reported(_run_stability), "log-singular"),
+    "derivative": _Kind(_reported(_run_derivative), "deriv-smooth", doubled=True,
+                        needs=_derivative_needs),
+    "analysis": _Kind(_reported(_run_analysis), None),
+    "verify-hypotheses": _Kind(
+        _reported(_run_verify_hypotheses), "deriv-smooth", doubled=True,
+        needs=lambda cfg: None if min(cfg.eps_list) <= 0.5
+        else f"an eps_list value <= 0.5, got {cfg.eps_list}"),
+    "verify-all": _Kind(lambda cfg, out, budget_scale, printer:
+                        verify_all(cfg.seed, budget_scale, printer), None),
 }
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
         return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -427,48 +461,22 @@ def run(cfg: ExperimentConfig, budget_scale: float = 1.0, printer=print) -> int:
     out = Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     if budget_scale != 1.0:  # rescale a copy: the caller's config stays as given
-        cfg = replace(
-            cfg,
-            n_omega=max(4, int(cfg.n_omega * np.sqrt(budget_scale))),
-            n_x=max(8, int(cfg.n_x * np.sqrt(budget_scale))),
-            mc_budget=max(500, int(cfg.mc_budget * budget_scale)),
-            quadrature_points=max(500, int(cfg.quadrature_points * budget_scale)),
-        )
-    if cfg.kind == "verify-all":
-        checks = verify_all(cfg.seed, budget_scale, printer=printer)
-    else:
-        checks = [
-            {k: _jsonable(v) for k, v in c.items()}
-            for c in _RUNNERS[cfg.kind](cfg, out)
-        ]
+        root = np.sqrt(budget_scale)
+        cfg = replace(cfg, n_omega=max(4, int(cfg.n_omega * root)),
+                      n_x=max(8, int(cfg.n_x * root)),
+                      mc_budget=max(500, int(cfg.mc_budget * budget_scale)))
+    checks = [_jsonable(c) for c in KINDS[cfg.kind].runner(cfg, out, budget_scale, printer)]
     all_passed = all(c["passed"] for c in checks)
-    summary = dict(
-        kind=cfg.kind,
-        version=__version__,
-        config=cfg.to_dict(),
-        checks=checks,
-        all_passed=all_passed,
-    )
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(dict(kind=cfg.kind, version=__version__, config=cfg.to_dict(), checks=checks,
+                       all_passed=all_passed), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if printer is not None and cfg.kind != "verify-all":
-        for c in checks:
-            printer(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
     return 0 if all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
-
-
-# family a bare subcommand runs on: the kinds that reject the affine default
-_DEFAULT_FAMILY = {
-    "stability": "log-singular",
-    "derivative": "deriv-smooth",
-    "verify-hypotheses": "deriv-smooth",
-}
 
 
 def main(argv=None) -> int:
@@ -489,21 +497,12 @@ def main(argv=None) -> int:
                         help="catalog family name")
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            cfg = ExperimentConfig.load(args.config)
-            if cfg.kind != args.kind:
-                raise ValueError(
-                    f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
-                )
-        else:
-            cfg = ExperimentConfig(kind=args.kind)
-            cfg.family = _DEFAULT_FAMILY.get(args.kind, cfg.family)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.family is not None:
-            cfg.family = args.family
+        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig(args.kind)
+        if cfg.kind != args.kind:
+            raise ValueError(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
+        for key in ("seed", "out", "family"):  # a given flag overrides the config
+            if getattr(args, key) is not None:
+                setattr(cfg, key, getattr(args, key))
         return run(cfg, budget_scale=args.budget_scale)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,17 +180,16 @@ class FieldBlocks:
 
     ``sigma2`` and ``drift2`` return their block in term form: a sequence of
     ``(x1 factor, x2 factor)`` array pairs whose products sum to the block,
-    ``sum_t a1_t * a2_t``.  A factor has the leading axes of the block
-    coordinates it reads and one axis per value axis, each of size 1 where
-    the factor does not vary along it.  At points the terms are summed in order; a smoothing
-    pass calls the callables on the block grids ``x1 - u1/k`` of shape
-    (B, G1, 1, n1) and ``x2 - u2/k`` of shape (B, 1, G2, n2), the distinct
-    node offsets of each block, and contracts each x1 factor and each x2
-    factor through the kernel weights, so no factor is formed on the
-    (G1, G2) product grid.  A block with a factor of both x1 and x2 (such as
-    a finite difference along x + eps y) evaluates at points, but smoothing
-    it raises a ``ValueError``.  The Jacobian callables return arrays and
-    are evaluated at points only.
+    ``sum_t a1_t * a2_t``.  A factor reads one block only: it has the
+    leading axes of that block's coordinates and one axis per value axis,
+    each of size 1 where the factor does not vary along it.  At points the
+    terms are summed in order; a smoothing pass calls the callables on the
+    block grids ``x1 - u1/k`` of shape (B, G1, 1, n1) and ``x2 - u2/k`` of
+    shape (B, 1, G2, n2), the distinct node offsets of each block, and
+    contracts each x1 factor and each x2 factor through the kernel weights,
+    so no factor is formed on the (G1, G2) product grid; it rejects a
+    factor that spans both grids with a ``ValueError``.  The Jacobian
+    callables return arrays and are evaluated at points only.
     """
 
     sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)

@@ -193,16 +193,19 @@ def density_bound_rhs(
     return DensityBound(float(value), bool(divergent), sup_share, sup_t)
 
 
+def _c2p(p: float, product_form: bool) -> float:
+    """``C_{2,p} = 2 p^3 C0`` (plain) or ``4 p^3 C0`` (product form), C0 = 1."""
+    return (4.0 if product_form else 2.0) * p**3
+
+
 def select_t0(p0: float, p: float, product_form: bool = False) -> float:
     """Horizon on which the level-uniform density estimate is guaranteed.
 
-    The proof needs ``C_{2,p} T0 <= p0`` where ``C_{2,p} = 2 p^3 C0``
-    (plain) or ``4 p^3 C0`` (blockwise product form), with C0 the kernel
+    The proof needs ``C_{2,p} T0 <= p0`` (``_c2p``), with C0 the kernel
     domination constant.  C0 is not pinned down by the theory; it is set to
     1 here and the fitted ratios are reported with each experiment.
     """
-    c2p = (4.0 if product_form else 2.0) * p**3
-    return min(1.0, p0 / c2p)
+    return min(1.0, p0 / _c2p(p, product_form))
 
 
 @dataclass
@@ -251,9 +254,8 @@ def uniform_density_bound(
         track = integrate(smooth, driver, x0s, t0, density=m).density
         norms.append(sup_lp_density_norm(track, p).value)
     mass = m.total_mass()
-    # exponent multiplier C_{2,p} t0 with the kernel constant set to 1
+    mult = _c2p(p, structured) * t0  # exponent multiplier C_{2,p} t0
     if structured:
-        mult = 4.0 * p**3 * t0
         m1 = family.measure1
         est1, div1 = condition_integrals(m1, field.first_block, mult, budget, rng)
         est2, div2 = condition_integrals(m, field.second_block, mult, budget, rng)
@@ -266,7 +268,6 @@ def uniform_density_bound(
         ) ** (1.0 / (2.0 * p * (p + 1.0)))
         estimates, divergent = [est1, est2], div1 or div2
     else:
-        mult = 2.0 * p**3 * t0
         est, divergent = condition_integrals(
             m, lambda x: field.evaluate(x, jac=True), mult, budget, rng
         )

@@ -7,13 +7,15 @@ The derivative process Y solves the coupled system on R^(2d)
          + [grad b(X_t)] Y_t dt,                   Y_0 = y,
 
 which is block-structured: the first block does not depend on y, and the
-second block is linear in y with coefficients evaluated along X.  Its
+second block is linear in y with coefficients evaluated along X.  It is an
+instance of the partially Sobolev structure, so the whole flow and density
+machinery applies on the doubled space: ``DerivativeSystem(base).lifted``
+is its field, and the derivative flow is
+``integrate(DerivativeSystem(base).lifted, driver, xy0s, T)``.  The
 finite-difference counterpart replaces the second equation by the scaled
-difference of two copies of the base flow started at x and x + eps y.
-Both are instances of the partially Sobolev structure, so the whole flow
-and density machinery applies on the doubled space: ``DerivativeSystem(base)``
-holds both doubled fields, and the derivative flow is
-``integrate(DerivativeSystem(base).lifted, driver, xy0s, T)``.
+difference of two copies of the base flow started at x and x + eps y
+(``difference_flows``); its second block, ``(f(x + eps y) - f(x)) / eps``
+for f = sigma, b, is ``DerivativeSystem.difference_block``.
 
 ``weak_derivative_convergence`` measures the clipped distance between the
 difference flows and the derivative flow over a joint sample of (x, y);
@@ -28,7 +30,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientField, FieldBlocks, StructuredCoefficient, exp_integrand
+from .coefficients import (
+    CoefficientField, FieldBlocks, FieldEval, StructuredCoefficient, exp_integrand,
+)
 from .flow import BrownianDriver, integrate
 from .measure import MonteCarloEstimate, ReferenceMeasure, sq_norm
 
@@ -79,46 +83,25 @@ class DerivativeSystem:
         def drift2_fn(x, y):
             return terms(base.drift_jac_fn(x), y, 1)
 
-        return self._doubled(sigma2_fn, drift2_fn,
-                             lambda x, y: base.sigma_jac_fn(x),
-                             lambda x, y: base.drift_jac_fn(x),
-                             f"{base.name}|derivative")
-
-    def epsilon_system(self, eps: float) -> StructuredCoefficient:
-        """Doubled-space coefficients of the finite-difference system.
-
-        The second-block coefficients are exactly computable from two base
-        evaluations: ``(f(x + eps y) - f(x)) / eps``.
-        """
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        base = self.base
-
-        # one term whose factor reads both x and y: not separable, so the
-        # system evaluates at points and cannot be smoothed
-        def sigma2_fn(x, y):
-            diff = (base.sigma(x + eps * y) - base.sigma(x)) / eps
-            return [(np.ones((1,) * diff.ndim), diff)]
-
-        def drift2_fn(x, y):
-            diff = (base.drift(x + eps * y) - base.drift(x)) / eps
-            return [(np.ones((1,) * diff.ndim), diff)]
-
-        return self._doubled(sigma2_fn, drift2_fn,
-                             lambda x, y: base.sigma_jac_fn(x + eps * y),
-                             lambda x, y: base.drift_jac_fn(x + eps * y),
-                             f"{base.name}|difference(eps={eps:g})")
-
-    def _doubled(self, sigma2, drift2, sigma2_jac, drift2_jac, name) -> StructuredCoefficient:
-        """Doubled-space field: the base's callables on the first block, the
-        given second block of ``(x, y)`` (with its y-Jacobians) on the second."""
-        base = self.base
         return StructuredCoefficient(
             self.dim,
-            FieldBlocks(base.sigma_fn, base.drift_fn, sigma2, drift2,
-                        base.sigma_jac_fn, base.drift_jac_fn, sigma2_jac, drift2_jac),
-            dim_state=2 * self.dim, dim_noise=base.dim_noise, name=name,
+            FieldBlocks(base.sigma_fn, base.drift_fn, sigma2_fn, drift2_fn,
+                        base.sigma_jac_fn, base.drift_jac_fn,
+                        lambda x, y: base.sigma_jac_fn(x), lambda x, y: base.drift_jac_fn(x)),
+            dim_state=2 * self.dim, dim_noise=base.dim_noise, name=f"{base.name}|derivative",
         )
+
+    def difference_block(self, xy, eps: float, at_x: FieldEval) -> FieldEval:
+        """Second block of the finite-difference system at the points ``xy``
+        of the doubled space: ``(f(x + eps y) - f(x)) / eps`` for f = sigma
+        and b, with the y-Jacobians ``grad f(x + eps y)``.  ``at_x`` is the
+        base's ``evaluate`` at x, so each eps evaluates the base once more."""
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        d = self.dim
+        shifted = self.base.evaluate(xy[..., :d] + eps * xy[..., d:], jac=True)
+        return FieldEval((shifted.sigma - at_x.sigma) / eps, (shifted.drift - at_x.drift) / eps,
+                         shifted.sigma_jac, shifted.drift_jac)
 
 
 def difference_flows(
@@ -256,10 +239,11 @@ def verify_hypotheses(
     for the derivative system and for each finite-difference system in
     ``eps_set``, and asserts the eps-uniform band (max/min below
     ``_EPS_RATIO_BOUND``).  The integrand is ``coefficients.exp_integrand`` of
-    each system's ``second_block``, on one shared sample of mu2.  Also
-    verifies the pointwise dominations |drift2-bar| <= |grad b(x)| and
-    |sigma2-bar| <= |grad sigma(x)| on the sample, with the base Jacobians
-    from one ``evaluate``.  ``m2`` is the doubled-space measure (its decay
+    the lifted field's ``second_block`` and of each ``difference_block``, on
+    one shared sample of mu2.  The base is evaluated once at x and once per
+    eps at x + eps y.  Also verifies the pointwise dominations
+    |drift2-bar| <= |grad b(x)| and |sigma2-bar| <= |grad sigma(x)| on the
+    sample, with the base Jacobians at x.  ``m2`` is the doubled-space measure (its decay
     exponent must exceed 2 alpha1 + q + d/2 for the base measure exponent
     alpha1).
     """
@@ -269,11 +253,11 @@ def verify_hypotheses(
     pts = m2.sample(rng, budget)
     mass2 = m2.total_mass()
 
-    def h4_bundle(field: StructuredCoefficient):
-        vals, bbar, sbar = exp_integrand(pts, field.second_block(pts), p0)
+    def h4_bundle(second: FieldEval):
+        vals, bbar, sbar = exp_integrand(pts, second, p0)
         return MonteCarloEstimate.of(vals, mass2), bbar, sbar
 
-    lifted, bbar, sbar = h4_bundle(sys.lifted)
+    lifted, bbar, sbar = h4_bundle(sys.lifted.second_block(pts))
     base = sys.base.evaluate(pts[:, :d], jac=True)
     base_grad_b = np.sqrt(np.einsum("...ij,...ij->...", base.drift_jac, base.drift_jac))
     base_grad_s = np.sqrt(np.einsum("...ikj,...ikj->...", base.sigma_jac, base.sigma_jac))
@@ -281,7 +265,8 @@ def verify_hypotheses(
     drift_frac = float((bbar <= base_grad_b + tol).mean())
     sigma_frac = float((sbar <= base_grad_s + tol).mean())
 
-    estimates = {float(eps): h4_bundle(sys.epsilon_system(eps))[0] for eps in eps_set}
+    estimates = {float(eps): h4_bundle(sys.difference_block(pts, eps, base))[0]
+                 for eps in eps_set}
     eps_integrals = {eps: est.value for eps, est in estimates.items()}
     vals = np.array(list(eps_integrals.values()))
     eps_ratio = float(vals.max() / vals.min()) if vals.min() > 0 else np.inf

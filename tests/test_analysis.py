@@ -218,8 +218,7 @@ class TestRingRatio:
         (dict(delta=np.nan), "delta"),
         (dict(delta=np.inf), "delta"),
         (dict(delta=1.0, k_max=0), "k_max"),
-        (dict(delta=1.0, samples_per_ring=1), "samples_per_ring"),
-    ], ids=["delta-nan", "delta-inf", "k_max-0", "samples_per_ring-1"])
+    ], ids=["delta-nan", "delta-inf", "k_max-0"])
     def test_nonsense_input_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ring_ratio_scan(lambda r: (1.0 + r * r) ** -1.5, **kwargs)

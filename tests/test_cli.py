@@ -102,7 +102,7 @@ class TestRun:
         cfg = ExperimentConfig(kind="stability", family="partially-sobolev",
                                out=str(tmp_path), seed=4, n_omega=2, n_x=4,
                                T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
-                               quadrature_points=500)
+                               mc_budget=500)
         run(cfg, printer=None)
         fam, m = cfg.build()
         assert fam.mollifier(4.0) == MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1))
@@ -110,7 +110,7 @@ class TestRun:
         drv = BrownianDriver.generate(fam.field.dim_noise, cfg.dt, round(cfg.T / cfg.dt),
                                       cfg.n_omega, derive_seed(cfg.seed, "driver"))
         want = cauchy_experiment(fam, cfg.k_list, drv, x0, cfg.T,
-                                 norm_budget=cfg.quadrature_points)
+                                 norm_budget=cfg.mc_budget)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["checks"][0]["metrics"] == want.metrics()
         # the whole table, every library value in its own column
@@ -124,7 +124,7 @@ class TestRun:
         "simulate": (dict(family="log-singular", mc_budget=500), ["ensemble.csv"]),
         "density": (dict(family="linear", mc_budget=500), ["density.csv"]),
         "stability": (dict(family="log-singular", T=0.25, k_list=[2.0, 4.0, 8.0],
-                           quadrature_points=500), ["stability.csv"]),
+                           mc_budget=500), ["stability.csv"]),
         "derivative": (dict(family="deriv-smooth", eps_list=[0.5, 0.25, 0.125]),
                        ["derivative.csv"]),
         "analysis": (dict(mc_budget=500), ["maximal.csv"]),
@@ -190,7 +190,7 @@ class TestCheckRecords:
     def test_stability(self, tmp_path):
         got = self.records(tmp_path, kind="stability", family="log-singular",
                            seed=4, n_omega=2, n_x=4, T=0.25, dt=2.0**-6,
-                           k_list=[2.0, 4.0, 8.0], quadrature_points=500)
+                           k_list=[2.0, 4.0, 8.0], mc_budget=500)
         assert got == [
             ("convergence metric decreasing",
              ["metrics", "name", "passed", "support_fraction"], True),
@@ -236,7 +236,7 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         ExperimentConfig(kind="stability", family=family, seed=4, n_omega=2, n_x=4,
                          T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
-                         quadrature_points=500, out=str(tmp_path)).dump(cfg)
+                         mc_budget=500, out=str(tmp_path)).dump(cfg)
         assert main(["stability", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"family {family!r}" in err and "the mollifier reproduces" in err
@@ -261,10 +261,11 @@ class TestMain:
         ("simulate", {"n_x": 0}, "n_x must be a positive integer"),
         ("density", {"mc_budget": 0}, "mc_budget must be a positive integer"),
         ("density", {"p0": -1.0}, "p0 must be finite and positive"),
-        ("stability", {"family": "log-singular", "quadrature_points": 0},
-         "quadrature_points must be a positive integer"),
-        ("density", {"q": float("nan")}, "q must exceed 1, got nan"),
-        ("simulate", {"T": float("inf")}, "T and dt must be finite"),
+        ("stability", {"family": "log-singular", "mc_budget": 0},
+         "mc_budget must be a positive integer"),
+        ("density", {"q": float("nan")}, "q must be finite and exceed 1, got nan"),
+        ("density", {"p": float("inf")}, "p must be finite and exceed 1, got inf"),
+        ("simulate", {"T": float("inf")}, "T must be finite and positive, got inf"),
         ("verify-hypotheses", {"family": "deriv-smooth", "measure": {"dim": 2, "alpha": 3.5}},
          "lifted alpha must exceed 2 alpha1 + q + d/2 = 8.5, got 3.5"),
         ("simulate", {"measure": {"dim": 1, "alhpa1": 3.0, "alpha": 3.0}},
@@ -283,6 +284,22 @@ class TestMain:
          "verify-all draws from no configured measure"),
         ("analysis", {"family_params": {"bogus": 1}}, "analysis builds no family"),
         ("verify-all", {"family_params": {"bogus": 1}}, "verify-all builds no family"),
+        # a setting of the wrong JSON type is named, not a TypeError traceback
+        ("simulate", {"T": "1"}, "T must be finite and positive, got '1'"),
+        ("density", {"p": "2"}, "p must be finite and exceed 1, got '2'"),
+        ("simulate", {"measure": 3}, "measure must be null or an object"),
+        ("simulate", {"family_params": [1]}, "family_params must be an object"),
+        ("simulate", {"family_params": {"p0": 2.0}}, "family_params cannot set p0"),
+        ("simulate", {"family": "log-singular", "family_params": {"beta": [1]}},
+         "family parameter 'beta' must be a finite number, got [1]"),
+        ("simulate", {"family_params": {"dim": 2.5}},
+         "family parameter 'dim' must be a positive integer, got 2.5"),
+        ("simulate", {"n_omega": True}, "n_omega must be a positive integer, got True"),
+        ("density", {"mc_budget": True}, "mc_budget must be a positive integer, got True"),
+        ("simulate", {"T": True}, "T must be finite and positive, got True"),
+        ("density", {"q": False}, "q must be finite and exceed 1, got False"),
+        # an integer too long for a float is not finite
+        ("simulate", {"radii": [10**400]}, "radii needs at least one value, each finite"),
         ("density", {"--budget-scale": "-1"},
          "budget scale must be finite and positive, got -1.0"),
         ("density", {"--budget-scale": "inf"},
@@ -307,12 +324,24 @@ class TestMain:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert max(summary["checks"][0]["metrics"]) < 1e-10
 
-    def test_bare_stability_runs_on_a_rough_family(self, tmp_path):
-        # the config default family is the affine `linear`, which stability
-        # rejects; a bare subcommand runs on log-singular instead
-        assert main(["stability", "--budget-scale", "0.01", "--out", str(tmp_path)]) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["config"]["family"] == "log-singular"
+    @pytest.mark.parametrize("kind,family", [("stability", "log-singular"),
+                                             ("derivative", "deriv-smooth"),
+                                             ("verify-hypotheses", "deriv-smooth")])
+    def test_config_without_family_runs_the_bare_default(self, tmp_path, capsys, kind,
+                                                          family):
+        # the kinds whose default family is not the affine `linear`, which
+        # they reject: a bare subcommand and a config file that names no
+        # family run the same default and write the same bytes
+        flags = ["--seed", "3", "--budget-scale", "0.01", "--out", str(tmp_path / "run")]
+        (tmp_path / "cfg.json").write_text(json.dumps({"kind": kind}))
+        runs = []
+        for config in ([], ["--config", str(tmp_path / "cfg.json")]):
+            assert main([kind, *config, *flags]) == 0
+            files = {p.name: p.read_bytes() for p in sorted((tmp_path / "run").iterdir())}
+            runs.append((capsys.readouterr().out, files))
+            shutil.rmtree(tmp_path / "run")
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1]["summary.json"])["config"]["family"] == family
 
     def test_cli_flags_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -208,16 +208,14 @@ class TestStructuredBlocks:
 
     @pytest.mark.parametrize("family,variant", [
         ("partially-sobolev", "rough"), ("partially-sobolev", "smoothed"),
-        *[(f"deriv-{kind}", system) for kind in ("linear", "smooth", "rough")
-          for system in ("lifted", "epsilon")],
+        *[(f"deriv-{kind}", "lifted") for kind in ("linear", "smooth", "rough")],
     ])
     def test_evaluate_is_first_block_stacked_on_second_rows(self, family, variant):
         field = make_family(family).field
         if variant == "smoothed":
             field = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1)))
-        elif variant != "rough":
-            sys_ = DerivativeSystem(field)
-            field = sys_.lifted if variant == "lifted" else sys_.epsilon_system(0.25)
+        elif variant == "lifted":
+            field = DerivativeSystem(field).lifted
         n1, n = field.n1, field.dim_state
         pts = ReferenceMeasure(n, 3.0).sample(derive_rng(16, f"stack-{family}-{variant}"), 40)
         ev = field.evaluate(pts, jac=True)
@@ -768,12 +766,18 @@ class TestSecondBlockGrids:
 
     @pytest.mark.parametrize("panels", [1, (2, 1)])
     def test_non_separable_block_is_rejected(self, panels):
-        # the finite difference reads x + eps y: its factor spans both block
-        # grids, also where the two grids have the same size (one panel)
+        # second-block factors of x1 + x2 span both block grids, also where
+        # the two grids have the same size (one panel)
+        def sigma2(x1, x2):
+            return [(np.ones((1,) * (x1.ndim + 1)), np.sin(x1 + x2)[..., None])]
+
+        def drift2(x1, x2):
+            return [(np.ones((1,) * x1.ndim), np.sin(x1 + x2))]
+
         sys_ = DerivativeSystem(make_family("deriv-smooth").field)
-        field = sys_.epsilon_system(0.25)
+        field = StructuredCoefficient(
+            1, replace(sys_.lifted.blocks, sigma2=sigma2, drift2=drift2), 2, 1)
         pts = ReferenceMeasure(2, 3.0).sample(derive_rng(19, "eps-smooth"), 10)
-        assert np.all(np.isfinite(field.evaluate(pts).sigma))
         smooth = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=panels))
         for jac in (False, True):
             with pytest.raises(ValueError, match="spans both block grids"):
@@ -805,7 +809,7 @@ class TestSecondBlockGrids:
             assert lifted.sigma.tobytes() == want.tobytes()
             want = np.einsum("...ij,...j->...i", base.drift_jac_fn(x), y)
             assert lifted.drift.tobytes() == want.tobytes()
-            eps = DerivativeSystem(base).epsilon_system(0.25).second_block(pts)
+            eps = DerivativeSystem(base).difference_block(pts, 0.25, base.evaluate(x, jac=True))
             want = (base.sigma(x + 0.25 * y) - base.sigma(x)) / 0.25
             assert eps.sigma.tobytes() == want.tobytes()
             want = (base.drift(x + 0.25 * y) - base.drift(x)) / 0.25

@@ -35,9 +35,11 @@ class TestLift:
         sys_ = DerivativeSystem(make_family("deriv-linear").field)
         xy = np.array([[0.5, 2.0], [-1.0, 0.3]])
         want = -0.8 * xy[:, 1:]
+        at_x = sys_.base.evaluate(xy[:, :1], jac=True)
         for eps in (0.5, 0.01, 1e-4):
-            got = sys_.epsilon_system(eps).second_block(xy).drift
-            assert np.allclose(got, want, atol=1e-9)
+            got = sys_.difference_block(xy, eps, at_x)
+            assert np.allclose(got.drift, want, atol=1e-9)
+            assert np.array_equal(got.drift_jac, np.full((2, 1, 1), -0.8))
 
     def test_nonanalytic_base_rejected(self):
         bare = CoefficientField(

@@ -28,3 +28,5 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
         assert not missing, f"{mod.__name__}.__all__ names undefined {missing}"
         assert not REMOVED & (set(exported) | set(vars(mod))), mod.__name__
     assert not hasattr(roughflow.ReferenceMeasure, "hess_log_weight")
+    # the difference system's second block is DerivativeSystem.difference_block
+    assert not hasattr(roughflow.derivative.DerivativeSystem, "epsilon_system")
