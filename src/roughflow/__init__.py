@@ -21,6 +21,7 @@ from .coefficients import (
     FieldEval,
     MollifierSpec,
     StructuredCoefficient,
+    Swirl,
     condition_integrals,
     density_terms,
     mollified_convergence,

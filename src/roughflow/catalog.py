@@ -6,7 +6,8 @@ measures whose decay exponents respect the standing constraints
 (``alpha > q + n/2``; for block-structured fields additionally
 ``alpha1 > q + n1/2`` and ``alpha > alpha1 + n2/2``), each exceeding its
 bound by 0.5 (translation's measure keeps alpha = 1.5), and the mollifier
-quadrature it is smoothed with (``Family.mollifier``).  ``doubled_measure``
+it is smoothed with (``Family.mollifier``; its quadrature rule serves
+every family but log-singular).  ``doubled_measure``
 gives the measure of the doubled space of a derivative base under the same
 convention.
 
@@ -19,7 +20,11 @@ Families:
 * ``log-singular``      -- n = 2 divergence-free vortex drift with a
                            log-singular magnitude at the origin, compact
                            support, plus a linear restoring term.  Sobolev
-                           (W^{1,q}, q < 2) but locally unbounded.
+                           (W^{1,q}, q < 2) but locally unbounded.  Declared
+                           by its rotation symmetry (a ``Swirl``: -x plus
+                           the profile g(r) x^perp, sigma = noise I), so it
+                           is smoothed from a radial table, not by the
+                           mollifier quadrature.
 * ``partially-sobolev`` -- block-structured on R^2: second-block
                            coefficients have a step-function dependence on
                            x1 (no x1-Sobolev regularity) and weak
@@ -46,10 +51,10 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import (
-    CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, _smoothstep,
+    CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, Swirl, _smoothstep,
     _smoothstep_deriv, _step_band,
 )
-from .measure import ReferenceMeasure, sq_norm
+from .measure import ReferenceMeasure
 
 __all__ = ["Family", "make_family", "doubled_measure", "FAMILY_NAMES"]
 
@@ -171,65 +176,32 @@ def _zeta_deriv(r):
     return -2.0 * _smoothstep_deriv(2.0 - 2.0 * r)
 
 
+def _vortex_profile(r, beta: float, deriv: bool = False):
+    """g(r) = s(r) / r with s(r) = beta * log(1/r) * zeta(r) on 0 < r < 1, and
+    with ``deriv`` also g'(r): one pass over zeta's transition band 1/2 < r < 1
+    for zeta and zeta'."""
+    t = 2.0 - 2.0 * r
+    parts = _step_band(t)
+    zeta, logterm = _smoothstep(t, parts), -np.log(r)
+    s = beta * logterm * zeta
+    g = s / r
+    if not deriv:
+        return g
+    sp = beta * (-zeta / r + logterm * (-2.0 * _smoothstep_deriv(t, parts)))
+    return g, sp / r - s / r**2
+
+
 def _log_singular(beta: float, noise: float) -> CoefficientField:
     """Drift -x + beta*log(1/r)*zeta(r) * (rotation of x/r); sigma constant.
 
     The swirl is divergence-free, so div(b) = -2 exactly and the
     exponential-integrability condition only sees the log-singular
-    magnitude, which is integrable for p0 * beta < 2.
+    magnitude, which is integrable for p0 * beta < 2.  The field is declared
+    by its rotation symmetry (``Swirl``), so ``mollify`` smooths it from a
+    radial table.
     """
-
-    def swirl(r, deriv: bool = False):
-        # g(r) = s(r) / r with s(r) = beta * log(1/r) * zeta(r), the
-        # coefficient of x-perp, and with ``deriv`` also g'(r); zeta vanishes
-        # from r = 1 on, so everything runs on 0 < r < 1 only, with one pass
-        # over zeta's transition band 1/2 < r < 1 for zeta and zeta'
-        g, on = np.zeros(np.shape(r)), (r > 0) & (r < 1)
-        ro = r[on]
-        t = 2.0 - 2.0 * ro
-        parts = _step_band(t)
-        zeta, logterm = _smoothstep(t, parts), -np.log(ro)
-        s = beta * logterm * zeta
-        g[on] = s / ro
-        if not deriv:
-            return g
-        sp = beta * (-zeta / ro + logterm * (-2.0 * _smoothstep_deriv(t, parts)))
-        gp = np.zeros(np.shape(r))
-        gp[on] = sp / ro - s / ro**2
-        return g, gp
-
-    def drift_fn(x):
-        x0, x1 = x[..., 0], x[..., 1]
-        g = swirl(np.sqrt(x0 * x0 + x1 * x1))
-        return np.stack([-x0 - g * x1, -x1 + g * x0], axis=-1)
-
-    def drift_jac_fn(x):
-        r = np.sqrt(sq_norm(x))
-        g, gp = swirl(r, deriv=True)
-        perp = np.stack([-x[..., 1], x[..., 0]], axis=-1)
-        safe_r = np.where(r > 0, r, 1.0)
-        grad_g = gp[..., None] * x / safe_r[..., None]
-        jac = np.zeros(x.shape[:-1] + (2, 2))
-        jac[..., 0, 0] = -1.0
-        jac[..., 1, 1] = -1.0
-        jac += perp[..., :, None] * grad_g[..., None, :]
-        jac[..., 0, 1] += -g
-        jac[..., 1, 0] += g
-        return jac
-
-    def sigma_fn(x):
-        return np.broadcast_to(noise * np.eye(2), x.shape[:-1] + (2, 2)).copy()
-
-    def sigma_jac_fn(x):
-        return np.zeros(x.shape[:-1] + (2, 2, 2))
-
-    return CoefficientField(
-        dim_state=2, dim_noise=2,
-        sigma_fn=sigma_fn, drift_fn=drift_fn,
-        sigma_jac_fn=sigma_jac_fn, drift_jac_fn=drift_jac_fn,
-        name=f"log-singular(beta={beta:g})",
-        sigma_constant=True,
-    )
+    swirl = Swirl(_vortex_profile, (beta,), rate=1.0, noise=noise)
+    return swirl.field(name=f"log-singular(beta={beta:g})")
 
 
 # ---------------------------------------------------------------------------

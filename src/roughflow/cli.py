@@ -415,6 +415,13 @@ def _derivative_needs(cfg: ExperimentConfig) -> Optional[str]:
         return f"n_omega * n_x >= 2, got {cfg.n_omega * cfg.n_x}"
 
 
+def _stability_needs(cfg: ExperimentConfig) -> Optional[str]:
+    # an affine family is its own smoothing: its metrics are rounding noise
+    if make_family(cfg.family).affine:
+        return (f"a family that smoothing changes; family {cfg.family!r} has affine "
+                "coefficients, which the mollifier reproduces")
+
+
 @dataclass(frozen=True)
 class _Kind:
     """``runner(cfg, out, budget_scale, printer)`` returns the check records;
@@ -430,7 +437,7 @@ class _Kind:
 KINDS = {
     "simulate": _Kind(_reported(_run_simulate), "linear"),
     "density": _Kind(_reported(_run_density), "linear"),
-    "stability": _Kind(_reported(_run_stability), "log-singular"),
+    "stability": _Kind(_reported(_run_stability), "log-singular", needs=_stability_needs),
     "derivative": _Kind(_reported(_run_derivative), "deriv-smooth", doubled=True,
                         needs=_derivative_needs),
     "analysis": _Kind(_reported(_run_analysis), None),

@@ -19,7 +19,8 @@ provides
   ``mollify`` is the one smoothing entry: it smooths every row of a plain
   field and the second block of a structured one, packing sigma and b into
   one function, so an evaluation costs one quadrature pass over the rough
-  field;
+  field, except for a planar field that declares its rotation symmetry
+  (``Swirl``), whose smoothing is read from a radial table with no pass;
 * ``density_terms``, the terms of the exponent of the pathwise push-forward
   density from one ``FieldEval``: the noise term, the drift term and, given
   a difference step, the Ito-Taylor coefficient of the noise term;
@@ -49,6 +50,7 @@ __all__ = [
     "FieldEval",
     "StructuredCoefficient",
     "FieldBlocks",
+    "Swirl",
     "MollifierSpec",
     "mollify",
     "density_terms",
@@ -60,6 +62,10 @@ __all__ = [
 
 _MAX_EVAL_BLOCK = 2**14  # rough-callable points per quadrature chunk: temporaries stay in cache
 _CONDITION_STAGES = 3    # doubling budgets of a condition integral
+_SWIRL_RADII = 16        # swirl table radii per unit length and unit of level
+_SWIRL_RHO = 24          # Gauss-Legendre nodes of a table radius's annulus in rho
+_SWIRL_THETA = 16        # Gauss-Legendre nodes in the angle
+_SWIRL_BLOCK = 16        # table radii per build block: (radii, rho, theta) temporaries stay small
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +101,14 @@ class CoefficientField:
     returns the requested components, with their Jacobians when ``jac`` is
     set, in one ``FieldEval``.  Here it calls the ``*_fn`` callables and
     checks the value shapes; a field smoothed by ``mollify`` evaluates by
-    one quadrature pass instead, and a ``StructuredCoefficient`` from its
-    block record (neither carries the callables, so ``is_analytic`` is
-    False for them).  ``evaluate`` and the accessors call ``_eval``.  A
-    field without Jacobian callables is never differenced (its coefficients
-    may jump): asking for a Jacobian raises a ``ValueError`` naming it, and
-    ``mollify`` gives a differentiable field.  Fields are immutable in
+    one quadrature pass (or its swirl table) instead, and a
+    ``StructuredCoefficient`` from its block record (neither carries the
+    callables, so ``is_analytic`` is False for them).  A field built by
+    ``Swirl.field`` carries its declaration in ``swirl``.  ``evaluate`` and
+    the accessors call ``_eval``.  A field without Jacobian callables is
+    never differenced (its coefficients may jump): asking for a Jacobian
+    raises a ``ValueError`` naming it, and ``mollify`` gives a
+    differentiable field.  Fields are immutable in
     practice: evaluation never mutates state, so a field instance is safe
     for concurrent use.
     """
@@ -113,6 +121,7 @@ class CoefficientField:
     drift_jac_fn: Optional[Callable] = None
     name: str = ""
     sigma_constant: bool = False  # sigma is read at one point (smoothing, density terms)
+    swirl: Optional["Swirl"] = None  # the field's rotation symmetry: smoothing reads a table
 
     # -- evaluation --------------------------------------------------------
 
@@ -162,7 +171,7 @@ class CoefficientField:
 
     @property
     def is_smoothed(self) -> bool:
-        """Built by ``mollify``: one quadrature pass gives values and Jacobians."""
+        """Built by ``mollify``: one call gives values and Jacobians."""
         return isinstance(self._eval, _Smoother)
 
     def sigma_divergence(self, x) -> NDArray[np.float64]:
@@ -300,6 +309,67 @@ class StructuredCoefficient(CoefficientField):
         return FieldEval(ev.sigma, ev.drift, ev.sigma_jac[..., n1:], ev.drift_jac[..., n1:])
 
 
+@dataclass(frozen=True)
+class Swirl:
+    """A planar field declared by its rotation symmetry: sigma = noise I and
+    ``b = -rate x + g(r) x^perp`` with ``x^perp = (-x2, x1)``, the swirl
+    profile g vanishing from ``r = radius`` on.
+
+    ``profile(r, *params, deriv=False)`` gives g, or ``(g, g')`` with
+    ``deriv``, at radii ``0 < r < radius``; it is a module-level function,
+    so ``(profile, params)`` names a profile by value.  ``field`` builds the
+    rough field, and ``mollify`` smooths it through the symmetry instead of
+    by quadrature: the kernel is radial, so ``(b * chi_k)(x) = -rate x +
+    h_k(r) x^perp / r``, with the 1-D profile ``h_k`` read from a table
+    built once per profile, level and kernel shape (``_swirl_table``).
+    """
+
+    profile: Callable
+    params: tuple
+    rate: float
+    noise: float
+    radius: float = 1.0
+
+    def radial(self, r, deriv: bool = False) -> NDArray[np.float64]:
+        """Rows g (and g' with ``deriv``) at radii ``r``, zero off 0 < r < radius."""
+        on = (r > 0) & (r < self.radius)
+        out = np.zeros((1 + deriv,) + np.shape(r))
+        out[:, on] = self.profile(r[on], *self.params, deriv=deriv)
+        return out
+
+    def field(self, name: str = "") -> CoefficientField:
+        """The rough field: a declared-constant sigma, b and both Jacobians."""
+        rate, noise = self.rate, self.noise
+
+        def sigma_fn(x):
+            return np.broadcast_to(noise * np.eye(2), x.shape[:-1] + (2, 2)).copy()
+
+        def sigma_jac_fn(x):
+            return np.zeros(x.shape[:-1] + (2, 2, 2))
+
+        def drift_fn(x):
+            x0, x1 = x[..., 0], x[..., 1]
+            g = self.radial(np.sqrt(x0 * x0 + x1 * x1))[0]
+            return np.stack([-rate * x0 - g * x1, -rate * x1 + g * x0], axis=-1)
+
+        def drift_jac_fn(x):
+            r = np.sqrt(sq_norm(x))
+            g, gp = self.radial(r, deriv=True)
+            perp = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+            safe_r = np.where(r > 0, r, 1.0)
+            grad_g = gp[..., None] * x / safe_r[..., None]
+            jac = np.zeros(x.shape[:-1] + (2, 2))
+            jac[..., 0, 0] = -rate
+            jac[..., 1, 1] = -rate
+            jac += perp[..., :, None] * grad_g[..., None, :]
+            jac[..., 0, 1] += -g
+            jac[..., 1, 0] += g
+            return jac
+
+        return CoefficientField(2, 2, sigma_fn, drift_fn, sigma_jac_fn, drift_jac_fn,
+                                name=name, sigma_constant=True, swirl=self)
+
+
 # ---------------------------------------------------------------------------
 # mollifiers
 # ---------------------------------------------------------------------------
@@ -376,6 +446,8 @@ class MollifierSpec:
     points.  A pass split into two column blocks contracts a function in
     term form through the same weights scattered over the blocks' offset
     grids (``_contract``).  ``order``/``panels`` trade accuracy for cost.
+    A ``Swirl`` field's smoothing reads only ``level`` and ``shape``: its
+    table integrates the continuum kernel, with no node of this rule.
     """
 
     dim: int
@@ -462,10 +534,16 @@ class MollifierSpec:
         """psi_k(x): 1 on B(k), 0 outside B(2k), smooth in between.
 
         With ``grad``, ``(psi_k, grad psi_k)`` from one norm and one pass
-        over the transition band.
+        over the transition band.  When every point lies in B(k) (a nan does
+        not) there is no band: psi is 1 and its gradient the band path's
+        signed zeros, bitwise.
         """
         pts = as_points(x, self.dim, "mollifier")
-        r = np.sqrt(sq_norm(pts))
+        sq = sq_norm(pts)
+        if np.all(sq <= self.level * self.level):
+            psi = np.ones(sq.shape)
+            return (psi, pts * -0.0) if grad else psi
+        r = np.sqrt(sq)
         t = 2.0 - r / self.level
         parts = _step_band(t)
         psi = _smoothstep(t, parts)
@@ -624,9 +702,10 @@ class _Smoother:
     block, ``split=()``) or, for a structured field, its ``_terms`` of the
     block coordinates ``(x1, x2)`` (``split=(n1,)``); its sigma has shape
     ``sigma_shape``.  A call packs the requested rough components into one
-    function of the quadrature's grids, so that one quadrature pass serves
-    them all: the values concatenated on the shifted points, or one part of
-    terms per component on the block grids.  ``convolve`` gives the values,
+    function of the quadrature's grids, so that one quadrature pass
+    (``_convolved``) serves them all: the values concatenated on the shifted
+    points, or one part of terms per component on the block grids.
+    ``convolve`` gives the values,
     ``convolve_with_grad`` the Jacobian ``(f * grad chi_k) psi_k + (f *
     chi_k) grad psi_k``, whose product rule needs the values, so a call
     returns the values with every Jacobian.  For a declared-constant sigma
@@ -640,27 +719,32 @@ class _Smoother:
         self.spec, self.rough, self.sigma0, self.split = spec, rough, sigma0, split
         self.shapes = dict(sigma=sigma_shape, drift=sigma_shape[:1])
 
+    def _convolved(self, pts, names, jac: bool):
+        """``f * chi_k`` of the named components, flattened and concatenated on
+        the last axis, with its gradient (None without ``jac``): one pass."""
+        def packed(*grids):
+            ev = self.rough(*grids, "sigma" in names, "drift" in names)
+            if self.split:  # one part of terms per component
+                return [getattr(ev, name) for name in names]
+            lead = grids[0].shape[:-1]
+            cols = [np.broadcast_to(np.asarray(getattr(ev, name), dtype=np.float64),
+                                    lead + self.shapes[name]).reshape(lead + (-1,))
+                    for name in names]
+            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+
+        if jac:
+            return self.spec.convolve_with_grad(packed, pts, self.split)
+        return self.spec.convolve(packed, pts, self.split), None
+
     def __call__(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         spec, out = self.spec, FieldEval(None, None)
         psi, dpsi = spec.cutoff(pts, grad=True) if jac else (spec.cutoff(pts), None)
         names = [name for name, on in (("sigma", sigma and self.sigma0 is None),
                                        ("drift", drift)) if on]
         if names:
-            def packed(*grids):
-                ev = self.rough(*grids, "sigma" in names, drift)
-                if self.split:  # one part of terms per component
-                    return [getattr(ev, name) for name in names]
-                lead = grids[0].shape[:-1]
-                cols = [np.broadcast_to(np.asarray(getattr(ev, name), dtype=np.float64),
-                                        lead + self.shapes[name]).reshape(lead + (-1,))
-                        for name in names]
-                return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
-
+            conv, grad = self._convolved(pts, names, jac)
             if jac:
-                conv, grad = spec.convolve_with_grad(packed, pts, self.split)
                 grad = grad * psi[..., None, None] + conv[..., None] * dpsi[..., None, :]
-            else:
-                conv = spec.convolve(packed, pts, self.split)
             val, lead, start = conv * psi[..., None], pts.shape[:-1], 0
             for name in names:
                 shape = self.shapes[name]
@@ -678,26 +762,132 @@ class _Smoother:
         return out
 
 
+@functools.lru_cache(maxsize=64)
+def _swirl_table(profile: Callable, params: tuple, radius: float, level: float,
+                 shape: float):
+    """``(dr, reach, coef)``: the smoothed swirl profile ``h_k`` as a cubic
+    Hermite spline on the uniform radii ``0, dr, ..., reach = radius + 1/k``
+    (``_SWIRL_RADII`` per unit length and unit of level), ``coef[i]`` its
+    coefficients in ``t = r/dr - i`` on interval i.  Built once per profile,
+    level and kernel shape, in blocks of ``_SWIRL_BLOCK`` radii.
+
+    At ``r e1`` the swirl's convolution points along e2 with length ``h_k(r)
+    = int g(rho) rho^2 K1(r, rho) d rho``, where ``K1 = 2 int_0^thmax
+    chi_k(d) cos(th) d th``, ``d^2 = r^2 + rho^2 - 2 r rho cos(th)`` and
+    thmax is where the circle of radius rho leaves the kernel ball B(r e1,
+    1/k).  rho runs over the annulus ``[r - 1/k, r + 1/k] ∩ [0, radius]``,
+    and both integrals take Gauss-Legendre nodes.  ``h_k'`` takes ``d_r K1``,
+    with ``chi_k'(d) / d = -2 shape k^2 chi_k(d) / (1 - k^2 d^2)^2``, so no
+    division by d.  ``h_k(0) = 0`` by symmetry, and h_k vanishes from reach on.
+    """
+    k, kk = level, level * level
+    reach = radius + 1.0 / k
+    n = int(np.ceil(_SWIRL_RADII * k * reach)) + 1
+    radii = np.linspace(0.0, reach, n)
+    h, hp = np.zeros(n), np.zeros(n)
+    x_rho, w_rho = special.roots_legendre(_SWIRL_RHO)
+    x_th, w_th = special.roots_legendre(_SWIRL_THETA)
+    mass = kk / _bump_mass(2, shape)
+    for start in range(0, n - 1, _SWIRL_BLOCK):  # h = h' = 0 at reach
+        r = radii[start:min(start + _SWIRL_BLOCK, n - 1), None]           # (B, 1)
+        lo, hi = np.maximum(r - 1.0 / k, 0.0), np.minimum(r + 1.0 / k, radius)
+        half = (hi - lo) / 2.0
+        rho = lo + half * (x_rho + 1.0)                                   # (B, P)
+        weight = half * w_rho * profile(rho, *params) * rho * rho
+        # cos(thmax); at r = 0 the whole circle lies in the ball (rho < 1/k)
+        cmax = np.divide(r * r + rho * rho - 1.0 / kk, 2.0 * r * rho,
+                         out=np.full(rho.shape, -1.0), where=r > 0.0)
+        thmax = np.arccos(np.clip(cmax, -1.0, 1.0))[..., None]
+        cos = np.cos(thmax / 2.0 * (x_th + 1.0))                          # (B, P, T)
+        r3, rho3 = r[..., None], rho[..., None]
+        u = 1.0 - kk * (r3 * r3 + rho3 * rho3 - 2.0 * r3 * rho3 * cos)   # 1 - k^2 d^2
+        chi, dchi = np.zeros((2,) + u.shape)                              # chi_k, chi_k'(d) / d
+        on = u > 0.0
+        chi[on] = mass * np.exp(-shape / u[on])
+        on = chi > 0.0
+        dchi[on] = -2.0 * shape * kk * chi[on] / u[on] ** 2
+        w = thmax * w_th * cos                                            # 2 (thmax / 2) w cos
+        block = slice(start, start + len(r))
+        h[block] = np.sum(weight * np.sum(w * chi, axis=-1), axis=-1)
+        hp[block] = np.sum(weight * np.sum(w * dchi * (r3 - rho3 * cos), axis=-1), axis=-1)
+    h[0] = 0.0
+    dr = radii[1]
+    m0, m1, a = dr * hp[:-1], dr * hp[1:], h[1:] - h[:-1]
+    coef = np.stack([h[:-1], m0, 3.0 * a - 2.0 * m0 - m1, m0 + m1 - 2.0 * a], axis=-1)
+    coef.flags.writeable = False  # one cached table serves every caller
+    return dr, reach, coef
+
+
+class _SwirlSmoother(_Smoother):
+    """``(b * chi_k) psi_k`` of a ``Swirl`` field from its table, with
+    sigma_k = noise I psi_k: no quadrature pass.
+
+    Within the table's reach the convolved drift is ``-rate x + H x^perp``
+    with ``H = h_k / r`` (``h_k'(0)`` at r = 0), h_k the cubic Hermite spline
+    of ``_swirl_table``; its Jacobian ``-rate I + H R + (h_k' - H) e^perp
+    (x) e``, ``e = x / r`` and R the quarter turn, takes the spline's own
+    derivative.  From the reach on H = 0, so the drift is exactly ``-rate x``
+    before the cutoff.  Every operation is per point, so a state's value does
+    not depend on the batch it comes in.
+    """
+
+    def __init__(self, spec: MollifierSpec, swirl: Swirl):
+        super().__init__(spec, None, (2, 2), swirl.noise * np.eye(2))
+        self.swirl = swirl
+
+    def _convolved(self, pts, names, jac: bool):
+        sw, spec = self.swirl, self.spec
+        dr, reach, coef = _swirl_table(sw.profile, sw.params, sw.radius, spec.level, spec.shape)
+        x0, x1 = pts[..., 0], pts[..., 1]
+        r = np.sqrt(sq_norm(pts))
+        inside = r < reach  # a nan is not
+        ri = r[inside]
+        s = ri / dr
+        i = np.minimum(s.astype(np.intp), len(coef) - 1)
+        t = s - i
+        c0, c1, c2, c3 = coef[i].T
+        q = c1 + t * (c2 + t * c3)
+        pos = ri > 0.0
+        H = np.zeros(r.shape)
+        H[inside] = np.where(pos, (c0 + t * q) / np.where(pos, ri, 1.0), c1 / dr)
+        conv = np.stack([-sw.rate * x0 - H * x1, -sw.rate * x1 + H * x0], axis=-1)
+        if not jac:
+            return conv, None
+        D = np.zeros(r.shape)  # h_k' - H
+        D[inside] = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) / dr - H[inside]
+        safe = np.where(r > 0.0, r, 1.0)
+        e0, e1 = x0 / safe, x1 / safe
+        grad = np.empty(r.shape + (2, 2))
+        grad[..., 0, 0] = -sw.rate - D * e1 * e0
+        grad[..., 0, 1] = -H - D * e1 * e1
+        grad[..., 1, 0] = H + D * e0 * e0
+        grad[..., 1, 1] = -sw.rate + D * e0 * e1
+        return conv, grad
+
+
 def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     """Smooth a field: ``f_k = (f * chi_k) psi_k`` with analytic derivatives.
 
     Derivatives come from ``f * grad(chi_k)`` plus the product rule with
     ``grad(psi_k)``; the rough field is never differenced.  Every row of a
-    plain field is smoothed.  Of a structured field only the second block
-    is: the first block needs no regularization for the partial-Sobolev
-    theory, so it is kept as is and the first-block flow is identical
-    across smoothing levels.  The smoothed second block is genuinely
-    differentiable in the first variables as well, and the full Jacobian is
-    returned for it.  A structured field without first-block Jacobians is
-    rejected, and so is an already smoothed one (its block record holds the
-    rough second block).
+    plain field is smoothed, by one quadrature pass per evaluation; a field
+    declaring a ``Swirl`` is smoothed from its table instead
+    (``_SwirlSmoother``: no pass, the spec's level and kernel shape only).
+    Of a structured field only the second block is: the first block needs
+    no regularization for the partial-Sobolev theory, so it is kept as is
+    and the first-block flow is identical across smoothing levels.  The
+    smoothed second block is genuinely differentiable in the first
+    variables as well, and the full Jacobian is returned for it.  A
+    structured field without first-block Jacobians is rejected, and so is
+    an already smoothed one (its block record holds the rough second block).
     """
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
     n, m = field.dim_state, field.dim_noise
     if not isinstance(field, StructuredCoefficient):
         smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
-        smooth._eval = _Smoother(spec, field._eval, (n, m), field.constant_sigma())
+        smooth._eval = (_SwirlSmoother(spec, field.swirl) if field.swirl is not None
+                        else _Smoother(spec, field._eval, (n, m), field.constant_sigma()))
         return smooth
     if field.blocks.sigma1_jac is None or field.blocks.drift1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")

@@ -232,15 +232,18 @@ class TestMain:
     def test_stability_rejects_a_family_smoothing_reproduces(self, tmp_path, capsys,
                                                             family):
         # an affine family is its own smoothing: every Cauchy and uniqueness
-        # metric is rounding noise (6.9e-18 on linear), not a verdict
-        cfg = tmp_path / "cfg.json"
+        # metric is rounding noise (6.9e-18 on linear), not a verdict; the
+        # config is rejected before the output directory exists
+        cfg, out = tmp_path / "cfg.json", tmp_path / "D"
         ExperimentConfig(kind="stability", family=family, seed=4, n_omega=2, n_x=4,
                          T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
-                         mc_budget=500, out=str(tmp_path)).dump(cfg)
+                         mc_budget=500, out=str(out)).dump(cfg)
         assert main(["stability", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"family {family!r}" in err and "the mollifier reproduces" in err
-        assert not (tmp_path / "summary.json").exists()
+        assert not out.exists()
+        assert main(["stability", "--family", family, "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind,raw,match", [
         ("stability", {"family": "log-singular", "k_list": [2.0]}, "k_list needs"),

@@ -1,5 +1,6 @@
 """Coefficient fields, mollification, and the density-exponent functionals."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,30 @@ class TestMollifierSpec:
                        for j in range(2)], axis=-1) / 2e-6
         assert np.allclose(grad, fd, atol=1e-6)
 
+    @pytest.mark.parametrize("level", [1.0, 2.5, 3.0])
+    def test_cutoff_plateau_fast_path_is_the_band_path_bitwise(self, level):
+        # points in B(k), exactly at r = k among them, take the fast path
+        # alone; with a band point, outside-B(2k) point or nan in the batch
+        # every point takes the band path, which must give the same bytes
+        spec = MollifierSpec(dim=2, level=level, order=8, panels=1)
+        rng = derive_rng(2, f"plateau-{level}")
+        inner = rng.uniform(-1, 1, size=(60, 2)) * (level / np.sqrt(2))
+        inner[:6] = [[0.0, 0.0], [-0.0, 0.0], [level, 0.0], [0.0, -level],
+                     [-level, -0.0], [0.6 * level, 0.8 * level]]
+        fast = spec.cutoff(inner, grad=True)
+        assert np.array_equal(fast[0], np.ones(60)) and not np.any(fast[1])
+        for other, psi_other in (([1.5 * level, 0.0], None), ([0.0, 2.5 * level], 0.0),
+                                 ([np.nan, 0.0], np.nan)):
+            psi, grad = spec.cutoff(np.concatenate([inner, [other]]), grad=True)
+            assert psi[:-1].tobytes() == fast[0].tobytes()
+            assert grad[:-1].tobytes() == fast[1].tobytes()
+            assert spec.cutoff(np.concatenate([inner, [other]]))[:-1].tobytes() == (
+                spec.cutoff(inner).tobytes())
+            if psi_other is None:
+                assert 0.0 < psi[-1] < 1.0 and np.any(grad[-1])
+            else:
+                assert np.array_equal(psi[-1], psi_other, equal_nan=True)
+
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
             MollifierSpec(dim=1, level=0.5)
@@ -128,9 +153,11 @@ class TestMollify:
         assert np.allclose(smooth.drift(x), x, atol=1e-13)
 
     def test_log_singular_value_vs_quadrature_oracle(self):
+        # the fixed-node engine on log-singular's rough callables (without its
+        # swirl declaration, which smooths from a table: see TestSwirlTable)
         fam = make_family("log-singular")
         spec = MollifierSpec(dim=2, level=8.0, order=32, panels=2)
-        smooth = mollify(fam.field, spec)
+        smooth = mollify(_quadrature_field(fam.field), spec)
         x = np.array([[0.01, 0.0]])
         got = smooth.drift(x)[0]
 
@@ -178,6 +205,141 @@ class TestMollify:
             smooth.sigma(pts)[:, :1, :], fam.field.sigma(pts)[:, :1, :]
         )
         assert np.allclose(smooth.drift(pts)[:, 0], fam.field.drift(pts)[:, 0])
+
+
+def _polar_oracle(x, level, shape, beta=1.2):
+    """log-singular's ``(b * chi_k)(x)`` by adaptive 2-D quadrature in polar
+    coordinates y = rho e_theta about the origin: -x plus the swirl, whose
+    theta runs over the arc of the circle of radius rho inside B(x, 1/k)."""
+    r, phi = math.hypot(*x), math.atan2(x[1], x[0])
+    k, mass = level, level * level / _bump_mass(2, shape)
+
+    def zeta(rho):
+        t = 2.0 - 2.0 * rho
+        if t >= 1.0 or t <= 0.0:
+            return float(t >= 1.0)
+        a, b = math.exp(-1.0 / t), math.exp(-1.0 / (1.0 - t))
+        return a / (a + b)
+
+    def arc(rho):
+        c = (r * r + rho * rho - 1.0 / (k * k)) / (2.0 * r * rho) if r > 0 else -1.0
+        return math.acos(min(1.0, max(-1.0, c)))
+
+    def swirl(axis):
+        def fn(th, rho):
+            u = 1.0 - k * k * (r * r + rho * rho - 2.0 * r * rho * math.cos(th - phi))
+            if u <= 0.0:
+                return 0.0
+            perp = -math.sin(th) if axis == 0 else math.cos(th)
+            g = beta * math.log(1.0 / rho) * zeta(rho) / rho
+            return g * rho * perp * mass * math.exp(-shape / u) * rho
+
+        return fn
+
+    lo, hi = max(r - 1.0 / k, 0.0), min(r + 1.0 / k, 1.0)
+    return -np.asarray(x) + np.array([
+        integrate.dblquad(swirl(axis), lo, hi, lambda rho: phi - arc(rho),
+                          lambda rho: phi + arc(rho), epsabs=1e-9, epsrel=1e-9)[0]
+        for axis in range(2)])
+
+
+class TestSwirlTable:
+    """log-singular declares its rotation symmetry (``Swirl``), so ``mollify``
+    smooths it from a radial table: b_k = (-x + h_k(r) x^perp / r) psi_k."""
+
+    @pytest.mark.parametrize("x,level,shape", [
+        ((-0.046, 0.157), 2.0, 1.0), ((-0.046, 0.157), 16.0, 1.0),
+        ((-0.046, 0.157), 16.0, 3.0), ((0.01, 0.0), 16.0, 1.0),
+        ((0.6, -0.35), 4.0, 1.0), ((0.0, 0.5), 2.0, 3.0),
+    ])
+    def test_value_vs_polar_oracle(self, x, level, shape):
+        # at (-0.046, 0.157) and k = 2 the family's quadrature rule misses b1
+        # by 0.09 (-0.637 against -0.5475); psi_k = 1 at every state here
+        fam = make_family("log-singular")
+        smooth = mollify(fam.field, replace(fam.mollifier(level), shape=shape))
+        got = smooth.drift(np.array([x]))[0]
+        assert np.max(np.abs(got - _polar_oracle(x, level, shape))) <= 5e-5
+
+    @pytest.mark.parametrize("shape", [1.0, 3.0])
+    @pytest.mark.parametrize("level", [2.0, 16.0])
+    def test_jacobian_is_the_values_derivative(self, level, shape):
+        fam = make_family("log-singular")
+        spec = replace(fam.mollifier(level), shape=shape)
+        smooth = mollify(fam.field, spec)
+        rng = derive_rng(30, f"swirl-jac-{level}-{shape}")
+        # within the table's reach 1 + 1/k, and through the cutoff band
+        r = (1.0 + 1.0 / level) * np.sqrt(rng.uniform(0.0, 1.0, 300))
+        a = rng.uniform(0.0, 2.0 * np.pi, 300)
+        pts = np.concatenate([np.stack([r * np.cos(a), r * np.sin(a)], axis=-1),
+                              rng.uniform(-2.2 * level, 2.2 * level, (100, 2))])
+        ev = smooth.evaluate(pts, jac=True)
+        h = 1e-6
+        fd = np.stack([(smooth.drift(pts + h * e) - smooth.drift(pts - h * e)) / (2 * h)
+                       for e in np.eye(2)], axis=-1)
+        # the spline is C^1: a difference across a knot sees its h'' jump
+        assert np.allclose(ev.drift_jac, fd, rtol=1e-6, atol=1e-6)
+        assert np.array_equal(ev.sigma, np.broadcast_to(0.3 * np.eye(2), (400, 2, 2))
+                              * spec.cutoff(pts)[:, None, None])
+
+    @pytest.mark.parametrize("level", [2.0, 16.0])
+    def test_origin_and_beyond_the_reach(self, level):
+        fam = make_family("log-singular")
+        spec = fam.mollifier(level)
+        smooth = mollify(fam.field, spec)
+        # at r = 0: b = 0 and the Jacobian is -I + h_k'(0) R, the limit r -> 0
+        ev = smooth.evaluate(np.array([[0.0, 0.0], [1e-9, 0.0]]), jac=True)
+        assert not np.any(ev.drift[0])
+        jac, near = ev.drift_jac
+        assert jac[0, 0] == jac[1, 1] == -1.0 and jac[1, 0] == -jac[0, 1] > 0.0
+        assert np.allclose(jac, near, rtol=1e-9, atol=0.0)
+        # from r = 1 + 1/k on the swirl's smoothing vanishes: exactly -x psi_k
+        reach = 1.0 + 1.0 / level
+        rng = derive_rng(31, f"swirl-far-{level}")
+        a = rng.uniform(0.0, 2.0 * np.pi, 200)
+        r = np.concatenate([[reach, np.nextafter(reach, 3.0)],
+                            rng.uniform(reach, 2.5 * level, 198)])
+        far = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
+        far[0] = (reach, 0.0)
+        ev = smooth.evaluate(far, jac=True)
+        psi, dpsi = spec.cutoff(far, grad=True)
+        assert np.array_equal(ev.drift, -far * psi[:, None])
+        assert np.array_equal(ev.drift_jac, -np.eye(2) * psi[:, None, None]
+                              + (-far)[:, :, None] * dpsi[:, None, :])
+
+    def test_one_table_per_profile_level_and_shape(self):
+        coefficients._swirl_table.cache_clear()
+        x = np.array([[0.1, 0.2]])
+
+        def builds():
+            return coefficients._swirl_table.cache_info().misses
+
+        fam = make_family("log-singular")
+        smooth = mollify(fam.field, fam.mollifier(4.0))
+        assert builds() == 0  # built lazily, at the first evaluation
+        for _ in range(2):
+            for field in (fam.field, make_family("log-singular").field):
+                mollify(field, fam.mollifier(4.0)).evaluate(x, jac=True)
+                smooth.drift(x)
+        assert builds() == 1
+        mollify(fam.field, replace(fam.mollifier(4.0), shape=3.0)).drift(x)
+        mollify(fam.field, fam.mollifier(8.0)).drift(x)
+        mollify(make_family("log-singular", beta=0.8).field, fam.mollifier(4.0)).drift(x)
+        assert builds() == 4
+        # the noise is no part of the table's key
+        mollify(make_family("log-singular", noise=0.5).field, fam.mollifier(4.0)).drift(x)
+        assert builds() == 4
+
+    def test_evaluation_independent_of_batch(self):
+        fam, field = _field_for("log-singular", "mollify")
+        pts = fam.measure.sample(derive_rng(32, "swirl-batch"), 300)
+        pts[:3] = [[0.0, 0.0], [np.nan, 0.1], [3.0, 4.0]]
+        whole = field.evaluate(pts, jac=True)
+        for part in ("sigma", "drift", "sigma_jac", "drift_jac"):
+            one = np.concatenate([getattr(field.evaluate(p[None], jac=True), part)
+                                  for p in pts])
+            grid = getattr(field.evaluate(pts.reshape(20, 15, 2), jac=True), part)
+            assert one.tobytes() == getattr(whole, part).tobytes()
+            assert grid.reshape(one.shape).tobytes() == one.tobytes()
 
 
 class TestStructuredBlocks:
@@ -616,9 +778,19 @@ class TestSmoothstep:
 _MOLLIFIED_SPEC = dict(level=4.0)  # order 32, two panels: gradient weights accurate to ~1e-8
 
 
+def _quadrature_field(field):
+    """``field`` for the quadrature path: a swirl field's rough callables as a
+    plain field with no swirl declaration, any other field as it is."""
+    return field if field.swirl is None else replace(field, swirl=None)
+
+
 def _field_for(name, smoothing):
+    """The family and its field: rough (``plain``), smoothed (``mollify``) or
+    smoothed by quadrature (``quadrature``, ``_quadrature_field``)."""
     fam = make_family(name)
     field = fam.field
+    if smoothing == "quadrature":
+        field = _quadrature_field(field)
     if smoothing != "plain":
         field = mollify(field, MollifierSpec(dim=field.dim_state, **_MOLLIFIED_SPEC))
     return fam, field
@@ -667,7 +839,7 @@ class TestBallNodes:
     def test_evaluate_matches_full_cube_rule(self, monkeypatch, name, level):
         fam = make_family(name)
         spec = fam.mollifier(level)
-        field = mollify(fam.field, spec)
+        field = mollify(_quadrature_field(fam.field), spec)
         pts = fam.measure.sample(derive_rng(14, f"cube-{name}"), 400)
         got = field.evaluate(pts, jac=True)
         nodes, weights = _full_cube_rule(spec)
@@ -685,7 +857,7 @@ class TestBallNodes:
 class TestQuadratureBlocks:
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     def test_evaluation_independent_of_block_size(self, monkeypatch, name):
-        fam, field = _field_for(name, "mollify")
+        fam, field = _field_for(name, "quadrature")
         pts = fam.measure.sample(derive_rng(15, f"blocks-{name}"), 300)
         # more than one chunk at the default size: the rough callables see
         # Q shifted points per state on the plain path, G1 + G2 block
@@ -910,7 +1082,7 @@ class TestQuadraturePassBudget:
     def test_one_pass_per_step_and_per_track(self, passes, name, track_passes):
         # the step's pass serves the density exponent too; a track adds only
         # the sigma-divergence difference of a non-constant sigma (one block)
-        fam, field = _field_for(name, "mollify")
+        fam, field = _field_for(name, "quadrature")
         n_steps = 8
         drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, 3, seed=4)
         x0 = fam.measure.sample(derive_rng(11, f"passes-{name}"), 5)
@@ -919,3 +1091,12 @@ class TestQuadraturePassBudget:
         passes["n"] = 0
         integrate_flow(field, drv, x0, n_steps * drv.dt, density=fam.measure)
         assert passes["n"] == n_steps + track_passes
+
+    def test_swirl_field_makes_no_pass(self, passes):
+        # log-singular smooths from its table, still one evaluation per step
+        fam, field = _field_for("log-singular", "mollify")
+        assert field.is_smoothed
+        drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, 8, 3, seed=4)
+        x0 = fam.measure.sample(derive_rng(11, "passes-swirl"), 5)
+        ens = integrate_flow(field, drv, x0, 8 * drv.dt, density=fam.measure)
+        assert passes["n"] == 0 and np.all(ens.density.valid)

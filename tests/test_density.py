@@ -1,5 +1,7 @@
 """Pathwise density tracking, pullback estimators, and theoretical bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate as sci
@@ -121,14 +123,19 @@ class TestTrackInIntegrate:
 
     @pytest.mark.parametrize("steps_per_block", [3, None])  # None: one block
     @pytest.mark.parametrize("name,smoothed", [
-        ("log-singular", True), ("partially-sobolev", True), ("deriv-smooth", True),
-        ("linear", False), ("partially-sobolev", False),
+        # log-singular smooths from its swirl table, or by quadrature
+        # ("quadrature") with its rough callables as a field without the table
+        ("log-singular", True), ("log-singular", "quadrature"), ("partially-sobolev", True),
+        ("deriv-smooth", True), ("linear", False), ("partially-sobolev", False),
     ])
     def test_bitwise_equal_to_block_reevaluation(self, monkeypatch, name, smoothed,
                                                  steps_per_block):
         fam = make_family(name)
-        field = mollify(fam.field, fam.mollifier(4.0)) if smoothed else fam.field
-        assert field.is_smoothed == smoothed
+        field = fam.field
+        if smoothed == "quadrature":
+            field = replace(field, swirl=None)
+        field = mollify(field, fam.mollifier(4.0)) if smoothed else field
+        assert field.is_smoothed == bool(smoothed)
         n_omega, n_x, n_steps = 3, 5, 11
         per_block = steps_per_block or n_steps
         monkeypatch.setattr(flow, "_TRACK_BLOCK_STATES", n_omega * n_x * per_block)

@@ -192,9 +192,18 @@ class TestQuadraturePassBudget:
             monkeypatch.setattr(MollifierSpec, attr, counted)
         return count
 
+    @staticmethod
+    def family(name, quadrature):
+        """The family; with ``quadrature``, log-singular's rough callables as a
+        plain field with no swirl declaration, so smoothing takes quadrature."""
+        fam = make_family(name)
+        if quadrature and fam.field.swirl is not None:
+            fam = replace(fam, field=replace(fam.field, swirl=None))
+        return fam
+
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     def test_bound_makes_three_passes(self, passes, name):
-        fam = make_family(name)
+        fam = self.family(name, quadrature=True)
         fk, fl = (mollify(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
                   for k in (2.0, 4.0))
         stability_bound(fk, fl, 2.0, fam.q, 500)
@@ -202,7 +211,7 @@ class TestQuadraturePassBudget:
 
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     def test_cauchy_pays_only_flows_and_bound(self, passes, name):
-        fam = make_family(name)
+        fam = self.family(name, quadrature=True)
         levels, n_steps = [2.0, 4.0, 8.0], 4
         drv = BrownianDriver.generate(fam.field.dim_noise, 2.0**-6, n_steps, 2,
                                       derive_seed(12, f"passes-{name}"))
@@ -211,6 +220,18 @@ class TestQuadraturePassBudget:
                           lambda_pt=1.0)
         # one pass per step and level for the flows, the bound's three per pair
         assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1)
+
+    def test_swirl_field_makes_no_pass(self, passes):
+        # log-singular smooths from its table: neither the flows, the bound
+        # nor the uniqueness check's second kernel runs a quadrature pass
+        fam = make_family("log-singular")
+        fk, fl = (mollify(fam.field, fam.mollifier(k)) for k in (2.0, 4.0))
+        assert fk.is_smoothed and fl.is_smoothed
+        stability_bound(fk, fl, 2.0, fam.q, 500)
+        drv = BrownianDriver.generate(2, 2.0**-6, 4, 2, derive_seed(12, "passes-swirl"))
+        x0 = fam.measure.sample(derive_rng(12, "passes-x0-swirl"), 3)
+        cauchy_uniqueness_checks(fam, [2.0, 4.0, 8.0], drv, x0, 4 * drv.dt, 500)
+        assert passes["n"] == 0
 
 
 class TestOneFlowPerLevelAndKernel:
