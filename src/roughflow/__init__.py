@@ -24,7 +24,6 @@ from .coefficients import (
     Swirl,
     condition_integrals,
     density_terms,
-    mollified_convergence,
     mollifier_domination_check,
     mollify,
 )

@@ -38,8 +38,8 @@ from .measure import ReferenceMeasure, grid_points
 
 __all__ = [
     "CriterionResult", "run_all", "CRITERIA", "draw_paths", "lp_density_checks",
-    "level_set_checks", "cauchy_uniqueness_checks", "weak_derivative_checks",
-    "ring_ratio_closed_form",
+    "level_set_checks", "stability_needs", "cauchy_uniqueness_checks",
+    "weak_derivative_checks", "ring_ratio_closed_form",
 ]
 
 DEFAULT_SEED = 20240915
@@ -145,17 +145,24 @@ def level_set_checks(
     ]
 
 
+def stability_needs(fam) -> Optional[str]:
+    """The reason the stability checks and the CLI ``stability`` kind reject
+    ``fam``, an affine family (``Family.affine``); None for any other."""
+    if fam.affine:
+        return (f"a family that smoothing changes; family {fam.name!r} has affine "
+                "coefficients, which the mollifier reproduces, so its Cauchy and "
+                "uniqueness metrics are rounding noise")
+
+
 def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int):
     """Stability and uniqueness of the generalized flow, smoothed with
     ``fam.mollifier``: ``(table, uniqueness, decreasing,
     below_final_gap)``.  The Cauchy metrics must decrease along ``levels``
     and the uniqueness metric at the last level sit below the final gap.
-    An affine family (``Family.affine``) is rejected with a ``ValueError``."""
-    if fam.affine:
-        raise ValueError(
-            f"family {fam.name!r} has affine coefficients, which the mollifier "
-            "reproduces: its Cauchy and uniqueness metrics are rounding noise"
-        )
+    A family ``stability_needs`` rejects raises a ``ValueError``."""
+    unmet = stability_needs(fam)
+    if unmet:
+        raise ValueError(f"the stability checks need {unmet}")
     table = st.cauchy_experiment(fam, levels, driver, x0, T, norm_budget)
     metrics = table.metrics()
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))

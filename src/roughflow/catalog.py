@@ -21,9 +21,10 @@ Families:
                            log-singular magnitude at the origin, compact
                            support, plus a linear restoring term.  Sobolev
                            (W^{1,q}, q < 2) but locally unbounded.  Declared
-                           by its rotation symmetry (a ``Swirl``: -x plus
-                           the profile g(r) x^perp, sigma = noise I), so it
-                           is smoothed from a radial table, not by the
+                           by its rotation symmetry, ``Swirl(profile,
+                           (beta,), noise)``: -x plus the profile g(r)
+                           x^perp supported in B(1), sigma = noise I.  So
+                           it is smoothed from a radial table, not by the
                            mollifier quadrature.
 * ``partially-sobolev`` -- block-structured on R^2: second-block
                            coefficients have a step-function dependence on
@@ -85,7 +86,8 @@ class Family:
 
     @property
     def affine(self) -> bool:
-        """sigma and b are affine (``_AFFINE``): smoothing reproduces them."""
+        """sigma and b are affine (``_AFFINE``): smoothing reproduces their
+        values on B(k), though not their Jacobians."""
         return self.name in _AFFINE
 
     @property
@@ -129,9 +131,11 @@ def doubled_measure(d: int, q: float, alpha: Optional[float] = None) -> Referenc
 # The families whose sigma and b are affine, sigma = noise I and b = -rate x:
 # name -> ((dim, rate, noise), the ones of them ``make_family`` lets a caller
 # set).  The symmetric kernel reproduces affine functions and the cutoff
-# psi_k is 1 on B(k), so smoothing leaves these fields unchanged there: they
-# have no Cauchy check, and their difference flows are their derivative flow,
-# so their derivative metrics are rounding noise (``Family.affine``).
+# psi_k is 1 on B(k), so smoothing reproduces these fields' values there, to
+# 1e-12: they have no Cauchy check, and their difference flows are their
+# derivative flow, so their derivative metrics are rounding noise
+# (``Family.affine``).  The smoothed Jacobians, read from the kernel-gradient
+# weights, miss ``-rate I`` by the quadrature's first-moment error.
 _AFFINE = {
     "linear": ((1, 1.0, 0.6), ("dim", "rate", "noise")),
     "translation": ((1, 0.0, 1.0), ()),
@@ -200,8 +204,7 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
     by its rotation symmetry (``Swirl``), so ``mollify`` smooths it from a
     radial table.
     """
-    swirl = Swirl(_vortex_profile, (beta,), rate=1.0, noise=noise)
-    return swirl.field(name=f"log-singular(beta={beta:g})")
+    return Swirl(_vortex_profile, (beta,), noise).field(name=f"log-singular(beta={beta:g})")
 
 
 # ---------------------------------------------------------------------------

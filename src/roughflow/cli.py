@@ -415,13 +415,6 @@ def _derivative_needs(cfg: ExperimentConfig) -> Optional[str]:
         return f"n_omega * n_x >= 2, got {cfg.n_omega * cfg.n_x}"
 
 
-def _stability_needs(cfg: ExperimentConfig) -> Optional[str]:
-    # an affine family is its own smoothing: its metrics are rounding noise
-    if make_family(cfg.family).affine:
-        return (f"a family that smoothing changes; family {cfg.family!r} has affine "
-                "coefficients, which the mollifier reproduces")
-
-
 @dataclass(frozen=True)
 class _Kind:
     """``runner(cfg, out, budget_scale, printer)`` returns the check records;
@@ -437,7 +430,8 @@ class _Kind:
 KINDS = {
     "simulate": _Kind(_reported(_run_simulate), "linear"),
     "density": _Kind(_reported(_run_density), "linear"),
-    "stability": _Kind(_reported(_run_stability), "log-singular", needs=_stability_needs),
+    "stability": _Kind(_reported(_run_stability), "log-singular",
+                       needs=lambda cfg: acceptance.stability_needs(make_family(cfg.family))),
     "derivative": _Kind(_reported(_run_derivative), "deriv-smooth", doubled=True,
                         needs=_derivative_needs),
     "analysis": _Kind(_reported(_run_analysis), None),

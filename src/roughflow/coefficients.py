@@ -25,7 +25,7 @@ provides
   density from one ``FieldEval``: the noise term, the drift term and, given
   a difference step, the Ito-Taylor coefficient of the noise term;
 * checkers for the exponential-integrability condition on the coefficients
-  and for the kernel domination and convergence properties of smoothing.
+  and for the kernel domination property of smoothing.
 
 Axis conventions: ``sigma(x) -> (..., n, m)``, ``drift(x) -> (..., n)``,
 ``sigma_jac[..., i, k, j] = d sigma^{ik} / d x_j`` and
@@ -57,11 +57,12 @@ __all__ = [
     "exp_integrand",
     "condition_integrals",
     "mollifier_domination_check",
-    "mollified_convergence",
 ]
 
 _MAX_EVAL_BLOCK = 2**14  # rough-callable points per quadrature chunk: temporaries stay in cache
 _CONDITION_STAGES = 3    # doubling budgets of a condition integral
+_SWIRL_RATE = 1.0        # a swirl field's restoring rate: b = -rate x + g(r) x^perp
+_SWIRL_RADIUS = 1.0      # a swirl profile's support radius: g = 0 from r = radius on
 _SWIRL_RADII = 16        # swirl table radii per unit length and unit of level
 _SWIRL_RHO = 24          # Gauss-Legendre nodes of a table radius's annulus in rho
 _SWIRL_THETA = 16        # Gauss-Legendre nodes in the angle
@@ -312,67 +313,90 @@ class StructuredCoefficient(CoefficientField):
 @dataclass(frozen=True)
 class Swirl:
     """A planar field declared by its rotation symmetry: sigma = noise I and
-    ``b = -rate x + g(r) x^perp`` with ``x^perp = (-x2, x1)``, the swirl
-    profile g vanishing from ``r = radius`` on.
+    ``b = -x + g(r) x^perp`` with ``x^perp = (-x2, x1)``, the swirl profile g
+    vanishing from ``r = 1`` on (the module's ``_SWIRL_RATE`` and
+    ``_SWIRL_RADIUS``).
 
     ``profile(r, *params, deriv=False)`` gives g, or ``(g, g')`` with
-    ``deriv``, at radii ``0 < r < radius``; it is a module-level function,
-    so ``(profile, params)`` names a profile by value.  ``field`` builds the
+    ``deriv``, at radii ``0 < r < 1``; it is a module-level function, so
+    ``(profile, params)`` names a profile by value.  ``field`` builds the
     rough field, and ``mollify`` smooths it through the symmetry instead of
-    by quadrature: the kernel is radial, so ``(b * chi_k)(x) = -rate x +
-    h_k(r) x^perp / r``, with the 1-D profile ``h_k`` read from a table
-    built once per profile, level and kernel shape (``_swirl_table``).
+    by quadrature: the kernel is radial, so ``(b * chi_k)(x) = -x + h_k(r)
+    x^perp / r``, with the 1-D profile ``h_k`` read from a table built once
+    per profile, level and kernel shape (``_swirl_table``).  Both evaluate
+    through ``_swirl``, with ``H = g`` and ``H = h_k / r``.
     """
 
     profile: Callable
     params: tuple
-    rate: float
     noise: float
-    radius: float = 1.0
 
     def radial(self, r, deriv: bool = False) -> NDArray[np.float64]:
-        """Rows g (and g' with ``deriv``) at radii ``r``, zero off 0 < r < radius."""
-        on = (r > 0) & (r < self.radius)
+        """Rows g (and g' with ``deriv``) at radii ``r``, zero off 0 < r < 1."""
+        on = (r > 0) & (r < _SWIRL_RADIUS)
         out = np.zeros((1 + deriv,) + np.shape(r))
         out[:, on] = self.profile(r[on], *self.params, deriv=deriv)
         return out
 
     def field(self, name: str = "") -> CoefficientField:
         """The rough field: a declared-constant sigma, b and both Jacobians."""
-        rate, noise = self.rate, self.noise
 
         def sigma_fn(x):
-            return np.broadcast_to(noise * np.eye(2), x.shape[:-1] + (2, 2)).copy()
+            return np.broadcast_to(self.noise * np.eye(2), x.shape[:-1] + (2, 2)).copy()
 
         def sigma_jac_fn(x):
             return np.zeros(x.shape[:-1] + (2, 2, 2))
 
         def drift_fn(x):
             x0, x1 = x[..., 0], x[..., 1]
-            g = self.radial(np.sqrt(x0 * x0 + x1 * x1))[0]
-            return np.stack([-rate * x0 - g * x1, -rate * x1 + g * x0], axis=-1)
+            return _swirl(x, self.radial(np.sqrt(x0 * x0 + x1 * x1))[0])
 
         def drift_jac_fn(x):
             r = np.sqrt(sq_norm(x))
             g, gp = self.radial(r, deriv=True)
-            perp = np.stack([-x[..., 1], x[..., 0]], axis=-1)
             safe_r = np.where(r > 0, r, 1.0)
-            grad_g = gp[..., None] * x / safe_r[..., None]
-            jac = np.zeros(x.shape[:-1] + (2, 2))
-            jac[..., 0, 0] = -rate
-            jac[..., 1, 1] = -rate
-            jac += perp[..., :, None] * grad_g[..., None, :]
-            jac[..., 0, 1] += -g
-            jac[..., 1, 0] += g
-            return jac
+            return _swirl(x, g, (gp * x[..., 0] / safe_r, gp * x[..., 1] / safe_r))[1]
 
         return CoefficientField(2, 2, sigma_fn, drift_fn, sigma_jac_fn, drift_jac_fn,
                                 name=name, sigma_constant=True, swirl=self)
 
 
+def _swirl(x, H, grad_H=None):
+    """The swirl drift ``-x + H x^perp`` at planar points ``x``, H one value
+    per point; given ``grad_H = (d_1 H, d_2 H)``, the pair of it and its
+    Jacobian ``-I + x^perp (x) grad H + H R`` (R the quarter turn), summed
+    in that order from 0 off the diagonal, where ``0 + x^perp_i d_j H`` signs a zero."""
+    x0, x1 = x[..., 0], x[..., 1]
+    b = np.empty(x.shape)
+    b[..., 0] = -_SWIRL_RATE * x0 - H * x1
+    b[..., 1] = -_SWIRL_RATE * x1 + H * x0
+    if grad_H is None:
+        return b
+    h0, h1 = grad_H
+    jac = np.empty(x.shape + (2,))
+    jac[..., 0, 0] = -_SWIRL_RATE - x1 * h0
+    jac[..., 0, 1] = (0.0 - x1 * h1) - H
+    jac[..., 1, 0] = (0.0 + x0 * h0) + H
+    jac[..., 1, 1] = -_SWIRL_RATE + x0 * h1
+    return b, jac
+
+
 # ---------------------------------------------------------------------------
 # mollifiers
 # ---------------------------------------------------------------------------
+
+
+def _bump(gap, shape: float):
+    """The bump ``exp(-shape / gap)`` at ``gap = 1 - |u|^2`` (0 where gap <= 0)
+    and its slope in ``|u|^2``, ``-shape exp(-shape / gap) / gap^2``: the one
+    formula of the kernel, its gradient ``2 u slope`` and its radial table."""
+    gap = np.asarray(gap, dtype=np.float64)
+    val, slope = np.zeros(gap.shape), np.zeros(gap.shape)
+    on = gap > 0.0
+    val[on] = np.exp(-shape / gap[on])
+    on = val > 0.0
+    slope[on] = -shape / gap[on] ** 2 * val[on]
+    return val, slope
 
 
 @functools.lru_cache(maxsize=32)
@@ -381,7 +405,7 @@ def _bump_mass(dim: int, shape: float) -> float:
     surf = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
 
     def radial(r):
-        return r ** (dim - 1) * np.exp(-shape / (1.0 - r * r))
+        return r ** (dim - 1) * _bump(1.0 - r * r, shape)[0]
 
     val, _ = integrate.quad(radial, 0.0, 1.0, limit=200)
     return float(surf * val)
@@ -480,13 +504,13 @@ class MollifierSpec:
                 [(e1 - e0) / 2 * gl_w for e0, e1 in zip(edges, edges[1:])]))
         nodes = grid_points(axes_nodes).reshape(-1, self.dim)
         raw_w = np.prod(grid_points(axes_weights).reshape(-1, self.dim), axis=-1)
-        bump = self._bump(nodes)
+        bump, slope = _bump(1.0 - np.sum(nodes**2, axis=-1), self.shape)
         # the kernel and its gradient are exactly 0 off the open unit ball
         # (and where exp underflows): those nodes would only cost evaluations
         keep = bump > 0.0
         self._nodes, raw_w, bump = nodes[keep], raw_w[keep], bump[keep]  # (Q, dim)
         z = float(np.sum(raw_w * bump))
-        grad_w = (raw_w[:, None] * self._bump_grad(self._nodes)) / z
+        grad_w = (raw_w[:, None] * (2.0 * slope[keep][:, None] * self._nodes)) / z
         grad_w -= grad_w.mean(axis=0, keepdims=True)
         # row 0: value weights (sum to 1 exactly); row 1 + j: d/dx_j weights
         self._weights = np.concatenate(
@@ -495,40 +519,11 @@ class MollifierSpec:
 
     # -- kernel and cutoff ---------------------------------------------------
 
-    def _bump(self, u) -> NDArray[np.float64]:
-        r2 = np.sum(np.asarray(u, dtype=np.float64) ** 2, axis=-1)
-        out = np.zeros_like(r2)
-        inside = r2 < 1.0
-        out[inside] = np.exp(-self.shape / (1.0 - r2[inside]))
-        return out
-
-    def _bump_grad(self, u) -> NDArray[np.float64]:
-        u = np.asarray(u, dtype=np.float64)
-        r2 = np.sum(u * u, axis=-1)
-        out = np.zeros_like(u)
-        inside = r2 < 1.0
-        denom = (1.0 - r2[inside]) ** 2
-        out[inside] = (
-            u[inside]
-            * (-2.0 * self.shape / denom * np.exp(-self.shape / (1.0 - r2[inside])))[
-                ..., None
-            ]
-        )
-        return out
-
     def kernel(self, x) -> NDArray[np.float64]:
         """Scaled kernel chi_k, normalized with the continuum constant."""
         k, pts = self.level, as_points(x, self.dim, "mollifier")
-        return k**self.dim * self._bump(k * pts) / _bump_mass(self.dim, self.shape)
-
-    def kernel_mass_quadrature(self, n_points: int = 4001) -> float:
-        """Integral of ``kernel`` itself (Simpson rule on ``n_points`` radii
-        of B(1/k)), so a wrong scaling or normalization shows as mass != 1."""
-        surf = 2.0 * np.pi ** (self.dim / 2.0) / special.gamma(self.dim / 2.0)
-        r = np.linspace(0.0, 1.0 / self.level, n_points)
-        pts = np.zeros((n_points, self.dim))
-        pts[:, 0] = r
-        return float(surf * integrate.simpson(r ** (self.dim - 1) * self.kernel(pts), x=r))
+        bump = _bump(1.0 - np.sum((k * pts) ** 2, axis=-1), self.shape)[0]
+        return k**self.dim * bump / _bump_mass(self.dim, self.shape)
 
     def cutoff(self, x, grad: bool = False):
         """psi_k(x): 1 on B(k), 0 outside B(2k), smooth in between.
@@ -763,10 +758,9 @@ class _Smoother:
 
 
 @functools.lru_cache(maxsize=64)
-def _swirl_table(profile: Callable, params: tuple, radius: float, level: float,
-                 shape: float):
+def _swirl_table(profile: Callable, params: tuple, level: float, shape: float):
     """``(dr, reach, coef)``: the smoothed swirl profile ``h_k`` as a cubic
-    Hermite spline on the uniform radii ``0, dr, ..., reach = radius + 1/k``
+    Hermite spline on the uniform radii ``0, dr, ..., reach = 1 + 1/k``
     (``_SWIRL_RADII`` per unit length and unit of level), ``coef[i]`` its
     coefficients in ``t = r/dr - i`` on interval i.  Built once per profile,
     level and kernel shape, in blocks of ``_SWIRL_BLOCK`` radii.
@@ -775,13 +769,13 @@ def _swirl_table(profile: Callable, params: tuple, radius: float, level: float,
     = int g(rho) rho^2 K1(r, rho) d rho``, where ``K1 = 2 int_0^thmax
     chi_k(d) cos(th) d th``, ``d^2 = r^2 + rho^2 - 2 r rho cos(th)`` and
     thmax is where the circle of radius rho leaves the kernel ball B(r e1,
-    1/k).  rho runs over the annulus ``[r - 1/k, r + 1/k] ∩ [0, radius]``,
-    and both integrals take Gauss-Legendre nodes.  ``h_k'`` takes ``d_r K1``,
-    with ``chi_k'(d) / d = -2 shape k^2 chi_k(d) / (1 - k^2 d^2)^2``, so no
+    1/k).  rho runs over the annulus ``[r - 1/k, r + 1/k] ∩ [0, 1]``, and
+    both integrals take Gauss-Legendre nodes.  ``h_k'`` takes ``d_r K1``,
+    with ``chi_k'(d) / d = 2 k^2`` times the bump's slope (``_bump``), so no
     division by d.  ``h_k(0) = 0`` by symmetry, and h_k vanishes from reach on.
     """
     k, kk = level, level * level
-    reach = radius + 1.0 / k
+    reach = _SWIRL_RADIUS + 1.0 / k
     n = int(np.ceil(_SWIRL_RADII * k * reach)) + 1
     radii = np.linspace(0.0, reach, n)
     h, hp = np.zeros(n), np.zeros(n)
@@ -790,7 +784,7 @@ def _swirl_table(profile: Callable, params: tuple, radius: float, level: float,
     mass = kk / _bump_mass(2, shape)
     for start in range(0, n - 1, _SWIRL_BLOCK):  # h = h' = 0 at reach
         r = radii[start:min(start + _SWIRL_BLOCK, n - 1), None]           # (B, 1)
-        lo, hi = np.maximum(r - 1.0 / k, 0.0), np.minimum(r + 1.0 / k, radius)
+        lo, hi = np.maximum(r - 1.0 / k, 0.0), np.minimum(r + 1.0 / k, _SWIRL_RADIUS)
         half = (hi - lo) / 2.0
         rho = lo + half * (x_rho + 1.0)                                   # (B, P)
         weight = half * w_rho * profile(rho, *params) * rho * rho
@@ -800,12 +794,8 @@ def _swirl_table(profile: Callable, params: tuple, radius: float, level: float,
         thmax = np.arccos(np.clip(cmax, -1.0, 1.0))[..., None]
         cos = np.cos(thmax / 2.0 * (x_th + 1.0))                          # (B, P, T)
         r3, rho3 = r[..., None], rho[..., None]
-        u = 1.0 - kk * (r3 * r3 + rho3 * rho3 - 2.0 * r3 * rho3 * cos)   # 1 - k^2 d^2
-        chi, dchi = np.zeros((2,) + u.shape)                              # chi_k, chi_k'(d) / d
-        on = u > 0.0
-        chi[on] = mass * np.exp(-shape / u[on])
-        on = chi > 0.0
-        dchi[on] = -2.0 * shape * kk * chi[on] / u[on] ** 2
+        bump, slope = _bump(1.0 - kk * (r3 * r3 + rho3 * rho3 - 2.0 * r3 * rho3 * cos), shape)
+        chi, dchi = mass * bump, (2.0 * kk * mass) * slope                # chi_k, chi_k'(d) / d
         w = thmax * w_th * cos                                            # 2 (thmax / 2) w cos
         block = slice(start, start + len(r))
         h[block] = np.sum(weight * np.sum(w * chi, axis=-1), axis=-1)
@@ -822,11 +812,10 @@ class _SwirlSmoother(_Smoother):
     """``(b * chi_k) psi_k`` of a ``Swirl`` field from its table, with
     sigma_k = noise I psi_k: no quadrature pass.
 
-    Within the table's reach the convolved drift is ``-rate x + H x^perp``
-    with ``H = h_k / r`` (``h_k'(0)`` at r = 0), h_k the cubic Hermite spline
-    of ``_swirl_table``; its Jacobian ``-rate I + H R + (h_k' - H) e^perp
-    (x) e``, ``e = x / r`` and R the quarter turn, takes the spline's own
-    derivative.  From the reach on H = 0, so the drift is exactly ``-rate x``
+    Within the table's reach the convolved drift is ``_swirl`` with ``H =
+    h_k / r`` (``h_k'(0)`` at r = 0), h_k the cubic Hermite spline of
+    ``_swirl_table``, and ``grad H = (h_k' - H) x / r^2`` from the spline's
+    own derivative.  From the reach on H = 0, so the drift is exactly ``-x``
     before the cutoff.  Every operation is per point, so a state's value does
     not depend on the batch it comes in.
     """
@@ -837,8 +826,7 @@ class _SwirlSmoother(_Smoother):
 
     def _convolved(self, pts, names, jac: bool):
         sw, spec = self.swirl, self.spec
-        dr, reach, coef = _swirl_table(sw.profile, sw.params, sw.radius, spec.level, spec.shape)
-        x0, x1 = pts[..., 0], pts[..., 1]
+        dr, reach, coef = _swirl_table(sw.profile, sw.params, spec.level, spec.shape)
         r = np.sqrt(sq_norm(pts))
         inside = r < reach  # a nan is not
         ri = r[inside]
@@ -848,21 +836,14 @@ class _SwirlSmoother(_Smoother):
         c0, c1, c2, c3 = coef[i].T
         q = c1 + t * (c2 + t * c3)
         pos = ri > 0.0
+        safe = np.where(pos, ri, 1.0)
         H = np.zeros(r.shape)
-        H[inside] = np.where(pos, (c0 + t * q) / np.where(pos, ri, 1.0), c1 / dr)
-        conv = np.stack([-sw.rate * x0 - H * x1, -sw.rate * x1 + H * x0], axis=-1)
+        H[inside] = Hi = np.where(pos, (c0 + t * q) / safe, c1 / dr)
         if not jac:
-            return conv, None
-        D = np.zeros(r.shape)  # h_k' - H
-        D[inside] = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) / dr - H[inside]
-        safe = np.where(r > 0.0, r, 1.0)
-        e0, e1 = x0 / safe, x1 / safe
-        grad = np.empty(r.shape + (2, 2))
-        grad[..., 0, 0] = -sw.rate - D * e1 * e0
-        grad[..., 0, 1] = -H - D * e1 * e1
-        grad[..., 1, 0] = H + D * e0 * e0
-        grad[..., 1, 1] = -sw.rate + D * e0 * e1
-        return conv, grad
+            return _swirl(pts, H), None
+        G = np.zeros(r.shape)  # grad H = G x; h_k' = H at r = 0
+        G[inside] = ((c1 + t * (2.0 * c2 + 3.0 * t * c3)) / dr - Hi) / (safe * safe)
+        return _swirl(pts, H, (G * pts[..., 0], G * pts[..., 1]))
 
 
 def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
@@ -1035,7 +1016,7 @@ def condition_integrals(
 
 
 # ---------------------------------------------------------------------------
-# kernel domination and convergence checks
+# kernel domination check
 # ---------------------------------------------------------------------------
 
 
@@ -1054,7 +1035,9 @@ def mollifier_domination_check(
     ``func`` maps points to scalars or arrays; the left side uses the
     Euclidean norm of the convolved value.  The reported ``max_ratio`` is
     the largest value of lhs / (|f bar| * chi_k); the bound asserts it
-    never exceeds 2.
+    never exceeds 2.  Both convolutions take the spec's quadrature rule
+    (``MollifierSpec.convolve``), also for a swirl's drift, which ``mollify``
+    smooths from its table instead.
     """
     pts = as_points(grid, spec.dim, "mollifier")
     lhs = magnitude(spec.convolve(func, pts), pts.ndim - 1) / (1.0 + np.linalg.norm(pts, axis=-1))
@@ -1071,38 +1054,3 @@ def mollifier_domination_check(
         )
     max_ratio = float(np.max(ratio)) if ratio.size else 0.0
     return DominationReport(max_ratio=max_ratio, passed=bool(max_ratio <= 2.0 + 1e-9))
-
-
-def mollified_convergence(
-    func: Callable,
-    m: ReferenceMeasure,
-    levels: Sequence[float],
-    radius: float,
-    exponent: float,
-    n_grid: int = 257,
-    mollifier: Optional[Callable[[float], MollifierSpec]] = None,
-) -> list:
-    """``L^r(mu)`` distance of f_k from f on the ball B(radius), per level.
-
-    Quadrature on a tensor grid (dim <= 2); ``f_k = (f * chi_k) psi_k``
-    with the spec ``mollifier(k)``, a catalog ``Family.mollifier`` for
-    instance (default: ``MollifierSpec`` at level k).
-    """
-    if m.dim > 2:
-        raise ValueError("convergence quadrature supports dim <= 2 only")
-    axis = np.linspace(-radius, radius, n_grid)
-    h = axis[1] - axis[0]
-    pts = grid_points((axis,) * m.dim).reshape(-1, m.dim)
-    cell = h if m.dim == 1 else h * h
-    inside = np.linalg.norm(pts, axis=-1) <= radius
-    pts = pts[inside]
-    w = m.weight(pts) * cell
-    base = np.asarray(func(pts), dtype=np.float64)
-    norms = []
-    for k in levels:
-        spec = mollifier(k) if mollifier else MollifierSpec(dim=m.dim, level=k)
-        fk = spec.convolve(func, pts)
-        fk = fk * spec.cutoff(pts).reshape(fk.shape[:1] + (1,) * (fk.ndim - 1))
-        diff = magnitude(fk - base, 1)
-        norms.append(float((np.sum(w * diff**exponent)) ** (1.0 / exponent)))
-    return norms

@@ -15,7 +15,7 @@ evaluated by Halton quasi-Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -211,7 +211,6 @@ def cauchy_experiment(
     x0s,
     T: float,
     norm_budget: int,
-    lambda_pt: Optional[float] = None,
 ) -> CauchyExperiment:
     """Pathwise Cauchy table across consecutive smoothing levels.
 
@@ -223,19 +222,18 @@ def cauchy_experiment(
     norms, so a pair costs the bound's three evaluations and no more.  For
     a structured family these are second-block norms; the first block is
     shared across levels, so its difference is zero.  Convergence of the
-    scheme shows as the metric column decreasing in k.
+    scheme shows as the metric column decreasing in k.  The bound's
+    ``lambda_pt`` is the sup L^p norm of the last level's tracked density.
     """
     m, q = family.measure, family.q
     specs = {k: family.mollifier(k) for k in levels}
     fields = {k: mollify(family.field, specs[k]) for k in levels}
     # one level's density suffices for the reported bound: the density norms
     # are level-uniform by construction (and that is asserted elsewhere)
-    k_ref = levels[-1] if lambda_pt is None else None
-    ensembles = {k: integrate(fields[k], driver, x0s, T, density=m if k == k_ref else None)
+    ensembles = {k: integrate(fields[k], driver, x0s, T, density=m if k == levels[-1] else None)
                  for k in levels}
     radius = _pick_radius(list(ensembles.values()))
-    if lambda_pt is None:
-        lambda_pt = sup_lp_density_norm(ensembles[k_ref].density, family.p).value
+    lambda_pt = sup_lp_density_norm(ensembles[levels[-1]].density, family.p).value
     rows = []
     for k, l in zip(levels, levels[1:]):
         sd, bd, bound = stability_bound(fields[k], fields[l], radius, q, norm_budget)

@@ -5,8 +5,9 @@ import shutil
 
 import pytest
 
-from roughflow import BrownianDriver, MollifierSpec
+from roughflow import BrownianDriver, MollifierSpec, make_family
 from roughflow._seeds import derive_rng, derive_seed
+from roughflow.acceptance import stability_needs
 from roughflow.cli import KINDS, ExperimentConfig, main, run
 from roughflow.stability import cauchy_experiment
 
@@ -241,6 +242,7 @@ class TestMain:
         assert main(["stability", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"family {family!r}" in err and "the mollifier reproduces" in err
+        assert f"stability needs {stability_needs(make_family(family))}" in err
         assert not out.exists()
         assert main(["stability", "--family", family, "--out", str(out)]) == 2
         assert not out.exists()

@@ -1,5 +1,6 @@
 """Coefficient fields, mollification, and the density-exponent functionals."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from roughflow import (
     condition_integrals,
     density_terms,
     make_family,
-    mollified_convergence,
     mollifier_domination_check,
     mollify,
 )
@@ -26,6 +26,7 @@ from roughflow.catalog import _loglip
 from roughflow.coefficients import (
     FieldBlocks,
     StructuredCoefficient,
+    Swirl,
     _bump_mass,
     _smoothstep,
     _smoothstep_deriv,
@@ -48,6 +49,16 @@ def scalar_field_1d(fn, dfn=None, name=""):
     )
 
 
+def _kernel_mass(spec, n_points=4001):
+    """Integral of ``spec.kernel`` itself by Simpson's rule on ``n_points``
+    radii of B(1/k), so a wrong scaling or normalization shows as mass != 1."""
+    surf = 2.0 * np.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
+    r = np.linspace(0.0, 1.0 / spec.level, n_points)
+    pts = np.zeros((n_points, spec.dim))
+    pts[:, 0] = r
+    return float(surf * integrate.simpson(r ** (spec.dim - 1) * spec.kernel(pts), x=r))
+
+
 class TestMollifierSpec:
     def test_kernel_nonnegative_and_normalized(self):
         for dim in (1, 2):
@@ -55,14 +66,14 @@ class TestMollifierSpec:
             rng = derive_rng(0, f"kern{dim}")
             pts = rng.uniform(-2, 2, size=(200, dim))
             assert np.all(spec.kernel(pts) >= 0.0)
-            assert spec.kernel_mass_quadrature() == pytest.approx(1.0, abs=1e-6)
+            assert _kernel_mass(spec) == pytest.approx(1.0, abs=1e-6)
 
     def test_kernel_mass_check_sees_a_missing_scaling(self, monkeypatch):
         spec = MollifierSpec(dim=2, level=3.0)
+        kernel = MollifierSpec.kernel
         monkeypatch.setattr(MollifierSpec, "kernel",
-                            lambda self, x: self._bump(self.level * x)
-                            / _bump_mass(self.dim, self.shape))
-        assert spec.kernel_mass_quadrature() == pytest.approx(1.0 / 9.0, rel=1e-6)
+                            lambda self, x: kernel(self, x) / self.level**self.dim)
+        assert _kernel_mass(spec) == pytest.approx(1.0 / 9.0, rel=1e-6)
 
     def test_points_of_another_dimension_are_rejected(self):
         spec = MollifierSpec(dim=2, level=2, order=8, panels=1)
@@ -241,6 +252,58 @@ def _polar_oracle(x, level, shape, beta=1.2):
         integrate.dblquad(swirl(axis), lo, hi, lambda rho: phi - arc(rho),
                           lambda rho: phi + arc(rho), epsabs=1e-9, epsrel=1e-9)[0]
         for axis in range(2)])
+
+
+def _old_log_singular_closed_form(x, beta=1.2, noise=0.3):
+    """(sigma, b, sigma_jac, b_jac) of log-singular's rough field, each in the
+    operation order it was written in before the swirl formula was shared
+    with the smoothed table: ``-1 x`` plus the swirl, and a Jacobian built
+    from zeros, ``-I`` on the diagonal, then ``+= x^perp (x) grad g`` and
+    ``+= g R``."""
+    x0, x1 = x[..., 0], x[..., 1]
+    r = np.sqrt(x0 * x0 + x1 * x1)
+    on = (r > 0) & (r < 1)
+    ro = r[on]
+    t = 2.0 - 2.0 * ro
+    zeta, logterm = _smoothstep(t), -np.log(ro)
+    s = beta * logterm * zeta
+    g, gp = np.zeros(r.shape), np.zeros(r.shape)
+    g[on] = s / ro
+    gp[on] = beta * (-zeta / ro + logterm * (-2.0 * _smoothstep_deriv(t))) / ro - s / ro**2
+    b = np.stack([-1.0 * x0 - g * x1, -1.0 * x1 + g * x0], axis=-1)
+    safe = np.where(r > 0, r, 1.0)
+    grad_g = gp[..., None] * x / safe[..., None]
+    jac = np.zeros(x.shape + (2,))
+    jac[..., 0, 0] = -1.0
+    jac[..., 1, 1] = -1.0
+    jac += np.stack([-x1, x0], axis=-1)[..., :, None] * grad_g[..., None, :]
+    jac[..., 0, 1] += -g
+    jac[..., 1, 0] += g
+    sigma = np.broadcast_to(noise * np.eye(2), x.shape + (2,)).copy()
+    return sigma, b, np.zeros(x.shape + (2, 2)), jac
+
+
+class TestSwirlField:
+    """A ``Swirl`` declares its profile, the profile's parameters and the
+    noise; the rate and the support radius are 1 for every swirl."""
+
+    def test_declaration_fields(self):
+        assert [f.name for f in dataclasses.fields(Swirl)] == ["profile", "params", "noise"]
+
+    def test_rough_field_bitwise_its_old_closed_form(self):
+        # log-singular's rough values and Jacobians feed c3, c4 and c5: the
+        # shared swirl formula must give them bitwise, through r = 0, a
+        # subnormal-squared radius, zeta's band and the support's edge
+        fam = make_family("log-singular")
+        edges = np.array([[0.0, 0.0], [1e-300, 0.0], [0.5, 0.0], [0.0, -0.5], [1.0, 0.0],
+                          [0.6, -0.8], [1.5, 0.0], [-0.9, 1.2]])
+        x = np.concatenate([fam.measure.sample(derive_rng(33, "swirl-rough"), 20_000), edges])
+        ev = fam.field.evaluate(x, jac=True)
+        # + 0.0 turns -0.0 into +0.0
+        for got, want in zip((ev.sigma, ev.drift, ev.sigma_jac, ev.drift_jac),
+                             _old_log_singular_closed_form(x)):
+            assert got.shape == want.shape
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 class TestSwirlTable:
@@ -700,35 +763,6 @@ class TestKernelDomination:
         assert rep.passed and rep.max_ratio == 0.0
 
 
-class TestMollifiedConvergence:
-    def test_smooth_lipschitz_decreases(self):
-        m = ReferenceMeasure(1, 2.0)
-        norms = mollified_convergence(
-            lambda x: np.tanh(2 * x[..., 0]), m, [1, 2, 4, 8, 16], radius=3.0,
-            exponent=2.0,
-        )
-        assert all(b < a for a, b in zip(norms, norms[1:]))
-        assert norms[-1] < 1e-2 * norms[0]
-
-    def test_compactly_supported_smooth_rate(self):
-        m = ReferenceMeasure(1, 2.0)
-
-        def f(x):
-            u = x[..., 0]
-            return np.where(np.abs(u) < 1, np.exp(-1 / np.maximum(1 - u * u, 1e-12)),
-                            0.0)
-
-        norms = mollified_convergence(f, m, [2, 4, 8, 16], radius=2.0, exponent=2.0)
-        assert norms[-1] < norms[0] / 4.0
-
-    def test_zero_function(self):
-        m = ReferenceMeasure(1, 2.0)
-        norms = mollified_convergence(
-            lambda x: np.zeros(x.shape[:-1]), m, [1, 2], radius=2.0, exponent=2.0
-        )
-        assert norms == [0.0, 0.0]
-
-
 def _smoothstep_reference(t):
     # the formula before the exponentials were restricted to the band
     t = np.asarray(t, dtype=np.float64)
@@ -812,9 +846,9 @@ def _full_cube_rule(spec):
     nodes = np.stack([g.ravel() for g in np.meshgrid(*(a[0] for a in axes), indexing="ij")], -1)
     raw = np.prod(np.stack([g.ravel() for g in np.meshgrid(*(a[1] for a in axes),
                                                            indexing="ij")], -1), -1)
-    bump = spec._bump(nodes)
+    bump, slope = coefficients._bump(1.0 - np.sum(nodes**2, axis=-1), spec.shape)
     z = np.sum(raw * bump)
-    grad = raw[:, None] * spec._bump_grad(nodes) / z
+    grad = raw[:, None] * (2.0 * slope[:, None] * nodes) / z
     grad -= grad.mean(axis=0, keepdims=True)
     return nodes, np.concatenate([(raw * bump / z)[None, :], spec.level * grad.T])
 

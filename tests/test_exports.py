@@ -16,6 +16,7 @@ REMOVED = {
     "derivative_flow",                  # integrate(DerivativeSystem(base).lifted, ...)
     "block_condition_integrals",        # condition_integrals(m1, field.first_block, ...)
     "ConditionReport",                  # (MonteCarloEstimate, divergent) of condition_integrals
+    "mollified_convergence",            # no criterion or CLI kind measured it
 }
 
 
@@ -30,3 +31,5 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     assert not hasattr(roughflow.ReferenceMeasure, "hess_log_weight")
     # the difference system's second block is DerivativeSystem.difference_block
     assert not hasattr(roughflow.derivative.DerivativeSystem, "epsilon_system")
+    # the kernel's mass is a test's own quadrature of MollifierSpec.kernel
+    assert not hasattr(roughflow.MollifierSpec, "kernel_mass_quadrature")

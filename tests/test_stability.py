@@ -16,7 +16,7 @@ from roughflow import (
 )
 from roughflow import stability as st
 from roughflow._seeds import derive_rng, derive_seed
-from roughflow.acceptance import cauchy_uniqueness_checks
+from roughflow.acceptance import cauchy_uniqueness_checks, stability_needs
 from roughflow.flow import convergence_metric
 from roughflow.stability import (
     _halton_ball,
@@ -156,11 +156,23 @@ class TestExperiments:
         drv = BrownianDriver.generate(1, 2**-7, 2**7, 4,
                                       derive_seed(9, "us-driver"))
         x0 = fam.measure.sample(derive_rng(9, "us-x0"), 8)
-        table = cauchy_experiment(fam, [8.0], drv, x0, 1.0, norm_budget=500,
-                                  lambda_pt=1.0)
+        table = cauchy_experiment(fam, [8.0], drv, x0, 1.0, norm_budget=500)
         res = uniqueness_experiment(fam, table)
         assert res.level == 8.0
         assert res.metric < 1e-6
+
+    @pytest.mark.parametrize("name", ["linear", "translation", "pure-drift",
+                                      "deriv-linear"])
+    def test_affine_family_rejected_in_the_one_wording(self, name):
+        # the CLI's stability kind returns the same reason before its run
+        fam = make_family(name)
+        reason = stability_needs(fam)
+        assert f"family {name!r}" in reason and "the mollifier reproduces" in reason
+        with pytest.raises(ValueError) as err:
+            cauchy_uniqueness_checks(fam, [2.0, 4.0], None, None, 0.25, 500)
+        assert str(err.value) == f"the stability checks need {reason}"
+        for rough in ("log-singular", "partially-sobolev"):
+            assert stability_needs(make_family(rough)) is None
 
     def test_uniqueness_adversarial_distinct_drifts(self):
         # flows of genuinely different fields do not collapse to one limit
@@ -216,10 +228,12 @@ class TestQuadraturePassBudget:
         drv = BrownianDriver.generate(fam.field.dim_noise, 2.0**-6, n_steps, 2,
                                       derive_seed(12, f"passes-{name}"))
         x0 = fam.measure.sample(derive_rng(12, f"passes-x0-{name}"), 3)
-        cauchy_experiment(fam, levels, drv, x0, n_steps * drv.dt, norm_budget=500,
-                          lambda_pt=1.0)
-        # one pass per step and level for the flows, the bound's three per pair
-        assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1)
+        cauchy_experiment(fam, levels, drv, x0, n_steps * drv.dt, norm_budget=500)
+        # one pass per step and level for the flows, the bound's three per
+        # pair, and the last level's density track: one sigma-divergence pass
+        # per noise column where sigma is not constant (partially-sobolev's)
+        track = 0 if fam.field.sigma_constant else fam.field.dim_noise
+        assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1) + track
 
     def test_swirl_field_makes_no_pass(self, passes):
         # log-singular smooths from its table: neither the flows, the bound
