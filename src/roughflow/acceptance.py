@@ -217,10 +217,13 @@ def criterion_1(seed: int, scale: float):
     carries a pathwise error of order sqrt(dt) (a martingale of per-step
     variance ~ dt^2) and contracts by 1/sqrt(2) only; the Ito-Taylor term
     of the tracked exponent removes that leading error.  Here m = 1, so the
-    corrected sum has strong order 1.
+    corrected sum has strong order 1.  The weight-ratio oracle is exact for
+    any alpha, so it keeps its own measure, ``ReferenceMeasure(1, 1.5)``
+    (the family's measure takes alpha = 3), on which its starts and
+    numbers were set.
     """
     fam = make_family("translation")
-    m = fam.measure
+    m = ReferenceMeasure(1, 1.5)
     n_omega, n_x = _scaled(50, scale), 20  # 1000 trajectories at scale 1
     fine, x0 = draw_paths(seed, m, 1, 2.0**-11, 1.0, n_omega, n_x, "c1-driver", "c1-x0")
 

@@ -5,11 +5,10 @@ it satisfies, the exponential-integrability parameter p0, and reference
 measures whose decay exponents respect the standing constraints
 (``alpha > q + n/2``; for block-structured fields additionally
 ``alpha1 > q + n1/2`` and ``alpha > alpha1 + n2/2``), each exceeding its
-bound by 0.5 (translation's measure keeps alpha = 1.5), and the mollifier
-it is smoothed with (``Family.mollifier``; its quadrature rule serves
-every family but log-singular).  ``doubled_measure``
-gives the measure of the doubled space of a derivative base under the same
-convention.
+bound by 0.5, and the mollifier it is smoothed with (``Family.mollifier``;
+its quadrature rule serves every family but log-singular).
+``doubled_measure`` gives the measure of the doubled space of a derivative
+base under the same convention.
 
 Families:
 
@@ -20,12 +19,12 @@ Families:
 * ``log-singular``      -- n = 2 divergence-free vortex drift with a
                            log-singular magnitude at the origin, compact
                            support, plus a linear restoring term.  Sobolev
-                           (W^{1,q}, q < 2) but locally unbounded.  Declared
-                           by its rotation symmetry, ``Swirl(profile,
-                           (beta,), noise)``: -x plus the profile g(r)
-                           x^perp supported in B(1), sigma = noise I.  So
-                           it is smoothed from a radial table, not by the
-                           mollifier quadrature.
+                           (W^{1,q}, q < 2) but locally unbounded.  A
+                           ``Swirl(profile, (beta,), noise)``, the field
+                           declared by its rotation symmetry: -x plus the
+                           profile g(r) x^perp supported in B(1), sigma =
+                           noise I.  So it is smoothed from a radial table,
+                           not by the mollifier quadrature.
 * ``partially-sobolev`` -- block-structured on R^2: second-block
                            coefficients have a step-function dependence on
                            x1 (no x1-Sobolev regularity) and weak
@@ -40,7 +39,14 @@ Families:
 linear, translation, pure-drift and deriv-linear are the affine families:
 one builder, ``_affine(dim, rate, noise, name)``, gives each field from its
 ``(dim, rate, noise)`` in the table ``_AFFINE``, and that table is the one
-place that says a family is affine (``Family.affine``).
+place that says a family is affine (``Family.affine``).  The deriv-smooth
+and deriv-rough bases are one builder, ``_deriv_base``, over their ``(s0,
+f)`` in ``_DERIV_BASES``.
+
+The rough profiles, the vortex's g, the log-Lipschitz factor ``_loglip``
+and the cutoff ``_zeta`` under both, take ``deriv``: with it each returns
+its value and its derivative from one call, one log and one pass over the
+step's band (``coefficients._smoothstep``).
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ import numpy as np
 
 from .coefficients import (
     CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, Swirl, _smoothstep,
-    _smoothstep_deriv, _step_band,
 )
 from .measure import ReferenceMeasure
 
@@ -171,27 +176,24 @@ def _affine(dim: int, rate: float, noise: float, name: str) -> CoefficientField:
 # log-singular vortex (n = 2)
 # ---------------------------------------------------------------------------
 
-# cutoff: 1 on |x| <= 1/2, 0 on |x| >= 1
-def _zeta(r):
-    return _smoothstep(2.0 - 2.0 * r)
-
-
-def _zeta_deriv(r):
-    return -2.0 * _smoothstep_deriv(2.0 - 2.0 * r)
+def _zeta(r, deriv: bool = False):
+    """Cutoff: 1 on |x| <= 1/2, 0 on |x| >= 1; with ``deriv``, the pair of
+    zeta and zeta', from one pass over the band 1/2 < r < 1."""
+    out = _smoothstep(2.0 - 2.0 * r, deriv)
+    return (out[0], -2.0 * out[1]) if deriv else out
 
 
 def _vortex_profile(r, beta: float, deriv: bool = False):
     """g(r) = s(r) / r with s(r) = beta * log(1/r) * zeta(r) on 0 < r < 1, and
-    with ``deriv`` also g'(r): one pass over zeta's transition band 1/2 < r < 1
-    for zeta and zeta'."""
-    t = 2.0 - 2.0 * r
-    parts = _step_band(t)
-    zeta, logterm = _smoothstep(t, parts), -np.log(r)
+    with ``deriv`` the pair (g, g'), from one log and one pass over zeta's
+    band."""
+    zeta, dzeta = _zeta(r, deriv=True) if deriv else (_zeta(r), None)
+    logterm = -np.log(r)
     s = beta * logterm * zeta
     g = s / r
     if not deriv:
         return g
-    sp = beta * (-zeta / r + logterm * (-2.0 * _smoothstep_deriv(t, parts)))
+    sp = beta * (-zeta / r + logterm * dzeta)
     return g, sp / r - s / r**2
 
 
@@ -204,7 +206,7 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
     by its rotation symmetry (``Swirl``), so ``mollify`` smooths it from a
     radial table.
     """
-    return Swirl(_vortex_profile, (beta,), noise).field(name=f"log-singular(beta={beta:g})")
+    return Swirl(_vortex_profile, (beta,), noise, name=f"log-singular(beta={beta:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +214,24 @@ def _log_singular(beta: float, noise: float) -> CoefficientField:
 # ---------------------------------------------------------------------------
 
 
-def _loglip(u):
-    """-u log|u| zeta(|u|): bounded, Sobolev, not Lipschitz at 0.
+def _loglip(u, deriv: bool = False):
+    """-u log|u| zeta(|u|): bounded, Sobolev, not Lipschitz at 0; with
+    ``deriv``, the pair of it and its derivative, from one log and one pass
+    over zeta's band.
 
     zeta vanishes from |u| = 1 on, so log and zeta run on 0 < |u| < 1 only.
     """
     a = np.abs(u)
     out, on = np.zeros(a.shape), (a > 0) & (a < 1)
-    ao = a[on]
-    out[on] = -u[on] * np.log(ao) * _zeta(ao)
-    return out
-
-
-def _loglip_deriv(u):
-    a = np.abs(u)
-    out, on = np.zeros(a.shape), (a > 0) & (a < 1)
     uo, ao = u[on], a[on]
     log = np.log(ao)
-    out[on] = (-log - 1.0) * _zeta(ao) - uo * log * _zeta_deriv(ao) * np.sign(uo)
-    return out
+    zeta, dzeta = _zeta(ao, deriv=True) if deriv else (_zeta(ao), None)
+    out[on] = -uo * log * zeta
+    if not deriv:
+        return out
+    slope = np.zeros(a.shape)
+    slope[on] = (-log - 1.0) * zeta - uo * log * dzeta * np.sign(uo)
+    return out, slope
 
 
 def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
@@ -268,7 +269,7 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
                 ((step_amp * step(x1[..., 0]))[..., None], _loglip(x2[..., 0])[..., None])]
 
     def drift2_jac_x2_fn(x1, x2):
-        return (-1.0 + step_amp * step(x1[..., 0]) * _loglip_deriv(x2[..., 0]))[
+        return (-1.0 + step_amp * step(x1[..., 0]) * _loglip(x2[..., 0], deriv=True)[1])[
             ..., None, None
         ]
 
@@ -286,32 +287,32 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
 # ---------------------------------------------------------------------------
 
 
+def _cos2(u, deriv: bool = False):
+    """cos 2u; with ``deriv``, the pair of it and its derivative -2 sin 2u."""
+    val = np.cos(2.0 * u)
+    return (val, -2.0 * np.sin(2.0 * u)) if deriv else val
+
+
+# kind -> (s0, f): sigma = s0 + 0.2 sin x and b = -x + 0.5 f(x)
+_DERIV_BASES = {"smooth": (0.5, _cos2), "rough": (0.4, _loglip)}
+
+
 def _deriv_base(kind: str) -> CoefficientField:
-    if kind == "smooth":
-        def sigma_fn(x):
-            return (0.5 + 0.2 * np.sin(x[..., 0]))[..., None, None]
+    """sigma = s0 + 0.2 sin x and b = -x + 0.5 f(x) on R, with their
+    Jacobians 0.2 cos x and -1 + 0.5 f'(x), from the kind's ``(s0, f)``."""
+    s0, f = _DERIV_BASES[kind]
 
-        def sigma_jac_fn(x):
-            return (0.2 * np.cos(x[..., 0]))[..., None, None, None]
+    def sigma_fn(x):
+        return (s0 + 0.2 * np.sin(x[..., 0]))[..., None, None]
 
-        def drift_fn(x):
-            return -x + 0.5 * np.cos(2.0 * x)
+    def sigma_jac_fn(x):
+        return (0.2 * np.cos(x[..., 0]))[..., None, None, None]
 
-        def drift_jac_fn(x):
-            return (-1.0 - np.sin(2.0 * x[..., 0]))[..., None, None]
+    def drift_fn(x):
+        return -x + 0.5 * f(x)
 
-    else:  # rough
-        def sigma_fn(x):
-            return (0.4 + 0.2 * np.sin(x[..., 0]))[..., None, None]
-
-        def sigma_jac_fn(x):
-            return (0.2 * np.cos(x[..., 0]))[..., None, None, None]
-
-        def drift_fn(x):
-            return -x + 0.5 * _loglip(x)
-
-        def drift_jac_fn(x):
-            return (-1.0 + 0.5 * _loglip_deriv(x[..., 0]))[..., None, None]
+    def drift_jac_fn(x):
+        return (-1.0 + 0.5 * f(x[..., 0], deriv=True)[1])[..., None, None]
 
     return CoefficientField(
         dim_state=1, dim_noise=1,
@@ -353,10 +354,8 @@ def make_family(name: str, **params) -> Family:
         dim, rate, noise = (_param(params, key, v) if key in settable else v
                             for key, v in zip(("dim", "rate", "noise"), defaults))
         label = f"linear(rate={rate:g},noise={noise:g})" if name == "linear" else name
-        # translation's measure keeps its own exponent (criterion 1's oracle)
-        alpha = 1.5 if name == "translation" else _alpha_for(2.0, dim)
         fam = Family(name, _affine(dim, rate, noise, label), 2.0, p0,
-                     ReferenceMeasure(dim, alpha))
+                     ReferenceMeasure(dim, _alpha_for(2.0, dim)))
     elif name == "log-singular":
         field = _log_singular(_param(params, "beta", 1.2), _param(params, "noise", 0.3))
         q = 1.5

@@ -10,8 +10,10 @@ the requested components of sigma and b (and their Jacobians) together;
 ``evaluate(x, jac=False) -> FieldEval`` and the single-component accessors
 ``sigma``, ``drift``, ``sigma_jac`` and ``drift_jac`` are one-liners over
 it.  A ``StructuredCoefficient`` stacks its first block, read from its
-``FieldBlocks`` record, on top of its second-block rows.  The module also
-provides
+``FieldBlocks`` record, on top of its second-block rows, and a ``Swirl``, a
+planar field declared by its rotation symmetry, calls its radial profile
+once per evaluation, for the drift and its Jacobian together.  The module
+also provides
 
 * compactly supported bump mollifiers ``chi_k`` with cutoffs ``psi_k`` and
   the smoothing ``f_k = (f * chi_k) psi_k``, whose derivatives are computed
@@ -19,8 +21,9 @@ provides
   ``mollify`` is the one smoothing entry: it smooths every row of a plain
   field and the second block of a structured one, packing sigma and b into
   one function, so an evaluation costs one quadrature pass over the rough
-  field, except for a planar field that declares its rotation symmetry
-  (``Swirl``), whose smoothing is read from a radial table with no pass;
+  field, except for a ``Swirl``, whose smoothing is read from a radial
+  table with no pass.  The cutoff's step, ``_smoothstep(t, deriv)``, gives
+  its value and, on request, its derivative from one pass over its band;
 * ``density_terms``, the terms of the exponent of the pathwise push-forward
   density from one ``FieldEval``: the noise term, the drift term and, given
   a difference step, the Ito-Taylor coefficient of the noise term;
@@ -102,14 +105,13 @@ class CoefficientField:
     returns the requested components, with their Jacobians when ``jac`` is
     set, in one ``FieldEval``.  Here it calls the ``*_fn`` callables and
     checks the value shapes; a field smoothed by ``mollify`` evaluates by
-    one quadrature pass (or its swirl table) instead, and a
-    ``StructuredCoefficient`` from its block record (neither carries the
-    callables, so ``is_analytic`` is False for them).  A field built by
-    ``Swirl.field`` carries its declaration in ``swirl``.  ``evaluate`` and
-    the accessors call ``_eval``.  A field without Jacobian callables is
-    never differenced (its coefficients may jump): asking for a Jacobian
-    raises a ``ValueError`` naming it, and ``mollify`` gives a
-    differentiable field.  Fields are immutable in
+    one quadrature pass (or its swirl table) instead, a
+    ``StructuredCoefficient`` from its block record and a ``Swirl`` from its
+    profile (none carries the callables, so ``is_analytic`` is False for
+    them).  ``evaluate`` and the accessors call ``_eval``.  A field without
+    Jacobian callables is never differenced (its coefficients may jump):
+    asking for a Jacobian raises a ``ValueError`` naming it, and
+    ``mollify`` gives a differentiable field.  Fields are immutable in
     practice: evaluation never mutates state, so a field instance is safe
     for concurrent use.
     """
@@ -122,7 +124,6 @@ class CoefficientField:
     drift_jac_fn: Optional[Callable] = None
     name: str = ""
     sigma_constant: bool = False  # sigma is read at one point (smoothing, density terms)
-    swirl: Optional["Swirl"] = None  # the field's rotation symmetry: smoothing reads a table
 
     # -- evaluation --------------------------------------------------------
 
@@ -310,55 +311,47 @@ class StructuredCoefficient(CoefficientField):
         return FieldEval(ev.sigma, ev.drift, ev.sigma_jac[..., n1:], ev.drift_jac[..., n1:])
 
 
-@dataclass(frozen=True)
-class Swirl:
+class Swirl(CoefficientField):
     """A planar field declared by its rotation symmetry: sigma = noise I and
     ``b = -x + g(r) x^perp`` with ``x^perp = (-x2, x1)``, the swirl profile g
     vanishing from ``r = 1`` on (the module's ``_SWIRL_RATE`` and
     ``_SWIRL_RADIUS``).
 
-    ``profile(r, *params, deriv=False)`` gives g, or ``(g, g')`` with
-    ``deriv``, at radii ``0 < r < 1``; it is a module-level function, so
-    ``(profile, params)`` names a profile by value.  ``field`` builds the
-    rough field, and ``mollify`` smooths it through the symmetry instead of
+    ``Swirl(profile, params, noise, name)``: ``profile(r, *params,
+    deriv=False)`` gives g, or ``(g, g')`` with ``deriv``, at radii ``0 < r
+    < 1``; it is a module-level function, so ``(profile, params)`` names a
+    profile by value.  ``_eval`` is the rough field, one profile call per
+    evaluation, and ``mollify`` smooths it through the symmetry instead of
     by quadrature: the kernel is radial, so ``(b * chi_k)(x) = -x + h_k(r)
     x^perp / r``, with the 1-D profile ``h_k`` read from a table built once
     per profile, level and kernel shape (``_swirl_table``).  Both evaluate
-    through ``_swirl``, with ``H = g`` and ``H = h_k / r``.
+    through ``_swirl``, with ``H = g`` and ``H = h_k / r``.  A swirl has no
+    Jacobian callables, so ``is_analytic`` is False.
     """
 
-    profile: Callable
-    params: tuple
-    noise: float
+    def __init__(self, profile: Callable, params: tuple, noise: float, name: str = ""):
+        super().__init__(2, 2, None, None, name=name, sigma_constant=True)
+        self.profile, self.params, self.noise = profile, tuple(params), noise
 
-    def radial(self, r, deriv: bool = False) -> NDArray[np.float64]:
-        """Rows g (and g' with ``deriv``) at radii ``r``, zero off 0 < r < 1."""
-        on = (r > 0) & (r < _SWIRL_RADIUS)
-        out = np.zeros((1 + deriv,) + np.shape(r))
-        out[:, on] = self.profile(r[on], *self.params, deriv=deriv)
+    def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
+        out, lead = FieldEval(None, None), pts.shape[:-1]
+        if sigma:
+            out.sigma = np.broadcast_to(self.noise * np.eye(2), lead + (2, 2)).copy()
+            if jac:
+                out.sigma_jac = np.zeros(lead + (2, 2, 2))
+        if drift:
+            r = np.sqrt(sq_norm(pts))
+            on = (r > 0) & (r < _SWIRL_RADIUS)
+            rows = np.zeros((1 + jac,) + r.shape)  # g, and g' with jac; zero off 0 < r < 1
+            rows[:, on] = self.profile(r[on], *self.params, deriv=jac)
+            if not jac:
+                out.drift = _swirl(pts, rows[0])
+            else:
+                g, gp = rows
+                safe_r = np.where(r > 0, r, 1.0)
+                out.drift, out.drift_jac = _swirl(
+                    pts, g, (gp * pts[..., 0] / safe_r, gp * pts[..., 1] / safe_r))
         return out
-
-    def field(self, name: str = "") -> CoefficientField:
-        """The rough field: a declared-constant sigma, b and both Jacobians."""
-
-        def sigma_fn(x):
-            return np.broadcast_to(self.noise * np.eye(2), x.shape[:-1] + (2, 2)).copy()
-
-        def sigma_jac_fn(x):
-            return np.zeros(x.shape[:-1] + (2, 2, 2))
-
-        def drift_fn(x):
-            x0, x1 = x[..., 0], x[..., 1]
-            return _swirl(x, self.radial(np.sqrt(x0 * x0 + x1 * x1))[0])
-
-        def drift_jac_fn(x):
-            r = np.sqrt(sq_norm(x))
-            g, gp = self.radial(r, deriv=True)
-            safe_r = np.where(r > 0, r, 1.0)
-            return _swirl(x, g, (gp * x[..., 0] / safe_r, gp * x[..., 1] / safe_r))[1]
-
-        return CoefficientField(2, 2, sigma_fn, drift_fn, sigma_jac_fn, drift_jac_fn,
-                                name=name, sigma_constant=True, swirl=self)
 
 
 def _swirl(x, H, grad_H=None):
@@ -411,45 +404,32 @@ def _bump_mass(dim: int, shape: float) -> float:
     return float(surf * val)
 
 
-def _step_band(t):
-    """Mask of the open band 0 < t < 1, t on it, exp(-1/t) and exp(-1/(1-t)).
+def _smoothstep(t, deriv: bool = False):
+    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t); with
+    ``deriv``, the pair of it and its derivative, from one pass over the
+    band 0 < t < 1.
 
     Only the band needs the exponentials: outside it the step is exactly 0
-    or 1 and its derivative exactly 0.
+    or 1 and its derivative exactly 0.  A nan input stays nan in the step.
+    Where ``t**2`` underflows (t < 1e-150) the derivative's numerator
+    ``exp(-1/t)`` is already 0, so ``t`` is floored there to keep 0/0 out
+    of the quotient.
     """
+    t = np.asarray(t, dtype=np.float64)
+    out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, np.nan))
     band = (t > 0.0) & (t < 1.0)
     tb = t[band]
     with np.errstate(divide="ignore", over="ignore"):  # subnormal t: exp(-inf)
         g = np.exp(-1.0 / tb)
-    return band, tb, g, np.exp(-1.0 / (1.0 - tb))
-
-
-def _smoothstep(t, parts=None):
-    """C-infinity step: 0 for t<=0, 1 for t>=1, built from exp(-1/t).
-
-    A nan input stays nan.  ``parts`` is ``_step_band(t)`` when the caller
-    already has it.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, np.nan))
-    band, _, g, gm = _step_band(t) if parts is None else parts
+    gm = np.exp(-1.0 / (1.0 - tb))
     out[band] = g / (g + gm)
-    return out
-
-
-def _smoothstep_deriv(t, parts=None):
-    """Derivative of ``_smoothstep``; exactly 0 outside the band 0 < t < 1.
-
-    Where ``t**2`` underflows (t < 1e-150) the numerator ``exp(-1/t)`` is
-    already 0, so ``t`` is floored there to keep 0/0 out of the quotient.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape)
-    band, tb, g, gm = _step_band(t) if parts is None else parts
+    if not deriv:
+        return out
+    slope = np.zeros(t.shape)
     gp = g / np.maximum(tb, 1e-150) ** 2
     gmp = -gm / (1.0 - tb) ** 2
-    out[band] = (gp * gm - g * gmp) / (g + gm) ** 2
-    return out
+    slope[band] = (gp * gm - g * gmp) / (g + gm) ** 2
+    return out, slope
 
 
 @dataclass
@@ -540,11 +520,10 @@ class MollifierSpec:
             return (psi, pts * -0.0) if grad else psi
         r = np.sqrt(sq)
         t = 2.0 - r / self.level
-        parts = _step_band(t)
-        psi = _smoothstep(t, parts)
         if not grad:
-            return psi
-        deriv = _smoothstep_deriv(t, parts) * (-1.0 / self.level)
+            return _smoothstep(t)
+        psi, slope = _smoothstep(t, deriv=True)
+        deriv = slope * (-1.0 / self.level)
         safe_r = np.where(r > 0, r, 1.0)
         return psi, deriv[..., None] * pts / safe_r[..., None]
 
@@ -851,9 +830,9 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
 
     Derivatives come from ``f * grad(chi_k)`` plus the product rule with
     ``grad(psi_k)``; the rough field is never differenced.  Every row of a
-    plain field is smoothed, by one quadrature pass per evaluation; a field
-    declaring a ``Swirl`` is smoothed from its table instead
-    (``_SwirlSmoother``: no pass, the spec's level and kernel shape only).
+    plain field is smoothed, by one quadrature pass per evaluation; a
+    ``Swirl`` is smoothed from its table instead (``_SwirlSmoother``: no
+    pass, the spec's level and kernel shape only).
     Of a structured field only the second block is: the first block needs
     no regularization for the partial-Sobolev theory, so it is kept as is
     and the first-block flow is identical across smoothing levels.  The
@@ -867,7 +846,7 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     n, m = field.dim_state, field.dim_noise
     if not isinstance(field, StructuredCoefficient):
         smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
-        smooth._eval = (_SwirlSmoother(spec, field.swirl) if field.swirl is not None
+        smooth._eval = (_SwirlSmoother(spec, field) if isinstance(field, Swirl)
                         else _Smoother(spec, field._eval, (n, m), field.constant_sigma()))
         return smooth
     if field.blocks.sigma1_jac is None or field.blocks.drift1_jac is None:

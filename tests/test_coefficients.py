@@ -1,6 +1,6 @@
 """Coefficient fields, mollification, and the density-exponent functionals."""
 
-import dataclasses
+import copy
 import math
 from dataclasses import replace
 
@@ -20,7 +20,7 @@ from roughflow import (
     mollifier_domination_check,
     mollify,
 )
-from roughflow import coefficients
+from roughflow import catalog, coefficients
 from roughflow._seeds import derive_rng
 from roughflow.catalog import _loglip
 from roughflow.coefficients import (
@@ -29,11 +29,12 @@ from roughflow.coefficients import (
     Swirl,
     _bump_mass,
     _smoothstep,
-    _smoothstep_deriv,
     _term_sum,
 )
 from roughflow.derivative import DerivativeSystem
 from roughflow.flow import integrate as integrate_flow
+
+from helpers import quadrature_field
 
 
 def scalar_field_1d(fn, dfn=None, name=""):
@@ -164,11 +165,11 @@ class TestMollify:
         assert np.allclose(smooth.drift(x), x, atol=1e-13)
 
     def test_log_singular_value_vs_quadrature_oracle(self):
-        # the fixed-node engine on log-singular's rough callables (without its
-        # swirl declaration, which smooths from a table: see TestSwirlTable)
+        # the fixed-node engine on log-singular's rough evaluations as a plain
+        # field (a Swirl smooths from its table: see TestSwirlTable)
         fam = make_family("log-singular")
         spec = MollifierSpec(dim=2, level=8.0, order=32, panels=2)
-        smooth = mollify(_quadrature_field(fam.field), spec)
+        smooth = mollify(quadrature_field(fam.field), spec)
         x = np.array([[0.01, 0.0]])
         got = smooth.drift(x)[0]
 
@@ -269,7 +270,7 @@ def _old_log_singular_closed_form(x, beta=1.2, noise=0.3):
     s = beta * logterm * zeta
     g, gp = np.zeros(r.shape), np.zeros(r.shape)
     g[on] = s / ro
-    gp[on] = beta * (-zeta / ro + logterm * (-2.0 * _smoothstep_deriv(t))) / ro - s / ro**2
+    gp[on] = beta * (-zeta / ro + logterm * (-2.0 * _smoothstep(t, deriv=True)[1])) / ro - s / ro**2
     b = np.stack([-1.0 * x0 - g * x1, -1.0 * x1 + g * x0], axis=-1)
     safe = np.where(r > 0, r, 1.0)
     grad_g = gp[..., None] * x / safe[..., None]
@@ -288,7 +289,10 @@ class TestSwirlField:
     noise; the rate and the support radius are 1 for every swirl."""
 
     def test_declaration_fields(self):
-        assert [f.name for f in dataclasses.fields(Swirl)] == ["profile", "params", "noise"]
+        field = make_family("log-singular").field
+        assert isinstance(field, Swirl) and (field.dim_state, field.dim_noise) == (2, 2)
+        assert (field.profile, field.params, field.noise) == (catalog._vortex_profile, (1.2,), 0.3)
+        assert field.sigma_constant and not field.is_analytic
 
     def test_rough_field_bitwise_its_old_closed_form(self):
         # log-singular's rough values and Jacobians feed c3, c4 and c5: the
@@ -304,6 +308,27 @@ class TestSwirlField:
                              _old_log_singular_closed_form(x)):
             assert got.shape == want.shape
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    def test_one_profile_call_per_evaluation(self, monkeypatch):
+        # the rough drift and its Jacobian come from one profile call, with
+        # g' only when a Jacobian is asked for
+        calls, profile = [], catalog._vortex_profile
+
+        def counted(r, *params, deriv=False):
+            calls.append(deriv)
+            return profile(r, *params, deriv=deriv)
+
+        monkeypatch.setattr(catalog, "_vortex_profile", counted)
+        fam = make_family("log-singular")
+        x = fam.measure.sample(derive_rng(34, "swirl-calls"), 1000)
+        fam.field.evaluate(x, jac=True)
+        assert calls == [True]
+        calls.clear()
+        density_terms(fam.field, fam.measure, x, h=2.0**-5)
+        assert calls == [True]
+        calls.clear()
+        fam.field.drift(x)
+        assert calls == [False]
 
 
 class TestSwirlTable:
@@ -612,7 +637,8 @@ class TestConstantSigma:
     def test_density_terms_bitwise_the_per_state_path(self, name):
         fam = make_family(name)
         m, field = fam.measure, fam.field
-        per_state = replace(field, sigma_constant=False)
+        per_state = copy.copy(field)
+        per_state.sigma_constant = False
         assert per_state.constant_sigma() is None
         pts = m.sample(derive_rng(13, f"const-terms-{name}"), 300)
         for ev in (None, per_state.evaluate(pts, jac=True)):
@@ -636,6 +662,22 @@ def _old_affine_closed_form(name, x, rate=1.0, noise=0.6):
         return (np.zeros(lead + (n, n)), -x, sigma_jac,
                 np.broadcast_to(-eye, lead + (n, n)).copy())
     return np.full(lead + (1, 1), 0.5), -0.8 * x, sigma_jac, np.full(lead + (1, 1), -0.8)
+
+
+class TestCatalogMeasures:
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_measures_meet_the_standing_constraints(self, name):
+        # alpha > q + n/2; a block field's mu1 also alpha1 > q + n1/2, and
+        # alpha > alpha1 + n2/2
+        fam = make_family(name)
+        q, m, n = fam.q, fam.measure, fam.field.dim_state
+        assert m.dim == n and m.alpha > q + n / 2
+        if isinstance(fam.field, StructuredCoefficient):
+            m1, n1 = fam.measure1, fam.field.n1
+            assert m1.dim == n1 and m1.alpha > q + n1 / 2
+            assert m.alpha > m1.alpha + (n - n1) / 2
+        else:
+            assert fam.measure1 is None
 
 
 class TestAffineFamilies:
@@ -798,7 +840,7 @@ class TestSmoothstep:
         assert np.isnan(_smoothstep(np.nan))
 
     def test_derivative_bitwise_equal_where_full_formula_is_finite(self):
-        got = _smoothstep_deriv(self.GRID)
+        got = _smoothstep(self.GRID, deriv=True)[1]
         ref = _smoothstep_deriv_reference(self.GRID)
         finite = np.isfinite(ref)
         assert got[finite].tobytes() == ref[finite].tobytes()
@@ -812,19 +854,13 @@ class TestSmoothstep:
 _MOLLIFIED_SPEC = dict(level=4.0)  # order 32, two panels: gradient weights accurate to ~1e-8
 
 
-def _quadrature_field(field):
-    """``field`` for the quadrature path: a swirl field's rough callables as a
-    plain field with no swirl declaration, any other field as it is."""
-    return field if field.swirl is None else replace(field, swirl=None)
-
-
 def _field_for(name, smoothing):
     """The family and its field: rough (``plain``), smoothed (``mollify``) or
-    smoothed by quadrature (``quadrature``, ``_quadrature_field``)."""
+    smoothed by quadrature (``quadrature``, ``quadrature_field``)."""
     fam = make_family(name)
     field = fam.field
     if smoothing == "quadrature":
-        field = _quadrature_field(field)
+        field = quadrature_field(field)
     if smoothing != "plain":
         field = mollify(field, MollifierSpec(dim=field.dim_state, **_MOLLIFIED_SPEC))
     return fam, field
@@ -873,7 +909,7 @@ class TestBallNodes:
     def test_evaluate_matches_full_cube_rule(self, monkeypatch, name, level):
         fam = make_family(name)
         spec = fam.mollifier(level)
-        field = mollify(_quadrature_field(fam.field), spec)
+        field = mollify(quadrature_field(fam.field), spec)
         pts = fam.measure.sample(derive_rng(14, f"cube-{name}"), 400)
         got = field.evaluate(pts, jac=True)
         nodes, weights = _full_cube_rule(spec)

@@ -1,7 +1,5 @@
 """Pathwise density tracking, pullback estimators, and theoretical bounds."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy import integrate as sci
@@ -27,6 +25,8 @@ from roughflow import (
 from roughflow import flow
 from roughflow._seeds import derive_rng, derive_seed
 
+from helpers import quadrature_field
+
 
 def zero_field():
     return CoefficientField(
@@ -38,14 +38,17 @@ def zero_field():
     )
 
 
-def tracked(family_name, dt_exp=8, n_omega=8, n_x=24, T=1.0, seed=0):
+def tracked(family_name, dt_exp=8, n_omega=8, n_x=24, T=1.0, seed=0, measure=None):
+    """The family's flow from starts drawn from ``measure`` (the family's
+    own by default), with its density tracked against that measure."""
     fam = make_family(family_name)
+    m = fam.measure if measure is None else measure
     drv = BrownianDriver.generate(
         fam.field.dim_noise, 2.0**-dt_exp, int(T * 2**dt_exp), n_omega,
         derive_seed(seed, f"{family_name}-driver"),
     )
-    x0 = fam.measure.sample(derive_rng(seed, f"{family_name}-x0"), n_x)
-    ens = integrate(fam.field, drv, x0, T, density=fam.measure)
+    x0 = m.sample(derive_rng(seed, f"{family_name}-x0"), n_x)
+    ens = integrate(fam.field, drv, x0, T, density=m)
     return fam, ens, ens.density
 
 
@@ -124,7 +127,7 @@ class TestTrackInIntegrate:
     @pytest.mark.parametrize("steps_per_block", [3, None])  # None: one block
     @pytest.mark.parametrize("name,smoothed", [
         # log-singular smooths from its swirl table, or by quadrature
-        # ("quadrature") with its rough callables as a field without the table
+        # ("quadrature") with its rough evaluations as a plain field (``quadrature_field``)
         ("log-singular", True), ("log-singular", "quadrature"), ("partially-sobolev", True),
         ("deriv-smooth", True), ("linear", False), ("partially-sobolev", False),
     ])
@@ -133,7 +136,7 @@ class TestTrackInIntegrate:
         fam = make_family(name)
         field = fam.field
         if smoothed == "quadrature":
-            field = replace(field, swirl=None)
+            field = quadrature_field(field)
         field = mollify(field, fam.mollifier(4.0)) if smoothed else field
         assert field.is_smoothed == bool(smoothed)
         n_omega, n_x, n_steps = 3, 5, 11
@@ -369,9 +372,10 @@ class TestKdeCrosscheck:
         assert rep.qq_distance < 0.15
 
     def test_translation_fixed_omega(self):
-        fam, ens, _ = tracked("translation", dt_exp=8, n_omega=2, n_x=4000,
-                              seed=14)
-        m = fam.measure
+        # the weight-ratio oracle holds for any alpha; this check's bandwidth
+        # and bound were set on starts drawn from alpha = 1.5
+        m = ReferenceMeasure(1, 1.5)
+        _, ens, _ = tracked("translation", dt_exp=8, n_omega=2, n_x=4000, seed=14, measure=m)
         rep = kde_crosscheck(ens, m, 1.0, bandwidth=0.3, omega_index=1)
         b_t = np.cumsum(ens.driver.increments, axis=1)[1, -1, 0]
         pts = rep.probe_points[:, 0]

@@ -47,8 +47,11 @@ class TestLift:
             sigma_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
             drift_fn=lambda x: -x,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs analytic base Jacobians"):
             DerivativeSystem(bare)
+        # a Swirl evaluates its own Jacobians but has no callables to lift
+        with pytest.raises(ValueError, match="needs analytic base Jacobians"):
+            DerivativeSystem(make_family("log-singular").field)
 
 
 class TestFlows:

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -33,3 +34,10 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     assert not hasattr(roughflow.derivative.DerivativeSystem, "epsilon_system")
     # the kernel's mass is a test's own quadrature of MollifierSpec.kernel
     assert not hasattr(roughflow.MollifierSpec, "kernel_mass_quadrature")
+    # a Swirl is a field: one _eval, one profile call, a value-and-derivative
+    # step formula (_smoothstep, catalog._zeta, catalog._loglip with deriv)
+    assert not any(hasattr(roughflow.Swirl, name) for name in ("field", "radial"))
+    assert "swirl" not in {f.name for f in dataclasses.fields(roughflow.CoefficientField)}
+    for mod, names in ((roughflow.coefficients, ("_step_band", "_smoothstep_deriv")),
+                       (roughflow.catalog, ("_zeta_deriv", "_loglip_deriv"))):
+        assert not any(hasattr(mod, name) for name in names), mod.__name__

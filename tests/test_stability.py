@@ -26,6 +26,8 @@ from roughflow.stability import (
     uniqueness_experiment,
 )
 
+from helpers import quadrature_field
+
 
 def ou_pair(shift=0.0, seed=1, n_omega=8, n_x=24, dt_exp=7):
     fam = make_family("linear")
@@ -206,12 +208,10 @@ class TestQuadraturePassBudget:
 
     @staticmethod
     def family(name, quadrature):
-        """The family; with ``quadrature``, log-singular's rough callables as a
-        plain field with no swirl declaration, so smoothing takes quadrature."""
+        """The family; with ``quadrature``, log-singular's rough evaluations as a
+        plain field (``quadrature_field``), so smoothing takes quadrature."""
         fam = make_family(name)
-        if quadrature and fam.field.swirl is not None:
-            fam = replace(fam, field=replace(fam.field, swirl=None))
-        return fam
+        return replace(fam, field=quadrature_field(fam.field)) if quadrature else fam
 
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     def test_bound_makes_three_passes(self, passes, name):
