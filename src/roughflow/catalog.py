@@ -5,8 +5,8 @@ it satisfies, the exponential-integrability parameter p0, and reference
 measures whose decay exponents respect the standing constraints
 (``alpha > q + n/2``; for block-structured fields additionally
 ``alpha1 > q + n1/2`` and ``alpha > alpha1 + n2/2``), each exceeding its
-bound by 0.5, and the mollifier it is smoothed with (``Family.mollifier``;
-its quadrature rule serves every family but log-singular).
+bound by 0.5, and the mollifier it is smoothed with (``Family.mollifier``:
+one order-16 Gauss rule; log-singular reads only its level and shape).
 ``doubled_measure`` gives the measure of the doubled space of a derivative
 base under the same convention.
 
@@ -28,7 +28,8 @@ Families:
 * ``partially-sobolev`` -- block-structured on R^2: second-block
                            coefficients have a step-function dependence on
                            x1 (no x1-Sobolev regularity) and weak
-                           x2-derivatives with a log singularity.
+                           x2-derivatives with a log singularity; its
+                           record's ``x1_break = 0`` declares the step.
 * ``deriv-linear`` / ``deriv-smooth`` / ``deriv-rough``
                         -- one-dimensional bases for the derivative-system
                            experiments; deriv-linear is sigma = 0.5,
@@ -74,12 +75,12 @@ FAMILY_NAMES = (
     "deriv-smooth",
     "deriv-rough",
 )
-_MOLLIFIER_ORDER = 16  # Gauss-Legendre nodes per panel and axis of every family
+_MOLLIFIER_ORDER = 16  # Gauss-Legendre nodes per axis of every family's mollifier rule
 
 
 @dataclass
 class Family:
-    """A catalog coefficient field with its exponents and measures."""
+    """A catalog coefficient field with its exponents, measures and mollifier."""
 
     name: str
     field: CoefficientField
@@ -87,7 +88,6 @@ class Family:
     p0: float
     measure: ReferenceMeasure
     measure1: Optional[ReferenceMeasure] = None  # first-block measure (structured)
-    mollifier_panels: int | tuple = 1            # quadrature panels (per axis if a tuple)
 
     @property
     def affine(self) -> bool:
@@ -101,9 +101,9 @@ class Family:
         return self.q / (self.q - 1.0)
 
     def mollifier(self, level: float) -> MollifierSpec:
-        """The family's smoothing at ``level``, with its recorded quadrature."""
+        """The family's smoothing at ``level``: the catalog's one Gauss rule."""
         return MollifierSpec(dim=self.field.dim_state, level=level,
-                             order=_MOLLIFIER_ORDER, panels=self.mollifier_panels)
+                             order=_MOLLIFIER_ORDER, panels=1)
 
 
 def _alpha_for(q: float, n: int, extra: float = 0.0) -> float:
@@ -245,7 +245,8 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
         return (0.35 + 0.1 * np.tanh(x1))[..., None]
 
     def sigma1_jac_fn(x1):
-        return (0.1 / np.cosh(x1) ** 2)[..., None, None]
+        e = np.exp(-2.0 * np.abs(x1))  # 0.1 sech^2 x1, finite where cosh overflows
+        return (0.4 * e / (1.0 + e) ** 2)[..., None, None]
 
     def drift1_fn(x1):
         return -x1
@@ -254,7 +255,8 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
         return -np.ones(x1.shape[:-1] + (1, 1))
 
     # the second block in term form, (x1 factor, x2 factor) pairs: a smoothing
-    # pass evaluates each factor once per offset of its own block
+    # pass reads each x1 factor once per side of x1_break = 0, each x2 factor
+    # once per offset
     def sigma2_fn(x1, x2):
         s = step(x1[..., 0])
         return [((noise * (1.0 + 0.5 * s))[..., None, None],
@@ -277,7 +279,7 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
         1,
         FieldBlocks(sigma1=sigma1_fn, drift1=drift1_fn, sigma2=sigma2_fn, drift2=drift2_fn,
                     sigma1_jac=sigma1_jac_fn, drift1_jac=drift1_jac_fn,
-                    sigma2_jac=sigma2_jac_x2_fn, drift2_jac=drift2_jac_x2_fn),
+                    sigma2_jac=sigma2_jac_x2_fn, drift2_jac=drift2_jac_x2_fn, x1_break=0.0),
         dim_state=2, dim_noise=1, name=f"partially-sobolev(step={step_amp:g})",
     )
 
@@ -366,9 +368,8 @@ def make_family(name: str, **params) -> Family:
         q = 2.0
         alpha1 = _alpha_for(q, 1)                       # q + n1/2 + 0.5
         alpha = _alpha_for(q, 2, extra=alpha1 + 0.5)    # also > alpha1 + n2/2
-        # two x1-panels put a panel edge on the x1-step
         fam = Family(name, field, q, p0, ReferenceMeasure(2, alpha),
-                     ReferenceMeasure(1, alpha1), mollifier_panels=(2, 1))
+                     ReferenceMeasure(1, alpha1))
     elif name in ("deriv-smooth", "deriv-rough"):
         kind = name.split("-", 1)[1]
         field = _deriv_base(kind)

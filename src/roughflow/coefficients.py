@@ -21,9 +21,10 @@ also provides
   ``mollify`` is the one smoothing entry: it smooths every row of a plain
   field and the second block of a structured one, packing sigma and b into
   one function, so an evaluation costs one quadrature pass over the rough
-  field, except for a ``Swirl``, whose smoothing is read from a radial
-  table with no pass.  The cutoff's step, ``_smoothstep(t, deriv)``, gives
-  its value and, on request, its derivative from one pass over its band;
+  field (a block jumping in x1 by the slice rule), except for a ``Swirl``,
+  whose smoothing is read from a radial table with no pass.  The cutoff's
+  step, ``_smoothstep(t, deriv)``, gives its value and, on request, its
+  derivative from one pass over its band;
 * ``density_terms``, the terms of the exponent of the pathwise push-forward
   density from one ``FieldEval``: the noise term, the drift term and, given
   a difference step, the Ito-Taylor coefficient of the noise term;
@@ -39,8 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,6 +72,8 @@ _SWIRL_RADII = 16        # swirl table radii per unit length and unit of level
 _SWIRL_RHO = 24          # Gauss-Legendre nodes of a table radius's annulus in rho
 _SWIRL_THETA = 16        # Gauss-Legendre nodes in the angle
 _SWIRL_BLOCK = 16        # table radii per build block: (radii, rho, theta) temporaries stay small
+_SLICE_CELLS = 128       # cells of a slice table over the kernel ball's width in u1
+_SLICE_NODES = 4         # Gauss-Legendre nodes of a slice table cell
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +198,11 @@ class FieldBlocks:
     ``sum_t a1_t * a2_t``.  A factor reads one block only: it has the
     leading axes of that block's coordinates and one axis per value axis,
     each of size 1 where the factor does not vary along it.  At points the
-    terms are summed in order; a smoothing pass calls the callables on the
-    block grids ``x1 - u1/k`` of shape (B, G1, 1, n1) and ``x2 - u2/k`` of
-    shape (B, 1, G2, n2), the distinct node offsets of each block, and
-    contracts each x1 factor and each x2 factor through the kernel weights,
-    so no factor is formed on the (G1, G2) product grid; it rejects a
-    factor that spans both grids with a ``ValueError``.  The Jacobian
-    callables return arrays and are evaluated at points only.
+    terms are summed in order.  ``x1_break`` declares the x1 factors constant
+    on either side of ``x1 = x1_break``: only such a record is smoothed, by
+    the slice rule (``MollifierSpec._slices``), whose pass rejects a factor
+    that spans its x1 pieces and x2 offsets.  The Jacobian callables return
+    arrays and are evaluated at points only.
     """
 
     sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)
@@ -211,6 +213,7 @@ class FieldBlocks:
     drift1_jac: Optional[Callable] = None   # x1 -> (..., n1, n1)
     sigma2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, m, n2), in x2
     drift2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, n2), in x2
+    x1_break: Optional[float] = None        # the x1 factors' one jump; None: not smoothable
 
 
 def _term_sum(terms) -> NDArray[np.float64]:
@@ -296,7 +299,7 @@ class StructuredCoefficient(CoefficientField):
 
     def _terms(self, x1, x2, sigma=True, drift=True) -> FieldEval:
         """Rough second-block sigma and/or b in term form at the block
-        coordinates ``(x1, x2)``: points, or a quadrature's block grids."""
+        coordinates ``(x1, x2)``: points, or the slice rule's grids."""
         b = self.blocks
         return FieldEval(b.sigma2(x1, x2) if sigma else None, b.drift2(x1, x2) if drift else None)
 
@@ -447,17 +450,17 @@ class MollifierSpec:
     ``(1 + dim, Q)`` matrix, so a quadrature pass returns the convolution
     and its gradient from one matrix product per row group and chunk of
     states, where the convolved function sees at most ``_MAX_EVAL_BLOCK``
-    points.  A pass split into two column blocks contracts a function in
-    term form through the same weights scattered over the blocks' offset
-    grids (``_contract``).  ``order``/``panels`` trade accuracy for cost.
-    A ``Swirl`` field's smoothing reads only ``level`` and ``shape``: its
+    points.  A planar function constant in x1 on either side of a break
+    takes the slice rule (``_slices``), which integrates the jump exactly.
+    ``order`` and the ``panels`` of every axis trade accuracy for cost.  A
+    ``Swirl`` field's smoothing reads only ``level`` and ``shape``: its
     table integrates the continuum kernel, with no node of this rule.
     """
 
     dim: int
     level: float = 1.0
     order: int = 32
-    panels: int | Sequence[int] = 2
+    panels: int = 2
     shape: float = 1.0
 
     def __post_init__(self):
@@ -467,23 +470,11 @@ class MollifierSpec:
             raise ValueError(f"kernel shape must be finite and positive, got {self.shape}")
         if self.order < 1:
             raise ValueError(f"quadrature order must be >= 1, got {self.order}")
-        panels = tuple(self.panels) if isinstance(self.panels, (tuple, list)) else (
-            (int(self.panels),) * self.dim)
-        if len(panels) != self.dim:
-            raise ValueError("need one panel count per axis")
-        if min(panels) < 1:
-            raise ValueError(f"panel counts must be >= 1, got {self.panels}")
-        axes_nodes, axes_weights = [], []
-        gl_x, gl_w = special.roots_legendre(self.order)
-        for p in panels:
-            edges = np.linspace(-1.0, 1.0, p + 1)
-            axes_nodes.append(np.concatenate(
-                [(e0 + e1) / 2 + (e1 - e0) / 2 * gl_x
-                 for e0, e1 in zip(edges, edges[1:])]))
-            axes_weights.append(np.concatenate(
-                [(e1 - e0) / 2 * gl_w for e0, e1 in zip(edges, edges[1:])]))
-        nodes = grid_points(axes_nodes).reshape(-1, self.dim)
-        raw_w = np.prod(grid_points(axes_weights).reshape(-1, self.dim), axis=-1)
+        if not (isinstance(self.panels, numbers.Integral) and self.panels >= 1):
+            raise ValueError(f"panel count must be a positive integer, got {self.panels!r}")
+        gl_x, gl_w = _gauss_rule(self.order, self.panels)
+        nodes = grid_points([gl_x] * self.dim).reshape(-1, self.dim)
+        raw_w = np.prod(grid_points([gl_w] * self.dim).reshape(-1, self.dim), axis=-1)
         bump, slope = _bump(1.0 - np.sum(nodes**2, axis=-1), self.shape)
         # the kernel and its gradient are exactly 0 off the open unit ball
         # (and where exp underflows): those nodes would only cost evaluations
@@ -495,7 +486,6 @@ class MollifierSpec:
         # row 0: value weights (sum to 1 exactly); row 1 + j: d/dx_j weights
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
-        self._grids = {}  # column split -> ``_block_weights``
 
     # -- kernel and cutoff ---------------------------------------------------
 
@@ -529,49 +519,45 @@ class MollifierSpec:
 
     # -- convolution ---------------------------------------------------------
 
-    def convolve(self, func: Callable, x, split: tuple = ()) -> NDArray[np.float64]:
-        """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out).
+    def convolve(self, func: Callable, x, x1_break: Optional[float] = None) -> NDArray[np.float64]:
+        """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out), or with
+        an ``x1_break`` is ``func(x1, x2)`` of the slice rule (``_slices``)."""
+        return self._quadrature(func, x, False, x1_break)[0]
 
-        With a column ``split`` ``(n1,)`` ``func`` takes the two block grids
-        and returns parts in term form (see ``_contract``); the result's last
-        axis holds each part's values, flattened, in order.
-        """
-        return self._quadrature(func, x, False, split)[0]
-
-    def convolve_with_grad(self, func: Callable, x, split: tuple = ()):
+    def convolve_with_grad(self, func: Callable, x, x1_break: Optional[float] = None):
         """Value and gradient of func * chi_k in a single pass over func.
 
         Returns ``(value, grad)`` with shapes ``(..., *out)`` and
-        ``(..., *out, dim)``; ``split`` as in ``convolve``.
+        ``(..., *out, dim)``; ``x1_break`` as in ``convolve``.
         """
-        out = self._quadrature(func, x, True, split)
+        out = self._quadrature(func, x, True, x1_break)
         return out[0], np.moveaxis(out[1:], 0, -1)
 
-    def _quadrature(self, func, x, grad: bool, split=()):
+    def _quadrature(self, func, x, grad: bool, x1_break=None):
         """``sum_q weights[j, q] func(x - u_q / k)`` at every point x, for the
         value row j = 0 and, with ``grad``, the kernel-gradient rows.
 
         Returns shape ``(J,) + batch + out``.  Points go in chunks where
         ``func`` sees at most ``_MAX_EVAL_BLOCK`` points: Q per state through
-        ``_shifted``, G1 + G2 block offsets per state through ``_contract``.
-        The value row is a product of its own, so a value is bitwise the same
+        ``_shifted``, 2 J (two x1 pieces, J x2 offsets) through ``_slices``.  The
+        value row is a product of its own, so a value is bitwise the same
         whether or not the gradient rows come with it.
         """
         pts = as_points(x, self.dim, "mollifier")
         batch = pts.shape[:-1]
-        flat, split = pts.reshape(-1, self.dim), tuple(split)
-        seen = sum(map(len, self._block_weights(split)[:2])) if split else len(self._nodes)
+        flat = pts.reshape(-1, self.dim)
+        seen = len(self._nodes) if x1_break is None else 2 * self.order * self.panels
         block = max(1, _MAX_EVAL_BLOCK // seen)
         outs = []
         for start in range(0, flat.shape[0], block):
             chunk = flat[start:start + block]                      # (B, dim)
-            outs.append(self._contract(func, chunk, grad, split) if split
-                        else self._shifted(func, chunk, grad))
+            outs.append(self._shifted(func, chunk, grad) if x1_break is None
+                        else self._slices(func, chunk, grad, x1_break))
         out = np.moveaxis(np.concatenate(outs, axis=0), 1, 0)    # (J, nb, *out)
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
 
     def _shifted(self, func, chunk, grad: bool):
-        """One chunk without a split, shape (B, J, *out): ``func`` of the
+        """One chunk of the tensor rule, shape (B, J, *out): ``func`` of the
         (B, Q, dim) shifted points, reduced with one matrix product per row
         group."""
         shifts = self._nodes / self.level
@@ -586,85 +572,88 @@ class MollifierSpec:
                               if len(w)], axis=1)              # (B, J, K)
         return red.reshape(red.shape[:2] + f.shape[2:])
 
-    def _block_weights(self, split: tuple):
-        """The two block grids' offsets and the weights scattered over them.
+    def _slices(self, func, chunk, grad: bool, x1_break: float):
+        """One chunk of the slice rule, shape (B, 3, *out): value, d/dx1, d/dx2.
 
-        For the column split ``(n1,)``: the distinct node offsets of each
-        block over k, shapes (G1, n1) and (G2, n2), and the (1 + dim, Q)
-        weights scattered into a dense (1 + dim, G1, G2) tensor, zero on the
-        cells that are no ball node, laid out for ``_contract``'s products:
-        the value weights (G1, G2) and the gradient weights (G1, dim * G2).
-        Built once per spec and split.
+        ``func`` gets the pieces ``x1_break -+ 1`` (2, 1, 1, 1) and the x2
+        offsets ``x2 - u2_j/k`` (1, B, J, 1) and returns ``(*out, 2, B, J)``.
+        With slice j's mass right of the break ``R_j(k (x1 - x1_break))`` from
+        ``_slice_table``, the value is ``sum_j (M_j - R_j) f_left + R_j
+        f_right``, d/dx1 takes the spline's own derivative and d/dx2 the D
+        splines.  Every operation is per state: no state depends on its chunk.
         """
-        if split not in self._grids:
-            blocks = [np.unique(cols, axis=0, return_inverse=True)
-                      for cols in np.split(self._nodes, split, axis=1)]
-            (off1, cell1), (off2, cell2) = blocks
-            dense = np.zeros((len(self._weights), len(off1), len(off2)))
-            dense[:, cell1.reshape(-1), cell2.reshape(-1)] = self._weights
-            grad = np.ascontiguousarray(dense[1:].transpose(1, 0, 2)).reshape(len(off1), -1)
-            self._grids[split] = off1 / self.level, off2 / self.level, dense[0], grad
-        return self._grids[split]
+        off, table = _slice_table(self.level, self.shape, self.order, self.panels)
+        cells, n = table.shape[2] - 1, len(chunk)
+        # position in the table's cells; a nan state reads row 0 and stays nan in t
+        pos = np.clip((chunk[:, 0] - x1_break) * (self.level * cells / 2) + cells / 2, 0, cells)
+        row = np.fmax(pos, 0.0).astype(np.intp)
+        t = np.repeat(pos - row, len(off)).reshape(n, -1)                # (B, J)
+        f = np.asarray(func(np.array([x1_break - 1.0, x1_break + 1.0])[:, None, None, None],
+                            chunk[None, :, None, 1:] - off[:, None]), dtype=np.float64)
+        left, right = f.reshape((-1,) + f.shape[-3:]).swapaxes(0, 1)      # (K, B, J) each
 
-    def _contract(self, func, chunk, grad: bool, split: tuple):
-        """One chunk of a split quadrature, shape (B, J, K).
+        def dot(w, g):  # sum_j w[b, j] g[k, b, j]: one fused product per state and part
+            return np.einsum("bj,kbj->kb", w, g)
 
-        ``func(x1, x2)`` gets the block grids ``x1 - u1/k`` (B, G1, 1, n1)
-        and ``x2 - u2/k`` (B, 1, G2, n2) and returns parts, each a sequence
-        of ``(a1, a2)`` terms: an x1 factor whose leading axes broadcast to
-        (B, G1, 1) and an x2 factor whose leading axes broadcast to
-        (B, 1, G2), with value axes that broadcast to the part's.  A term is
-        contracted in two steps, one matrix product of its (B, G1) x1 factors
-        against the dense weights and a dot of the result with its (B, G2) x2
-        factors, and a part sums its terms in order.  A factor spanning both
-        grids raises a ``ValueError``.
-        """
-        off1, off2, w_val, w_grad = self._block_weights(split)
-        (n1,), n = split, len(chunk)
-        g1, g2 = len(off1), len(off2)
-        x1 = chunk[:, None, None, :n1] - off1[None, :, None, :]
-        x2 = chunk[:, None, None, n1:] - off2[None, None, :, :]
-        cols = []
-        for terms in func(x1, x2):
-            terms = [(np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64))
-                     for a1, a2 in terms]
-            for a1, a2 in terms:
-                if a1.ndim < 3 or a2.ndim < 3 or a1.shape[2] != 1 or a2.shape[1] != 1:
-                    raise ValueError(
-                        f"second-block term factors of shapes {a1.shape} and {a2.shape} on "
-                        f"block grids ({n}, {g1}, 1, ...) and ({n}, 1, {g2}, ...): a factor "
-                        "spans both block grids, so the block is not a sum of x1-factor x "
-                        "x2-factor terms and cannot be smoothed")
-            out = np.broadcast_shapes(*(a.shape[3:] for term in terms for a in term))
-            k = math.prod(out)
-            val = dval = None
-            for a1, a2 in terms:
-                # (B K, G1) x1 factors and (B, K, G2) x2 factors
-                rows = _full(a1, (n, g1, 1) + out).reshape(n, g1, k).transpose(0, 2, 1)
-                rows = rows.reshape(n * k, g1)
-                if n * k == 1:
-                    # numpy sends a one-row product to gemv, which rounds unlike
-                    # gemm: two rows keep a state's value independent of its chunk
-                    rows = np.concatenate([rows, rows])
-                f2 = _full(a2, (n, 1, g2) + out).reshape(n, g2, k).transpose(0, 2, 1)
-                t = np.matmul(rows, w_val)[:n * k].reshape(n, k, g2)
-                t *= f2
-                t = t.sum(axis=-1)
-                val = t if val is None else val + t
-                if grad:
-                    t = np.matmul(rows, w_grad)[:n * k].reshape(n, k, -1, g2)
-                    t *= f2[:, :, None, :]
-                    t = t.sum(axis=-1)
-                    dval = t if dval is None else dval + t
-            part = val[:, None, :]                                      # (B, 1, K)
-            cols.append(part if dval is None else
-                        np.concatenate([part, dval.transpose(0, 2, 1)], axis=1))
-        return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+        # R, and with grad R' and D, at every state and slice: (1 or 3, B, J)
+        c0, c1, c2, c3 = np.take(table if grad else table[:1], row, axis=2).swapaxes(0, 1)
+        r = c0 + t * (c1 + t * (c2 + t * c3))
+        whole = table[:, 0, -1]                                           # M, 0, N
+        rows = [dot(whole[0] - r[0], left) + dot(r[0], right)]
+        if grad:
+            rows += [dot(r[1], right - left), dot(whole[2] - r[2], left) + dot(r[2], right)]
+        return np.stack(rows, axis=-1).transpose(1, 2, 0).reshape((n, len(rows)) + f.shape[:-3])
 
 
-def _full(a, shape):
-    """``a`` broadcast to ``shape`` (a view, or ``a`` itself if it has it)."""
-    return a if a.shape == shape else np.broadcast_to(a, shape)
+def _gauss_rule(order: int, panels: int):
+    """Composite Gauss-Legendre rule on [-1, 1]: ``panels`` x ``order`` nodes."""
+    gl_x, gl_w = special.roots_legendre(order)
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    return (np.concatenate([(e0 + e1) / 2 + (e1 - e0) / 2 * gl_x
+                            for e0, e1 in zip(edges, edges[1:])]),
+            np.concatenate([(e1 - e0) / 2 * gl_w for e0, e1 in zip(edges, edges[1:])]))
+
+
+def _hermite(val, slope, h):
+    """Cubic Hermite coefficients (4, cells, ...) in ``t = (s - s_i) / h``."""
+    m0, m1, a = h * slope[:-1], h * slope[1:], val[1:] - val[:-1]
+    return np.stack([val[:-1], m0, 3.0 * a - 2.0 * m0 - m1, m0 + m1 - 2.0 * a])
+
+
+@functools.lru_cache(maxsize=32)
+def _slice_table(level: float, shape: float, order: int, panels: int):
+    """``(u2_j / k, table)`` of the slice rule, once per level, kernel shape
+    and 1-D rule (nodes u2_j, weights w_j).
+
+    Row i (of cells + 1) of ``table`` (3, 4, cells + 1, J) holds the cubic
+    coefficients on cell i of s in [-1, 1] of ``R_j(s) = int_-1^s chi(u1,
+    u2_j) du1``, of its d/dx1 and of ``D_j``, the same of ``d_u2 chi``; the
+    last row is the whole slice.  Knot values sum ``_SLICE_NODES`` Gauss
+    nodes a cell and knot slopes are the integrands (a C^1 spline).  Rows
+    fold in w_j, R the rule's mass (constants are exact) and D k over its
+    first moment, so -x2 smooths to d/dx2 = -1 as ``int u2 d_u2 chi = -1``.
+    """
+    v, w = _gauss_rule(order, panels)
+    cells, h = _SLICE_CELLS, 2.0 / _SLICE_CELLS
+    knots, (gx, gw) = np.linspace(-1.0, 1.0, cells + 1), special.roots_legendre(_SLICE_NODES)
+    u1 = knots[:-1, None, None] + h / 2.0 * (gx[:, None] + 1.0)                  # (cells, G, 1)
+    bump, slope = _bump(1.0 - u1 * u1 - v * v, shape)                           # (cells, G, J)
+    knot_bump, knot_slope = _bump(1.0 - knots[:, None] ** 2 - v * v, shape)     # (cells + 1, J)
+
+    def table(cell_vals, knot_vals, scale):
+        cum = np.zeros((cells + 1, len(v)))
+        cum[1:] = np.cumsum(h / 2.0 * np.einsum("g,cgj->cj", gw, cell_vals), axis=0)
+        out = np.zeros((4, cells + 1, len(v)))
+        out[:, :-1], out[0, -1] = _hermite(cum, knot_vals, h), cum[-1]
+        return out * scale(cum[-1])
+
+    mass = table(bump, knot_bump, lambda m: w / np.sum(w * m))
+    slope_x1 = np.zeros(mass.shape)
+    slope_x1[:3] = mass[1:] * np.array([1.0, 2.0, 3.0])[:, None, None] * (level * cells / 2)
+    out = np.stack([mass, slope_x1, table(2.0 * v * slope, 2.0 * v * knot_slope,
+                                          lambda m: level * w / -np.sum(w * v * m))])
+    out.flags.writeable = False  # one cached table serves every caller
+    return v / level, out
 
 
 class _Smoother:
@@ -672,43 +661,50 @@ class _Smoother:
     derivatives: ``mollify`` makes one the ``_eval`` of a smoothed field, or
     the ``_second`` of a smoothed structured field.
 
-    ``rough(*xs, sigma, drift)`` is the rough field's own ``_eval`` (one
-    block, ``split=()``) or, for a structured field, its ``_terms`` of the
-    block coordinates ``(x1, x2)`` (``split=(n1,)``); its sigma has shape
+    ``rough(*xs, sigma, drift)`` is the rough field's own ``_eval`` of
+    points or, for a structured field with its ``x1_break``, its ``_terms``
+    on the slice rule's grids ``(x1, x2)``, summed here; its sigma has shape
     ``sigma_shape``.  A call packs the requested rough components into one
-    function of the quadrature's grids, so that one quadrature pass
-    (``_convolved``) serves them all: the values concatenated on the shifted
-    points, or one part of terms per component on the block grids.
-    ``convolve`` gives the values,
-    ``convolve_with_grad`` the Jacobian ``(f * grad chi_k) psi_k + (f *
-    chi_k) grad psi_k``, whose product rule needs the values, so a call
-    returns the values with every Jacobian.  For a declared-constant sigma
-    (``sigma0``, its value) the convolution is the identity (the discrete
-    kernel weights sum to one), so sigma_k reduces exactly to sigma * psi_k
-    and only the cutoff is evaluated.
+    function of the quadrature's grids: one pass (``_convolved``).
+    The Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k`` needs
+    the values, so a call returns the values with every Jacobian.  For a
+    declared-constant sigma (``sigma0``, its value) the convolution is the
+    identity (the discrete kernel weights sum to one), so sigma_k reduces
+    exactly to sigma * psi_k and only the cutoff is evaluated.
     """
 
     def __init__(self, spec: MollifierSpec, rough: Callable, sigma_shape: tuple,
-                 sigma0: Optional[NDArray[np.float64]] = None, split: tuple = ()):
-        self.spec, self.rough, self.sigma0, self.split = spec, rough, sigma0, split
+                 sigma0: Optional[NDArray[np.float64]] = None, x1_break: Optional[float] = None):
+        self.spec, self.rough, self.sigma0, self.x1_break = spec, rough, sigma0, x1_break
         self.shapes = dict(sigma=sigma_shape, drift=sigma_shape[:1])
 
     def _convolved(self, pts, names, jac: bool):
-        """``f * chi_k`` of the named components, flattened and concatenated on
-        the last axis, with its gradient (None without ``jac``): one pass."""
+        """``f * chi_k`` of the named components, flattened and concatenated,
+        with its gradient (None without ``jac``): one pass."""
         def packed(*grids):
             ev = self.rough(*grids, "sigma" in names, "drift" in names)
-            if self.split:  # one part of terms per component
-                return [getattr(ev, name) for name in names]
-            lead = grids[0].shape[:-1]
-            cols = [np.broadcast_to(np.asarray(getattr(ev, name), dtype=np.float64),
-                                    lead + self.shapes[name]).reshape(lead + (-1,))
-                    for name in names]
-            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+            lead = np.broadcast_shapes(*(grid.shape[:-1] for grid in grids))
+            cols = []
+            for name in names:
+                shape, val = self.shapes[name], getattr(ev, name)
+                if self.x1_break is None:
+                    val = np.broadcast_to(np.asarray(val, dtype=np.float64), lead + shape)
+                    cols.append(val.reshape(lead + (-1,)))
+                else:  # term form: x1 factors on the x1 pieces, x2 factors on the offsets
+                    if any(np.shape(a1)[1:3] != (1, 1) or np.shape(a2)[:1] != (1,)
+                           for a1, a2 in val):
+                        raise ValueError(f"a second-block {name} term factor spans both the x1 "
+                                         "pieces and the x2 offsets, so it cannot be smoothed")
+                    val = _term_sum(val)
+                    if val.shape != lead + shape:
+                        val = np.broadcast_to(val, lead + shape)
+                    cols.append(val.reshape(-1, math.prod(shape)).T.reshape((-1,) + lead))
+            axis = -1 if self.x1_break is None else 0
+            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=axis)
 
         if jac:
-            return self.spec.convolve_with_grad(packed, pts, self.split)
-        return self.spec.convolve(packed, pts, self.split), None
+            return self.spec.convolve_with_grad(packed, pts, self.x1_break)
+        return self.spec.convolve(packed, pts, self.x1_break), None
 
     def __call__(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         spec, out = self.spec, FieldEval(None, None)
@@ -781,8 +777,7 @@ def _swirl_table(profile: Callable, params: tuple, level: float, shape: float):
         hp[block] = np.sum(weight * np.sum(w * dchi * (r3 - rho3 * cos), axis=-1), axis=-1)
     h[0] = 0.0
     dr = radii[1]
-    m0, m1, a = dr * hp[:-1], dr * hp[1:], h[1:] - h[:-1]
-    coef = np.stack([h[:-1], m0, 3.0 * a - 2.0 * m0 - m1, m0 + m1 - 2.0 * a], axis=-1)
+    coef = _hermite(h, hp, dr).T
     coef.flags.writeable = False  # one cached table serves every caller
     return dr, reach, coef
 
@@ -832,14 +827,14 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     ``grad(psi_k)``; the rough field is never differenced.  Every row of a
     plain field is smoothed, by one quadrature pass per evaluation; a
     ``Swirl`` is smoothed from its table instead (``_SwirlSmoother``: no
-    pass, the spec's level and kernel shape only).
-    Of a structured field only the second block is: the first block needs
-    no regularization for the partial-Sobolev theory, so it is kept as is
-    and the first-block flow is identical across smoothing levels.  The
-    smoothed second block is genuinely differentiable in the first
-    variables as well, and the full Jacobian is returned for it.  A
-    structured field without first-block Jacobians is rejected, and so is
-    an already smoothed one (its block record holds the rough second block).
+    pass, the spec's level and kernel shape only).  Of a structured field
+    only the second block is: the first block needs no regularization for
+    the partial-Sobolev theory, so the first-block flow is identical across
+    smoothing levels.  The slice rule integrates the second block's jump at
+    its record's ``x1_break`` exactly, so the smoothed block is genuinely
+    differentiable in x1 too, with the full Jacobian.  A structured field is
+    rejected without first-block Jacobians, when already smoothed (its
+    record holds the rough block), and unless planar with an ``x1_break``.
     """
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
@@ -853,9 +848,12 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
     if field.is_smoothed:
         raise ValueError("field is already smoothed; smooth its rough base instead")
+    if field.blocks.x1_break is None or n != 2:
+        raise ValueError(f"field {field.name!r}: the slice rule smooths a planar block field "
+                         "whose FieldBlocks record declares its x1_break")
     smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
                                    name=f"{field.name}|k2={spec.level:g}")
-    smooth._second = _Smoother(spec, field._terms, (field.n2, m), split=(field.n1,))
+    smooth._second = _Smoother(spec, field._terms, (field.n2, m), x1_break=field.blocks.x1_break)
     return smooth
 
 

@@ -97,16 +97,17 @@ class TestRun:
         assert recorded[0] == recorded[1]
         assert (recorded[0]["n_omega"], recorded[0]["mc_budget"]) == (8, 2000)
 
-    def test_stability_smooths_with_the_family_panels(self, tmp_path):
-        # partially-sobolev is smoothed with a panel edge on its x1-step, as
-        # in the acceptance suite
+    def test_stability_smooths_with_the_family_rule(self, tmp_path):
+        # partially-sobolev is smoothed across its declared x1-step by the
+        # slice rule, as in the acceptance suite
         cfg = ExperimentConfig(kind="stability", family="partially-sobolev",
                                out=str(tmp_path), seed=4, n_omega=2, n_x=4,
                                T=0.25, dt=2.0**-6, k_list=[2.0, 4.0],
                                mc_budget=500)
         run(cfg, printer=None)
         fam, m = cfg.build()
-        assert fam.mollifier(4.0) == MollifierSpec(dim=2, level=4.0, order=16, panels=(2, 1))
+        assert fam.mollifier(4.0) == MollifierSpec(dim=2, level=4.0, order=16, panels=1)
+        assert fam.field.blocks.x1_break == 0.0
         x0 = m.sample(derive_rng(cfg.seed, "x0"), cfg.n_x)
         drv = BrownianDriver.generate(fam.field.dim_noise, cfg.dt, round(cfg.T / cfg.dt),
                                       cfg.n_omega, derive_seed(cfg.seed, "driver"))
