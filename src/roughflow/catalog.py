@@ -61,7 +61,7 @@ import numpy as np
 from .coefficients import (
     CoefficientField, FieldBlocks, MollifierSpec, StructuredCoefficient, Swirl, _smoothstep,
 )
-from .measure import ReferenceMeasure
+from .measure import ReferenceMeasure, is_count
 
 __all__ = ["Family", "make_family", "doubled_measure", "FAMILY_NAMES"]
 
@@ -254,21 +254,16 @@ def _partially_sobolev(step_amp: float, noise: float) -> StructuredCoefficient:
     def drift1_jac_fn(x1):
         return -np.ones(x1.shape[:-1] + (1, 1))
 
-    # the second block in term form, (x1 factor, x2 factor) pairs: a smoothing
-    # pass reads each x1 factor once per side of x1_break = 0, each x2 factor
-    # once per offset
     def sigma2_fn(x1, x2):
         s = step(x1[..., 0])
-        return [((noise * (1.0 + 0.5 * s))[..., None, None],
-                 (1.0 + 0.3 * np.sin(x2[..., 0]))[..., None, None])]
+        return (noise * (1.0 + 0.5 * s) * (1.0 + 0.3 * np.sin(x2[..., 0])))[..., None, None]
 
     def sigma2_jac_x2_fn(x1, x2):
         s = step(x1[..., 0])
         return (noise * (1.0 + 0.5 * s) * 0.3 * np.cos(x2[..., 0]))[..., None, None, None]
 
     def drift2_fn(x1, x2):
-        return [(np.ones((1,) * x1.ndim), (-x2[..., 0])[..., None]),
-                ((step_amp * step(x1[..., 0]))[..., None], _loglip(x2[..., 0])[..., None])]
+        return (-x2[..., 0] + step_amp * step(x1[..., 0]) * _loglip(x2[..., 0]))[..., None]
 
     def drift2_jac_x2_fn(x1, x2):
         return (-1.0 + step_amp * step(x1[..., 0]) * _loglip(x2[..., 0], deriv=True)[1])[
@@ -334,7 +329,7 @@ def _param(params: dict, key: str, default):
     integer default and a finite number otherwise (a ``ValueError`` names it)."""
     value = params.pop(key, default)
     if isinstance(default, int):
-        ok, must = isinstance(value, numbers.Integral) and value >= 1, "a positive integer"
+        ok, must = is_count(value), "a positive integer"
     else:
         ok, must = isinstance(value, numbers.Real) and np.isfinite(value), "a finite number"
     if isinstance(value, bool) or not ok:

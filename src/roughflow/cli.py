@@ -49,7 +49,7 @@ from ._seeds import derive_rng
 from .catalog import FAMILY_NAMES, doubled_measure, make_family
 from .density import entropy, select_t0
 from .flow import integrate
-from .measure import ReferenceMeasure, grid_points
+from .measure import ReferenceMeasure, grid_points, is_count
 
 __all__ = ["ExperimentConfig", "KINDS", "run", "verify_all", "main"]
 
@@ -64,10 +64,6 @@ def _finite(v) -> bool:
     return _number(v) and abs(v) <= sys.float_info.max
 
 
-def _count(v) -> bool:
-    return _number(v) and isinstance(v, numbers.Integral) and v >= 1
-
-
 def _finite_numbers(v) -> bool:
     return isinstance(v, (list, tuple)) and all(_finite(x) for x in v)
 
@@ -76,7 +72,7 @@ def _finite_numbers(v) -> bool:
 _SETTINGS = (
     (("T", "dt", "p0"), lambda v: _finite(v) and v > 0, "must be finite and positive"),
     (("p", "q"), lambda v: _finite(v) and v > 1, "must be finite and exceed 1"),
-    (("n_omega", "n_x", "mc_budget"), _count, "must be a positive integer"),
+    (("n_omega", "n_x", "mc_budget"), is_count, "must be a positive integer"),
     (("seed",), lambda v: _number(v) and isinstance(v, numbers.Integral),
      "must be an integer"),
     (("k_list",), lambda v: _finite_numbers(v) and len(v) >= 2 and min(v) >= 1,
@@ -174,7 +170,7 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown measure keys {unknown}; known: alpha, dim")
             if not (_finite_numbers([self.measure.get("alpha")])
-                    and _count(self.measure.get("dim", 1))):
+                    and is_count(self.measure.get("dim", 1))):
                 raise ValueError("measure.alpha is required, a finite number, and measure.dim "
                                  f"a positive integer if given; got {self.measure}")
         # rejects wrong or unused family parameters and a lifted alpha at its bound

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, special
 
-from .measure import ReferenceMeasure, as_points, grid_points, magnitude, sq_norm
+from .measure import ReferenceMeasure, as_points, grid_points, is_count, magnitude, sq_norm
 
 __all__ = [
     "CoefficientField",
@@ -193,36 +192,29 @@ class FieldBlocks:
     ``mollify`` keeps its base's record, so the second-block callables are
     the rough functions; ``second_block`` reads any field's own second block.
 
-    ``sigma2`` and ``drift2`` return their block in term form: a sequence of
-    ``(x1 factor, x2 factor)`` array pairs whose products sum to the block,
-    ``sum_t a1_t * a2_t``.  A factor reads one block only: it has the
-    leading axes of that block's coordinates and one axis per value axis,
-    each of size 1 where the factor does not vary along it.  At points the
-    terms are summed in order.  ``x1_break`` declares the x1 factors constant
-    on either side of ``x1 = x1_break``: only such a record is smoothed, by
-    the slice rule (``MollifierSpec._slices``), whose pass rejects a factor
-    that spans its x1 pieces and x2 offsets.  The Jacobian callables return
-    arrays and are evaluated at points only.
+    Every callable returns an array, broadcast over the leading axes of its
+    coordinates as any field callable is: at points, and in a smoothing pass
+    at the x1 pieces ``(2, 1, 1, 1)`` and x2 offsets ``(1, B, J, 1)``, so an
+    x1-only part is computed once per piece and an x2-only part once per
+    offset.  ``x1_break`` states that the second block is constant in x1 on
+    either side of ``x1 = x1_break`` (it may vary with x2 on each side in any
+    way): only such a record is smoothed, by the slice rule
+    (``MollifierSpec._slices``), which reads the block at one x1 per side and
+    integrates the jump exactly.  Nothing checks this contract; a block that
+    varies with x1 on a side is smoothed as if it took its value at
+    ``x1_break -+ 1`` there.  The Jacobian callables are evaluated at points
+    only.
     """
 
     sigma1: Callable                        # x1 (..., n1) -> (..., n1, m)
     drift1: Callable                        # x1           -> (..., n1)
-    sigma2: Callable                        # x1, x2 (..., n2) -> terms of (..., n2, m)
-    drift2: Callable                        # x1, x2       -> terms of (..., n2)
+    sigma2: Callable                        # x1, x2 (..., n2) -> (..., n2, m)
+    drift2: Callable                        # x1, x2       -> (..., n2)
     sigma1_jac: Optional[Callable] = None   # x1 -> (..., n1, m, n1)
     drift1_jac: Optional[Callable] = None   # x1 -> (..., n1, n1)
     sigma2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, m, n2), in x2
     drift2_jac: Optional[Callable] = None   # x1, x2 -> (..., n2, n2), in x2
-    x1_break: Optional[float] = None        # the x1 factors' one jump; None: not smoothable
-
-
-def _term_sum(terms) -> NDArray[np.float64]:
-    """``sum_t a1_t * a2_t`` of a block in term form, added in term order."""
-    (a1, a2), *rest = terms
-    total = a1 * a2
-    for a1, a2 in rest:
-        total = total + a1 * a2
-    return total
+    x1_break: Optional[float] = None        # the second block's one x1 jump; None: not smoothable
 
 
 class StructuredCoefficient(CoefficientField):
@@ -232,9 +224,12 @@ class StructuredCoefficient(CoefficientField):
     ``StructuredCoefficient(n1, blocks, dim_state, dim_noise, name)``
     evaluates from its ``FieldBlocks`` record: ``_eval`` stacks the first
     block on top of ``_second``, the second-block rows with Jacobian
-    columns over all of x (``mollify`` replaces ``_second`` by one
-    quadrature pass).  The blockwise checks read each block in its own
-    variables: ``first_block`` on points of R^n1, ``second_block`` on R^n.
+    columns over all of x.  Both read the rough block through
+    ``_rough_second``, which calls the record's array-returning callables:
+    ``_second`` at points, and the ``_second`` that ``mollify`` puts in its
+    place, one slice-rule pass, on that rule's grids.  The blockwise checks
+    read each block in its own variables: ``first_block`` on points of
+    R^n1, ``second_block`` on R^n.
 
     The cross-block partial derivatives ``d(sigma_2)/d(x1)`` need not exist
     for partially Sobolev coefficients; Jacobians of a rough structured
@@ -287,8 +282,7 @@ class StructuredCoefficient(CoefficientField):
         """Second-block rows of sigma and/or b at ``pts``, Jacobian columns
         over all of x (zero in x1)."""
         x1, x2 = pts[..., :self.n1], pts[..., self.n1:]
-        terms = self._terms(x1, x2, sigma, drift)
-        out = FieldEval(*(None if t is None else _term_sum(t) for t in (terms.sigma, terms.drift)))
+        out = self._rough_second(x1, x2, sigma, drift)
         for name, on in (("sigma", sigma), ("drift", drift)):
             if on and jac:
                 jac2 = _jacobian(self, getattr(self.blocks, f"{name}2_jac"), name, x1, x2)
@@ -297,9 +291,9 @@ class StructuredCoefficient(CoefficientField):
                 setattr(out, f"{name}_jac", full)
         return out
 
-    def _terms(self, x1, x2, sigma=True, drift=True) -> FieldEval:
-        """Rough second-block sigma and/or b in term form at the block
-        coordinates ``(x1, x2)``: points, or the slice rule's grids."""
+    def _rough_second(self, x1, x2, sigma=True, drift=True) -> FieldEval:
+        """Rough second-block sigma and/or b at the block coordinates ``(x1,
+        x2)``: points, or the slice rule's grids."""
         b = self.blocks
         return FieldEval(b.sigma2(x1, x2) if sigma else None, b.drift2(x1, x2) if drift else None)
 
@@ -464,14 +458,14 @@ class MollifierSpec:
     shape: float = 1.0
 
     def __post_init__(self):
+        for what, value in (("mollifier dim", self.dim), ("quadrature order", self.order),
+                            ("panel count", self.panels)):
+            if not is_count(value):
+                raise ValueError(f"{what} must be a positive integer, got {value!r}")
         if not (np.isfinite(self.level) and self.level >= 1):
             raise ValueError(f"mollification level must be finite and >= 1, got {self.level}")
         if not (np.isfinite(self.shape) and self.shape > 0):
             raise ValueError(f"kernel shape must be finite and positive, got {self.shape}")
-        if self.order < 1:
-            raise ValueError(f"quadrature order must be >= 1, got {self.order}")
-        if not (isinstance(self.panels, numbers.Integral) and self.panels >= 1):
-            raise ValueError(f"panel count must be a positive integer, got {self.panels!r}")
         gl_x, gl_w = _gauss_rule(self.order, self.panels)
         nodes = grid_points([gl_x] * self.dim).reshape(-1, self.dim)
         raw_w = np.prod(grid_points([gl_w] * self.dim).reshape(-1, self.dim), axis=-1)
@@ -576,7 +570,7 @@ class MollifierSpec:
         """One chunk of the slice rule, shape (B, 3, *out): value, d/dx1, d/dx2.
 
         ``func`` gets the pieces ``x1_break -+ 1`` (2, 1, 1, 1) and the x2
-        offsets ``x2 - u2_j/k`` (1, B, J, 1) and returns ``(*out, 2, B, J)``.
+        offsets ``x2 - u2_j/k`` (1, B, J, 1) and returns ``(2, B, J, *out)``.
         With slice j's mass right of the break ``R_j(k (x1 - x1_break))`` from
         ``_slice_table``, the value is ``sum_j (M_j - R_j) f_left + R_j
         f_right``, d/dx1 takes the spline's own derivative and d/dx2 the D
@@ -590,7 +584,11 @@ class MollifierSpec:
         t = np.repeat(pos - row, len(off)).reshape(n, -1)                # (B, J)
         f = np.asarray(func(np.array([x1_break - 1.0, x1_break + 1.0])[:, None, None, None],
                             chunk[None, :, None, 1:] - off[:, None]), dtype=np.float64)
-        left, right = f.reshape((-1,) + f.shape[-3:]).swapaxes(0, 1)      # (K, B, J) each
+        # contiguous (K, B, J) parts, as a strided view slows the products
+        # below; f is dropped at once, so the copy does not raise the peak
+        out = f.shape[3:]
+        left, right = np.ascontiguousarray(f.reshape(f.shape[:3] + (-1,)).transpose(0, 3, 1, 2))
+        del f
 
         def dot(w, g):  # sum_j w[b, j] g[k, b, j]: one fused product per state and part
             return np.einsum("bj,kbj->kb", w, g)
@@ -602,7 +600,7 @@ class MollifierSpec:
         rows = [dot(whole[0] - r[0], left) + dot(r[0], right)]
         if grad:
             rows += [dot(r[1], right - left), dot(whole[2] - r[2], left) + dot(r[2], right)]
-        return np.stack(rows, axis=-1).transpose(1, 2, 0).reshape((n, len(rows)) + f.shape[:-3])
+        return np.stack(rows, axis=-1).transpose(1, 2, 0).reshape((n, len(rows)) + out)
 
 
 def _gauss_rule(order: int, panels: int):
@@ -662,10 +660,11 @@ class _Smoother:
     the ``_second`` of a smoothed structured field.
 
     ``rough(*xs, sigma, drift)`` is the rough field's own ``_eval`` of
-    points or, for a structured field with its ``x1_break``, its ``_terms``
-    on the slice rule's grids ``(x1, x2)``, summed here; its sigma has shape
-    ``sigma_shape``.  A call packs the requested rough components into one
-    function of the quadrature's grids: one pass (``_convolved``).
+    points or, for a structured field with its ``x1_break``, its
+    ``_rough_second`` on the slice rule's grids ``(x1, x2)``; its sigma has
+    shape ``sigma_shape``.  A call packs the requested rough components into
+    one function of the quadrature's grids, values in ``(grid lead..., K)``
+    layout for either rule: one pass (``_convolved``).
     The Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k`` needs
     the values, so a call returns the values with every Jacobian.  For a
     declared-constant sigma (``sigma0``, its value) the convolution is the
@@ -686,21 +685,11 @@ class _Smoother:
             lead = np.broadcast_shapes(*(grid.shape[:-1] for grid in grids))
             cols = []
             for name in names:
-                shape, val = self.shapes[name], getattr(ev, name)
-                if self.x1_break is None:
-                    val = np.broadcast_to(np.asarray(val, dtype=np.float64), lead + shape)
-                    cols.append(val.reshape(lead + (-1,)))
-                else:  # term form: x1 factors on the x1 pieces, x2 factors on the offsets
-                    if any(np.shape(a1)[1:3] != (1, 1) or np.shape(a2)[:1] != (1,)
-                           for a1, a2 in val):
-                        raise ValueError(f"a second-block {name} term factor spans both the x1 "
-                                         "pieces and the x2 offsets, so it cannot be smoothed")
-                    val = _term_sum(val)
-                    if val.shape != lead + shape:
-                        val = np.broadcast_to(val, lead + shape)
-                    cols.append(val.reshape(-1, math.prod(shape)).T.reshape((-1,) + lead))
-            axis = -1 if self.x1_break is None else 0
-            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=axis)
+                val, shape = np.asarray(getattr(ev, name), dtype=np.float64), lead + self.shapes[name]
+                if val.shape != shape:  # a broadcast costs more than the small products
+                    val = np.broadcast_to(val, shape)
+                cols.append(val.reshape(lead + (-1,)))
+            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
 
         if jac:
             return self.spec.convolve_with_grad(packed, pts, self.x1_break)
@@ -853,7 +842,8 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
                          "whose FieldBlocks record declares its x1_break")
     smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
                                    name=f"{field.name}|k2={spec.level:g}")
-    smooth._second = _Smoother(spec, field._terms, (field.n2, m), x1_break=field.blocks.x1_break)
+    smooth._second = _Smoother(spec, field._rough_second, (field.n2, m),
+                               x1_break=field.blocks.x1_break)
     return smooth
 
 

@@ -70,18 +70,12 @@ class DerivativeSystem:
     def _build_lifted(self) -> StructuredCoefficient:
         base = self.base
 
-        # one term per base coordinate j, d_j f(x) times y_j, after a zero
-        # term: the sum starts from +0.0 as a contraction over j does
-        def terms(jac, y, value_axes):
-            zero = np.zeros((1,) * (y.ndim - 1 + value_axes))
-            return [(zero, zero)] + [(jac[..., j], y[(..., j) + (None,) * value_axes])
-                                     for j in range(y.shape[-1])]
-
+        # the second block is grad f(x) y, linear in y, for f = sigma and b
         def sigma2_fn(x, y):
-            return terms(base.sigma_jac_fn(x), y, 2)
+            return np.einsum("...ikj,...j->...ik", base.sigma_jac_fn(x), y)
 
         def drift2_fn(x, y):
-            return terms(base.drift_jac_fn(x), y, 1)
+            return np.einsum("...ij,...j->...i", base.drift_jac_fn(x), y)
 
         return StructuredCoefficient(
             self.dim,

@@ -59,6 +59,8 @@ class BrownianDriver:
     @classmethod
     def generate(cls, dim_noise: int, dt: float, n_steps: int, n_omega: int,
                  seed: int) -> "BrownianDriver":
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"driver step dt must be finite and positive, got {dt}")
         rng = derive_rng(seed, "brownian-driver")
         inc = rng.normal(0.0, np.sqrt(dt), size=(n_omega, n_steps, dim_noise))
         return cls(dt, seed, inc)

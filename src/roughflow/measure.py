@@ -18,12 +18,14 @@ systems' hypotheses build their estimates through it too.
 The module is also the one home of the array conventions every layer
 shares: ``as_points`` (batches of points on R^dim), ``grid_points``
 (tensor grids in ``ij`` order), ``sq_norm`` (the squared Euclidean norm
-over the last axis) and ``magnitude`` (the Euclidean norm over value axes).
+over the last axis), ``magnitude`` (the Euclidean norm over value axes)
+and ``is_count`` (a dimension or count: a positive integer, not a bool).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "ReferenceMeasure",
     "as_points",
     "grid_points",
+    "is_count",
     "largest_share",
     "magnitude",
     "sq_norm",
@@ -84,6 +87,11 @@ def magnitude(v, lead: int) -> NDArray[np.float64]:
     return np.sqrt(sq_norm(v.reshape(v.shape[:lead] + (math.prod(v.shape[lead:]),))))
 
 
+def is_count(v) -> bool:
+    """A positive integer that is not a bool: a dimension, order or count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 class InfiniteMassError(ValueError):
     """Raised when an operation needs mu(R^n) < infinity but alpha <= n/2."""
 
@@ -96,7 +104,7 @@ class ReferenceMeasure:
     alpha: float
 
     def __post_init__(self):
-        if self.dim < 1:
+        if not is_count(self.dim):
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if not np.isfinite(self.alpha) or self.alpha <= 0:
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")

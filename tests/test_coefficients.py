@@ -29,7 +29,6 @@ from roughflow.coefficients import (
     Swirl,
     _bump_mass,
     _smoothstep,
-    _term_sum,
 )
 from roughflow.derivative import DerivativeSystem
 from roughflow.flow import integrate as integrate_flow
@@ -141,12 +140,17 @@ class TestMollifierSpec:
         (dict(shape=-1.0), "kernel shape"),
         (dict(shape=0.0), "kernel shape"),
         (dict(order=0), "quadrature order"),
+        (dict(order=2.5), "quadrature order must be a positive integer, got 2.5"),
+        (dict(order=True), "quadrature order must be a positive integer, got True"),
         (dict(panels=0), "panel count"),
         (dict(panels=(2, 1)), "panel count"),  # one count serves every axis
+        (dict(panels=True), "panel count"),
+        (dict(dim=0), "mollifier dim must be a positive integer, got 0"),
+        (dict(dim=2.5), "mollifier dim must be a positive integer, got 2.5"),
     ])
     def test_nonsense_rejected_by_name(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            MollifierSpec(dim=2, **kwargs)
+            MollifierSpec(**{"dim": 2, **kwargs})
 
 
 class TestMollify:
@@ -170,27 +174,9 @@ class TestMollify:
         fam = make_family("log-singular")
         spec = MollifierSpec(dim=2, level=8.0, order=32, panels=2)
         smooth = mollify(quadrature_field(fam.field), spec)
-        x = np.array([[0.01, 0.0]])
-        got = smooth.drift(x)[0]
-
-        # oracle: adaptive 2-D quadrature of the convolution over B(1/k), in
-        # polar coordinates u = r (cos t, sin t); t runs over (-pi, pi) so
-        # the singular direction t = 0 is inside the range, not on its edge
-        def integrand(component):
-            def fn(r, t):
-                u1, u2 = r * np.cos(t), r * np.sin(t)
-                pt = np.array([[x[0, 0] - u1, x[0, 1] - u2]])
-                chi = spec.kernel(np.array([[u1, u2]]))[0]
-                return fam.field.drift(pt)[0, component] * chi * r
-
-            return fn
-
-        k = spec.level
-        oracle = np.array([
-            integrate.dblquad(integrand(c), -np.pi, np.pi, 0.0, 1 / k,
-                              epsabs=1e-9)[0]
-            for c in range(2)
-        ])
+        x = (0.01, 0.0)
+        got = smooth.drift(np.array([x]))[0]
+        oracle = _polar_oracle(x, spec.level, spec.shape)
         # the drift has a log singularity inside the kernel support here, so
         # the fixed-node engine is ~0.5% accurate; 1% catches real defects
         assert np.allclose(got, oracle, rtol=1e-2, atol=2e-4)
@@ -219,19 +205,28 @@ class TestMollify:
         assert np.allclose(smooth.drift(pts)[:, 0], fam.field.drift(pts)[:, 0])
 
 
+def _scalar_zeta(r):
+    """``catalog._zeta`` at one radius with ``math``: an oracle's integrand
+    calls it once per node, where numpy's per-call cost would dominate."""
+    t = 2.0 - 2.0 * r
+    if t >= 1.0 or t <= 0.0:
+        return float(t >= 1.0)
+    a, b = math.exp(-1.0 / t), math.exp(-1.0 / (1.0 - t))
+    return a / (a + b)
+
+
+def _scalar_loglip(u):
+    """``catalog._loglip`` at one point with ``math`` (as ``_scalar_zeta``)."""
+    a = abs(u)
+    return -u * math.log(a) * _scalar_zeta(a) if 0.0 < a < 1.0 else 0.0
+
+
 def _polar_oracle(x, level, shape, beta=1.2):
     """log-singular's ``(b * chi_k)(x)`` by adaptive 2-D quadrature in polar
     coordinates y = rho e_theta about the origin: -x plus the swirl, whose
     theta runs over the arc of the circle of radius rho inside B(x, 1/k)."""
     r, phi = math.hypot(*x), math.atan2(x[1], x[0])
     k, mass = level, level * level / _bump_mass(2, shape)
-
-    def zeta(rho):
-        t = 2.0 - 2.0 * rho
-        if t >= 1.0 or t <= 0.0:
-            return float(t >= 1.0)
-        a, b = math.exp(-1.0 / t), math.exp(-1.0 / (1.0 - t))
-        return a / (a + b)
 
     def arc(rho):
         c = (r * r + rho * rho - 1.0 / (k * k)) / (2.0 * r * rho) if r > 0 else -1.0
@@ -243,7 +238,7 @@ def _polar_oracle(x, level, shape, beta=1.2):
             if u <= 0.0:
                 return 0.0
             perp = -math.sin(th) if axis == 0 else math.cos(th)
-            g = beta * math.log(1.0 / rho) * zeta(rho) / rho
+            g = beta * math.log(1.0 / rho) * _scalar_zeta(rho) / rho
             return g * rho * perp * mass * math.exp(-shape / u) * rho
 
         return fn
@@ -443,8 +438,8 @@ class TestStructuredBlocks:
         assert np.array_equal(first.sigma, ev.sigma[:, :1, :])
         assert np.array_equal(first.drift_jac, ev.drift_jac[:, :1, :1])
         x1, x2 = pts[:, :1], pts[:, 1:]
-        assert np.array_equal(second.sigma, _term_sum(field.blocks.sigma2(x1, x2)))
-        assert np.array_equal(second.drift, _term_sum(field.blocks.drift2(x1, x2)))
+        assert np.array_equal(second.sigma, field.blocks.sigma2(x1, x2))
+        assert np.array_equal(second.drift, field.blocks.drift2(x1, x2))
         assert np.array_equal(second.sigma_jac, ev.sigma_jac[:, 1:, :, 1:])
 
     def test_first_block_jacobian_finite_where_cosh_overflows(self):
@@ -743,11 +738,8 @@ class TestConditionIntegrals:
         def zero(*value_shape):  # of x1, or of (x1, x2): zeros at the last block's points
             return lambda *x: np.zeros(x[-1].shape[:-1] + value_shape)
 
-        def zero_terms(*value_shape):
-            return lambda x1, x2: [(zero(*value_shape)(x1), zero(*value_shape)(x2))]
-
         field = StructuredCoefficient(
-            1, FieldBlocks(zero(1, 1), zero(1), zero_terms(1, 1), zero_terms(1),
+            1, FieldBlocks(zero(1, 1), zero(1), zero(1, 1), zero(1),
                            zero(1, 1, 1), zero(1, 1), zero(1, 1, 1), zero(1, 1)),
             dim_state=2, dim_noise=1, name="zero-blocks",
         )
@@ -944,36 +936,41 @@ class TestQuadratureBlocks:
             assert np.array_equal(getattr(default, part), getattr(small, part))
 
 
-def _split_oracle(x, level, shape=1.0):
-    """partially-sobolev's smoothed second block ``(sigma_2, b_2) * chi_k`` at
-    x by adaptive 2-D quadrature over the kernel ball, split at the x1-step
-    ``u1 = k x1`` and at the profile's kink ``u2 = k x2``."""
+def _split_oracle(fn, x, level, shape=1.0):
+    """``(f * chi_k)(x)`` of a planar ``f`` that takes ``fn(step, x2)`` with
+    ``step`` its side of the x1-step at 0 (+-1), by adaptive 2-D quadrature
+    over the kernel ball, split at the step ``u1 = k x1`` and at ``u2 = k
+    x2`` (the kink of partially-sobolev's profile)."""
     k, z = level, _bump_mass(2, shape)
 
     def chi(u1, u2):
         gap = 1.0 - u1 * u1 - u2 * u2
         return math.exp(-shape / gap) / z if gap > 0.0 else 0.0
 
-    def integral(fn):  # fn(step of x1 - u1/k, x2 - u2/k)
-        cuts = sorted({-1.0, 1.0} | ({k * x[1]} if abs(k * x[1]) < 1.0 else set()))
-        total = 0.0
-        for step in (1.0, -1.0):
-            def lo(u2, step=step):
-                edge = math.sqrt(max(1.0 - u2 * u2, 0.0))
-                return -edge if step > 0 else max(min(k * x[0], edge), -edge)
+    cuts = sorted({-1.0, 1.0} | ({k * x[1]} if abs(k * x[1]) < 1.0 else set()))
+    total = 0.0
+    for step in (1.0, -1.0):
+        def lo(u2, step=step):
+            edge = math.sqrt(max(1.0 - u2 * u2, 0.0))
+            return -edge if step > 0 else max(min(k * x[0], edge), -edge)
 
-            def hi(u2, step=step):
-                edge = math.sqrt(max(1.0 - u2 * u2, 0.0))
-                return max(min(k * x[0], edge), -edge) if step > 0 else edge
+        def hi(u2, step=step):
+            edge = math.sqrt(max(1.0 - u2 * u2, 0.0))
+            return max(min(k * x[0], edge), -edge) if step > 0 else edge
 
-            for a, b in zip(cuts, cuts[1:]):
-                total += integrate.dblquad(
-                    lambda u1, u2, step=step: fn(step, x[1] - u2 / k) * chi(u1, u2),
-                    a, b, lo, hi, epsabs=1e-12, epsrel=1e-12)[0]
-        return total
+        for a, b in zip(cuts, cuts[1:]):
+            total += integrate.dblquad(
+                lambda u1, u2, step=step: fn(step, x[1] - u2 / k) * chi(u1, u2),
+                a, b, lo, hi, epsabs=1e-12, epsrel=1e-12)[0]
+    return total
 
-    return (integral(lambda s, y2: 0.25 * (1.0 + 0.5 * s) * (1.0 + 0.3 * math.sin(y2))),
-            integral(lambda s, y2: -y2 + 0.4 * s * _loglip(np.array([y2]))[0]))
+
+def _ps_sigma2(s, y2):  # partially-sobolev's second block, in _split_oracle's form
+    return 0.25 * (1.0 + 0.5 * s) * (1.0 + 0.3 * math.sin(y2))
+
+
+def _ps_drift2(s, y2):
+    return -y2 + 0.4 * s * _scalar_loglip(y2)
 
 
 class TestSliceRule:
@@ -991,9 +988,8 @@ class TestSliceRule:
             x = (x[0] / level, x[1])
         fam = make_family("partially-sobolev")
         ev = mollify(fam.field, fam.mollifier(level)).evaluate(np.array([x]))
-        sigma, drift = _split_oracle(x, level)
-        assert abs(ev.sigma[0, 1, 0] - sigma) <= 1e-5
-        assert abs(ev.drift[0, 1] - drift) <= 3e-4
+        assert abs(ev.sigma[0, 1, 0] - _split_oracle(_ps_sigma2, x, level)) <= 1e-5
+        assert abs(ev.drift[0, 1] - _split_oracle(_ps_drift2, x, level)) <= 3e-4
 
     @pytest.mark.parametrize("level", [2.0, 4.0, 16.0])
     def test_jacobian_is_the_values_derivative(self, level):
@@ -1021,7 +1017,7 @@ class TestSliceRule:
     def test_affine_x2_factor_has_the_exact_jacobian(self, level):
         # the D rows' first moment is normalized: smoothing -x2 gives -1
         blocks = replace(make_family("partially-sobolev").field.blocks,
-                         drift2=lambda x1, x2: [(np.ones((1,) * x1.ndim), -x2)])
+                         drift2=lambda x1, x2: -x2)
         field = mollify(StructuredCoefficient(1, blocks, 2, 1), MollifierSpec(
             dim=2, level=level, order=16, panels=1))
         pts = derive_rng(21, "affine-x2").uniform(-0.9 * level, 0.9 * level, (50, 2)) / 1.5
@@ -1043,43 +1039,44 @@ class TestSliceRule:
             assert getattr(small, part).tobytes() == one.tobytes()
         assert np.all(np.isnan(whole.drift[:2, 1]))
 
-    def test_factors_see_only_their_grid(self):
+    def test_block_callables_see_the_pieces_and_offsets(self):
         fam = make_family("partially-sobolev")
         base, seen = fam.field.blocks, []
 
-        def recorded(fn):
+        def recorded(name, fn):
             def wrapped(x1, x2):
-                terms = fn(x1, x2)
-                seen.append((x1.shape, x2.shape, [(np.shape(a1)[:3], np.shape(a2)[:3])
-                                                  for a1, a2 in terms]))
-                return terms
+                seen.append((name, x1.shape, x2.shape))
+                return fn(x1, x2)
             return wrapped
 
-        field = StructuredCoefficient(
-            1, replace(base, sigma2=recorded(base.sigma2), drift2=recorded(base.drift2)), 2, 1)
+        field = StructuredCoefficient(1, replace(
+            base, sigma2=recorded("sigma", base.sigma2), drift2=recorded("drift", base.drift2)),
+            2, 1)
         n = 50
         mollify(field, fam.mollifier(4.0)).evaluate(fam.measure.sample(
             derive_rng(18, "grids"), n), jac=True)
-        # the x1 factors on the two pieces, the x2 factors on 16 offsets a state
-        assert seen == [
-            ((2, 1, 1, 1), (1, n, 16, 1), [((2, 1, 1), (1, n, 16))]),
-            ((2, 1, 1, 1), (1, n, 16, 1), [((1, 1, 1), (1, n, 16)), ((2, 1, 1), (1, n, 16))]),
-        ]
+        # one call each a pass: the two x1 pieces, 16 x2 offsets a state
+        assert seen == [("sigma", (2, 1, 1, 1), (1, n, 16, 1)),
+                        ("drift", (2, 1, 1, 1), (1, n, 16, 1))]
 
-    def test_non_separable_block_is_rejected(self):
+    @pytest.mark.parametrize("level", [2.0, 16.0])
+    @pytest.mark.parametrize("x", [(0.05, 0.3), (0.3, -0.2), (-0.7, 0.6)])
+    def test_non_separable_block_constant_on_each_side(self, x, level):
+        # no product of an x1 and an x2 part: the step enters inside the sine
+        def fn(s, y2):
+            return 0.25 * (1.0 + 0.3 * math.sin(y2 + 0.5 * s))
+
         def sigma2(x1, x2):
-            return [(np.ones((1,) * (x1.ndim + 1)), np.sin(x1 + x2)[..., None])]
+            s = np.sign(x1[..., 0]) + (x1[..., 0] == 0.0)
+            return (0.25 * (1.0 + 0.3 * np.sin(x2[..., 0] + 0.5 * s)))[..., None, None]
 
-        def drift2(x1, x2):
-            return [(np.ones((1,) * x1.ndim), np.sin(x1 + x2))]
-
-        blocks = make_family("partially-sobolev").field.blocks
-        field = StructuredCoefficient(1, replace(blocks, sigma2=sigma2, drift2=drift2), 2, 1)
-        smooth = mollify(field, MollifierSpec(dim=2, level=4.0, order=16, panels=1))
-        pts = ReferenceMeasure(2, 3.0).sample(derive_rng(19, "eps-smooth"), 10)
-        for jac in (False, True):
-            with pytest.raises(ValueError, match="spans both the x1 pieces"):
-                smooth.evaluate(pts, jac=jac)
+        if x[0] != 0.05:
+            x = (x[0] / level, x[1])
+        blocks = replace(make_family("partially-sobolev").field.blocks, sigma2=sigma2)
+        field = StructuredCoefficient(1, blocks, 2, 1)
+        got = mollify(field, make_family("partially-sobolev").mollifier(level)).sigma(
+            np.array([x]))[0, 1, 0]
+        assert abs(got - _split_oracle(fn, x, level)) <= 1e-5
 
     def test_record_without_a_break_is_rejected(self):
         lifted = DerivativeSystem(make_family("deriv-smooth").field).lifted

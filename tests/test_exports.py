@@ -38,6 +38,8 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     # step formula (_smoothstep, catalog._zeta, catalog._loglip with deriv)
     assert not any(hasattr(roughflow.Swirl, name) for name in ("field", "radial"))
     assert "swirl" not in {f.name for f in dataclasses.fields(roughflow.CoefficientField)}
-    for mod, names in ((roughflow.coefficients, ("_step_band", "_smoothstep_deriv")),
+    # a second-block callable returns its block as an array, not as terms
+    assert not hasattr(roughflow.StructuredCoefficient, "_terms")
+    for mod, names in ((roughflow.coefficients, ("_step_band", "_smoothstep_deriv", "_term_sum")),
                        (roughflow.catalog, ("_zeta_deriv", "_loglip_deriv"))):
         assert not any(hasattr(mod, name) for name in names), mod.__name__

@@ -87,6 +87,11 @@ class TestDriver:
         with pytest.raises(ValueError, match="coarsening factor must be >= 1"):
             drv.coarsen(factor)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1, 0.0])
+    def test_generate_rejects_a_nonsense_step(self, dt):
+        with pytest.raises(ValueError, match="driver step dt must be finite and positive"):
+            BrownianDriver.generate(1, dt=dt, n_steps=4, n_omega=2, seed=9)
+
     def test_counts_are_the_increment_shape(self):
         drv = BrownianDriver.generate(2, dt=2**-4, n_steps=16, n_omega=3, seed=4)
         assert drv.fingerprint == (4, 2**-4, 0, 3, 2)

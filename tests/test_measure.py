@@ -106,6 +106,17 @@ class TestMass:
     def test_mass_1d_equals_pi(self):
         assert ReferenceMeasure(1, 1.0).total_mass() == pytest.approx(np.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("dim,alpha,match", [
+        (0, 3.0, "dim must be a positive integer, got 0"),
+        (1.5, 3.0, "dim must be a positive integer, got 1.5"),  # no fractional dimension
+        (True, 3.0, "dim must be a positive integer, got True"),
+        (2, float("nan"), "alpha must be a positive real"),
+        (2, 0.0, "alpha must be a positive real"),
+    ])
+    def test_nonsense_rejected_by_name(self, dim, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            ReferenceMeasure(dim, alpha)
+
     def test_infinite_mass_rejected(self):
         with pytest.raises(InfiniteMassError):
             ReferenceMeasure(1, 0.4).total_mass()
