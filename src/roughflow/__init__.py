@@ -1,7 +1,7 @@
 """roughflow: generalized stochastic flows of Ito SDEs with weakly
 differentiable coefficients.
 
-A numpy/scipy library for constructing, simulating and verifying flows of
+A numpy library for constructing, simulating and verifying flows of
 
     dX_t = sigma(X_t) dB_t + b(X_t) dt
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads it lazily: here, not in the first draw
 
 __all__ = ["derive_seed", "derive_rng"]
 
@@ -23,4 +24,4 @@ def derive_seed(master: int, label: str, index: int = 0) -> int:
 
 def derive_rng(master: int, label: str, index: int = 0) -> np.random.Generator:
     """A ``numpy.random.Generator`` seeded from the derived child seed."""
-    return np.random.default_rng(derive_seed(master, label, index))
+    return default_rng(derive_seed(master, label, index))

@@ -24,13 +24,14 @@ over (inf of the weight on the delta-neighborhood of R_k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.fft import irfftn, rfftn
 from numpy.typing import NDArray
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .measure import ReferenceMeasure, grid_points
 
@@ -119,6 +120,23 @@ def _radii(step: float, delta: float) -> NDArray[np.float64]:
     return step * np.arange(1, j_max + 1)
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= n: the padded length
+    ``scipy.fft.next_fast_len(n, True)`` and so ``fftconvolve`` pick."""
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @dataclass(frozen=True)
 class _BallSpectra:
     """Spectra of the normalized discrete balls of every radius up to delta.
@@ -142,7 +160,7 @@ def _ball_spectra(shape: tuple, step: float, delta: float, axes: tuple) -> _Ball
     offs = np.arange(-j_max, j_max + 1).astype(float) * step
     dist = np.sqrt(sum(o**2 for o in np.meshgrid(*([offs] * len(axes)), indexing="ij")))
     mask_shape = [2 * j_max + 1 if a in axes else 1 for a in range(len(shape))]
-    fshape = tuple(next_fast_len(shape[a] + 2 * j_max, True) for a in axes)
+    fshape = tuple(_fast_len(shape[a] + 2 * j_max) for a in axes)
     window = tuple(slice(j_max, j_max + s) if a in axes else slice(None)
                    for a, s in enumerate(shape))
     spectra = []
@@ -155,7 +173,11 @@ def _ball_spectra(shape: tuple, step: float, delta: float, axes: tuple) -> _Ball
 
 
 def _ball_average(f_hat: NDArray, ball_hat: NDArray, balls: _BallSpectra) -> NDArray:
-    avg = irfftn(f_hat * ball_hat, balls.fshape, axes=balls.axes)[balls.window]
+    """The inverse transform scaled once by 1 / prod(fshape), as scipy's
+    ``irfftn`` (and so ``fftconvolve``) scales it; numpy's default scales
+    after each axis, which differs in the last bits."""
+    unscaled = irfftn(f_hat * ball_hat, balls.fshape, axes=balls.axes, norm="forward")
+    avg = unscaled[balls.window] * (1.0 / math.prod(balls.fshape))
     return np.maximum(avg, 0.0)
 
 

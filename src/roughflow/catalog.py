@@ -44,10 +44,10 @@ place that says a family is affine (``Family.affine``).  The deriv-smooth
 and deriv-rough bases are one builder, ``_deriv_base``, over their ``(s0,
 f)`` in ``_DERIV_BASES``.
 
-The rough profiles, the vortex's g, the log-Lipschitz factor ``_loglip``
-and the cutoff ``_zeta`` under both, take ``deriv``: with it each returns
-its value and its derivative from one call, one log and one pass over the
-step's band (``coefficients._smoothstep``).
+The rough profiles, the vortex's swirl speed, the log-Lipschitz factor
+``_loglip`` and the cutoff ``_zeta`` under both, take ``deriv``: with it
+each returns its value and its derivative from one call, one log and one
+pass over the step's band (``coefficients._smoothstep``).
 """
 
 from __future__ import annotations
@@ -184,17 +184,15 @@ def _zeta(r, deriv: bool = False):
 
 
 def _vortex_profile(r, beta: float, deriv: bool = False):
-    """g(r) = s(r) / r with s(r) = beta * log(1/r) * zeta(r) on 0 < r < 1, and
-    with ``deriv`` the pair (g, g'), from one log and one pass over zeta's
+    """The swirl speed s(r) = beta * log(1/r) * zeta(r) on 0 < r < 1, and
+    with ``deriv`` the pair (s, s'), from one log and one pass over zeta's
     band."""
     zeta, dzeta = _zeta(r, deriv=True) if deriv else (_zeta(r), None)
     logterm = -np.log(r)
     s = beta * logterm * zeta
-    g = s / r
     if not deriv:
-        return g
-    sp = beta * (-zeta / r + logterm * dzeta)
-    return g, sp / r - s / r**2
+        return s
+    return s, beta * (-zeta / r + logterm * dzeta)
 
 
 def _log_singular(beta: float, noise: float) -> CoefficientField:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
-from scipy import integrate, special
 
 from .measure import ReferenceMeasure, as_points, grid_points, is_count, magnitude, sq_norm
 
@@ -73,6 +73,9 @@ _SWIRL_THETA = 16        # Gauss-Legendre nodes in the angle
 _SWIRL_BLOCK = 16        # table radii per build block: (radii, rho, theta) temporaries stay small
 _SLICE_CELLS = 128       # cells of a slice table over the kernel ball's width in u1
 _SLICE_NODES = 4         # Gauss-Legendre nodes of a slice table cell
+_MASS_CUTS = (0.0, 0.5, 0.8, 1.0)  # radial panels of the kernel's mass
+_MASS_NODES = 64         # Gauss-Legendre nodes of a mass panel
+_FLOAT_MAX_QUARTER = np.finfo(np.float64).max / 4  # Swirl._eval: g' where |s'| + |g| < r x this
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +318,13 @@ class Swirl(CoefficientField):
     ``_SWIRL_RADIUS``).
 
     ``Swirl(profile, params, noise, name)``: ``profile(r, *params,
-    deriv=False)`` gives g, or ``(g, g')`` with ``deriv``, at radii ``0 < r
-    < 1``; it is a module-level function, so ``(profile, params)`` names a
-    profile by value.  ``_eval`` is the rough field, one profile call per
-    evaluation, and ``mollify`` smooths it through the symmetry instead of
+    deriv=False)`` gives the swirl speed ``s = r g``, or ``(s, s')`` with
+    ``deriv``, at radii ``0 < r < 1``; it is a module-level function, so
+    ``(profile, params)`` names a profile by value.  ``_eval`` is the rough
+    field, one profile call per evaluation.  Its Jacobian takes ``g' = s'/r
+    - s/r^2`` where that is a float; nearer 0, where it overflows, the
+    Jacobian is formed from ``r g' = s' - g`` and the unit vector ``x / r``
+    instead.  ``mollify`` smooths it through the symmetry instead of
     by quadrature: the kernel is radial, so ``(b * chi_k)(x) = -x + h_k(r)
     x^perp / r``, with the 1-D profile ``h_k`` read from a table built once
     per profile, level and kernel shape (``_swirl_table``).  Both evaluate
@@ -339,15 +345,28 @@ class Swirl(CoefficientField):
         if drift:
             r = np.sqrt(sq_norm(pts))
             on = (r > 0) & (r < _SWIRL_RADIUS)
-            rows = np.zeros((1 + jac,) + r.shape)  # g, and g' with jac; zero off 0 < r < 1
-            rows[:, on] = self.profile(r[on], *self.params, deriv=jac)
+            ro, g = r[on], np.zeros(r.shape)  # g, and g' with jac, are zero off 0 < r < 1
             if not jac:
-                out.drift = _swirl(pts, rows[0])
-            else:
-                g, gp = rows
-                safe_r = np.where(r > 0, r, 1.0)
-                out.drift, out.drift_jac = _swirl(
-                    pts, g, (gp * pts[..., 0] / safe_r, gp * pts[..., 1] / safe_r))
+                g[on] = self.profile(ro, *self.params) / ro
+                out.drift = _swirl(pts, g)
+                return out
+            s, sp = self.profile(ro, *self.params, deriv=True)
+            go = s / ro
+            # g' = s'/r - s/r^2 only where both terms stay well below the
+            # largest float; nearer 0 the Jacobian takes r g' = s' - g
+            near = np.abs(sp) + np.abs(go) >= ro * _FLOAT_MAX_QUARTER
+            gpo, ok = np.zeros(ro.shape), ~near
+            gpo[ok] = sp[ok] / ro[ok] - s[ok] / ro[ok] ** 2
+            gp = np.zeros(r.shape)
+            g[on], gp[on] = go, gpo
+            safe_r = np.where(r > 0, r, 1.0)
+            out.drift, out.drift_jac = _swirl(
+                pts, g, (gp * pts[..., 0] / safe_r, gp * pts[..., 1] / safe_r))
+            if near.any():  # x^perp (x) grad g = (r g') e^perp (x) e, e = x / r
+                at = np.zeros(r.shape, dtype=bool)
+                at[on] = near
+                e, q = pts[at] / r[at, None], (sp - go)[near]
+                out.drift_jac[at] = _swirl(e, go[near], (q * e[:, 0], q * e[:, 1]))[1]
         return out
 
 
@@ -391,14 +410,16 @@ def _bump(gap, shape: float):
 
 @functools.lru_cache(maxsize=32)
 def _bump_mass(dim: int, shape: float) -> float:
-    """Continuum integral of exp(-shape/(1-|x|^2)) over the unit ball."""
-    surf = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
-
-    def radial(r):
-        return r ** (dim - 1) * _bump(1.0 - r * r, shape)[0]
-
-    val, _ = integrate.quad(radial, 0.0, 1.0, limit=200)
-    return float(surf * val)
+    """Continuum integral of exp(-shape/(1-|x|^2)) over the unit ball: the
+    sphere's area times the radial integral, by ``_MASS_NODES``-node
+    Gauss-Legendre on each panel between ``_MASS_CUTS``, finer where the
+    bump falls off (it is flat to every order at r = 1)."""
+    surf = 2.0 * np.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    x, w = leggauss(_MASS_NODES)
+    cuts = np.array(_MASS_CUTS)
+    half = np.diff(cuts)[:, None] / 2.0
+    r = cuts[:-1, None] + half * (x + 1.0)                            # (panels, nodes)
+    return float(surf * np.sum(half * w * r ** (dim - 1) * _bump(1.0 - r * r, shape)[0]))
 
 
 def _smoothstep(t, deriv: bool = False):
@@ -603,13 +624,17 @@ class MollifierSpec:
         return np.stack(rows, axis=-1).transpose(1, 2, 0).reshape((n, len(rows)) + out)
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss_rule(order: int, panels: int):
     """Composite Gauss-Legendre rule on [-1, 1]: ``panels`` x ``order`` nodes."""
-    gl_x, gl_w = special.roots_legendre(order)
+    gl_x, gl_w = leggauss(order)
     edges = np.linspace(-1.0, 1.0, panels + 1)
-    return (np.concatenate([(e0 + e1) / 2 + (e1 - e0) / 2 * gl_x
+    rule = (np.concatenate([(e0 + e1) / 2 + (e1 - e0) / 2 * gl_x
                             for e0, e1 in zip(edges, edges[1:])]),
             np.concatenate([(e1 - e0) / 2 * gl_w for e0, e1 in zip(edges, edges[1:])]))
+    for part in rule:
+        part.flags.writeable = False  # one cached rule serves every caller
+    return rule
 
 
 def _hermite(val, slope, h):
@@ -633,7 +658,7 @@ def _slice_table(level: float, shape: float, order: int, panels: int):
     """
     v, w = _gauss_rule(order, panels)
     cells, h = _SLICE_CELLS, 2.0 / _SLICE_CELLS
-    knots, (gx, gw) = np.linspace(-1.0, 1.0, cells + 1), special.roots_legendre(_SLICE_NODES)
+    knots, (gx, gw) = np.linspace(-1.0, 1.0, cells + 1), leggauss(_SLICE_NODES)
     u1 = knots[:-1, None, None] + h / 2.0 * (gx[:, None] + 1.0)                  # (cells, G, 1)
     bump, slope = _bump(1.0 - u1 * u1 - v * v, shape)                           # (cells, G, J)
     knot_bump, knot_slope = _bump(1.0 - knots[:, None] ** 2 - v * v, shape)     # (cells + 1, J)
@@ -743,15 +768,16 @@ def _swirl_table(profile: Callable, params: tuple, level: float, shape: float):
     n = int(np.ceil(_SWIRL_RADII * k * reach)) + 1
     radii = np.linspace(0.0, reach, n)
     h, hp = np.zeros(n), np.zeros(n)
-    x_rho, w_rho = special.roots_legendre(_SWIRL_RHO)
-    x_th, w_th = special.roots_legendre(_SWIRL_THETA)
+    x_rho, w_rho = leggauss(_SWIRL_RHO)
+    x_th, w_th = leggauss(_SWIRL_THETA)
     mass = kk / _bump_mass(2, shape)
     for start in range(0, n - 1, _SWIRL_BLOCK):  # h = h' = 0 at reach
         r = radii[start:min(start + _SWIRL_BLOCK, n - 1), None]           # (B, 1)
         lo, hi = np.maximum(r - 1.0 / k, 0.0), np.minimum(r + 1.0 / k, _SWIRL_RADIUS)
         half = (hi - lo) / 2.0
         rho = lo + half * (x_rho + 1.0)                                   # (B, P)
-        weight = half * w_rho * profile(rho, *params) * rho * rho
+        g = profile(rho, *params) / rho  # g rho^2, not s rho: the table's bits as built from g
+        weight = half * w_rho * g * rho * rho
         # cos(thmax); at r = 0 the whole circle lies in the ball (rho < 1/k)
         cmax = np.divide(r * r + rho * rho - 1.0 / kk, 2.0 * r * rho,
                          out=np.full(rho.shape, -1.0), where=r > 0.0)

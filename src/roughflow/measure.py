@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 __all__ = [
     "InfiniteMassError",
@@ -147,7 +146,7 @@ class ReferenceMeasure:
         n = self.dim
         return float(
             np.pi ** (n / 2.0)
-            * np.exp(special.gammaln(self.alpha - n / 2.0) - special.gammaln(self.alpha))
+            * np.exp(math.lgamma(self.alpha - n / 2.0) - math.lgamma(self.alpha))
         )
 
     def first_radial_moment(self) -> float:
@@ -158,11 +157,11 @@ class ReferenceMeasure:
                 f"first moment infinite: alpha={self.alpha} <= (dim+1)/2"
             )
         # surface(S^{n-1}) * 1/2 * B((n+1)/2, alpha - (n+1)/2)
-        log_surf = np.log(2.0) + (n / 2.0) * np.log(np.pi) - special.gammaln(n / 2.0)
+        log_surf = np.log(2.0) + (n / 2.0) * np.log(np.pi) - math.lgamma(n / 2.0)
         log_beta = (
-            special.gammaln((n + 1) / 2.0)
-            + special.gammaln(self.alpha - (n + 1) / 2.0)
-            - special.gammaln(self.alpha)
+            math.lgamma((n + 1) / 2.0)
+            + math.lgamma(self.alpha - (n + 1) / 2.0)
+            - math.lgamma(self.alpha)
         )
         return float(np.exp(log_surf + log_beta) / 2.0)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .catalog import Family
 from .coefficients import (
@@ -91,13 +90,34 @@ def stability_functional(
     )
 
 
+def _halton(n: int, dim: int):
+    """The first n points of the unscrambled Halton sequence in [0, 1)^dim,
+    starting at the origin (index 0): coordinate i is the radical inverse
+    of the index in the i-th prime base, its digits summed from the lowest,
+    which is ``scipy.stats.qmc.Halton(dim, scramble=False).random(n)`` bit
+    for bit."""
+    bases = []
+    p = 2
+    while len(bases) < dim:
+        if all(p % b for b in bases):
+            bases.append(p)
+        p += 1
+    out = np.zeros((n, dim))
+    for col, base in enumerate(bases):
+        i, f = np.arange(n), 1.0
+        while i.any():
+            f /= base
+            out[:, col] += f * (i % base)
+            i //= base
+    return out
+
+
 def _halton_ball(radius: float, dim: int, budget: int):
     """Halton points on the cube around B(0, radius), and the L^q norm over
     the ball of values at those points (their ``magnitude`` over trailing
     axes).  Unscrambled: one draw serves every norm on the ball.
     """
-    sampler = qmc.Halton(d=dim, scramble=False)
-    pts = (2.0 * sampler.random(budget) - 1.0) * radius
+    pts = (2.0 * _halton(budget, dim) - 1.0) * radius
     inside = np.sqrt(sq_norm(pts)) <= radius
 
     def norm(vals, q: float) -> float:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from roughflow import ReferenceMeasure
 from roughflow._seeds import derive_rng
 from roughflow.analysis import (
     GridFunction,
+    _fast_len,
     local_maximal,
     maximal_exp_check,
     maximal_lp_check,
@@ -55,6 +57,12 @@ def convolve_maximal(g, delta, partial=False):
         avg = fftconvolve(absvals, mask / mask.sum(), mode="same")
         out = np.maximum(out, np.maximum(avg, 0.0))
     return out
+
+
+def test_fast_len_is_scipys_next_fast_len():
+    # the padded length fftconvolve picks, so _maximal equals it bit for bit
+    assert [_fast_len(n) for n in range(1, 5000)] == [next_fast_len(n, True)
+                                                     for n in range(1, 5000)]
 
 
 class TestGridFunction:

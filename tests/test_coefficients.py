@@ -2,11 +2,12 @@
 
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from roughflow import (
     FAMILY_NAMES,
@@ -28,6 +29,7 @@ from roughflow.coefficients import (
     StructuredCoefficient,
     Swirl,
     _bump_mass,
+    _gauss_rule,
     _smoothstep,
 )
 from roughflow.derivative import DerivativeSystem
@@ -151,6 +153,30 @@ class TestMollifierSpec:
     def test_nonsense_rejected_by_name(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             MollifierSpec(**{"dim": 2, **kwargs})
+
+
+class TestRules:
+    """The kernel's mass and the Gauss-Legendre rules, against scipy's."""
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+    def test_planar_bump_mass_is_pi_expn(self, shape):
+        # u = 1 / (1 - r^2) turns 2 pi int_0^1 r exp(-s / (1 - r^2)) dr into
+        # pi E_2(s); expn itself is within 8e-16 of a 40-digit value here
+        want = math.pi * special.expn(2, shape)
+        assert _bump_mass(2, shape) == pytest.approx(want, rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+    def test_line_bump_mass_is_quad(self, shape):
+        half, _ = integrate.quad(lambda u: math.exp(-shape / (1.0 - u * u)), 0.0, 1.0,
+                                 epsabs=0, epsrel=2e-14, limit=200)
+        assert _bump_mass(1, shape) == pytest.approx(2.0 * half, rel=2e-14, abs=0)
+
+    @pytest.mark.parametrize("order", [4, 16, 24])
+    def test_gauss_rule_is_roots_legendre(self, order):
+        nodes, weights = _gauss_rule(order, 1)
+        want_nodes, want_weights = special.roots_legendre(order)
+        assert np.max(np.abs(nodes - want_nodes)) <= 4e-15
+        assert np.max(np.abs(weights - want_weights)) <= 4e-15
 
 
 class TestMollify:
@@ -291,11 +317,14 @@ class TestSwirlField:
 
     def test_rough_field_bitwise_its_old_closed_form(self):
         # log-singular's rough values and Jacobians feed c3, c4 and c5: the
-        # shared swirl formula must give them bitwise, through r = 0, a
-        # subnormal-squared radius, zeta's band and the support's edge
+        # shared swirl formula must give them bitwise, through r = 0 (radii
+        # whose squares underflow), the smallest radii where g' is a float,
+        # zeta's band and the support's edge
         fam = make_family("log-singular")
-        edges = np.array([[0.0, 0.0], [1e-300, 0.0], [0.5, 0.0], [0.0, -0.5], [1.0, 0.0],
-                          [0.6, -0.8], [1.5, 0.0], [-0.9, 1.2]])
+        tiny = [[r, 0.0] for r in (1e-150, 1e-200, 5e-324, 1e-300)]
+        edges = np.array(tiny + [xy[::-1] for xy in tiny]
+                         + [[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [1.0, 0.0],
+                            [0.6, -0.8], [1.5, 0.0], [-0.9, 1.2]])
         x = np.concatenate([fam.measure.sample(derive_rng(33, "swirl-rough"), 20_000), edges])
         ev = fam.field.evaluate(x, jac=True)
         # + 0.0 turns -0.0 into +0.0
@@ -303,6 +332,29 @@ class TestSwirlField:
                              _old_log_singular_closed_form(x)):
             assert got.shape == want.shape
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    def test_jacobian_finite_where_g_prime_overflows(self):
+        # below r ~ 1e-153, g' = s'/r - s/r^2 overflows a float; the Jacobian
+        # -I + (s' - g) e^perp (x) e + g R (e = x / r) does not, nor the drift
+        beta = 1.2
+        fam = make_family("log-singular", beta=beta)
+        radii = (1e-160, 3e-162, 1e-155)
+        x = np.array([[r, 0.0] for r in radii] + [[0.0, r] for r in radii]
+                     + [[r, -r] for r in radii])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = fam.field.evaluate(x, jac=True)
+        r = np.sqrt(np.sum(x * x, axis=-1))  # the field's own radius, as coarse as x^2 is
+        s, sp = beta * -np.log(r), -beta / r    # zeta = 1, zeta' = 0 near 0
+        g = s / r
+        e = x / r[:, None]
+        perp = np.stack([-e[:, 1], e[:, 0]], axis=-1)
+        want = (-np.eye(2) + (sp - g)[:, None, None] * perp[:, :, None] * e[:, None, :]
+                + g[:, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert np.all(np.isfinite(ev.drift)) and np.all(np.isfinite(ev.drift_jac))
+        np.testing.assert_allclose(ev.drift, -x + s[:, None] * perp, rtol=1e-14)
+        scale = np.max(np.abs(want), axis=(1, 2))
+        assert np.all(np.max(np.abs(ev.drift_jac - want), axis=(1, 2)) <= 1e-13 * scale)
 
     def test_one_profile_call_per_evaluation(self, monkeypatch):
         # the rough drift and its Jacobian come from one profile call, with

@@ -2,7 +2,11 @@
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import roughflow
 
@@ -43,3 +47,35 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     for mod, names in ((roughflow.coefficients, ("_step_band", "_smoothstep_deriv", "_term_sum")),
                        (roughflow.catalog, ("_zeta_deriv", "_loglip_deriv"))):
         assert not any(hasattr(mod, name) for name in names), mod.__name__
+
+
+# scipy is a test dependency only: with it blocked, the package imports and
+# runs the numpy code that stands in for its Halton sequence, FFTs and rules
+NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import roughflow, roughflow.acceptance, roughflow.cli
+from roughflow import make_family, mollify
+from roughflow.analysis import GridFunction, local_maximal
+from roughflow.stability import _halton_ball
+
+pts, norm = _halton_ball(1.0, 2, 256)
+assert abs(norm(np.ones(len(pts)), 2.0) - np.pi ** 0.5) < 0.1
+axis = np.linspace(-2.0, 2.0, 33)
+g = GridFunction((axis, axis), np.exp(-axis[:, None] ** 2 - axis ** 2))
+assert np.all(local_maximal(g, 0.5).values >= g.values)
+fam = make_family("log-singular")
+ev = mollify(fam.field, fam.mollifier(4.0)).evaluate(np.array([[0.3, 0.1]]), jac=True)
+assert np.all(np.isfinite(ev.drift)) and np.all(np.isfinite(ev.drift_jac))
+"""
+
+
+def test_the_package_runs_without_scipy():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", NUMPY_ONLY],
+                          cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]

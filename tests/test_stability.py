@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from roughflow import (
     BrownianDriver,
@@ -94,6 +95,12 @@ class TestFunctional:
 
 
 class TestBallNorm:
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_halton_is_scipys_unscrambled_sequence_bitwise(self, dim):
+        for n in (1, 7, 4096):
+            want = qmc.Halton(d=dim, scramble=False).random(n)
+            assert st._halton(n, dim).tobytes() == want.tobytes()
+
     def test_constant_function_volume(self):
         pts, norm = _halton_ball(1.0, 2, 200_000)
         val = norm(np.ones(pts.shape[0]), 2.0)
