@@ -24,7 +24,6 @@ from .coefficients import (
     Swirl,
     condition_integrals,
     density_terms,
-    mollifier_domination_check,
     mollify,
 )
 from .density import (

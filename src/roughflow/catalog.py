@@ -75,7 +75,7 @@ FAMILY_NAMES = (
     "deriv-smooth",
     "deriv-rough",
 )
-_MOLLIFIER_ORDER = 16  # Gauss-Legendre nodes per axis of every family's mollifier rule
+_MOLLIFIER_ORDER = 16  # Gauss-Legendre nodes of each family's 1-D rule (x2: the slice rule)
 
 
 @dataclass
@@ -91,8 +91,8 @@ class Family:
 
     @property
     def affine(self) -> bool:
-        """sigma and b are affine (``_AFFINE``): smoothing reproduces their
-        values on B(k), though not their Jacobians."""
+        """sigma and b are affine (``_AFFINE``): on the line, smoothing
+        reproduces their values on B(k), though not their Jacobians."""
         return self.name in _AFFINE
 
     @property
@@ -140,7 +140,8 @@ def doubled_measure(d: int, q: float, alpha: Optional[float] = None) -> Referenc
 # 1e-12: they have no Cauchy check, and their difference flows are their
 # derivative flow, so their derivative metrics are rounding noise
 # (``Family.affine``).  The smoothed Jacobians, read from the kernel-gradient
-# weights, miss ``-rate I`` by the quadrature's first-moment error.
+# weights, miss ``-rate I`` by the 1-D rule's first-moment error.  A planar
+# affine field declares no structure, so ``mollify`` rejects it.
 _AFFINE = {
     "linear": ((1, 1.0, 0.6), ("dim", "rate", "noise")),
     "translation": ((1, 0.0, 1.0), ()),

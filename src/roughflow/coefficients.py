@@ -19,17 +19,17 @@ also provides
   the smoothing ``f_k = (f * chi_k) psi_k``, whose derivatives are computed
   from ``f * grad(chi_k)`` and ``grad(psi_k)`` rather than by differencing.
   ``mollify`` is the one smoothing entry: it smooths every row of a plain
-  field and the second block of a structured one, packing sigma and b into
-  one function, so an evaluation costs one quadrature pass over the rough
-  field (a block jumping in x1 by the slice rule), except for a ``Swirl``,
-  whose smoothing is read from a radial table with no pass.  The cutoff's
-  step, ``_smoothstep(t, deriv)``, gives its value and, on request, its
+  field on the line, packing sigma and b into one function, so an
+  evaluation costs one pass of the 1-D Gauss rule over the rough field.
+  A planar field is smoothed only through a declared structure: a
+  ``Swirl`` from its radial table, with no pass, and the second block of a
+  structured field, jumping in x1, by the slice rule.  The cutoff's step,
+  ``_smoothstep(t, deriv)``, gives its value and, on request, its
   derivative from one pass over its band;
 * ``density_terms``, the terms of the exponent of the pathwise push-forward
   density from one ``FieldEval``: the noise term, the drift term and, given
   a difference step, the Ito-Taylor coefficient of the noise term;
-* checkers for the exponential-integrability condition on the coefficients
-  and for the kernel domination property of smoothing.
+* a checker for the exponential-integrability condition on the coefficients.
 
 Axis conventions: ``sigma(x) -> (..., n, m)``, ``drift(x) -> (..., n)``,
 ``sigma_jac[..., i, k, j] = d sigma^{ik} / d x_j`` and
@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
-from .measure import ReferenceMeasure, as_points, grid_points, is_count, magnitude, sq_norm
+from .measure import ReferenceMeasure, as_points, is_count, sq_norm
 
 __all__ = [
     "CoefficientField",
@@ -60,7 +60,6 @@ __all__ = [
     "density_terms",
     "exp_integrand",
     "condition_integrals",
-    "mollifier_domination_check",
 ]
 
 _MAX_EVAL_BLOCK = 2**14  # rough-callable points per quadrature chunk: temporaries stay in cache
@@ -76,6 +75,8 @@ _SLICE_NODES = 4         # Gauss-Legendre nodes of a slice table cell
 _MASS_CUTS = (0.0, 0.5, 0.8, 1.0)  # radial panels of the kernel's mass
 _MASS_NODES = 64         # Gauss-Legendre nodes of a mass panel
 _FLOAT_MAX_QUARTER = np.finfo(np.float64).max / 4  # Swirl._eval: g' where |s'| + |g| < r x this
+_PLANAR = ("a planar field is smoothed through its declared structure only, a Swirl by "
+           "its radial table or a FieldBlocks record with its x1_break by the slice rule")
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +118,9 @@ class CoefficientField:
     them).  ``evaluate`` and the accessors call ``_eval``.  A field without
     Jacobian callables is never differenced (its coefficients may jump):
     asking for a Jacobian raises a ``ValueError`` naming it, and
-    ``mollify`` gives a differentiable field.  Fields are immutable in
-    practice: evaluation never mutates state, so a field instance is safe
-    for concurrent use.
+    ``mollify`` gives a differentiable field on the line.  Fields are
+    immutable in practice: evaluation never mutates state, so a field
+    instance is safe for concurrent use.
     """
 
     dim_state: int
@@ -321,15 +322,16 @@ class Swirl(CoefficientField):
     deriv=False)`` gives the swirl speed ``s = r g``, or ``(s, s')`` with
     ``deriv``, at radii ``0 < r < 1``; it is a module-level function, so
     ``(profile, params)`` names a profile by value.  ``_eval`` is the rough
-    field, one profile call per evaluation.  Its Jacobian takes ``g' = s'/r
-    - s/r^2`` where that is a float; nearer 0, where it overflows, the
-    Jacobian is formed from ``r g' = s' - g`` and the unit vector ``x / r``
-    instead.  ``mollify`` smooths it through the symmetry instead of
-    by quadrature: the kernel is radial, so ``(b * chi_k)(x) = -x + h_k(r)
-    x^perp / r``, with the 1-D profile ``h_k`` read from a table built once
-    per profile, level and kernel shape (``_swirl_table``).  Both evaluate
-    through ``_swirl``, with ``H = g`` and ``H = h_k / r``.  A swirl has no
-    Jacobian callables, so ``is_analytic`` is False.
+    field, one profile call per evaluation, at r = ``hypot`` where
+    ``|x|^2`` is subnormal (elsewhere its root; 0 where it underflows).  Its
+    Jacobian takes ``g' = s'/r - s/r^2`` where that is a float; nearer 0,
+    where it overflows, from ``r g' = s' - g`` and ``e = x / r`` instead.
+    ``mollify`` smooths it through the symmetry: the kernel is radial, so
+    ``(b * chi_k)(x) = -x + h_k(r) x^perp / r``, with the 1-D profile
+    ``h_k`` read from a table built once per profile, level and kernel
+    shape (``_swirl_table``).  Both evaluate through ``_swirl``, with ``H =
+    g`` and ``H = h_k / r``.  A swirl has no Jacobian callables, so
+    ``is_analytic`` is False.
     """
 
     def __init__(self, profile: Callable, params: tuple, noise: float, name: str = ""):
@@ -343,7 +345,11 @@ class Swirl(CoefficientField):
             if jac:
                 out.sigma_jac = np.zeros(lead + (2, 2, 2))
         if drift:
-            r = np.sqrt(sq_norm(pts))
+            sq = sq_norm(pts)
+            r = np.sqrt(sq)
+            sub = (sq > 0.0) & (sq < np.finfo(np.float64).tiny)  # subnormal: sqrt loses digits
+            if sub.any():
+                r = np.where(sub, np.hypot(pts[..., 0], pts[..., 1]), r)
             on = (r > 0) & (r < _SWIRL_RADIUS)
             ro, g = r[on], np.zeros(r.shape)  # g, and g' with jac, are zero off 0 < r < 1
             if not jac:
@@ -456,20 +462,18 @@ class MollifierSpec:
 
     ``chi(x) = c^-1 exp(-shape / (1 - |x|^2))`` on the unit ball; the scaled
     kernel is ``chi_k(x) = k^n chi(kx)``.  The cutoff is 1 on B(1) and 0
-    outside B(2), scaled as ``psi_k(x) = psi(x/k)``.  Convolutions are
-    evaluated by composite tensor-product Gauss-Legendre quadrature on the
-    cube [-1, 1]^dim, keeping only the nodes inside the open unit ball
-    where the kernel is positive (elsewhere it and its gradient are exactly
-    0), with weights renormalized so constants are reproduced exactly.  The
-    value weights and the kernel-gradient weights are stacked into one
-    ``(1 + dim, Q)`` matrix, so a quadrature pass returns the convolution
-    and its gradient from one matrix product per row group and chunk of
-    states, where the convolved function sees at most ``_MAX_EVAL_BLOCK``
-    points.  A planar function constant in x1 on either side of a break
-    takes the slice rule (``_slices``), which integrates the jump exactly.
-    ``order`` and the ``panels`` of every axis trade accuracy for cost.  A
-    ``Swirl`` field's smoothing reads only ``level`` and ``shape``: its
-    table integrates the continuum kernel, with no node of this rule.
+    outside B(2), scaled as ``psi_k(x) = psi(x/k)``.  On the line,
+    convolutions take the composite Gauss-Legendre rule on [-1, 1] (``order``
+    nodes on each of ``panels``), keeping only the nodes where the kernel
+    is positive (elsewhere it and its gradient are exactly 0), with weights
+    renormalized so constants are exact.  The value and kernel-gradient
+    weights are stacked into one ``(2, Q)`` matrix: a pass gives the
+    convolution and its gradient from one matrix product per row group and
+    chunk of states, where the convolved function sees at most
+    ``_MAX_EVAL_BLOCK`` points.  A planar spec has no generic rule: the
+    slice rule (``_slices``, the 1-D rule in x2) integrates a function with
+    an x1 jump, the polar rule a radial one (``convolve_radial``), and a
+    ``Swirl``'s table reads only ``level`` and ``shape``.
     """
 
     dim: int
@@ -487,18 +491,18 @@ class MollifierSpec:
             raise ValueError(f"mollification level must be finite and >= 1, got {self.level}")
         if not (np.isfinite(self.shape) and self.shape > 0):
             raise ValueError(f"kernel shape must be finite and positive, got {self.shape}")
-        gl_x, gl_w = _gauss_rule(self.order, self.panels)
-        nodes = grid_points([gl_x] * self.dim).reshape(-1, self.dim)
-        raw_w = np.prod(grid_points([gl_w] * self.dim).reshape(-1, self.dim), axis=-1)
-        bump, slope = _bump(1.0 - np.sum(nodes**2, axis=-1), self.shape)
+        if self.dim > 1:
+            return  # planar: the slice rule, the polar rule or a swirl's table
+        gl_x, raw_w = _gauss_rule(self.order, self.panels)
+        bump, slope = _bump(1.0 - gl_x**2, self.shape)
         # the kernel and its gradient are exactly 0 off the open unit ball
         # (and where exp underflows): those nodes would only cost evaluations
         keep = bump > 0.0
-        self._nodes, raw_w, bump = nodes[keep], raw_w[keep], bump[keep]  # (Q, dim)
+        self._nodes, raw_w, bump = gl_x[keep, None], raw_w[keep], bump[keep]  # (Q, 1)
         z = float(np.sum(raw_w * bump))
         grad_w = (raw_w[:, None] * (2.0 * slope[keep][:, None] * self._nodes)) / z
         grad_w -= grad_w.mean(axis=0, keepdims=True)
-        # row 0: value weights (sum to 1 exactly); row 1 + j: d/dx_j weights
+        # row 0: value weights (sum to 1 exactly); row 1: d/dx weights
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
 
@@ -535,7 +539,7 @@ class MollifierSpec:
     # -- convolution ---------------------------------------------------------
 
     def convolve(self, func: Callable, x, x1_break: Optional[float] = None) -> NDArray[np.float64]:
-        """(func * chi_k)(x); ``func`` maps (..., dim) to (..., *out), or with
+        """(func * chi_k)(x); ``func`` maps (..., 1) to (..., *out), or with
         an ``x1_break`` is ``func(x1, x2)`` of the slice rule (``_slices``)."""
         return self._quadrature(func, x, False, x1_break)[0]
 
@@ -548,6 +552,16 @@ class MollifierSpec:
         out = self._quadrature(func, x, True, x1_break)
         return out[0], np.moveaxis(out[1:], 0, -1)
 
+    def convolve_radial(self, profile: Callable, x) -> NDArray[np.float64]:
+        """(f * chi_k)(x) of the planar radial ``f(y) = profile(|y|)``, with
+        ``profile`` elementwise on radii: ``_annulus`` in mode 0 at each
+        distinct radius of ``x``."""
+        if self.dim != 2:
+            raise ValueError(f"the radial rule is planar; this mollifier lives on R^{self.dim}")
+        r = np.sqrt(sq_norm(as_points(x, 2, "mollifier")))
+        radii, at = np.unique(r.ravel(), return_inverse=True)
+        return _annulus(radii, profile, self.level, self.shape, 0)[0][at].reshape(r.shape)
+
     def _quadrature(self, func, x, grad: bool, x1_break=None):
         """``sum_q weights[j, q] func(x - u_q / k)`` at every point x, for the
         value row j = 0 and, with ``grad``, the kernel-gradient rows.
@@ -559,6 +573,8 @@ class MollifierSpec:
         whether or not the gradient rows come with it.
         """
         pts = as_points(x, self.dim, "mollifier")
+        if x1_break is None and self.dim > 1:
+            raise ValueError(f"no generic rule on R^{self.dim}: {_PLANAR}")
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
         seen = len(self._nodes) if x1_break is None else 2 * self.order * self.panels
@@ -572,15 +588,11 @@ class MollifierSpec:
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
 
     def _shifted(self, func, chunk, grad: bool):
-        """One chunk of the tensor rule, shape (B, J, *out): ``func`` of the
-        (B, Q, dim) shifted points, reduced with one matrix product per row
+        """One chunk of the 1-D rule, shape (B, J, *out): ``func`` of the
+        (B, Q, 1) shifted points, reduced with one matrix product per row
         group."""
-        shifts = self._nodes / self.level
-        grid = np.empty((len(chunk),) + shifts.shape)
-        # one axis at a time: 4x cheaper than a 3-d broadcast
-        for j in range(self.dim):
-            np.subtract(chunk[:, j, None], shifts[None, :, j], out=grid[:, :, j])
-        f = np.asarray(func(grid), dtype=np.float64)            # (B, Q, *out)
+        f = np.asarray(func(chunk[:, None] - self._nodes / self.level),
+                       dtype=np.float64)                           # (B, Q, *out)
         f2 = f.reshape(f.shape[:2] + (-1,))
         weights = self._weights if grad else self._weights[:1]
         red = np.concatenate([np.matmul(w, f2) for w in (weights[:1], weights[1:])
@@ -746,50 +758,65 @@ class _Smoother:
         return out
 
 
-@functools.lru_cache(maxsize=64)
-def _swirl_table(profile: Callable, params: tuple, level: float, shape: float):
-    """``(dr, reach, coef)``: the smoothed swirl profile ``h_k`` as a cubic
-    Hermite spline on the uniform radii ``0, dr, ..., reach = 1 + 1/k``
-    (``_SWIRL_RADII`` per unit length and unit of level), ``coef[i]`` its
-    coefficients in ``t = r/dr - i`` on interval i.  Built once per profile,
-    level and kernel shape, in blocks of ``_SWIRL_BLOCK`` radii.
-
-    At ``r e1`` the swirl's convolution points along e2 with length ``h_k(r)
-    = int g(rho) rho^2 K1(r, rho) d rho``, where ``K1 = 2 int_0^thmax
-    chi_k(d) cos(th) d th``, ``d^2 = r^2 + rho^2 - 2 r rho cos(th)`` and
-    thmax is where the circle of radius rho leaves the kernel ball B(r e1,
-    1/k).  rho runs over the annulus ``[r - 1/k, r + 1/k] ∩ [0, 1]``, and
-    both integrals take Gauss-Legendre nodes.  ``h_k'`` takes ``d_r K1``,
-    with ``chi_k'(d) / d = 2 k^2`` times the bump's slope (``_bump``), so no
-    division by d.  ``h_k(0) = 0`` by symmetry, and h_k vanishes from reach on.
+def _annulus(radii, radial: Callable, level: float, shape: float, mode: int,
+             support: float = np.inf):
+    """``(value, slope)`` of angular mode 0 or 1 at each of ``radii``: at
+    ``r e1``, ``int radial(rho) rho^(m + 1) Km(r, rho) d rho`` with ``Km = 2
+    int_0^thmax chi_k(d) cos(th)^m d th``, ``d^2 = r^2 + rho^2 - 2 r rho
+    cos(th)`` and thmax where the circle of radius rho leaves B(r e1, 1/k).
+    Gauss-Legendre nodes run over the annulus ``[r - 1/k, r + 1/k] ∩ [0,
+    support]`` and [0, thmax], in blocks of ``_SWIRL_BLOCK`` radii.  Mode 1
+    of a swirl's g is h_k, and ``slope`` h_k' from ``chi_k'(d) / d = 2 k^2``
+    times the bump's slope (no division by d).  Mode 0 is ``(f * chi_k)(r
+    e1)`` of the radial f = ``radial`` over the same pass's mass of the
+    rule, so a constant is exact; its slope is None.
     """
     k, kk = level, level * level
-    reach = _SWIRL_RADIUS + 1.0 / k
-    n = int(np.ceil(_SWIRL_RADII * k * reach)) + 1
-    radii = np.linspace(0.0, reach, n)
-    h, hp = np.zeros(n), np.zeros(n)
+    value, slope = np.zeros(len(radii)), np.zeros(len(radii)) if mode else None
     x_rho, w_rho = leggauss(_SWIRL_RHO)
     x_th, w_th = leggauss(_SWIRL_THETA)
     mass = kk / _bump_mass(2, shape)
-    for start in range(0, n - 1, _SWIRL_BLOCK):  # h = h' = 0 at reach
-        r = radii[start:min(start + _SWIRL_BLOCK, n - 1), None]           # (B, 1)
-        lo, hi = np.maximum(r - 1.0 / k, 0.0), np.minimum(r + 1.0 / k, _SWIRL_RADIUS)
+    for start in range(0, len(radii), _SWIRL_BLOCK):
+        r = radii[start:start + _SWIRL_BLOCK, None]                       # (B, 1)
+        lo, hi = np.maximum(r - 1.0 / k, 0.0), np.minimum(r + 1.0 / k, support)
         half = (hi - lo) / 2.0
         rho = lo + half * (x_rho + 1.0)                                   # (B, P)
-        g = profile(rho, *params) / rho  # g rho^2, not s rho: the table's bits as built from g
-        weight = half * w_rho * g * rho * rho
+        weight = half * w_rho * radial(rho) * rho                         # rho d rho
         # cos(thmax); at r = 0 the whole circle lies in the ball (rho < 1/k)
         cmax = np.divide(r * r + rho * rho - 1.0 / kk, 2.0 * r * rho,
                          out=np.full(rho.shape, -1.0), where=r > 0.0)
         thmax = np.arccos(np.clip(cmax, -1.0, 1.0))[..., None]
         cos = np.cos(thmax / 2.0 * (x_th + 1.0))                          # (B, P, T)
         r3, rho3 = r[..., None], rho[..., None]
-        bump, slope = _bump(1.0 - kk * (r3 * r3 + rho3 * rho3 - 2.0 * r3 * rho3 * cos), shape)
-        chi, dchi = mass * bump, (2.0 * kk * mass) * slope                # chi_k, chi_k'(d) / d
-        w = thmax * w_th * cos                                            # 2 (thmax / 2) w cos
-        block = slice(start, start + len(r))
-        h[block] = np.sum(weight * np.sum(w * chi, axis=-1), axis=-1)
-        hp[block] = np.sum(weight * np.sum(w * dchi * (r3 - rho3 * cos), axis=-1), axis=-1)
+        bump, dbump = _bump(1.0 - kk * (r3 * r3 + rho3 * rho3 - 2.0 * r3 * rho3 * cos), shape)
+        w = thmax * w_th * cos if mode else thmax * w_th                  # 2 (thmax / 2) w cos^m
+        ring, block = np.sum(w * (mass * bump), axis=-1), slice(start, start + len(r))
+        if not mode:  # over the rule's mass, the same sum of f = 1
+            value[block] = np.sum(weight * ring, -1) / np.sum(half * w_rho * rho * ring, -1)
+            continue
+        weight = weight * rho                                             # |x^perp| = rho
+        dchi = (2.0 * kk * mass) * dbump                                  # chi_k'(d) / d
+        value[block] = np.sum(weight * ring, axis=-1)
+        slope[block] = np.sum(weight * np.sum(w * dchi * (r3 - rho3 * cos), axis=-1), axis=-1)
+    return value, slope
+
+
+@functools.lru_cache(maxsize=64)
+def _swirl_table(profile: Callable, params: tuple, level: float, shape: float):
+    """``(dr, reach, coef)``: the smoothed swirl profile ``h_k`` as a cubic
+    Hermite spline on the uniform radii ``0, dr, ..., reach = 1 + 1/k``
+    (``_SWIRL_RADII`` per unit length and unit of level), ``coef[i]`` its
+    coefficients in ``t = r/dr - i`` on interval i.  Built once per profile,
+    level and kernel shape.  At ``r e1`` the swirl's convolution points
+    along e2 with length ``h_k(r)``, ``_annulus`` in mode 1 of g within its
+    support B(1); ``h_k(0) = 0`` by symmetry, and h_k vanishes from reach on.
+    """
+    reach = _SWIRL_RADIUS + 1.0 / level
+    n = int(np.ceil(_SWIRL_RADII * level * reach)) + 1
+    radii = np.linspace(0.0, reach, n)
+    # g rho^2, not s rho: the table's bits as built from g; h = h' = 0 at reach
+    h, hp = (np.append(row, 0.0) for row in _annulus(
+        radii[:-1], lambda rho: profile(rho, *params) / rho, level, shape, 1, _SWIRL_RADIUS))
     h[0] = 0.0
     dr = radii[1]
     coef = _hermite(h, hp, dr).T
@@ -840,21 +867,24 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
 
     Derivatives come from ``f * grad(chi_k)`` plus the product rule with
     ``grad(psi_k)``; the rough field is never differenced.  Every row of a
-    plain field is smoothed, by one quadrature pass per evaluation; a
-    ``Swirl`` is smoothed from its table instead (``_SwirlSmoother``: no
-    pass, the spec's level and kernel shape only).  Of a structured field
-    only the second block is: the first block needs no regularization for
-    the partial-Sobolev theory, so the first-block flow is identical across
-    smoothing levels.  The slice rule integrates the second block's jump at
-    its record's ``x1_break`` exactly, so the smoothed block is genuinely
-    differentiable in x1 too, with the full Jacobian.  A structured field is
-    rejected without first-block Jacobians, when already smoothed (its
-    record holds the rough block), and unless planar with an ``x1_break``.
+    plain field on the line is smoothed, by one pass of the 1-D rule per
+    evaluation, and a ``Swirl`` from its table (``_SwirlSmoother``: no pass,
+    the spec's level and kernel shape only); any other plain planar field
+    is rejected.  Of a structured field only the second block is: the first
+    block needs no regularization for the partial-Sobolev theory, so the
+    first-block flow is identical across smoothing levels.  The slice rule
+    integrates the second block's jump at its record's ``x1_break``
+    exactly, so the smoothed block is genuinely differentiable in x1 too,
+    with the full Jacobian.  A structured field is rejected without
+    first-block Jacobians, when already smoothed (its record holds the
+    rough block), and unless planar with an ``x1_break``.
     """
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
     n, m = field.dim_state, field.dim_noise
     if not isinstance(field, StructuredCoefficient):
+        if n > 1 and not isinstance(field, Swirl):
+            raise ValueError(f"field {field.name!r} is a plain field on R^{n}: {_PLANAR}")
         smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
         smooth._eval = (_SwirlSmoother(spec, field) if isinstance(field, Swirl)
                         else _Smoother(spec, field._eval, (n, m), field.constant_sigma()))
@@ -1006,44 +1036,3 @@ def condition_integrals(
     )
     divergent = est.max_share > 0.1 or rel_change > 0.1 or not np.isfinite(values[-1])
     return est, bool(divergent)
-
-
-# ---------------------------------------------------------------------------
-# kernel domination check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DominationReport:
-    max_ratio: float
-    passed: bool
-    bound: float = 2.0
-
-
-def mollifier_domination_check(
-    func: Callable, spec: MollifierSpec, grid
-) -> DominationReport:
-    """Check ``|f*chi_k|(x) / (1+|x|) <= 2 (|f/(1+|.|)| * chi_k)(x)`` on a grid.
-
-    ``func`` maps points to scalars or arrays; the left side uses the
-    Euclidean norm of the convolved value.  The reported ``max_ratio`` is
-    the largest value of lhs / (|f bar| * chi_k); the bound asserts it
-    never exceeds 2.  Both convolutions take the spec's quadrature rule
-    (``MollifierSpec.convolve``), also for a swirl's drift, which ``mollify``
-    smooths from its table instead.
-    """
-    pts = as_points(grid, spec.dim, "mollifier")
-    lhs = magnitude(spec.convolve(func, pts), pts.ndim - 1) / (1.0 + np.linalg.norm(pts, axis=-1))
-
-    def scaled_abs(y):
-        return magnitude(func(y), y.ndim - 1) / (1.0 + np.linalg.norm(y, axis=-1))
-
-    conv_bar = spec.convolve(scaled_abs, pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            conv_bar > 0,
-            lhs / np.where(conv_bar > 0, conv_bar, 1.0),
-            np.where(lhs > 0, np.inf, 0.0),
-        )
-    max_ratio = float(np.max(ratio)) if ratio.size else 0.0
-    return DominationReport(max_ratio=max_ratio, passed=bool(max_ratio <= 2.0 + 1e-9))

@@ -18,7 +18,6 @@ from roughflow import (
     condition_integrals,
     density_terms,
     make_family,
-    mollifier_domination_check,
     mollify,
 )
 from roughflow import catalog, coefficients
@@ -34,8 +33,6 @@ from roughflow.coefficients import (
 )
 from roughflow.derivative import DerivativeSystem
 from roughflow.flow import integrate as integrate_flow
-
-from helpers import quadrature_field
 
 
 def scalar_field_1d(fn, dfn=None, name=""):
@@ -82,9 +79,26 @@ class TestMollifierSpec:
         pts = np.ones((3, 3)) * 3
         for call in (spec.cutoff,
                      lambda x: spec.convolve(lambda y: y[..., 0], x),
-                     lambda x: spec.convolve_with_grad(lambda y: y[..., 0], x)):
+                     lambda x: spec.convolve_with_grad(lambda y: y[..., 0], x),
+                     lambda x: spec.convolve_radial(np.abs, x)):
             with pytest.raises(ValueError, match=r"dimension 3, the mollifier lives on R\^2"):
                 call(pts)
+
+    def test_planar_smoothing_only_through_a_declared_structure(self):
+        # no generic planar rule: convolve without an x1_break and mollify of
+        # a plain planar field other than a Swirl name the two structures
+        spec = MollifierSpec(dim=2, level=4.0)
+        assert not hasattr(spec, "_nodes") and not hasattr(spec, "_weights")
+        swirl = make_family("log-singular").field
+        bare = CoefficientField(2, 2, swirl.sigma, swirl.drift, name="bare-swirl")
+        named = "Swirl by its radial table or a FieldBlocks record with its x1_break"
+        for call in (lambda: spec.convolve(lambda y: y[..., 0], np.zeros((3, 2))),
+                     lambda: spec.convolve_with_grad(lambda y: y[..., 0], np.zeros((3, 2)))):
+            with pytest.raises(ValueError, match=f"no generic rule on R\\^2: .*{named}"):
+                call()
+        for field, name in ((bare, "bare-swirl"), (make_family("linear", dim=2).field, "linear")):
+            with pytest.raises(ValueError, match=f"field '{name}.* on R\\^2: .*{named}"):
+                mollify(field, spec)
 
     def test_kernel_support_in_unit_ball_over_k(self):
         spec = MollifierSpec(dim=1, level=4.0)
@@ -193,19 +207,6 @@ class TestMollify:
         smooth = mollify(f, spec)
         x = np.linspace(-2.9, 2.9, 13)[:, None]
         assert np.allclose(smooth.drift(x), x, atol=1e-13)
-
-    def test_log_singular_value_vs_quadrature_oracle(self):
-        # the fixed-node engine on log-singular's rough evaluations as a plain
-        # field (a Swirl smooths from its table: see TestSwirlTable)
-        fam = make_family("log-singular")
-        spec = MollifierSpec(dim=2, level=8.0, order=32, panels=2)
-        smooth = mollify(quadrature_field(fam.field), spec)
-        x = (0.01, 0.0)
-        got = smooth.drift(np.array([x]))[0]
-        oracle = _polar_oracle(x, spec.level, spec.shape)
-        # the drift has a log singularity inside the kernel support here, so
-        # the fixed-node engine is ~0.5% accurate; 1% catches real defects
-        assert np.allclose(got, oracle, rtol=1e-2, atol=2e-4)
 
     def test_analytic_jacobians_match_finite_differences(self):
         fam = make_family("deriv-smooth")
@@ -335,7 +336,9 @@ class TestSwirlField:
 
     def test_jacobian_finite_where_g_prime_overflows(self):
         # below r ~ 1e-153, g' = s'/r - s/r^2 overflows a float; the Jacobian
-        # -I + (s' - g) e^perp (x) e + g R (e = x / r) does not, nor the drift
+        # -I + (s' - g) e^perp (x) e + g R (e = x / r) does not, nor the drift,
+        # and both are read at the true radius, not at the root of a
+        # subnormal x^2 (at 3e-162 that is 3.14e-162)
         beta = 1.2
         fam = make_family("log-singular", beta=beta)
         radii = (1e-160, 3e-162, 1e-155)
@@ -344,7 +347,7 @@ class TestSwirlField:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ev = fam.field.evaluate(x, jac=True)
-        r = np.sqrt(np.sum(x * x, axis=-1))  # the field's own radius, as coarse as x^2 is
+        r = np.hypot(x[:, 0], x[:, 1])  # the true radius: x^2 is subnormal at each
         s, sp = beta * -np.log(r), -beta / r    # zeta = 1, zeta' = 0 near 0
         g = s / r
         e = x / r[:, None]
@@ -475,6 +478,61 @@ class TestSwirlTable:
             grid = getattr(field.evaluate(pts.reshape(20, 15, 2), jac=True), part)
             assert one.tobytes() == getattr(whole, part).tobytes()
             assert grid.reshape(one.shape).tobytes() == one.tobytes()
+
+
+def _radial_oracle(profile, r, level, shape):
+    """``(f * chi_k)(r e1)`` of the planar radial ``f = profile(|y|)`` by
+    adaptive 2-D quadrature in polar coordinates y = rho e_theta, theta over
+    the arc of the circle of radius rho inside B(r e1, 1/k); the kernel is
+    normalized by its mass pi E_2(shape)."""
+    k = level
+    mass = k * k / (math.pi * special.expn(2, shape))
+
+    def arc(rho):
+        c = (r * r + rho * rho - 1.0 / (k * k)) / (2.0 * r * rho) if r > 0 else -1.0
+        return math.acos(min(1.0, max(-1.0, c)))
+
+    def fn(th, rho):
+        u = 1.0 - k * k * (r * r + rho * rho - 2.0 * r * rho * math.cos(th))
+        return profile(rho) * mass * math.exp(-shape / u) * rho if u > 0.0 else 0.0
+
+    lo, hi = max(r - 1.0 / k, 0.0), r + 1.0 / k
+    cuts = sorted({lo, hi} | ({1.0 / k - r} if lo < 1.0 / k - r < hi else set()))
+    return sum(integrate.dblquad(fn, a, b, lambda rho: -arc(rho), arc,
+                                 epsabs=1e-11, epsrel=1e-11)[0]
+               for a, b in zip(cuts, cuts[1:]))
+
+
+class TestRadialRule:
+    """``convolve_radial``: the swirl table's polar rule in mode 0, for a
+    radial function such as criterion 7's log-weight."""
+
+    @pytest.mark.parametrize("level", [1.0, 8.0])
+    def test_log_weight_vs_polar_oracle(self, level):
+        alpha = 3.0
+        m, spec = ReferenceMeasure(2, alpha), MollifierSpec(dim=2, level=level)
+        radii = np.array([0.0, 0.05, 2.5, 8.5])
+        # each radius along another direction: the rule reads |x| only
+        a = np.array([0.0, 1.0, 2.5, 4.0])
+        x = radii[:, None] * np.stack([np.cos(a), np.sin(a)], axis=-1)
+        got = spec.convolve_radial(lambda r: m.log_weight(r[..., None] * (1.0, 0.0)), x)
+        want = [_radial_oracle(lambda rho: -alpha * math.log1p(rho * rho), r, level, 1.0)
+                for r in radii]
+        assert np.max(np.abs(got - want)) <= 1e-5
+
+    @pytest.mark.parametrize("shape", [1.0, 3.0])
+    def test_constants_come_back(self, shape):
+        spec = MollifierSpec(dim=2, level=2.0, shape=shape)
+        x = derive_rng(35, "radial-const").uniform(-3.0, 3.0, (60, 2))
+        x[:2] = [[0.0, 0.0], [0.1, -0.2]]
+        for c in (0.7, -12.5):
+            got = spec.convolve_radial(lambda r: np.full(r.shape, c), x.reshape(3, 20, 2))
+            assert got.shape == (3, 20)
+            assert np.max(np.abs(got - c)) <= 1e-15 * abs(c)
+
+    def test_only_planar(self):
+        with pytest.raises(ValueError, match="the radial rule is planar"):
+            MollifierSpec(dim=1, level=2.0).convolve_radial(np.abs, np.zeros((3, 1)))
 
 
 class TestStructuredBlocks:
@@ -828,35 +886,6 @@ class TestConditionIntegrals:
         assert divergent
 
 
-class TestKernelDomination:
-    def test_constant_function(self):
-        spec = MollifierSpec(dim=1, level=2.0)
-        rep = mollifier_domination_check(
-            lambda x: np.full(x.shape[:-1], 1.7), spec, np.linspace(-5, 5, 41)
-        )
-        assert rep.passed
-
-    def test_random_piecewise(self):
-        rng = derive_rng(9, "pw")
-        edges = np.sort(rng.uniform(-5, 5, 9))
-        levels = rng.normal(size=10)
-
-        def f(x):
-            return levels[np.searchsorted(edges, x[..., 0])]
-
-        for k in (1.0, 2.0, 8.0):
-            spec = MollifierSpec(dim=1, level=k)
-            rep = mollifier_domination_check(f, spec, np.linspace(-5, 5, 81))
-            assert rep.passed, f"k={k}: ratio {rep.max_ratio}"
-
-    def test_zero_function(self):
-        spec = MollifierSpec(dim=1, level=2.0)
-        rep = mollifier_domination_check(
-            lambda x: np.zeros(x.shape[:-1]), spec, np.linspace(-3, 3, 21)
-        )
-        assert rep.passed and rep.max_ratio == 0.0
-
-
 def _smoothstep_reference(t):
     # the formula before the exponentials were restricted to the band
     t = np.asarray(t, dtype=np.float64)
@@ -907,31 +936,25 @@ _MOLLIFIED_SPEC = dict(level=4.0)  # order 32, two panels: gradient weights accu
 
 
 def _field_for(name, smoothing):
-    """The family and its field: rough (``plain``), smoothed (``mollify``) or
-    smoothed by quadrature (``quadrature``, ``quadrature_field``)."""
+    """The family and its field: rough (``plain``) or smoothed
+    (``mollify``)."""
     fam = make_family(name)
     field = fam.field
-    if smoothing == "quadrature":
-        field = quadrature_field(field)
-    if smoothing != "plain":
+    if smoothing == "mollify":
         field = mollify(field, MollifierSpec(dim=field.dim_state, **_MOLLIFIED_SPEC))
     return fam, field
 
 
-def _full_cube_rule(spec):
-    """Nodes and ``(1 + dim, Q)`` weights of the composite tensor
-    Gauss-Legendre rule on the whole cube [-1, 1]^dim, normalized and
-    mean-centred like ``MollifierSpec``'s, nodes off the ball included."""
+def _full_line_rule(spec):
+    """Nodes and ``(2, Q)`` weights of the composite Gauss-Legendre rule on
+    the whole of [-1, 1], normalized and mean-centred like
+    ``MollifierSpec``'s, nodes where the bump underflows included."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(spec.order)
     edges = np.linspace(-1.0, 1.0, spec.panels + 1)
-    axes = [(
-        np.concatenate([(a + b) / 2 + (b - a) / 2 * gl_x for a, b in zip(edges, edges[1:])]),
-        np.concatenate([(b - a) / 2 * gl_w for a, b in zip(edges, edges[1:])]),
-    )] * spec.dim
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*(a[0] for a in axes), indexing="ij")], -1)
-    raw = np.prod(np.stack([g.ravel() for g in np.meshgrid(*(a[1] for a in axes),
-                                                           indexing="ij")], -1), -1)
-    bump, slope = coefficients._bump(1.0 - np.sum(nodes**2, axis=-1), spec.shape)
+    nodes = np.concatenate([(a + b) / 2 + (b - a) / 2 * gl_x
+                            for a, b in zip(edges, edges[1:])])[:, None]
+    raw = np.concatenate([(b - a) / 2 * gl_w for a, b in zip(edges, edges[1:])])
+    bump, slope = coefficients._bump(1.0 - nodes[:, 0] ** 2, spec.shape)
     z = np.sum(raw * bump)
     grad = raw[:, None] * (2.0 * slope[:, None] * nodes) / z
     grad -= grad.mean(axis=0, keepdims=True)
@@ -939,29 +962,29 @@ def _full_cube_rule(spec):
 
 
 class TestBallNodes:
-    """The quadrature keeps only the tensor nodes where the kernel lives."""
+    """The 1-D rule keeps only the nodes where the kernel is positive."""
 
-    @pytest.mark.parametrize("dim,order,panels,count", [
-        (2, 16, 1, 144), (2, 16, 2, 728),
-        (1, 16, 1, 16), (1, 32, 2, 64),
+    @pytest.mark.parametrize("order,panels,shape,count", [
+        (16, 1, 1.0, 16), (32, 2, 1.0, 64), (32, 2, 3.0, 62),
     ])
-    def test_nodes_in_open_ball_with_positive_weight(self, dim, order, panels, count):
-        spec = MollifierSpec(dim=dim, order=order, panels=panels)
-        assert spec._nodes.shape == (count, dim)
-        assert np.all(np.linalg.norm(spec._nodes, axis=-1) < 1.0)
+    def test_nodes_in_open_ball_with_positive_weight(self, order, panels, shape, count):
+        spec = MollifierSpec(dim=1, order=order, panels=panels, shape=shape)
+        assert spec._nodes.shape == (count, 1)
+        assert np.all(np.abs(spec._nodes) < 1.0)
         assert np.all(spec._weights[0] > 0.0)
         assert abs(spec._weights[0].sum() - 1.0) <= 1e-15
         assert np.all(np.abs(spec._weights[1:].sum(axis=1)) <= 1e-15)
 
     @pytest.mark.parametrize("level", [2.0, 8.0, 16.0])
-    def test_evaluate_matches_full_cube_rule(self, monkeypatch, level):
-        name = "log-singular"  # the tensor rule's one planar family, by quadrature
+    def test_evaluate_matches_full_line_rule(self, monkeypatch, level):
+        # at shape 3 the bump underflows at the outermost node of each end
+        name = "deriv-rough"
         fam = make_family(name)
-        spec = fam.mollifier(level)
-        field = mollify(quadrature_field(fam.field), spec)
-        pts = fam.measure.sample(derive_rng(14, f"cube-{name}"), 400)
+        spec = MollifierSpec(dim=1, level=level, shape=3.0)
+        field = mollify(fam.field, spec)
+        pts = fam.measure.sample(derive_rng(14, f"line-{name}"), 400)
         got = field.evaluate(pts, jac=True)
-        nodes, weights = _full_cube_rule(spec)
+        nodes, weights = _full_line_rule(spec)
         assert len(nodes) > len(spec._nodes)
         monkeypatch.setattr(spec, "_nodes", nodes)
         monkeypatch.setattr(spec, "_weights", weights)
@@ -974,12 +997,12 @@ class TestBallNodes:
 
 class TestQuadratureBlocks:
     def test_evaluation_independent_of_block_size(self, monkeypatch):
-        name = "log-singular"  # by quadrature; the slice rule: TestSliceRule
-        fam, field = _field_for(name, "quadrature")
+        name = "deriv-rough"  # the 1-D rule; the slice rule: TestSliceRule
+        fam, field = _field_for(name, "mollify")
         pts = fam.measure.sample(derive_rng(15, f"blocks-{name}"), 300)
         # more than one chunk at the default size: the rough callables see
         # Q shifted points per state
-        spec = MollifierSpec(dim=2, **_MOLLIFIED_SPEC)
+        spec = MollifierSpec(dim=1, **_MOLLIFIED_SPEC)
         assert len(pts) * len(spec._nodes) > coefficients._MAX_EVAL_BLOCK
         default = field.evaluate(pts, jac=True)
         monkeypatch.setattr(coefficients, "_MAX_EVAL_BLOCK", 2**10)
@@ -1261,12 +1284,12 @@ class TestQuadraturePassBudget:
         return count
 
     @pytest.mark.parametrize("name,track_passes", [
-        ("log-singular", 0), ("partially-sobolev", 1), ("deriv-smooth", 1),
+        ("linear", 0), ("partially-sobolev", 1), ("deriv-smooth", 1), ("deriv-rough", 1),
     ])
     def test_one_pass_per_step_and_per_track(self, passes, name, track_passes):
         # the step's pass serves the density exponent too; a track adds only
         # the sigma-divergence difference of a non-constant sigma (one block)
-        fam, field = _field_for(name, "quadrature")
+        fam, field = _field_for(name, "mollify")
         n_steps = 8
         drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, 3, seed=4)
         x0 = fam.measure.sample(derive_rng(11, f"passes-{name}"), 5)

@@ -25,8 +25,6 @@ from roughflow import (
 from roughflow import flow
 from roughflow._seeds import derive_rng, derive_seed
 
-from helpers import quadrature_field
-
 
 def zero_field():
     return CoefficientField(
@@ -126,19 +124,17 @@ class TestTrackInIntegrate:
 
     @pytest.mark.parametrize("steps_per_block", [3, None])  # None: one block
     @pytest.mark.parametrize("name,smoothed", [
-        # log-singular smooths from its swirl table, or by quadrature
-        # ("quadrature") with its rough evaluations as a plain field (``quadrature_field``)
-        ("log-singular", True), ("log-singular", "quadrature"), ("partially-sobolev", True),
-        ("deriv-smooth", True), ("linear", False), ("partially-sobolev", False),
+        # log-singular smooths from its swirl table, partially-sobolev by the
+        # slice rule and the deriv bases by the 1-D rule (deriv-rough's sigma
+        # is not constant)
+        ("log-singular", True), ("partially-sobolev", True), ("deriv-smooth", True),
+        ("deriv-rough", True), ("linear", False), ("partially-sobolev", False),
     ])
     def test_bitwise_equal_to_block_reevaluation(self, monkeypatch, name, smoothed,
                                                  steps_per_block):
         fam = make_family(name)
-        field = fam.field
-        if smoothed == "quadrature":
-            field = quadrature_field(field)
-        field = mollify(field, fam.mollifier(4.0)) if smoothed else field
-        assert field.is_smoothed == bool(smoothed)
+        field = mollify(fam.field, fam.mollifier(4.0)) if smoothed else fam.field
+        assert field.is_smoothed == smoothed
         n_omega, n_x, n_steps = 3, 5, 11
         per_block = steps_per_block or n_steps
         monkeypatch.setattr(flow, "_TRACK_BLOCK_STATES", n_omega * n_x * per_block)

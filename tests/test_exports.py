@@ -22,6 +22,8 @@ REMOVED = {
     "block_condition_integrals",        # condition_integrals(m1, field.first_block, ...)
     "ConditionReport",                  # (MonteCarloEstimate, divergent) of condition_integrals
     "mollified_convergence",            # no criterion or CLI kind measured it
+    "mollifier_domination_check",       # it needed the planar tensor rule; no criterion called it
+    "DominationReport",
 }
 
 
@@ -38,6 +40,10 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     assert not hasattr(roughflow.derivative.DerivativeSystem, "epsilon_system")
     # the kernel's mass is a test's own quadrature of MollifierSpec.kernel
     assert not hasattr(roughflow.MollifierSpec, "kernel_mass_quadrature")
+    # a planar spec has no tensor rule: the slice rule, the polar rule
+    # (convolve_radial) or a swirl's table
+    assert not hasattr(roughflow.MollifierSpec(dim=2, level=4.0), "_nodes")
+    assert not hasattr(roughflow.coefficients, "grid_points")
     # a Swirl is a field: one _eval, one profile call, a value-and-derivative
     # step formula (_smoothstep, catalog._zeta, catalog._loglip with deriv)
     assert not any(hasattr(roughflow.Swirl, name) for name in ("field", "radial"))
@@ -68,6 +74,9 @@ assert np.all(local_maximal(g, 0.5).values >= g.values)
 fam = make_family("log-singular")
 ev = mollify(fam.field, fam.mollifier(4.0)).evaluate(np.array([[0.3, 0.1]]), jac=True)
 assert np.all(np.isfinite(ev.drift)) and np.all(np.isfinite(ev.drift_jac))
+# criterion 1's medians take a partition: np.median would import numpy.ma
+assert roughflow.acceptance.criterion_1(1, 0.02).passed
+assert "numpy.ma" not in sys.modules
 """
 
 

@@ -262,10 +262,11 @@ class TestComposition:
 
 
 class TestCompositionProperties:
-    """Time-shift composition on every catalog family and on a smoothed one."""
+    """Time-shift composition on every catalog family and on two smoothed
+    ones: log-singular from its swirl table, deriv-rough by the 1-D rule."""
 
     @given(hst.sampled_from([(name, False) for name in FAMILY_NAMES]
-                            + [("log-singular", True)]),
+                            + [("log-singular", True), ("deriv-rough", True)]),
            hst.integers(0, 31), hst.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_bitwise_states_and_multiplicative_density(self, family, j, seed):
@@ -273,7 +274,8 @@ class TestCompositionProperties:
         fam = make_family(name)
         field = fam.field
         if smoothed:
-            field = mollify(field, MollifierSpec(dim=2, level=4.0, order=8, panels=1))
+            field = mollify(field, MollifierSpec(dim=field.dim_state, level=4.0, order=8,
+                                                 panels=1))
         dt = 2.0**-5
         drv = BrownianDriver.generate(field.dim_noise, dt, 32, 2, seed)
         x0 = fam.measure.sample(derive_rng(seed, "prop-x0"), 3)

@@ -27,8 +27,6 @@ from roughflow.stability import (
     uniqueness_experiment,
 )
 
-from helpers import quadrature_field
-
 
 def ou_pair(shift=0.0, seed=1, n_omega=8, n_x=24, dt_exp=7):
     fam = make_family("linear")
@@ -213,24 +211,19 @@ class TestQuadraturePassBudget:
             monkeypatch.setattr(MollifierSpec, attr, counted)
         return count
 
-    @staticmethod
-    def family(name, quadrature):
-        """The family; with ``quadrature``, log-singular's rough evaluations as a
-        plain field (``quadrature_field``), so smoothing takes quadrature."""
-        fam = make_family(name)
-        return replace(fam, field=quadrature_field(fam.field)) if quadrature else fam
-
-    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    @pytest.mark.parametrize("name", ["deriv-rough", "partially-sobolev"])
     def test_bound_makes_three_passes(self, passes, name):
-        fam = self.family(name, quadrature=True)
-        fk, fl = (mollify(fam.field, MollifierSpec(dim=2, level=k, order=8, panels=1))
+        # the 1-D rule and the slice rule
+        fam = make_family(name)
+        n = fam.field.dim_state
+        fk, fl = (mollify(fam.field, MollifierSpec(dim=n, level=k, order=8, panels=1))
                   for k in (2.0, 4.0))
         stability_bound(fk, fl, 2.0, fam.q, 500)
         assert passes["n"] == 3
 
-    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    @pytest.mark.parametrize("name", ["deriv-rough", "partially-sobolev"])
     def test_cauchy_pays_only_flows_and_bound(self, passes, name):
-        fam = self.family(name, quadrature=True)
+        fam = make_family(name)
         levels, n_steps = [2.0, 4.0, 8.0], 4
         drv = BrownianDriver.generate(fam.field.dim_noise, 2.0**-6, n_steps, 2,
                                       derive_seed(12, f"passes-{name}"))
