@@ -203,9 +203,10 @@ def ring_ratio_closed_form():
 
 
 def _median(values) -> float:
-    """``np.median`` of an array without nan, bit for bit, by partition:
-    np.median's nan check imports ``numpy.ma`` on first use."""
+    """``np.median``, bit for bit, by partition: its nan check imports ``numpy.ma``."""
     a = np.ravel(values)
+    if np.isnan(a).any():  # a partition sorts nan last and reads a finite middle
+        return float("nan")
     lo, hi = (len(a) - 1) // 2, len(a) // 2
     mid = np.partition(a, [lo, hi])
     return float((mid[lo] + mid[hi]) / 2.0)
@@ -428,9 +429,9 @@ def criterion_7(seed: int, scale: float):
         m = ReferenceMeasure(n, alpha)
         pts = grid_points((np.linspace(-6.0, 6.0, n_grid),) * n).reshape(-1, n)
         for k in levels:
-            spec = MollifierSpec(dim=n, level=k, order=16, panels=2)
-            conv = (spec.convolve(m.log_weight, pts) if n == 1 else spec.convolve_radial(
-                lambda r: m.log_weight(r[..., None] * (1.0, 0.0)), pts))  # radial: along e1
+            conv = (MollifierSpec(dim=1, level=k, order=16, panels=2).convolve(m.log_weight, pts)
+                    if n == 1 else MollifierSpec(dim=2, level=k).convolve_radial(
+                        lambda r: m.log_weight(r[..., None] * (1.0, 0.0)), pts))  # radial: along e1
             margin = float(np.min(conv + alpha * np.log(3.0) - m.log_weight(pts)))
             margins[f"n{n}-k{k:g}"] = round(margin, 5)
             passed &= margin >= 0.0

@@ -347,9 +347,9 @@ class Swirl(CoefficientField):
         if drift:
             sq = sq_norm(pts)
             r = np.sqrt(sq)
-            sub = (sq > 0.0) & (sq < np.finfo(np.float64).tiny)  # subnormal: sqrt loses digits
+            sub = sq < np.finfo(np.float64).tiny  # subnormal or 0: sqrt loses digits
             if sub.any():
-                r = np.where(sub, np.hypot(pts[..., 0], pts[..., 1]), r)
+                r = np.where(sub & (sq > 0.0), np.hypot(pts[..., 0], pts[..., 1]), r)
             on = (r > 0) & (r < _SWIRL_RADIUS)
             ro, g = r[on], np.zeros(r.shape)  # g, and g' with jac, are zero off 0 < r < 1
             if not jac:

@@ -14,6 +14,7 @@ the criterion docstring.
 
 import os
 
+import numpy as np
 import pytest
 
 from roughflow import acceptance
@@ -29,3 +30,15 @@ def test_criterion(index, capsys):
         print(flush=True)
         print(result.line(), flush=True)
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (50, 20), (25, 41)])
+def test_median_is_numpys_bitwise(shape):
+    a = np.random.default_rng(len(shape)).lognormal(-5.0, 2.0, shape)
+    assert acceptance._median(a) == np.median(a)
+
+
+def test_median_keeps_nan():
+    # one nan in seven: a partition would sort it last and read a finite middle
+    a = np.array([0.3, np.nan, 0.1, 0.2, 0.5, 0.4, 0.6])
+    assert np.isnan(acceptance._median(a)) and np.isnan(np.median(a))

@@ -248,33 +248,42 @@ def _scalar_loglip(u):
     return -u * math.log(a) * _scalar_zeta(a) if 0.0 < a < 1.0 else 0.0
 
 
-def _polar_oracle(x, level, shape, beta=1.2):
-    """log-singular's ``(b * chi_k)(x)`` by adaptive 2-D quadrature in polar
-    coordinates y = rho e_theta about the origin: -x plus the swirl, whose
-    theta runs over the arc of the circle of radius rho inside B(x, 1/k)."""
+def _polar_dblquad(integrand, x, level, shape, hi, eps):
+    """``int integrand(theta, rho) chi_k(x - y) dy`` over y = rho e_theta with
+    rho < hi, by adaptive 2-D quadrature in polar coordinates about the
+    origin: theta runs over the arc of the circle of radius rho inside
+    B(x, 1/k), and rho is cut where that arc closes to the whole circle.
+    The kernel is normalized by its mass pi E_2(shape)."""
     r, phi = math.hypot(*x), math.atan2(x[1], x[0])
-    k, mass = level, level * level / _bump_mass(2, shape)
+    k, mass = level, level * level / (math.pi * special.expn(2, shape))
 
     def arc(rho):
         c = (r * r + rho * rho - 1.0 / (k * k)) / (2.0 * r * rho) if r > 0 else -1.0
         return math.acos(min(1.0, max(-1.0, c)))
 
+    def fn(th, rho):
+        u = 1.0 - k * k * (r * r + rho * rho - 2.0 * r * rho * math.cos(th - phi))
+        return integrand(th, rho) * mass * math.exp(-shape / u) * rho if u > 0.0 else 0.0
+
+    lo, hi = max(r - 1.0 / k, 0.0), min(r + 1.0 / k, hi)
+    cuts = sorted({lo, hi} | ({1.0 / k - r} if lo < 1.0 / k - r < hi else set()))
+    return sum(integrate.dblquad(fn, a, b, lambda rho: phi - arc(rho),
+                                 lambda rho: phi + arc(rho), epsabs=eps, epsrel=eps)[0]
+               for a, b in zip(cuts, cuts[1:]))
+
+
+def _polar_oracle(x, level, shape, beta=1.2):
+    """log-singular's ``(b * chi_k)(x)``: -x plus the swirl, whose profile
+    g(rho) rho = beta log(1/rho) zeta(rho) lives on the unit disc."""
     def swirl(axis):
         def fn(th, rho):
-            u = 1.0 - k * k * (r * r + rho * rho - 2.0 * r * rho * math.cos(th - phi))
-            if u <= 0.0:
-                return 0.0
             perp = -math.sin(th) if axis == 0 else math.cos(th)
-            g = beta * math.log(1.0 / rho) * _scalar_zeta(rho) / rho
-            return g * rho * perp * mass * math.exp(-shape / u) * rho
+            return beta * math.log(1.0 / rho) * _scalar_zeta(rho) * perp
 
         return fn
 
-    lo, hi = max(r - 1.0 / k, 0.0), min(r + 1.0 / k, 1.0)
-    return -np.asarray(x) + np.array([
-        integrate.dblquad(swirl(axis), lo, hi, lambda rho: phi - arc(rho),
-                          lambda rho: phi + arc(rho), epsabs=1e-9, epsrel=1e-9)[0]
-        for axis in range(2)])
+    return -np.asarray(x) + np.array(
+        [_polar_dblquad(swirl(axis), x, level, shape, 1.0, 1e-9) for axis in range(2)])
 
 
 def _old_log_singular_closed_form(x, beta=1.2, noise=0.3):
@@ -480,29 +489,6 @@ class TestSwirlTable:
             assert grid.reshape(one.shape).tobytes() == one.tobytes()
 
 
-def _radial_oracle(profile, r, level, shape):
-    """``(f * chi_k)(r e1)`` of the planar radial ``f = profile(|y|)`` by
-    adaptive 2-D quadrature in polar coordinates y = rho e_theta, theta over
-    the arc of the circle of radius rho inside B(r e1, 1/k); the kernel is
-    normalized by its mass pi E_2(shape)."""
-    k = level
-    mass = k * k / (math.pi * special.expn(2, shape))
-
-    def arc(rho):
-        c = (r * r + rho * rho - 1.0 / (k * k)) / (2.0 * r * rho) if r > 0 else -1.0
-        return math.acos(min(1.0, max(-1.0, c)))
-
-    def fn(th, rho):
-        u = 1.0 - k * k * (r * r + rho * rho - 2.0 * r * rho * math.cos(th))
-        return profile(rho) * mass * math.exp(-shape / u) * rho if u > 0.0 else 0.0
-
-    lo, hi = max(r - 1.0 / k, 0.0), r + 1.0 / k
-    cuts = sorted({lo, hi} | ({1.0 / k - r} if lo < 1.0 / k - r < hi else set()))
-    return sum(integrate.dblquad(fn, a, b, lambda rho: -arc(rho), arc,
-                                 epsabs=1e-11, epsrel=1e-11)[0]
-               for a, b in zip(cuts, cuts[1:]))
-
-
 class TestRadialRule:
     """``convolve_radial``: the swirl table's polar rule in mode 0, for a
     radial function such as criterion 7's log-weight."""
@@ -516,8 +502,8 @@ class TestRadialRule:
         a = np.array([0.0, 1.0, 2.5, 4.0])
         x = radii[:, None] * np.stack([np.cos(a), np.sin(a)], axis=-1)
         got = spec.convolve_radial(lambda r: m.log_weight(r[..., None] * (1.0, 0.0)), x)
-        want = [_radial_oracle(lambda rho: -alpha * math.log1p(rho * rho), r, level, 1.0)
-                for r in radii]
+        want = [_polar_dblquad(lambda th, rho: -alpha * math.log1p(rho * rho), (r, 0.0),
+                               level, 1.0, math.inf, 1e-11) for r in radii]
         assert np.max(np.abs(got - want)) <= 1e-5
 
     @pytest.mark.parametrize("shape", [1.0, 3.0])
