@@ -31,7 +31,7 @@ for row in table.rows:
           f"{row.rhs:>9.3f} {row.metric:>9.5f}")
 print("the metric column decreasing in k is the Cauchy property.\n")
 
-unq = uniqueness_experiment(fam, table)  # reuses the table's level-16 flow
+unq = uniqueness_experiment(table)  # the table's two level-16 flows
 final_gap = table.rows[-1].metric
 print(f"two kernels at level {unq.level:g}: metric {unq.metric:.6f} "
       f"vs final Cauchy gap {final_gap:.6f}")

@@ -166,7 +166,7 @@ def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int
     table = st.cauchy_experiment(fam, levels, driver, x0, T, norm_budget)
     metrics = table.metrics()
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
-    unq = st.uniqueness_experiment(fam, table)
+    unq = st.uniqueness_experiment(table)
     return table, unq, decreasing, unq.metric < metrics[-1]
 
 

@@ -131,6 +131,9 @@ class CoefficientField:
     drift_jac_fn: Optional[Callable] = None
     name: str = ""
     sigma_constant: bool = False  # sigma is read at one point (smoothing, density terms)
+    # a field smoothed by ``mollify`` with several specs: its single-spec
+    # fields, in the order of the leading spec axis of its points
+    members = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -474,6 +477,11 @@ class MollifierSpec:
     slice rule (``_slices``, the 1-D rule in x2) integrates a function with
     an x1 jump, the polar rule a radial one (``convolve_radial``), and a
     ``Swirl``'s table reads only ``level`` and ``shape``.
+
+    A spec is the one-element case of a stack (``_SpecStack``, built by
+    ``mollify`` from several specs): the cutoff and each rule read their
+    per-spec data (the level, the 1-D rule's shifts and weight rows, the
+    slice tables and x2 offsets) by a per-state spec index, 0 here.
     """
 
     dim: int
@@ -506,6 +514,35 @@ class MollifierSpec:
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)
 
+    # -- the spec axis -------------------------------------------------------
+
+    @property
+    def _specs(self) -> tuple:
+        """The specs along the spec axis of the points: this one alone."""
+        return (self,)
+
+    def _spec_index(self, lead: tuple):
+        """Each state's spec index in a batch of shape ``lead``, broadcast
+        against it: the integer 0 here, as this spec has no spec axis, so
+        every per-spec read is a plain index."""
+        return 0
+
+    def _level(self, at):
+        """The level of the states of spec index ``at``."""
+        return self.level
+
+    def _line_rule(self):
+        """``(shifts, weights)`` of the 1-D rule per spec: the kept nodes over
+        the level (S, Q, 1) and the value and kernel-gradient rows (S, 2, Q)."""
+        return (self._nodes / self.level)[None], self._weights[None]
+
+    def _slice_rule(self):
+        """``(offsets, table)`` of the slice rule: the x2 offsets ``u2_j / k``
+        per spec (S, J) and the specs' ``_slice_table``s one after the other
+        along the cell axis (3, 4, S (cells + 1), J)."""
+        off, table = _slice_table(self.level, self.shape, self.order, self.panels)
+        return off[None], table
+
     # -- kernel and cutoff ---------------------------------------------------
 
     def kernel(self, x) -> NDArray[np.float64]:
@@ -524,15 +561,16 @@ class MollifierSpec:
         """
         pts = as_points(x, self.dim, "mollifier")
         sq = sq_norm(pts)
-        if np.all(sq <= self.level * self.level):
+        level = self._level(self._spec_index(sq.shape))
+        if np.all(sq <= level * level):
             psi = np.ones(sq.shape)
             return (psi, pts * -0.0) if grad else psi
         r = np.sqrt(sq)
-        t = 2.0 - r / self.level
+        t = 2.0 - r / level
         if not grad:
             return _smoothstep(t)
         psi, slope = _smoothstep(t, deriv=True)
-        deriv = slope * (-1.0 / self.level)
+        deriv = slope * (-1.0 / level)
         safe_r = np.where(r > 0, r, 1.0)
         return psi, deriv[..., None] * pts / safe_r[..., None]
 
@@ -568,38 +606,44 @@ class MollifierSpec:
 
         Returns shape ``(J,) + batch + out``.  Points go in chunks where
         ``func`` sees at most ``_MAX_EVAL_BLOCK`` points: Q per state through
-        ``_shifted``, 2 J (two x1 pieces, J x2 offsets) through ``_slices``.  The
-        value row is a product of its own, so a value is bitwise the same
-        whether or not the gradient rows come with it.
+        ``_shifted``, 2 J (two x1 pieces, J x2 offsets) through ``_slices``,
+        each state with its spec index.  The value row is a product of its
+        own, so a value is bitwise the same whether or not the gradient rows
+        come with it.
         """
         pts = as_points(x, self.dim, "mollifier")
         if x1_break is None and self.dim > 1:
             raise ValueError(f"no generic rule on R^{self.dim}: {_PLANAR}")
         batch = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
-        seen = len(self._nodes) if x1_break is None else 2 * self.order * self.panels
+        index = self._spec_index(batch)
+        if np.ndim(index):  # a stack: one index per state, chunked with the states
+            index = np.broadcast_to(index, batch).reshape(-1)
+        rule = self._line_rule() if x1_break is None else self._slice_rule()
+        seen = rule[1].shape[-1] if x1_break is None else 2 * self.order * self.panels
         block = max(1, _MAX_EVAL_BLOCK // seen)
         outs = []
         for start in range(0, flat.shape[0], block):
-            chunk = flat[start:start + block]                      # (B, dim)
-            outs.append(self._shifted(func, chunk, grad) if x1_break is None
-                        else self._slices(func, chunk, grad, x1_break))
+            chunk = flat[start:start + block]                                  # (B, dim)
+            at = index[start:start + block] if np.ndim(index) else index      # (B,) or 0
+            outs.append(self._shifted(func, chunk, at, grad, *rule) if x1_break is None
+                        else self._slices(func, chunk, at, grad, x1_break, *rule))
         out = np.moveaxis(np.concatenate(outs, axis=0), 1, 0)    # (J, nb, *out)
         return out.reshape(out.shape[:1] + batch + out.shape[2:])
 
-    def _shifted(self, func, chunk, grad: bool):
+    def _shifted(self, func, chunk, at, grad: bool, shifts, weights):
         """One chunk of the 1-D rule, shape (B, J, *out): ``func`` of the
-        (B, Q, 1) shifted points, reduced with one matrix product per row
-        group."""
-        f = np.asarray(func(chunk[:, None] - self._nodes / self.level),
-                       dtype=np.float64)                           # (B, Q, *out)
+        (B, Q, 1) shifted points, each state shifted by its spec's nodes
+        (``at``: spec indices), reduced with one matrix product per row group
+        and state."""
+        f = np.asarray(func(chunk[:, None] - shifts[at]), dtype=np.float64)  # (B, Q, *out)
         f2 = f.reshape(f.shape[:2] + (-1,))
-        weights = self._weights if grad else self._weights[:1]
-        red = np.concatenate([np.matmul(w, f2) for w in (weights[:1], weights[1:])
-                              if len(w)], axis=1)              # (B, J, K)
+        weights = weights[at] if grad else weights[at, :1]        # ([B,] J, Q)
+        red = np.concatenate([np.matmul(w, f2) for w in (weights[..., :1, :], weights[..., 1:, :])
+                              if w.shape[-2]], axis=1)         # (B, J, K)
         return red.reshape(red.shape[:2] + f.shape[2:])
 
-    def _slices(self, func, chunk, grad: bool, x1_break: float):
+    def _slices(self, func, chunk, at, grad: bool, x1_break: float, off, table):
         """One chunk of the slice rule, shape (B, 3, *out): value, d/dx1, d/dx2.
 
         ``func`` gets the pieces ``x1_break -+ 1`` (2, 1, 1, 1) and the x2
@@ -607,16 +651,18 @@ class MollifierSpec:
         With slice j's mass right of the break ``R_j(k (x1 - x1_break))`` from
         ``_slice_table``, the value is ``sum_j (M_j - R_j) f_left + R_j
         f_right``, d/dx1 takes the spline's own derivative and d/dx2 the D
-        splines.  Every operation is per state: no state depends on its chunk.
+        splines.  Each state reads the offsets, level and table of its spec
+        (``at``).  Every operation is per state: no state depends on its
+        chunk or on the other specs of a stack.
         """
-        off, table = _slice_table(self.level, self.shape, self.order, self.panels)
-        cells, n = table.shape[2] - 1, len(chunk)
+        cells, n = _SLICE_CELLS, len(chunk)
         # position in the table's cells; a nan state reads row 0 and stays nan in t
-        pos = np.clip((chunk[:, 0] - x1_break) * (self.level * cells / 2) + cells / 2, 0, cells)
+        pos = np.clip((chunk[:, 0] - x1_break) * (self._level(at) * cells / 2) + cells / 2,
+                      0, cells)
         row = np.fmax(pos, 0.0).astype(np.intp)
-        t = np.repeat(pos - row, len(off)).reshape(n, -1)                # (B, J)
+        t = np.repeat(pos - row, off.shape[1]).reshape(n, -1)            # (B, J)
         f = np.asarray(func(np.array([x1_break - 1.0, x1_break + 1.0])[:, None, None, None],
-                            chunk[None, :, None, 1:] - off[:, None]), dtype=np.float64)
+                            chunk[None, :, None, 1:] - off[at][..., None]), dtype=np.float64)
         # contiguous (K, B, J) parts, as a strided view slows the products
         # below; f is dropped at once, so the copy does not raise the peak
         out = f.shape[3:]
@@ -627,9 +673,10 @@ class MollifierSpec:
             return np.einsum("bj,kbj->kb", w, g)
 
         # R, and with grad R' and D, at every state and slice: (1 or 3, B, J)
-        c0, c1, c2, c3 = np.take(table if grad else table[:1], row, axis=2).swapaxes(0, 1)
+        first = at * (cells + 1)                                          # the spec's table rows
+        c0, c1, c2, c3 = np.take(table if grad else table[:1], first + row, axis=2).swapaxes(0, 1)
         r = c0 + t * (c1 + t * (c2 + t * c3))
-        whole = table[:, 0, -1]                                           # M, 0, N
+        whole = table[:, 0, first + cells]                                # M, 0, N: (3, [B,] J)
         rows = [dot(whole[0] - r[0], left) + dot(r[0], right)]
         if grad:
             rows += [dot(r[1], right - left), dot(whole[2] - r[2], left) + dot(r[2], right)]
@@ -691,6 +738,64 @@ def _slice_table(level: float, shape: float, order: int, panels: int):
     return v / level, out
 
 
+class _SpecStack(MollifierSpec):
+    """Several ``MollifierSpec``s along a leading spec axis of the points:
+    levels and kernel shapes that share ``dim``, ``order`` and ``panels``,
+    and on the line the kept node set, so one pass of each rule serves them
+    all.  ``mollify`` of a sequence of specs smooths with one; points of
+    shape ``(S, ..., n)`` put the states of spec s at index s.  Its
+    ``level`` and ``shape`` are the members' tuples, and the cutoff and the
+    rules read each state's spec from the leading axis (``_spec_index``).
+    """
+
+    def __init__(self, specs):
+        specs = tuple(specs)
+        if not specs or not all(isinstance(spec, MollifierSpec) for spec in specs):
+            raise ValueError("a spec stack takes one or more MollifierSpecs")
+        first = specs[0]
+        for what in ("dim", "order", "panels"):
+            values = sorted({getattr(spec, what) for spec in specs})
+            if len(values) > 1:
+                raise ValueError(f"the specs of a stack share their {what}, got {values}")
+        self.dim, self.order, self.panels = first.dim, first.order, first.panels
+        self.level = tuple(spec.level for spec in specs)
+        self.shape = tuple(spec.shape for spec in specs)
+        self._stack, self._levels = specs, np.array(self.level)
+        if self.dim == 1:
+            if not all(np.array_equal(spec._nodes, first._nodes) for spec in specs):
+                raise ValueError("the specs of a stack on the line keep one node set; kept "
+                                 f"{[len(spec._nodes) for spec in specs]} nodes at kernel "
+                                 f"shapes {list(self.shape)}")
+            self._nodes = first._nodes
+
+    @property
+    def _specs(self) -> tuple:
+        return self._stack
+
+    def _spec_index(self, lead: tuple):
+        n = len(self._stack)
+        if not lead or lead[0] != n:
+            raise ValueError(f"a stack of {n} mollifier specs takes points with a leading "
+                             f"spec axis of length {n}, got a batch of shape {lead}")
+        return np.arange(n).reshape((n,) + (1,) * (len(lead) - 1))
+
+    def _level(self, at):
+        return self._levels[at]
+
+    def _line_rule(self):
+        rules = [spec._line_rule() for spec in self._stack]
+        return tuple(np.concatenate(part) for part in zip(*rules))
+
+    @functools.cached_property
+    def _slices_of_stack(self):
+        rules = [spec._slice_rule() for spec in self._stack]
+        return np.concatenate([off for off, _ in rules]), np.concatenate(
+            [table for _, table in rules], axis=2)
+
+    def _slice_rule(self):
+        return self._slices_of_stack
+
+
 class _Smoother:
     """``f_k = (f * chi_k) psi_k`` of a rough evaluation, with analytic
     derivatives: ``mollify`` makes one the ``_eval`` of a smoothed field, or
@@ -707,6 +812,12 @@ class _Smoother:
     declared-constant sigma (``sigma0``, its value) the convolution is the
     identity (the discrete kernel weights sum to one), so sigma_k reduces
     exactly to sigma * psi_k and only the cutoff is evaluated.
+
+    ``spec`` is one ``MollifierSpec`` or a ``_SpecStack``: the cutoff and
+    the pass read each state's level, rule weights or slice tables by its
+    spec index, so a stack's pass is one call of the rough field for the
+    states of every spec, and each state's value and Jacobian are bitwise
+    those of its spec alone.
     """
 
     def __init__(self, spec: MollifierSpec, rough: Callable, sigma_shape: tuple,
@@ -832,24 +943,40 @@ class _SwirlSmoother(_Smoother):
     h_k / r`` (``h_k'(0)`` at r = 0), h_k the cubic Hermite spline of
     ``_swirl_table``, and ``grad H = (h_k' - H) x / r^2`` from the spline's
     own derivative.  From the reach on H = 0, so the drift is exactly ``-x``
-    before the cutoff.  Every operation is per point, so a state's value does
-    not depend on the batch it comes in.
+    before the cutoff.  Every operation is per point, so a state's value
+    does not depend on the batch it comes in, nor on the other specs of a
+    stack.
     """
 
     def __init__(self, spec: MollifierSpec, swirl: Swirl):
         super().__init__(spec, None, (2, 2), swirl.noise * np.eye(2))
         self.swirl = swirl
 
+    @functools.cached_property
+    def _tables(self):
+        """``(dr, reach, first, last, coef)``: each spec's table spacing, reach
+        and first and last interval in ``coef``, its members' coefficients
+        one after the other; read at the first evaluation."""
+        sw = self.swirl
+        tables = [_swirl_table(sw.profile, sw.params, s.level, s.shape) for s in self.spec._specs]
+        dr, reach = (np.array(col) for col in list(zip(*tables))[:2])
+        sizes = np.array([len(coef) for _, _, coef in tables])
+        return dr, reach, np.cumsum(sizes) - sizes, sizes - 1, np.concatenate(
+            [coef for _, _, coef in tables])
+
     def _convolved(self, pts, names, jac: bool):
-        sw, spec = self.swirl, self.spec
-        dr, reach, coef = _swirl_table(sw.profile, sw.params, spec.level, spec.shape)
+        dr, reach, first, last, coef = self._tables
         r = np.sqrt(sq_norm(pts))
-        inside = r < reach  # a nan is not
+        at = self.spec._spec_index(r.shape)
+        inside = r < reach[at]  # a nan is not
         ri = r[inside]
+        if np.ndim(at):  # a stack: the spec index of each state inside
+            at = np.broadcast_to(at, r.shape)[inside]
+        dr = dr[at]
         s = ri / dr
-        i = np.minimum(s.astype(np.intp), len(coef) - 1)
+        i = np.minimum(s.astype(np.intp), last[at])
         t = s - i
-        c0, c1, c2, c3 = coef[i].T
+        c0, c1, c2, c3 = coef[first[at] + i].T
         q = c1 + t * (c2 + t * c3)
         pos = ri > 0.0
         safe = np.where(pos, ri, 1.0)
@@ -862,8 +989,16 @@ class _SwirlSmoother(_Smoother):
         return _swirl(pts, H, (G * pts[..., 0], G * pts[..., 1]))
 
 
-def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
+def mollify(field: CoefficientField, spec) -> CoefficientField:
     """Smooth a field: ``f_k = (f * chi_k) psi_k`` with analytic derivatives.
+
+    ``spec`` is one ``MollifierSpec``, or a sequence of them that share
+    ``dim``, ``order`` and ``panels`` (and on the line the kept node set;
+    else a ``ValueError`` names what differs): a stack.  The stacked field
+    evaluates points with a leading spec axis, ``(S, ..., n)``, the states
+    at index s smoothed with spec s, bitwise as by that spec alone, in one
+    pass of the rule (or one table read) for all of them; its ``members``
+    are the single-spec fields, and ``integrate`` runs them as one flow.
 
     Derivatives come from ``f * grad(chi_k)`` plus the product rule with
     ``grad(psi_k)``; the rough field is never differenced.  Every row of a
@@ -879,13 +1014,19 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     first-block Jacobians, when already smoothed (its record holds the
     rough block), and unless planar with an ``x1_break``.
     """
+    if not isinstance(spec, MollifierSpec):
+        stack = _SpecStack(spec)
+        smooth = mollify(field, stack)
+        smooth.members = tuple(mollify(field, member) for member in stack._specs)
+        return smooth
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
     n, m = field.dim_state, field.dim_noise
+    levels = ",".join(f"{member.level:g}" for member in spec._specs)
     if not isinstance(field, StructuredCoefficient):
         if n > 1 and not isinstance(field, Swirl):
             raise ValueError(f"field {field.name!r} is a plain field on R^{n}: {_PLANAR}")
-        smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={spec.level:g}")
+        smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={levels}")
         smooth._eval = (_SwirlSmoother(spec, field) if isinstance(field, Swirl)
                         else _Smoother(spec, field._eval, (n, m), field.constant_sigma()))
         return smooth
@@ -897,7 +1038,7 @@ def mollify(field: CoefficientField, spec: MollifierSpec) -> CoefficientField:
         raise ValueError(f"field {field.name!r}: the slice rule smooths a planar block field "
                          "whose FieldBlocks record declares its x1_break")
     smooth = StructuredCoefficient(field.n1, field.blocks, n, m,
-                                   name=f"{field.name}|k2={spec.level:g}")
+                                   name=f"{field.name}|k2={levels}")
     smooth._second = _Smoother(spec, field._rough_second, (field.n2, m),
                                x1_break=field.blocks.x1_break)
     return smooth

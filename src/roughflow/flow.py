@@ -30,6 +30,7 @@ __all__ = [
     "BrownianDriver",
     "DensityTrack",
     "FlowEnsemble",
+    "FlowStack",
     "integrate",
     "compose_time_shift",
     "convergence_metric",
@@ -148,7 +149,10 @@ class DensityTrack:
 @dataclass
 class FlowEnsemble:
     """Trajectories X_t(omega_j, x_i), shape (n_omega, n_x, n_times, n),
-    with their ``DensityTrack`` when integrated with ``density=m``."""
+    with their ``DensityTrack`` when integrated with ``density=m``.
+
+    ``field`` is the field that moved them: a single-spec field also for a
+    member of a ``FlowStack``, whose states are a view of the stack's."""
 
     states: NDArray[np.float64]
     times: NDArray[np.float64]
@@ -196,6 +200,21 @@ class FlowEnsemble:
         return np.sqrt(sq_norm(diff)).max(axis=-1)
 
 
+class FlowStack(tuple):
+    """The flows of a stacked smoothed field (``mollify`` with several
+    specs), one ``FlowEnsemble`` per spec in the order of its spec axis, as
+    ``integrate`` returns them.  ``states`` holds every member's states in
+    one array, the spec axis folded into the paths (shape (n_spec n_omega,
+    n_x, n_times, n)); ``n_exploded`` counts every member's exploded
+    tracks."""
+
+    states: NDArray[np.float64]
+
+    @property
+    def n_exploded(self) -> int:
+        return sum(e.n_exploded for e in self)
+
+
 def _initial_states(x0s, n_omega: int, dim: int):
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim == 1:
@@ -217,13 +236,20 @@ def integrate(
     x0s,
     T: float,
     density: Optional[ReferenceMeasure] = None,
-) -> FlowEnsemble:
+):
     """Euler-Maruyama ensemble over [0, T] on the driver's grid.
 
     ``x0s`` has shape (n_x, n) (shared across Brownian paths) or
     (n_omega, n_x, n) for restarts.  Trajectories whose state norm exceeds
     1e8 are flagged as exploded and frozen; estimators exclude them and
     report the count.
+
+    A stacked smoothed field (``mollify`` with several specs: ``field.members``)
+    moves every spec's copy of the starts in one state loop, one evaluation
+    per step for all of them under the one driver, and returns a
+    ``FlowStack``: one ``FlowEnsemble`` per spec, holding that spec's
+    single-spec field, bitwise the ensemble its own ``integrate`` gives.  A
+    stack tracks no density (``density=`` raises a ``ValueError``).
 
     With ``density=m`` the ensemble carries the ``DensityTrack`` of the
     push-forward of ``m`` (the field must provide Jacobians), accumulated in
@@ -238,11 +264,17 @@ def integrate(
         raise ValueError("T must cover at least one step")
     if field.dim_noise != driver.dim_noise:
         raise ValueError("field noise dimension does not match the driver")
+    members = field.members
+    if members is not None and density is not None:
+        raise ValueError(f"density= tracks one field's flow; field {field.name!r} is a stack "
+                         f"of {len(members)} smoothings, so integrate the density's level alone")
     shared_x0s, x = _initial_states(x0s, driver.n_omega, field.dim_state)
     n_omega, n_x, n = x.shape
-    states = np.empty((n_omega, n_x, n_steps + 1, n))
-    states[:, :, 0, :] = x
-    alive, frozen = np.ones((n_omega, n_x), dtype=bool), False
+    if members is not None:  # the leading spec axis: one copy of the starts per spec
+        x = np.broadcast_to(x, (len(members),) + x.shape).copy()
+    states = np.empty(x.shape[:-1] + (n_steps + 1, n))
+    states[..., 0, :] = x
+    alive, frozen = np.ones(x.shape[:-1], dtype=bool), False
     if density is not None:
         per_step, buf = field.is_smoothed, None
         per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
@@ -250,7 +282,7 @@ def integrate(
     for i in range(n_steps):
         ev = field.evaluate(x, jac=density is not None and per_step)
         step = (
-            np.einsum("oxnm,om->oxn", ev.sigma, driver.increments[:, i, :])
+            np.einsum("...oxnm,om->...oxn", ev.sigma, driver.increments[:, i, :])
             + ev.drift * dt
         )
         moved = x + step
@@ -264,7 +296,7 @@ def integrate(
             alive &= ~newly
             frozen = True
         x = moved
-        states[:, :, i + 1, :] = x
+        states[..., i + 1, :] = x
         if density is None:
             continue
         j = i % per_block  # this step's place in its block
@@ -281,15 +313,18 @@ def integrate(
                 field, density, states[:, :, steps, :], driver.increments[:, steps, :],
                 dt, buf)
     times = np.arange(n_steps + 1) * dt
-    return FlowEnsemble(
-        states=states,
-        times=times,
-        x0s=shared_x0s if shared_x0s is not None else states[0, :, 0, :],
-        field=field,
-        driver=driver,
-        exploded=~alive,
-        density=None if density is None else _track(times, lam2, ds, alive, dt, density),
-    )
+
+    def ensemble(fld, st, ok, track=None):
+        return FlowEnsemble(states=st, times=times,
+                            x0s=shared_x0s if shared_x0s is not None else st[0, :, 0, :],
+                            field=fld, driver=driver, exploded=~ok, density=track)
+
+    if members is None:
+        return ensemble(field, states, alive,
+                        None if density is None else _track(times, lam2, ds, alive, dt, density))
+    stack = FlowStack(ensemble(fld, states[s], alive[s]) for s, fld in enumerate(members))
+    stack.states = states.reshape((-1,) + states.shape[2:])
+    return stack
 
 
 def _exponent_terms(field, m, left, inc, dt, ev):

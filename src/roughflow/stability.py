@@ -201,6 +201,9 @@ def _pick_radius(ensembles, candidates=(2.0, 5.0, 10.0, 20.0), target=0.05):
     return float(np.quantile(sup, 1.0 - target) * 1.05)
 
 
+_UNIQUENESS_SHAPE = 3.0  # bump shape of the second smoothing scheme
+
+
 @dataclass
 class CauchyRow:
     k: float
@@ -219,6 +222,7 @@ class CauchyExperiment:
     lambda_pt: float
     final: FlowEnsemble          # the flow at the last level, for uniqueness_experiment
     final_spec: MollifierSpec    # its smoothing
+    second_kernel: FlowEnsemble  # the last level's flow under the uniqueness kernel
 
     def metrics(self) -> list:
         return [r.metric for r in self.rows]
@@ -244,37 +248,40 @@ def cauchy_experiment(
     shared across levels, so its difference is zero.  Convergence of the
     scheme shows as the metric column decreasing in k.  The bound's
     ``lambda_pt`` is the sup L^p norm of the last level's tracked density.
+
+    Two flows are integrated: the last level alone, with its density, and
+    one stack (``mollify`` of several specs) of the other levels and of the
+    last level under the uniqueness kernel (``_UNIQUENESS_SHAPE``), which
+    ``uniqueness_experiment`` compares with the last level's flow.  Each
+    stacked flow is bitwise the flow its spec gives alone.
     """
     m, q = family.measure, family.q
-    specs = {k: family.mollifier(k) for k in levels}
-    fields = {k: mollify(family.field, specs[k]) for k in levels}
+    specs = [family.mollifier(k) for k in levels]
+    stack = mollify(family.field, specs[:-1] + [replace(specs[-1], shape=_UNIQUENESS_SHAPE)])
+    *ensembles, second = integrate(stack, driver, x0s, T)
     # one level's density suffices for the reported bound: the density norms
     # are level-uniform by construction (and that is asserted elsewhere)
-    ensembles = {k: integrate(fields[k], driver, x0s, T, density=m if k == levels[-1] else None)
-                 for k in levels}
-    radius = _pick_radius(list(ensembles.values()))
-    lambda_pt = sup_lp_density_norm(ensembles[levels[-1]].density, family.p).value
+    ensembles.append(integrate(mollify(family.field, specs[-1]), driver, x0s, T, density=m))
+    radius = _pick_radius(ensembles)
+    lambda_pt = sup_lp_density_norm(ensembles[-1].density, family.p).value
     rows = []
-    for k, l in zip(levels, levels[1:]):
-        sd, bd, bound = stability_bound(fields[k], fields[l], radius, q, norm_budget)
+    for (k, ek), (l, el) in zip(zip(levels, ensembles), zip(levels[1:], ensembles[1:])):
+        sd, bd, bound = stability_bound(ek.field, el.field, radius, q, norm_budget)
         delta_kl = sd + bd
         if delta_kl <= 0:
             delta_kl = 1e-12
-        lhs = stability_functional(ensembles[k], ensembles[l], radius, delta_kl, m)
+        lhs = stability_functional(ek, el, radius, delta_kl, m)
         rhs = bound(delta_kl, lambda_pt)
         rows.append(
             CauchyRow(
                 k=k, l=l, delta_kl=delta_kl,
                 lhs=lhs.value, rhs=rhs.value,
-                metric=convergence_metric(ensembles[k], ensembles[l]),
+                metric=convergence_metric(ek, el),
                 support_fraction=lhs.support_fraction,
             )
         )
     return CauchyExperiment(rows=rows, radius=radius, lambda_pt=float(lambda_pt),
-                            final=ensembles[levels[-1]], final_spec=specs[levels[-1]])
-
-
-_UNIQUENESS_SHAPE = 3.0  # bump shape of the second smoothing scheme
+                            final=ensembles[-1], final_spec=specs[-1], second_kernel=second)
 
 
 @dataclass
@@ -283,18 +290,16 @@ class UniquenessResult:
     level: float
 
 
-def uniqueness_experiment(family: Family, cauchy: CauchyExperiment) -> UniquenessResult:
+def uniqueness_experiment(cauchy: CauchyExperiment) -> UniquenessResult:
     """Compare the limits of two different smoothing schemes.
 
-    Reruns the last flow of ``cauchy`` (same level, quadrature, driver,
-    starts and horizon) under a second admissible kernel, the bump of shape
-    ``_UNIQUENESS_SHAPE`` (sharper than the Cauchy kernel's), and reports
-    the clipped convergence metric between the two; a value below the final
-    Cauchy gap evidences a common limit, i.e. uniqueness of the generalized
-    flow.  Only the second kernel's flow is integrated here.
+    The last flow of ``cauchy`` against the same level, quadrature, driver,
+    starts and horizon under a second admissible kernel, the bump of shape
+    ``_UNIQUENESS_SHAPE`` (sharper than the Cauchy kernel's): the clipped
+    convergence metric between the two.  A value below the final Cauchy gap
+    evidences a common limit, i.e. uniqueness of the generalized flow.
+    ``cauchy_experiment`` integrated both flows, so nothing is integrated
+    here.
     """
-    ref = cauchy.final
-    spec = replace(cauchy.final_spec, shape=_UNIQUENESS_SHAPE)
-    other = integrate(mollify(family.field, spec), ref.driver,
-                      ref.states[:, :, 0, :], ref.times[-1])
-    return UniquenessResult(metric=convergence_metric(ref, other), level=spec.level)
+    return UniquenessResult(metric=convergence_metric(cauchy.final, cauchy.second_kernel),
+                            level=cauchy.final_spec.level)

@@ -981,6 +981,75 @@ class TestBallNodes:
                                  - getattr(ref, part + "_jac"))) <= 1e-13
 
 
+def _stack_points(fam, specs, n=400):
+    """One batch of states per spec, ``(S, n, dim)``: mu-samples scaled so
+    that each spec sees states in B(k), in its cutoff band and beyond 2k,
+    plus a nan state, the origin and (planar) states in the x1-jump band
+    |x1| < 1/k of a block field."""
+    pts = fam.measure.sample(derive_rng(41, f"stack-{fam.name}"), n)
+    out = np.empty((len(specs),) + pts.shape)
+    for s, spec in enumerate(specs):
+        out[s] = pts * spec.level       # |x| > k: the cutoff band, and beyond 2k
+        out[s, :3] = np.nan
+        out[s, 1:3] = 0.0
+        out[s, 2, 0] = 1.5 * spec.level
+        if fam.field.dim_state == 2:
+            out[s, 3:9, 0] = np.linspace(-0.9, 0.9, 6) / spec.level  # the x1-jump band
+            out[s, 3:9, 1] = np.linspace(-0.5, 0.7, 6)
+            out[s, 0, 1] = 0.1                              # nan in x1 only
+    return out
+
+
+class TestSpecStack:
+    """A field smoothed with several specs evaluates points with a leading
+    spec axis, each state bitwise as by its spec alone."""
+
+    @pytest.mark.parametrize("name", ["deriv-rough", "partially-sobolev", "log-singular"])
+    def test_stack_is_bitwise_its_single_spec_fields(self, name):
+        # the 1-D rule, the slice rule and the swirl table; mixed levels and
+        # kernel shapes, one pass over more than one chunk
+        fam = make_family(name)
+        specs = [fam.mollifier(2.0), replace(fam.mollifier(16.0), shape=3.0),
+                 fam.mollifier(4.0), replace(fam.mollifier(4.0), shape=3.0)]
+        stack = mollify(fam.field, specs)
+        assert stack.is_smoothed and len(stack.members) == len(specs)
+        pts = _stack_points(fam, specs)
+        radius = np.sqrt(np.sum(pts**2, axis=-1)) / np.array([s.level for s in specs])[:, None]
+        assert np.isnan(radius).any() and np.all(np.nanmax(radius, axis=1) > 2.0)
+        assert np.all(np.sum((radius > 1.0) & (radius < 2.0), axis=1) > 2)
+        if name == "deriv-rough":
+            assert pts[..., 0].size * 16 > coefficients._MAX_EVAL_BLOCK
+        for jac in (False, True):
+            ev = stack.evaluate(pts, jac=jac)
+            for s, (spec, member) in enumerate(zip(specs, stack.members)):
+                alone = mollify(fam.field, spec).evaluate(pts[s], jac=jac)
+                assert member.name == mollify(fam.field, spec).name
+                for part in ("sigma", "drift", "sigma_jac", "drift_jac"):
+                    want = getattr(alone, part)
+                    got = None if want is None else getattr(ev, part)[s]
+                    assert (want is None and getattr(ev, part) is None
+                            or got.tobytes() == want.tobytes()), (s, part, jac)
+        grid = stack.evaluate(pts.reshape((len(specs), 20, 20, -1)), jac=True)
+        assert grid.drift_jac.tobytes() == stack.evaluate(pts, jac=True).drift_jac.tobytes()
+
+    def test_what_a_stack_cannot_share_is_rejected_by_name(self):
+        line, plane = MollifierSpec(dim=1, level=2.0), MollifierSpec(dim=2, level=2.0)
+        field = make_family("deriv-rough").field
+        for other, what in ((plane, "dim"), (replace(line, order=8), "order"),
+                            (replace(line, panels=1), "panels")):
+            with pytest.raises(ValueError, match=f"share their {what}"):
+                mollify(field, [line, other])
+        # order 32 x 2 panels keeps 64 nodes at shape 1 and 62 at shape 3
+        wide = MollifierSpec(dim=1, level=2.0, order=32, panels=2)
+        with pytest.raises(ValueError, match=r"keep one node set; kept \[64, 62\] nodes"):
+            mollify(field, [wide, replace(wide, shape=3.0)])
+        with pytest.raises(ValueError, match="one or more MollifierSpecs"):
+            mollify(field, [])
+        stack = mollify(field, [line, replace(line, level=4.0)])
+        with pytest.raises(ValueError, match="leading spec axis of length 2"):
+            stack.evaluate(np.zeros((3, 1)))
+
+
 class TestQuadratureBlocks:
     def test_evaluation_independent_of_block_size(self, monkeypatch):
         name = "deriv-rough"  # the 1-D rule; the slice rule: TestSliceRule

@@ -233,6 +233,62 @@ class TestSupNormAndLevelSets:
                            derive_rng(7, "lse"))
 
 
+class TestStackedFlow:
+    """``integrate`` of a field smoothed with several specs: one state loop
+    under the one driver, one ensemble per spec."""
+
+    @staticmethod
+    def cubic():
+        return CoefficientField(
+            1, 1,
+            sigma_fn=lambda x: (0.3 + 0.0 * x)[..., None],
+            drift_fn=lambda x: 1e9 * x**3,
+            sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+            drift_jac_fn=lambda x: (3e9 * x[..., 0] ** 2)[..., None, None],
+            name="cubic",
+        )
+
+    @pytest.mark.parametrize("name", ["cubic", "log-singular", "partially-sobolev"])
+    def test_members_are_bitwise_their_own_flows(self, name):
+        # a cubic drift explodes inside its cutoff's reach and not beyond it,
+        # so the exploded flags differ across levels
+        if name == "cubic":
+            field = self.cubic()
+            x0 = np.array([[0.1], [-0.5], [3.0], [5.0], [9.0]])
+            specs = [MollifierSpec(dim=1, level=k, order=16, panels=1, shape=a)
+                     for k, a in ((2.0, 1.0), (4.0, 3.0), (8.0, 1.0))]
+        else:
+            fam = make_family(name)
+            field = fam.field
+            x0 = fam.measure.sample(derive_rng(20, f"stack-x0-{name}"), 6)
+            specs = [fam.mollifier(2.0), fam.mollifier(4.0),
+                     MollifierSpec(dim=2, level=4.0, order=16, panels=1, shape=3.0)]
+        drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, 32, 3,
+                                      derive_seed(20, f"stack-{name}"))
+        stack = mollify(field, specs)
+        restart = np.broadcast_to(x0, (3,) + x0.shape) * np.array([1.0, 0.5, -1.0])[:, None, None]
+        for starts in (x0, restart):
+            flows = integrate(stack, drv, starts, 0.5)
+            assert len(flows) == len(specs)
+            assert flows.states.shape == (len(specs) * 3,) + flows[0].states.shape[1:]
+            for spec, member, ens in zip(specs, stack.members, flows):
+                alone = integrate(mollify(field, spec), drv, starts, 0.5)
+                assert ens.field is member and ens.density is None
+                assert ens.states.tobytes() == alone.states.tobytes()
+                assert np.array_equal(ens.exploded, alone.exploded)
+                assert np.array_equal(ens.x0s, alone.x0s)
+            assert flows.n_exploded == sum(e.n_exploded for e in flows)
+            if name == "cubic":
+                assert 0 < flows.n_exploded < flows.states.shape[0] * len(x0)
+
+    def test_a_stack_tracks_no_density(self):
+        fam = make_family("log-singular")
+        stack = mollify(fam.field, [fam.mollifier(2.0), fam.mollifier(4.0)])
+        drv = BrownianDriver.generate(2, 2.0**-4, 4, 2, seed=5)
+        with pytest.raises(ValueError, match="density= tracks one field's flow"):
+            integrate(stack, drv, np.zeros((1, 2)), 0.25, density=fam.measure)
+
+
 class TestComposition:
     def test_zero_shift_identical(self):
         fam = make_family("linear")

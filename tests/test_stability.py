@@ -164,7 +164,7 @@ class TestExperiments:
                                       derive_seed(9, "us-driver"))
         x0 = fam.measure.sample(derive_rng(9, "us-x0"), 8)
         table = cauchy_experiment(fam, [8.0], drv, x0, 1.0, norm_budget=500)
-        res = uniqueness_experiment(fam, table)
+        res = uniqueness_experiment(table)
         assert res.level == 8.0
         assert res.metric < 1e-6
 
@@ -229,11 +229,12 @@ class TestQuadraturePassBudget:
                                       derive_seed(12, f"passes-{name}"))
         x0 = fam.measure.sample(derive_rng(12, f"passes-x0-{name}"), 3)
         cauchy_experiment(fam, levels, drv, x0, n_steps * drv.dt, norm_budget=500)
-        # one pass per step and level for the flows, the bound's three per
+        # one pass per step for the stack of the other levels and the second
+        # kernel, one per step for the last level, the bound's three per
         # pair, and the last level's density track: one sigma-divergence pass
         # per noise column where sigma is not constant (partially-sobolev's)
         track = 0 if fam.field.sigma_constant else fam.field.dim_noise
-        assert passes["n"] == len(levels) * n_steps + 3 * (len(levels) - 1) + track
+        assert passes["n"] == 2 * n_steps + 3 * (len(levels) - 1) + track
 
     def test_swirl_field_makes_no_pass(self, passes):
         # log-singular smooths from its table: neither the flows, the bound
@@ -248,8 +249,38 @@ class TestQuadraturePassBudget:
         assert passes["n"] == 0
 
 
+class TestStepEvaluationBudget:
+    """Field evaluations of the stability checks: one per step for the stack
+    of every density-free flow, one per step for the density flow, and the
+    bound's three per pair of levels."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        count = {"n": 0}
+        original = CoefficientField.evaluate
+
+        def counted(self, x, jac=False):
+            count["n"] += 1
+            return original(self, x, jac)
+
+        monkeypatch.setattr(CoefficientField, "evaluate", counted)
+        return count
+
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_two_evaluations_per_step(self, evaluations, name):
+        fam = make_family(name)
+        levels, n_steps = [2.0, 4.0, 8.0, 16.0], 6
+        drv = BrownianDriver.generate(fam.field.dim_noise, 2.0**-6, n_steps, 2,
+                                      derive_seed(14, f"evals-{name}"))
+        x0 = fam.measure.sample(derive_rng(14, f"evals-x0-{name}"), 3)
+        cauchy_uniqueness_checks(fam, levels, drv, x0, n_steps * drv.dt, 500)
+        # five flows: four levels and the second kernel
+        assert evaluations["n"] == 2 * n_steps + 3 * (len(levels) - 1)
+
+
 class TestOneFlowPerLevelAndKernel:
-    """The uniqueness check reuses the Cauchy table's last flow."""
+    """The Cauchy table integrates two flows: its last level, with the
+    density, and one stack of the other levels and the uniqueness kernel."""
 
     @pytest.fixture
     def flows(self, monkeypatch):
@@ -272,11 +303,11 @@ class TestOneFlowPerLevelAndKernel:
         return fam, drv, x0, n_steps * drv.dt
 
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
-    def test_checks_integrate_once_per_level_and_kernel(self, flows, name):
+    def test_checks_integrate_one_stack_and_the_density_level(self, flows, name):
         fam, drv, x0, T = self.case(name)
         levels = [2.0, 4.0, 8.0]
         cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
-        assert flows["n"] == len(levels) + 1
+        assert flows["n"] == 2
 
     @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
     def test_metric_equals_two_separate_runs(self, name):
