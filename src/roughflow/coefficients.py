@@ -469,8 +469,10 @@ class MollifierSpec:
     convolutions take the composite Gauss-Legendre rule on [-1, 1] (``order``
     nodes on each of ``panels``), keeping only the nodes where the kernel
     is positive (elsewhere it and its gradient are exactly 0), with weights
-    renormalized so constants are exact.  The value and kernel-gradient
-    weights are stacked into one ``(2, Q)`` matrix: a pass gives the
+    renormalized so constants are exact; the kernel-gradient weights are
+    centred and divided by their first moment, so affine functions have
+    exact gradients (the slice rule's D rows do the same).  The value and
+    kernel-gradient weights are stacked into one ``(2, Q)`` matrix: a pass gives the
     convolution and its gradient from one matrix product per row group and
     chunk of states, where the convolved function sees at most
     ``_MAX_EVAL_BLOCK`` points.  A planar spec has no generic rule: the
@@ -510,6 +512,8 @@ class MollifierSpec:
         z = float(np.sum(raw_w * bump))
         grad_w = (raw_w[:, None] * (2.0 * slope[keep][:, None] * self._nodes)) / z
         grad_w -= grad_w.mean(axis=0, keepdims=True)
+        # over its first moment, so -x smooths to d/dx = -1 as int u chi'(u) du = -1
+        grad_w /= -np.sum(grad_w * self._nodes, axis=0)
         # row 0: value weights (sum to 1 exactly); row 1: d/dx weights
         self._weights = np.concatenate(
             [(raw_w * bump / z)[None, :], self.level * grad_w.T], axis=0)

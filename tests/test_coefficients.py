@@ -933,8 +933,9 @@ def _field_for(name, smoothing):
 
 def _full_line_rule(spec):
     """Nodes and ``(2, Q)`` weights of the composite Gauss-Legendre rule on
-    the whole of [-1, 1], normalized and mean-centred like
-    ``MollifierSpec``'s, nodes where the bump underflows included."""
+    the whole of [-1, 1], normalized, mean-centred and gradient row over its
+    first moment like ``MollifierSpec``'s, nodes where the bump underflows
+    included."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(spec.order)
     edges = np.linspace(-1.0, 1.0, spec.panels + 1)
     nodes = np.concatenate([(a + b) / 2 + (b - a) / 2 * gl_x
@@ -944,6 +945,7 @@ def _full_line_rule(spec):
     z = np.sum(raw * bump)
     grad = raw[:, None] * (2.0 * slope[:, None] * nodes) / z
     grad -= grad.mean(axis=0, keepdims=True)
+    grad /= -np.sum(grad * nodes, axis=0)
     return nodes, np.concatenate([(raw * bump / z)[None, :], spec.level * grad.T])
 
 
@@ -960,6 +962,17 @@ class TestBallNodes:
         assert np.all(spec._weights[0] > 0.0)
         assert abs(spec._weights[0].sum() - 1.0) <= 1e-15
         assert np.all(np.abs(spec._weights[1:].sum(axis=1)) <= 1e-15)
+
+    @pytest.mark.parametrize("level", [2.0, 4.0, 16.0])
+    def test_gradient_row_has_unit_first_moment(self, level):
+        # the family rule (order 16, one panel) gave -1.000929 before the
+        # gradient row was divided by its first moment
+        spec = MollifierSpec(dim=1, level=level, order=16, panels=1)
+        field = mollify(scalar_field_1d(lambda x: -x, lambda x: -np.ones_like(x)), spec)
+        x = np.linspace(-0.9, 0.9, 37)[:, None] * level  # in B(k): psi = 1, grad psi = 0
+        assert np.max(np.abs(field.drift_jac(x)[:, 0, 0] + 1.0)) <= 1e-12
+        # row 0 is the value rule, unchanged: -x comes back within rounding
+        assert np.max(np.abs(field.drift(x)[:, 0] + x[:, 0])) <= 1e-13 * level
 
     @pytest.mark.parametrize("level", [2.0, 8.0, 16.0])
     def test_evaluate_matches_full_line_rule(self, monkeypatch, level):
