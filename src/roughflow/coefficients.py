@@ -326,9 +326,11 @@ class Swirl(CoefficientField):
     ``deriv``, at radii ``0 < r < 1``; it is a module-level function, so
     ``(profile, params)`` names a profile by value.  ``_eval`` is the rough
     field, one profile call per evaluation, at r = ``hypot`` where
-    ``|x|^2`` is subnormal (elsewhere its root; 0 where it underflows).  Its
+    ``|x|^2`` is subnormal or underflows (elsewhere its root).  Its
     Jacobian takes ``g' = s'/r - s/r^2`` where that is a float; nearer 0,
     where it overflows, from ``r g' = s' - g`` and ``e = x / r`` instead.
+    Where ``|x|^2`` underflows to 0 (``_tiny``) the drift is ``-x + s
+    e^perp``, from one more profile call, and its Jacobian -I.
     ``mollify`` smooths it through the symmetry: the kernel is radial, so
     ``(b * chi_k)(x) = -x + h_k(r) x^perp / r``, with the 1-D profile
     ``h_k`` read from a table built once per profile, level and kernel
@@ -351,13 +353,15 @@ class Swirl(CoefficientField):
             sq = sq_norm(pts)
             r = np.sqrt(sq)
             sub = sq < np.finfo(np.float64).tiny  # subnormal or 0: sqrt loses digits
+            on, flat = (r > 0) & (r < _SWIRL_RADIUS), None
             if sub.any():
-                r = np.where(sub & (sq > 0.0), np.hypot(pts[..., 0], pts[..., 1]), r)
-            on = (r > 0) & (r < _SWIRL_RADIUS)
+                r = np.where(sub, np.hypot(pts[..., 0], pts[..., 1]), r)
+                flat = (sq == 0.0) & (r > 0.0)  # x^2 underflows: read by _tiny
+                on = (r > 0) & (r < _SWIRL_RADIUS) & ~flat
             ro, g = r[on], np.zeros(r.shape)  # g, and g' with jac, are zero off 0 < r < 1
             if not jac:
                 g[on] = self.profile(ro, *self.params) / ro
-                out.drift = _swirl(pts, g)
+                out.drift = self._tiny(pts, r, flat, _swirl(pts, g))
                 return out
             s, sp = self.profile(ro, *self.params, deriv=True)
             go = s / ro
@@ -376,7 +380,23 @@ class Swirl(CoefficientField):
                 at[on] = near
                 e, q = pts[at] / r[at, None], (sp - go)[near]
                 out.drift_jac[at] = _swirl(e, go[near], (q * e[:, 0], q * e[:, 1]))[1]
+            out.drift = self._tiny(pts, r, flat, out.drift)
         return out
+
+    def _tiny(self, pts, r, flat, drift):
+        """``drift`` with its points whose ``|x|^2`` underflows (``flat``: |x|
+        below about 1.5e-162, but not 0) set to ``-x + s(r) e^perp``, r their
+        hypot radius and e = x / r: g = s / r overflows below r of about
+        5e-306.  Their Jacobian stays the rate part -I: the swirl part's
+        entries, of order s / r, leave the float range there, and -I keeps
+        the trace, the field's divergence -2."""
+        if flat is None or not flat.any():
+            return drift
+        x, rf = pts[flat], r[flat]
+        s, e = self.profile(rf, *self.params), x / rf[:, None]
+        drift[flat] = np.stack([-_SWIRL_RATE * x[:, 0] - s * e[:, 1],
+                                -_SWIRL_RATE * x[:, 1] + s * e[:, 0]], axis=-1)
+        return drift
 
 
 def _swirl(x, H, grad_H=None):

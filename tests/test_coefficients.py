@@ -327,9 +327,10 @@ class TestSwirlField:
 
     def test_rough_field_bitwise_its_old_closed_form(self):
         # log-singular's rough values and Jacobians feed c3, c4 and c5: the
-        # shared swirl formula must give them bitwise, through r = 0 (radii
-        # whose squares underflow), the smallest radii where g' is a float,
-        # zeta's band and the support's edge
+        # shared swirl formula must give them bitwise, through r = 0, the
+        # smallest radii where g' is a float, zeta's band and the support's
+        # edge; where |x|^2 underflows (1e-200, 5e-324, 1e-300) the drift is
+        # -x + s e^perp at the hypot radius and the Jacobian -I, as at r = 0
         fam = make_family("log-singular")
         tiny = [[r, 0.0] for r in (1e-150, 1e-200, 5e-324, 1e-300)]
         edges = np.array(tiny + [xy[::-1] for xy in tiny]
@@ -337,9 +338,17 @@ class TestSwirlField:
                             [0.6, -0.8], [1.5, 0.0], [-0.9, 1.2]])
         x = np.concatenate([fam.measure.sample(derive_rng(33, "swirl-rough"), 20_000), edges])
         ev = fam.field.evaluate(x, jac=True)
+        oracle = _old_log_singular_closed_form(x)
+        flat = (np.sum(x * x, axis=-1) == 0.0) & np.any(x != 0.0, axis=-1)
+        assert flat.sum() == 6
+        r = np.hypot(x[flat, 0], x[flat, 1])
+        s, e = 1.2 * -np.log(r) * _smoothstep(2.0 - 2.0 * r), x[flat] / r[:, None]
+        oracle[1][flat] = np.stack([-1.0 * x[flat, 0] - s * e[:, 1],
+                                    -1.0 * x[flat, 1] + s * e[:, 0]], axis=-1)
+        assert oracle[1][flat][0, 1] == pytest.approx(552.6, abs=0.05)  # b_2 at (1e-200, 0)
+        assert fam.field.drift(x).tobytes() == ev.drift.tobytes()  # the path without g'
         # + 0.0 turns -0.0 into +0.0
-        for got, want in zip((ev.sigma, ev.drift, ev.sigma_jac, ev.drift_jac),
-                             _old_log_singular_closed_form(x)):
+        for got, want in zip((ev.sigma, ev.drift, ev.sigma_jac, ev.drift_jac), oracle):
             assert got.shape == want.shape
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
