@@ -644,7 +644,7 @@ class MollifierSpec:
         if np.ndim(index):  # a stack: one index per state, chunked with the states
             index = np.broadcast_to(index, batch).reshape(-1)
         rule = self._line_rule() if x1_break is None else self._slice_rule()
-        seen = rule[1].shape[-1] if x1_break is None else 2 * self.order * self.panels
+        seen = len(self._nodes) if x1_break is None else 2 * self.order * self.panels
         block = max(1, _MAX_EVAL_BLOCK // seen)
         outs = []
         for start in range(0, flat.shape[0], block):
@@ -811,13 +811,14 @@ class _SpecStack(MollifierSpec):
         return tuple(np.concatenate(part) for part in zip(*rules))
 
     @functools.cached_property
-    def _slices_of_stack(self):
+    def _stacked_slice_rule(self):
+        """Built at the first slice pass (a swirl's stack never needs it)."""
         rules = [spec._slice_rule() for spec in self._stack]
         return np.concatenate([off for off, _ in rules]), np.concatenate(
             [table for _, table in rules], axis=2)
 
     def _slice_rule(self):
-        return self._slices_of_stack
+        return self._stacked_slice_rule
 
 
 class _Smoother:

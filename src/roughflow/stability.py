@@ -264,8 +264,8 @@ def cauchy_experiment(
     ensembles.append(integrate(mollify(family.field, specs[-1]), driver, x0s, T, density=m))
     radius = _pick_radius(ensembles)
     lambda_pt = sup_lp_density_norm(ensembles[-1].density, family.p).value
-    rows = []
-    for (k, ek), (l, el) in zip(zip(levels, ensembles), zip(levels[1:], ensembles[1:])):
+    rows, by_level = [], list(zip(levels, ensembles))
+    for (k, ek), (l, el) in zip(by_level, by_level[1:]):
         sd, bd, bound = stability_bound(ek.field, el.field, radius, q, norm_budget)
         delta_kl = sd + bd
         if delta_kl <= 0:
