@@ -1074,6 +1074,18 @@ def mollify(field: CoefficientField, spec) -> CoefficientField:
 # ---------------------------------------------------------------------------
 
 
+def _sigma_matrix(field: CoefficientField):
+    """``(sigma0, cutoff)`` of a sigma read from one (n, m) matrix: a
+    declared constant (``constant_sigma``; cutoff None) or a smoothed one,
+    ``psi sigma0`` (a smoother's ``sigma0`` and its spec's ``cutoff``);
+    ``(None, None)`` for any other field.  ``density_terms`` reads no
+    per-state sigma or sigma Jacobian of such a field."""
+    smoother = field._eval if isinstance(field._eval, _Smoother) else None
+    if smoother is not None and smoother.sigma0 is not None:
+        return smoother.sigma0, smoother.spec.cutoff
+    return field.constant_sigma(), None
+
+
 def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
                   ev: Optional[FieldEval] = None, h: Optional[float] = None):
     """The density exponent's terms ``(lam1, lam2, G)`` at ``x``.
@@ -1109,9 +1121,19 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     sigma derivative (the divergence, ``-1/2 sum (d sigma)(d sigma)``, and
     the last two terms of G) vanishes and is skipped.  Each term is bitwise
     the one the per-state path gives on a sigma Jacobian of zeros.
+
+    A smoothed declared-constant sigma (a smoother's ``sigma0``, the linear
+    and swirl fields) is ``sigma = psi sigma0``, psi the spec's cutoff, so
+    ``d_i sigma^{jl} = sigma0^{jl} d_i psi``; its terms read sigma0 and the
+    cutoff with its gradient, never a per-state sigma or sigma Jacobian:
+    ``div sigma^{.,l} = (sigma0^T grad psi)_l``, ``sum (d sigma)(d sigma) =
+    sum_k (sigma0^{.,k} . grad psi)^2``, the Gram ``psi^2 sigma0^T sigma0``,
+    the second term of G ``psi (sigma0^T grad psi)_k (sigma0^T g)_l``, and
+    the shifted divergences of G from the cutoff gradient alone.  They
+    agree with the per-state path to rounding.
     """
     pts = as_points(x, field.dim_state, "field")
-    sig = field.constant_sigma()
+    sig, cutoff = _sigma_matrix(field)
     const = sig is not None
     if ev is None:
         ev = field._eval(pts, sigma=not const, jac=True)
@@ -1120,6 +1142,11 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     g = m.grad_log_weight(pts)
     sg = np.einsum("...nm,...n->...m", sig, g)
     c = -2.0 * m.alpha / (1.0 + sq_norm(pts))
+    if cutoff is not None:  # sigma = psi sigma0: every sigma term in psi and grad psi
+        psi, dpsi = cutoff(pts, grad=True)
+        sg *= psi[..., None]
+        c = c * psi * psi
+        div = np.einsum("...nm,...n->...m", sig, dpsi)
     lam2 = (
         np.einsum("...ii->...", ev.drift_jac)
         + 0.5 * (c * np.einsum("...ik,...ik->...", sig, sig)
@@ -1127,7 +1154,10 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
         + np.einsum("...i,...i->...", ev.drift, g)
     )
     lam1 = sg
-    if not const:
+    if cutoff is not None:
+        lam2 -= 0.5 * np.einsum("...k,...k->...", div, div)
+        lam1 = div + sg
+    elif not const:
         lam2 = lam2 - 0.5 * np.einsum("...jki,...ikj->...", jac, jac)
         div = np.einsum("...iki->...k", jac)
         lam1 = div + sg
@@ -1138,11 +1168,21 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     gram = np.einsum("...ik,...il->...kl", sig, sig)
     G = np.multiply(gram, c[..., None, None], out=None if const else gram)
     G += np.einsum("...k,...l->...kl", sg, sg / m.alpha)
-    if not const:
+    if cutoff is not None:
+        G += np.einsum("...k,...l->...kl", div, sg)
+
+        def column(k):  # sigma^{.,k}
+            return psi[..., None] * sig[:, k]
+
+        def divergence(y):
+            return np.einsum("...n,nm->...m", cutoff(y, grad=True)[1], sig)
+    elif not const:
         G += np.einsum("...ik,...jli,...j->...kl", sig, jac, g)
-        for k in range(field.dim_noise):
-            shifted = field.sigma_divergence(pts + h * sig[..., :, k])
-            G[..., k, :] += (shifted - div) / h
+        column, divergence = (lambda k: sig[..., :, k]), field.sigma_divergence
+    else:
+        return lam1, lam2, G
+    for k in range(field.dim_noise):
+        G[..., k, :] += (divergence(pts + h * column(k)) - div) / h
     return lam1, lam2, G
 
 

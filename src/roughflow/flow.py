@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._seeds import derive_rng
-from .coefficients import CoefficientField, FieldEval, density_terms
+from .coefficients import CoefficientField, FieldEval, _sigma_matrix, density_terms
 from .measure import ReferenceMeasure, sq_norm
 
 __all__ = [
@@ -203,10 +203,11 @@ class FlowEnsemble:
 class FlowStack(tuple):
     """The flows of a stacked smoothed field (``mollify`` with several
     specs), one ``FlowEnsemble`` per spec in the order of its spec axis, as
-    ``integrate`` returns them.  ``states`` holds every member's states in
-    one array, the spec axis folded into the paths (shape (n_spec n_omega,
-    n_x, n_times, n)); ``n_exploded`` counts every member's exploded
-    tracks."""
+    ``integrate`` returns them, each with its own ``DensityTrack`` when
+    integrated with ``density=m``.  ``states`` holds every member's states
+    in one array, the spec axis folded into the paths (shape (n_spec
+    n_omega, n_x, n_times, n)); ``n_exploded`` counts every member's
+    exploded tracks."""
 
     states: NDArray[np.float64]
 
@@ -248,15 +249,20 @@ def integrate(
     moves every spec's copy of the starts in one state loop, one evaluation
     per step for all of them under the one driver, and returns a
     ``FlowStack``: one ``FlowEnsemble`` per spec, holding that spec's
-    single-spec field, bitwise the ensemble its own ``integrate`` gives.  A
-    stack tracks no density (``density=`` raises a ``ValueError``).
+    single-spec field, bitwise the ensemble its own ``integrate`` gives,
+    its ``DensityTrack`` included.
 
     With ``density=m`` the ensemble carries the ``DensityTrack`` of the
     push-forward of ``m`` (the field must provide Jacobians), accumulated in
-    blocks of whole steps of at most ``_TRACK_BLOCK_STATES`` states (at least
-    one step).  A smoothed field's Jacobians come from each step's quadrature
-    pass and are buffered per block; any other field evaluates them once per
-    block.  The states do not depend on ``density``.
+    blocks of whole steps of at most ``_TRACK_BLOCK_STATES`` states of one
+    spec (at least one step).  A smoothed field's Jacobians come from each
+    step's quadrature pass (for a stack, one pass for every spec) and are
+    buffered per block, all but a sigma of one matrix and its Jacobian,
+    which the terms read from the field (``density_terms``); any other field
+    evaluates them once per block.  Each
+    block's exponent terms run spec by spec, with the member's own field
+    and its part of the buffer, and are written into the track's arrays,
+    which are summed in place.  The states do not depend on ``density``.
     """
     dt = driver.dt
     n_steps = driver.step_index(T)
@@ -265,20 +271,25 @@ def integrate(
     if field.dim_noise != driver.dim_noise:
         raise ValueError("field noise dimension does not match the driver")
     members = field.members
-    if members is not None and density is not None:
-        raise ValueError(f"density= tracks one field's flow; field {field.name!r} is a stack "
-                         f"of {len(members)} smoothings, so integrate the density's level alone")
+    fields = (field,) if members is None else members
     shared_x0s, x = _initial_states(x0s, driver.n_omega, field.dim_state)
     n_omega, n_x, n = x.shape
-    if members is not None:  # the leading spec axis: one copy of the starts per spec
-        x = np.broadcast_to(x, (len(members),) + x.shape).copy()
-    states = np.empty(x.shape[:-1] + (n_steps + 1, n))
+    # every array below has the leading spec axis, of length 1 for one field;
+    # the field moves ``x`` without it unless it is a stack
+    states = np.empty((len(fields), n_omega, n_x, n_steps + 1, n))
     states[..., 0, :] = x
-    alive, frozen = np.ones(x.shape[:-1], dtype=bool), False
+    alive, frozen = np.ones(states.shape[:3], dtype=bool), False
+    ok = alive if members is not None else alive[0]  # a view in the batch shape of ``x``
+    if members is not None:
+        x = states[..., 0, :].copy()
+    lead = x.ndim - 1  # the batch axes of the field's values
     if density is not None:
         per_step, buf = field.is_smoothed, None
+        # the terms read a sigma of one matrix from the field, not the buffer
+        unread = () if _sigma_matrix(field)[0] is None else ("sigma", "sigma_jac")
         per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
-        lam2, ds = np.empty((2, n_omega, n_x, n_steps))
+        # the stochastic sum and the time integral: per-step terms, summed at the end
+        track = np.zeros((2,) + states.shape[:-1])
     for i in range(n_steps):
         ev = field.evaluate(x, jac=density is not None and per_step)
         step = (
@@ -287,13 +298,13 @@ def integrate(
         )
         moved = x + step
         if frozen:
-            moved = np.where(alive[..., None], moved, x)
+            moved = np.where(ok[..., None], moved, x)
         # one sum of squares per state; nan and inf fail the comparison
-        newly = ~(sq_norm(moved) <= EXPLOSION_THRESHOLD**2) & alive
+        newly = ~(sq_norm(moved) <= EXPLOSION_THRESHOLD**2) & ok
         if newly.any():
             # freeze at the last finite state
             moved = np.where(newly[..., None], x, moved)
-            alive &= ~newly
+            ok &= ~newly
             frozen = True
         x = moved
         states[..., i + 1, :] = x
@@ -303,46 +314,55 @@ def integrate(
         if per_step:
             if j == 0:
                 size = min(per_block, n_steps - i)
-                buf = FieldEval(*(np.empty(v.shape[:2] + (size,) + v.shape[2:])
-                                  for v in vars(ev).values()))
-            for name, v in vars(ev).items():
-                getattr(buf, name)[:, :, j] = v
+                buf = None  # the last block's buffer goes before the next one is made
+                buf = FieldEval(*(None if name in unread
+                                  else np.empty(states.shape[:3] + (size,) + v.shape[lead:])
+                                  for name, v in vars(ev).items()))
+            for name, v in vars(buf).items():
+                if v is not None:
+                    v[:, :, :, j] = getattr(ev, name)
         if j + 1 == per_block or i + 1 == n_steps:
             steps = slice(i - j, i + 1)
-            lam2[:, :, steps], ds[:, :, steps] = _exponent_terms(
-                field, density, states[:, :, steps, :], driver.increments[:, steps, :],
-                dt, buf)
+            after = slice(i - j + 1, i + 2)  # the terms' places in the track
+            for s, fld in enumerate(fields):
+                track[0, s, :, :, after], track[1, s, :, :, after] = _exponent_terms(
+                    fld, density, states[s, :, :, steps, :], driver.increments[:, steps, :],
+                    dt, None if buf is None else FieldEval(
+                        *(None if v is None else v[s] for v in vars(buf).values())))
     times = np.arange(n_steps + 1) * dt
+    if density is not None:
+        terms = track[..., 1:]
+        terms[1] *= dt
+        np.cumsum(terms, axis=-1, out=terms)  # in place: no second array of the track's size
 
-    def ensemble(fld, st, ok, track=None):
-        return FlowEnsemble(states=st, times=times,
-                            x0s=shared_x0s if shared_x0s is not None else st[0, :, 0, :],
-                            field=fld, driver=driver, exploded=~ok, density=track)
+    def ensemble(s):
+        return FlowEnsemble(
+            states=states[s], times=times,
+            x0s=shared_x0s if shared_x0s is not None else states[s, 0, :, 0, :],
+            field=fields[s], driver=driver, exploded=~alive[s],
+            density=None if density is None else _track(times, track[:, s], alive[s], density))
 
     if members is None:
-        return ensemble(field, states, alive,
-                        None if density is None else _track(times, lam2, ds, alive, dt, density))
-    stack = FlowStack(ensemble(fld, states[s], alive[s]) for s, fld in enumerate(members))
+        return ensemble(0)
+    stack = FlowStack(ensemble(s) for s in range(len(fields)))
     stack.states = states.reshape((-1,) + states.shape[2:])
     return stack
 
 
 def _exponent_terms(field, m, left, inc, dt, ev):
-    """Drift term and stochastic step (with its Ito-Taylor term) of the
+    """Stochastic step (with its Ito-Taylor term) and drift term of the
     exponent at a block's left points ``left`` (n_omega, n_x, steps, n), from
     ``ev``, the field there with Jacobians (evaluated here when None)."""
     lam1, lam2, grad = density_terms(field, m, left, ev, np.sqrt(dt))
     quad = inc[..., :, None] * inc[..., None, :] - dt * np.eye(inc.shape[-1])
-    return lam2, (np.einsum("oxnm,onm->oxn", lam1, inc)
-                  + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad))
+    return (np.einsum("oxnm,onm->oxn", lam1, inc)
+            + 0.5 * np.einsum("oxnkl,onkl->oxn", grad, quad)), lam2
 
 
-def _track(times, lam2, ds, alive, dt, m: ReferenceMeasure) -> DensityTrack:
-    """Cumulative sums of the exponent's per-step terms."""
-    stochastic, time_integral = np.zeros((2,) + lam2.shape[:2] + times.shape)
-    np.cumsum(ds, axis=2, out=stochastic[:, :, 1:])
-    lam2 *= dt
-    np.cumsum(lam2, axis=2, out=time_integral[:, :, 1:])
+def _track(times, track, alive, m: ReferenceMeasure) -> DensityTrack:
+    """The ``DensityTrack`` of one flow from its summed ``track`` (the
+    stochastic sum and the time integral)."""
+    stochastic, time_integral = track
     valid = alive & np.isfinite(stochastic[:, :, -1]) & np.isfinite(time_integral[:, :, -1])
     return DensityTrack(times, stochastic, time_integral, valid, m.total_mass())
 

@@ -755,6 +755,30 @@ class TestConstantSigma:
             for a, b in zip(got, want):
                 assert a.shape == b.shape and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name,level", [("log-singular", 2.0), ("log-singular", 16.0),
+                                            ("linear", 2.0)])
+    def test_smoothed_closed_forms_match_the_per_state_path(self, name, level):
+        # sigma_k = psi_k sigma0: the closed forms in psi_k and grad psi_k
+        # against the general path on the same smoothed evaluation
+        fam = make_family(name)
+        m, smooth = fam.measure, mollify(fam.field, fam.mollifier(level))
+        per_state = CoefficientField(smooth.dim_state, smooth.dim_noise, None, None)
+        per_state._eval = lambda *args, **kwargs: smooth._eval(*args, **kwargs)
+        n = smooth.dim_state
+        # the origin, inside B(k), the cutoff band k < |x| < 2k, beyond 2k
+        radii = np.array([0.0, 0.3, 0.9, 1.2, 1.5, 1.9, 2.5, 4.0])
+        dirs = derive_rng(14, f"closed-{name}").normal(size=(len(radii), n))
+        pts = level * radii[:, None] * dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+        psi = smooth._eval.spec.cutoff(pts)
+        assert np.any(psi == 1.0) and np.any(psi == 0.0) and np.any((0 < psi) & (psi < 1))
+        for ev in (None, smooth.evaluate(pts, jac=True)):
+            for h in (None, 2.0**-5):
+                got = density_terms(smooth, m, pts, ev, h)
+                want = density_terms(per_state, m, pts, ev, h)
+                for a, b in zip(got[:2 if h is None else 3], want):
+                    assert a.shape == b.shape
+                    assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b).max())
+
 
 def _old_affine_closed_form(name, x, rate=1.0, noise=0.6):
     """(sigma, b, sigma_jac, b_jac) of an affine family as each was written

@@ -19,10 +19,12 @@ from roughflow import (
     lp_density_norm,
     make_family,
     mollify,
+    select_t0,
     sup_lp_density_norm,
     uniform_density_bound,
 )
-from roughflow import flow
+from roughflow import coefficients, flow
+from roughflow import density as density_module
 from roughflow._seeds import derive_rng, derive_seed
 
 
@@ -298,6 +300,47 @@ class TestBounds:
         assert report.product_form
         assert np.isfinite(report.rhs) and not report.rhs_divergent
         assert report.passed
+
+
+class TestUniformBoundWork:
+    """``uniform_density_bound`` integrates one stack of its levels, with
+    every level's density, and evaluates it once per step for all of them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        count = {"integrate": 0, "stack": 0, "other": 0}
+        original_integrate, original_evaluate = density_module.integrate, CoefficientField.evaluate
+
+        def counted_integrate(*args, **kwargs):
+            count["integrate"] += 1
+            return original_integrate(*args, **kwargs)
+
+        def counted_evaluate(self, x, jac=False):
+            count["stack" if self.members is not None else "other"] += 1
+            return original_evaluate(self, x, jac)
+
+        monkeypatch.setattr(density_module, "integrate", counted_integrate)
+        monkeypatch.setattr(CoefficientField, "evaluate", counted_evaluate)
+        return count
+
+    @pytest.mark.parametrize("name", ["log-singular", "partially-sobolev"])
+    def test_one_flow_and_one_evaluation_per_step(self, counts, name):
+        fam = make_family(name)
+        levels, p, dt = [2.0, 4.0, 8.0, 16.0], 2.0, 2.0**-8
+        structured = fam.measure1 is not None
+        t0 = select_t0(fam.p0, p, product_form=structured)
+        n_steps = int(round(t0 / dt))
+        drv = BrownianDriver.generate(fam.field.dim_noise, dt, n_steps, 2,
+                                      derive_seed(15, f"work-{name}"))
+        x0 = fam.measure.sample(derive_rng(15, f"work-x0-{name}"), 3)
+        report = uniform_density_bound(fam, levels, drv, x0, p, budget=200,
+                                       rng=derive_rng(15, f"work-rhs-{name}"))
+        assert len(report.norms) == len(levels)
+        assert counts["integrate"] == 1
+        assert counts["stack"] == n_steps
+        # the rough field's condition integral (plain fields) evaluates once
+        # per stage; a structured field's blocks are read without evaluate
+        assert counts["other"] == (0 if structured else coefficients._CONDITION_STAGES)
 
 
 class TestEntropy:

@@ -10,6 +10,7 @@ from roughflow import (
     CoefficientField,
     FlowEnsemble,
     MollifierSpec,
+    ReferenceMeasure,
     compose_time_shift,
     convergence_metric,
     integrate,
@@ -18,6 +19,7 @@ from roughflow import (
     mollify,
     sup_lp_density_norm,
 )
+from roughflow import flow
 from roughflow._seeds import derive_rng, derive_seed
 from roughflow.stability import stability_functional
 
@@ -281,12 +283,33 @@ class TestStackedFlow:
             if name == "cubic":
                 assert 0 < flows.n_exploded < flows.states.shape[0] * len(x0)
 
-    def test_a_stack_tracks_no_density(self):
-        fam = make_family("log-singular")
-        stack = mollify(fam.field, [fam.mollifier(2.0), fam.mollifier(4.0)])
-        drv = BrownianDriver.generate(2, 2.0**-4, 4, 2, seed=5)
-        with pytest.raises(ValueError, match="density= tracks one field's flow"):
-            integrate(stack, drv, np.zeros((1, 2)), 0.25, density=fam.measure)
+    @pytest.mark.parametrize("name", ["cubic", "log-singular", "partially-sobolev"])
+    def test_members_track_their_own_densities(self, monkeypatch, name):
+        if name == "cubic":
+            field, m = self.cubic(), ReferenceMeasure(1, 3.0)
+            x0 = np.array([[0.1], [-0.5], [3.0], [5.0], [9.0]])
+            specs = [MollifierSpec(dim=1, level=k, order=16, panels=1) for k in (2.0, 4.0, 8.0)]
+        else:
+            fam = make_family(name)
+            field, m = fam.field, fam.measure
+            x0 = m.sample(derive_rng(22, f"stack-x0-{name}"), 5)
+            specs = [fam.mollifier(k) for k in (2.0, 4.0, 16.0)]
+        n_omega, n_steps = 3, 11
+        drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, n_omega,
+                                      derive_seed(22, f"stack-density-{name}"))
+        stack = mollify(field, specs)
+        # blocks of 3 steps split the run mid-way; one block holds every step
+        for per_block in (3, n_steps):
+            monkeypatch.setattr(flow, "_TRACK_BLOCK_STATES", n_omega * len(x0) * per_block)
+            flows = integrate(stack, drv, x0, n_steps * drv.dt, density=m)
+            for spec, ens in zip(specs, flows):
+                alone = integrate(mollify(field, spec), drv, x0, n_steps * drv.dt, density=m)
+                assert ens.states.tobytes() == alone.states.tobytes()
+                for part in ("stochastic", "time_integral", "valid", "times"):
+                    assert (getattr(ens.density, part).tobytes()
+                            == getattr(alone.density, part).tobytes()), part
+            if name == "cubic":  # some tracks explode, and only at some levels
+                assert 0 < flows.n_exploded < len(specs) * n_omega * len(x0)
 
 
 class TestComposition:
