@@ -156,9 +156,9 @@ def stability_needs(fam) -> Optional[str]:
 
 def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int):
     """Stability and uniqueness of the generalized flow, smoothed with
-    ``fam.mollifier``: ``(table, uniqueness, decreasing,
-    below_final_gap)``.  The Cauchy metrics must decrease along ``levels``
-    and the uniqueness metric at the last level sit below the final gap.
+    ``fam.mollifier``: ``(table, decreasing, below_final_gap)``.  The
+    Cauchy metrics must decrease along ``levels`` and the table's
+    ``uniqueness_metric`` at the last level sit below the final gap.
     A family ``stability_needs`` rejects raises a ``ValueError``."""
     unmet = stability_needs(fam)
     if unmet:
@@ -166,8 +166,7 @@ def cauchy_uniqueness_checks(fam, levels, driver, x0, T: float, norm_budget: int
     table = st.cauchy_experiment(fam, levels, driver, x0, T, norm_budget)
     metrics = table.metrics()
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]))
-    unq = st.uniqueness_experiment(table)
-    return table, unq, decreasing, unq.metric < metrics[-1]
+    return table, decreasing, table.uniqueness_metric < metrics[-1]
 
 
 def weak_derivative_checks(fam, eps_list, driver, xy0, T: float):
@@ -456,14 +455,14 @@ def criterion_8(seed: int, scale: float):
             _scaled(20, np.sqrt(scale)), _scaled(32, np.sqrt(scale)),
             f"c8-driver-{name}", f"c8-x0-{name}",
         )
-        table, unq, decreasing, below_gap = cauchy_uniqueness_checks(
+        table, decreasing, below_gap = cauchy_uniqueness_checks(
             fam, levels, drv, x0, T, _scaled(20000, scale)
         )
         passed &= decreasing and below_gap
         details[name] = dict(
             metrics=[round(v, 5) for v in table.metrics()],
             support_fraction=[r.support_fraction for r in table.rows],
-            uniqueness_metric=round(unq.metric, 6),
+            uniqueness_metric=round(table.uniqueness_metric, 6),
             radius=float(table.radius),
             lambda_pt=float(round(table.lambda_pt, 4)),
             decreasing=decreasing,

@@ -151,7 +151,8 @@ _AFFINE = {
 
 
 def _affine(dim: int, rate: float, noise: float, name: str) -> CoefficientField:
-    """sigma = noise I and b = -rate x on R^dim, with their Jacobians."""
+    """sigma = noise I (declared as ``sigma0``) and b = -rate x on R^dim,
+    with their Jacobians."""
 
     def tiled(mat):
         # mat at every point, as a fresh array: one allocation and one copy
@@ -162,14 +163,15 @@ def _affine(dim: int, rate: float, noise: float, name: str) -> CoefficientField:
 
         return fn
 
+    sigma0 = noise * np.eye(dim)
     return CoefficientField(
         dim_state=dim, dim_noise=dim,
-        sigma_fn=tiled(noise * np.eye(dim)),
+        sigma_fn=tiled(sigma0),
         drift_fn=lambda x: -rate * x,
         sigma_jac_fn=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)),
         drift_jac_fn=tiled(-rate * np.eye(dim)),
         name=name,
-        sigma_constant=True,
+        sigma0=sigma0,
     )
 
 

@@ -292,7 +292,7 @@ def _run_density(cfg: ExperimentConfig, out: Path) -> list:
 
 def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
     fam, m, drv, x0 = cfg.paths(cfg.T)
-    table, unq, decreasing, below_gap = acceptance.cauchy_uniqueness_checks(
+    table, decreasing, below_gap = acceptance.cauchy_uniqueness_checks(
         fam, list(cfg.k_list), drv, x0, cfg.T, cfg.mc_budget
     )
     _write_table(
@@ -305,7 +305,7 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list:
         dict(name="convergence metric decreasing", passed=decreasing,
              metrics=metrics, support_fraction=[r.support_fraction for r in table.rows]),
         dict(name="uniqueness metric below final gap", passed=below_gap,
-             uniqueness_metric=unq.metric, final_gap=metrics[-1]),
+             uniqueness_metric=table.uniqueness_metric, final_gap=metrics[-1]),
     ]
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
@@ -118,9 +118,12 @@ class CoefficientField:
     them).  ``evaluate`` and the accessors call ``_eval``.  A field without
     Jacobian callables is never differenced (its coefficients may jump):
     asking for a Jacobian raises a ``ValueError`` naming it, and
-    ``mollify`` gives a differentiable field on the line.  Fields are
-    immutable in practice: evaluation never mutates state, so a field
-    instance is safe for concurrent use.
+    ``mollify`` gives a differentiable field on the line.  A field whose
+    sigma is one (n, m) matrix declares it as ``sigma0``, which smoothing
+    and ``density_terms`` read instead of per-state values; ``mollify``
+    carries it to the smoothed field, whose sigma is ``psi_k sigma0``.
+    Fields are immutable in practice: evaluation never mutates state, so a
+    field instance is safe for concurrent use.
     """
 
     dim_state: int
@@ -130,7 +133,8 @@ class CoefficientField:
     sigma_jac_fn: Optional[Callable] = None
     drift_jac_fn: Optional[Callable] = None
     name: str = ""
-    sigma_constant: bool = False  # sigma is read at one point (smoothing, density terms)
+    # a declared-constant sigma's (n, m) matrix; an array is no == operand
+    sigma0: Optional[NDArray[np.float64]] = dc_field(default=None, compare=False)
     # a field smoothed by ``mollify`` with several specs: its single-spec
     # fields, in the order of the leading spec axis of its points
     members = None
@@ -171,11 +175,6 @@ class CoefficientField:
     def drift_jac(self, x) -> NDArray[np.float64]:
         """d b^i / d x_j, shape (..., n, n)."""
         return self._eval(as_points(x, self.dim_state, "field"), sigma=False, jac=True).drift_jac
-
-    def constant_sigma(self) -> Optional[NDArray[np.float64]]:
-        """The (n, m) matrix of a declared-constant sigma, read at the
-        origin; None for any other field."""
-        return self.sigma(np.zeros((1, self.dim_state)))[0] if self.sigma_constant else None
 
     @property
     def is_analytic(self) -> bool:
@@ -321,14 +320,15 @@ class Swirl(CoefficientField):
     vanishing from ``r = 1`` on (the module's ``_SWIRL_RATE`` and
     ``_SWIRL_RADIUS``).
 
-    ``Swirl(profile, params, noise, name)``: ``profile(r, *params,
-    deriv=False)`` gives the swirl speed ``s = r g``, or ``(s, s')`` with
-    ``deriv``, at radii ``0 < r < 1``; it is a module-level function, so
-    ``(profile, params)`` names a profile by value.  ``_eval`` is the rough
-    field, one profile call per evaluation, at r = ``hypot`` where
-    ``|x|^2`` is subnormal or underflows (elsewhere its root).  Its
-    Jacobian takes ``g' = s'/r - s/r^2`` where that is a float; nearer 0,
-    where it overflows, from ``r g' = s' - g`` and ``e = x / r`` instead.
+    ``Swirl(profile, params, noise, name)`` declares its sigma as ``sigma0
+    = noise I``; ``profile(r, *params, deriv=False)`` gives the swirl speed
+    ``s = r g``, or ``(s, s')`` with ``deriv``, at radii ``0 < r < 1``; it
+    is a module-level function, so ``(profile, params)`` names a profile by
+    value.  ``_eval`` is the rough field, one profile call per evaluation,
+    at r = ``hypot`` where ``|x|^2`` is subnormal or underflows (elsewhere
+    its root).  Its Jacobian takes ``g' = s'/r - s/r^2`` where that is a
+    float; nearer 0, where it overflows, from ``r g' = s' - g`` and ``e = x
+    / r`` instead.
     Where ``|x|^2`` underflows to 0 (``_tiny``) the drift is ``-x + s
     e^perp``, from one more profile call, and its Jacobian -I.
     ``mollify`` smooths it through the symmetry: the kernel is radial, so
@@ -340,13 +340,13 @@ class Swirl(CoefficientField):
     """
 
     def __init__(self, profile: Callable, params: tuple, noise: float, name: str = ""):
-        super().__init__(2, 2, None, None, name=name, sigma_constant=True)
-        self.profile, self.params, self.noise = profile, tuple(params), noise
+        super().__init__(2, 2, None, None, name=name, sigma0=noise * np.eye(2))
+        self.profile, self.params = profile, tuple(params)
 
     def _eval(self, pts, sigma=True, drift=True, jac=False) -> FieldEval:
         out, lead = FieldEval(None, None), pts.shape[:-1]
         if sigma:
-            out.sigma = np.broadcast_to(self.noise * np.eye(2), lead + (2, 2)).copy()
+            out.sigma = np.broadcast_to(self.sigma0, lead + (2, 2)).copy()
             if jac:
                 out.sigma_jac = np.zeros(lead + (2, 2, 2))
         if drift:
@@ -834,9 +834,9 @@ class _Smoother:
     layout for either rule: one pass (``_convolved``).
     The Jacobian ``(f * grad chi_k) psi_k + (f * chi_k) grad psi_k`` needs
     the values, so a call returns the values with every Jacobian.  For a
-    declared-constant sigma (``sigma0``, its value) the convolution is the
-    identity (the discrete kernel weights sum to one), so sigma_k reduces
-    exactly to sigma * psi_k and only the cutoff is evaluated.
+    declared-constant sigma (``sigma0``, the rough field's) the convolution
+    is the identity (the discrete kernel weights sum to one), so sigma_k
+    reduces exactly to sigma * psi_k and only the cutoff is evaluated.
 
     ``spec`` is one ``MollifierSpec`` or a ``_SpecStack``: the cutoff and
     the pass read each state's level, rule weights or slice tables by its
@@ -962,7 +962,7 @@ def _swirl_table(profile: Callable, params: tuple, level: float, shape: float):
 
 class _SwirlSmoother(_Smoother):
     """``(b * chi_k) psi_k`` of a ``Swirl`` field from its table, with
-    sigma_k = noise I psi_k: no quadrature pass.
+    sigma_k = psi_k sigma0: no quadrature pass.
 
     Within the table's reach the convolved drift is ``_swirl`` with ``H =
     h_k / r`` (``h_k'(0)`` at r = 0), h_k the cubic Hermite spline of
@@ -974,7 +974,7 @@ class _SwirlSmoother(_Smoother):
     """
 
     def __init__(self, spec: MollifierSpec, swirl: Swirl):
-        super().__init__(spec, None, (2, 2), swirl.noise * np.eye(2))
+        super().__init__(spec, None, (2, 2), swirl.sigma0)
         self.swirl = swirl
 
     @functools.cached_property
@@ -1036,8 +1036,12 @@ def mollify(field: CoefficientField, spec) -> CoefficientField:
     integrates the second block's jump at its record's ``x1_break``
     exactly, so the smoothed block is genuinely differentiable in x1 too,
     with the full Jacobian.  A structured field is rejected without
-    first-block Jacobians, when already smoothed (its record holds the
-    rough block), and unless planar with an ``x1_break``.
+    first-block Jacobians and unless planar with an ``x1_break``.
+
+    A declared-constant sigma is not convolved: the smoothed field carries
+    the rough field's ``sigma0``, and its sigma is ``psi_k sigma0``.  So an
+    already smoothed field is rejected (its ``sigma0`` and a structured
+    field's block record are the rough field's).
     """
     if not isinstance(spec, MollifierSpec):
         stack = _SpecStack(spec)
@@ -1046,19 +1050,20 @@ def mollify(field: CoefficientField, spec) -> CoefficientField:
         return smooth
     if spec.dim != field.dim_state:
         raise ValueError("mollifier dimension does not match the field")
+    if field.is_smoothed:
+        raise ValueError("field is already smoothed; smooth its rough base instead")
     n, m = field.dim_state, field.dim_noise
     levels = ",".join(f"{member.level:g}" for member in spec._specs)
     if not isinstance(field, StructuredCoefficient):
         if n > 1 and not isinstance(field, Swirl):
             raise ValueError(f"field {field.name!r} is a plain field on R^{n}: {_PLANAR}")
-        smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={levels}")
+        smooth = CoefficientField(n, m, None, None, name=f"{field.name}|k={levels}",
+                                  sigma0=field.sigma0)
         smooth._eval = (_SwirlSmoother(spec, field) if isinstance(field, Swirl)
-                        else _Smoother(spec, field._eval, (n, m), field.constant_sigma()))
+                        else _Smoother(spec, field._eval, (n, m), field.sigma0))
         return smooth
     if field.blocks.sigma1_jac is None or field.blocks.drift1_jac is None:
         raise ValueError("structured mollification needs analytic first-block Jacobians")
-    if field.is_smoothed:
-        raise ValueError("field is already smoothed; smooth its rough base instead")
     if field.blocks.x1_break is None or n != 2:
         raise ValueError(f"field {field.name!r}: the slice rule smooths a planar block field "
                          "whose FieldBlocks record declares its x1_break")
@@ -1072,18 +1077,6 @@ def mollify(field: CoefficientField, spec) -> CoefficientField:
 # ---------------------------------------------------------------------------
 # density-exponent functionals
 # ---------------------------------------------------------------------------
-
-
-def _sigma_matrix(field: CoefficientField):
-    """``(sigma0, cutoff)`` of a sigma read from one (n, m) matrix: a
-    declared constant (``constant_sigma``; cutoff None) or a smoothed one,
-    ``psi sigma0`` (a smoother's ``sigma0`` and its spec's ``cutoff``);
-    ``(None, None)`` for any other field.  ``density_terms`` reads no
-    per-state sigma or sigma Jacobian of such a field."""
-    smoother = field._eval if isinstance(field._eval, _Smoother) else None
-    if smoother is not None and smoother.sigma0 is not None:
-        return smoother.sigma0, smoother.spec.cutoff
-    return field.constant_sigma(), None
 
 
 def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
@@ -1114,18 +1107,18 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     besides ``ev``, the field with Jacobians at ``x`` (taken here when None).
     With ``h=None`` G is None and the difference is skipped.
 
-    A declared-constant sigma (``sigma_constant``) is one (n, m) matrix
-    (``constant_sigma``): no per-state sigma or sigma Jacobian is evaluated
-    or read, its Gram terms ``sigma^T sigma`` and ``|sigma|^2`` are formed
-    once and broadcast against the weight factor, and every term with a
-    sigma derivative (the divergence, ``-1/2 sum (d sigma)(d sigma)``, and
-    the last two terms of G) vanishes and is skipped.  Each term is bitwise
-    the one the per-state path gives on a sigma Jacobian of zeros.
+    A declared-constant sigma is one (n, m) matrix, the field's ``sigma0``:
+    no per-state sigma or sigma Jacobian is evaluated or read, its Gram
+    terms ``sigma^T sigma`` and ``|sigma|^2`` are formed once and broadcast
+    against the weight factor, and every term with a sigma derivative (the
+    divergence, ``-1/2 sum (d sigma)(d sigma)``, and the last two terms of
+    G) vanishes and is skipped.  Each term is bitwise the one the per-state
+    path gives on a sigma Jacobian of zeros.
 
-    A smoothed declared-constant sigma (a smoother's ``sigma0``, the linear
-    and swirl fields) is ``sigma = psi sigma0``, psi the spec's cutoff, so
-    ``d_i sigma^{jl} = sigma0^{jl} d_i psi``; its terms read sigma0 and the
-    cutoff with its gradient, never a per-state sigma or sigma Jacobian:
+    A smoothed field with a ``sigma0`` (the linear and swirl fields) has
+    ``sigma = psi sigma0``, psi its spec's cutoff, so ``d_i sigma^{jl} =
+    sigma0^{jl} d_i psi``; its terms read sigma0 and the cutoff with its
+    gradient, never a per-state sigma or sigma Jacobian:
     ``div sigma^{.,l} = (sigma0^T grad psi)_l``, ``sum (d sigma)(d sigma) =
     sum_k (sigma0^{.,k} . grad psi)^2``, the Gram ``psi^2 sigma0^T sigma0``,
     the second term of G ``psi (sigma0^T grad psi)_k (sigma0^T g)_l``, and
@@ -1133,8 +1126,9 @@ def density_terms(field: CoefficientField, m: ReferenceMeasure, x,
     agree with the per-state path to rounding.
     """
     pts = as_points(x, field.dim_state, "field")
-    sig, cutoff = _sigma_matrix(field)
+    sig = field.sigma0
     const = sig is not None
+    cutoff = field._eval.spec.cutoff if const and field.is_smoothed else None
     if ev is None:
         ev = field._eval(pts, sigma=not const, jac=True)
     if not const:

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._seeds import derive_rng
-from .coefficients import CoefficientField, FieldEval, _sigma_matrix, density_terms
+from .coefficients import CoefficientField, FieldEval, density_terms
 from .measure import ReferenceMeasure, sq_norm
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "integrate",
     "compose_time_shift",
     "convergence_metric",
+    "check_coupled",
     "level_set_tail",
     "LevelSetReport",
 ]
@@ -194,10 +195,9 @@ class FlowEnsemble:
         return self.states[:, :, self.time_index(t), :]
 
     def diff_sup(self, other: "FlowEnsemble") -> NDArray[np.float64]:
-        """max over common grid times of |X - Y|, per (omega, x)."""
-        n_t = min(self.states.shape[2], other.states.shape[2])
-        diff = self.states[:, :, :n_t, :] - other.states[:, :, :n_t, :]
-        return np.sqrt(sq_norm(diff)).max(axis=-1)
+        """max over grid times of |X - Y|, per (omega, x), for a coupled
+        ``other`` (``check_coupled``)."""
+        return np.sqrt(sq_norm(self.states - other.states)).max(axis=-1)
 
 
 class FlowStack(tuple):
@@ -250,19 +250,21 @@ def integrate(
     per step for all of them under the one driver, and returns a
     ``FlowStack``: one ``FlowEnsemble`` per spec, holding that spec's
     single-spec field, bitwise the ensemble its own ``integrate`` gives,
-    its ``DensityTrack`` included.
+    its ``DensityTrack`` included.  Any other field runs as a one-member
+    stack (its states keep a spec axis of length 1) and returns its
+    ``FlowEnsemble``.
 
     With ``density=m`` the ensemble carries the ``DensityTrack`` of the
     push-forward of ``m`` (the field must provide Jacobians), accumulated in
     blocks of whole steps of at most ``_TRACK_BLOCK_STATES`` states of one
     spec (at least one step).  A smoothed field's Jacobians come from each
     step's quadrature pass (for a stack, one pass for every spec) and are
-    buffered per block, all but a sigma of one matrix and its Jacobian,
-    which the terms read from the field (``density_terms``); any other field
-    evaluates them once per block.  Each
-    block's exponent terms run spec by spec, with the member's own field
-    and its part of the buffer, and are written into the track's arrays,
-    which are summed in place.  The states do not depend on ``density``.
+    buffered per block, all but a declared-constant sigma and its Jacobian,
+    which the terms read from the field's ``sigma0`` (``density_terms``);
+    any other field evaluates them once per block.  Each block's exponent
+    terms run spec by spec, with the member's own field and its part of the
+    buffer, and are written into the track's arrays, which are summed in
+    place.  The states do not depend on ``density``.
     """
     dt = driver.dt
     n_steps = driver.step_index(T)
@@ -270,23 +272,18 @@ def integrate(
         raise ValueError("T must cover at least one step")
     if field.dim_noise != driver.dim_noise:
         raise ValueError("field noise dimension does not match the driver")
-    members = field.members
-    fields = (field,) if members is None else members
-    shared_x0s, x = _initial_states(x0s, driver.n_omega, field.dim_state)
-    n_omega, n_x, n = x.shape
-    # every array below has the leading spec axis, of length 1 for one field;
-    # the field moves ``x`` without it unless it is a stack
+    fields = field.members or (field,)
+    shared_x0s, init = _initial_states(x0s, driver.n_omega, field.dim_state)
+    n_omega, n_x, n = init.shape
+    # one field runs as a one-member stack: every array has the leading spec axis
     states = np.empty((len(fields), n_omega, n_x, n_steps + 1, n))
-    states[..., 0, :] = x
+    states[..., 0, :] = init
+    x = states[..., 0, :].copy()
     alive, frozen = np.ones(states.shape[:3], dtype=bool), False
-    ok = alive if members is not None else alive[0]  # a view in the batch shape of ``x``
-    if members is not None:
-        x = states[..., 0, :].copy()
-    lead = x.ndim - 1  # the batch axes of the field's values
     if density is not None:
         per_step, buf = field.is_smoothed, None
-        # the terms read a sigma of one matrix from the field, not the buffer
-        unread = () if _sigma_matrix(field)[0] is None else ("sigma", "sigma_jac")
+        # the terms read a declared-constant sigma from the field, not the buffer
+        unread = () if field.sigma0 is None else ("sigma", "sigma_jac")
         per_block = max(1, _TRACK_BLOCK_STATES // (n_omega * n_x))
         # the stochastic sum and the time integral: per-step terms, summed at the end
         track = np.zeros((2,) + states.shape[:-1])
@@ -298,13 +295,13 @@ def integrate(
         )
         moved = x + step
         if frozen:
-            moved = np.where(ok[..., None], moved, x)
+            moved = np.where(alive[..., None], moved, x)
         # one sum of squares per state; nan and inf fail the comparison
-        newly = ~(sq_norm(moved) <= EXPLOSION_THRESHOLD**2) & ok
+        newly = ~(sq_norm(moved) <= EXPLOSION_THRESHOLD**2) & alive
         if newly.any():
             # freeze at the last finite state
             moved = np.where(newly[..., None], x, moved)
-            ok &= ~newly
+            alive &= ~newly
             frozen = True
         x = moved
         states[..., i + 1, :] = x
@@ -315,8 +312,9 @@ def integrate(
             if j == 0:
                 size = min(per_block, n_steps - i)
                 buf = None  # the last block's buffer goes before the next one is made
+                # (spec, omega, x, step) axes, then each value's own axes
                 buf = FieldEval(*(None if name in unread
-                                  else np.empty(states.shape[:3] + (size,) + v.shape[lead:])
+                                  else np.empty(states.shape[:3] + (size,) + v.shape[3:])
                                   for name, v in vars(ev).items()))
             for name, v in vars(buf).items():
                 if v is not None:
@@ -342,7 +340,7 @@ def integrate(
             field=fields[s], driver=driver, exploded=~alive[s],
             density=None if density is None else _track(times, track[:, s], alive[s], density))
 
-    if members is None:
+    if field.members is None:
         return ensemble(0)
     stack = FlowStack(ensemble(s) for s in range(len(fields)))
     stack.states = states.reshape((-1,) + states.shape[2:])
@@ -379,19 +377,25 @@ def compose_time_shift(ensemble: FlowEnsemble, s: float, horizon: float) -> Flow
     return integrate(ensemble.field, shifted, ensemble.state_at(s), horizon)
 
 
-def convergence_metric(e1: FlowEnsemble, e2: FlowEnsemble) -> float:
-    """Mean of 1 ^ sup_t |X1 - X2| over (omega, x), normalized in mu.
-
-    Both ensembles must share the driver (``BrownianDriver.fingerprint``),
-    starting points and time grid, and at least one track must be valid in
-    both (else a ``ValueError``).
-    """
+def check_coupled(e1: FlowEnsemble, e2: FlowEnsemble) -> None:
+    """Raise a ``ValueError`` unless two ensembles are coupled: one shape
+    (so one time grid), one driver (``BrownianDriver.fingerprint``) and
+    one set of starting points."""
     if e1.states.shape != e2.states.shape:
         raise ValueError("ensembles have mismatched shapes")
     if e1.driver.fingerprint != e2.driver.fingerprint:
         raise ValueError("ensembles do not share a driver")
     if not np.array_equal(e1.states[:, :, 0, :], e2.states[:, :, 0, :]):
         raise ValueError("ensembles do not share starting points")
+
+
+def convergence_metric(e1: FlowEnsemble, e2: FlowEnsemble) -> float:
+    """Mean of 1 ^ sup_t |X1 - X2| over (omega, x), normalized in mu.
+
+    Both ensembles must be coupled (``check_coupled``) and at least one
+    track must be valid in both (else a ``ValueError``).
+    """
+    check_coupled(e1, e2)
     ok = e1.valid() & e2.valid()
     if not ok.any():
         raise ValueError("convergence metric: no track is valid in both ensembles")

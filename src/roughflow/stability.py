@@ -20,26 +20,19 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Family
-from .coefficients import (
-    CoefficientField,
-    MollifierSpec,
-    StructuredCoefficient,
-    mollify,
-)
+from .coefficients import CoefficientField, StructuredCoefficient, mollify
 from .density import sup_lp_density_norm
-from .flow import BrownianDriver, FlowEnsemble, convergence_metric, integrate
+from .flow import BrownianDriver, FlowEnsemble, check_coupled, convergence_metric, integrate
 from .measure import ReferenceMeasure, magnitude, sq_norm
 
 __all__ = [
     "stability_functional",
     "stability_bound",
     "cauchy_experiment",
-    "uniqueness_experiment",
     "StabilityValue",
     "StabilityBound",
     "CauchyRow",
     "CauchyExperiment",
-    "UniquenessResult",
 ]
 
 
@@ -63,13 +56,11 @@ def stability_functional(
     delta: float,
     m: ReferenceMeasure,
 ) -> StabilityValue:
-    """Level-set-restricted log distance between two coupled flows."""
+    """Level-set-restricted log distance between two coupled flows
+    (``check_coupled``; else a ``ValueError``)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if e1.states.shape[:2] != e2.states.shape[:2]:
-        raise ValueError("ensembles have mismatched index sets")
-    if e1.driver.fingerprint != e2.driver.fingerprint:
-        raise ValueError("ensembles do not share a driver")
+    check_coupled(e1, e2)
     inside = (
         (e1.sup_norm() <= radius)
         & (e2.sup_norm() <= radius)
@@ -220,9 +211,7 @@ class CauchyExperiment:
     rows: list
     radius: float
     lambda_pt: float
-    final: FlowEnsemble          # the flow at the last level, for uniqueness_experiment
-    final_spec: MollifierSpec    # its smoothing
-    second_kernel: FlowEnsemble  # the last level's flow under the uniqueness kernel
+    uniqueness_metric: float  # the last level's two kernels: clipped convergence metric
 
     def metrics(self) -> list:
         return [r.metric for r in self.rows]
@@ -249,11 +238,17 @@ def cauchy_experiment(
     scheme shows as the metric column decreasing in k.  The bound's
     ``lambda_pt`` is the sup L^p norm of the last level's tracked density.
 
+    ``uniqueness_metric`` compares the limits of two smoothing schemes: the
+    clipped convergence metric between the last level's flow and the flow
+    at the same level, quadrature, driver, starts and horizon under a second
+    admissible kernel, the bump of shape ``_UNIQUENESS_SHAPE`` (sharper than
+    the Cauchy kernel's).  A value below the final Cauchy gap evidences a
+    common limit, i.e. uniqueness of the generalized flow.
+
     Two flows are integrated: the last level alone, with its density, and
     one stack (``mollify`` of several specs) of the other levels and of the
-    last level under the uniqueness kernel (``_UNIQUENESS_SHAPE``), which
-    ``uniqueness_experiment`` compares with the last level's flow.  Each
-    stacked flow is bitwise the flow its spec gives alone.
+    last level under the uniqueness kernel.  Each stacked flow is bitwise
+    the flow its spec gives alone.
     """
     m, q = family.measure, family.q
     specs = [family.mollifier(k) for k in levels]
@@ -281,25 +276,4 @@ def cauchy_experiment(
             )
         )
     return CauchyExperiment(rows=rows, radius=radius, lambda_pt=float(lambda_pt),
-                            final=ensembles[-1], final_spec=specs[-1], second_kernel=second)
-
-
-@dataclass
-class UniquenessResult:
-    metric: float
-    level: float
-
-
-def uniqueness_experiment(cauchy: CauchyExperiment) -> UniquenessResult:
-    """Compare the limits of two different smoothing schemes.
-
-    The last flow of ``cauchy`` against the same level, quadrature, driver,
-    starts and horizon under a second admissible kernel, the bump of shape
-    ``_UNIQUENESS_SHAPE`` (sharper than the Cauchy kernel's): the clipped
-    convergence metric between the two.  A value below the final Cauchy gap
-    evidences a common limit, i.e. uniqueness of the generalized flow.
-    ``cauchy_experiment`` integrated both flows, so nothing is integrated
-    here.
-    """
-    return UniquenessResult(metric=convergence_metric(cauchy.final, cauchy.second_kernel),
-                            level=cauchy.final_spec.level)
+                            uniqueness_metric=convergence_metric(ensembles[-1], second))

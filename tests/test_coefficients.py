@@ -1,6 +1,5 @@
 """Coefficient fields, mollification, and the density-exponent functionals."""
 
-import copy
 import math
 import warnings
 from dataclasses import replace
@@ -322,8 +321,9 @@ class TestSwirlField:
     def test_declaration_fields(self):
         field = make_family("log-singular").field
         assert isinstance(field, Swirl) and (field.dim_state, field.dim_noise) == (2, 2)
-        assert (field.profile, field.params, field.noise) == (catalog._vortex_profile, (1.2,), 0.3)
-        assert field.sigma_constant and not field.is_analytic
+        assert (field.profile, field.params) == (catalog._vortex_profile, (1.2,))
+        assert np.array_equal(field.sigma0, 0.3 * np.eye(2)) and not field.is_analytic
+        assert field == make_family("log-singular").field  # sigma0 is no == operand
 
     def test_rough_field_bitwise_its_old_closed_form(self):
         # log-singular's rough values and Jacobians feed c3, c4 and c5: the
@@ -567,7 +567,10 @@ class TestStructuredBlocks:
         assert smooth.blocks is field.blocks
         with pytest.raises(ValueError, match="already smoothed"):
             mollify(smooth, spec)
-
+        # a smoothed plain field carries its rough field's sigma0 too
+        linear = make_family("linear")
+        with pytest.raises(ValueError, match="already smoothed"):
+            mollify(mollify(linear.field, linear.mollifier(4.0)), linear.mollifier(4.0))
     @pytest.mark.parametrize("family,variant", [
         ("partially-sobolev", "rough"), ("partially-sobolev", "smoothed"),
         *[(f"deriv-{kind}", "lifted") for kind in ("linear", "smooth", "rough")],
@@ -724,18 +727,18 @@ class TestDensityExponentTerms:
 
 
 class TestConstantSigma:
-    """A field declaring ``sigma_constant`` is read at one point by
-    ``mollify`` and ``density_terms``: the flag must hold, and the one-point
-    path must give the per-state path's terms bitwise."""
+    """A field declaring its sigma as ``sigma0`` is read as that one matrix
+    by ``mollify`` and ``density_terms``: the matrix must be the field's
+    sigma, and the one-matrix path must give the per-state path's terms
+    bitwise."""
 
     @pytest.mark.parametrize("name", ["translation", "pure-drift", "linear", "log-singular",
                                       "deriv-linear"])
     def test_declared_constant_sigma_is_one_matrix_with_zero_jacobian(self, name):
         fam = make_family(name)
         field = fam.field
-        assert field.sigma_constant
         pts = fam.measure.sample(derive_rng(12, f"const-{name}"), 200)
-        sig0 = field.constant_sigma()
+        sig0 = field.sigma0
         assert sig0.shape == (field.dim_state, field.dim_noise)
         assert np.array_equal(field.sigma(pts), np.broadcast_to(sig0, (200,) + sig0.shape))
         assert not np.any(field.sigma_jac(pts))
@@ -745,9 +748,9 @@ class TestConstantSigma:
     def test_density_terms_bitwise_the_per_state_path(self, name):
         fam = make_family(name)
         m, field = fam.measure, fam.field
-        per_state = copy.copy(field)
-        per_state.sigma_constant = False
-        assert per_state.constant_sigma() is None
+        # the same evaluation with no declared sigma0
+        per_state = CoefficientField(field.dim_state, field.dim_noise, None, None)
+        per_state._eval = field._eval
         pts = m.sample(derive_rng(13, f"const-terms-{name}"), 300)
         for ev in (None, per_state.evaluate(pts, jac=True)):
             got = density_terms(field, m, pts, ev, 2.0**-5)
@@ -827,7 +830,7 @@ class TestAffineFamilies:
     def test_fields_bitwise_their_old_closed_forms(self, name, params, label):
         fam = make_family(name, **params)
         field = fam.field
-        assert fam.affine and field.sigma_constant and field.name == label
+        assert fam.affine and field.sigma0 is not None and field.name == label
         x = fam.measure.sample(derive_rng(14, f"affine-{name}"), 50)
         ev = field.evaluate(x, jac=True)
         old = _old_affine_closed_form(name, x, **{k: v for k, v in params.items()

@@ -24,6 +24,9 @@ REMOVED = {
     "mollified_convergence",            # no criterion or CLI kind measured it
     "mollifier_domination_check",       # it needed the planar tensor rule; no criterion called it
     "DominationReport",
+    "uniqueness_experiment",            # CauchyExperiment.uniqueness_metric
+    "UniquenessResult",
+    "constant_sigma",                   # CoefficientField.sigma0
 }
 
 
@@ -48,6 +51,10 @@ def test_every_export_resolves_and_no_removed_name_is_exported():
     # step formula (_smoothstep, catalog._zeta, catalog._loglip with deriv)
     assert not any(hasattr(roughflow.Swirl, name) for name in ("field", "radial"))
     assert "swirl" not in {f.name for f in dataclasses.fields(roughflow.CoefficientField)}
+    # a constant sigma is its declared matrix, CoefficientField.sigma0
+    assert "sigma_constant" not in {f.name for f in dataclasses.fields(roughflow.CoefficientField)}
+    assert not hasattr(roughflow.CoefficientField, "constant_sigma")
+    assert not hasattr(roughflow.make_family("log-singular").field, "noise")
     # a second-block callable returns its block as an array, not as terms
     assert not hasattr(roughflow.StructuredCoefficient, "_terms")
     for mod, names in ((roughflow.coefficients, ("_step_band", "_smoothstep_deriv", "_term_sum")),

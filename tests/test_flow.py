@@ -250,10 +250,13 @@ class TestStackedFlow:
             name="cubic",
         )
 
-    @pytest.mark.parametrize("name", ["cubic", "log-singular", "partially-sobolev"])
+    @pytest.mark.parametrize("name", ["cubic", "log-singular", "partially-sobolev",
+                                      "log-singular:one", "partially-sobolev:one"])
     def test_members_are_bitwise_their_own_flows(self, name):
         # a cubic drift explodes inside its cutoff's reach and not beyond it,
-        # so the exploded flags differ across levels
+        # so the exploded flags differ across levels; ":one" is a stack of
+        # one spec
+        name, _, one = name.partition(":")
         if name == "cubic":
             field = self.cubic()
             x0 = np.array([[0.1], [-0.5], [3.0], [5.0], [9.0]])
@@ -265,6 +268,7 @@ class TestStackedFlow:
             x0 = fam.measure.sample(derive_rng(20, f"stack-x0-{name}"), 6)
             specs = [fam.mollifier(2.0), fam.mollifier(4.0),
                      MollifierSpec(dim=2, level=4.0, order=16, panels=1, shape=3.0)]
+            specs = specs[-1:] if one else specs
         drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, 32, 3,
                                       derive_seed(20, f"stack-{name}"))
         stack = mollify(field, specs)
@@ -283,8 +287,10 @@ class TestStackedFlow:
             if name == "cubic":
                 assert 0 < flows.n_exploded < flows.states.shape[0] * len(x0)
 
-    @pytest.mark.parametrize("name", ["cubic", "log-singular", "partially-sobolev"])
+    @pytest.mark.parametrize("name", ["cubic", "log-singular", "partially-sobolev",
+                                      "log-singular:one", "partially-sobolev:one"])
     def test_members_track_their_own_densities(self, monkeypatch, name):
+        name, _, one = name.partition(":")  # ":one": a stack of one spec
         if name == "cubic":
             field, m = self.cubic(), ReferenceMeasure(1, 3.0)
             x0 = np.array([[0.1], [-0.5], [3.0], [5.0], [9.0]])
@@ -293,7 +299,7 @@ class TestStackedFlow:
             fam = make_family(name)
             field, m = fam.field, fam.measure
             x0 = m.sample(derive_rng(22, f"stack-x0-{name}"), 5)
-            specs = [fam.mollifier(k) for k in (2.0, 4.0, 16.0)]
+            specs = [fam.mollifier(k) for k in ((16.0,) if one else (2.0, 4.0, 16.0))]
         n_omega, n_steps = 3, 11
         drv = BrownianDriver.generate(field.dim_noise, 2.0**-6, n_steps, n_omega,
                                       derive_seed(22, f"stack-density-{name}"))
@@ -302,9 +308,11 @@ class TestStackedFlow:
         for per_block in (3, n_steps):
             monkeypatch.setattr(flow, "_TRACK_BLOCK_STATES", n_omega * len(x0) * per_block)
             flows = integrate(stack, drv, x0, n_steps * drv.dt, density=m)
+            assert len(flows) == len(specs)
             for spec, ens in zip(specs, flows):
                 alone = integrate(mollify(field, spec), drv, x0, n_steps * drv.dt, density=m)
                 assert ens.states.tobytes() == alone.states.tobytes()
+                assert np.array_equal(ens.exploded, alone.exploded)
                 for part in ("stochastic", "time_integral", "valid", "times"):
                     assert (getattr(ens.density, part).tobytes()
                             == getattr(alone.density, part).tobytes()), part
@@ -414,6 +422,10 @@ class TestDeterminism:
             runs.append(integrate(fam.field, drv, x0, 1.0).states.tobytes())
         assert runs[0] == runs[1]
 
+    def test_derived_seed_is_pinned(self):
+        # every stream of every criterion and CLI run starts from these bits
+        assert derive_seed(20240915, "c1-driver") == 120351475952122326
+
 
 
 class TestDriverFingerprint:
@@ -432,6 +444,24 @@ class TestDriverFingerprint:
             convergence_metric(direct, shifted)
         with pytest.raises(ValueError, match="share a driver"):
             stability_functional(direct, shifted, 5.0, 0.1, fam.measure)
+
+    @pytest.mark.parametrize("case, match", [("another horizon", "mismatched shapes"),
+                                             ("other starts", "share starting points")])
+    def test_uncoupled_ensembles_rejected_by_both_functions(self, case, match):
+        # one driver, but the flows run to another horizon or from other
+        # starts: both functions name the same mismatch
+        fam = make_family("linear")
+        drv = BrownianDriver.generate(1, dt=2**-5, n_steps=2**5, n_omega=3, seed=7)
+        x0 = fam.measure.sample(derive_rng(12, "shift-x0"), 4)
+        e1 = integrate(fam.field, drv, x0, 1.0)
+        if case == "another horizon":
+            e2 = integrate(fam.field, drv, x0, 0.5)
+        else:
+            e2 = integrate(fam.field, drv, fam.measure.sample(derive_rng(13, "x0"), 4), 1.0)
+        with pytest.raises(ValueError, match=match):
+            convergence_metric(e1, e2)
+        with pytest.raises(ValueError, match=match):
+            stability_functional(e1, e2, 5.0, 0.1, fam.measure)
 
     def test_offset_follows_shifts_and_coarsening(self):
         drv = BrownianDriver.generate(1, dt=2**-6, n_steps=2**6, n_omega=2, seed=9)

@@ -24,7 +24,6 @@ from roughflow.stability import (
     cauchy_experiment,
     stability_bound,
     stability_functional,
-    uniqueness_experiment,
 )
 
 
@@ -40,7 +39,7 @@ def ou_pair(shift=0.0, seed=1, n_omega=8, n_x=24, dt_exp=7):
         drift_fn=lambda x: fam.field.drift_fn(x) + shift,
         sigma_jac_fn=fam.field.sigma_jac_fn,
         drift_jac_fn=fam.field.drift_jac_fn,
-        sigma_constant=True,
+        sigma0=fam.field.sigma0,
     )
     e2 = integrate(shifted, drv, x0, 1.0)
     return fam, e1, e2, shifted
@@ -164,9 +163,7 @@ class TestExperiments:
                                       derive_seed(9, "us-driver"))
         x0 = fam.measure.sample(derive_rng(9, "us-x0"), 8)
         table = cauchy_experiment(fam, [8.0], drv, x0, 1.0, norm_budget=500)
-        res = uniqueness_experiment(table)
-        assert res.level == 8.0
-        assert res.metric < 1e-6
+        assert table.uniqueness_metric < 1e-6
 
     @pytest.mark.parametrize("name", ["linear", "translation", "pure-drift",
                                       "deriv-linear"])
@@ -233,7 +230,7 @@ class TestQuadraturePassBudget:
         # kernel, one per step for the last level, the bound's three per
         # pair, and the last level's density track: one sigma-divergence pass
         # per noise column where sigma is not constant (partially-sobolev's)
-        track = 0 if fam.field.sigma_constant else fam.field.dim_noise
+        track = 0 if fam.field.sigma0 is not None else fam.field.dim_noise
         assert passes["n"] == 2 * n_steps + 3 * (len(levels) - 1) + track
 
     def test_swirl_field_makes_no_pass(self, passes):
@@ -313,12 +310,11 @@ class TestOneFlowPerLevelAndKernel:
     def test_metric_equals_two_separate_runs(self, name):
         fam, drv, x0, T = self.case(name)
         levels = [2.0, 4.0]
-        _, unq, _, _ = cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
+        table, _, _ = cauchy_uniqueness_checks(fam, levels, drv, x0, T, 500)
         # both kernels integrated from scratch at the last level
         ensembles = [
             integrate(mollify(fam.field, replace(fam.mollifier(levels[-1]), shape=a)),
                       drv, x0, T)
             for a in (1.0, 3.0)
         ]
-        assert unq.level == levels[-1]
-        assert unq.metric == convergence_metric(*ensembles)
+        assert table.uniqueness_metric == convergence_metric(*ensembles)
